@@ -11,8 +11,11 @@ alpha R_t >= inv(Sigma_t) for every t.  Two gradient estimators are
 provided:
 
 * model-based: the pathwise derivative of exp(alpha J) under frozen
-  noise, computed by a backward adjoint recursion through the dynamics
-  Jacobians (sample = alpha * exp(alpha J) * G_t);
+  noise, computed by a backward adjoint recursion run as a chain of
+  vector-Jacobian products: the adjoint lam_{t+1} is pulled back through
+  F_y', K_t' and phi_s' one factor at a time, so the n x n closed-loop
+  Jacobian F_s + F_y K_t phi_s is never formed
+  (sample = alpha * exp(alpha J) * G_t);
 * derivative-free: the likelihood-ratio sample
   exp(alpha J) * (inv(Sigma_t)(y_t - u_t) + alpha R_t u_t) phi(s_t)',
   which needs no derivatives at all.
@@ -33,7 +36,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import ContractError, DivergenceError, FieldEvaluationError
-from .objective import psd_tolerance
+from .objective import check_exponents, psd_tolerance
 from .sampling import GaussianSampler, as_covariance, spd_inverse, symmetric_sqrt
 from .solver import (
     FeasibleSet,
@@ -391,11 +394,16 @@ def policy_gradient_model_based(dyn: Dynamics, cost: ControlCost, policy: Policy
                                 frozen: Optional[FrozenNoise] = None) -> PolicyGradientSample:
     """Pathwise gradient of exp(alpha J) for one sampled noise realization.
 
-    Backward adjoint recursion seeded at the terminal cost gradient:
+    Backward adjoint recursion seeded at the terminal cost gradient,
+    written as vector-Jacobian products:
 
-        G_t     = (R_t u_t + F_y' lam_{t+1}) phi_t'
-        lam_t   = grad l(s_t) + phi_s' K_t' R_t u_t
-                  + (F_s + F_y K_t phi_s)' lam_{t+1}
+        g_t     = R_t u_t + F_y' lam_{t+1}
+        G_t     = g_t phi_t'
+        lam_t   = grad l(s_t) + F_s' lam_{t+1} + phi_s' (K_t' g_t)
+
+    which equals grad l(s_t) + phi_s' K_t' R_t u_t
+    + (F_s + F_y K_t phi_s)' lam_{t+1} without forming the closed-loop
+    Jacobian.
 
     The returned ``exp_gradient`` = alpha * exp(alpha J) * G matches
     central finite differences of exp(alpha J) recomputed under the
@@ -417,12 +425,11 @@ def policy_gradient_model_based(dyn: Dynamics, cost: ControlCost, policy: Policy
         K = policy.gains[t - 1]
         phi = policy.phi(s, t)
         f_y = np.asarray(dyn.jacobian_control(s, y, xi, t), dtype=float)
-        ru = cost.control_weights[t - 1] @ u
-        G[t - 1] = np.outer(ru + f_y.T @ lam, phi)
+        g = cost.control_weights[t - 1] @ u + f_y.T @ lam
+        G[t - 1] = np.outer(g, phi)
         f_s = np.asarray(dyn.jacobian_state(s, y, xi, t), dtype=float)
         phi_s = np.asarray(policy.features_jacobian(s, t), dtype=float)
-        lam = (cost.grad(s, t) + phi_s.T @ (K.T @ ru)
-               + (f_s + f_y @ K @ phi_s).T @ lam)
+        lam = cost.grad(s, t) + f_s.T @ lam + phi_s.T @ (K.T @ g)
     return PolicyGradientSample(per_step=G, exp_cost=r.exp_cost,
                                 exp_gradient=model.alpha * r.exp_cost * G, rollout=r)
 
@@ -523,7 +530,11 @@ def _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1):
 
 
 def _gradient_samples(dyn, cost, policy, model, sampler, n, method, mode="noisy", s1=None):
-    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator."""
+    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator.
+
+    Raises :class:`EstimateOverflowError` when exp(alpha J) overflows for
+    some rollout, instead of returning inf or NaN samples.
+    """
     if method not in _ESTIMATORS:
         raise ContractError(f"unknown gradient method {method!r}")
     N = dyn.horizon
@@ -531,43 +542,46 @@ def _gradient_samples(dyn, cost, policy, model, sampler, n, method, mode="noisy"
     if not _is_vectorized(dyn, cost, policy):
         samples = np.empty((n, N - 1, m, q))
         costs = np.empty(n)
+        expo = np.empty(n)
         estimator = _ESTIMATORS[method]
         for i in range(n):
             g = estimator(dyn, cost, policy, model, sampler, mode=mode)
             samples[i] = g.exp_gradient
             costs[i] = g.exp_cost
+            expo[i] = model.alpha * g.rollout.cost
+        check_exponents(expo)
         return samples, costs
 
     S, U, Y, XI, PHI, total = _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1)
-    w = np.exp(model.alpha * total)
+    w = np.exp(check_exponents(model.alpha * total))
     G = np.empty((n, N - 1, m, q))
     if method == "derivative_free":
         for t in range(1, N):
             score = (Y[t - 1] - U[t - 1]) @ model.noise_inv[t - 1] \
                 + model.alpha * (U[t - 1] @ cost.control_weights[t - 1])
             G[:, t - 1] = np.einsum("bm,bq->bmq", score, PHI[t - 1])
-        samples = w[:, None, None, None] * G
+        G *= w[:, None, None, None]
     else:
         if dyn.jacobian_state is None or dyn.jacobian_control is None:
             raise ContractError("model-based gradient requires dynamics Jacobians")
         if policy.features_jacobian is None or cost.state_cost_grad is None:
             raise ContractError("model-based gradient requires cost and feature gradients")
+        # Adjoint as two-operand vector-Jacobian products per step, at
+        # O(b n (n + m + q)) multiply-adds; the closed-loop Jacobian
+        # F_s + F_y K phi_s (O(b n m q n) to form) never exists.
         lam = np.asarray(cost.state_cost_grad(S[N - 1], N), dtype=float)
         for t in range(N - 1, 0, -1):
             s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
-            K = policy.gains[t - 1]
             f_y = np.asarray(dyn.jacobian_control(s, y, xi, t), dtype=float)
-            ru = u @ cost.control_weights[t - 1]
-            G[:, t - 1] = np.einsum("bm,bq->bmq",
-                                    ru + np.einsum("bnm,bn->bm", f_y, lam), PHI[t - 1])
+            g = u @ cost.control_weights[t - 1] + np.einsum("bnm,bn->bm", f_y, lam)
+            G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
             f_s = np.asarray(dyn.jacobian_state(s, y, xi, t), dtype=float)
             phi_s = np.asarray(policy.features_jacobian(s, t), dtype=float)
-            close = f_s + np.einsum("bnm,mq,bqk->bnk", f_y, K, phi_s)
             lam = (np.asarray(cost.state_cost_grad(s, t), dtype=float)
-                   + np.einsum("bqn,bq->bn", phi_s, ru @ K)
-                   + np.einsum("bnk,bn->bk", close, lam))
-        samples = (model.alpha * w)[:, None, None, None] * G
-    return samples, w
+                   + np.einsum("bnk,bn->bk", f_s, lam)
+                   + np.einsum("bqn,bq->bn", phi_s, g @ policy.gains[t - 1]))
+        G *= (model.alpha * w)[:, None, None, None]
+    return G, w
 
 
 def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,

@@ -34,6 +34,7 @@ from .control import (
     Policy,
     check_control_certificate,
     train_policy,
+    unstack_gains,
 )
 from .csvio import write_csv
 from .datasets import Dataset
@@ -268,7 +269,7 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     def record(i, theta, theta_avg):
         if i % eval_every == 0 or i == iterations:
             vec = theta_avg if averaging else theta
-            ws = _unstack(cfg, vec)
+            ws = unstack_gains(vec, cfg.n_layers, cfg.internal_width, cfg.internal_width)
             curve.append((i * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=averaging)
@@ -282,11 +283,6 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     return NoisyNetReport(weights=weights, curve=curve,
                           certificate_margins=margins, certified=certified,
                           final_train_mse=final_train, final_test_mse=final_test)
-
-
-def _unstack(cfg: NoisyNetConfig, vec: np.ndarray) -> list:
-    w = cfg.internal_width
-    return [vec[i * w * w:(i + 1) * w * w].reshape(w, w) for i in range(cfg.n_layers)]
 
 
 def save_weights(directory, weights) -> None:

@@ -172,10 +172,9 @@ def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
                     std_err=se / model.alpha, n=n)
 
 
-def _exponents(f: ScalarField, model: RiskModel, theta, draws: np.ndarray) -> np.ndarray:
-    """alpha f(theta+w) + 0.5 alpha theta' R theta per draw, with overflow check."""
-    vals = f.evaluate_batch(theta + draws)
-    expo = model.alpha * vals + model.alpha * model.quad(theta)
+def check_exponents(expo: np.ndarray) -> np.ndarray:
+    """Return the exponents, or raise EstimateOverflowError naming the
+    sample of the largest one when exp() of it would overflow."""
     if np.any(expo > LOG_FLOAT_MAX):
         i = int(np.argmax(expo))
         raise EstimateOverflowError(
@@ -183,6 +182,12 @@ def _exponents(f: ScalarField, model: RiskModel, theta, draws: np.ndarray) -> np
             sample_index=i,
         )
     return expo
+
+
+def _exponents(f: ScalarField, model: RiskModel, theta, draws: np.ndarray) -> np.ndarray:
+    """alpha f(theta+w) + 0.5 alpha theta' R theta per draw, with overflow check."""
+    vals = f.evaluate_batch(theta + draws)
+    return check_exponents(model.alpha * vals + model.alpha * model.quad(theta))
 
 
 def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,

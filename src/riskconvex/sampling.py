@@ -103,9 +103,6 @@ class GaussianSampler:
             return z
         return z @ self._root  # root is symmetric, so rows are root @ z_i
 
-    def draw_one(self) -> np.ndarray:
-        return self.draw(1)[0]
-
     def normal(self, shape) -> np.ndarray:
         """Raw standard-normal draws of the given shape (covariance ignored)."""
         return self._rng.standard_normal(shape)

@@ -165,7 +165,6 @@ class SolverReport:
     certified: bool
     certificate_margin: float
     objective_trace: Optional[np.ndarray] = None
-    objective_log_gap: Optional[float] = None
 
     @property
     def iterations(self) -> int:

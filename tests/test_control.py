@@ -17,9 +17,15 @@ from riskconvex.control import (
     train_policy,
     unstack_gains,
     write_rollout_csv,
+    _forward_batch,
+    _gradient_samples,
 )
+from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.csvio import read_csv
-from riskconvex.errors import ContractError, DivergenceError
+from riskconvex.datasets import Dataset
+from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
+from riskconvex.noisynet import NoisyNetConfig, build_control_problem
+from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig
 from support import smooth_control_problem
@@ -261,9 +267,68 @@ class TestBatchPaths:
         assert failures == 0
 
 
-def _exp_costs(dyn, cost, pol, model, sampler, n):
-    from riskconvex.control import _gradient_samples
+def noisy_net_problem(rng):
+    cfg = NoisyNetConfig(widths=[1, 4, 3, 1], alpha=3.0, noise_scales=[0.15] * 3,
+                         penalty_weights=[0.05] * 3, loss_bound=0.5)
+    x = rng.uniform(-1.0, 1.0, 12)
+    dyn, cost, pol, model = build_control_problem(cfg, Dataset(X=x[:, None], y=np.sin(x)))
+    w = cfg.internal_width
+    pol = pol.with_gains([0.7 * rng.standard_normal((w, w)) for _ in range(cfg.n_layers)])
+    return dyn, cost, pol, model
 
+
+class TestSameNoiseReplay:
+    @pytest.mark.parametrize("build", [
+        lambda rng: smooth_control_problem(rng, 3, 2, 5),
+        noisy_net_problem,
+    ], ids=["smooth", "noisy_net"])
+    def test_batched_adjoint_matches_per_row_adjoint(self, build):
+        dyn, cost, pol, model = build(np.random.default_rng(23))
+        n, seed = 24, 31
+        S, U, Y, XI, _, _ = _forward_batch(dyn, cost, pol, model,
+                                           GaussianSampler(seed, dim=1), n, "noisy", None)
+        samples, costs = _gradient_samples(dyn, cost, pol, model,
+                                           GaussianSampler(seed, dim=1), n, "model_based")
+        assert np.any(samples != 0.0)
+        for i in range(n):
+            frozen = FrozenNoise(S[0][i], Y[:, i] - U[:, i], XI[:, i])
+            g = policy_gradient_model_based(dyn, cost, pol, model,
+                                            GaussianSampler(0, dim=1), frozen=frozen)
+            np.testing.assert_allclose(g.exp_gradient, samples[i], rtol=1e-10)
+            assert g.exp_cost == pytest.approx(costs[i], rel=1e-10)
+
+
+def overflowing_problem(vectorized):
+    # exp(alpha J) exceeds the float range on most rollouts of this system
+    dyn, cost, pol, model = ScalarBenchmark(alpha=50, q=5, a=1.5, horizon=6).problem()
+    dyn.vectorized = cost.vectorized = pol.vectorized = vectorized
+    return dyn, cost, pol, model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestExponentOverflow:
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_batch_raises_typed_error(self, method, vectorized):
+        dyn, cost, pol, model = overflowing_problem(vectorized)
+        with pytest.raises(EstimateOverflowError) as err:
+            policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64, method)
+        assert 0 <= err.value.sample_index < 64
+        if vectorized:
+            *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1),
+                                       64, "noisy", None)
+            assert model.alpha * total[err.value.sample_index] > LOG_FLOAT_MAX
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_train_policy_reports_overflow_not_divergence(self, method):
+        dyn, cost, pol, model = overflowing_problem(True)
+        with pytest.raises(EstimateOverflowError):
+            train_policy(dyn, cost, pol, model, method,
+                         SolverConfig(iterations=5, batch=32, zeta=1.0),
+                         FeasibleSet.ball(np.zeros(5), 1.0), GaussianSampler(4, dim=1))
+
+
+def _exp_costs(dyn, cost, pol, model, sampler, n):
     samples, costs = _gradient_samples(dyn, cost, pol, model, sampler, n,
                                        "derivative_free")
     return samples, costs
