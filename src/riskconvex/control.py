@@ -35,7 +35,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ContractError, DivergenceError, FieldEvaluationError
+from .errors import (
+    ContractError,
+    DivergenceError,
+    EstimateOverflowError,
+    FieldEvaluationError,
+)
 from .objective import check_exponents, psd_tolerance
 from .sampling import GaussianSampler, as_covariance, spd_inverse, symmetric_sqrt
 from .solver import (
@@ -303,7 +308,8 @@ def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRisk
     disturbance sampler; mode "mean" forces y_t = u_t and xi_t = 0 (and
     s_1 = 0 unless given), for testing.  ``frozen`` replays a fixed
     noise realization regardless of mode.  Raises
-    :class:`DivergenceError` carrying t when a state goes non-finite.
+    :class:`DivergenceError` carrying t when a state goes non-finite,
+    and :class:`EstimateOverflowError` when exp(alpha J) overflows.
     """
     _validate_problem(dyn, cost, policy, model)
     if mode not in ("noisy", "mean"):
@@ -353,10 +359,10 @@ def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRisk
     terminal = cost.stage(s, N)
     stage_costs[N - 1] = terminal
     total += terminal
+    expo = check_exponents(np.array([model.alpha * total]))
     return Rollout(states=states, controls=controls, realized=realized,
                    disturbances=disturbances, stage_costs=stage_costs,
-                   cost=total, exp_cost=float(np.exp(model.alpha * total)),
-                   alpha=model.alpha)
+                   cost=total, exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
 
 
 def _validate_problem(dyn: Dynamics, cost: ControlCost, policy: Policy,
@@ -542,14 +548,16 @@ def _gradient_samples(dyn, cost, policy, model, sampler, n, method, mode="noisy"
     if not _is_vectorized(dyn, cost, policy):
         samples = np.empty((n, N - 1, m, q))
         costs = np.empty(n)
-        expo = np.empty(n)
         estimator = _ESTIMATORS[method]
         for i in range(n):
-            g = estimator(dyn, cost, policy, model, sampler, mode=mode)
+            try:
+                g = estimator(dyn, cost, policy, model, sampler, mode=mode)
+            except EstimateOverflowError as err:
+                raise EstimateOverflowError(
+                    f"exp(alpha J) of sample {i} exceeds the representable range",
+                    sample_index=i) from err
             samples[i] = g.exp_gradient
             costs[i] = g.exp_cost
-            expo[i] = model.alpha * g.rollout.cost
-        check_exponents(expo)
         return samples, costs
 
     S, U, Y, XI, PHI, total = _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1)

@@ -16,12 +16,27 @@ the expectation is det(W)^(-1/2) / sqrt(prod det Sigma_t) when W > 0 and
 which is concave in K whenever alpha R >= S.  synthesize() runs projected
 gradient ascent with step backtracking; the log det's own blow-up near a
 singular W acts as the barrier.
+
+Evaluation is factorized.  K only ever multiplies the row blocks M_t of
+M, so KM is the stack of K_t M_t, and with D = alpha R - S
+
+    W(K) = S - alpha M'QM - S KM - (S KM)' - KM' D KM,
+
+where S KM and D KM are blockwise products and M'QM is a constant of the
+problem (:class:`BlockOperators` holds it with the other constants).
+One Cholesky factor L of W then gives everything: W > 0 exactly when it
+exists, log det W = 2 sum(log diag L), and the gradient's solves with W
+are two triangular solves.  With p = (N-1) m, an evaluation costs one
+p x p product and one factorization, O(p^3) with small constants;
+eigenvalues of W are computed only when a caller reads
+``DetMaxResult.min_eig`` or ``feasible``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -92,7 +107,13 @@ class LinearSystem:
 
 @dataclass
 class BlockOperators:
-    """Stacked trajectory-space operators of a linear system."""
+    """Stacked trajectory-space operators of a linear system.
+
+    Besides the dense operators it holds the constants that every W(K)
+    evaluation reuses, computed once: the row blocks M_t that the gains
+    act on, the Gram matrix M' Q M, and the per-step blocks of S and R
+    with their largest eigenvalues.
+    """
 
     traj_map: np.ndarray      # M, (N n) x ((N-1) m); x = M y, first block row 0
     noise_weight: np.ndarray  # S = blockdiag(inv(Sigma_t))
@@ -101,23 +122,66 @@ class BlockOperators:
     state_dim: int
     control_dim: int
     horizon: int
+    traj_rows: np.ndarray     # M_t: M[:(N-1) n] as (N-1, n, (N-1) m)
+    state_gram: np.ndarray    # M' Q M
+    noise_blocks: np.ndarray  # S_t = inv(Sigma_t), (N-1, m, m)
+    cost_blocks: np.ndarray   # R_t, (N-1, m, m)
+    noise_max_eig: float      # largest eigenvalue of S
+    cost_max_eig: float       # largest eigenvalue of R
+    _alpha_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def place_gains(self, gains) -> np.ndarray:
         """Block placement of K_t into the m(N-1) x nN gain operator."""
         n, m, N = self.state_dim, self.control_dim, self.horizon
+        G = self.stack(gains)
+        K = np.zeros((m * (N - 1), n * N))
+        for t in range(N - 1):
+            K[t * m:(t + 1) * m, t * n:(t + 1) * n] = G[t]
+        return K
+
+    def stack(self, gains) -> np.ndarray:
+        """Gains K_1..K_{N-1}, a list of (m x n) matrices or already
+        stacked, as one (N-1, m, n) array."""
+        n, m, N = self.state_dim, self.control_dim, self.horizon
+        if isinstance(gains, np.ndarray) and gains.ndim == 3:
+            if gains.shape[1:] == (m, n) and len(gains) == N - 1:
+                return gains.astype(float, copy=False)
+            gains = list(gains)
         gains = [np.atleast_2d(np.asarray(k, dtype=float)) for k in gains]
         if len(gains) != N - 1:
             raise ContractError(f"need {N - 1} gain matrices")
-        K = np.zeros((m * (N - 1), n * N))
-        for t in range(N - 1):
-            if gains[t].shape != (m, n):
+        for t, k in enumerate(gains):
+            if k.shape != (m, n):
                 raise ContractError(f"gain at t={t + 1} must be {m}x{n}")
-            K[t * m:(t + 1) * m, t * n:(t + 1) * n] = gains[t]
-        return K
+        return np.array(gains)
+
+    def _alpha_terms(self, alpha: float) -> _AlphaTerms:
+        """The gain-free terms of W(K) at this alpha; the last alpha's
+        are kept, so a synthesis run computes them once."""
+        terms = self._alpha_cache.get(alpha)
+        if terms is None:
+            tol = psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig)
+            D = alpha * self.cost_blocks - self.noise_blocks
+            # R and S are block-diagonal, so alpha R >= S block by block.
+            margin = float(np.linalg.eigvalsh(D).min())
+            terms = _AlphaTerms(D=D, base=self.noise_weight - alpha * self.state_gram,
+                                tol=tol, convexity_advisory=margin >= -tol)
+            self._alpha_cache.clear()
+            self._alpha_cache[alpha] = terms
+        return terms
+
+
+@dataclass(frozen=True)
+class _AlphaTerms:
+    D: np.ndarray             # D_t = alpha R_t - S_t, (N-1, m, m)
+    base: np.ndarray          # S - alpha M'QM
+    tol: float                # scale-relative semidefiniteness tolerance
+    convexity_advisory: bool  # alpha R >= S up to tol
 
 
 def build_block_operators(sys: LinearSystem) -> BlockOperators:
-    """Assemble the block trajectory map and the block-diagonal weights.
+    """Assemble the block trajectory map, the block-diagonal weights and
+    the constants of W(K).
 
     Block (i, j) of the trajectory map is (A_{i-1} ... A_{j+1}) B_j for
     i > j and zero otherwise; the first block row is zero because
@@ -141,80 +205,134 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
             pos += b.shape[0]
         return out
 
-    noise_weight = blockdiag([np.linalg.inv(s) for s in sys.sigma])
-    noise_weight = 0.5 * (noise_weight + noise_weight.T)
+    noise_blocks = np.array([np.linalg.inv(s) for s in sys.sigma])
+    noise_blocks = 0.5 * (noise_blocks + noise_blocks.transpose(0, 2, 1))
+    cost_blocks = np.array(sys.R)
+    state_cost = blockdiag(sys.Q)
+    gram = M.T @ state_cost @ M
     return BlockOperators(
         traj_map=M,
-        noise_weight=noise_weight,
-        control_cost=blockdiag(sys.R),
-        state_cost=blockdiag(sys.Q),
+        noise_weight=blockdiag(noise_blocks),
+        control_cost=blockdiag(cost_blocks),
+        state_cost=state_cost,
         state_dim=n,
         control_dim=m,
         horizon=N,
+        traj_rows=M[:(N - 1) * n].reshape(N - 1, n, (N - 1) * m),
+        state_gram=0.5 * (gram + gram.T),
+        noise_blocks=noise_blocks,
+        cost_blocks=cost_blocks,
+        noise_max_eig=float(np.linalg.eigvalsh(noise_blocks).max()),
+        cost_max_eig=float(np.linalg.eigvalsh(cost_blocks).max()),
     )
 
 
 @dataclass
 class DetMaxResult:
-    """Objective value, feasibility, and the W matrix at one gain setting."""
+    """Objective value, feasibility, and the W matrix at one gain setting.
 
-    value: float            # log det W, -inf when W has a nonpositive eigenvalue
+    ``min_eig`` and ``feasible`` are exact but lazy: the first read of
+    either runs one ``eigvalsh(W)``, which the objective itself never
+    needs.
+    """
+
+    value: float            # log det W, -inf when W is not positive definite
     W: np.ndarray
-    feasible: bool          # min eigenvalue >= -tol (expectation finite up to tol)
-    min_eig: float
     convexity_advisory: bool  # whether alpha R >= S held (concavity of log det W)
+    tol: float              # scale-relative semidefiniteness tolerance
+
+    @cached_property
+    def min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.W)[0])
+
+    @property
+    def feasible(self) -> bool:
+        """min eigenvalue >= -tol (expectation finite up to tol)."""
+        return bool(self.min_eig >= -self.tol)
 
 
-def _w_matrix(blocks: BlockOperators, alpha: float, gains) -> np.ndarray:
-    K = blocks.place_gains(gains)
-    M, S = blocks.traj_map, blocks.noise_weight
-    SKM = S @ K @ M
-    inner = K.T @ (alpha * blocks.control_cost - S) @ K + alpha * blocks.state_cost
-    W = S - SKM - SKM.T - M.T @ inner @ M
-    return 0.5 * (W + W.T)
+def _w_matrix(blocks: BlockOperators, terms: _AlphaTerms, G: np.ndarray):
+    """(W, Z) at stacked gains G, with Z = S + D KM.
+
+    W = S - alpha M'QM - S KM - (S KM)' - KM' D KM: KM, S KM and D KM
+    are blockwise, and KM' (D KM) is the only dense product.  W is
+    formed as base - (T + T') with T = S KM + KM' D KM / 2, which is
+    exactly symmetric.
+    """
+    p = blocks.state_gram.shape[0]
+    KM = np.matmul(G, blocks.traj_rows)                     # K_t M_t, (N-1, m, p)
+    DKM = np.matmul(terms.D, KM).reshape(p, p)
+    T = KM.reshape(p, p).T @ DKM
+    T *= 0.5
+    T += np.matmul(blocks.noise_blocks, KM).reshape(p, p)
+    return terms.base - (T + T.T), blocks.noise_weight + DKM
+
+
+def _cholesky(W: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of W (upper triangle left as is), or None
+    when W is not positive definite."""
+    # Imported on first use: scipy.linalg adds 0.1-0.25 s to
+    # `import riskconvex`, and only synthesis uses it.
+    from scipy.linalg.lapack import dpotrf
+
+    L, info = dpotrf(W, lower=1, clean=0)
+    return L if info == 0 else None
 
 
 def detmax_objective(sys: LinearSystem, alpha: float, gains,
                      blocks: Optional[BlockOperators] = None) -> DetMaxResult:
     """log det W(K) with the feasibility flag W(K) >= 0.
 
-    The value is -inf when any eigenvalue is nonpositive; the feasible
-    flag tolerates eigenvalues down to -tol (scale-relative), matching
-    the case split where an indefinite W makes the expectation +inf.
+    ``gains`` is a list of (m x n) matrices or an (N-1, m, n) array.
+    W is assembled blockwise (module docstring) and factored once: the
+    value is 2 sum(log diag L) for its Cholesky factor L, and -inf when
+    W is not positive definite.  With p = (N-1) m that costs one p x p
+    product and one p x p Cholesky.  The ``feasible`` flag tolerates
+    eigenvalues down to -tol (scale-relative), matching the case split
+    where an indefinite W makes the expectation +inf; it and ``min_eig``
+    come from ``eigvalsh(W)``, run only when one of them is read.
     """
     if blocks is None:
         blocks = build_block_operators(sys)
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ContractError("alpha must be positive")
-    W = _w_matrix(blocks, alpha, gains)
-    w = np.linalg.eigvalsh(W)
-    tol = psd_tolerance(float(np.linalg.eigvalsh(alpha * blocks.control_cost)[-1]),
-                        float(np.linalg.eigvalsh(blocks.noise_weight)[-1]))
-    value = float(np.sum(np.log(w))) if w[0] > 0.0 else -math.inf
-    adv = float(np.linalg.eigvalsh(alpha * blocks.control_cost - blocks.noise_weight)[0])
-    return DetMaxResult(value=value, W=W, feasible=bool(w[0] >= -tol),
-                        min_eig=float(w[0]), convexity_advisory=adv >= -tol)
+    terms = blocks._alpha_terms(alpha)
+    W, _ = _w_matrix(blocks, terms, blocks.stack(gains))
+    L = _cholesky(W)
+    value = -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
+    return DetMaxResult(value=value, W=W, convexity_advisory=terms.convexity_advisory,
+                        tol=terms.tol)
 
 
 def detmax_gradient(sys: LinearSystem, alpha: float, gains,
-                    blocks: Optional[BlockOperators] = None) -> list:
-    """Gradient of log det W with respect to each K_t (exact, via W^-1).
+                    blocks: Optional[BlockOperators] = None):
+    """Gradient of log det W with respect to each K_t (exact).
 
-    d log det W = -2 [ S W^-1 M' + (alpha R - S) K M W^-1 M' ], with the
-    (t, t) block extracted for each gain.
+    d log det W / dK is the block diagonal of -2 Z W^-1 M' with
+    Z = S + (alpha R - S) K M.  From the Cholesky factor of W,
+    Y = W^-1 Z' takes two triangular solves, and block t of the gradient
+    is -2 (M_t Y_t)', Y_t being the t-th block of m columns of Y; no
+    inverse and no off-diagonal block is formed.  Cost: one assembly of
+    W, one Cholesky and the p x p solves.  Where W is indefinite, Y
+    comes from an LU solve and the result is the gradient of
+    log |det W|.
+
+    Returns an (N-1, m, n) array when ``gains`` is one, else a list.
     """
     if blocks is None:
         blocks = build_block_operators(sys)
-    W = _w_matrix(blocks, alpha, gains)
-    M, S = blocks.traj_map, blocks.noise_weight
-    K = blocks.place_gains(gains)
-    W_inv = np.linalg.inv(W)
-    W_inv = 0.5 * (W_inv + W_inv.T)
-    full = -2.0 * (S @ W_inv @ M.T
-                   + (alpha * blocks.control_cost - S) @ K @ M @ W_inv @ M.T)
-    n, m, N = blocks.state_dim, blocks.control_dim, blocks.horizon
-    return [full[t * m:(t + 1) * m, t * n:(t + 1) * n].copy() for t in range(N - 1)]
+    N, m = blocks.horizon, blocks.control_dim
+    W, Z = _w_matrix(blocks, blocks._alpha_terms(float(alpha)), blocks.stack(gains))
+    L = _cholesky(W)
+    if L is None:
+        Y = np.linalg.solve(W, Z.T)
+    else:
+        from scipy.linalg.lapack import dpotrs
+
+        Y = dpotrs(L, Z.T, lower=1)[0]
+    grad = -2.0 * np.einsum("tna,atm->tmn", blocks.traj_rows, Y.reshape(-1, N - 1, m))
+    return grad if isinstance(gains, np.ndarray) else list(grad)
 
 
 def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
@@ -274,26 +392,24 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     cfg = config or SynthesisConfig()
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
     if structure is None:
-        masks = [np.ones((m, n), dtype=bool) for _ in range(N - 1)]
+        masks = np.ones((N - 1, m, n), dtype=bool)
     else:
         masks = [np.asarray(mk, dtype=bool) for mk in structure]
         if len(masks) != N - 1 or any(mk.shape != (m, n) for mk in masks):
             raise ContractError(f"structure needs {N - 1} boolean masks of shape {(m, n)}")
+        masks = np.array(masks)
 
-    def apply_constraints(gains):
-        gains = [k * mk for k, mk in zip(gains, masks)]
+    def apply_constraints(G):
+        # G.ravel() is the step-major order of control.stack_gains.
+        G = G * masks
         if feasible is not None:
-            from .control import stack_gains, unstack_gains  # local to avoid cycle
+            G = feasible.project(G.ravel()).reshape(G.shape) * masks
+        return G
 
-            vec = feasible.project(stack_gains(gains))
-            gains = unstack_gains(vec, N - 1, m, n)
-            gains = [k * mk for k, mk in zip(gains, masks)]
-        return gains
-
-    gains = apply_constraints([np.zeros((m, n)) for _ in range(N - 1)])
+    gains = apply_constraints(np.zeros((N - 1, m, n)))
     res = detmax_objective(sys, alpha, gains, blocks=blocks)
-    if res.min_eig <= 0.0:
-        return SynthesisReport(gains=gains, objective=res.value, success=False,
+    if res.value == -math.inf:
+        return SynthesisReport(gains=list(gains), objective=res.value, success=False,
                                converged=False, iterations=0, grad_norm=math.nan,
                                convexity_advisory=res.convexity_advisory,
                                message="no feasible start: W(0) is not positive definite")
@@ -305,26 +421,26 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     grad_norm = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = detmax_gradient(sys, alpha, gains, blocks=blocks)
-        grad = [g * mk for g, mk in zip(grad, masks)]
-        grad_norm = math.sqrt(sum(float(np.sum(g**2)) for g in grad))
+        grad = detmax_gradient(sys, alpha, gains, blocks=blocks) * masks
+        grad_norm = math.sqrt(float(np.sum(grad**2)))
         if grad_norm <= cfg.grad_tol * (1.0 + abs(value)):
             converged = True
             break
         step = min(cfg.step0, step / cfg.backtrack)  # allow the step to regrow
         accepted = False
         while step > cfg.step_tol:
-            cand = apply_constraints([k + step * g for k, g in zip(gains, grad)])
-            cand_res = detmax_objective(sys, alpha, cand, blocks=blocks)
-            if cand_res.min_eig > 0.0 and cand_res.value > value:
-                gains, value = cand, cand_res.value
+            cand = apply_constraints(gains + step * grad)
+            cand_value = detmax_objective(sys, alpha, cand, blocks=blocks).value
+            # value is finite, so an improvement also means W(cand) > 0.
+            if cand_value > value:
+                gains, value = cand, cand_value
                 accepted = True
                 break
             step *= cfg.backtrack
         if not accepted:
             converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))
             break
-    return SynthesisReport(gains=gains, objective=value, success=True,
+    return SynthesisReport(gains=list(gains), objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
                            convexity_advisory=advisory)
 

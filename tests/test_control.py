@@ -319,6 +319,32 @@ class TestExponentOverflow:
                                        64, "noisy", None)
             assert model.alpha * total[err.value.sample_index] > LOG_FLOAT_MAX
 
+    def test_rollout_raises_typed_error(self):
+        dyn, cost, pol, model = overflowing_problem(False)
+        rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1))  # this draw fits
+        with pytest.raises(EstimateOverflowError) as err:
+            rollout(dyn, cost, pol, model, GaussianSampler(1, dim=1))
+        assert err.value.sample_index == 0
+
+    @pytest.mark.parametrize("estimator", [policy_gradient_model_based,
+                                           policy_gradient_derivative_free])
+    def test_per_row_estimator_raises_typed_error(self, estimator):
+        dyn, cost, pol, model = overflowing_problem(False)
+        with pytest.raises(EstimateOverflowError):
+            estimator(dyn, cost, pol, model, GaussianSampler(1, dim=1))
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_per_row_batch_names_first_overflowing_sample(self, method):
+        dyn, cost, pol, model = overflowing_problem(False)
+        with pytest.raises(EstimateOverflowError) as err:
+            policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64, method)
+        # Replay the same stream: rollouts before the named one fit, it does not.
+        sampler = GaussianSampler(4, dim=1)
+        for _ in range(err.value.sample_index):
+            rollout(dyn, cost, pol, model, sampler)
+        with pytest.raises(EstimateOverflowError):
+            rollout(dyn, cost, pol, model, sampler)
+
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_train_policy_reports_overflow_not_divergence(self, method):
         dyn, cost, pol, model = overflowing_problem(True)

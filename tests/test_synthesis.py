@@ -6,6 +6,7 @@ import pytest
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.control import policy_gradient_batch, rollout
 from riskconvex.errors import ContractError
+from riskconvex.objective import psd_tolerance
 from riskconvex.sampling import GaussianSampler
 from riskconvex.synthesis import (
     LinearSystem,
@@ -39,6 +40,19 @@ def random_system(rng, n, m, horizon, q_scale=0.05, stable=0.7):
         sigma=[psd(m, 0.2) + 0.8 * np.eye(m) for _ in range(horizon - 1)],
         horizon=horizon,
     )
+
+
+def assert_gradient_matches_finite_differences(sys, alpha, gains, h=1e-6):
+    grad = detmax_gradient(sys, alpha, gains)
+    for t, k in enumerate(gains):
+        for i, j in np.ndindex(k.shape):
+            up = [g.copy() for g in gains]
+            dn = [g.copy() for g in gains]
+            up[t][i, j] += h
+            dn[t][i, j] -= h
+            fd = (detmax_objective(sys, alpha, up).value
+                  - detmax_objective(sys, alpha, dn).value) / (2 * h)
+            assert grad[t][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestBlockOperators:
@@ -113,18 +127,7 @@ class TestDetMaxObjective:
         rng = np.random.default_rng(seed)
         sys = random_system(rng, 2, 2, 4)
         gains = [0.1 * rng.standard_normal((2, 2)) for _ in range(3)]
-        grad = detmax_gradient(sys, 1.2, gains)
-        h = 1e-6
-        for t in range(3):
-            for i in range(2):
-                for j in range(2):
-                    up = [k.copy() for k in gains]
-                    dn = [k.copy() for k in gains]
-                    up[t][i, j] += h
-                    dn[t][i, j] -= h
-                    fd = (detmax_objective(sys, 1.2, up).value
-                          - detmax_objective(sys, 1.2, dn).value) / (2 * h)
-                    assert grad[t][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert_gradient_matches_finite_differences(sys, 1.2, gains)
 
     def test_w_is_symmetric(self):
         rng = np.random.default_rng(9)
@@ -153,6 +156,127 @@ class TestDetMaxObjective:
             count += 1
             assert vm.value >= 0.5 * v1.value + 0.5 * v2.value - 1e-10
         assert count == 100
+
+
+DECENTRALIZED = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
+
+
+def dense_w(sys, alpha, gains):
+    """W(K) from the dense operators: S - SKM - (SKM)' - M'(K'(alpha R - S)K + alpha Q)M."""
+    blocks = build_block_operators(sys)
+    K = blocks.place_gains(gains)
+    M, S = blocks.traj_map, blocks.noise_weight
+    SKM = S @ K @ M
+    inner = K.T @ (alpha * blocks.control_cost - S) @ K + alpha * blocks.state_cost
+    return S - SKM - SKM.T - M.T @ inner @ M
+
+
+class TestFactorizedEvaluator:
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_oracle(self, seed, masked):
+        rng = np.random.default_rng(20 + seed)
+        sys = random_system(rng, 3, 2, 5, q_scale=0.01)
+        gains = [0.05 * rng.standard_normal((2, 3)) for _ in range(4)]
+        if masked:
+            mask = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
+            gains = [k * mask for k in gains]
+        res = detmax_objective(sys, 1.3, gains)
+        oracle = dense_w(sys, 1.3, gains)
+        assert np.linalg.norm(res.W - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        w = np.linalg.eigvalsh(res.W)
+        assert w[0] > 0.0
+        assert res.value == pytest.approx(float(np.sum(np.log(w))), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["feasible", "infeasible", "boundary"])
+    def test_lazy_min_eig_and_feasible_are_exact(self, case):
+        if case == "feasible":
+            sys = random_system(np.random.default_rng(7), 3, 2, 5, q_scale=0.01)
+            gains = [np.zeros((2, 3))] * 4
+        else:
+            # N=2 scalar: W = 1 - q, so q = 1 + 1e-10 puts W inside -tol of 0
+            q = 1.5 if case == "infeasible" else 1.0 + 1e-10
+            sys, gains = scalar_system(q=q, horizon=2), [np.zeros((1, 1))]
+        res = detmax_objective(sys, 1.0, gains)
+        blocks = build_block_operators(sys)
+        tol = psd_tolerance(float(np.linalg.eigvalsh(blocks.control_cost)[-1]),
+                            float(np.linalg.eigvalsh(blocks.noise_weight)[-1]))
+        w0 = float(np.linalg.eigvalsh(res.W)[0])
+        assert res.min_eig == w0
+        assert res.feasible == (w0 >= -tol)
+        assert res.feasible == (case != "infeasible")
+        assert (res.value > -math.inf) == (case == "feasible")
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gradient_matches_finite_differences_decentralized(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        sys = random_system(rng, 4, 2, 6, q_scale=0.01)
+        gains = [0.1 * rng.standard_normal((2, 4)) * DECENTRALIZED for _ in range(5)]
+        assert_gradient_matches_finite_differences(sys, 1.2, gains)
+
+    def test_gradient_off_the_feasible_set_is_that_of_log_abs_det(self):
+        # q = 0.6 makes W indefinite but nonsingular here; log det W is -inf.
+        sys = scalar_system(q=0.6, horizon=3)
+        gains = [np.array([[0.3]]), np.array([[-0.2]])]
+        assert np.linalg.eigvalsh(dense_w(sys, 1.0, gains))[0] < 0.0
+        grad = detmax_gradient(sys, 1.0, gains)
+        h = 1e-6
+        for t in range(2):
+            up = [k.copy() for k in gains]
+            dn = [k.copy() for k in gains]
+            up[t][0, 0] += h
+            dn[t][0, 0] -= h
+            fd = (np.linalg.slogdet(dense_w(sys, 1.0, up))[1]
+                  - np.linalg.slogdet(dense_w(sys, 1.0, dn))[1]) / (2 * h)
+            assert grad[t][0, 0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_list_and_stacked_inputs_agree(self):
+        rng = np.random.default_rng(11)
+        sys = random_system(rng, 3, 2, 5, q_scale=0.01)
+        gains = [0.05 * rng.standard_normal((2, 3)) for _ in range(4)]
+        stacked = np.array(gains)
+        from_list = detmax_objective(sys, 0.9, gains)
+        from_array = detmax_objective(sys, 0.9, stacked)
+        assert from_list.value == from_array.value
+        assert np.array_equal(from_list.W, from_array.W)
+        grad_list = detmax_gradient(sys, 0.9, gains)
+        grad_array = detmax_gradient(sys, 0.9, stacked)
+        assert isinstance(grad_list, list) and isinstance(grad_array, np.ndarray)
+        assert grad_array.shape == (4, 2, 3)
+        assert np.array_equal(np.array(grad_list), grad_array)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.zeros((2, 3))] * 3, "need 4 gain matrices"),
+        ([np.zeros((2, 3))] * 3 + [np.zeros((3, 2))], "gain at t=4 must be 2x3"),
+        (np.zeros((3, 2, 3)), "need 4 gain matrices"),
+        (np.zeros((4, 3, 2)), "gain at t=1 must be 2x3"),
+    ])
+    def test_bad_gains_rejected(self, bad, message):
+        sys = random_system(np.random.default_rng(1), 3, 2, 5)
+        for fn in (detmax_objective, detmax_gradient):
+            with pytest.raises(ContractError, match=message):
+                fn(sys, 1.0, bad)
+
+    def test_shared_blocks_follow_alpha(self):
+        sys = random_system(np.random.default_rng(12), 2, 1, 4)
+        gains = [np.full((1, 2), 0.1)] * 3
+        blocks = build_block_operators(sys)
+        for alpha in (0.5, 2.0, 0.5):
+            shared = detmax_objective(sys, alpha, gains, blocks=blocks)
+            fresh = detmax_objective(sys, alpha, gains)
+            assert shared.value == fresh.value
+            assert shared.convexity_advisory == fresh.convexity_advisory
+            assert np.array_equal(detmax_gradient(sys, alpha, gains, blocks=blocks),
+                                  detmax_gradient(sys, alpha, gains))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_synthesize_objective_is_detmax_objective_exactly(self, masked):
+        rng = np.random.default_rng(13)
+        sys = random_system(rng, 4, 2, 6, q_scale=0.01)
+        rep = synthesize(sys, 1.0, structure=[DECENTRALIZED] * 5 if masked else None,
+                         config=SynthesisConfig(max_iters=40))
+        assert rep.success and isinstance(rep.gains, list) and len(rep.gains) == 5
+        assert rep.objective == detmax_objective(sys, 1.0, rep.gains).value
 
 
 class TestClosedFormExpectation:
