@@ -15,11 +15,11 @@ and step tolerances, which does not affect the learned decision rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .csvio import read_float_table, write_csv
 from .datasets import Dataset, sign_plus
@@ -34,6 +34,10 @@ def log_half_erfc(z):
     For z <= 0, erfc(z) is in [1, 2] and the direct form is exact; for
     z > 0, log(erfc(z)) = log(erfcx(z)) - z^2 avoids underflow.
     """
+    # Imported on first use, like LAPACK in synthesis: scipy.special
+    # would otherwise cost every `import riskconvex.cli` ~0.3 s.
+    from scipy.special import erfc, erfcx
+
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     neg = z <= 0.0
@@ -45,6 +49,8 @@ def log_half_erfc(z):
 
 def _dlog_half_erfc(z):
     """d/dz log(0.5 erfc(z)) = -2 / (sqrt(pi) * erfcx(z))."""
+    from scipy.special import erfcx
+
     z = np.asarray(z, dtype=float)
     return -2.0 / (_SQRT_PI * erfcx(z))
 
@@ -111,8 +117,10 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
     """Full-batch gradient descent with Armijo backtracking from theta = 0.
 
     Stops when the gradient norm or the accepted step falls below its
-    tolerance, or after max_iters.  A non-finite objective or gradient is
-    a divergence error.
+    tolerance, or after max_iters.  A stalled line search reports
+    ``converged`` only when the gradient norm is at most
+    sqrt(grad_tol) (1 + |objective|).  A non-finite objective or gradient
+    is a divergence error.
     """
     if not ds.is_binary():
         raise ContractError("training requires labels in {-1, +1}")
@@ -139,7 +147,9 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
                 break
             step *= 0.5
         if not accepted:
-            converged = True  # no descent direction progress at tolerance scale
+            # The line search stalled: converged only if the gradient is
+            # small at the scale of the objective, the rule synthesize uses.
+            converged = gnorm <= math.sqrt(config.grad_tol) * (1.0 + abs(value))
             break
     return ClassifierReport(
         theta=theta,

@@ -20,14 +20,16 @@ provided:
   exp(alpha J) * (inv(Sigma_t)(y_t - u_t) + alpha R_t u_t) phi(s_t)',
   which needs no derivatives at all.
 
-Both are unbiased for grad_K E[exp(alpha J)].  Rollouts are independent
-given derived sampler streams; batch estimation reduces samples in a
-fixed order and uses a vectorized fast path when the problem's callables
-accept stacked states.
+Both are unbiased for grad_K E[exp(alpha J)].  Every rollout, gradient
+sample and training iteration runs through one batched engine, and a
+single rollout is a batch of one; the callables of a problem object that
+is not ``vectorized`` are evaluated row by row and stacked.  Batch
+estimation draws from derived sampler streams and reduces in fixed order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,7 +40,6 @@ from .csvio import write_csv
 from .errors import (
     ContractError,
     DivergenceError,
-    EstimateOverflowError,
     FieldEvaluationError,
 )
 from .objective import check_exponents, psd_tolerance
@@ -61,8 +62,9 @@ class Dynamics:
     Jacobians d s_{t+1} / d s_t (n x n) and d s_{t+1} / d y_t (n x m)
     enable the model-based gradient.  ``disturbance(rng, t)`` samples
     xi_t (None means xi = 0, p may be 0); ``init_state(rng)`` samples
-    s_1 (None means s_1 = 0).  ``vectorized`` promises that step,
-    Jacobians and samplers accept/return a leading batch axis.
+    s_1 (None means s_1 = 0); their ``*_batch`` forms, preferred when
+    given, draw b rows at once.  ``vectorized`` promises that step and
+    the Jacobians accept a leading batch axis; otherwise they run per row.
     """
 
     step: Callable
@@ -95,7 +97,8 @@ class ControlCost:
     ``state_cost(s, t)`` is defined for t = 1..N (t = N is the terminal
     cost) and must stay below ``bound``, which is asserted at every
     evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
-    R_t for t = 1..N-1.
+    R_t for t = 1..N-1.  ``vectorized`` promises that both callables
+    accept a leading batch axis; otherwise they run per row.
     """
 
     state_cost: Callable
@@ -118,9 +121,11 @@ class ControlCost:
     def control_dim(self) -> int:
         return self.control_weights[0].shape[0]
 
+    def _bound_tol(self) -> float:
+        return 1e-9 * (1.0 + abs(self.bound))
+
     def _check(self, vals, s, t):
-        tol = 1e-9 * (1.0 + abs(self.bound))
-        bad = np.isnan(vals) | (vals == np.inf) | (vals > self.bound + tol)
+        bad = np.isnan(vals) | (vals == np.inf) | (vals > self.bound + self._bound_tol())
         if np.any(bad):
             v = vals if np.ndim(vals) == 0 else vals[np.argmax(bad)]
             raise FieldEvaluationError(
@@ -133,17 +138,9 @@ class ControlCost:
         return v
 
     def stage_batch(self, s: np.ndarray, t: int) -> np.ndarray:
-        if self.vectorized:
-            vals = np.asarray(self.state_cost(s, t), dtype=float)
-        else:
-            vals = np.array([float(self.state_cost(row, t)) for row in s])
+        vals = np.asarray(_batched(self.state_cost, self.vectorized, True)(s, t), dtype=float)
         self._check(vals, s, t)
         return vals
-
-    def grad(self, s, t) -> np.ndarray:
-        if self.state_cost_grad is None:
-            raise ContractError("this operation requires state cost gradients")
-        return np.asarray(self.state_cost_grad(s, t), dtype=float)
 
 
 @dataclass
@@ -153,6 +150,8 @@ class Policy:
     ``gains[t-1]`` is the (m x q) gain K_t for t = 1..N-1; ``features``
     maps (s, t) to a q-vector.  The optional features Jacobian
     d phi / d s (q x n) enables the model-based gradient.
+    ``vectorized`` promises that both callables accept a leading batch
+    axis; otherwise they run per row.
     """
 
     gains: list
@@ -178,12 +177,6 @@ class Policy:
     @property
     def feature_dim(self) -> int:
         return self.gains[0].shape[1]
-
-    def phi(self, s, t) -> np.ndarray:
-        return np.asarray(self.features(s, t), dtype=float)
-
-    def control(self, s, t) -> np.ndarray:
-        return self.gains[t - 1] @ self.phi(s, t)
 
     def with_gains(self, gains) -> "Policy":
         return Policy(gains=gains, features=self.features,
@@ -291,18 +284,212 @@ class Rollout:
                            xi=self.disturbances.copy())
 
 
-def _draw_disturbance(dyn: Dynamics, rng, t: int) -> np.ndarray:
-    if dyn.disturbance_dim == 0:
-        return np.zeros(0)
-    if dyn.disturbance is None:
-        return np.zeros(dyn.disturbance_dim)
-    return np.asarray(dyn.disturbance(rng, t), dtype=float)
+def _batched(fn, vectorized: bool, scalar: bool = False):
+    """``fn`` lifted to a leading batch axis on every argument but the
+    last (t): itself when ``vectorized``, else a loop over the rows that
+    stacks the results, as :meth:`ScalarField.evaluate_batch` does;
+    ``scalar`` results are read with float(), as state costs are."""
+    if vectorized or fn is None:
+        return fn
+
+    def lifted(*args):
+        *batch, t = args
+        if scalar:
+            return np.array([float(fn(*row, t)) for row in zip(*batch)])
+        return np.stack([np.asarray(fn(*row, t), dtype=float) for row in zip(*batch)])
+
+    return lifted
+
+
+def _stage_cost(vals: np.ndarray, u: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """l(s_t) + 0.5 u_t' R_t u_t per row; shared by the engine and
+    :func:`recompute_cost` so the bookkeeping is bit-exact."""
+    return vals + 0.5 * np.einsum("bi,bi->b", u @ R, u)
+
+
+class _RolloutEngine:
+    """The batched rollout engine.  Construction validates the problem and
+    resolves the dimensions, the state-cost limit, R_t, the noise factors
+    and the lifted callables once; gains come in per call as one stacked
+    (N-1, m, q) array, so a training loop rebuilds nothing per iteration."""
+
+    def __init__(self, dyn: Dynamics, cost: ControlCost, policy: Policy,
+                 model: ControlRiskModel):
+        n_steps = dyn.horizon - 1
+        if len(cost.control_weights) != n_steps:
+            raise ContractError(f"cost needs {n_steps} control weights")
+        if model.n_steps != n_steps:
+            raise ContractError(f"model needs {n_steps} noise covariances")
+        if policy.n_steps != n_steps:
+            raise ContractError(f"policy needs {n_steps} gains")
+        if policy.control_dim != dyn.control_dim or model.control_dim != dyn.control_dim:
+            raise ContractError("control dimension mismatch")
+        self.dyn, self.cost = dyn, cost
+        self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
+        self.alpha = model.alpha
+        self.R = cost.control_weights
+        self.noise_root, self.noise_inv = model.noise_root, model.noise_inv
+        self.limit = cost.bound + cost._bound_tol()
+        self.step = _batched(dyn.step, dyn.vectorized)
+        self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized)
+        self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized)
+        self.state_cost = _batched(cost.state_cost, cost.vectorized, scalar=True)
+        self.state_cost_grad = _batched(cost.state_cost_grad, cost.vectorized)
+        self.features = _batched(policy.features, policy.vectorized)
+        self.features_jacobian = _batched(policy.features_jacobian, policy.vectorized)
+
+    def check_method(self, method: str) -> None:
+        if method not in ("model_based", "derivative_free"):
+            raise ContractError(f"unknown gradient method {method!r}")
+        if method == "model_based" and None in (self.jac_state, self.jac_control,
+                                                self.features_jacobian, self.state_cost_grad):
+            raise ContractError("model-based gradient requires dynamics and features "
+                                "Jacobians and state cost gradients")
+
+    def _checked_state_cost(self, s: np.ndarray, t: int) -> np.ndarray:
+        vals = np.asarray(self.state_cost(s, t), dtype=float)
+        # One comparison is false exactly for NaN, +inf and values over
+        # the bound; _check then names the offending value.
+        if not (vals <= self.limit).all():
+            self.cost._check(vals, s, t)
+        return vals
+
+    def forward(self, K: np.ndarray, sampler: GaussianSampler, n: int,
+                mode: str = "noisy", s1=None, frozen: Optional[FrozenNoise] = None):
+        """n rollouts under the stacked gains K, with ``mode``, ``s1`` and
+        ``frozen`` (replayed on every row) as in :func:`rollout`: states S
+        (N, n, nd), U, Y, XI (N-1, n, .), the features PHI (a list of
+        (n, q)), J (n,) and the stage costs (N, n) whose left fold J is."""
+        if mode not in ("noisy", "mean"):
+            raise ContractError(f"unknown rollout mode {mode!r}")
+        dyn = self.dyn
+        N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+        rng = sampler.rng
+        noisy = frozen is None and mode == "noisy"
+        if frozen is not None:
+            s1 = frozen.s1
+        if s1 is not None:
+            s = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
+        elif noisy and dyn.init_state_batch is not None:
+            s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
+        elif noisy and dyn.init_state is not None:
+            s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
+        else:
+            s = np.zeros((n, nd))
+
+        S = np.empty((N, n, nd))
+        U = np.empty((N - 1, n, m))
+        Y = np.empty((N - 1, n, m))
+        XI = np.empty((N - 1, n, p))
+        stage = np.empty((N, n))
+        PHI = []
+        total = np.zeros(n)
+        S[0] = s
+        for t in range(1, N):
+            # Callables see rows of S, so features that return s itself
+            # keep no second copy of the states alive.
+            s = S[t - 1]
+            phi = np.asarray(self.features(s, t), dtype=float)
+            u = phi @ K[t - 1].T
+            stage[t - 1] = _stage_cost(self._checked_state_cost(s, t), u, self.R[t - 1])
+            total += stage[t - 1]
+            if frozen is not None:
+                eps = frozen.eps[t - 1]
+                xi = np.broadcast_to(np.asarray(frozen.xi[t - 1], dtype=float), (n, p))
+            elif not noisy:
+                eps = np.zeros(m)
+                xi = np.zeros((n, p))
+            else:
+                eps = sampler.normal((n, m)) @ self.noise_root[t - 1]
+                if p == 0 or dyn.disturbance is None and dyn.disturbance_batch is None:
+                    xi = np.zeros((n, p))
+                elif dyn.disturbance_batch is not None:
+                    xi = np.asarray(dyn.disturbance_batch(rng, t, n), dtype=float)
+                else:
+                    xi = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
+                                   for _ in range(n)])
+            y = u + eps
+            S[t] = self.step(s, y, xi, t)
+            if not np.isfinite(S[t]).all():
+                raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
+            PHI.append(phi)
+            U[t - 1], Y[t - 1], XI[t - 1] = u, y, xi
+        stage[N - 1] = self._checked_state_cost(S[N - 1], N)
+        total += stage[N - 1]
+        return S, U, Y, XI, PHI, total, stage
+
+    def _scores(self, method: str, K: np.ndarray, traj):
+        """Yield (t, g_t) such that row b's raw G_t = g_t[b] phi_t[b]':
+        the likelihood-ratio score, or backward from t = N-1 the adjoint
+        recursion of :func:`policy_gradient_model_based` as two-operand
+        vector-Jacobian products, O(b n (n + m + q)) per step."""
+        S, U, Y, XI = traj[:4]
+        N = S.shape[0]
+        if method == "derivative_free":
+            for t in range(1, N):
+                yield t, ((Y[t - 1] - U[t - 1]) @ self.noise_inv[t - 1]
+                          + self.alpha * (U[t - 1] @ self.R[t - 1]))
+            return
+        lam = np.asarray(self.state_cost_grad(S[N - 1], N), dtype=float)
+        for t in range(N - 1, 0, -1):
+            s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
+            f_y = np.asarray(self.jac_control(s, y, xi, t), dtype=float)
+            g = u @ self.R[t - 1] + np.einsum("bnm,bn->bm", f_y, lam)
+            yield t, g
+            f_s = np.asarray(self.jac_state(s, y, xi, t), dtype=float)
+            phi_s = np.asarray(self.features_jacobian(s, t), dtype=float)
+            lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
+                   + np.einsum("bnk,bn->bk", f_s, lam)
+                   + np.einsum("bqn,bq->bn", phi_s, g @ K[t - 1]))
+
+    def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:
+        """The raw G_t of every row, (n, N-1, m, q)."""
+        PHI = traj[4]
+        G = np.empty((PHI[0].shape[0],) + self.shape)
+        for t, g in self._scores(method, K, traj):
+            G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
+        return G
+
+    def gradient(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
+                 mean: bool = False):
+        """(gradient samples (n, N-1, m, q) of E[exp(alpha J)], w = exp(alpha J)),
+        or with ``mean`` their batch mean, reduced per step as (c g_t)' phi_t
+        with c = scale * w / n.  :class:`EstimateOverflowError` names the
+        first row whose exp(alpha J) overflows."""
+        traj = self.forward(K, sampler, n)
+        w = np.exp(check_exponents(self.alpha * traj[5]))
+        scale = self.alpha * w if method == "model_based" else w
+        if not mean:
+            G = self.raw_gradients(method, K, traj)
+            G *= scale[:, None, None, None]
+            return G, w
+        c = scale / n
+        G = np.empty(self.shape)
+        for t, g in self._scores(method, K, traj):
+            G[t - 1] = (c[:, None] * g).T @ traj[4][t - 1]
+        return G, w
+
+
+def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=None,
+            method=None):
+    """One rollout as an engine batch of one: (Rollout, raw G of ``method``)."""
+    engine = _RolloutEngine(dyn, cost, policy, model)
+    if method is not None:
+        engine.check_method(method)
+    K = np.stack(policy.gains)
+    traj = engine.forward(K, sampler, 1, mode, s1, frozen)
+    S, U, Y, XI, _, total, stage = traj
+    expo = check_exponents(model.alpha * total)
+    r = Rollout(states=S[:, 0], controls=U[:, 0], realized=Y[:, 0], disturbances=XI[:, 0],
+                stage_costs=stage[:, 0], cost=float(total[0]),
+                exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
+    return r, None if method is None else engine.raw_gradients(method, K, traj)[0]
 
 
 def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRiskModel,
             sampler: GaussianSampler, mode: str = "noisy",
             s1=None, frozen: Optional[FrozenNoise] = None) -> Rollout:
-    """Simulate one trajectory under the policy.
+    """Simulate one trajectory under the policy (the engine at batch one).
 
     mode "noisy" draws y_t ~ N(u_t, Sigma_t) and xi_t from the
     disturbance sampler; mode "mean" forces y_t = u_t and xi_t = 0 (and
@@ -311,71 +498,7 @@ def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRisk
     :class:`DivergenceError` carrying t when a state goes non-finite,
     and :class:`EstimateOverflowError` when exp(alpha J) overflows.
     """
-    _validate_problem(dyn, cost, policy, model)
-    if mode not in ("noisy", "mean"):
-        raise ContractError(f"unknown rollout mode {mode!r}")
-    N, n, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
-    rng = sampler.rng
-
-    if frozen is not None:
-        s = np.asarray(frozen.s1, dtype=float).copy()
-    elif s1 is not None:
-        s = np.asarray(s1, dtype=float).copy()
-    elif mode == "noisy" and dyn.init_state is not None:
-        s = np.asarray(dyn.init_state(rng), dtype=float)
-    else:
-        s = np.zeros(n)
-
-    states = np.empty((N, n))
-    controls = np.empty((N - 1, m))
-    realized = np.empty((N - 1, m))
-    disturbances = np.empty((N - 1, p))
-    stage_costs = np.empty(N)
-    total = 0.0
-    states[0] = s
-    for t in range(1, N):
-        u = policy.control(s, t)
-        stage = cost.stage(s, t) + 0.5 * float(u @ cost.control_weights[t - 1] @ u)
-        stage_costs[t - 1] = stage
-        total += stage
-        if frozen is not None:
-            eps = frozen.eps[t - 1]
-            xi = frozen.xi[t - 1]
-        elif mode == "mean":
-            eps = np.zeros(m)
-            xi = np.zeros(p)
-        else:
-            eps = model.noise_root[t - 1] @ sampler.normal(m)
-            xi = _draw_disturbance(dyn, rng, t)
-        y = u + eps
-        s_next = np.asarray(dyn.step(s, y, xi, t), dtype=float)
-        if not np.all(np.isfinite(s_next)):
-            raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-        controls[t - 1] = u
-        realized[t - 1] = y
-        disturbances[t - 1] = xi
-        s = s_next
-        states[t] = s
-    terminal = cost.stage(s, N)
-    stage_costs[N - 1] = terminal
-    total += terminal
-    expo = check_exponents(np.array([model.alpha * total]))
-    return Rollout(states=states, controls=controls, realized=realized,
-                   disturbances=disturbances, stage_costs=stage_costs,
-                   cost=total, exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
-
-
-def _validate_problem(dyn: Dynamics, cost: ControlCost, policy: Policy,
-                      model: ControlRiskModel) -> None:
-    n_steps = dyn.horizon - 1
-    if len(cost.control_weights) != n_steps:
-        raise ContractError(f"cost needs {n_steps} control weights")
-    if model.n_steps != n_steps:
-        raise ContractError(f"model needs {n_steps} noise covariances")
-    if policy.n_steps != n_steps:
-        raise ContractError(f"policy needs {n_steps} gains")
-    if policy.control_dim != dyn.control_dim or model.control_dim != dyn.control_dim:
-        raise ContractError("control dimension mismatch")
+    return _single(dyn, cost, policy, model, sampler, mode, s1, frozen)[0]
 
 
 @dataclass
@@ -415,27 +538,8 @@ def policy_gradient_model_based(dyn: Dynamics, cost: ControlCost, policy: Policy
     central finite differences of exp(alpha J) recomputed under the
     identical noise realization; that check is the normative contract.
     """
-    if dyn.jacobian_state is None or dyn.jacobian_control is None:
-        raise ContractError("model-based gradient requires dynamics Jacobians")
-    if policy.features_jacobian is None:
-        raise ContractError("model-based gradient requires a features Jacobian")
-    if cost.state_cost_grad is None:
-        raise ContractError("model-based gradient requires state cost gradients")
-    r = rollout(dyn, cost, policy, model, sampler, mode=mode, frozen=frozen)
-    N = dyn.horizon
-    m, q = policy.control_dim, policy.feature_dim
-    G = np.zeros((N - 1, m, q))
-    lam = cost.grad(r.states[N - 1], N)
-    for t in range(N - 1, 0, -1):
-        s, u, y, xi = r.states[t - 1], r.controls[t - 1], r.realized[t - 1], r.disturbances[t - 1]
-        K = policy.gains[t - 1]
-        phi = policy.phi(s, t)
-        f_y = np.asarray(dyn.jacobian_control(s, y, xi, t), dtype=float)
-        g = cost.control_weights[t - 1] @ u + f_y.T @ lam
-        G[t - 1] = np.outer(g, phi)
-        f_s = np.asarray(dyn.jacobian_state(s, y, xi, t), dtype=float)
-        phi_s = np.asarray(policy.features_jacobian(s, t), dtype=float)
-        lam = cost.grad(s, t) + f_s.T @ lam + phi_s.T @ (K.T @ g)
+    r, G = _single(dyn, cost, policy, model, sampler, mode, frozen=frozen,
+                   method="model_based")
     return PolicyGradientSample(per_step=G, exp_cost=r.exp_cost,
                                 exp_gradient=model.alpha * r.exp_cost * G, rollout=r)
 
@@ -451,23 +555,10 @@ def policy_gradient_derivative_free(dyn: Dynamics, cost: ControlCost, policy: Po
     ``exp_gradient`` = exp(alpha J) * G; its expectation over rollouts
     equals the model-based estimator's on smooth systems.
     """
-    r = rollout(dyn, cost, policy, model, sampler, mode=mode, frozen=frozen)
-    N = dyn.horizon
-    m, q = policy.control_dim, policy.feature_dim
-    G = np.zeros((N - 1, m, q))
-    for t in range(1, N):
-        s, u, y = r.states[t - 1], r.controls[t - 1], r.realized[t - 1]
-        phi = policy.phi(s, t)
-        score = model.noise_inv[t - 1] @ (y - u) + model.alpha * (cost.control_weights[t - 1] @ u)
-        G[t - 1] = np.outer(score, phi)
+    r, G = _single(dyn, cost, policy, model, sampler, mode, frozen=frozen,
+                   method="derivative_free")
     return PolicyGradientSample(per_step=G, exp_cost=r.exp_cost,
                                 exp_gradient=r.exp_cost * G, rollout=r)
-
-
-_ESTIMATORS = {
-    "model_based": policy_gradient_model_based,
-    "derivative_free": policy_gradient_derivative_free,
-}
 
 
 @dataclass
@@ -481,115 +572,18 @@ class BatchGradientEstimate:
     n: int
 
 
-def _is_vectorized(dyn: Dynamics, cost: ControlCost, policy: Policy) -> bool:
-    return dyn.vectorized and cost.vectorized and policy.vectorized
-
-
 def _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1):
-    """Vectorized batch of rollouts; returns stacked trajectory arrays."""
-    N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
-    rng = sampler.rng
-    if s1 is not None:
-        s = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
-    elif mode == "noisy" and (dyn.init_state_batch is not None or dyn.init_state is not None):
-        if dyn.init_state_batch is not None:
-            s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
-        else:
-            s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
-    else:
-        s = np.zeros((n, nd))
-
-    S = np.empty((N, n, nd))
-    U = np.empty((N - 1, n, m))
-    Y = np.empty((N - 1, n, m))
-    XI = np.empty((N - 1, n, p))
-    PHI = []
-    total = np.zeros(n)
-    S[0] = s
-    for t in range(1, N):
-        phi = np.asarray(policy.features(s, t), dtype=float)
-        u = phi @ policy.gains[t - 1].T
-        stage = cost.stage_batch(s, t) + 0.5 * np.einsum(
-            "bi,ij,bj->b", u, cost.control_weights[t - 1], u)
-        total += stage
-        if mode == "mean":
-            eps = np.zeros((n, m))
-            xi = np.zeros((n, p))
-        else:
-            eps = sampler.normal((n, m)) @ model.noise_root[t - 1]
-            if p == 0 or dyn.disturbance is None and dyn.disturbance_batch is None:
-                xi = np.zeros((n, p))
-            elif dyn.disturbance_batch is not None:
-                xi = np.asarray(dyn.disturbance_batch(rng, t, n), dtype=float)
-            else:
-                xi = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
-                               for _ in range(n)])
-        y = u + eps
-        s = np.asarray(dyn.step(s, y, xi, t), dtype=float)
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-        PHI.append(phi)
-        U[t - 1], Y[t - 1], XI[t - 1] = u, y, xi
-        S[t] = s
-    total += cost.stage_batch(s, N)
-    return S, U, Y, XI, PHI, total
+    """(S, U, Y, XI, PHI, total) of n engine rollouts under the policy's gains."""
+    engine = _RolloutEngine(dyn, cost, policy, model)
+    return engine.forward(np.stack(policy.gains), sampler, n, mode, s1)[:6]
 
 
-def _gradient_samples(dyn, cost, policy, model, sampler, n, method, mode="noisy", s1=None):
-    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator.
-
-    Raises :class:`EstimateOverflowError` when exp(alpha J) overflows for
-    some rollout, instead of returning inf or NaN samples.
-    """
-    if method not in _ESTIMATORS:
-        raise ContractError(f"unknown gradient method {method!r}")
-    N = dyn.horizon
-    m, q = policy.control_dim, policy.feature_dim
-    if not _is_vectorized(dyn, cost, policy):
-        samples = np.empty((n, N - 1, m, q))
-        costs = np.empty(n)
-        estimator = _ESTIMATORS[method]
-        for i in range(n):
-            try:
-                g = estimator(dyn, cost, policy, model, sampler, mode=mode)
-            except EstimateOverflowError as err:
-                raise EstimateOverflowError(
-                    f"exp(alpha J) of sample {i} exceeds the representable range",
-                    sample_index=i) from err
-            samples[i] = g.exp_gradient
-            costs[i] = g.exp_cost
-        return samples, costs
-
-    S, U, Y, XI, PHI, total = _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1)
-    w = np.exp(check_exponents(model.alpha * total))
-    G = np.empty((n, N - 1, m, q))
-    if method == "derivative_free":
-        for t in range(1, N):
-            score = (Y[t - 1] - U[t - 1]) @ model.noise_inv[t - 1] \
-                + model.alpha * (U[t - 1] @ cost.control_weights[t - 1])
-            G[:, t - 1] = np.einsum("bm,bq->bmq", score, PHI[t - 1])
-        G *= w[:, None, None, None]
-    else:
-        if dyn.jacobian_state is None or dyn.jacobian_control is None:
-            raise ContractError("model-based gradient requires dynamics Jacobians")
-        if policy.features_jacobian is None or cost.state_cost_grad is None:
-            raise ContractError("model-based gradient requires cost and feature gradients")
-        # Adjoint as two-operand vector-Jacobian products per step, at
-        # O(b n (n + m + q)) multiply-adds; the closed-loop Jacobian
-        # F_s + F_y K phi_s (O(b n m q n) to form) never exists.
-        lam = np.asarray(cost.state_cost_grad(S[N - 1], N), dtype=float)
-        for t in range(N - 1, 0, -1):
-            s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
-            f_y = np.asarray(dyn.jacobian_control(s, y, xi, t), dtype=float)
-            g = u @ cost.control_weights[t - 1] + np.einsum("bnm,bn->bm", f_y, lam)
-            G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
-            f_s = np.asarray(dyn.jacobian_state(s, y, xi, t), dtype=float)
-            phi_s = np.asarray(policy.features_jacobian(s, t), dtype=float)
-            lam = (np.asarray(cost.state_cost_grad(s, t), dtype=float)
-                   + np.einsum("bnk,bn->bk", f_s, lam)
-                   + np.einsum("bqn,bq->bn", phi_s, g @ policy.gains[t - 1]))
-        G *= (model.alpha * w)[:, None, None, None]
-    return G, w
+def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
+    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator;
+    overflow of exp(alpha J) raises instead of returning inf or NaN."""
+    engine = _RolloutEngine(dyn, cost, policy, model)
+    engine.check_method(method)
+    return engine.gradient(np.stack(policy.gains), sampler, n, method)
 
 
 def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
@@ -622,20 +616,24 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                  callback: Optional[Callable] = None):
     """Projected stochastic gradient descent over the stacked gains.
 
-    Returns (trained Policy with the averaged gains when
-    config.averaging is set, else the final gains, and a SolverReport).
-    A failed per-step certificate is a warning; the report flags the
-    void optimality certificate.  The objective trace records the batch
-    mean of exp(alpha J) at each iterate.  ``callback(i, theta,
-    running_average)`` fires after each update with the stacked gains.
+    Starts from the projected ``config.theta0`` when set, else from the
+    projected gains of ``policy0``.  Returns (trained Policy with the
+    averaged gains when config.averaging is set, else the final gains,
+    and a SolverReport).  A failed per-step certificate is a warning;
+    the report flags the void optimality certificate.  The objective
+    trace records the batch mean of exp(alpha J) at each iterate.
+    ``callback(i, theta, running_average)`` fires after each update with
+    the stacked gains.
     """
-    _validate_problem(dyn, cost, policy0, model)
-    if method not in _ESTIMATORS:
-        raise ContractError(f"unknown gradient method {method!r}")
-    n_steps, m, q = policy0.n_steps, policy0.control_dim, policy0.feature_dim
-    dim = n_steps * m * q
+    engine = _RolloutEngine(dyn, cost, policy0, model)
+    engine.check_method(method)
+    shape = engine.shape
+    dim = int(np.prod(shape))
     if constraint.dim != dim:
         raise ContractError(f"constraint dimension {constraint.dim} != stacked gain size {dim}")
+    start = stack_gains(policy0.gains if config.theta0 is None else [config.theta0])
+    if start.size != dim:
+        raise ContractError(f"theta0 has size {start.size} != stacked gain size {dim}")
     cert = check_control_certificate(cost, model)
     if not cert.holds:
         warnings.warn(
@@ -645,13 +643,12 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         )
 
     pilot_stream, run_stream = sampler.split(2)
-    theta = constraint.project(stack_gains(policy0.gains))
+    theta = constraint.project(start)
     radius = constraint.radius_bound
     zeta = config.zeta
     if zeta is None:
-        samples, _ = _gradient_samples(
-            dyn, cost, policy0.with_gains(unstack_gains(theta, n_steps, m, q)),
-            model, pilot_stream, config.pilot_samples, method)
+        samples, _ = engine.gradient(theta.reshape(shape), pilot_stream,
+                                     config.pilot_samples, method)
         zeta = batch_second_moment(samples, config.batch)
         if not zeta > 0.0:
             zeta = 1.0
@@ -665,15 +662,14 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     for i in range(1, T + 1):
         thetas[i - 1] = theta
         running_sum += theta
-        current = policy0.with_gains(unstack_gains(theta, n_steps, m, q))
-        samples, costs = _gradient_samples(dyn, cost, current, model, run_stream,
-                                           max(config.batch, 1), method)
-        g = samples.mean(axis=0).ravel()
-        if not np.all(np.isfinite(g)):
+        mean, costs = engine.gradient(theta.reshape(shape), run_stream, config.batch, method,
+                                      mean=True)
+        g = mean.ravel()
+        if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
-        objective_trace[i - 1] = float(costs.mean())
+        objective_trace[i - 1] = costs.sum() / config.batch
         eta = step_size(radius, zeta, i)
-        grad_norms[i - 1] = float(np.linalg.norm(g))
+        grad_norms[i - 1] = math.sqrt(g @ g)
         etas[i - 1] = eta
         theta = constraint.project(theta - eta * g)
         if callback is not None:
@@ -692,19 +688,19 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         certificate_margin=float(cert.margins.min()),
         objective_trace=objective_trace,
     )
-    trained = policy0.with_gains(unstack_gains(theta_hat, n_steps, m, q))
+    trained = policy0.with_gains(unstack_gains(theta_hat, *shape))
     return trained, report
 
 
 def recompute_cost(r: Rollout, cost: ControlCost) -> float:
-    """Re-derive J from the trajectory record in the original fold order."""
+    """Re-derive J from the trajectory record in the original fold order,
+    with the engine's stage-cost expression on batches of one."""
     N = r.states.shape[0]
     total = 0.0
     for t in range(1, N):
-        u = r.controls[t - 1]
-        total += cost.stage(r.states[t - 1], t) + 0.5 * float(
-            u @ cost.control_weights[t - 1] @ u)
-    total += cost.stage(r.states[N - 1], N)
+        vals = cost.stage_batch(r.states[t - 1:t], t)
+        total += float(_stage_cost(vals, r.controls[t - 1:t], cost.control_weights[t - 1])[0])
+    total += float(np.ravel(cost.stage_batch(r.states[N - 1:], N))[0])
     return total
 
 

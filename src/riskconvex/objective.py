@@ -174,9 +174,10 @@ def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
 
 def check_exponents(expo: np.ndarray) -> np.ndarray:
     """Return the exponents, or raise EstimateOverflowError naming the
-    sample of the largest one when exp() of it would overflow."""
-    if np.any(expo > LOG_FLOAT_MAX):
-        i = int(np.argmax(expo))
+    first sample whose exp() would overflow."""
+    over = expo > LOG_FLOAT_MAX
+    if over.any():
+        i = int(np.argmax(over))
         raise EstimateOverflowError(
             f"exponent {expo[i]:.6g} at sample {i} exceeds the representable range",
             sample_index=i,

@@ -112,7 +112,10 @@ class BlockOperators:
     Besides the dense operators it holds the constants that every W(K)
     evaluation reuses, computed once: the row blocks M_t that the gains
     act on, the Gram matrix M' Q M, and the per-step blocks of S and R
-    with their largest eigenvalues.
+    with their largest eigenvalues.  It also keeps the last evaluation
+    (W, Z and the Cholesky factor of W, keyed by exact equality of alpha
+    and the stacked gains), so the gradient at an iterate the objective
+    just accepted reuses its factorization.
     """
 
     traj_map: np.ndarray      # M, (N n) x ((N-1) m); x = M y, first block row 0
@@ -129,6 +132,7 @@ class BlockOperators:
     noise_max_eig: float      # largest eigenvalue of S
     cost_max_eig: float       # largest eigenvalue of R
     _alpha_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last_eval: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def place_gains(self, gains) -> np.ndarray:
         """Block placement of K_t into the m(N-1) x nN gain operator."""
@@ -169,6 +173,20 @@ class BlockOperators:
             self._alpha_cache.clear()
             self._alpha_cache[alpha] = terms
         return terms
+
+    def _evaluate(self, alpha: float, G: np.ndarray):
+        """(terms, W, Z, L) at stacked gains G: the alpha terms, W(K),
+        Z = S + D KM and the Cholesky factor L of W (None when W is not
+        positive definite).  The last call's result is returned again
+        for an equal (alpha, G)."""
+        last = self._last_eval
+        if last is not None and last[0] == alpha and np.array_equal(last[1], G):
+            return last[2]
+        terms = self._alpha_terms(alpha)
+        W, Z = _w_matrix(self, terms, G)
+        out = (terms, W, Z, _cholesky(W))
+        self._last_eval = (alpha, G.copy(), out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -297,9 +315,7 @@ def detmax_objective(sys: LinearSystem, alpha: float, gains,
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ContractError("alpha must be positive")
-    terms = blocks._alpha_terms(alpha)
-    W, _ = _w_matrix(blocks, terms, blocks.stack(gains))
-    L = _cholesky(W)
+    terms, W, _, L = blocks._evaluate(alpha, blocks.stack(gains))
     value = -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
     return DetMaxResult(value=value, W=W, convexity_advisory=terms.convexity_advisory,
                         tol=terms.tol)
@@ -314,8 +330,10 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     Y = W^-1 Z' takes two triangular solves, and block t of the gradient
     is -2 (M_t Y_t)', Y_t being the t-th block of m columns of Y; no
     inverse and no off-diagonal block is formed.  Cost: one assembly of
-    W, one Cholesky and the p x p solves.  Where W is indefinite, Y
-    comes from an LU solve and the result is the gradient of
+    W, one Cholesky and the p x p solves; the first two are skipped when
+    the last evaluation on ``blocks`` was at the same alpha and gains, as
+    for the iterate ``synthesize`` just accepted.  Where W is indefinite,
+    Y comes from an LU solve and the result is the gradient of
     log |det W|.
 
     Returns an (N-1, m, n) array when ``gains`` is one, else a list.
@@ -323,8 +341,7 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     if blocks is None:
         blocks = build_block_operators(sys)
     N, m = blocks.horizon, blocks.control_dim
-    W, Z = _w_matrix(blocks, blocks._alpha_terms(float(alpha)), blocks.stack(gains))
-    L = _cholesky(W)
+    _, W, Z, L = blocks._evaluate(float(alpha), blocks.stack(gains))
     if L is None:
         Y = np.linalg.solve(W, Z.T)
     else:

@@ -101,6 +101,12 @@ class TestTrainClassifier:
         assert report.theta[0] > 0.0
         assert report.train_accuracy == 1.0
 
+    def test_stalled_line_search_is_not_converged(self):
+        ds = make_blobs(200, GaussianSampler(3, dim=1))
+        report = train_classifier(ds, ClassifierConfig(step0=1e-13))
+        assert report.iterations == 1
+        assert not report.converged
+
     def test_degenerate_single_class_smoke(self):
         ds = Dataset(X=np.array([[-1.0], [0.5], [2.0]]), y=np.ones(3))
         report = train_classifier(ds, ClassifierConfig(sigma=1.0, max_iters=100))

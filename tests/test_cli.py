@@ -1,8 +1,14 @@
-"""End-to-end CLI checks: exit codes, outputs, and byte determinism."""
+"""End-to-end CLI checks: exit codes, outputs, byte determinism and import cost."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskconvex
 from riskconvex.cli import main
 from riskconvex.datasets import Dataset, make_sine, save_dataset, sign_plus
 from riskconvex.sampling import GaussianSampler
@@ -210,3 +216,16 @@ class TestDeterminism:
             lambda base: ["--seed", "17", "--out", str(base), "--config", str(cfg),
                           "nnet", "train", str(sine_csv)],
             ["K_01.csv", "K_02.csv", "curve.csv"])
+
+
+def test_import_leaves_scipy_special_and_linalg_unloaded():
+    # Both are imported on first use; a fresh interpreter shows whether
+    # importing the CLI pulls them in.
+    src = str(Path(riskconvex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, riskconvex.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

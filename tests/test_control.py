@@ -17,13 +17,19 @@ from riskconvex.control import (
     train_policy,
     unstack_gains,
     write_rollout_csv,
+    _RolloutEngine,
     _forward_batch,
     _gradient_samples,
 )
 from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.csvio import read_csv
 from riskconvex.datasets import Dataset
-from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
+from riskconvex.errors import (
+    ContractError,
+    DivergenceError,
+    EstimateOverflowError,
+    FieldEvaluationError,
+)
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
@@ -230,19 +236,33 @@ class TestDerivativeFreeGradient:
 
 class TestBatchPaths:
     def test_vectorized_matches_python_loop(self):
-        rng = np.random.default_rng(13)
-        dyn, cost, pol, model = smooth_control_problem(rng, 2, 2, 4)
-        fast = policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(7, dim=1),
-                                     4000, "derivative_free")
+        fast_problem = smooth_control_problem(np.random.default_rng(13), 2, 2, 4)
         slow_problem = smooth_control_problem(np.random.default_rng(13), 2, 2, 4)
-        sdyn, scost, spol, smodel = slow_problem
+        sdyn, scost, spol, _ = slow_problem
         sdyn.vectorized = False
         scost.vectorized = False
         spol.vectorized = False
-        slow = policy_gradient_batch(sdyn, scost, spol, smodel, GaussianSampler(8, dim=1),
-                                     4000, "derivative_free")
-        gap = np.abs(fast.mean - slow.mean) - 4.0 * (fast.std_err + slow.std_err)
-        assert np.all(gap <= 1e-12)
+        for method in ("derivative_free", "model_based"):
+            fast = policy_gradient_batch(*fast_problem, GaussianSampler(7, dim=1),
+                                         4000, method)
+            slow = policy_gradient_batch(*slow_problem, GaussianSampler(7, dim=1),
+                                         4000, method)
+            # Same seed, same draws: the row-lifted callables differ from the
+            # batched ones only by the rounding of their own BLAS calls.
+            np.testing.assert_allclose(slow.mean, fast.mean, rtol=1e-10)
+            np.testing.assert_allclose(slow.std_err, fast.std_err, rtol=1e-10)
+            assert slow.exp_cost_mean == pytest.approx(fast.exp_cost_mean, rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_reduced_mean_matches_mean_of_samples(self, method):
+        # train_policy's per-step reduction against the per-sample tensor
+        dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(5), 3, 2, 5)
+        engine = _RolloutEngine(dyn, cost, pol, model)
+        K = np.stack(pol.gains)
+        samples, w = engine.gradient(K, GaussianSampler(3, dim=1), 64, method)
+        mean, w_mean = engine.gradient(K, GaussianSampler(3, dim=1), 64, method, mean=True)
+        assert np.array_equal(w, w_mean)
+        np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12, atol=1e-15)
 
     def test_midpoint_convexity_in_gains_with_common_noise(self):
         rng = np.random.default_rng(17)
@@ -298,6 +318,30 @@ class TestSameNoiseReplay:
             assert g.exp_cost == pytest.approx(costs[i], rel=1e-10)
 
 
+class TestStateCostBound:
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 1e-6], ids=["nan", "inf", "over"])
+    def test_violation_raises_field_error(self, bad, vectorized):
+        dyn = scalar_integrator()
+        dyn.vectorized = vectorized
+        pol = Policy(gains=[np.ones((1, 1))] * 2, features=lambda s, t: s + 1.0,
+                     vectorized=vectorized)
+        model = ControlRiskModel(1.0, [np.eye(1)] * 2)
+
+        def cost_at(value):
+            return ControlCost(state_cost=lambda s, t: np.full(np.shape(s)[:-1],
+                                                               value if t == 2 else 0.0),
+                               control_weights=[np.eye(1)] * 2, bound=1.0,
+                               vectorized=vectorized)
+
+        for run in (lambda c: rollout(dyn, c, pol, model, GaussianSampler(0, dim=1)),
+                    lambda c: policy_gradient_batch(dyn, c, pol, model,
+                                                    GaussianSampler(0, dim=1), 8)):
+            with pytest.raises(FieldEvaluationError, match="at t=2"):
+                run(cost_at(bad))
+            run(cost_at(1.0 + 1e-9))  # within the bound's tolerance
+
+
 def overflowing_problem(vectorized):
     # exp(alpha J) exceeds the float range on most rollouts of this system
     dyn, cost, pol, model = ScalarBenchmark(alpha=50, q=5, a=1.5, horizon=6).problem()
@@ -339,11 +383,11 @@ class TestExponentOverflow:
         with pytest.raises(EstimateOverflowError) as err:
             policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64, method)
         # Replay the same stream: rollouts before the named one fit, it does not.
-        sampler = GaussianSampler(4, dim=1)
-        for _ in range(err.value.sample_index):
-            rollout(dyn, cost, pol, model, sampler)
-        with pytest.raises(EstimateOverflowError):
-            rollout(dyn, cost, pol, model, sampler)
+        *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1),
+                                   64, "noisy", None)
+        i = err.value.sample_index
+        assert np.all(model.alpha * total[:i] <= LOG_FLOAT_MAX)
+        assert model.alpha * total[i] > LOG_FLOAT_MAX
 
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_train_policy_reports_overflow_not_divergence(self, method):
@@ -389,6 +433,23 @@ class TestTrainPolicy:
                                                averaging=False),
                                   constraint, GaussianSampler(5, dim=1))
         assert trained.gains[0][0, 0] == pytest.approx(0.5, abs=0.03)
+
+    def test_theta0_is_the_projected_start(self):
+        dyn = scalar_integrator()
+        cost = zero_cost(2)
+        pol0 = Policy(gains=[np.zeros((1, 1))] * 2,
+                      features=lambda s, t: np.atleast_1d(s[..., 0]) * 0.0 + 1.0)
+        model = ControlRiskModel(1.0, [np.eye(1)] * 2)
+        constraint = FeasibleSet.ball(np.zeros(2), 0.5)
+        theta0 = np.array([1.0, -2.0])
+        _, rep = train_policy(dyn, cost, pol0, model, "derivative_free",
+                              SolverConfig(iterations=3, batch=4, theta0=theta0),
+                              constraint, GaussianSampler(2, dim=1))
+        assert np.array_equal(rep.thetas[0], constraint.project(theta0))
+        with pytest.raises(ContractError, match="theta0"):
+            train_policy(dyn, cost, pol0, model, "derivative_free",
+                         SolverConfig(iterations=3, batch=4, theta0=np.zeros(3)),
+                         constraint, GaussianSampler(2, dim=1))
 
     def test_stack_unstack_roundtrip(self):
         gains = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 12.0).reshape(2, 3)]

@@ -8,7 +8,9 @@ from riskconvex.control import policy_gradient_batch, rollout
 from riskconvex.errors import ContractError
 from riskconvex.objective import psd_tolerance
 from riskconvex.sampling import GaussianSampler
+from riskconvex import synthesis
 from riskconvex.synthesis import (
+    BlockOperators,
     LinearSystem,
     SynthesisConfig,
     build_block_operators,
@@ -277,6 +279,43 @@ class TestFactorizedEvaluator:
                          config=SynthesisConfig(max_iters=40))
         assert rep.success and isinstance(rep.gains, list) and len(rep.gains) == 5
         assert rep.objective == detmax_objective(sys, 1.0, rep.gains).value
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_synthesize_factors_w_once_per_objective_evaluation(self, masked, monkeypatch):
+        from scipy.linalg import lapack
+
+        sys = random_system(np.random.default_rng(14), 4, 2, 6, q_scale=0.01)
+        kwargs = dict(structure=[DECENTRALIZED] * 5 if masked else None,
+                      config=SynthesisConfig(max_iters=40))
+        counts = {"dpotrf": 0, "objective": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lapack, "dpotrf", counted("dpotrf", lapack.dpotrf))
+        monkeypatch.setattr(synthesis, "detmax_objective",
+                            counted("objective", synthesis.detmax_objective))
+        cached = synthesize(sys, 1.0, **kwargs)
+        assert cached.iterations > 1
+        assert counts["dpotrf"] == counts["objective"]
+
+        # Without the kept evaluation every gradient factors W again.
+        evaluate = BlockOperators._evaluate
+
+        def uncached(self, alpha, G):
+            self._last_eval = None
+            return evaluate(self, alpha, G)
+
+        monkeypatch.setattr(BlockOperators, "_evaluate", uncached)
+        counts.update(dpotrf=0, objective=0)
+        fresh = synthesize(sys, 1.0, **kwargs)
+        assert counts["dpotrf"] == counts["objective"] + fresh.iterations
+        assert fresh.iterations == cached.iterations
+        assert fresh.objective == cached.objective
+        assert np.array_equal(np.array(fresh.gains), np.array(cached.gains))
 
 
 class TestClosedFormExpectation:
