@@ -48,8 +48,7 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None,
         return b
 
     def state_cost(s, t):
-        q = sys.Q[t - 1]
-        return 0.5 * np.einsum("...i,ij,...j->...", s, q, s)
+        return 0.5 * np.einsum("...i,...i->...", s @ sys.Q[t - 1], s)
 
     def state_cost_grad(s, t):
         return s @ sys.Q[t - 1].T

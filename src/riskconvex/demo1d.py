@@ -24,6 +24,17 @@ from .sampling import GaussianSampler
 FIELD_IDS = ("two-basin", "constant")
 
 
+def _well(theta, center: float, depth: float, width: float) -> np.ndarray:
+    """depth * exp(-0.5 ((theta - center) / width)^2), computed in place on
+    one temporary (theta itself is not modified)."""
+    z = np.subtract(theta, center, out=np.empty(np.shape(theta)))
+    z *= z
+    z *= -0.5 / width**2
+    np.exp(z, out=z)
+    z *= depth
+    return z
+
+
 def builtin_field(field_id: str = "two-basin") -> RawField:
     """The demo fields, vectorized over theta.
 
@@ -53,9 +64,10 @@ def builtin_field(field_id: str = "two-basin") -> RawField:
     # Accepts a plain array of scalar points, or the (n, 1) stacked form
     # used by ScalarField batch evaluation.
     def scalar_value(theta):
-        return (1.0
-                - wide_d * np.exp(-0.5 * ((theta - wide_c) / wide_w) ** 2)
-                - narrow_d * np.exp(-0.5 * ((theta - narrow_c) / narrow_w) ** 2))
+        v = _well(theta, wide_c, wide_d, wide_w)
+        np.subtract(1.0, v, out=v)
+        v -= _well(theta, narrow_c, narrow_d, narrow_w)
+        return v
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)

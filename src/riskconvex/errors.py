@@ -51,9 +51,15 @@ class CertificateError(RiskConvexError):
 
 
 class DegenerateEstimateError(RiskConvexError):
-    """Every Monte Carlo exponent underflowed; the estimate carries no information."""
+    """A Monte Carlo estimate carries no information: every exponent
+    underflowed to -inf, or an exponent is NaN (``sample_index`` names
+    the first such sample)."""
 
     exit_code = EXIT_NUMERIC
+
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
 
 
 class EstimateOverflowError(RiskConvexError):

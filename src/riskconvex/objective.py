@@ -149,16 +149,32 @@ def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
 def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
     """(log mean exp(a), delta-method std err of it), with max subtraction.
 
-    Raises :class:`DegenerateEstimateError` when every exponent is -inf.
+    The weights w = exp(a - max a) lie in (0, 1] with the largest exactly
+    1, so their variance comes from one pass of sums,
+    (sum w^2 - sum w * mean w) / (n - 1), clipped at 0: its rounding is
+    about eps (1 + mean^2 / variance) relative (Chan, Golub & LeVeque
+    1983), and equal weights give exactly 0.  The input is not modified.
+
+    Raises :class:`EstimateOverflowError` naming the first +inf exponent,
+    and :class:`DegenerateEstimateError` naming the first NaN exponent or
+    when every exponent is -inf.
     """
     a = np.asarray(a, dtype=float)
     m = float(a.max())
+    if np.isnan(m):
+        i = int(np.argmax(np.isnan(a)))
+        raise DegenerateEstimateError(f"exponent at sample {i} is NaN", sample_index=i)
+    if m == np.inf:
+        i = int(np.argmax(a == np.inf))
+        raise EstimateOverflowError(f"exponent at sample {i} is +inf", sample_index=i)
     if m == -np.inf:
         raise DegenerateEstimateError("every sampled exponent underflowed to -inf")
-    w = np.exp(a - m)
-    mean_w = float(w.mean())
-    se_w = float(w.std(ddof=1) / np.sqrt(a.size))
-    return m + float(np.log(mean_w)), se_w / mean_w
+    w = a - m
+    np.exp(w, out=w)
+    s1 = w.sum()
+    mean_w = s1 / a.size
+    var_w = np.maximum(w @ w - s1 * mean_w, 0.0) / (a.size - 1)
+    return m + float(np.log(mean_w)), float(np.sqrt(var_w / a.size)) / float(mean_w)
 
 
 def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
@@ -189,6 +205,16 @@ def _exponents(f: ScalarField, model: RiskModel, theta, draws: np.ndarray) -> np
     """alpha f(theta+w) + 0.5 alpha theta' R theta per draw, with overflow check."""
     vals = f.evaluate_batch(theta + draws)
     return check_exponents(model.alpha * vals + model.alpha * model.quad(theta))
+
+
+def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
+                  sampler: GaussianSampler) -> np.ndarray:
+    """n single-draw gradient samples of G, (n, k): per draw w,
+    alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta)."""
+    draws = sampler.draw(n)
+    expo = _exponents(f, model, theta, draws)
+    grads = f.grad_batch(theta + draws)
+    return model.alpha * np.exp(expo)[:, None] * (grads + model.reg @ theta)
 
 
 def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
@@ -230,10 +256,7 @@ def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
         raise ContractError("unbiased_grad_mean requires a field with a gradient")
     _check_args(f, model, sampler, n)
     theta = np.asarray(theta, dtype=float)
-    draws = sampler.draw(n)
-    expo = _exponents(f, model, theta, draws)
-    grads = f.grad_batch(theta + draws)
-    samples = model.alpha * np.exp(expo)[:, None] * (grads + model.reg @ theta)
+    samples = _grad_samples(f, model, theta, n, sampler)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n)
     return mean, se

@@ -30,7 +30,7 @@ from .objective import (
     check_convexity_certificate,
     unbiased_grad_estimate,
     unbiased_grad_mean,
-    _exponents,
+    _grad_samples,
 )
 from .sampling import GaussianSampler
 
@@ -206,11 +206,7 @@ def batch_second_moment(samples: np.ndarray, batch: int) -> float:
 def _pilot_zeta(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
                 sampler: GaussianSampler, batch: int) -> float:
     """Gradient second-moment pilot at theta for the batched estimator."""
-    draws = sampler.draw(n)
-    expo = _exponents(f, model, theta, draws)
-    grads = f.grad_batch(theta + draws)
-    samples = model.alpha * np.exp(expo)[:, None] * (grads + model.reg @ theta)
-    zeta = batch_second_moment(samples, batch)
+    zeta = batch_second_moment(_grad_samples(f, model, theta, n, sampler), batch)
     if not zeta > 0.0:
         # All-zero pilot gradients (start at a stationary point): any
         # positive zeta yields valid steps; use 1 so the schedule is defined.

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from riskconvex.control import (
     _forward_batch,
     _gradient_samples,
 )
-from riskconvex.benchmarks import ScalarBenchmark
+from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.csvio import read_csv
 from riskconvex.datasets import Dataset
 from riskconvex.errors import (
@@ -34,6 +37,7 @@ from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig
+from riskconvex.synthesis import LinearSystem
 from support import smooth_control_problem
 
 
@@ -316,6 +320,78 @@ class TestSameNoiseReplay:
                                             GaussianSampler(0, dim=1), frozen=frozen)
             np.testing.assert_allclose(g.exp_gradient, samples[i], rtol=1e-10)
             assert g.exp_cost == pytest.approx(costs[i], rel=1e-10)
+
+
+def linear_problem():
+    # Two states and controls, s_1 = 0: the t = 1 gradient entries are exactly 0.
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    system = LinearSystem(A=[0.7 * rot] * 3, B=[0.5 * rot.T] * 3, Q=[0.1 * np.eye(2)] * 4,
+                          R=[2.0 * np.eye(2)] * 3, sigma=[np.eye(2)] * 3, horizon=4)
+    gains = [0.1 * np.random.default_rng(2).standard_normal((2, 2)) for _ in range(3)]
+    return linear_control_problem(system, 0.5, gains=gains)
+
+
+def row_lifted_smooth_problem(rng):
+    dyn, cost, pol, model = smooth_control_problem(rng, 3, 2, 5)
+    dyn.vectorized = cost.vectorized = pol.vectorized = False
+    return dyn, cost, pol, model
+
+
+class TestMomentReduction:
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    @pytest.mark.parametrize("build,n,zero_first_step", [
+        (lambda rng: smooth_control_problem(rng, 3, 2, 5), 2000, False),
+        (row_lifted_smooth_problem, 300, False),
+        (lambda rng: linear_problem(), 2000, True),
+        (noisy_net_problem, 500, False),
+    ], ids=["smooth", "smooth_row_lifted", "linear", "noisy_net"])
+    def test_moments_match_sample_tensor(self, build, n, zero_first_step, method):
+        problem = build(np.random.default_rng(29))
+        est = policy_gradient_batch(*problem, GaussianSampler(11, dim=1), n, method)
+        samples, costs = _gradient_samples(*problem, GaussianSampler(11, dim=1), n, method)
+        np.testing.assert_allclose(est.mean, samples.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(est.std_err, samples.std(axis=0, ddof=1) / np.sqrt(n),
+                                   rtol=1e-10)
+        assert est.exp_cost_mean == float(costs.mean())
+        assert est.exp_cost_std_err == float(costs.std(ddof=1) / np.sqrt(n))
+        if zero_first_step:
+            # phi_1 = s_1 = 0: every sample is exactly 0, and so are the moments.
+            assert np.all(samples[:, 0] == 0.0)
+            assert np.all(est.mean[0] == 0.0) and np.all(est.std_err[0] == 0.0)
+
+    def test_batch_estimate_builds_no_per_sample_tensor(self):
+        dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 8, 8, 6)
+        n = 2**14
+        tensor_bytes = n * 5 * 8 * 8 * 8  # float64 (n, N-1, m, q)
+        tracemalloc.start()
+        try:
+            policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(5, dim=1), n,
+                                  "derivative_free")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor_bytes
+
+    def test_broadcast_jacobians_match_dense_copies(self):
+        dyn, cost, pol, model = linear_problem()
+        s = np.zeros((4, 2))
+        assert dyn.jacobian_state(s, s, None, 1).strides[0] == 0
+        assert pol.features_jacobian(s, 1).strides[0] == 0
+
+        def dense(fn):  # the same Jacobian, materialized as its own copy
+            return lambda *args: np.array(fn(*args))
+
+        ddyn = dataclasses.replace(dyn, jacobian_state=dense(dyn.jacobian_state),
+                                   jacobian_control=dense(dyn.jacobian_control))
+        dpol = dataclasses.replace(pol, features_jacobian=dense(pol.features_jacobian))
+        assert ddyn.jacobian_state(s, s, None, 1).strides[0] != 0
+        fast, fast_costs = _gradient_samples(dyn, cost, pol, model, GaussianSampler(8, dim=1),
+                                             500, "model_based")
+        slow, slow_costs = _gradient_samples(ddyn, cost, dpol, model,
+                                             GaussianSampler(8, dim=1), 500, "model_based")
+        assert np.array_equal(fast_costs, slow_costs)
+        assert np.any(fast != 0.0)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
 class TestStateCostBound:

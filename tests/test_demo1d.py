@@ -34,6 +34,18 @@ def test_builtin_field_gradient_matches_fd():
         assert f.gradient(np.array([x]))[0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def test_two_basin_matches_closed_form_and_keeps_input():
+    f = builtin_field("two-basin")
+    theta = np.random.default_rng(0).uniform(-4.0, 4.0, 20001)
+    theta[:3] = [-1.0, 1.5, 1.52]
+    before = theta.copy()
+    closed = (1.0 - 1.2 * np.exp(-0.5 * ((theta + 1.0) / 0.8) ** 2)
+              - 2.0 * np.exp(-0.5 * ((theta - 1.5) / 0.05) ** 2))
+    np.testing.assert_allclose(f.value(theta), closed, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(f.value(theta[:, None]), closed, rtol=0.0, atol=1e-14)
+    assert np.array_equal(theta, before)
+
+
 def test_unknown_field_id_rejected():
     with pytest.raises(ContractError):
         builtin_field("nope")

@@ -14,6 +14,7 @@ from riskconvex.objective import (
     exp_objective,
     isotropic_model,
     log_exp_objective,
+    log_mean_exp,
     smoothed_value,
     unbiased_grad_estimate,
     unbiased_grad_mean,
@@ -104,6 +105,40 @@ class TestLogExpObjective:
         model = isotropic_model(1.0, 1.0, 0.0, 1)
         with pytest.raises(DegenerateEstimateError):
             log_exp_objective(f, model, [0.0], 10, model.sampler(0))
+
+
+class TestLogMeanExp:
+    def test_matches_two_pass_reference(self):
+        for seed in range(5):
+            a = 3.0 * np.random.default_rng(seed).standard_normal(1000) - 50.0
+            before = a.copy()
+            value, se = log_mean_exp(a)
+            assert np.array_equal(a, before)
+            w = np.exp(a - a.max())
+            assert value == pytest.approx(a.max() + np.log(w.mean()), rel=1e-12)
+            assert se == pytest.approx(w.std(ddof=1) / np.sqrt(a.size) / w.mean(), rel=1e-12)
+
+    def test_equal_weights_have_exactly_zero_std_err(self):
+        assert log_mean_exp(np.full(37, -2.5)) == (-2.5, 0.0)
+
+    @pytest.mark.parametrize("bad,error", [(np.inf, EstimateOverflowError),
+                                           (np.nan, DegenerateEstimateError)])
+    def test_non_finite_exponent_names_first_sample(self, bad, error):
+        a = np.zeros(10)
+        a[[3, 7]] = bad
+        with pytest.raises(error) as err:
+            log_mean_exp(a)
+        assert err.value.sample_index == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_log_exp_objective_overflow_is_typed(self):
+        # alpha * f overflows to +inf on the positive draws
+        model = RiskModel(alpha=1e307, sigma=np.eye(1), reg=np.eye(1))
+        with pytest.raises(EstimateOverflowError) as err:
+            log_exp_objective(linear_field([100.0], upper_bound=1e9), model, np.zeros(1),
+                              1000, model.sampler(0))
+        expo = model.alpha * (100.0 * model.sampler(0).draw(1000)[:, 0])
+        assert err.value.sample_index == int(np.argmax(expo == np.inf))
 
 
 class TestExpObjective:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskconvex.errors import ContractError
+from riskconvex.errors import ContractError, DegenerateEstimateError, EstimateOverflowError
 from riskconvex.fields import ScalarField, constant_field, linear_field
 from riskconvex.objective import RiskModel, isotropic_model
 from riskconvex.sensitivity import certify_gap, estimate_sensitivity, lipschitz_gap_bound
@@ -60,6 +60,25 @@ class TestEstimateSensitivity:
             est = estimate_sensitivity(f, model, theta, 2000,
                                        model.sampler(int(rng.integers(0, 2**32))))
             assert est.value >= -3.0 * est.std_err
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_exponent_is_typed(self):
+        model = RiskModel(alpha=1e307, sigma=np.eye(1), reg=np.eye(1))
+        with pytest.raises(EstimateOverflowError) as err:
+            estimate_sensitivity(linear_field([100.0], upper_bound=1e9), model, [0.0], 1000,
+                                 model.sampler(0))
+        assert err.value.sample_index is not None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_exponent_is_degenerate(self):
+        # -inf values are legal, but a -inf smoothed mean makes -inf - (-inf) = NaN
+        f = ScalarField(value=lambda th: np.where(np.asarray(th)[..., 0] > 0.0, -np.inf, 0.0),
+                        upper_bound=0.0, dim=1, vectorized=True)
+        model = isotropic_model(1.0, 1.0, 0.0, 1)
+        with pytest.raises(DegenerateEstimateError) as err:
+            estimate_sensitivity(f, model, [0.0], 200, model.sampler(0))
+        assert err.value.sample_index is not None
 
 
 class TestLipschitzGapBound:

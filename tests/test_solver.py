@@ -13,6 +13,7 @@ from riskconvex.solver import (
     FeasibleSet,
     SolverConfig,
     VarianceBoundInputs,
+    batch_second_moment,
     convergence_certificate,
     log_gap_from_exp_gap,
     project,
@@ -135,6 +136,30 @@ class TestSolve:
         b = solve(f, model, fs, SolverConfig(iterations=50), model.sampler(11))
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.grad_norms, b.grad_norms)
+
+    def test_pilot_and_batches_match_the_estimator_written_out(self):
+        rng = np.random.default_rng(12)
+        f = bump_field(rng, 2)
+        model = certified_model(rng, 2)
+        fs = FeasibleSet.ball(np.zeros(2), 1.0)
+        cfg = SolverConfig(iterations=20, batch=16)
+        rep = solve(f, model, fs, cfg, model.sampler(13))
+
+        def samples(theta, n, stream):
+            draws = stream.draw(n)
+            expo = model.alpha * f.evaluate_batch(theta + draws) + model.alpha * model.quad(theta)
+            return model.alpha * np.exp(expo)[:, None] * (f.grad_batch(theta + draws)
+                                                          + model.reg @ theta)
+
+        pilot, run = model.sampler(13).split(2)
+        theta = fs.project(np.zeros(2))
+        assert rep.zeta == batch_second_moment(samples(theta, cfg.pilot_samples, pilot),
+                                               cfg.batch)
+        for i in range(1, cfg.iterations + 1):
+            assert np.array_equal(rep.thetas[i - 1], theta)
+            g = samples(theta, cfg.batch, run).mean(axis=0)
+            theta = fs.project(theta - step_size(fs.radius_bound, rep.zeta, i) * g)
+        assert np.array_equal(rep.final_theta, theta)
 
     def test_uncertified_model_warns_and_flags(self):
         rng = np.random.default_rng(7)
