@@ -34,7 +34,6 @@ whole batch as one product.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -49,14 +48,7 @@ from .errors import (
 )
 from .objective import check_exponents, psd_tolerance
 from .sampling import GaussianSampler, as_covariance, spd_inverse, symmetric_sqrt
-from .solver import (
-    FeasibleSet,
-    SolverConfig,
-    SolverReport,
-    batch_second_moment,
-    convergence_certificate,
-    step_size,
-)
+from .solver import FeasibleSet, SolverConfig, projected_sgd
 
 
 @dataclass
@@ -610,20 +602,6 @@ class BatchGradientEstimate:
     n: int
 
 
-def _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1):
-    """(S, U, Y, XI, PHI, total) of n engine rollouts under the policy's gains."""
-    engine = _RolloutEngine(dyn, cost, policy, model)
-    return engine.forward(np.stack(policy.gains), sampler, n, mode, s1)[:6]
-
-
-def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
-    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator;
-    overflow of exp(alpha J) raises instead of returning inf or NaN."""
-    engine = _RolloutEngine(dyn, cost, policy, model)
-    engine.check_method(method)
-    return engine.gradient(np.stack(policy.gains), sampler, n, method)
-
-
 def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
                           model: ControlRiskModel, sampler: GaussianSampler,
                           n: int, method: str = "derivative_free") -> BatchGradientEstimate:
@@ -668,7 +646,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                  model: ControlRiskModel, method: str, config: SolverConfig,
                  constraint: FeasibleSet, sampler: GaussianSampler,
                  callback: Optional[Callable] = None):
-    """Projected stochastic gradient descent over the stacked gains.
+    """Projected SGD over the stacked gains, run by :func:`~riskconvex.solver.projected_sgd`.
 
     Starts from the projected ``config.theta0`` when set, else from the
     projected gains of ``policy0``.  Returns (trained Policy with the
@@ -696,53 +674,16 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
             stacklevel=2,
         )
 
-    pilot_stream, run_stream = sampler.split(2)
-    theta = constraint.project(start)
-    radius = constraint.radius_bound
-    zeta = config.zeta
-    if zeta is None:
-        samples, _ = engine.gradient(theta.reshape(shape), pilot_stream,
-                                     config.pilot_samples, method)
-        zeta = batch_second_moment(samples, config.batch)
-        if not zeta > 0.0:
-            zeta = 1.0
+    def oracle(theta, batch, stream):
+        mean, w = engine.gradient(theta.reshape(shape), stream, batch, method, mean=True)
+        return mean.ravel(), w.sum() / batch
 
-    T = config.iterations
-    thetas = np.empty((T, dim))
-    grad_norms = np.empty(T)
-    etas = np.empty(T)
-    objective_trace = np.empty(T)
-    running_sum = np.zeros(dim)
-    for i in range(1, T + 1):
-        thetas[i - 1] = theta
-        running_sum += theta
-        mean, costs = engine.gradient(theta.reshape(shape), run_stream, config.batch, method,
-                                      mean=True)
-        g = mean.ravel()
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
-        objective_trace[i - 1] = costs.sum() / config.batch
-        eta = step_size(radius, zeta, i)
-        grad_norms[i - 1] = math.sqrt(g @ g)
-        etas[i - 1] = eta
-        theta = constraint.project(theta - eta * g)
-        if callback is not None:
-            callback(i, theta, running_sum / i)
+    def pilot(theta, n, stream):
+        return engine.gradient(theta.reshape(shape), stream, n, method)[0]
 
-    theta_hat = thetas.mean(axis=0) if config.averaging else theta.copy()
-    report = SolverReport(
-        theta_hat=theta_hat,
-        final_theta=theta,
-        certificate=convergence_certificate(radius, zeta, T),
-        zeta=zeta,
-        thetas=thetas,
-        grad_norms=grad_norms,
-        etas=etas,
-        certified=cert.holds,
-        certificate_margin=float(cert.margins.min()),
-        objective_trace=objective_trace,
-    )
-    trained = policy0.with_gains(unstack_gains(theta_hat, *shape))
+    report = projected_sgd(oracle, pilot, start, constraint, config, sampler, cert.holds,
+                           float(cert.margins.min()), callback)
+    trained = policy0.with_gains(unstack_gains(report.theta_hat, *shape))
     return trained, report
 
 

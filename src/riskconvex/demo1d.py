@@ -139,12 +139,14 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     smoothed = np.empty(grid.size)
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
+    shifted = np.empty_like(draws)
     for i, th in enumerate(grid):
         quad = 0.5 * kappa * th**2
-        vals = raw.value(th + draws)
+        vals = raw.value(np.add(draws, th, out=shifted))
         objective[i] = float(raw.value(np.array([th]))[0]) + quad
         smoothed[i] = float(vals.mean()) + quad + 0.5 * kappa * sigma_noise**2
-        lme, se = log_mean_exp(alpha * vals)
+        vals *= alpha
+        lme, se = log_mean_exp(vals)
         convexified[i] = lme / alpha + quad
         std_err[i] = se / alpha
     return DemoCurves(theta=grid, objective=objective, smoothed=smoothed,

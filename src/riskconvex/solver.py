@@ -8,9 +8,9 @@ from theta = 0 (projected into C when infeasible), where ghat is the
 single-draw unbiased gradient of G and zeta bounds sqrt(E ||ghat||^2).
 With uniform iterate averaging the expected objective gap after T
 iterations is at most R(C) * zeta * sqrt(1/(2T)); that certificate is
-returned with every report.  The iteration loop is sequential;
-per-iteration mini-batches average independent draws from the run
-stream in a fixed order.
+returned with every report.  The iteration loop, :func:`projected_sgd`
+(shared with ``control.train_policy``), is sequential; per-iteration
+mini-batches average independent draws from the run stream in a fixed order.
 """
 
 from __future__ import annotations
@@ -18,21 +18,30 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .csvio import write_csv
 from .errors import ContractError, DivergenceError
 from .fields import ScalarField
-from .objective import (
-    RiskModel,
-    check_convexity_certificate,
-    unbiased_grad_estimate,
-    unbiased_grad_mean,
-    _grad_samples,
-)
+from .objective import RiskModel, check_convexity_certificate, _check_args, _grad_samples
 from .sampling import GaussianSampler
+
+
+@np.errstate(over="ignore")
+def _norm(x) -> float:
+    """Euclidean norm sqrt(x . x), bit for bit np.linalg.norm's expression;
+    only when the sum of squares overflows for a finite x is it recomputed
+    as s ||x / s|| with s = max |x|, so a huge vector keeps a finite norm."""
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    norm = math.sqrt(x.dot(x))
+    if norm == math.inf and np.isfinite(x).all():
+        s = float(np.abs(x).max())
+        x = x / s
+        norm = s * math.sqrt(x.dot(x))
+    return norm
 
 
 @dataclass
@@ -92,7 +101,7 @@ class FeasibleSet:
             return x.copy()
         if self.kind == "ball":
             d = x - self.center
-            norm = float(np.linalg.norm(d))
+            norm = _norm(d)
             if norm <= self.radius:
                 return x.copy()
             return self.center + (self.radius / norm) * d
@@ -102,7 +111,7 @@ class FeasibleSet:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(self.project(x) - x) <= tol * (1.0 + np.linalg.norm(x)))
+        return bool(_norm(self.project(x) - x) <= tol * (1.0 + _norm(x)))
 
 
 def project(feasible: FeasibleSet, x) -> np.ndarray:
@@ -170,12 +179,15 @@ class SolverReport:
     def iterations(self) -> int:
         return self.thetas.shape[0]
 
-    def recompute_average(self) -> np.ndarray:
-        return self.thetas.mean(axis=0)
-
+    @np.errstate(over="ignore")
     def empirical_zeta(self) -> float:
-        """Root mean squared norm of the sampled gradients along the run."""
-        return float(np.sqrt(np.mean(self.grad_norms**2)))
+        """Root mean squared norm of the sampled gradients along the run,
+        rescaled by the largest norm only when the squares overflow."""
+        zeta = float(np.sqrt(np.mean(self.grad_norms**2)))
+        if zeta == math.inf and np.isfinite(self.grad_norms).all():
+            s = float(self.grad_norms.max())
+            zeta = s * float(np.sqrt(np.mean((self.grad_norms / s) ** 2)))
+        return zeta
 
     def write_trace_csv(self, path) -> None:
         """Columns: iter, theta_0..theta_{k-1}, grad_norm, eta."""
@@ -203,15 +215,66 @@ def batch_second_moment(samples: np.ndarray, batch: int) -> float:
     return float(np.sqrt(mu @ mu + var.sum() / batch))
 
 
-def _pilot_zeta(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
-                sampler: GaussianSampler, batch: int) -> float:
-    """Gradient second-moment pilot at theta for the batched estimator."""
-    zeta = batch_second_moment(_grad_samples(f, model, theta, n, sampler), batch)
-    if not zeta > 0.0:
-        # All-zero pilot gradients (start at a stationary point): any
-        # positive zeta yields valid steps; use 1 so the schedule is defined.
-        return 1.0
-    return zeta
+def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSet,
+                  config: SolverConfig, sampler: GaussianSampler, certified: bool,
+                  certificate_margin: float,
+                  callback: Optional[Callable] = None) -> SolverReport:
+    """Projected stochastic gradient iterations from the projected ``start``.
+
+    ``oracle(theta, batch, stream)`` returns the flat mean gradient and the
+    batch objective (None leaves ``objective_trace`` None); ``pilot(theta,
+    n, stream)`` returns n per-sample gradients, whose
+    :func:`batch_second_moment` is zeta unless ``config.zeta`` is set.
+    ``sampler`` splits into the pilot and the run stream.
+    ``callback(i, theta, running_average)`` fires after each update;
+    ``certified`` and ``certificate_margin`` are copied into the report.
+    Raises :class:`DivergenceError` carrying the iteration index on a
+    non-finite gradient estimate.
+    """
+    pilot_stream, run_stream = sampler.split(2)
+    theta = feasible.project(start)
+    radius = feasible.radius_bound
+    zeta = config.zeta
+    if zeta is None:
+        zeta = batch_second_moment(pilot(theta, config.pilot_samples, pilot_stream),
+                                   config.batch)
+        if not zeta > 0.0:
+            # All-zero pilot gradients (start at a stationary point): any
+            # positive zeta yields valid steps; use 1 so the schedule is defined.
+            zeta = 1.0
+
+    T = config.iterations
+    thetas = np.empty((T, theta.size))
+    grad_norms = np.empty(T)
+    etas = np.empty(T)
+    objectives = []
+    running_sum = np.zeros(theta.size)
+    for i in range(1, T + 1):
+        thetas[i - 1] = theta
+        g, objective = oracle(theta, config.batch, run_stream)
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
+        objectives.append(objective)
+        eta = step_size(radius, zeta, i)
+        grad_norms[i - 1] = _norm(g)
+        etas[i - 1] = eta
+        theta = feasible.project(theta - eta * g)
+        if callback is not None:
+            running_sum += thetas[i - 1]
+            callback(i, theta, running_sum / i)
+
+    return SolverReport(
+        theta_hat=thetas.mean(axis=0) if config.averaging else theta.copy(),
+        final_theta=theta,
+        certificate=convergence_certificate(radius, zeta, T),
+        zeta=zeta,
+        thetas=thetas,
+        grad_norms=grad_norms,
+        etas=etas,
+        certified=certified,
+        certificate_margin=certificate_margin,
+        objective_trace=None if objective is None else np.array(objectives),
+    )
 
 
 def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
@@ -224,7 +287,7 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
     certificate in the report is void and flagged.
 
     Raises:
-        ContractError: if f has no gradient.
+        ContractError: if f has no gradient, or dimensions disagree.
         DivergenceError: on a non-finite gradient estimate, carrying the
             iteration index.
     """
@@ -232,6 +295,7 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
         raise ContractError("solve requires a field with a gradient")
     if feasible.dim != model.dim:
         raise ContractError("feasible set dimension does not match the model")
+    _check_args(f, model, sampler, config.batch, min_n=1)
     cert = check_convexity_certificate(model)
     if not cert.holds:
         warnings.warn(
@@ -240,44 +304,10 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
             stacklevel=2,
         )
 
-    pilot_stream, run_stream = sampler.split(2)
-    theta = np.zeros(model.dim) if config.theta0 is None else np.asarray(config.theta0, float)
-    theta = feasible.project(theta)
-    radius = feasible.radius_bound
-    zeta = config.zeta
-    if zeta is None:
-        zeta = _pilot_zeta(f, model, theta, config.pilot_samples, pilot_stream,
-                           config.batch)
-
-    T = config.iterations
-    thetas = np.empty((T, model.dim))
-    grad_norms = np.empty(T)
-    etas = np.empty(T)
-    for i in range(1, T + 1):
-        thetas[i - 1] = theta
-        if config.batch == 1:
-            g = unbiased_grad_estimate(f, model, theta, run_stream)
-        else:
-            g, _ = unbiased_grad_mean(f, model, theta, config.batch, run_stream)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
-        eta = step_size(radius, zeta, i)
-        grad_norms[i - 1] = float(np.linalg.norm(g))
-        etas[i - 1] = eta
-        theta = feasible.project(theta - eta * g)
-
-    theta_hat = thetas.mean(axis=0) if config.averaging else theta.copy()
-    return SolverReport(
-        theta_hat=theta_hat,
-        final_theta=theta,
-        certificate=convergence_certificate(radius, zeta, T),
-        zeta=zeta,
-        thetas=thetas,
-        grad_norms=grad_norms,
-        etas=etas,
-        certified=cert.holds,
-        certificate_margin=cert.margin,
-    )
+    samples = partial(_grad_samples, f, model)
+    start = np.zeros(model.dim) if config.theta0 is None else np.asarray(config.theta0, float)
+    return projected_sgd(lambda theta, n, stream: (samples(theta, n, stream).mean(axis=0), None),
+                         samples, start, feasible, config, sampler, cert.holds, cert.margin)
 
 
 @dataclass

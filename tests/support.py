@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from riskconvex.control import ControlCost, ControlRiskModel, Dynamics, Policy
+from riskconvex.control import ControlCost, ControlRiskModel, Dynamics, Policy, _RolloutEngine
 from riskconvex.fields import ScalarField
 from riskconvex.objective import RiskModel
 
@@ -110,3 +110,17 @@ def smooth_control_problem(rng: np.random.Generator, n: int, m: int, horizon: in
                     features=feats, features_jacobian=feats_jac, vectorized=True)
     model = ControlRiskModel(alpha=alpha, control_noise=[0.5 * np.eye(m)] * (horizon - 1))
     return dyn, cost, policy, model
+
+
+def _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1):
+    """(S, U, Y, XI, PHI, total) of n engine rollouts under the policy's gains."""
+    engine = _RolloutEngine(dyn, cost, policy, model)
+    return engine.forward(np.stack(policy.gains), sampler, n, mode, s1)[:6]
+
+
+def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
+    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator;
+    overflow of exp(alpha J) raises instead of returning inf or NaN."""
+    engine = _RolloutEngine(dyn, cost, policy, model)
+    engine.check_method(method)
+    return engine.gradient(np.stack(policy.gains), sampler, n, method)

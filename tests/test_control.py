@@ -21,8 +21,6 @@ from riskconvex.control import (
     unstack_gains,
     write_rollout_csv,
     _RolloutEngine,
-    _forward_batch,
-    _gradient_samples,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.csvio import read_csv
@@ -36,9 +34,9 @@ from riskconvex.errors import (
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
-from riskconvex.solver import FeasibleSet, SolverConfig
+from riskconvex.solver import FeasibleSet, SolverConfig, batch_second_moment, step_size
 from riskconvex.synthesis import LinearSystem
-from support import smooth_control_problem
+from support import _forward_batch, _gradient_samples, smooth_control_problem
 
 
 def scalar_integrator(horizon=3):
@@ -546,3 +544,36 @@ class TestTrainPolicy:
         assert np.array_equal(r1.thetas, r2.thetas)
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
         assert r1.objective_trace.shape == (40,)
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_pilot_and_loop_match_the_iteration_written_out(self, method):
+        rng = np.random.default_rng(37)
+        dyn, cost, pol, model = smooth_control_problem(rng, 2, 1, 4)
+        constraint = FeasibleSet.ball(np.zeros(pol.n_steps * 1 * 2), 1.0)
+        cfg = SolverConfig(iterations=15, batch=8)
+        seen = []
+        _, rep = train_policy(dyn, cost, pol, model, method, cfg, constraint,
+                              GaussianSampler(41, dim=1),
+                              callback=lambda i, th, avg: seen.append((i, th.copy(), avg.copy())))
+
+        engine = _RolloutEngine(dyn, cost, pol, model)
+        pilot, run = GaussianSampler(41, dim=1).split(2)
+        theta = constraint.project(stack_gains(pol.gains))
+        samples, _ = engine.gradient(theta.reshape(engine.shape), pilot, cfg.pilot_samples,
+                                     method)
+        assert np.array_equal(rep.zeta, batch_second_moment(samples, cfg.batch))
+        assert len(seen) == cfg.iterations
+        running_sum = np.zeros(theta.size)
+        for i in range(1, cfg.iterations + 1):
+            assert np.array_equal(rep.thetas[i - 1], theta)
+            running_sum += theta
+            g, w = engine.gradient(theta.reshape(engine.shape), run, cfg.batch, method,
+                                   mean=True)
+            assert np.array_equal(rep.objective_trace[i - 1], w.sum() / cfg.batch)
+            theta = constraint.project(
+                theta - step_size(constraint.radius_bound, rep.zeta, i) * g.ravel())
+            assert seen[i - 1][0] == i
+            assert np.array_equal(seen[i - 1][1], theta)
+            assert np.array_equal(seen[i - 1][2], running_sum / i)
+        assert np.array_equal(rep.final_theta, theta)

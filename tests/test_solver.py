@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from riskconvex.csvio import read_float_table
 from riskconvex.errors import ContractError
 from riskconvex.fields import constant_field
 from riskconvex.objective import isotropic_model
+from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import (
     FeasibleSet,
     SolverConfig,
@@ -17,6 +19,7 @@ from riskconvex.solver import (
     convergence_certificate,
     log_gap_from_exp_gap,
     project,
+    projected_sgd,
     solve,
     step_size,
     variance_bound,
@@ -70,6 +73,36 @@ class TestProjection:
         assert FeasibleSet.unconstrained(2, radius_bound=5.0).radius_bound == 5.0
         with pytest.raises(ContractError):
             FeasibleSet.unconstrained(2).radius_bound
+
+    def test_far_point_projects_onto_the_sphere_and_is_not_contained(self):
+        # ||x||^2 overflows, but ||x|| = 1.7e160 is finite.
+        x = np.full(3, 1e160)
+        ball = FeasibleSet.ball(np.zeros(3), 1.0)
+        p = ball.project(x)
+        assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(p, np.ones(3) / math.sqrt(3.0), rtol=1e-15)
+        assert not ball.contains(x)
+        assert not FeasibleSet.box(-np.ones(3), np.ones(3)).contains(x)
+
+
+class TestProjectedSGD:
+    def test_huge_finite_gradient_keeps_finite_norms(self):
+        # g @ g overflows for g = 1e200 (1, 1, 1), but ||g|| is finite.
+        g = 1e200 * np.ones(3)
+        ball = FeasibleSet.ball(np.zeros(3), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3), ball,
+                                SolverConfig(iterations=4, zeta=1.0),
+                                GaussianSampler(0, dim=3), True, 0.0)
+            zeta = rep.empirical_zeta()
+        expected = 1e200 * math.sqrt(3.0)
+        np.testing.assert_allclose(rep.grad_norms, expected, rtol=1e-15)
+        assert zeta == pytest.approx(expected, rel=1e-15)
+        # Every step lands on the sphere, opposite g, never at the center.
+        np.testing.assert_allclose(rep.thetas[1:], -np.ones((3, 3)) / math.sqrt(3.0),
+                                   rtol=1e-15)
+        assert rep.objective_trace is None
 
 
 class TestScheduleAndCertificate:
@@ -125,7 +158,7 @@ class TestSolve:
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
         rep = solve(f, model, fs, SolverConfig(iterations=100), model.sampler(9))
-        assert np.array_equal(rep.recompute_average(), rep.theta_hat)
+        assert np.array_equal(rep.thetas.mean(axis=0), rep.theta_hat)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
@@ -178,6 +211,13 @@ class TestSolve:
         with pytest.raises(ContractError):
             solve(f, model, FeasibleSet.ball(np.zeros(2), 1.0),
                   SolverConfig(iterations=5), model.sampler(0))
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_sampler_dimension_checked_before_the_pilot(self, batch):
+        model = isotropic_model(1.0, 1.0, 1.0, 2)
+        with pytest.raises(ContractError, match="sampler dim"):
+            solve(constant_field(0.0, 2), model, FeasibleSet.ball(np.zeros(2), 1.0),
+                  SolverConfig(iterations=5, batch=batch), GaussianSampler(0, dim=3))
 
     def test_batch_reduces_certificate(self):
         rng = np.random.default_rng(8)
