@@ -155,11 +155,14 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
     about eps (1 + mean^2 / variance) relative (Chan, Golub & LeVeque
     1983), and equal weights give exactly 0.  The input is not modified.
 
-    Raises :class:`EstimateOverflowError` naming the first +inf exponent,
-    and :class:`DegenerateEstimateError` naming the first NaN exponent or
+    Raises :class:`ContractError` for fewer than 2 exponents,
+    :class:`EstimateOverflowError` naming the first +inf exponent, and
+    :class:`DegenerateEstimateError` naming the first NaN exponent or
     when every exponent is -inf.
     """
     a = np.asarray(a, dtype=float)
+    if a.size < 2:
+        raise ContractError(f"need at least 2 samples, got {a.size}")
     m = float(a.max())
     if np.isnan(m):
         i = int(np.argmax(np.isnan(a)))
@@ -201,20 +204,23 @@ def check_exponents(expo: np.ndarray) -> np.ndarray:
     return expo
 
 
-def _exponents(f: ScalarField, model: RiskModel, theta, draws: np.ndarray) -> np.ndarray:
-    """alpha f(theta+w) + 0.5 alpha theta' R theta per draw, with overflow check."""
-    vals = f.evaluate_batch(theta + draws)
+def _exponents(f: ScalarField, model: RiskModel, theta, points: np.ndarray) -> np.ndarray:
+    """alpha f(theta+w) + 0.5 alpha theta' R theta per perturbed point
+    theta + w, with overflow check."""
+    vals = f.evaluate_batch(points)
     return check_exponents(model.alpha * vals + model.alpha * model.quad(theta))
 
 
 def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
                   sampler: GaussianSampler) -> np.ndarray:
     """n single-draw gradient samples of G, (n, k): per draw w,
-    alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta)."""
-    draws = sampler.draw(n)
-    expo = _exponents(f, model, theta, draws)
-    grads = f.grad_batch(theta + draws)
-    return model.alpha * np.exp(expo)[:, None] * (grads + model.reg @ theta)
+    alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta),
+    scaled in place on one (n, k) array."""
+    points = theta + sampler.draw(n)
+    expo = _exponents(f, model, theta, points)
+    out = f.grad_batch(points) + model.reg @ theta
+    out *= (model.alpha * np.exp(expo))[:, None]
+    return out
 
 
 def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
@@ -222,7 +228,7 @@ def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
     """Estimate of G(theta) = E[exp(alpha f(theta+w) + 0.5 alpha theta' R theta)]."""
     _check_args(f, model, sampler, n)
     theta = np.asarray(theta, dtype=float)
-    g = np.exp(_exponents(f, model, theta, sampler.draw(n)))
+    g = np.exp(_exponents(f, model, theta, theta + sampler.draw(n)))
     return Estimate(value=float(g.mean()), std_err=float(g.std(ddof=1) / np.sqrt(n)), n=n)
 
 
@@ -243,9 +249,9 @@ def unbiased_grad_estimate(f: ScalarField, model: RiskModel, theta,
         raise ContractError("unbiased_grad_estimate requires a field with a gradient")
     _check_args(f, model, sampler, n=2)
     theta = np.asarray(theta, dtype=float)
-    draws = sampler.draw(1)
-    expo = _exponents(f, model, theta, draws)
-    g = f.grad(theta + draws[0])
+    point = theta + sampler.draw(1)
+    expo = _exponents(f, model, theta, point)
+    g = f.grad(point[0])
     return model.alpha * float(np.exp(expo[0])) * (g + model.reg @ theta)
 
 
@@ -258,5 +264,8 @@ def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
     theta = np.asarray(theta, dtype=float)
     samples = _grad_samples(f, model, theta, n, sampler)
     mean = samples.mean(axis=0)
-    se = samples.std(axis=0, ddof=1) / np.sqrt(n)
+    # np.std(axis=0, ddof=1)'s own arithmetic, reusing the mean: same bits.
+    d = samples - mean
+    d *= d
+    se = np.sqrt(d.sum(axis=0) / (n - 1)) / np.sqrt(n)
     return mean, se

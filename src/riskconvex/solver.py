@@ -104,6 +104,8 @@ class FeasibleSet:
             norm = _norm(d)
             if norm <= self.radius:
                 return x.copy()
+            if not math.isfinite(norm):
+                raise ContractError("cannot project a non-finite point onto a ball")
             return self.center + (self.radius / norm) * d
         if self.kind == "box":
             return np.clip(x, self.lower, self.upper)
@@ -111,6 +113,8 @@ class FeasibleSet:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return False
         return bool(_norm(self.project(x) - x) <= tol * (1.0 + _norm(x)))
 
 
@@ -229,7 +233,8 @@ def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSe
     ``callback(i, theta, running_average)`` fires after each update;
     ``certified`` and ``certificate_margin`` are copied into the report.
     Raises :class:`DivergenceError` carrying the iteration index on a
-    non-finite gradient estimate.
+    non-finite gradient estimate, or when a finite step overflows to an
+    iterate the feasible set cannot project.
     """
     pilot_stream, run_stream = sampler.split(2)
     theta = feasible.project(start)
@@ -258,7 +263,10 @@ def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSe
         eta = step_size(radius, zeta, i)
         grad_norms[i - 1] = _norm(g)
         etas[i - 1] = eta
-        theta = feasible.project(theta - eta * g)
+        try:
+            theta = feasible.project(theta - eta * g)
+        except ContractError as exc:
+            raise DivergenceError(f"non-finite iterate at iteration {i}", step=i) from exc
         if callback is not None:
             running_sum += thetas[i - 1]
             callback(i, theta, running_sum / i)

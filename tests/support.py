@@ -46,6 +46,17 @@ def bump_field(rng: np.random.Generator, dim: int, n_bumps: int = 4,
                        lipschitz=lipschitz, vectorized=True)
 
 
+def two_basin_reference(theta) -> np.ndarray:
+    """The demo two-basin field
+    1 - 1.2 exp(-0.5 ((theta + 1) / 0.8)^2) - 2 exp(-0.5 ((theta - 1.5) / 0.05)^2),
+    in the operation order of a plain per-well evaluation
+    depth * exp((theta - center)^2 * (-0.5 / width^2)) with unclamped np.exp."""
+    theta = np.asarray(theta, dtype=float)
+    wide = 1.2 * np.exp((theta - -1.0) ** 2 * (-0.5 / 0.8**2))
+    narrow = 2.0 * np.exp((theta - 1.5) ** 2 * (-0.5 / 0.05**2))
+    return (1.0 - wide) - narrow
+
+
 def certified_model(rng: np.random.Generator, dim: int, alpha: float = None,
                     slack: float = None) -> RiskModel:
     """Random risk model whose certificate holds with the given slack."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from riskconvex.csvio import read_float_table
 from riskconvex.demo1d import builtin_field, demo_curves, uniform_grid
 from riskconvex.errors import CertificateError, ContractError
 from riskconvex.sampling import GaussianSampler
+from support import two_basin_reference
 
 
 def test_uniform_grid_shape_and_bounds():
@@ -44,6 +47,34 @@ def test_two_basin_matches_closed_form_and_keeps_input():
     np.testing.assert_allclose(f.value(theta), closed, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(f.value(theta[:, None]), closed, rtol=0.0, atol=1e-14)
     assert np.array_equal(theta, before)
+
+
+def _zeros_near(theta):
+    """Points within 4000 ulps of theta where the reference is exactly 0."""
+    pts = theta + np.arange(-4000, 4001) * np.spacing(theta)
+    return pts[two_basin_reference(pts) == 0.0]
+
+
+def _assert_same_bits(theta):
+    f = builtin_field("two-basin")
+    ref = two_basin_reference(theta)
+    assert np.array_equal(f.value(theta).view(np.int64), ref.view(np.int64))
+    assert np.array_equal(f.value(theta[:, None]).view(np.int64), ref.view(np.int64))
+
+
+def test_two_basin_is_bit_identical_to_plain_exp_reference():
+    # 1 - wide is exactly 0 near |theta + 1| = root, where the narrow well is 0.
+    root = 0.8 * np.sqrt(2.0 * np.log(1.2))
+    crossings = np.concatenate([_zeros_near(-1.0 + root), _zeros_near(-1.0 - root)])
+    assert crossings.size >= 2
+    # |theta - 1.5| in (1.85, 1.95): either side of where the clamp starts.
+    band = np.linspace(0.0, 0.1, 200_001)[1:-1] + 1.85
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_bits(np.linspace(-8.0, 8.0, 4_000_001))
+        _assert_same_bits(np.concatenate([1.5 - band, 1.5 + band]))
+        _assert_same_bits(crossings)
+        _assert_same_bits(np.array([np.inf, -np.inf, np.nan, 1.5, -1.0, 0.0]))
 
 
 def test_unknown_field_id_rejected():

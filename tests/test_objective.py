@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,13 @@ class TestLogMeanExp:
     def test_equal_weights_have_exactly_zero_std_err(self):
         assert log_mean_exp(np.full(37, -2.5)) == (-2.5, 0.0)
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_exponents_is_a_contract_error(self, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError):
+                log_mean_exp(np.zeros(size))
+
     @pytest.mark.parametrize("bad,error", [(np.inf, EstimateOverflowError),
                                            (np.nan, DegenerateEstimateError)])
     def test_non_finite_exponent_names_first_sample(self, bad, error):
@@ -199,6 +208,20 @@ class TestUnbiasedGradient:
         model = isotropic_model(1.0, 1.0, 0.0, 1)
         with pytest.raises(ContractError):
             unbiased_grad_estimate(f, model, [0.0], model.sampler(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_mean_and_std_err_match_the_written_out_formula(self, n):
+        rng = np.random.default_rng(n)
+        f = bump_field(rng, 3)
+        model = certified_model(rng, 3)
+        theta = rng.uniform(-0.5, 0.5, size=3)
+        mean, se = unbiased_grad_mean(f, model, theta, n, model.sampler(4))
+        points = theta + model.sampler(4).draw(n)
+        expo = model.alpha * f.value(points) + model.alpha * model.quad(theta)
+        samples = model.alpha * np.exp(expo)[:, None] * (f.gradient(points)
+                                                         + model.reg @ theta)
+        assert np.array_equal(mean, samples.mean(0))
+        assert np.array_equal(se, samples.std(0, ddof=1) / np.sqrt(n))
 
     def test_mean_matches_finite_difference_of_exp_objective(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskconvex.csvio import read_float_table
-from riskconvex.errors import ContractError
+from riskconvex.errors import ContractError, DivergenceError
 from riskconvex.fields import constant_field
 from riskconvex.objective import isotropic_model
 from riskconvex.sampling import GaussianSampler
@@ -84,6 +84,25 @@ class TestProjection:
         assert not ball.contains(x)
         assert not FeasibleSet.box(-np.ones(3), np.ones(3)).contains(x)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_is_not_contained(self, bad):
+        x = np.array([bad, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not FeasibleSet.box(-np.ones(3), np.ones(3)).contains(x)
+            assert not FeasibleSet.ball(np.zeros(3), 1.0).contains(x)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ball_refuses_to_project_a_non_finite_point(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError):
+                FeasibleSet.ball(np.zeros(3), 1.0).project([bad, 0.0, 0.0])
+            # The box still clips an infinite coordinate to its bound.
+            box = FeasibleSet.box(-np.ones(3), np.ones(3))
+            np.testing.assert_array_equal(box.project([np.inf, -np.inf, 0.0]),
+                                          [1.0, -1.0, 0.0])
+
 
 class TestProjectedSGD:
     def test_huge_finite_gradient_keeps_finite_norms(self):
@@ -103,6 +122,17 @@ class TestProjectedSGD:
         np.testing.assert_allclose(rep.thetas[1:], -np.ones((3, 3)) / math.sqrt(3.0),
                                    rtol=1e-15)
         assert rep.objective_trace is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_overflowing_to_inf_is_a_divergence(self):
+        # g is finite, but eta_1 g = 7e9 * 1e308 overflows to inf.
+        g = 1e308 * np.ones(3)
+        with pytest.raises(DivergenceError) as err:
+            projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3),
+                          FeasibleSet.ball(np.zeros(3), 1.0),
+                          SolverConfig(iterations=4, zeta=1e-10),
+                          GaussianSampler(0, dim=3), True, 0.0)
+        assert err.value.step == 1
 
 
 class TestScheduleAndCertificate:
