@@ -48,7 +48,6 @@ from .solver import (
     SolverReport,
     VarianceBoundInputs,
     log_gap_from_exp_gap,
-    project,
     solve,
     variance_bound,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlCost, ControlRiskModel, Dynamics, Policy
+from .control import ControlCost, ControlRiskModel, Dynamics, Policy, check_control_certificate
 from .errors import ContractError
 from .synthesis import LinearSystem
 
@@ -115,7 +115,9 @@ class ScalarBenchmark:
         return linear_control_problem(self.system(), self.alpha, gains=gains)
 
     def certified(self) -> bool:
-        return self.alpha * self.r >= 1.0 / self.sigma_u - 1e-12
+        """Whether :func:`check_control_certificate` holds for :meth:`problem`."""
+        _, cost, _, model = self.problem()
+        return check_control_certificate(cost, model).holds
 
 
 def simulate_scalar_objective(bench: ScalarBenchmark, gain_grid: np.ndarray,

@@ -34,7 +34,7 @@ from .csvio import write_csv
 from .datasets import corrupt_labels, load_dataset, save_dataset
 from .demo1d import demo_curves, uniform_grid
 from .errors import EXIT_INPUT, ConfigError, DivergenceError, RiskConvexError
-from .noisynet import NoisyNetConfig, load_weights, mse, save_weights, train_noisy_net
+from .noisynet import NoisyNetConfig, mse, train_noisy_net
 from .sampling import GaussianSampler
 from .solver import FeasibleSet, SolverConfig
 from .synthesis import (
@@ -227,7 +227,7 @@ def nnet_train(ctx, dataset):
                              batch=cfg["batch"], radius=cfg["radius"],
                              eval_every=cfg["eval_every"], test=test,
                              force=cfg["force"], method=cfg["method"])
-    save_weights(out, report.weights)
+    write_gains_csv(out, report.weights)
     report.write_curve_csv(Path(out) / "curve.csv")
     _echo_kv(certified=report.certified,
              worst_margin=float(report.certificate_margins.min()),
@@ -249,7 +249,7 @@ def nnet_eval(ctx, dataset, weights):
     net = NoisyNetConfig(widths=widths, alpha=1.0,
                          noise_scales=[1.0] * (len(widths) - 1))
     ds = load_dataset(dataset, task="regression")
-    ws = load_weights(weights)
+    ws = read_gains_csv(weights)
     value = mse(net, ws, ds)
     _echo_kv(mse=value, target_variance=float(np.var(ds.y)))
     if ctx.obj.get("out"):

@@ -46,8 +46,9 @@ from .errors import (
     DivergenceError,
     FieldEvaluationError,
 )
-from .objective import check_exponents, psd_tolerance
-from .sampling import GaussianSampler, as_covariance, spd_inverse, symmetric_sqrt
+from .fields import _first_violation
+from .objective import certificate_margins, check_exponents
+from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_inverse, symmetric_sqrt
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
 
@@ -110,36 +111,30 @@ class ControlCost:
         self.bound = float(self.bound)
         if not np.isfinite(self.bound):
             raise ContractError("state cost bound must be finite")
-        self.control_weights = [as_covariance(r) for r in self.control_weights]
-        for t, r in enumerate(self.control_weights, start=1):
-            w = np.linalg.eigvalsh(r)
-            if w[0] < -1e-10 * (1.0 + abs(w[-1])):
-                raise ContractError(f"control weight at t={t} is not PSD")
+        self.control_weights = [as_psd_weight(r, name=f"control weight at t={t}")
+                                for t, r in enumerate(self.control_weights, start=1)]
 
     @property
     def control_dim(self) -> int:
         return self.control_weights[0].shape[0]
 
-    def _bound_tol(self) -> float:
-        return 1e-9 * (1.0 + abs(self.bound))
-
     def _check(self, vals, s, t):
-        bad = np.isnan(vals) | (vals == np.inf) | (vals > self.bound + self._bound_tol())
-        if np.any(bad):
-            v = vals if np.ndim(vals) == 0 else vals[np.argmax(bad)]
+        """The state costs ``vals`` at states ``s``, or FieldEvaluationError
+        naming the first one that breaks the bound."""
+        i = _first_violation(vals, self.bound)
+        if i is not None:
+            v = vals if np.ndim(vals) == 0 else vals[i]
             raise FieldEvaluationError(
                 f"state cost {v} violates bound {self.bound} at t={t}", theta=s
             )
+        return vals
 
     def stage(self, s, t) -> float:
-        v = float(self.state_cost(s, t))
-        self._check(v, s, t)
-        return v
+        return self._check(float(self.state_cost(s, t)), s, t)
 
     def stage_batch(self, s: np.ndarray, t: int) -> np.ndarray:
-        vals = np.asarray(_batched(self.state_cost, self.vectorized, True)(s, t), dtype=float)
-        self._check(vals, s, t)
-        return vals
+        vals = _batched(self.state_cost, self.vectorized, True)(s, t)
+        return self._check(np.asarray(vals, dtype=float), s, t)
 
 
 @dataclass
@@ -231,16 +226,8 @@ def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> Con
         )
     if cost.control_dim != model.control_dim:
         raise ContractError("control dimension mismatch between cost and noise model")
-    margins = np.empty(model.n_steps)
-    tols = np.empty(model.n_steps)
-    for idx in range(model.n_steps):
-        m = model.alpha * cost.control_weights[idx] - model.noise_inv[idx]
-        m = 0.5 * (m + m.T)
-        margins[idx] = float(np.linalg.eigvalsh(m)[0])
-        tols[idx] = psd_tolerance(
-            float(np.linalg.eigvalsh(model.alpha * cost.control_weights[idx])[-1]),
-            float(np.linalg.eigvalsh(model.noise_inv[idx])[-1]),
-        )
+    margins, tols = certificate_margins(model.alpha, np.array(cost.control_weights),
+                                        np.array(model.noise_inv))
     return ControlCertificate(margins=margins, tols=tols,
                               holds=bool(np.all(margins >= -tols)))
 
@@ -318,7 +305,7 @@ def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 class _RolloutEngine:
     """The batched rollout engine.  Construction validates the problem and
-    resolves the dimensions, the state-cost limit, R_t, the noise factors
+    resolves the dimensions, R_t, the noise factors
     and the lifted callables once; gains come in per call as one stacked
     (N-1, m, q) array, so a training loop rebuilds nothing per iteration."""
 
@@ -338,7 +325,6 @@ class _RolloutEngine:
         self.alpha = model.alpha
         self.R = cost.control_weights
         self.noise_root, self.noise_inv = model.noise_root, model.noise_inv
-        self.limit = cost.bound + cost._bound_tol()
         self.step = _batched(dyn.step, dyn.vectorized)
         self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized)
         self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized)
@@ -356,12 +342,7 @@ class _RolloutEngine:
                                 "Jacobians and state cost gradients")
 
     def _checked_state_cost(self, s: np.ndarray, t: int) -> np.ndarray:
-        vals = np.asarray(self.state_cost(s, t), dtype=float)
-        # One comparison is false exactly for NaN, +inf and values over
-        # the bound; _check then names the offending value.
-        if not (vals <= self.limit).all():
-            self.cost._check(vals, s, t)
-        return vals
+        return self.cost._check(np.asarray(self.state_cost(s, t), dtype=float), s, t)
 
     def forward(self, K: np.ndarray, sampler: GaussianSampler, n: int,
                 mode: str = "noisy", s1=None, frozen: Optional[FrozenNoise] = None):

@@ -18,6 +18,15 @@ import numpy as np
 from .errors import ContractError, FieldEvaluationError
 
 
+def _first_violation(vals, bound: float) -> Optional[int]:
+    """Index of the first of ``vals`` (0 for a scalar) that is NaN, +inf
+    or above the limit bound + 1e-9 (1 + |bound|), the one floating-point
+    slack of every bound check, else None.  The one comparison
+    ``vals <= limit`` is false exactly for those; -inf passes."""
+    ok = np.asarray(vals <= bound + 1e-9 * (1.0 + abs(bound)))
+    return None if ok.all() else int(np.argmin(ok))
+
+
 @dataclass
 class RawField:
     """An objective with no declared upper bound, prior to clamping.
@@ -37,9 +46,9 @@ class ScalarField:
     """Objective f with a finite declared upper bound.
 
     The bound is asserted on every evaluation: NaN, +inf, or any value
-    above ``upper_bound`` raises :class:`FieldEvaluationError` carrying
-    the offending point.  -inf values are legal (they only shrink the
-    exponential moment).
+    above ``upper_bound + 1e-9 (1 + |upper_bound|)`` raises
+    :class:`FieldEvaluationError` carrying the offending point.  -inf
+    values are legal (they only shrink the exponential moment).
 
     Attributes:
         value: callable theta -> float.
@@ -66,18 +75,12 @@ class ScalarField:
         if self.lipschitz is not None and not self.lipschitz >= 0.0:
             raise ContractError("lipschitz constant must be nonnegative")
 
-    # Bound checks allow a hair of floating-point slack relative to the bound.
-    def _bound_tol(self) -> float:
-        return 1e-9 * (1.0 + abs(self.upper_bound))
-
     def evaluate(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
         v = float(self.value(theta))
-        if math.isnan(v) or v == math.inf:
-            raise FieldEvaluationError(f"field value is not finite at theta={theta!r}", theta=theta)
-        if v > self.upper_bound + self._bound_tol():
+        if _first_violation(v, self.upper_bound) is not None:
             raise FieldEvaluationError(
-                f"field value {v} exceeds declared bound {self.upper_bound} at theta={theta!r}",
+                f"field value {v} violates bound {self.upper_bound} at theta={theta!r}",
                 theta=theta,
             )
         return v
@@ -88,9 +91,8 @@ class ScalarField:
             vals = np.asarray(self.value(thetas), dtype=float)
         else:
             vals = np.array([float(self.value(row)) for row in thetas])
-        bad = np.isnan(vals) | (vals == np.inf) | (vals > self.upper_bound + self._bound_tol())
-        if bad.any():
-            i = int(np.argmax(bad))
+        i = _first_violation(vals, self.upper_bound)
+        if i is not None:
             raise FieldEvaluationError(
                 f"field value {vals[i]} violates bound {self.upper_bound} at theta={thetas[i]!r}",
                 theta=thetas[i],

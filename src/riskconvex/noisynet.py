@@ -32,16 +32,15 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
-    check_control_certificate,
     train_policy,
     unstack_gains,
 )
 from .csvio import write_csv
 from .datasets import Dataset
 from .errors import CertificateError, ContractError
+from .objective import certificate_margins
 from .sampling import GaussianSampler
 from .solver import FeasibleSet, SolverConfig
-from .synthesis import read_gains_csv, write_gains_csv
 
 
 @dataclass
@@ -100,8 +99,14 @@ class NoisyNetConfig:
 
     def certificate_margins(self) -> np.ndarray:
         """Per-layer margins alpha c_t - 1 / sigma_t^2 (isotropic)."""
-        return np.array([self.alpha * c - 1.0 / s**2
-                         for c, s in zip(self.penalty_weights, self.noise_scales)])
+        return _certificate(self)[0]
+
+
+def _certificate(cfg: NoisyNetConfig):
+    """(margins, tols) of the per-layer certificate: :func:`certificate_margins`
+    on the 1 x 1 blocks c_t and 1 / sigma_t^2 (both weights are multiples of I)."""
+    return certificate_margins(cfg.alpha, np.reshape(cfg.penalty_weights, (-1, 1, 1)),
+                               np.reshape([1.0 / s**2 for s in cfg.noise_scales], (-1, 1, 1)))
 
 
 def _embed(cfg: NoisyNetConfig, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -230,7 +235,7 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     """Train the noisy net with a policy-gradient estimator.
 
     Refuses with :class:`CertificateError` when any per-layer margin
-    alpha c_t - 1/sigma_t^2 is negative, unless ``force`` is set (the
+    alpha c_t - 1/sigma_t^2 is below its tolerance, unless ``force`` is set (the
     report then records the void certificate).  The learning curve logs
     the mean-network train/test MSE every ``eval_every`` iterations,
     indexed by the cumulative number of network rollouts.
@@ -244,9 +249,8 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     if train.n_features != cfg.input_dim:
         raise ContractError(
             f"dataset has {train.n_features} features, config expects {cfg.input_dim}")
-    margins = cfg.certificate_margins()
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(margins))))
-    certified = bool(np.all(margins >= -tol))
+    margins, tols = _certificate(cfg)
+    certified = bool(np.all(margins >= -tols))
     if not certified and not force:
         raise CertificateError(
             "refusing: per-layer certificate alpha*penalty >= 1/sigma^2 fails "
@@ -283,11 +287,3 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     return NoisyNetReport(weights=weights, curve=curve,
                           certificate_margins=margins, certified=certified,
                           final_train_mse=final_train, final_test_mse=final_test)
-
-
-def save_weights(directory, weights) -> None:
-    write_gains_csv(directory, weights)
-
-
-def load_weights(directory) -> list:
-    return read_gains_csv(directory)

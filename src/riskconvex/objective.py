@@ -32,13 +32,9 @@ from .errors import (
     EstimateOverflowError,
 )
 from .fields import ScalarField
-from .sampling import GaussianSampler, as_covariance, spd_inverse
+from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_inverse
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
-
-
-def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
 
 
 @dataclass
@@ -60,10 +56,7 @@ class RiskModel:
         if not self.alpha > 0.0:
             raise ContractError("alpha must be positive")
         self.sigma = as_covariance(self.sigma)
-        self.reg = as_covariance(self.reg, dim=self.sigma.shape[0])
-        w = np.linalg.eigvalsh(self.reg)
-        if w[0] < -1e-10 * (1.0 + abs(w[-1])):
-            raise ContractError(f"reg must be positive semidefinite (min eigenvalue {w[0]:.3e})")
+        self.reg = as_psd_weight(self.reg, dim=self.sigma.shape[0], name="reg")
 
     @property
     def dim(self) -> int:
@@ -93,13 +86,30 @@ class ConvexityCertificate:
     tol: float
 
 
-def psd_tolerance(lam_max_areg: float, lam_max_sigma_inv: float) -> float:
-    """Scale-relative semidefiniteness tolerance used by all certificate checks."""
+def psd_tolerance(lam_max_areg, lam_max_sigma_inv):
+    """Scale-relative semidefiniteness tolerance of the convexity
+    certificate, elementwise on arrays (see :func:`certificate_margins`)."""
     return 1e-10 * (1.0 + lam_max_areg + lam_max_sigma_inv)
 
 
+def certificate_margins(alpha: float, regs, noise_invs) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, tols) of the convexity condition alpha R_t >= inv(Sigma_t)
+    over stacked (T, k, k) blocks R_t and inv(Sigma_t): margin_t =
+    lambda_min(sym(alpha R_t - inv(Sigma_t))), tol_t = psd_tolerance(
+    lambda_max(alpha R_t), lambda_max(inv(Sigma_t))), and step t holds when
+    margin_t >= -tol_t.  Every certificate check in the package is this rule.
+    """
+    areg = alpha * np.asarray(regs, dtype=float)
+    noise_invs = np.asarray(noise_invs, dtype=float)
+    d = areg - noise_invs
+    margins = np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1)))[:, 0]
+    tols = psd_tolerance(np.linalg.eigvalsh(areg)[:, -1], np.linalg.eigvalsh(noise_invs)[:, -1])
+    return margins, tols
+
+
 def check_convexity_certificate(model: RiskModel) -> ConvexityCertificate:
-    """Check the convexity condition alpha R >= inv(Sigma).
+    """Check the convexity condition alpha R >= inv(Sigma), the one-block
+    case of :func:`certificate_margins`.
 
     Returns the smallest eigenvalue of alpha R - inv(Sigma) as the margin;
     the certificate holds when the margin is >= -tol with a scale-relative
@@ -107,13 +117,8 @@ def check_convexity_certificate(model: RiskModel) -> ConvexityCertificate:
     inverted within conditioning limits.
     """
     sigma_inv = spd_inverse(model.sigma, name="sigma")
-    areg = model.alpha * model.reg
-    m = _sym(areg - sigma_inv)
-    margin = float(np.linalg.eigvalsh(m)[0])
-    tol = psd_tolerance(
-        float(np.linalg.eigvalsh(_sym(areg))[-1]),
-        float(np.linalg.eigvalsh(sigma_inv)[-1]),
-    )
+    margins, tols = certificate_margins(model.alpha, model.reg[None], sigma_inv[None])
+    margin, tol = float(margins[0]), float(tols[0])
     return ConvexityCertificate(holds=margin >= -tol, margin=margin, tol=tol)
 
 

@@ -34,6 +34,16 @@ def as_covariance(cov, dim: int | None = None) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
+def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarray:
+    """:func:`as_covariance`, then require positive semidefiniteness up to
+    the scale-relative slack lambda_min >= -1e-10 (1 + |lambda_max|)."""
+    arr = as_covariance(mat, dim)
+    w = np.linalg.eigvalsh(arr)
+    if w[0] < -1e-10 * (1.0 + abs(w[-1])):
+        raise ContractError(f"{name} must be positive semidefinite (min eigenvalue {w[0]:.3e})")
+    return arr
+
+
 def symmetric_sqrt(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition."""
     w, v = np.linalg.eigh(mat)

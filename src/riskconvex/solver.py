@@ -26,7 +26,8 @@ import numpy as np
 from .csvio import write_csv
 from .errors import ContractError, DivergenceError
 from .fields import ScalarField
-from .objective import RiskModel, check_convexity_certificate, _check_args, _grad_samples
+from .objective import RiskModel, certificate_margins, check_convexity_certificate
+from .objective import _check_args, _grad_samples
 from .sampling import GaussianSampler
 
 
@@ -96,8 +97,13 @@ class FeasibleSet:
         )
 
     def project(self, x) -> np.ndarray:
+        """Euclidean projection of x.  A box clips non-finite coordinates to
+        its bounds; the ball and the unconstrained set raise
+        :class:`ContractError` on a non-finite point."""
         x = np.asarray(x, dtype=float)
         if self.kind == "all":
+            if not np.isfinite(x).all():
+                raise ContractError("cannot project a non-finite point")
             return x.copy()
         if self.kind == "ball":
             d = x - self.center
@@ -116,11 +122,6 @@ class FeasibleSet:
         if not np.isfinite(x).all():
             return False
         return bool(_norm(self.project(x) - x) <= tol * (1.0 + _norm(x)))
-
-
-def project(feasible: FeasibleSet, x) -> np.ndarray:
-    """Euclidean projection of x onto the feasible set."""
-    return feasible.project(x)
 
 
 @dataclass
@@ -345,12 +346,11 @@ class VarianceBoundInputs:
             raise ContractError("beta must be nonnegative")
         if self.gamma_sq < 0.0 or self.radius < 0.0:
             raise ContractError("gamma_sq and radius must be nonnegative")
-        lhs = self.alpha * self.kappa
-        rhs = 1.0 / self.sigma**2
-        if lhs < rhs * (1.0 - 1e-12):
-            raise ContractError(
-                f"certificate precondition alpha*kappa >= 1/sigma^2 fails ({lhs} < {rhs})"
-            )
+        margins, tols = certificate_margins(self.alpha, [[[self.kappa]]],
+                                            [[[1.0 / self.sigma**2]]])
+        if not margins[0] >= -tols[0]:
+            raise ContractError("certificate precondition alpha*kappa >= 1/sigma^2 fails "
+                                f"(margin {margins[0]:.3e}, tolerance {tols[0]:.3e})")
 
 
 def variance_bound(inputs: VarianceBoundInputs) -> float:

@@ -43,8 +43,8 @@ import numpy as np
 
 from .csvio import read_float_table, write_csv
 from .errors import ContractError
-from .objective import psd_tolerance
-from .sampling import as_covariance
+from .objective import certificate_margins, psd_tolerance
+from .sampling import as_covariance, as_psd_weight
 from .solver import FeasibleSet
 
 
@@ -72,7 +72,7 @@ class LinearSystem:
             raise ContractError("horizon must be >= 2")
         self.A = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.A]
         self.B = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.B]
-        self.Q = [as_covariance(q) for q in self.Q]
+        self.Q = [as_psd_weight(q, name=f"Q at t={t}") for t, q in enumerate(self.Q, start=1)]
         self.R = [as_covariance(r) for r in self.R]
         self.sigma = [as_covariance(s) for s in self.sigma]
         if len(self.A) != N - 1 or len(self.B) != N - 1:
@@ -92,9 +92,6 @@ class LinearSystem:
         for t in range(N):
             if self.Q[t].shape != (n, n):
                 raise ContractError(f"Q at t={t} must be {n}x{n}")
-            w = np.linalg.eigvalsh(self.Q[t])
-            if w[0] < -1e-10 * (1.0 + abs(w[-1])):
-                raise ContractError(f"Q at t={t + 1} is not PSD")
 
     @property
     def state_dim(self) -> int:
@@ -164,12 +161,12 @@ class BlockOperators:
         are kept, so a synthesis run computes them once."""
         terms = self._alpha_cache.get(alpha)
         if terms is None:
-            tol = psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig)
-            D = alpha * self.cost_blocks - self.noise_blocks
             # R and S are block-diagonal, so alpha R >= S block by block.
-            margin = float(np.linalg.eigvalsh(D).min())
-            terms = _AlphaTerms(D=D, base=self.noise_weight - alpha * self.state_gram,
-                                tol=tol, convexity_advisory=margin >= -tol)
+            margins, tols = certificate_margins(alpha, self.cost_blocks, self.noise_blocks)
+            terms = _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
+                                base=self.noise_weight - alpha * self.state_gram,
+                                tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
+                                convexity_advisory=bool(np.all(margins >= -tols)))
             self._alpha_cache.clear()
             self._alpha_cache[alpha] = terms
         return terms
@@ -193,8 +190,8 @@ class BlockOperators:
 class _AlphaTerms:
     D: np.ndarray             # D_t = alpha R_t - S_t, (N-1, m, m)
     base: np.ndarray          # S - alpha M'QM
-    tol: float                # scale-relative semidefiniteness tolerance
-    convexity_advisory: bool  # alpha R >= S up to tol
+    tol: float                # scale-relative semidefiniteness tolerance of W
+    convexity_advisory: bool  # alpha R_t >= S_t at every step (certificate_margins)
 
 
 def build_block_operators(sys: LinearSystem) -> BlockOperators:

@@ -392,6 +392,85 @@ class TestMomentReduction:
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
+def disturbed_problem(form):
+    """Tanh dynamics s' = tanh(A s + B y + xi) whose disturbances xi come
+    from ``form``, the per-row ``disturbance`` or ``disturbance_batch``;
+    s_1 is drawn by ``init_state`` alone, with no batch form."""
+    rng = np.random.default_rng(5)
+    n, m, horizon = 2, 1, 4
+    A = 0.6 * rng.standard_normal((n, n))
+    B = 0.7 * rng.standard_normal((n, m))
+    Q = np.diag([0.5, 0.3])
+
+    def pre(s, y, xi):
+        return s @ A.T + y @ B.T + xi
+
+    def jac(s, y, xi, mat):
+        return (1.0 - np.tanh(pre(s, y, xi)) ** 2)[..., :, None] * mat
+
+    draw = {"disturbance": lambda g, t: 0.3 * g.standard_normal(n),
+            "disturbance_batch": lambda g, t, b: 0.3 * g.standard_normal((b, n))}[form]
+    dyn = Dynamics(step=lambda s, y, xi, t: np.tanh(pre(s, y, xi)), state_dim=n,
+                   control_dim=m, disturbance_dim=n, horizon=horizon,
+                   jacobian_state=lambda s, y, xi, t: jac(s, y, xi, A),
+                   jacobian_control=lambda s, y, xi, t: jac(s, y, xi, B),
+                   init_state=lambda g: g.uniform(-0.5, 0.5, size=n),
+                   vectorized=True, **{form: draw})
+    # |s_i| < 1 componentwise, so the state cost stays below 0.5 trace(Q).
+    cost = ControlCost(state_cost=lambda s, t: 0.5 * np.einsum("...i,ij,...j->...", s, Q, s),
+                       control_weights=[0.4 * np.eye(m)] * (horizon - 1), bound=0.4,
+                       state_cost_grad=lambda s, t: s @ Q, vectorized=True)
+    pol = Policy(gains=[0.5 * rng.standard_normal((m, n)) for _ in range(horizon - 1)],
+                 features=lambda s, t: s,
+                 features_jacobian=lambda s, t: np.broadcast_to(np.eye(n), s.shape + (n,)),
+                 vectorized=True)
+    return dyn, cost, pol, ControlRiskModel(0.4, [0.5 * np.eye(m)] * (horizon - 1))
+
+
+@pytest.mark.parametrize("form", ["disturbance", "disturbance_batch"])
+class TestDisturbances:
+    def test_rollout_records_disturbances_and_frozen_replay_is_exact(self, form):
+        dyn, cost, pol, model = disturbed_problem(form)
+        r = rollout(dyn, cost, pol, model, GaussianSampler(3, dim=1))
+        assert r.disturbances.shape == (3, 2) and np.all(r.disturbances != 0.0)
+        assert np.all(r.states[0] != 0.0)
+        for t in range(1, 4):  # the recorded xi_t are the ones s_{t+1} was stepped with
+            np.testing.assert_array_equal(
+                r.states[t], dyn.step(r.states[t - 1:t], r.realized[t - 1:t],
+                                      r.disturbances[t - 1:t], t)[0])
+        replay = rollout(dyn, cost, pol, model, GaussianSampler(4, dim=1), frozen=r.frozen())
+        np.testing.assert_array_equal(replay.states, r.states)
+        np.testing.assert_array_equal(replay.disturbances, r.disturbances)
+        assert replay.cost == r.cost
+
+    def test_model_based_matches_finite_differences_under_frozen_noise(self, form):
+        dyn, cost, pol, model = disturbed_problem(form)
+        sampler = GaussianSampler(7, dim=1)
+        g = policy_gradient_model_based(dyn, cost, pol, model, sampler)
+        frozen = g.rollout.frozen()
+        fd = np.zeros_like(g.exp_gradient)
+        h = 3e-6
+        for idx in np.ndindex(*fd.shape):
+            up = [k.copy() for k in pol.gains]
+            dn = [k.copy() for k in pol.gains]
+            up[idx[0]][idx[1:]] += h
+            dn[idx[0]][idx[1:]] -= h
+            hi = rollout(dyn, cost, pol.with_gains(up), model, sampler, frozen=frozen)
+            lo = rollout(dyn, cost, pol.with_gains(dn), model, sampler, frozen=frozen)
+            fd[idx] = (hi.exp_cost - lo.exp_cost) / (2.0 * h)
+        rel = np.linalg.norm(g.exp_gradient - fd) / np.linalg.norm(fd)
+        assert rel <= 1e-5
+
+    def test_batch_estimators_agree_in_expectation(self, form):
+        dyn, cost, pol, model = disturbed_problem(form)
+        mb = policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(21, dim=1),
+                                   20_000, "model_based")
+        df = policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(22, dim=1),
+                                   20_000, "derivative_free")
+        gap = np.abs(mb.mean - df.mean) - 3.0 * (mb.std_err + df.std_err)
+        assert np.all(gap <= 1e-12)
+
+
 class TestStateCostBound:
     @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 1e-6], ids=["nan", "inf", "over"])

@@ -8,13 +8,12 @@ from riskconvex.csvio import read_float_table
 from riskconvex.noisynet import (
     NoisyNetConfig,
     build_control_problem,
-    load_weights,
     mse,
     predict,
-    save_weights,
     train_noisy_net,
 )
 from riskconvex.sampling import GaussianSampler
+from riskconvex.synthesis import read_gains_csv, write_gains_csv
 
 
 def small_config(**kwargs):
@@ -155,8 +154,8 @@ class TestTraining:
 def test_weights_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     weights = [rng.standard_normal((3, 3)) for _ in range(2)]
-    save_weights(tmp_path, weights)
-    back = load_weights(tmp_path)
+    write_gains_csv(tmp_path, weights)
+    back = read_gains_csv(tmp_path)
     assert all(np.array_equal(a, b) for a, b in zip(weights, back))
 
 

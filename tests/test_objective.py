@@ -21,6 +21,14 @@ from riskconvex.objective import (
     unbiased_grad_estimate,
     unbiased_grad_mean,
 )
+from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
+from riskconvex.control import check_control_certificate
+from riskconvex.datasets import make_sine
+from riskconvex.errors import CertificateError
+from riskconvex.noisynet import NoisyNetConfig, build_control_problem, train_noisy_net
+from riskconvex.sampling import GaussianSampler
+from riskconvex.solver import VarianceBoundInputs
+from riskconvex.synthesis import LinearSystem, detmax_objective
 from support import bump_field, certified_model
 
 EXP_HALF = 1.6487212707001282  # float(np.exp(0.5))
@@ -56,6 +64,60 @@ class TestCertificate:
             RiskModel(0.0, np.eye(1), np.eye(1))
         with pytest.raises(ContractError):
             RiskModel(1.0, np.eye(2), np.diag([1.0, -0.5]))
+
+
+class TestOneCertificateRule:
+    """Every entry point that certifies alpha R >= inv(Sigma) gives the
+    verdict of check_convexity_certificate / check_control_certificate on
+    the same (alpha, R, Sigma): just inside the tolerance and clearly out."""
+
+    @pytest.mark.parametrize("r", [1.0 - 1e-11, 1.0 - 1e-6])
+    def test_scalar_benchmark(self, r):
+        ref = check_convexity_certificate(RiskModel(1.0, np.eye(1), r * np.eye(1))).holds
+        assert ScalarBenchmark(r=r).certified() == ref
+        assert ref == (r > 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("shrink", [2e-10, 1e-6])
+    def test_noisy_net_refusal_and_report(self, shrink):
+        alpha, sigma = 16.0, 0.45
+        c0 = 1.0 / (alpha * sigma**2)
+        cfg = NoisyNetConfig(widths=[1, 4, 1], alpha=alpha, noise_scales=[sigma] * 2,
+                             penalty_weights=[c0 * (1.0 - shrink)] * 2)
+        ds = make_sine(20, GaussianSampler(3, dim=1))
+        _, cost, _, model = build_control_problem(cfg, ds)
+        ref = check_control_certificate(cost, model).holds
+        assert ref == (shrink < 1e-9)
+        run = dict(iterations=2, batch=4, eval_every=1)
+        if ref:
+            assert train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), **run).certified
+        else:
+            with pytest.raises(CertificateError):
+                train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), **run)
+            with pytest.warns(UserWarning, match="certificate fails"):
+                rep = train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), force=True, **run)
+            assert not rep.certified
+
+    @pytest.mark.parametrize("kappa", [1.0 - 5e-11, 1.0 - 1e-8])
+    def test_variance_bound_precondition(self, kappa):
+        ref = check_convexity_certificate(isotropic_model(1.0, 1.0, kappa, 1)).holds
+        assert ref == (kappa > 1.0 - 1e-9)
+        args = dict(alpha=1.0, kappa=kappa, sigma=1.0, beta=0.1, gamma_sq=1.0, mbar=0.0,
+                    radius=1.0)
+        if ref:
+            VarianceBoundInputs(**args)
+        else:
+            with pytest.raises(ContractError):
+                VarianceBoundInputs(**args)
+
+    @pytest.mark.parametrize("r2", [1.0 - 1e-11, 1.0 - 1e-8])
+    def test_detmax_advisory_is_per_step(self, r2):
+        # A large R_1 must not widen the tolerance of step 2.
+        sys = LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.15]]] * 3,
+                           R=[[[1e6]], [[r2]]], sigma=[[[1.0]]] * 2, horizon=3)
+        _, cost, _, model = linear_control_problem(sys, 1.0)
+        ref = check_control_certificate(cost, model).holds
+        assert ref == (r2 > 1.0 - 1e-9)
+        assert detmax_objective(sys, 1.0, np.zeros((2, 1, 1))).convexity_advisory == ref
 
 
 class TestSmoothedValue:

@@ -18,7 +18,6 @@ from riskconvex.solver import (
     batch_second_moment,
     convergence_certificate,
     log_gap_from_exp_gap,
-    project,
     projected_sgd,
     solve,
     step_size,
@@ -32,17 +31,17 @@ E_SQUARED_TIMES_FOUR = 29.5562243957226  # float(4 * np.exp(2))
 class TestProjection:
     def test_ball_radial_scaling(self):
         fs = FeasibleSet.ball([0.0, 0.0], 1.0)
-        assert project(fs, [2.0, 0.0]) == pytest.approx([1.0, 0.0])
+        assert fs.project([2.0, 0.0]) == pytest.approx([1.0, 0.0])
 
     def test_box_coordinate_clamp(self):
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
-        assert project(fs, [-1.0, 0.5]) == pytest.approx([0.0, 0.5])
+        assert fs.project([-1.0, 0.5]) == pytest.approx([0.0, 0.5])
 
     def test_interior_point_fixed(self):
         for fs in (FeasibleSet.ball([1.0, 1.0], 2.0), FeasibleSet.box([-1, -1], [1, 1]),
                    FeasibleSet.unconstrained(2)):
             x = np.array([0.5, -0.5])
-            assert project(fs, x) == pytest.approx(x)
+            assert fs.project(x) == pytest.approx(x)
 
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ContractError):
@@ -53,15 +52,15 @@ class TestProjection:
            st.floats(0.1, 5.0))
     def test_ball_projection_idempotent_and_contained(self, x, radius):
         fs = FeasibleSet.ball([0.3, -0.7], radius)
-        p = project(fs, x)
-        assert np.allclose(project(fs, p), p, atol=1e-12)
+        p = fs.project(x)
+        assert np.allclose(fs.project(p), p, atol=1e-12)
         assert np.linalg.norm(p - fs.center) <= radius * (1 + 1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2))
     def test_projection_is_closest_point(self, x):
         fs = FeasibleSet.box([-1.0, 0.0], [1.0, 2.0])
-        p = project(fs, np.array(x))
+        p = fs.project(np.array(x))
         rng = np.random.default_rng(0)
         for _ in range(20):
             y = rng.uniform([-1.0, 0.0], [1.0, 2.0])
@@ -124,12 +123,14 @@ class TestProjectedSGD:
         assert rep.objective_trace is None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_step_overflowing_to_inf_is_a_divergence(self):
+    @pytest.mark.parametrize("feasible", [FeasibleSet.ball(np.zeros(3), 1.0),
+                                          FeasibleSet.unconstrained(3, radius_bound=1.0)],
+                             ids=["ball", "unconstrained"])
+    def test_step_overflowing_to_inf_is_a_divergence(self, feasible):
         # g is finite, but eta_1 g = 7e9 * 1e308 overflows to inf.
         g = 1e308 * np.ones(3)
         with pytest.raises(DivergenceError) as err:
-            projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3),
-                          FeasibleSet.ball(np.zeros(3), 1.0),
+            projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3), feasible,
                           SolverConfig(iterations=4, zeta=1e-10),
                           GaussianSampler(0, dim=3), True, 0.0)
         assert err.value.step == 1
