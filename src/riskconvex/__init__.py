@@ -31,7 +31,6 @@ from .objective import (
     isotropic_model,
     log_exp_objective,
     smoothed_value,
-    unbiased_grad_estimate,
     unbiased_grad_mean,
 )
 from .sampling import GaussianSampler

@@ -26,8 +26,8 @@ single rollout is a batch of one; the callables of a problem object that
 is not ``vectorized`` are evaluated row by row and stacked.  Batch
 estimation draws from derived sampler streams and reduces in fixed order:
 the batch mean and second moment are reduced per step as small matrix
-products (g_t' phi_t), so no per-sample (n, N-1, m, q) tensor is built
-outside the step-size pilot and the single-rollout estimators.  A
+products (g_t' phi_t), so only the single-rollout estimators build a
+per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.  A
 Jacobian returned as ``np.broadcast_to`` of one matrix is applied to the
 whole batch as one product.
 """
@@ -426,6 +426,8 @@ class _RolloutEngine:
             f_y = np.asarray(self.jac_control(s, y, xi, t), dtype=float)
             g = u @ self.R[t - 1] + _vjp(f_y, lam)
             yield t, g
+            if t == 1:  # nothing reads lam_1
+                return
             f_s = np.asarray(self.jac_state(s, y, xi, t), dtype=float)
             phi_s = np.asarray(self.features_jacobian(s, t), dtype=float)
             lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
@@ -447,18 +449,6 @@ class _RolloutEngine:
         traj = self.forward(K, sampler, n)
         w = np.exp(check_exponents(self.alpha * traj[5]))
         return traj, w, (self.alpha * w if method == "model_based" else w)
-
-    def gradient(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
-                 mean: bool = False):
-        """(gradient samples (n, N-1, m, q) of E[exp(alpha J)], w = exp(alpha J)),
-        or with ``mean`` (their batch mean, w) from :meth:`moments`."""
-        if mean:
-            G, _, w = self.moments(K, sampler, n, method)
-            return G, w
-        traj, w, scale = self._weighted(K, sampler, n, method)
-        G = self.raw_gradients(method, K, traj)
-        G *= scale[:, None, None, None]
-        return G, w
 
     def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
                 second: bool = False):
@@ -655,14 +645,11 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
             stacklevel=2,
         )
 
-    def oracle(theta, batch, stream):
-        mean, w = engine.gradient(theta.reshape(shape), stream, batch, method, mean=True)
-        return mean.ravel(), w.sum() / batch
+    def oracle(theta, n, stream, second):
+        mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
+        return mean.ravel(), sq, w.sum() / n
 
-    def pilot(theta, n, stream):
-        return engine.gradient(theta.reshape(shape), stream, n, method)[0]
-
-    report = projected_sgd(oracle, pilot, start, constraint, config, sampler, cert.holds,
+    report = projected_sgd(oracle, start, constraint, config, sampler, cert.holds,
                            float(cert.margins.min()), callback)
     trained = policy0.with_gains(unstack_gains(report.theta_hat, *shape))
     return trained, report

@@ -63,7 +63,7 @@ class DegenerateEstimateError(RiskConvexError):
 
 
 class EstimateOverflowError(RiskConvexError):
-    """An exponent exceeded the representable floating-point range."""
+    """An exponent or a moment exceeded the representable floating-point range."""
 
     exit_code = EXIT_NUMERIC
 

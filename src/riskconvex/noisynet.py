@@ -131,6 +131,10 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
     L = cfg.n_layers
     mbar = cfg.loss_bound
     init_states = _embed(cfg, dataset.X, dataset.y)
+    # The constant Jacobians, shared by every row: d s' / d s passes the
+    # target slots through, and d phi / d s = [I_w 0].
+    pass_through = np.diag(np.arange(n) >= w).astype(float)
+    select = np.eye(w, n)
 
     def step(s, y, xi, t):
         act = np.tanh(y)
@@ -138,10 +142,7 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
         return np.concatenate([act, tail], axis=-1)
 
     def jac_state(s, y, xi, t):
-        base = np.zeros(s.shape[:-1] + (n, n))
-        for j in range(cfg.output_dim):
-            base[..., w + j, w + j] = 1.0
-        return base
+        return np.broadcast_to(pass_through, s.shape[:-1] + (n, n))
 
     def jac_control(s, y, xi, t):
         base = np.zeros(s.shape[:-1] + (n, w))
@@ -154,10 +155,7 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
         return s[..., :w]
 
     def features_jacobian(s, t):
-        base = np.zeros(s.shape[:-1] + (w, n))
-        idx = np.arange(w)
-        base[..., idx, idx] = 1.0
-        return base
+        return np.broadcast_to(select, s.shape[:-1] + (w, n))
 
     def state_cost(s, t):
         if t <= L:

@@ -237,29 +237,6 @@ def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
     return Estimate(value=float(g.mean()), std_err=float(g.std(ddof=1) / np.sqrt(n)), n=n)
 
 
-def unbiased_grad_estimate(f: ScalarField, model: RiskModel, theta,
-                           sampler: GaussianSampler) -> np.ndarray:
-    """Single-draw unbiased estimate of the gradient of G.
-
-    For one draw w the sample is
-
-        alpha * exp(alpha f(theta+w) + 0.5 alpha theta' R theta)
-              * (grad f(theta+w) + R theta).
-
-    Averaging over draws converges to grad G, provided the exponential
-    moment E[exp(2 alpha f) ||grad f + R theta||^2] is finite (assumed,
-    not checked; no computable test exists).
-    """
-    if f.gradient is None:
-        raise ContractError("unbiased_grad_estimate requires a field with a gradient")
-    _check_args(f, model, sampler, n=2)
-    theta = np.asarray(theta, dtype=float)
-    point = theta + sampler.draw(1)
-    expo = _exponents(f, model, theta, point)
-    g = f.grad(point[0])
-    return model.alpha * float(np.exp(expo[0])) * (g + model.reg @ theta)
-
-
 def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
                        sampler: GaussianSampler) -> tuple[np.ndarray, np.ndarray]:
     """Mean and per-coordinate standard error of n single-draw gradient samples."""

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, EstimateOverflowError
 from .fields import ScalarField
 from .objective import RiskModel, certificate_margins, check_convexity_certificate
 from .objective import _check_args, _grad_samples
@@ -205,35 +204,45 @@ class SolverReport:
         write_csv(path, rows, header=header)
 
 
-def batch_second_moment(samples: np.ndarray, batch: int) -> float:
-    """sqrt(E ||mean of `batch` samples||^2) estimated from pilot samples.
+@np.errstate(over="ignore")
+def pilot_zeta(mean, second, n: int, batch: int) -> float:
+    """zeta = sqrt(E ||mean of ``batch`` samples||^2) from the moments of n
+    pilot samples: their flat ``mean`` and per-coordinate mean square
+    ``second``.
 
-    For batch 1 this is the root mean squared sample norm; for larger
-    batches the variance term shrinks by the batch size, matching the
-    estimator the iteration actually uses.
+    Batch 1 gives sqrt(sum(second)), the root mean squared sample norm.
+    Batch b >= 2 gives sqrt((1 - a) mean . mean + a sum(second)) with
+    a = n / ((n - 1) b), which is mean . mean + tr(var) / b for the ddof-1
+    variance; both coefficients are >= 0, so the sum cannot cancel.  An
+    all-zero pilot (a stationary start) gives 1, so the schedule is defined.
+    Raises :class:`EstimateOverflowError` when zeta is not finite.
     """
-    flat = samples.reshape(samples.shape[0], -1)
-    if batch <= 1:
-        return float(np.sqrt(np.mean(np.sum(flat**2, axis=1))))
-    mu = flat.mean(axis=0)
-    var = flat.var(axis=0, ddof=1)
-    return float(np.sqrt(mu @ mu + var.sum() / batch))
+    total = float(np.sum(second))
+    if batch > 1:
+        a = n / ((n - 1) * batch)
+        total = (1.0 - a) * float(mean @ mean) + a * total
+    zeta = math.sqrt(total)
+    if not math.isfinite(zeta):
+        raise EstimateOverflowError(f"pilot second moment is not finite (zeta = {zeta})")
+    return zeta if zeta > 0.0 else 1.0
 
 
-def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSet,
+def projected_sgd(oracle: Callable, start, feasible: FeasibleSet,
                   config: SolverConfig, sampler: GaussianSampler, certified: bool,
                   certificate_margin: float,
                   callback: Optional[Callable] = None) -> SolverReport:
     """Projected stochastic gradient iterations from the projected ``start``.
 
-    ``oracle(theta, batch, stream)`` returns the flat mean gradient and the
-    batch objective (None leaves ``objective_trace`` None); ``pilot(theta,
-    n, stream)`` returns n per-sample gradients, whose
-    :func:`batch_second_moment` is zeta unless ``config.zeta`` is set.
+    ``oracle(theta, n, stream, second)`` draws n gradient samples and
+    returns their flat mean, their per-coordinate mean square when
+    ``second`` is set (else None) and the batch objective (None leaves
+    ``objective_trace`` None).  Unless ``config.zeta`` is set, zeta is
+    :func:`pilot_zeta` of one ``second`` call on the pilot stream.
     ``sampler`` splits into the pilot and the run stream.
     ``callback(i, theta, running_average)`` fires after each update;
     ``certified`` and ``certificate_margin`` are copied into the report.
-    Raises :class:`DivergenceError` carrying the iteration index on a
+    Raises :class:`EstimateOverflowError` when the pilot zeta is not
+    finite, and :class:`DivergenceError` carrying the iteration index on a
     non-finite gradient estimate, or when a finite step overflows to an
     iterate the feasible set cannot project.
     """
@@ -242,12 +251,9 @@ def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSe
     radius = feasible.radius_bound
     zeta = config.zeta
     if zeta is None:
-        zeta = batch_second_moment(pilot(theta, config.pilot_samples, pilot_stream),
-                                   config.batch)
-        if not zeta > 0.0:
-            # All-zero pilot gradients (start at a stationary point): any
-            # positive zeta yields valid steps; use 1 so the schedule is defined.
-            zeta = 1.0
+        with np.errstate(over="ignore"):  # an overflowed square is inf; pilot_zeta raises
+            mean, second, _ = oracle(theta, config.pilot_samples, pilot_stream, True)
+        zeta = pilot_zeta(mean, second, config.pilot_samples, config.batch)
 
     T = config.iterations
     thetas = np.empty((T, theta.size))
@@ -257,7 +263,7 @@ def projected_sgd(oracle: Callable, pilot: Callable, start, feasible: FeasibleSe
     running_sum = np.zeros(theta.size)
     for i in range(1, T + 1):
         thetas[i - 1] = theta
-        g, objective = oracle(theta, config.batch, run_stream)
+        g, _, objective = oracle(theta, config.batch, run_stream, False)
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
         objectives.append(objective)
@@ -299,6 +305,8 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
         ContractError: if f has no gradient, or dimensions disagree.
         DivergenceError: on a non-finite gradient estimate, carrying the
             iteration index.
+        EstimateOverflowError: when an exponent or the pilot's second
+            moment overflows.
     """
     if f.gradient is None:
         raise ContractError("solve requires a field with a gradient")
@@ -313,10 +321,12 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
             stacklevel=2,
         )
 
-    samples = partial(_grad_samples, f, model)
+    def oracle(theta, n, stream, second):
+        g = _grad_samples(f, model, theta, n, stream)
+        return g.mean(axis=0), (g * g).mean(axis=0) if second else None, None
+
     start = np.zeros(model.dim) if config.theta0 is None else np.asarray(config.theta0, float)
-    return projected_sgd(lambda theta, n, stream: (samples(theta, n, stream).mean(axis=0), None),
-                         samples, start, feasible, config, sampler, cert.holds, cert.margin)
+    return projected_sgd(oracle, start, feasible, config, sampler, cert.holds, cert.margin)
 
 
 @dataclass

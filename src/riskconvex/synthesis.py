@@ -91,7 +91,7 @@ class LinearSystem:
                 raise ContractError(f"R and sigma at t={t + 1} must be {m}x{m}")
         for t in range(N):
             if self.Q[t].shape != (n, n):
-                raise ContractError(f"Q at t={t} must be {n}x{n}")
+                raise ContractError(f"Q at t={t + 1} must be {n}x{n}")
 
     @property
     def state_dim(self) -> int:

@@ -134,4 +134,20 @@ def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
     overflow of exp(alpha J) raises instead of returning inf or NaN."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     engine.check_method(method)
-    return engine.gradient(np.stack(policy.gains), sampler, n, method)
+    K = np.stack(policy.gains)
+    traj, w, scale = engine._weighted(K, sampler, n, method)
+    G = engine.raw_gradients(method, K, traj)
+    G *= scale[:, None, None, None]
+    return G, w
+
+
+def per_sample_zeta(samples: np.ndarray, batch: int) -> float:
+    """Reference for ``solver.pilot_zeta``: sqrt(E ||mean of ``batch``
+    samples||^2) from the per-sample tensor, the root mean squared sample
+    norm for batch 1, else mean . mean + tr(var_ddof1) / batch."""
+    flat = samples.reshape(samples.shape[0], -1)
+    if batch <= 1:
+        return float(np.sqrt(np.mean(np.sum(flat**2, axis=1))))
+    mu = flat.mean(axis=0)
+    var = flat.var(axis=0, ddof=1)
+    return float(np.sqrt(mu @ mu + var.sum() / batch))

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from riskconvex.errors import (
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
-from riskconvex.solver import FeasibleSet, SolverConfig, batch_second_moment, step_size
+from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, step_size
 from riskconvex.synthesis import LinearSystem
-from support import _forward_batch, _gradient_samples, smooth_control_problem
+from support import _forward_batch, _gradient_samples, per_sample_zeta, smooth_control_problem
 
 
 def scalar_integrator(horizon=3):
@@ -261,8 +262,9 @@ class TestBatchPaths:
         dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(5), 3, 2, 5)
         engine = _RolloutEngine(dyn, cost, pol, model)
         K = np.stack(pol.gains)
-        samples, w = engine.gradient(K, GaussianSampler(3, dim=1), 64, method)
-        mean, w_mean = engine.gradient(K, GaussianSampler(3, dim=1), 64, method, mean=True)
+        samples, w = _gradient_samples(dyn, cost, pol, model, GaussianSampler(3, dim=1), 64,
+                                       method)
+        mean, _, w_mean = engine.moments(K, GaussianSampler(3, dim=1), 64, method)
         assert np.array_equal(w, w_mean)
         np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12, atol=1e-15)
 
@@ -639,16 +641,20 @@ class TestTrainPolicy:
         engine = _RolloutEngine(dyn, cost, pol, model)
         pilot, run = GaussianSampler(41, dim=1).split(2)
         theta = constraint.project(stack_gains(pol.gains))
-        samples, _ = engine.gradient(theta.reshape(engine.shape), pilot, cfg.pilot_samples,
-                                     method)
-        assert np.array_equal(rep.zeta, batch_second_moment(samples, cfg.batch))
+        mean, sq, _ = engine.moments(theta.reshape(engine.shape), pilot, cfg.pilot_samples,
+                                     method, second=True)
+        assert rep.zeta == pilot_zeta(mean.ravel(), sq, cfg.pilot_samples, cfg.batch)
+        start = pol.with_gains(unstack_gains(theta, *engine.shape))
+        samples, _ = _gradient_samples(dyn, cost, start, model,
+                                       GaussianSampler(41, dim=1).split(2)[0],
+                                       cfg.pilot_samples, method)
+        assert rep.zeta == pytest.approx(per_sample_zeta(samples, cfg.batch), rel=1e-14)
         assert len(seen) == cfg.iterations
         running_sum = np.zeros(theta.size)
         for i in range(1, cfg.iterations + 1):
             assert np.array_equal(rep.thetas[i - 1], theta)
             running_sum += theta
-            g, w = engine.gradient(theta.reshape(engine.shape), run, cfg.batch, method,
-                                   mean=True)
+            g, _, w = engine.moments(theta.reshape(engine.shape), run, cfg.batch, method)
             assert np.array_equal(rep.objective_trace[i - 1], w.sum() / cfg.batch)
             theta = constraint.project(
                 theta - step_size(constraint.radius_bound, rep.zeta, i) * g.ravel())
@@ -656,3 +662,55 @@ class TestTrainPolicy:
             assert np.array_equal(seen[i - 1][1], theta)
             assert np.array_equal(seen[i - 1][2], running_sum / i)
         assert np.array_equal(rep.final_theta, theta)
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("batch", [1, 8, 128])
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_pilot_zeta_matches_the_per_sample_reference(self, method, batch):
+        for seed in range(5):
+            dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(seed), 3, 2, 4)
+            constraint = FeasibleSet.ball(np.zeros(pol.n_steps * 2 * 3), 100.0)
+            _, rep = train_policy(dyn, cost, pol, model, method,
+                                  SolverConfig(iterations=1, batch=batch), constraint,
+                                  GaussianSampler(seed, dim=1))
+            pilot, _ = GaussianSampler(seed, dim=1).split(2)
+            samples, _ = _gradient_samples(dyn, cost, pol, model, pilot, 200, method)
+            assert rep.zeta == pytest.approx(per_sample_zeta(samples, batch), rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_overflowing_pilot_moment_is_a_typed_error(self, method):
+        # Every state cost + 250 puts alpha J near 400: exp(alpha J) is
+        # finite, but the squares of the pilot's samples overflow.
+        dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 2, 1, 4)
+        base = cost.state_cost
+        cost = dataclasses.replace(cost, state_cost=lambda s, t: base(s, t) + 250.0,
+                                   bound=cost.bound + 250.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimateOverflowError):
+                train_policy(dyn, cost, pol, model, method, SolverConfig(iterations=5, batch=8),
+                             FeasibleSet.ball(np.zeros(6), 1.0), GaussianSampler(1, dim=1))
+
+
+def test_adjoint_stops_at_the_first_step():
+    # lam_1 feeds no gradient, so the recursion forms lam_N .. lam_2 only.
+    horizon = 6
+    dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(2), 3, 2, horizon)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    dyn = dataclasses.replace(dyn, jacobian_state=counted("jac_state", dyn.jacobian_state),
+                              jacobian_control=counted("jac_control", dyn.jacobian_control))
+    cost = dataclasses.replace(cost, state_cost_grad=counted("state_cost_grad",
+                                                             cost.state_cost_grad))
+    pol = dataclasses.replace(pol, features_jacobian=counted("features_jacobian",
+                                                             pol.features_jacobian))
+    policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(1, dim=1), 16, "model_based")
+    assert calls == {"jac_state": horizon - 2, "features_jacobian": horizon - 2,
+                     "state_cost_grad": horizon - 1, "jac_control": horizon - 1}

@@ -18,7 +18,6 @@ from riskconvex.objective import (
     log_exp_objective,
     log_mean_exp,
     smoothed_value,
-    unbiased_grad_estimate,
     unbiased_grad_mean,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
@@ -247,29 +246,31 @@ class TestExpObjective:
 
 class TestUnbiasedGradient:
     def test_zero_field_identity_reg(self):
+        # Every draw gives the same sample exp(0.5) R theta.
         model = isotropic_model(1.0, 1.0, 1.0, 2)
-        g = unbiased_grad_estimate(constant_field(0.0, 2), model, [1.0, 0.0], model.sampler(0))
+        g, _ = unbiased_grad_mean(constant_field(0.0, 2), model, [1.0, 0.0], 5,
+                                  model.sampler(0))
         assert g == pytest.approx([EXP_HALF, 0.0], rel=1e-12)
 
     def test_vanishes_at_origin_for_flat_field(self):
         model = isotropic_model(1.0, 1.0, 3.0, 3)
-        g = unbiased_grad_estimate(constant_field(0.0, 3), model, np.zeros(3), model.sampler(1))
-        assert np.all(g == 0.0)
+        g, se = unbiased_grad_mean(constant_field(0.0, 3), model, np.zeros(3), 5,
+                                   model.sampler(1))
+        assert np.all(g == 0.0) and np.all(se == 0.0)
 
     def test_linear_field_single_draw_value(self):
-        # alpha=1, R=0, theta=0, one draw w: sample = exp(w) * 1
+        # alpha=1, R=0, theta=0: each draw w gives the sample exp(w) * 1
         f = linear_field([1.0])
         model = isotropic_model(1.0, 1.0, 0.0, 1)
-        sampler = model.sampler(9)
-        w = float(model.sampler(9).draw(1)[0, 0])
-        g = unbiased_grad_estimate(f, model, [0.0], sampler)
-        assert g[0] == pytest.approx(np.exp(w), rel=1e-12)
+        w = model.sampler(9).draw(3)[:, 0]
+        g, _ = unbiased_grad_mean(f, model, [0.0], 3, model.sampler(9))
+        assert g[0] == pytest.approx(np.exp(w).mean(), rel=1e-12)
 
     def test_requires_gradient(self):
         f = ScalarField(value=lambda th: 0.0, upper_bound=0.0, dim=1)
         model = isotropic_model(1.0, 1.0, 0.0, 1)
         with pytest.raises(ContractError):
-            unbiased_grad_estimate(f, model, [0.0], model.sampler(0))
+            unbiased_grad_mean(f, model, [0.0], 5, model.sampler(0))
 
     @pytest.mark.parametrize("n", [2, 3, 1000])
     def test_mean_and_std_err_match_the_written_out_formula(self, n):

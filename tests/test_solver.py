@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskconvex.csvio import read_float_table
-from riskconvex.errors import ContractError, DivergenceError
+from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
 from riskconvex.fields import constant_field
 from riskconvex.objective import isotropic_model
 from riskconvex.sampling import GaussianSampler
@@ -15,15 +15,15 @@ from riskconvex.solver import (
     FeasibleSet,
     SolverConfig,
     VarianceBoundInputs,
-    batch_second_moment,
     convergence_certificate,
     log_gap_from_exp_gap,
+    pilot_zeta,
     projected_sgd,
     solve,
     step_size,
     variance_bound,
 )
-from support import bump_field, certified_model
+from support import bump_field, certified_model, per_sample_zeta
 
 E_SQUARED_TIMES_FOUR = 29.5562243957226  # float(4 * np.exp(2))
 
@@ -110,8 +110,8 @@ class TestProjectedSGD:
         ball = FeasibleSet.ball(np.zeros(3), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3), ball,
-                                SolverConfig(iterations=4, zeta=1.0),
+            rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
+                                ball, SolverConfig(iterations=4, zeta=1.0),
                                 GaussianSampler(0, dim=3), True, 0.0)
             zeta = rep.empirical_zeta()
         expected = 1e200 * math.sqrt(3.0)
@@ -130,7 +130,7 @@ class TestProjectedSGD:
         # g is finite, but eta_1 g = 7e9 * 1e308 overflows to inf.
         g = 1e308 * np.ones(3)
         with pytest.raises(DivergenceError) as err:
-            projected_sgd(lambda theta, n, stream: (g, None), None, np.zeros(3), feasible,
+            projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3), feasible,
                           SolverConfig(iterations=4, zeta=1e-10),
                           GaussianSampler(0, dim=3), True, 0.0)
         assert err.value.step == 1
@@ -217,13 +217,58 @@ class TestSolve:
 
         pilot, run = model.sampler(13).split(2)
         theta = fs.project(np.zeros(2))
-        assert rep.zeta == batch_second_moment(samples(theta, cfg.pilot_samples, pilot),
-                                               cfg.batch)
+        g = samples(theta, cfg.pilot_samples, pilot)
+        assert rep.zeta == pilot_zeta(g.mean(axis=0), (g * g).mean(axis=0),
+                                      cfg.pilot_samples, cfg.batch)
+        assert rep.zeta == pytest.approx(per_sample_zeta(g, cfg.batch), rel=1e-14)
         for i in range(1, cfg.iterations + 1):
             assert np.array_equal(rep.thetas[i - 1], theta)
             g = samples(theta, cfg.batch, run).mean(axis=0)
             theta = fs.project(theta - step_size(fs.radius_bound, rep.zeta, i) * g)
         assert np.array_equal(rep.final_theta, theta)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_pilot_zeta_matches_the_per_sample_reference(self, batch):
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            f = bump_field(rng, 3)
+            model = certified_model(rng, 3)
+            fs = FeasibleSet.ball(np.zeros(3), 1.0)
+            rep = solve(f, model, fs, SolverConfig(iterations=1, batch=batch),
+                        model.sampler(seed))
+            pilot, _ = model.sampler(seed).split(2)
+            points = pilot.draw(200)
+            expo = model.alpha * f.evaluate_batch(points)
+            samples = model.alpha * np.exp(expo)[:, None] * f.grad_batch(points)
+            assert rep.zeta == pytest.approx(per_sample_zeta(samples, batch), rel=1e-14)
+
+    def test_all_zero_pilot_gives_unit_zeta(self):
+        model = isotropic_model(1.0, 1.0, 1.0, 2)
+        rep = solve(constant_field(0.0, 2), model, FeasibleSet.ball(np.zeros(2), 1.0),
+                    SolverConfig(iterations=5), model.sampler(0))
+        assert rep.zeta == 1.0
+
+    @staticmethod
+    def shifted_demo_solve(shift):
+        from riskconvex.demo1d import builtin_field
+        from riskconvex.fields import ScalarField
+
+        raw = builtin_field("two-basin")
+        field = ScalarField(value=lambda th: raw.value(th) + shift, upper_bound=1.0 + shift,
+                            dim=1, gradient=raw.gradient, vectorized=True)
+        model = isotropic_model(4.0, 0.25, 1.0, 1)
+        return solve(field, model, FeasibleSet.ball(np.zeros(1), 2.0),
+                     SolverConfig(iterations=200, batch=8), model.sampler(1))
+
+    def test_overflowing_pilot_moment_is_a_typed_error(self):
+        # alpha f ~ 600: the pilot samples reach ~1e261, so their squares overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimateOverflowError):
+                self.shifted_demo_solve(150.0)
+            rep = self.shifted_demo_solve(50.0)
+        assert 1e88 < rep.zeta < 1e89
+        assert np.isfinite(rep.thetas).all()
 
     def test_uncertified_model_warns_and_flags(self):
         rng = np.random.default_rng(7)

@@ -57,6 +57,12 @@ def assert_gradient_matches_finite_differences(sys, alpha, gains, h=1e-6):
             assert grad[t][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def test_shape_errors_count_steps_from_one():
+    with pytest.raises(ContractError, match="Q at t=1 must be 1x1"):
+        LinearSystem(A=[[[1.0]]], B=[[[1.0]]], Q=[np.eye(2), [[0.0]]], R=[[[1.0]]],
+                     sigma=[[[1.0]]], horizon=2)
+
+
 class TestBlockOperators:
     def test_identity_chain(self):
         blocks = build_block_operators(scalar_system())
