@@ -2,8 +2,9 @@
 
 The scalar linear benchmark is the reference problem for cross-checking
 the three routes to an optimal gain: stochastic policy training, the
-closed-form determinant program, and brute-force search.  System noise
-is zero so the closed form applies; the control noise drives the state.
+closed-form determinant program, and brute-force search (the last is a
+test oracle and lives with the tests).  System noise is zero so the
+closed form applies; the control noise drives the state.
 """
 
 from __future__ import annotations
@@ -119,29 +120,3 @@ class ScalarBenchmark:
         _, cost, _, model = self.problem()
         return check_control_certificate(cost, model).holds
 
-
-def simulate_scalar_objective(bench: ScalarBenchmark, gain_grid: np.ndarray,
-                              n_rollouts: int, sampler) -> np.ndarray:
-    """Brute-force E[exp(alpha J)] over a grid of time-2 gains.
-
-    Independent of the rollout engine and of the closed form: simulates
-    the scalar recursion directly with common random numbers across the
-    grid, so the argmin is a stable oracle.  Gains other than K_2 are
-    held at zero (K_1 multiplies s_1 = 0 and never matters).
-    """
-    if bench.horizon < 3:
-        raise ContractError("the grid oracle needs horizon >= 3 for an active gain")
-    eps = sampler.normal((bench.horizon - 1, n_rollouts)) * np.sqrt(bench.sigma_u)
-    out = np.empty(gain_grid.size)
-    for idx, k in enumerate(np.asarray(gain_grid, dtype=float)):
-        s = np.zeros(n_rollouts)
-        cost = np.zeros(n_rollouts)
-        for t in range(1, bench.horizon):
-            cost += 0.5 * bench.q * s**2
-            u = k * s if t >= 2 else 0.0 * s
-            cost += 0.5 * bench.r * u**2
-            y = u + eps[t - 1]
-            s = bench.a * s + bench.b * y
-        cost += 0.5 * bench.q * s**2
-        out[idx] = np.exp(bench.alpha * cost).mean()
-    return out

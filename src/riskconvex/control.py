@@ -47,7 +47,7 @@ from .errors import (
     FieldEvaluationError,
 )
 from .fields import _first_violation
-from .objective import certificate_margins, check_exponents
+from .objective import certificate_margins, check_exponents, check_std_err
 from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_inverse, symmetric_sqrt
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
@@ -289,8 +289,7 @@ def _batched(fn, vectorized: bool, scalar: bool = False):
 
 
 def _stage_cost(vals: np.ndarray, u: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """l(s_t) + 0.5 u_t' R_t u_t per row; shared by the engine and
-    :func:`recompute_cost` so the bookkeeping is bit-exact."""
+    """l(s_t) + 0.5 u_t' R_t u_t per row."""
     return vals + 0.5 * np.einsum("bi,bi->b", u @ R, u)
 
 
@@ -588,19 +587,26 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     1983), far below the sampling error 1 / sqrt(2n) of a standard error
     for noisy Monte Carlo samples; entries whose samples are all exactly
     zero (phi_1 = 0 when s_1 = 0) come out exactly 0.  ``exp_cost_mean``
-    and ``exp_cost_std_err`` are the two-pass mean and std of w.
+    and ``exp_cost_std_err`` are the two-pass mean and std of w.  A
+    standard error whose squares overflow raises
+    :class:`EstimateOverflowError`.
     """
     if n < 2:
         raise ContractError("batch gradient estimation needs n >= 2")
     engine = _RolloutEngine(dyn, cost, policy, model)
     engine.check_method(method)
-    mean, sq, costs = engine.moments(np.stack(policy.gains), sampler, n, method, second=True)
-    var = np.maximum(sq - mean * mean, 0.0) * (n / (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sq, costs = engine.moments(np.stack(policy.gains), sampler, n, method,
+                                         second=True)
+        var = np.maximum(sq - mean * mean, 0.0) * (n / (n - 1))
+        std_err = np.sqrt(var / n)
+        exp_cost_mean = float(costs.mean())
+        exp_cost_std_err = float(costs.std(ddof=1) / np.sqrt(n))
     return BatchGradientEstimate(
         mean=mean,
-        std_err=np.sqrt(var / n),
-        exp_cost_mean=float(costs.mean()),
-        exp_cost_std_err=float(costs.std(ddof=1) / np.sqrt(n)),
+        std_err=check_std_err(std_err),
+        exp_cost_mean=exp_cost_mean,
+        exp_cost_std_err=check_std_err(exp_cost_std_err),
         n=n,
     )
 
@@ -653,18 +659,6 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                            float(cert.margins.min()), callback)
     trained = policy0.with_gains(unstack_gains(report.theta_hat, *shape))
     return trained, report
-
-
-def recompute_cost(r: Rollout, cost: ControlCost) -> float:
-    """Re-derive J from the trajectory record in the original fold order,
-    with the engine's stage-cost expression on batches of one."""
-    N = r.states.shape[0]
-    total = 0.0
-    for t in range(1, N):
-        vals = cost.stage_batch(r.states[t - 1:t], t)
-        total += float(_stage_cost(vals, r.controls[t - 1:t], cost.control_weights[t - 1])[0])
-    total += float(np.ravel(cost.stage_batch(r.states[N - 1:], N))[0])
-    return total
 
 
 def write_rollout_csv(path, r: Rollout) -> None:

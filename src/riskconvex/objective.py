@@ -209,6 +209,18 @@ def check_exponents(expo: np.ndarray) -> np.ndarray:
     return expo
 
 
+def check_std_err(se):
+    """Return the standard error(s), or raise EstimateOverflowError when
+    one is not finite: the squares of finite exp-weighted samples can
+    overflow.  Callers form them under ``np.errstate(over="ignore",
+    invalid="ignore")``."""
+    finite = np.isfinite(se)
+    if not finite.all():
+        bad = np.ravel(se)[np.argmin(np.ravel(finite))]
+        raise EstimateOverflowError(f"a standard error is {bad}: the squared samples overflow")
+    return se
+
+
 def _exponents(f: ScalarField, model: RiskModel, theta, points: np.ndarray) -> np.ndarray:
     """alpha f(theta+w) + 0.5 alpha theta' R theta per perturbed point
     theta + w, with overflow check."""
@@ -230,24 +242,29 @@ def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
 
 def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
                   sampler: GaussianSampler) -> Estimate:
-    """Estimate of G(theta) = E[exp(alpha f(theta+w) + 0.5 alpha theta' R theta)]."""
+    """Estimate of G(theta) = E[exp(alpha f(theta+w) + 0.5 alpha theta' R theta)];
+    :class:`EstimateOverflowError` when its standard error overflows."""
     _check_args(f, model, sampler, n)
     theta = np.asarray(theta, dtype=float)
     g = np.exp(_exponents(f, model, theta, theta + sampler.draw(n)))
-    return Estimate(value=float(g.mean()), std_err=float(g.std(ddof=1) / np.sqrt(n)), n=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, se = float(g.mean()), float(g.std(ddof=1) / np.sqrt(n))
+    return Estimate(value=value, std_err=check_std_err(se), n=n)
 
 
 def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
                        sampler: GaussianSampler) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and per-coordinate standard error of n single-draw gradient samples."""
+    """Mean and per-coordinate standard error of n single-draw gradient
+    samples; :class:`EstimateOverflowError` when a standard error overflows."""
     if f.gradient is None:
         raise ContractError("unbiased_grad_mean requires a field with a gradient")
     _check_args(f, model, sampler, n)
     theta = np.asarray(theta, dtype=float)
     samples = _grad_samples(f, model, theta, n, sampler)
-    mean = samples.mean(axis=0)
-    # np.std(axis=0, ddof=1)'s own arithmetic, reusing the mean: same bits.
-    d = samples - mean
-    d *= d
-    se = np.sqrt(d.sum(axis=0) / (n - 1)) / np.sqrt(n)
-    return mean, se
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        # np.std(axis=0, ddof=1)'s own arithmetic, reusing the mean: same bits.
+        d = samples - mean
+        d *= d
+        se = np.sqrt(d.sum(axis=0) / (n - 1)) / np.sqrt(n)
+    return mean, check_std_err(se)

@@ -44,7 +44,7 @@ import numpy as np
 from .csvio import read_float_table, write_csv
 from .errors import ContractError
 from .objective import certificate_margins, psd_tolerance
-from .sampling import as_covariance, as_psd_weight
+from .sampling import as_covariance, as_psd_weight, spd_inverse
 from .solver import FeasibleSet
 
 
@@ -54,9 +54,11 @@ class LinearSystem:
 
     ``A[t-1]`` (n x n) and ``B[t-1]`` (n x m) define
     s_{t+1} = A_t s_t + B_t y_t for t = 1..N-1; ``Q[t-1]`` (n x n, PSD)
-    weights the state cost at t = 1..N; ``R[t-1]`` (m x m) and
+    weights the state cost at t = 1..N; ``R[t-1]`` (m x m, PSD) and
     ``sigma[t-1]`` (m x m, PD) are the control cost and noise at
-    t = 1..N-1.
+    t = 1..N-1.  Q and R are checked by :func:`as_psd_weight`, sigma by
+    the conditioning rule of :func:`spd_inverse`
+    (:class:`IllConditionedError`).
     """
 
     A: list
@@ -73,8 +75,10 @@ class LinearSystem:
         self.A = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.A]
         self.B = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.B]
         self.Q = [as_psd_weight(q, name=f"Q at t={t}") for t, q in enumerate(self.Q, start=1)]
-        self.R = [as_covariance(r) for r in self.R]
+        self.R = [as_psd_weight(r, name=f"R at t={t}") for t, r in enumerate(self.R, start=1)]
         self.sigma = [as_covariance(s) for s in self.sigma]
+        for t, s in enumerate(self.sigma, start=1):
+            spd_inverse(s, name=f"control noise at t={t}")  # build_block_operators inverts
         if len(self.A) != N - 1 or len(self.B) != N - 1:
             raise ContractError(f"need {N - 1} A and B matrices")
         if len(self.Q) != N:
@@ -106,8 +110,8 @@ class LinearSystem:
 class BlockOperators:
     """Stacked trajectory-space operators of a linear system.
 
-    Besides the dense operators it holds the constants that every W(K)
-    evaluation reuses, computed once: the row blocks M_t that the gains
+    It holds the constants that every W(K) evaluation reuses, computed
+    once: S = blockdiag(inv(Sigma_t)), the row blocks M_t that the gains
     act on, the Gram matrix M' Q M, and the per-step blocks of S and R
     with their largest eigenvalues.  It also keeps the last evaluation
     (W, Z and the Cholesky factor of W, keyed by exact equality of alpha
@@ -115,10 +119,7 @@ class BlockOperators:
     just accepted reuses its factorization.
     """
 
-    traj_map: np.ndarray      # M, (N n) x ((N-1) m); x = M y, first block row 0
     noise_weight: np.ndarray  # S = blockdiag(inv(Sigma_t))
-    control_cost: np.ndarray  # R = blockdiag(R_t)
-    state_cost: np.ndarray    # Q = blockdiag(Q_t)
     state_dim: int
     control_dim: int
     horizon: int
@@ -130,15 +131,6 @@ class BlockOperators:
     cost_max_eig: float       # largest eigenvalue of R
     _alpha_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last_eval: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def place_gains(self, gains) -> np.ndarray:
-        """Block placement of K_t into the m(N-1) x nN gain operator."""
-        n, m, N = self.state_dim, self.control_dim, self.horizon
-        G = self.stack(gains)
-        K = np.zeros((m * (N - 1), n * N))
-        for t in range(N - 1):
-            K[t * m:(t + 1) * m, t * n:(t + 1) * n] = G[t]
-        return K
 
     def stack(self, gains) -> np.ndarray:
         """Gains K_1..K_{N-1}, a list of (m x n) matrices or already
@@ -195,10 +187,9 @@ class _AlphaTerms:
 
 
 def build_block_operators(sys: LinearSystem) -> BlockOperators:
-    """Assemble the block trajectory map, the block-diagonal weights and
-    the constants of W(K).
+    """Assemble the constants of W(K) from the block trajectory map M.
 
-    Block (i, j) of the trajectory map is (A_{i-1} ... A_{j+1}) B_j for
+    Block (i, j) of M is (A_{i-1} ... A_{j+1}) B_j for
     i > j and zero otherwise; the first block row is zero because
     s_1 = 0.
     """
@@ -223,13 +214,9 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
     noise_blocks = np.array([np.linalg.inv(s) for s in sys.sigma])
     noise_blocks = 0.5 * (noise_blocks + noise_blocks.transpose(0, 2, 1))
     cost_blocks = np.array(sys.R)
-    state_cost = blockdiag(sys.Q)
-    gram = M.T @ state_cost @ M
+    gram = M.T @ blockdiag(sys.Q) @ M
     return BlockOperators(
-        traj_map=M,
         noise_weight=blockdiag(noise_blocks),
-        control_cost=blockdiag(cost_blocks),
-        state_cost=state_cost,
         state_dim=n,
         control_dim=m,
         horizon=N,
@@ -361,12 +348,7 @@ def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
     res = detmax_objective(sys, alpha, gains, blocks=blocks)
     if res.value == -math.inf:
         return math.inf
-    log_det_sigmas = 0.0
-    for s in sys.sigma:
-        sign, logdet = np.linalg.slogdet(s)
-        if sign <= 0:
-            raise ContractError("control noise covariance must be positive definite")
-        log_det_sigmas += logdet
+    log_det_sigmas = sum(np.linalg.slogdet(s)[1] for s in sys.sigma)
     return math.exp(-0.5 * (res.value + log_det_sigmas))
 
 
@@ -377,6 +359,18 @@ class SynthesisConfig:
     grad_tol: float = 1e-9
     step_tol: float = 1e-14
     backtrack: float = 0.5
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ContractError("max_iters must be >= 1")
+        if not self.step0 > 0.0:
+            raise ContractError("step0 must be positive")
+        if not 0.0 < self.backtrack < 1.0:
+            raise ContractError("backtrack must be in (0, 1)")
+        if not self.step_tol > 0.0:
+            raise ContractError("step_tol must be positive")
+        if not self.grad_tol >= 0.0:
+            raise ContractError("grad_tol must be nonnegative")
 
 
 @dataclass

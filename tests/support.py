@@ -1,12 +1,26 @@
-"""Shared builders for randomized test problems."""
+"""Randomized test problems shared across the tests, and the test
+oracles: references written independently of the library code they check."""
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from riskconvex.control import ControlCost, ControlRiskModel, Dynamics, Policy, _RolloutEngine
+import numpy as np
+import scipy.linalg as sl
+
+from riskconvex.benchmarks import ScalarBenchmark
+from riskconvex.control import (
+    ControlCost,
+    ControlRiskModel,
+    Dynamics,
+    Policy,
+    Rollout,
+    _RolloutEngine,
+)
+from riskconvex.errors import ContractError
 from riskconvex.fields import ScalarField
 from riskconvex.objective import RiskModel
+from riskconvex.synthesis import LinearSystem
 
 GAUSS_PEAK_SLOPE = np.exp(-0.5)  # max |d/dx exp(-x^2/2)| at x = 1
 
@@ -151,3 +165,90 @@ def per_sample_zeta(samples: np.ndarray, batch: int) -> float:
     mu = flat.mean(axis=0)
     var = flat.var(axis=0, ddof=1)
     return float(np.sqrt(mu @ mu + var.sum() / batch))
+
+
+def recompute_cost(r: Rollout, cost: ControlCost) -> float:
+    """Re-derive J from the trajectory record in the original fold order,
+    with the engine's stage-cost expression l(s_t) + 0.5 u_t' R_t u_t on
+    batches of one, so the bookkeeping check is bit-exact."""
+    N = r.states.shape[0]
+    total = 0.0
+    for t in range(1, N):
+        vals = cost.stage_batch(r.states[t - 1:t], t)
+        u = r.controls[t - 1:t]
+        total += float((vals + 0.5 * np.einsum("bi,bi->b", u @ cost.control_weights[t - 1], u))[0])
+    total += float(np.ravel(cost.stage_batch(r.states[N - 1:], N))[0])
+    return total
+
+
+def scalar_grid_objective(bench: ScalarBenchmark, gain_grid, n_rollouts: int,
+                          sampler) -> np.ndarray:
+    """Brute-force E[exp(alpha J)] of the horizon-3 scalar benchmark over
+    a grid of time-2 gains k, with common random numbers across the grid
+    so the argmin is a stable oracle.
+
+    Independent of the rollout engine and of the closed form.  With
+    s_1 = 0 (so K_1 never matters), s_2 = b eps_1, z = a s_2 + b eps_2 and
+    w = b s_2, the final state is s_3 = z + k w and each sample's cost is
+    J(k) = c0 + c1 k + c2 k^2 with c0 = q (s_2^2 + z^2) / 2, c1 = q z w and
+    c2 = (r s_2^2 + q w^2) / 2; alpha is folded into the coefficients.
+    """
+    if bench.horizon != 3:
+        raise ContractError("the grid oracle is written for horizon 3")
+    a, b, q, r, alpha = bench.a, bench.b, bench.q, bench.r, bench.alpha
+    eps = sampler.normal((2, n_rollouts)) * np.sqrt(bench.sigma_u)
+    s2 = b * eps[0]
+    z = a * s2 + b * eps[1]
+    w = b * s2
+    c0 = (0.5 * alpha * q) * (s2 * s2 + z * z)
+    c1 = (alpha * q) * z * w
+    c2 = (0.5 * alpha) * (r * s2 * s2 + q * w * w)
+    buf = np.empty(n_rollouts)
+    out = np.empty(len(gain_grid))
+    for idx, k in enumerate(np.asarray(gain_grid, dtype=float)):
+        np.multiply(c2, k, out=buf)  # alpha J(k) = c0 + k (c1 + k c2)
+        buf += c1
+        buf *= k
+        buf += c0
+        np.exp(buf, out=buf)
+        out[idx] = buf.mean()
+    return out
+
+
+@dataclass
+class DenseOperators:
+    """The dense trajectory-space operators of a linear system: the block
+    trajectory map M (x = M y, first block row zero since s_1 = 0),
+    S = blockdiag(inv(Sigma_t)), R = blockdiag(R_t), Q = blockdiag(Q_t)."""
+
+    M: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
+    Q: np.ndarray
+    state_dim: int
+    control_dim: int
+
+    def place(self, gains) -> np.ndarray:
+        """Block placement of K_1..K_{N-1} into the (N-1) m x N n gain operator."""
+        n, m = self.state_dim, self.control_dim
+        K = np.zeros((self.R.shape[0], self.Q.shape[0]))
+        for t, k in enumerate(gains):
+            K[t * m:(t + 1) * m, t * n:(t + 1) * n] = k
+        return K
+
+
+def dense_operators(sys: LinearSystem) -> DenseOperators:
+    """:class:`DenseOperators` from ``sys.A/B/Q/R/sigma`` alone; nothing of
+    ``riskconvex.synthesis`` but the system is used.  Block (i, j) of M is
+    (A_{i-1} ... A_{j+1}) B_j for i > j, written as a product per block."""
+    N, (n, m) = sys.horizon, np.shape(sys.B[0])
+    M = np.zeros((N * n, (N - 1) * m))
+    for i in range(2, N + 1):       # state s_i
+        for j in range(1, i):       # control y_j
+            block = sys.B[j - 1]
+            for k in range(j + 1, i):
+                block = sys.A[k - 1] @ block
+            M[(i - 1) * n:i * n, (j - 1) * m:j * m] = block
+    return DenseOperators(M=M, S=sl.block_diag(*[np.linalg.inv(s) for s in sys.sigma]),
+                          R=sl.block_diag(*sys.R), Q=sl.block_diag(*sys.Q),
+                          state_dim=n, control_dim=m)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem, simulate_scalar_objective
+from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.classify import ClassifierConfig, erfc_loss, train_classifier
 from riskconvex.control import policy_gradient_batch, policy_gradient_model_based, rollout, train_policy
 from riskconvex.datasets import Dataset, corrupt_labels, make_blobs, make_sine
@@ -38,7 +38,7 @@ from riskconvex.solver import (
     variance_bound,
 )
 from riskconvex.synthesis import LinearSystem, closed_form_expectation, detmax_objective, synthesize
-from support import bump_field, certified_model, smooth_control_problem
+from support import bump_field, certified_model, scalar_grid_objective, smooth_control_problem
 
 
 def report(number, detail=""):
@@ -272,7 +272,7 @@ def test_criterion_10_leqg_triangle():
     assert bench.certified()
 
     grid = np.round(np.arange(-2.0, 0.0 + 1e-9, 1e-3), 9)
-    values = simulate_scalar_objective(bench, grid, 1_000_000, GaussianSampler(41, dim=1))
+    values = scalar_grid_objective(bench, grid, 1_000_000, GaussianSampler(41, dim=1))
     k_grid = float(grid[int(np.argmin(values))])
 
     synth = synthesize(bench.system(), bench.alpha)

@@ -15,7 +15,6 @@ from riskconvex.control import (
     policy_gradient_batch,
     policy_gradient_derivative_free,
     policy_gradient_model_based,
-    recompute_cost,
     rollout,
     stack_gains,
     train_policy,
@@ -37,7 +36,13 @@ from riskconvex.objective import LOG_FLOAT_MAX
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, step_size
 from riskconvex.synthesis import LinearSystem
-from support import _forward_batch, _gradient_samples, per_sample_zeta, smooth_control_problem
+from support import (
+    _forward_batch,
+    _gradient_samples,
+    per_sample_zeta,
+    recompute_cost,
+    smooth_control_problem,
+)
 
 
 def scalar_integrator(horizon=3):
@@ -691,6 +696,20 @@ class TestTrainPolicy:
             with pytest.raises(EstimateOverflowError):
                 train_policy(dyn, cost, pol, model, method, SolverConfig(iterations=5, batch=8),
                              FeasibleSet.ball(np.zeros(6), 1.0), GaussianSampler(1, dim=1))
+
+
+@pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+def test_batch_std_err_overflow_is_a_typed_error(method):
+    # State costs + 250 put alpha J near 400: the mean of the samples is
+    # finite (about 1e172), their second moment is not.
+    dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 2, 1, 4)
+    base = cost.state_cost
+    cost = dataclasses.replace(cost, state_cost=lambda s, t: base(s, t) + 250.0,
+                               bound=cost.bound + 250.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EstimateOverflowError, match="standard error is nan"):
+            policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(1, dim=1), 200, method)
 
 
 def test_adjoint_stops_at_the_first_step():

@@ -235,6 +235,15 @@ class TestExpObjective:
             exp_objective(f, model, [0.0], 5, model.sampler(0))
         assert err.value.sample_index is not None
 
+    def test_overflowing_std_err_is_a_typed_error(self):
+        # alpha f = 400: exp(400) is finite, its squared deviations are not.
+        model = isotropic_model(4.0, 0.25, 1.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimateOverflowError, match="standard error is inf"):
+                exp_objective(constant_field(100.0, 2), model, np.zeros(2), 100,
+                              model.sampler(0))
+
     def test_log_exp_relation_on_analytic_case(self):
         # exp(alpha * log_exp_objective) == exp_objective in the expectation-free case
         model = isotropic_model(2.0, 1.0, 1.0, 2)
@@ -285,6 +294,17 @@ class TestUnbiasedGradient:
                                                          + model.reg @ theta)
         assert np.array_equal(mean, samples.mean(0))
         assert np.array_equal(se, samples.std(0, ddof=1) / np.sqrt(n))
+
+    def test_overflowing_std_err_is_a_typed_error(self):
+        # A linear field plus 100 at alpha 4: finite samples near 1e176.
+        lin = linear_field([1.0, -0.5])
+        f = ScalarField(value=lambda th: lin.value(th) + 100.0, upper_bound=1e9, dim=2,
+                        gradient=lin.gradient, lipschitz=lin.lipschitz, vectorized=True)
+        model = isotropic_model(4.0, 0.25, 1.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimateOverflowError, match="standard error is inf"):
+                unbiased_grad_mean(f, model, np.zeros(2), 100, model.sampler(0))
 
     def test_mean_matches_finite_difference_of_exp_objective(self):
         rng = np.random.default_rng(3)

@@ -1,0 +1,44 @@
+"""Checks of the test oracles in support.py against plain references."""
+
+import numpy as np
+import pytest
+
+from riskconvex.benchmarks import ScalarBenchmark
+from riskconvex.errors import ContractError
+from riskconvex.sampling import GaussianSampler
+from support import scalar_grid_objective
+
+
+def step_by_step_grid_objective(bench, gain_grid, n_rollouts, sampler):
+    """E[exp(alpha J)] over K_2 gains by the scalar recursion, one step at
+    a time, on the noise draws of :func:`scalar_grid_objective`."""
+    eps = sampler.normal((2, n_rollouts)) * np.sqrt(bench.sigma_u)
+    out = np.empty(len(gain_grid))
+    for idx, k in enumerate(gain_grid):
+        s = np.zeros(n_rollouts)
+        cost = np.zeros(n_rollouts)
+        for t in (1, 2):
+            u = k * s if t == 2 else np.zeros(n_rollouts)
+            cost += 0.5 * bench.q * s**2 + 0.5 * bench.r * u**2
+            s = bench.a * s + bench.b * (u + eps[t - 1])
+        cost += 0.5 * bench.q * s**2
+        out[idx] = np.exp(bench.alpha * cost).mean()
+    return out
+
+
+@pytest.mark.parametrize("bench", [ScalarBenchmark(),
+                                   ScalarBenchmark(a=0.8, b=1.3, q=0.1, r=0.7,
+                                                   sigma_u=0.6, alpha=1.5)],
+                         ids=["default", "perturbed"])
+def test_grid_oracle_matches_the_step_by_step_recursion(bench):
+    grid = np.linspace(-2.0, 0.0, 41)
+    fast = scalar_grid_objective(bench, grid, 10_000, GaussianSampler(5, dim=1))
+    plain = step_by_step_grid_objective(bench, grid, 10_000, GaussianSampler(5, dim=1))
+    np.testing.assert_allclose(fast, plain, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("horizon", [2, 4])
+def test_grid_oracle_is_written_for_horizon_three(horizon):
+    with pytest.raises(ContractError, match="horizon 3"):
+        scalar_grid_objective(ScalarBenchmark(horizon=horizon), np.zeros(1), 10,
+                              GaussianSampler(0, dim=1))

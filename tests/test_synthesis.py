@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
-from riskconvex.control import policy_gradient_batch, rollout
-from riskconvex.errors import ContractError
+from riskconvex.control import policy_gradient_batch
+from riskconvex.errors import ContractError, IllConditionedError
 from riskconvex.objective import psd_tolerance
 from riskconvex.sampling import GaussianSampler
 from riskconvex import synthesis
@@ -21,6 +21,7 @@ from riskconvex.synthesis import (
     synthesize,
     write_gains_csv,
 )
+from support import dense_operators
 
 
 def scalar_system(a=1.0, b=1.0, q=0.0, r=1.0, sig=1.0, horizon=3):
@@ -63,29 +64,62 @@ def test_shape_errors_count_steps_from_one():
                      sigma=[[[1.0]]], horizon=2)
 
 
+def assert_layout_matches_dense(sys):
+    """The library's row blocks M_t and Gram matrix M'QM against the
+    dense operators of the test oracle."""
+    N, n = sys.horizon, sys.state_dim
+    blocks = build_block_operators(sys)
+    ops = dense_operators(sys)
+    p = ops.M.shape[1]
+    assert np.array_equal(blocks.traj_rows, ops.M[:(N - 1) * n].reshape(N - 1, n, p))
+    gram = ops.M.T @ ops.Q @ ops.M
+    assert np.linalg.norm(blocks.state_gram - gram) <= 1e-12 * max(np.linalg.norm(gram), 1e-300)
+    return blocks, ops
+
+
+class TestInputChecks:
+    def test_negative_control_cost_is_rejected(self):
+        with pytest.raises(ContractError, match="R at t=2 must be positive semidefinite"):
+            LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.1]]] * 3,
+                         R=[[[1.0]], [[-2.0]]], sigma=[[[1.0]]] * 2, horizon=3)
+
+    @pytest.mark.parametrize("sig", [-1.0, 0.0])
+    def test_noise_that_is_not_positive_definite_is_ill_conditioned(self, sig):
+        with pytest.raises(IllConditionedError, match="control noise at t=2"):
+            LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.1]]] * 3,
+                         R=[[[1.0]]] * 2, sigma=[[[1.0]], [[sig]]], horizon=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("step0", 0.0), ("step0", -1.0), ("backtrack", 0.0),
+        ("backtrack", 1.0), ("step_tol", 0.0), ("grad_tol", -1e-9), ("step0", math.nan),
+    ])
+    def test_synthesis_config_rejects(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            SynthesisConfig(**{field: value})
+
+
 class TestBlockOperators:
     def test_identity_chain(self):
-        blocks = build_block_operators(scalar_system())
-        assert np.array_equal(blocks.traj_map, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        _, ops = assert_layout_matches_dense(scalar_system(q=0.3))
+        assert np.array_equal(ops.M, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_product_chain(self):
-        blocks = build_block_operators(scalar_system(a=2.0))
-        assert np.array_equal(blocks.traj_map, [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        _, ops = assert_layout_matches_dense(scalar_system(a=2.0, q=0.3))
+        assert np.array_equal(ops.M, [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
 
     def test_first_block_row_always_zero(self):
         rng = np.random.default_rng(0)
-        sys = random_system(rng, 2, 2, 5)
-        blocks = build_block_operators(sys)
-        assert np.all(blocks.traj_map[:2, :] == 0.0)
+        blocks, ops = assert_layout_matches_dense(random_system(rng, 2, 2, 5))
+        assert np.all(ops.M[:2, :] == 0.0)
+        assert np.all(blocks.traj_rows[0] == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_direct_simulation(self, seed):
         rng = np.random.default_rng(seed)
         n, m, N = 2, 2, 5
         sys = random_system(rng, n, m, N)
-        blocks = build_block_operators(sys)
+        blocks, ops = assert_layout_matches_dense(sys)
         y = rng.standard_normal((N - 1) * m)
-        stacked = blocks.traj_map @ y
         s = np.zeros(n)
         states = [s]
         for t in range(1, N):
@@ -93,11 +127,13 @@ class TestBlockOperators:
             states.append(s)
         direct = np.concatenate(states)
         denom = max(np.linalg.norm(direct), 1e-30)
-        assert np.linalg.norm(stacked - direct) / denom <= 1e-12
+        assert np.linalg.norm(ops.M @ y - direct) / denom <= 1e-12
+        stacked = (blocks.traj_rows @ y).ravel()   # states s_1..s_{N-1}
+        assert np.linalg.norm(stacked - direct[:(N - 1) * n]) / denom <= 1e-12
 
     def test_gain_placement_shape_and_blocks(self):
-        blocks = build_block_operators(scalar_system(horizon=4))
-        K = blocks.place_gains([np.array([[k]]) for k in (1.0, 2.0, 3.0)])
+        ops = dense_operators(scalar_system(horizon=4))
+        K = ops.place([np.array([[k]]) for k in (1.0, 2.0, 3.0)])
         assert K.shape == (3, 4)
         assert np.array_equal(np.diag(K[:, :3]), [1.0, 2.0, 3.0])
         assert np.all(K[:, 3] == 0.0)
@@ -171,12 +207,11 @@ DECENTRALIZED = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
 
 def dense_w(sys, alpha, gains):
     """W(K) from the dense operators: S - SKM - (SKM)' - M'(K'(alpha R - S)K + alpha Q)M."""
-    blocks = build_block_operators(sys)
-    K = blocks.place_gains(gains)
-    M, S = blocks.traj_map, blocks.noise_weight
-    SKM = S @ K @ M
-    inner = K.T @ (alpha * blocks.control_cost - S) @ K + alpha * blocks.state_cost
-    return S - SKM - SKM.T - M.T @ inner @ M
+    ops = dense_operators(sys)
+    K = ops.place(gains)
+    SKM = ops.S @ K @ ops.M
+    inner = K.T @ (alpha * ops.R - ops.S) @ K + alpha * ops.Q
+    return ops.S - SKM - SKM.T - ops.M.T @ inner @ ops.M
 
 
 class TestFactorizedEvaluator:
@@ -206,9 +241,9 @@ class TestFactorizedEvaluator:
             q = 1.5 if case == "infeasible" else 1.0 + 1e-10
             sys, gains = scalar_system(q=q, horizon=2), [np.zeros((1, 1))]
         res = detmax_objective(sys, 1.0, gains)
-        blocks = build_block_operators(sys)
-        tol = psd_tolerance(float(np.linalg.eigvalsh(blocks.control_cost)[-1]),
-                            float(np.linalg.eigvalsh(blocks.noise_weight)[-1]))
+        ops = dense_operators(sys)
+        tol = psd_tolerance(float(np.linalg.eigvalsh(ops.R)[-1]),
+                            float(np.linalg.eigvalsh(ops.S)[-1]))
         w0 = float(np.linalg.eigvalsh(res.W)[0])
         assert res.min_eig == w0
         assert res.feasible == (w0 >= -tol)
