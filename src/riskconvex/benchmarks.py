@@ -23,8 +23,7 @@ from .synthesis import LinearSystem
 QUADRATIC_COST_CEILING = 1e12
 
 
-def linear_control_problem(sys: LinearSystem, alpha: float, gains=None,
-                           cost_bound: float = QUADRATIC_COST_CEILING):
+def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     """Wrap a LinearSystem as a vectorized rollout problem.
 
     State cost 0.5 s' Q_t s, state-feedback features phi(s) = s, zero
@@ -37,16 +36,10 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None,
         return s @ sys.A[t - 1].T + y @ sys.B[t - 1].T
 
     def jac_state(s, y, xi, t):
-        a = sys.A[t - 1]
-        if np.ndim(s) == 2:
-            return np.broadcast_to(a, (s.shape[0],) + a.shape)
-        return a
+        return np.broadcast_to(sys.A[t - 1], np.shape(s)[:-1] + (n, n))
 
     def jac_control(s, y, xi, t):
-        b = sys.B[t - 1]
-        if np.ndim(s) == 2:
-            return np.broadcast_to(b, (s.shape[0],) + b.shape)
-        return b
+        return np.broadcast_to(sys.B[t - 1], np.shape(s)[:-1] + (n, m))
 
     def state_cost(s, t):
         return 0.5 * np.einsum("...i,...i->...", s @ sys.Q[t - 1], s)
@@ -58,16 +51,13 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None,
         return s
 
     def features_jacobian(s, t):
-        eye = np.eye(n)
-        if np.ndim(s) == 2:
-            return np.broadcast_to(eye, (s.shape[0], n, n))
-        return eye
+        return np.broadcast_to(np.eye(n), np.shape(s)[:-1] + (n, n))
 
     dyn = Dynamics(step=step, state_dim=n, control_dim=m, disturbance_dim=0,
                    horizon=N, jacobian_state=jac_state, jacobian_control=jac_control,
                    vectorized=True)
     cost = ControlCost(state_cost=state_cost, control_weights=list(sys.R),
-                       bound=cost_bound, state_cost_grad=state_cost_grad,
+                       bound=QUADRATIC_COST_CEILING, state_cost_grad=state_cost_grad,
                        vectorized=True)
     if gains is None:
         gains = [np.zeros((m, n)) for _ in range(N - 1)]

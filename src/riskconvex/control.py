@@ -95,8 +95,8 @@ class ControlCost:
     """Arbitrary bounded state costs plus quadratic control costs.
 
     ``state_cost(s, t)`` is defined for t = 1..N (t = N is the terminal
-    cost) and must stay below ``bound``, which is asserted at every
-    evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
+    cost) and must stay below ``bound``, which the rollout engine asserts
+    at every evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
     R_t for t = 1..N-1.  ``vectorized`` promises that both callables
     accept a leading batch axis; otherwise they run per row.
     """
@@ -117,24 +117,6 @@ class ControlCost:
     @property
     def control_dim(self) -> int:
         return self.control_weights[0].shape[0]
-
-    def _check(self, vals, s, t):
-        """The state costs ``vals`` at states ``s``, or FieldEvaluationError
-        naming the first one that breaks the bound."""
-        i = _first_violation(vals, self.bound)
-        if i is not None:
-            v = vals if np.ndim(vals) == 0 else vals[i]
-            raise FieldEvaluationError(
-                f"state cost {v} violates bound {self.bound} at t={t}", theta=s
-            )
-        return vals
-
-    def stage(self, s, t) -> float:
-        return self._check(float(self.state_cost(s, t)), s, t)
-
-    def stage_batch(self, s: np.ndarray, t: int) -> np.ndarray:
-        vals = _batched(self.state_cost, self.vectorized, True)(s, t)
-        return self._check(np.asarray(vals, dtype=float), s, t)
 
 
 @dataclass
@@ -341,27 +323,33 @@ class _RolloutEngine:
                                 "Jacobians and state cost gradients")
 
     def _checked_state_cost(self, s: np.ndarray, t: int) -> np.ndarray:
-        return self.cost._check(np.asarray(self.state_cost(s, t), dtype=float), s, t)
+        """The state costs l(s, t) of the batch ``s``, or
+        :class:`FieldEvaluationError` naming the first that breaks the bound."""
+        vals = np.asarray(self.state_cost(s, t), dtype=float)
+        bound = self.cost.bound
+        i = _first_violation(vals, bound)
+        if i is not None:
+            raise FieldEvaluationError(
+                f"state cost {np.ravel(vals)[i]} violates bound {bound} at t={t}", theta=s
+            )
+        return vals
 
     def forward(self, K: np.ndarray, sampler: GaussianSampler, n: int,
-                mode: str = "noisy", s1=None, frozen: Optional[FrozenNoise] = None):
-        """n rollouts under the stacked gains K, with ``mode``, ``s1`` and
-        ``frozen`` (replayed on every row) as in :func:`rollout`: states S
+                s1=None, frozen: Optional[FrozenNoise] = None):
+        """n rollouts under the stacked gains K, from ``s1`` or with
+        ``frozen`` replayed on every row as in :func:`rollout`: states S
         (N, n, nd), U, Y, XI (N-1, n, .), the features PHI (a list of
         (n, q)), J (n,) and the stage costs (N, n) whose left fold J is."""
-        if mode not in ("noisy", "mean"):
-            raise ContractError(f"unknown rollout mode {mode!r}")
         dyn = self.dyn
         N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
         rng = sampler.rng
-        noisy = frozen is None and mode == "noisy"
         if frozen is not None:
             s1 = frozen.s1
         if s1 is not None:
             s = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
-        elif noisy and dyn.init_state_batch is not None:
+        elif frozen is None and dyn.init_state_batch is not None:
             s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
-        elif noisy and dyn.init_state is not None:
+        elif frozen is None and dyn.init_state is not None:
             s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
         else:
             s = np.zeros((n, nd))
@@ -385,9 +373,6 @@ class _RolloutEngine:
             if frozen is not None:
                 eps = frozen.eps[t - 1]
                 xi = np.broadcast_to(np.asarray(frozen.xi[t - 1], dtype=float), (n, p))
-            elif not noisy:
-                eps = np.zeros(m)
-                xi = np.zeros((n, p))
             else:
                 eps = sampler.normal((n, m)) @ self.noise_root[t - 1]
                 if p == 0 or dyn.disturbance is None and dyn.disturbance_batch is None:
@@ -471,12 +456,20 @@ class _RolloutEngine:
 
 def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=None,
             method=None):
-    """One rollout as an engine batch of one: (Rollout, raw G of ``method``)."""
+    """One rollout as an engine batch of one: (Rollout, raw G of ``method``).
+    Mean mode is the replay of zero noise from s_1 (zero unless given)."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     if method is not None:
         engine.check_method(method)
+    if mode not in ("noisy", "mean"):
+        raise ContractError(f"unknown rollout mode {mode!r}")
+    if mode == "mean" and frozen is None:
+        N = dyn.horizon
+        frozen = FrozenNoise(s1=np.zeros(dyn.state_dim) if s1 is None else s1,
+                             eps=np.zeros((N - 1, dyn.control_dim)),
+                             xi=np.zeros((N - 1, dyn.disturbance_dim)))
     K = np.stack(policy.gains)
-    traj = engine.forward(K, sampler, 1, mode, s1, frozen)
+    traj = engine.forward(K, sampler, 1, s1, frozen)
     S, U, Y, XI, _, total, stage = traj
     expo = check_exponents(model.alpha * total)
     r = Rollout(states=S[:, 0], controls=U[:, 0], realized=Y[:, 0], disturbances=XI[:, 0],
@@ -491,9 +484,10 @@ def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRisk
     """Simulate one trajectory under the policy (the engine at batch one).
 
     mode "noisy" draws y_t ~ N(u_t, Sigma_t) and xi_t from the
-    disturbance sampler; mode "mean" forces y_t = u_t and xi_t = 0 (and
-    s_1 = 0 unless given), for testing.  ``frozen`` replays a fixed
-    noise realization regardless of mode.  Raises
+    disturbance sampler; mode "mean" replays zero noise, y_t = u_t and
+    xi_t = 0 (and s_1 = 0 unless given); any other mode is a
+    :class:`ContractError`.  ``frozen`` replays a fixed noise
+    realization regardless of mode.  Raises
     :class:`DivergenceError` carrying t when a state goes non-finite,
     and :class:`EstimateOverflowError` when exp(alpha J) overflows.
     """

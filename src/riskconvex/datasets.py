@@ -116,27 +116,24 @@ def corrupt_labels(ds: Dataset, sigma_noise: float, sampler: GaussianSampler) ->
                    ds.provenance + f"#corrupt{sigma_noise}")
 
 
-def make_blobs(m: int, sampler: GaussianSampler, separation: float = 4.0,
-               dim: int = 2) -> Dataset:
-    """Two symmetric unit-variance Gaussian blobs with centers
+def make_blobs(m: int, sampler: GaussianSampler, separation: float = 4.0) -> Dataset:
+    """Two symmetric unit-variance Gaussian blobs in the plane with centers
     ``separation`` apart along the first axis; labels are the blob signs."""
     if m < 2:
         raise ContractError("need at least two points")
     labels = sign_plus(sampler.normal(m))
-    centers = np.zeros((m, dim))
+    centers = np.zeros((m, 2))
     centers[:, 0] = 0.5 * separation * labels
-    X = centers + sampler.normal((m, dim))
+    X = centers + sampler.normal((m, 2))
     return Dataset(X=X, y=labels, provenance=f"blobs(m={m},sep={separation})")
 
 
 def make_sine(m: int, sampler: GaussianSampler, amplitude: float = 0.4,
-              frequency: float = 2.0, noise: float = 0.0) -> Dataset:
+              frequency: float = 2.0) -> Dataset:
     """1-D regression targets y = amplitude * sin(frequency * x), x ~ U(-1, 1)."""
     if m < 2:
         raise ContractError("need at least two points")
     x = sampler.rng.uniform(-1.0, 1.0, size=m)
     y = amplitude * np.sin(frequency * x)
-    if noise > 0.0:
-        y = y + noise * sampler.normal(m)
     return Dataset(X=x[:, None], y=y,
                    provenance=f"sine(m={m},A={amplitude},f={frequency})")

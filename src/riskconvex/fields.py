@@ -45,16 +45,19 @@ class RawField:
 class ScalarField:
     """Objective f with a finite declared upper bound.
 
-    The bound is asserted on every evaluation: NaN, +inf, or any value
-    above ``upper_bound + 1e-9 (1 + |upper_bound|)`` raises
+    The field is evaluated on batches of points, (n, dim) -> (n,), by
+    :meth:`evaluate_batch` and :meth:`grad_batch`.  The bound is asserted
+    on every evaluation: NaN, +inf, or any value above
+    ``upper_bound + 1e-9 (1 + |upper_bound|)`` raises
     :class:`FieldEvaluationError` carrying the offending point.  -inf
     values are legal (they only shrink the exponential moment).
 
     Attributes:
-        value: callable theta -> float.
+        value: callable theta -> float, or (n, dim) -> (n,) when vectorized.
         upper_bound: finite declared bound, value(theta) <= upper_bound.
         dim: dimension of theta.
-        gradient: optional callable theta -> array of shape (dim,).
+        gradient: optional callable theta -> array of shape (dim,), or
+            (n, dim) -> (n, dim) when vectorized.
         lipschitz: optional Lipschitz constant of ``value``.
         vectorized: whether value/gradient accept stacked (n, dim) input.
     """
@@ -75,16 +78,6 @@ class ScalarField:
         if self.lipschitz is not None and not self.lipschitz >= 0.0:
             raise ContractError("lipschitz constant must be nonnegative")
 
-    def evaluate(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        v = float(self.value(theta))
-        if _first_violation(v, self.upper_bound) is not None:
-            raise FieldEvaluationError(
-                f"field value {v} violates bound {self.upper_bound} at theta={theta!r}",
-                theta=theta,
-            )
-        return v
-
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         if self.vectorized:
@@ -98,11 +91,6 @@ class ScalarField:
                 theta=thetas[i],
             )
         return vals
-
-    def grad(self, theta) -> np.ndarray:
-        if self.gradient is None:
-            raise ContractError("this operation requires a field with a gradient")
-        return np.asarray(self.gradient(np.asarray(theta, dtype=float)), dtype=float)
 
     def grad_batch(self, thetas: np.ndarray) -> np.ndarray:
         if self.gradient is None:
@@ -173,7 +161,7 @@ def clamp_bounded(raw, mbar: float) -> ScalarField:
     )
 
 
-def linear_field(a, upper_bound: float = 1e9, vectorized: bool = True) -> ScalarField:
+def linear_field(a, upper_bound: float = 1e9) -> ScalarField:
     """The field theta -> a . theta with Lipschitz constant ||a||.
 
     Linear fields are unbounded; the declared bound only promises that
@@ -185,10 +173,7 @@ def linear_field(a, upper_bound: float = 1e9, vectorized: bool = True) -> Scalar
         return np.asarray(theta, dtype=float) @ a
 
     def gradient(theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            return np.broadcast_to(a, theta.shape).copy()
-        return a.copy()
+        return np.broadcast_to(a, np.shape(theta)).copy()
 
     return ScalarField(
         value=value,
@@ -196,7 +181,7 @@ def linear_field(a, upper_bound: float = 1e9, vectorized: bool = True) -> Scalar
         dim=a.size,
         gradient=gradient,
         lipschitz=float(np.linalg.norm(a)),
-        vectorized=vectorized,
+        vectorized=True,
     )
 
 
@@ -205,10 +190,7 @@ def constant_field(c: float, dim: int) -> ScalarField:
     c = float(c)
 
     def value(theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            return np.full(theta.shape[0], c)
-        return c
+        return np.full(np.shape(theta)[:-1], c)
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)

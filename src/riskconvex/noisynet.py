@@ -159,7 +159,7 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
 
     def state_cost(s, t):
         if t <= L:
-            return np.zeros(s.shape[:-1]) if np.ndim(s) > 1 else 0.0
+            return np.zeros(np.shape(s)[:-1])
         err = s[..., :cfg.output_dim] - s[..., w:]
         se = np.sum(err**2, axis=-1)
         return mbar * np.tanh(se / mbar)
@@ -179,13 +179,10 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
         idx = rng.integers(0, init_states.shape[0], size=b)
         return init_states[idx]
 
-    def init_state(rng):
-        return init_states[int(rng.integers(0, init_states.shape[0]))]
-
     dyn = Dynamics(step=step, state_dim=n, control_dim=w, disturbance_dim=0,
                    horizon=L + 1, jacobian_state=jac_state,
-                   jacobian_control=jac_control, init_state=init_state,
-                   init_state_batch=init_state_batch, vectorized=True)
+                   jacobian_control=jac_control, init_state_batch=init_state_batch,
+                   vectorized=True)
     cost = ControlCost(state_cost=state_cost,
                        control_weights=[c * np.eye(w) for c in cfg.penalty_weights],
                        bound=mbar, state_cost_grad=state_cost_grad, vectorized=True)
@@ -228,8 +225,7 @@ class NoisyNetReport:
 def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSampler,
                     iterations: int = 1500, batch: int = 128, radius: float = 6.0,
                     eval_every: int = 100, test: Optional[Dataset] = None,
-                    force: bool = False, method: str = "derivative_free",
-                    averaging: bool = False, init_scale: float = 0.05) -> NoisyNetReport:
+                    force: bool = False, method: str = "derivative_free") -> NoisyNetReport:
     """Train the noisy net with a policy-gradient estimator.
 
     Refuses with :class:`CertificateError` when any per-layer margin
@@ -241,8 +237,8 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     The all-zero weight vector is always a stationary point of the
     exponentiated objective (zero-mean layer noise through an odd
     transfer makes every gradient component vanish there), so training
-    starts from a small random init of scale ``init_scale`` drawn from a
-    derived stream.
+    starts from a small random init of scale 0.05 drawn from a
+    derived stream, and reports the final, not the averaged, weights.
     """
     if train.n_features != cfg.input_dim:
         raise ContractError(
@@ -260,21 +256,19 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     stacked_dim = cfg.n_layers * cfg.internal_width**2
     constraint = FeasibleSet.ball(np.zeros(stacked_dim), radius)
     init_stream, train_stream = sampler.split(2)
-    if init_scale > 0.0:
-        w = cfg.internal_width
-        policy0 = policy0.with_gains(
-            [init_scale * init_stream.normal((w, w)) for _ in range(cfg.n_layers)])
+    w = cfg.internal_width
+    policy0 = policy0.with_gains(
+        [0.05 * init_stream.normal((w, w)) for _ in range(cfg.n_layers)])
     test_ds = test if test is not None and test.size > 0 else train
 
     curve = []
 
     def record(i, theta, theta_avg):
         if i % eval_every == 0 or i == iterations:
-            vec = theta_avg if averaging else theta
-            ws = unstack_gains(vec, cfg.n_layers, cfg.internal_width, cfg.internal_width)
+            ws = unstack_gains(theta, cfg.n_layers, w, w)
             curve.append((i * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
-    config = SolverConfig(iterations=iterations, batch=batch, averaging=averaging)
+    config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
     trained, report = train_policy(dyn, cost, policy0, model, method, config,
                                    constraint, train_stream, callback=record)
     weights = [k.copy() for k in trained.gains]

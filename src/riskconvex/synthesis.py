@@ -56,9 +56,9 @@ class LinearSystem:
     s_{t+1} = A_t s_t + B_t y_t for t = 1..N-1; ``Q[t-1]`` (n x n, PSD)
     weights the state cost at t = 1..N; ``R[t-1]`` (m x m, PSD) and
     ``sigma[t-1]`` (m x m, PD) are the control cost and noise at
-    t = 1..N-1.  Q and R are checked by :func:`as_psd_weight`, sigma by
-    the conditioning rule of :func:`spd_inverse`
-    (:class:`IllConditionedError`).
+    t = 1..N-1.  A and B must be finite, Q and R are checked by
+    :func:`as_psd_weight`, sigma by the conditioning rule of
+    :func:`spd_inverse` (:class:`IllConditionedError`).
     """
 
     A: list
@@ -91,6 +91,9 @@ class LinearSystem:
                 raise ContractError(f"A at t={t + 1} must be {n}x{n}")
             if self.B[t].shape != (n, m):
                 raise ContractError(f"B at t={t + 1} must be {n}x{m}")
+            for name, mat in (("A", self.A[t]), ("B", self.B[t])):
+                if not np.isfinite(mat).all():
+                    raise ContractError(f"{name} at t={t + 1} must be finite")
             if self.R[t].shape != (m, m) or self.sigma[t].shape != (m, m):
                 raise ContractError(f"R and sigma at t={t + 1} must be {m}x{m}")
         for t in range(N):
@@ -320,7 +323,7 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     Y comes from an LU solve and the result is the gradient of
     log |det W|.
 
-    Returns an (N-1, m, n) array when ``gains`` is one, else a list.
+    Returns the gradient as one (N-1, m, n) array.
     """
     if blocks is None:
         blocks = build_block_operators(sys)
@@ -332,8 +335,7 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
         from scipy.linalg.lapack import dpotrs
 
         Y = dpotrs(L, Z.T, lower=1)[0]
-    grad = -2.0 * np.einsum("tna,atm->tmn", blocks.traj_rows, Y.reshape(-1, N - 1, m))
-    return grad if isinstance(gains, np.ndarray) else list(grad)
+    return -2.0 * np.einsum("tna,atm->tmn", blocks.traj_rows, Y.reshape(-1, N - 1, m))
 
 
 def closed_form_expectation(sys: LinearSystem, alpha: float, gains,

@@ -37,12 +37,26 @@ def bump_field(rng: np.random.Generator, dim: int, n_bumps: int = 4,
     weights = amp * rng.uniform(-1.0, 1.0, size=n_bumps)
 
     def value(theta):
+        # One in-place pass per bump over the (n, dim) points, in the
+        # operation order of the broadcast form that test_support.py checks
+        # it against bit for bit.
         theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        pts = theta[None, :] if single else theta
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        vals = (weights * np.exp(-0.5 * d2 / widths**2)).sum(axis=1)
-        return float(vals[0]) if single else vals
+        vals = np.zeros(theta.shape[0])
+        z = np.empty(theta.shape[0])
+        sq = np.empty(theta.shape[0])
+        for center, width, weight in zip(centers, widths, weights):
+            np.subtract(theta[:, 0], center[0], out=z)
+            z *= z
+            for i in range(1, dim):
+                np.subtract(theta[:, i], center[i], out=sq)
+                sq *= sq
+                z += sq
+            z *= -0.5
+            z /= width**2
+            np.exp(z, out=z)
+            z *= weight
+            vals += z
+        return vals
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
@@ -137,10 +151,10 @@ def smooth_control_problem(rng: np.random.Generator, n: int, m: int, horizon: in
     return dyn, cost, policy, model
 
 
-def _forward_batch(dyn, cost, policy, model, sampler, n, mode, s1):
-    """(S, U, Y, XI, PHI, total) of n engine rollouts under the policy's gains."""
+def _forward_batch(dyn, cost, policy, model, sampler, n):
+    """(S, U, Y, XI, PHI, total) of n noisy engine rollouts under the policy's gains."""
     engine = _RolloutEngine(dyn, cost, policy, model)
-    return engine.forward(np.stack(policy.gains), sampler, n, mode, s1)[:6]
+    return engine.forward(np.stack(policy.gains), sampler, n)[:6]
 
 
 def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
@@ -167,17 +181,19 @@ def per_sample_zeta(samples: np.ndarray, batch: int) -> float:
     return float(np.sqrt(mu @ mu + var.sum() / batch))
 
 
-def recompute_cost(r: Rollout, cost: ControlCost) -> float:
+def recompute_cost(r: Rollout, dyn, cost, policy, model) -> float:
     """Re-derive J from the trajectory record in the original fold order,
-    with the engine's stage-cost expression l(s_t) + 0.5 u_t' R_t u_t on
-    batches of one, so the bookkeeping check is bit-exact."""
+    with the engine's bound-checked state cost and its stage-cost
+    expression l(s_t) + 0.5 u_t' R_t u_t on batches of one, so the
+    bookkeeping check is bit-exact."""
+    state_cost = _RolloutEngine(dyn, cost, policy, model)._checked_state_cost
     N = r.states.shape[0]
     total = 0.0
     for t in range(1, N):
-        vals = cost.stage_batch(r.states[t - 1:t], t)
+        vals = state_cost(r.states[t - 1:t], t)
         u = r.controls[t - 1:t]
         total += float((vals + 0.5 * np.einsum("bi,bi->b", u @ cost.control_weights[t - 1], u))[0])
-    total += float(np.ravel(cost.stage_batch(r.states[N - 1:], N))[0])
+    total += float(state_cost(r.states[N - 1:], N)[0])
     return total
 
 

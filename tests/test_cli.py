@@ -81,6 +81,13 @@ class TestExitCodes:
                         "synth", "solve"])
         assert code == 4
 
+    def test_unknown_rollout_mode_is_three(self, tmp_path):
+        cfg = tmp_path / "roll.cfg"
+        cfg.write_text("mode = bogus\n")
+        out = tmp_path / "rollout.csv"
+        code = run_cli(["--out", str(out), "--config", str(cfg), "control", "rollout"])
+        assert code == 3 and not out.exists()
+
     def test_bad_flag_is_three(self):
         assert run_cli(["--no-such-flag", "demo-1d"]) == 3
 

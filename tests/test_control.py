@@ -96,6 +96,11 @@ class TestRollout:
         assert r.cost == 0.0 and np.all(r.controls == 0.0)
         assert np.all(r.states == 0.0)
 
+    def test_unknown_mode_is_a_contract_error(self):
+        dyn, cost, pol, model = ScalarBenchmark().problem()
+        with pytest.raises(ContractError, match="unknown rollout mode 'bogus'"):
+            rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1), mode="bogus")
+
     def test_hand_simulated_recursion(self):
         # s' = s + y, K=1, phi(s) = s + 1: u = (1, 2), s = (0, 1, 3), J = 2.5
         dyn = scalar_integrator()
@@ -112,7 +117,7 @@ class TestRollout:
         dyn, cost, pol, model = smooth_control_problem(rng, 2, 2, 5)
         r = rollout(dyn, cost, pol, model, GaussianSampler(3, dim=1))
         assert r.total_cost() == r.cost
-        assert recompute_cost(r, cost) == r.cost
+        assert recompute_cost(r, dyn, cost, pol, model) == r.cost
         assert r.exp_cost == float(np.exp(model.alpha * r.cost))
 
     def test_divergence_error_carries_step(self):
@@ -315,7 +320,7 @@ class TestSameNoiseReplay:
         dyn, cost, pol, model = build(np.random.default_rng(23))
         n, seed = 24, 31
         S, U, Y, XI, _, _ = _forward_batch(dyn, cost, pol, model,
-                                           GaussianSampler(seed, dim=1), n, "noisy", None)
+                                           GaussianSampler(seed, dim=1), n)
         samples, costs = _gradient_samples(dyn, cost, pol, model,
                                            GaussianSampler(seed, dim=1), n, "model_based")
         assert np.any(samples != 0.0)
@@ -519,8 +524,7 @@ class TestExponentOverflow:
             policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64, method)
         assert 0 <= err.value.sample_index < 64
         if vectorized:
-            *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1),
-                                       64, "noisy", None)
+            *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64)
             assert model.alpha * total[err.value.sample_index] > LOG_FLOAT_MAX
 
     def test_rollout_raises_typed_error(self):
@@ -543,8 +547,7 @@ class TestExponentOverflow:
         with pytest.raises(EstimateOverflowError) as err:
             policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64, method)
         # Replay the same stream: rollouts before the named one fit, it does not.
-        *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1),
-                                   64, "noisy", None)
+        *_, total = _forward_batch(dyn, cost, pol, model, GaussianSampler(4, dim=1), 64)
         i = err.value.sample_index
         assert np.all(model.alpha * total[:i] <= LOG_FLOAT_MAX)
         assert model.alpha * total[i] > LOG_FLOAT_MAX

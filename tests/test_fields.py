@@ -12,6 +12,15 @@ from riskconvex.fields import RawField, ScalarField, clamp_bounded, constant_fie
 TWO_TANH_HALF = 0.9242343145200195  # float(2 * math.tanh(0.5))
 
 
+def value_at(f, theta):
+    """The field at one point, as a one-row batch."""
+    return f.evaluate_batch(np.atleast_2d(theta))[0]
+
+
+def grad_at(f, theta):
+    return f.grad_batch(np.atleast_2d(theta))[0]
+
+
 def quadratic_raw():
     return RawField(value=lambda th: float(th[0]) ** 2,
                     gradient=lambda th: np.array([2.0 * th[0]]), dim=1)
@@ -19,21 +28,21 @@ def quadratic_raw():
 
 def test_clamp_at_zero_is_zero():
     f = clamp_bounded(quadratic_raw(), 10.0)
-    assert f.evaluate([0.0]) == 0.0
+    assert value_at(f, [0.0]) == 0.0
 
 
 def test_clamp_saturates_below_bound():
     # tanh < 1 exactly, but float64 rounds deep saturation to the bound
     f = clamp_bounded(quadratic_raw(), 10.0)
-    v = f.evaluate([100.0])
+    v = value_at(f, [100.0])
     assert 9.99 <= v <= 10.0
-    v_edge = f.evaluate([6.5])  # still strictly inside at moderate arguments
+    v_edge = value_at(f, [6.5])  # still strictly inside at moderate arguments
     assert 9.99 <= v_edge < 10.0
 
 
 def test_clamp_scalar_value():
     f = clamp_bounded(RawField(value=lambda th: float(th[0]), dim=1), 2.0)
-    assert f.evaluate([1.0]) == pytest.approx(TWO_TANH_HALF, abs=1e-15)
+    assert value_at(f, [1.0]) == pytest.approx(TWO_TANH_HALF, abs=1e-15)
     assert math.isclose(TWO_TANH_HALF, 2.0 * math.tanh(0.5), rel_tol=1e-15)
 
 
@@ -41,13 +50,13 @@ def test_clamp_gradient_chain_rule():
     f = clamp_bounded(quadratic_raw(), 3.0)
     for x in (0.2, 1.0, 1.7):
         h = 1e-6
-        fd = (f.evaluate([x + h]) - f.evaluate([x - h])) / (2.0 * h)
-        assert f.grad([x])[0] == pytest.approx(fd, rel=1e-6)
+        fd = (value_at(f, [x + h]) - value_at(f, [x - h])) / (2.0 * h)
+        assert grad_at(f, [x])[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_clamp_gradient_underflows_at_saturation():
     f = clamp_bounded(quadratic_raw(), 1.0)
-    assert f.grad([50.0])[0] == 0.0
+    assert grad_at(f, [50.0])[0] == 0.0
 
 
 def test_clamp_rejects_nonpositive_bound_and_nonfinite_raw():
@@ -55,7 +64,7 @@ def test_clamp_rejects_nonpositive_bound_and_nonfinite_raw():
         clamp_bounded(quadratic_raw(), 0.0)
     bad = RawField(value=lambda th: float("nan"), dim=1)
     with pytest.raises(FieldEvaluationError) as err:
-        clamp_bounded(bad, 1.0).evaluate([3.0])
+        value_at(clamp_bounded(bad, 1.0), [3.0])
     assert err.value.theta is not None
 
 
@@ -63,21 +72,21 @@ def test_clamp_rejects_nonpositive_bound_and_nonfinite_raw():
 @given(x=st.floats(-1e6, 1e6), mbar=st.floats(0.01, 1e3))
 def test_clamp_always_within_bound(x, mbar):
     f = clamp_bounded(RawField(value=lambda th: float(th[0]), dim=1), mbar)
-    assert abs(f.evaluate([x])) <= mbar
+    assert abs(value_at(f, [x])) <= mbar
 
 
 def test_scalar_field_bound_enforced_per_call():
     f = ScalarField(value=lambda th: float(th[0]), upper_bound=1.0, dim=1)
-    assert f.evaluate([0.5]) == 0.5
+    assert value_at(f, [0.5]) == 0.5
     with pytest.raises(FieldEvaluationError):
-        f.evaluate([2.0])
+        value_at(f, [2.0])
     with pytest.raises(FieldEvaluationError):
         f.evaluate_batch(np.array([[0.1], [5.0]]))
 
 
 def test_scalar_field_allows_minus_infinity():
     f = ScalarField(value=lambda th: -math.inf, upper_bound=0.0, dim=1)
-    assert f.evaluate([0.0]) == -math.inf
+    assert value_at(f, [0.0]) == -math.inf
 
 
 def test_scalar_field_requires_finite_bound_and_gradient_contract():
@@ -86,7 +95,7 @@ def test_scalar_field_requires_finite_bound_and_gradient_contract():
     f = constant_field(0.0, 2)
     g = ScalarField(value=f.value, upper_bound=0.0, dim=2)
     with pytest.raises(ContractError):
-        g.grad([0.0, 0.0])
+        grad_at(g, [0.0, 0.0])
 
 
 def test_linear_field_lipschitz_pairs():
@@ -95,7 +104,7 @@ def test_linear_field_lipschitz_pairs():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = rng.standard_normal(2), rng.standard_normal(2)
-        gap = abs(f.evaluate(a) - f.evaluate(b))
+        gap = abs(value_at(f, a) - value_at(f, b))
         assert gap <= f.lipschitz * np.linalg.norm(a - b) + 1e-12
 
 
@@ -103,7 +112,6 @@ def test_vectorized_and_scalar_paths_agree():
     f = linear_field([1.0, -2.0])
     pts = np.array([[0.0, 1.0], [2.0, 0.5]])
     batch = f.evaluate_batch(pts)
-    assert batch == pytest.approx([f.evaluate(p) for p in pts])
     slow = ScalarField(value=lambda th: float(th @ np.array([1.0, -2.0])),
                        upper_bound=1e9, dim=2)
     assert slow.evaluate_batch(pts) == pytest.approx(batch)

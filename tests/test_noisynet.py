@@ -78,12 +78,12 @@ class TestControlProblemMapping:
         cfg = small_config(loss_bound=0.2)
         ds = Dataset(X=np.array([[0.5]]), y=np.array([0.3]))
         dyn, cost, policy, model = build_control_problem(cfg, ds)
-        s = np.zeros(5)
-        s[0] = 0.9   # prediction
-        s[4] = 0.3   # carried target
+        s = np.zeros((1, 5))
+        s[0, 0] = 0.9   # prediction
+        s[0, 4] = 0.3   # carried target
         se = (0.9 - 0.3) ** 2
-        assert cost.stage(s, dyn.horizon) == pytest.approx(0.2 * np.tanh(se / 0.2))
-        assert cost.stage(s, 1) == 0.0
+        assert cost.state_cost(s, dyn.horizon)[0] == pytest.approx(0.2 * np.tanh(se / 0.2))
+        assert cost.state_cost(s, 1)[0] == 0.0
 
 
 class TestTraining:

@@ -6,7 +6,7 @@ import pytest
 from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.errors import ContractError
 from riskconvex.sampling import GaussianSampler
-from support import scalar_grid_objective
+from support import bump_field, scalar_grid_objective
 
 
 def step_by_step_grid_objective(bench, gain_grid, n_rollouts, sampler):
@@ -42,3 +42,17 @@ def test_grid_oracle_is_written_for_horizon_three(horizon):
     with pytest.raises(ContractError, match="horizon 3"):
         scalar_grid_objective(ScalarBenchmark(horizon=horizon), np.zeros(1), 10,
                               GaussianSampler(0, dim=1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_field_value_matches_the_broadcast_form_bit_for_bit(dim):
+    field = bump_field(np.random.default_rng(dim), dim)
+    rng = np.random.default_rng(dim)  # the draws bump_field made, in order
+    centers = rng.uniform(-2.0, 2.0, size=(4, dim))
+    widths = rng.uniform(0.4, 1.2, size=4)
+    weights = rng.uniform(-1.0, 1.0, size=4)
+    pts = rng.uniform(-4.0, 4.0, size=(3000, dim))
+    pts[:200] *= 20.0  # far points, where the bumps underflow to signed zeros
+    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    broadcast = (weights * np.exp(-0.5 * d2 / widths**2)).sum(axis=1)
+    assert np.array_equal(field.value(pts).view(np.int64), broadcast.view(np.int64))

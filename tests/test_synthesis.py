@@ -83,6 +83,15 @@ class TestInputChecks:
             LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.1]]] * 3,
                          R=[[[1.0]], [[-2.0]]], sigma=[[[1.0]]] * 2, horizon=3)
 
+    @pytest.mark.parametrize("name, bad", [("A", math.nan), ("A", math.inf),
+                                           ("B", math.inf), ("B", -math.inf)])
+    def test_non_finite_dynamics_are_rejected(self, name, bad):
+        mats = {"A": [[[1.0]]] * 2, "B": [[[1.0]]] * 2}
+        mats[name] = [[[1.0]], [[bad]]]
+        with pytest.raises(ContractError, match=f"{name} at t=2 must be finite"):
+            LinearSystem(Q=[[[0.1]]] * 3, R=[[[1.0]]] * 2, sigma=[[[1.0]]] * 2, horizon=3,
+                         **mats)
+
     @pytest.mark.parametrize("sig", [-1.0, 0.0])
     def test_noise_that_is_not_positive_definite_is_ill_conditioned(self, sig):
         with pytest.raises(IllConditionedError, match="control noise at t=2"):
@@ -284,9 +293,8 @@ class TestFactorizedEvaluator:
         assert np.array_equal(from_list.W, from_array.W)
         grad_list = detmax_gradient(sys, 0.9, gains)
         grad_array = detmax_gradient(sys, 0.9, stacked)
-        assert isinstance(grad_list, list) and isinstance(grad_array, np.ndarray)
         assert grad_array.shape == (4, 2, 3)
-        assert np.array_equal(np.array(grad_list), grad_array)
+        assert np.array_equal(grad_list, grad_array)
 
     @pytest.mark.parametrize("bad, message", [
         ([np.zeros((2, 3))] * 3, "need 4 gain matrices"),
