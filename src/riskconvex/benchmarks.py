@@ -88,8 +88,8 @@ class ScalarBenchmark:
         if self.horizon < 2:
             raise ContractError("horizon must be >= 2")
         for name in ("q", "r", "sigma_u", "alpha"):
-            if not getattr(self, name) > 0.0:
-                raise ContractError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be positive and finite")
 
     def system(self) -> LinearSystem:
         N = self.horizon

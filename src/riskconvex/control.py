@@ -48,7 +48,7 @@ from .errors import (
 )
 from .fields import _first_violation
 from .objective import certificate_margins, check_exponents, check_std_err
-from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_inverse, symmetric_sqrt
+from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
 
@@ -174,13 +174,13 @@ class ControlRiskModel:
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
-        if not self.alpha > 0.0:
-            raise ContractError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractError("alpha must be positive and finite")
         self.control_noise = [as_covariance(s) for s in self.control_noise]
-        self.noise_inv = [spd_inverse(s, name=f"control noise at t={t}")
-                          for t, s in enumerate(self.control_noise, start=1)]
-        self.noise_root = [symmetric_sqrt(s, name=f"control noise at t={t}")
-                           for t, s in enumerate(self.control_noise, start=1)]
+        factors = [spd_factor(s, name=f"control noise at t={t}")
+                   for t, s in enumerate(self.control_noise, start=1)]
+        self.noise_inv = [inv for inv, _ in factors]
+        self.noise_root = [root for _, root in factors]
 
     @property
     def n_steps(self) -> int:

@@ -64,8 +64,8 @@ class NoisyNetConfig:
         self.widths = [int(w) for w in self.widths]
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ContractError("widths must list at least input and output sizes, all >= 1")
-        if not self.alpha > 0.0:
-            raise ContractError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractError("alpha must be positive and finite")
         self.noise_scales = [float(s) for s in self.noise_scales]
         if len(self.noise_scales) != self.n_layers:
             raise ContractError(f"need {self.n_layers} noise scales")

@@ -32,7 +32,7 @@ from .errors import (
     EstimateOverflowError,
 )
 from .fields import ScalarField
-from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_inverse
+from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
@@ -42,9 +42,11 @@ class RiskModel:
     """The triple (alpha, Sigma, R) governing the transform.
 
     Attributes:
-        alpha: risk factor, > 0.
+        alpha: risk factor, finite and > 0.
         sigma: perturbation covariance, symmetric positive definite (k x k).
         reg: quadratic weight, symmetric positive semidefinite (k x k).
+        sigma_inv, sigma_root: Sigma's inverse and root, factored once
+            (:class:`IllConditionedError` here when Sigma is ill-conditioned).
     """
 
     alpha: float
@@ -53,10 +55,11 @@ class RiskModel:
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
-        if not self.alpha > 0.0:
-            raise ContractError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ContractError("alpha must be positive and finite")
         self.sigma = as_covariance(self.sigma)
         self.reg = as_psd_weight(self.reg, dim=self.sigma.shape[0], name="reg")
+        self.sigma_inv, self.sigma_root = spd_factor(self.sigma, name="sigma")
 
     @property
     def dim(self) -> int:
@@ -68,8 +71,8 @@ class RiskModel:
         return 0.5 * float(theta @ self.reg @ theta)
 
     def sampler(self, seed) -> GaussianSampler:
-        """A perturbation sampler with this model's covariance."""
-        return GaussianSampler(seed, self.sigma)
+        """A raw N(0, I) stream of this model's dimension."""
+        return GaussianSampler(seed, dim=self.dim)
 
 
 def isotropic_model(alpha: float, sigma_sq: float, kappa: float, dim: int) -> RiskModel:
@@ -113,11 +116,9 @@ def check_convexity_certificate(model: RiskModel) -> ConvexityCertificate:
 
     Returns the smallest eigenvalue of alpha R - inv(Sigma) as the margin;
     the certificate holds when the margin is >= -tol with a scale-relative
-    tolerance.  Raises :class:`IllConditionedError` if Sigma cannot be
-    inverted within conditioning limits.
+    tolerance.
     """
-    sigma_inv = spd_inverse(model.sigma, name="sigma")
-    margins, tols = certificate_margins(model.alpha, model.reg[None], sigma_inv[None])
+    margins, tols = certificate_margins(model.alpha, model.reg[None], model.sigma_inv[None])
     margin, tol = float(margins[0]), float(tols[0])
     return ConvexityCertificate(holds=margin >= -tol, margin=margin, tol=tol)
 
@@ -132,21 +133,30 @@ class Estimate:
 
 
 def _check_args(f: ScalarField, model: RiskModel, sampler: GaussianSampler, n: int,
-                min_n: int = 2) -> None:
+                theta, min_n: int = 2) -> np.ndarray:
+    """Validate the dimensions and sample count; return theta as a (k,) array."""
     if f.dim != model.dim:
         raise ContractError(f"field dim {f.dim} does not match model dim {model.dim}")
     if sampler.dim != model.dim:
         raise ContractError(f"sampler dim {sampler.dim} does not match model dim {model.dim}")
     if n < min_n:
         raise ContractError(f"need at least {min_n} samples, got {n}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.dim,):
+        raise ContractError(f"theta must have shape ({model.dim},), got {theta.shape}")
+    return theta
+
+
+def _perturbed(model: RiskModel, theta, n: int, sampler: GaussianSampler) -> np.ndarray:
+    """n points theta + w, w ~ N(0, Sigma): raw draws times the symmetric root."""
+    return theta + sampler.draw(n) @ model.sigma_root
 
 
 def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
                    sampler: GaussianSampler) -> Estimate:
     """Monte Carlo estimate of the smoothed value E[f(theta + w)]."""
-    _check_args(f, model, sampler, n)
-    theta = np.asarray(theta, dtype=float)
-    vals = f.evaluate_batch(theta + sampler.draw(n))
+    theta = _check_args(f, model, sampler, n, theta)
+    vals = f.evaluate_batch(_perturbed(model, theta, n, sampler))
     se = float(vals.std(ddof=1) / np.sqrt(n))
     return Estimate(value=float(vals.mean()), std_err=se, n=n)
 
@@ -188,9 +198,8 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
 def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
                       sampler: GaussianSampler) -> Estimate:
     """Estimate of (1/alpha) log E[exp(alpha f(theta+w))] + 0.5 theta' R theta."""
-    _check_args(f, model, sampler, n)
-    theta = np.asarray(theta, dtype=float)
-    vals = f.evaluate_batch(theta + sampler.draw(n))
+    theta = _check_args(f, model, sampler, n, theta)
+    vals = f.evaluate_batch(_perturbed(model, theta, n, sampler))
     lme, se = log_mean_exp(model.alpha * vals)
     return Estimate(value=lme / model.alpha + model.quad(theta),
                     std_err=se / model.alpha, n=n)
@@ -233,7 +242,7 @@ def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
     """n single-draw gradient samples of G, (n, k): per draw w,
     alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta),
     scaled in place on one (n, k) array."""
-    points = theta + sampler.draw(n)
+    points = _perturbed(model, theta, n, sampler)
     expo = _exponents(f, model, theta, points)
     out = f.grad_batch(points) + model.reg @ theta
     out *= (model.alpha * np.exp(expo))[:, None]
@@ -244,9 +253,8 @@ def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
                   sampler: GaussianSampler) -> Estimate:
     """Estimate of G(theta) = E[exp(alpha f(theta+w) + 0.5 alpha theta' R theta)];
     :class:`EstimateOverflowError` when its standard error overflows."""
-    _check_args(f, model, sampler, n)
-    theta = np.asarray(theta, dtype=float)
-    g = np.exp(_exponents(f, model, theta, theta + sampler.draw(n)))
+    theta = _check_args(f, model, sampler, n, theta)
+    g = np.exp(_exponents(f, model, theta, _perturbed(model, theta, n, sampler)))
     with np.errstate(over="ignore", invalid="ignore"):
         value, se = float(g.mean()), float(g.std(ddof=1) / np.sqrt(n))
     return Estimate(value=value, std_err=check_std_err(se), n=n)
@@ -258,8 +266,7 @@ def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
     samples; :class:`EstimateOverflowError` when a standard error overflows."""
     if f.gradient is None:
         raise ContractError("unbiased_grad_mean requires a field with a gradient")
-    _check_args(f, model, sampler, n)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_args(f, model, sampler, n, theta)
     samples = _grad_samples(f, model, theta, n, sampler)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = samples.mean(axis=0)

@@ -1,10 +1,11 @@
-"""Seeded Gaussian sampling with a covariance factorized once.
+"""Seeded N(0, I) streams, and the one factorization of every covariance.
 
 Every source of randomness in the package flows through a
 :class:`GaussianSampler`, so a single 64-bit seed reproduces a run bit for
-bit.  A sampler is the only stateful object in the library: use one per
-thread, or derive independent children with :meth:`GaussianSampler.split`
-and reduce results in a fixed order.
+bit.  The risk models own each covariance and scale raw draws by its
+root from :func:`spd_factor`.  A sampler is the only stateful object in
+the library: use one per thread, or derive independent children with
+:meth:`GaussianSampler.split` and reduce results in a fixed order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ MAX_SEED = 2**64
 
 
 def as_covariance(cov, dim: int | None = None) -> np.ndarray:
-    """Coerce a scalar or square array into a validated covariance matrix."""
+    """Coerce a scalar or square array of finite entries into a validated
+    covariance matrix."""
     arr = np.asarray(cov, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ContractError("covariance entries must be finite")
     if arr.ndim == 0:
         arr = arr * np.eye(dim if dim is not None else 1)
     arr = np.atleast_2d(arr)
@@ -44,40 +48,29 @@ def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarr
     return arr
 
 
-def symmetric_sqrt(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Symmetric positive-definite square root via eigendecomposition."""
+def spd_factor(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, symmetric square root) of a symmetric positive-definite
+    matrix from one eigendecomposition; :class:`IllConditionedError` when
+    lambda_max <= 0 or lambda_min <= lambda_max / COND_LIMIT."""
     w, v = np.linalg.eigh(mat)
     if w[-1] <= 0.0 or w[0] <= w[-1] / COND_LIMIT:
         raise IllConditionedError(
             f"{name} is not positive definite within conditioning limits "
             f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
         )
-    return (v * np.sqrt(w)) @ v.T
-
-
-def spd_inverse(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(mat)
-    if w[-1] <= 0.0 or w[0] <= w[-1] / COND_LIMIT:
-        raise IllConditionedError(
-            f"{name} is not invertible within conditioning limits "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return (v / w) @ v.T
+    return (v / w) @ v.T, (v * np.sqrt(w)) @ v.T
 
 
 class GaussianSampler:
-    """Reproducible stream of N(0, covariance) draws.
+    """Reproducible stream of N(0, I) draws of dimension ``dim``.
 
     Args:
         seed: 64-bit integer or a ``numpy.random.SeedSequence`` (children
             derived by :meth:`split` pass a sequence).
-        covariance: scalar variance or symmetric positive-definite matrix.
-            ``None`` gives a raw standard-normal stream of dimension ``dim``.
-        dim: dimension, required when ``covariance`` is ``None`` or scalar.
+        dim: dimension of each draw.
     """
 
-    def __init__(self, seed, covariance=None, dim: int | None = None):
+    def __init__(self, seed, *, dim: int):
         if isinstance(seed, np.random.SeedSequence):
             self.seed_sequence = seed
         else:
@@ -86,16 +79,7 @@ class GaussianSampler:
                 raise ContractError(f"seed must be a 64-bit unsigned integer, got {seed}")
             self.seed_sequence = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(self.seed_sequence)
-        if covariance is None:
-            if dim is None:
-                raise ContractError("dim is required when no covariance is given")
-            self.covariance = None
-            self._root = None
-            self._dim = int(dim)
-        else:
-            self.covariance = as_covariance(covariance, dim)
-            self._root = symmetric_sqrt(self.covariance)
-            self._dim = self.covariance.shape[0]
+        self._dim = int(dim)
 
     @property
     def dim(self) -> int:
@@ -107,27 +91,18 @@ class GaussianSampler:
         return self._rng
 
     def draw(self, n: int) -> np.ndarray:
-        """n correlated draws, shape (n, dim)."""
-        z = self._rng.standard_normal((int(n), self._dim))
-        if self._root is None:
-            return z
-        return z @ self._root  # root is symmetric, so rows are root @ z_i
+        """n standard-normal draws, shape (n, dim)."""
+        return self._rng.standard_normal((int(n), self._dim))
 
     def normal(self, shape) -> np.ndarray:
-        """Raw standard-normal draws of the given shape (covariance ignored)."""
+        """Standard-normal draws of any shape."""
         return self._rng.standard_normal(shape)
 
     def split(self, n: int) -> list["GaussianSampler"]:
-        """Derive n independent child samplers sharing this covariance.
+        """Derive n independent child samplers of the same dimension.
 
         Children depend deterministically on the seed and on how many
         times split() has been called, never on how many draws were taken.
         """
-        children = self.seed_sequence.spawn(int(n))
-        out = []
-        for child_seq in children:
-            if self.covariance is None:
-                out.append(GaussianSampler(child_seq, dim=self._dim))
-            else:
-                out.append(GaussianSampler(child_seq, self.covariance))
-        return out
+        return [GaussianSampler(child, dim=self._dim)
+                for child in self.seed_sequence.spawn(int(n))]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .fields import ScalarField
-from .objective import RiskModel, log_mean_exp, _check_args
+from .objective import RiskModel, log_mean_exp, _check_args, _perturbed
 from .sampling import GaussianSampler
 
 
@@ -56,11 +56,10 @@ def estimate_sensitivity(f: ScalarField, model: RiskModel, theta, n: int,
     sample streams with the same n per pass; reusing one stream would
     bias the centered exponent.  Requires n >= 100.
     """
-    _check_args(f, model, sampler, n, min_n=100)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_args(f, model, sampler, n, theta, min_n=100)
     mean_stream, exp_stream = sampler.split(2)
-    fbar = float(f.evaluate_batch(theta + mean_stream.draw(n)).mean())
-    centered = f.evaluate_batch(theta + exp_stream.draw(n)) - fbar
+    fbar = float(f.evaluate_batch(_perturbed(model, theta, n, mean_stream)).mean())
+    centered = f.evaluate_batch(_perturbed(model, theta, n, exp_stream)) - fbar
     lme, se = log_mean_exp(model.alpha * centered)
     return SensitivityEstimate(value=lme / model.alpha, std_err=se / model.alpha,
                                n=n, theta=theta)

@@ -65,8 +65,10 @@ class FeasibleSet:
     def ball(cls, center, radius: float) -> "FeasibleSet":
         center = np.atleast_1d(np.asarray(center, dtype=float))
         radius = float(radius)
-        if not radius > 0.0:
-            raise ContractError("ball radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ContractError("ball radius must be positive and finite")
+        if not np.isfinite(center).all():
+            raise ContractError("ball center must be finite")
         return cls(kind="ball", dim=center.size, center=center, radius=radius)
 
     @classmethod
@@ -75,12 +77,16 @@ class FeasibleSet:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape:
             raise ContractError("box bounds must have matching shapes")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ContractError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ContractError("box lower bound exceeds upper bound")
         return cls(kind="box", dim=lower.size, lower=lower, upper=upper)
 
     @classmethod
     def unconstrained(cls, dim: int, radius_bound: Optional[float] = None) -> "FeasibleSet":
+        if radius_bound is not None and not 0.0 < radius_bound < math.inf:
+            raise ContractError("radius_bound must be positive and finite")
         return cls(kind="all", dim=int(dim), explicit_radius_bound=radius_bound)
 
     @property
@@ -88,7 +94,11 @@ class FeasibleSet:
         if self.kind == "ball":
             return float(self.radius)
         if self.kind == "box":
-            return float(np.linalg.norm(0.5 * (self.upper - self.lower)))
+            bound = float(np.linalg.norm(0.5 * (self.upper - self.lower)))
+            if not math.isfinite(bound):
+                raise ContractError("the step schedule needs a finite radius bound; "
+                                    "this box has an infinite bound")
+            return bound
         if self.explicit_radius_bound is not None:
             return float(self.explicit_radius_bound)
         raise ContractError(
@@ -148,8 +158,8 @@ class SolverConfig:
             raise ContractError("iterations must be >= 1")
         if self.batch < 1:
             raise ContractError("batch must be >= 1")
-        if self.zeta is not None and not self.zeta > 0.0:
-            raise ContractError("zeta must be positive")
+        if self.zeta is not None and not 0.0 < self.zeta < math.inf:
+            raise ContractError("zeta must be positive and finite")
         if self.pilot_samples < 2:
             raise ContractError("pilot_samples must be >= 2")
 
@@ -312,7 +322,8 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
         raise ContractError("solve requires a field with a gradient")
     if feasible.dim != model.dim:
         raise ContractError("feasible set dimension does not match the model")
-    _check_args(f, model, sampler, config.batch, min_n=1)
+    start = np.zeros(model.dim) if config.theta0 is None else config.theta0
+    start = _check_args(f, model, sampler, config.batch, start, min_n=1)
     cert = check_convexity_certificate(model)
     if not cert.holds:
         warnings.warn(
@@ -325,7 +336,6 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
         g = _grad_samples(f, model, theta, n, stream)
         return g.mean(axis=0), (g * g).mean(axis=0) if second else None, None
 
-    start = np.zeros(model.dim) if config.theta0 is None else np.asarray(config.theta0, float)
     return projected_sgd(oracle, start, feasible, config, sampler, cert.holds, cert.margin)
 
 
@@ -348,8 +358,8 @@ class VarianceBoundInputs:
     radius: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ContractError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ContractError("alpha must be positive and finite")
         if not self.sigma > 0.0:
             raise ContractError("sigma must be positive")
         if self.beta < 0.0:

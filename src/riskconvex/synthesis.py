@@ -44,7 +44,7 @@ import numpy as np
 from .csvio import read_float_table, write_csv
 from .errors import ContractError
 from .objective import certificate_margins, psd_tolerance
-from .sampling import as_covariance, as_psd_weight, spd_inverse
+from .sampling import as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet
 
 
@@ -58,7 +58,7 @@ class LinearSystem:
     ``sigma[t-1]`` (m x m, PD) are the control cost and noise at
     t = 1..N-1.  A and B must be finite, Q and R are checked by
     :func:`as_psd_weight`, sigma by the conditioning rule of
-    :func:`spd_inverse` (:class:`IllConditionedError`).
+    :func:`spd_factor` (:class:`IllConditionedError`).
     """
 
     A: list
@@ -78,7 +78,7 @@ class LinearSystem:
         self.R = [as_psd_weight(r, name=f"R at t={t}") for t, r in enumerate(self.R, start=1)]
         self.sigma = [as_covariance(s) for s in self.sigma]
         for t, s in enumerate(self.sigma, start=1):
-            spd_inverse(s, name=f"control noise at t={t}")  # build_block_operators inverts
+            spd_factor(s, name=f"control noise at t={t}")  # build_block_operators inverts
         if len(self.A) != N - 1 or len(self.B) != N - 1:
             raise ContractError(f"need {N - 1} A and B matrices")
         if len(self.Q) != N:
@@ -300,8 +300,8 @@ def detmax_objective(sys: LinearSystem, alpha: float, gains,
     if blocks is None:
         blocks = build_block_operators(sys)
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ContractError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ContractError("alpha must be positive and finite")
     terms, W, _, L = blocks._evaluate(alpha, blocks.stack(gains))
     value = -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
     return DetMaxResult(value=value, W=W, convexity_advisory=terms.convexity_advisory,

@@ -101,7 +101,7 @@ def test_criterion_03_midpoint_convexity_suite():
         t1 = rng.uniform(-1.5, 1.5, size=dim)
         t2 = rng.uniform(-1.5, 1.5, size=dim)
         mid = 0.5 * (t1 + t2)
-        draws = model.sampler(int(rng.integers(0, 2**63))).draw(n)
+        draws = model.sampler(int(rng.integers(0, 2**63))).draw(n) @ model.sigma_root
 
         def g(th):
             return np.exp(model.alpha * f.evaluate_batch(th + draws)

@@ -21,12 +21,13 @@ from riskconvex.objective import (
     unbiased_grad_mean,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
-from riskconvex.control import check_control_certificate
+from riskconvex.control import ControlRiskModel, check_control_certificate
 from riskconvex.datasets import make_sine
 from riskconvex.errors import CertificateError
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem, train_noisy_net
 from riskconvex.sampling import GaussianSampler
-from riskconvex.solver import VarianceBoundInputs
+from riskconvex.sensitivity import certify_gap, estimate_sensitivity
+from riskconvex.solver import FeasibleSet, SolverConfig, VarianceBoundInputs, solve
 from riskconvex.synthesis import LinearSystem, detmax_objective
 from support import bump_field, certified_model
 
@@ -51,18 +52,80 @@ class TestCertificate:
         assert cert.margin == pytest.approx(3.0, abs=1e-9)
 
     def test_singular_sigma_is_ill_conditioned(self):
-        model = RiskModel.__new__(RiskModel)  # bypass validation to hit the op check
-        model.alpha = 1.0
-        model.sigma = np.diag([1.0, 1e-15])
-        model.reg = np.eye(2)
+        # Sigma is factored when the model is built, not at the first check.
         with pytest.raises(IllConditionedError):
-            check_convexity_certificate(model)
+            RiskModel(1.0, np.diag([1.0, 1e-15]), np.eye(2))
 
     def test_model_validation(self):
         with pytest.raises(ContractError):
             RiskModel(0.0, np.eye(1), np.eye(1))
         with pytest.raises(ContractError):
             RiskModel(1.0, np.eye(2), np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: RiskModel(np.inf, np.eye(1), np.eye(1)),
+        lambda: RiskModel(1.0, np.eye(1), [[np.inf]]),
+        lambda: RiskModel(1.0, [[np.inf]], np.eye(1)),
+        lambda: RiskModel(1.0, np.diag([1.0, np.nan]), np.eye(2)),
+        lambda: RiskModel(1.0, 0.25, np.inf),
+        lambda: ControlRiskModel(np.inf, [np.eye(1)]),
+        lambda: NoisyNetConfig(widths=[1, 1], alpha=np.inf, noise_scales=[1.0]),
+        lambda: VarianceBoundInputs(alpha=np.inf, kappa=1.0, sigma=1.0, beta=0.0,
+                                    gamma_sq=1.0, mbar=0.0, radius=1.0),
+        lambda: ScalarBenchmark(alpha=np.inf),
+        lambda: ScalarBenchmark(q=np.inf),
+        lambda: detmax_objective(ScalarBenchmark().system(), np.inf, np.zeros((2, 1, 1))),
+        lambda: LinearSystem(A=[[[1.0]]], B=[[[1.0]]], Q=[[[np.inf]], [[1.0]]], R=[[[1.0]]],
+                             sigma=[[[1.0]]], horizon=2),
+    ], ids=["alpha", "reg", "sigma", "sigma-nan", "scalar-reg", "control-alpha", "noisynet",
+            "variance-bound", "benchmark-alpha", "benchmark-q", "detmax", "system-Q"])
+    def test_infinite_model_inputs_are_contract_errors(self, build):
+        with pytest.raises(ContractError, match="finite"):
+            build()
+
+
+def _moments(est):
+    return np.array([est.value, est.std_err])
+
+
+# The static estimators and solve, as (field, model, theta, sampler) -> array.
+STATIC_RUNS = {
+    "smoothed_value": lambda f, m, th, s: _moments(smoothed_value(f, m, th, 500, s)),
+    "log_exp_objective": lambda f, m, th, s: _moments(log_exp_objective(f, m, th, 500, s)),
+    "exp_objective": lambda f, m, th, s: _moments(exp_objective(f, m, th, 500, s)),
+    "unbiased_grad_mean": lambda f, m, th, s: np.concatenate(unbiased_grad_mean(f, m, th,
+                                                                                500, s)),
+    "estimate_sensitivity": lambda f, m, th, s: _moments(estimate_sensitivity(f, m, th,
+                                                                              500, s)),
+    "certify_gap": lambda f, m, th, s: np.array([certify_gap(f, m, th, 500, s).gap_bound]),
+    "solve": lambda f, m, th, s: solve(f, m, FeasibleSet.ball(np.zeros(m.dim), 1.0),
+                                       SolverConfig(iterations=20, batch=4, theta0=th),
+                                       s).thetas,
+}
+
+
+class TestOneNoiseConvention:
+    """The model owns Sigma: every estimator scales its sampler's raw
+    N(0, I) draws by the model's root, whichever stream it is handed."""
+
+    @pytest.mark.parametrize("name", list(STATIC_RUNS))
+    def test_raw_stream_and_model_sampler_agree(self, name):
+        rng = np.random.default_rng(31)
+        f = bump_field(rng, 2)
+        model = certified_model(rng, 2)
+        assert abs(model.sigma[0, 1]) > 0.01  # a rotated, non-identity Sigma
+        theta = np.array([0.2, -0.1])
+        raw = STATIC_RUNS[name](f, model, theta, GaussianSampler(7, dim=2))
+        own = STATIC_RUNS[name](f, model, theta, model.sampler(7))
+        assert np.array_equal(raw, own)
+
+    @pytest.mark.parametrize("theta", [[0.1, 0.2], [[0.1]], 0.1], ids=["long", "2d", "scalar"])
+    @pytest.mark.parametrize("name", list(STATIC_RUNS))
+    def test_theta_of_the_wrong_shape_is_a_contract_error(self, name, theta):
+        f = bump_field(np.random.default_rng(5), 1)
+        model = isotropic_model(4.0, 0.25, 1.0, 1)
+        with pytest.raises(ContractError, match=r"theta must have shape \(1,\)"):
+            STATIC_RUNS[name](f, model, theta, model.sampler(0))
 
 
 class TestOneCertificateRule:
@@ -288,7 +351,7 @@ class TestUnbiasedGradient:
         model = certified_model(rng, 3)
         theta = rng.uniform(-0.5, 0.5, size=3)
         mean, se = unbiased_grad_mean(f, model, theta, n, model.sampler(4))
-        points = theta + model.sampler(4).draw(n)
+        points = theta + model.sampler(4).draw(n) @ model.sigma_root
         expo = model.alpha * f.value(points) + model.alpha * model.quad(theta)
         samples = model.alpha * np.exp(expo)[:, None] * (f.gradient(points)
                                                          + model.reg @ theta)
@@ -348,7 +411,7 @@ class TestInvariants:
             t1 = rng.uniform(-1.5, 1.5, size=dim)
             t2 = rng.uniform(-1.5, 1.5, size=dim)
             mid = 0.5 * (t1 + t2)
-            draws = model.sampler(int(rng.integers(0, 2**32))).draw(4000)
+            draws = model.sampler(int(rng.integers(0, 2**32))).draw(4000) @ model.sigma_root
             def g_samples(th):
                 return np.exp(model.alpha * f.evaluate_batch(th + draws)
                               + model.alpha * model.quad(th))

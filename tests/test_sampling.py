@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from riskconvex.errors import ContractError, IllConditionedError
-from riskconvex.sampling import GaussianSampler, as_covariance, spd_inverse, symmetric_sqrt
+from riskconvex.objective import RiskModel, _perturbed
+from riskconvex.sampling import GaussianSampler, as_covariance, spd_factor
 
 
 def test_identical_seed_identical_stream():
-    a = GaussianSampler(123, np.eye(3))
-    b = GaussianSampler(123, np.eye(3))
+    a = GaussianSampler(123, dim=3)
+    b = GaussianSampler(123, dim=3)
     assert np.array_equal(a.draw(1000), b.draw(1000))
 
 
@@ -19,38 +20,29 @@ def test_different_seed_differs():
 
 def test_mean_converges_at_root_n_rate():
     # per-coordinate mean of n draws is O(n^-1/2): check |mean| < 4/sqrt(n)
-    sampler = GaussianSampler(7, 2.0 * np.eye(2))
+    sampler = GaussianSampler(7, dim=2)
     for n in (1000, 100_000):
         draws = sampler.draw(n)
-        assert np.all(np.abs(draws.mean(axis=0)) < 4.0 * np.sqrt(2.0) / np.sqrt(n))
+        assert np.all(np.abs(draws.mean(axis=0)) < 4.0 / np.sqrt(n))
 
 
 def test_covariance_matches_declared():
+    # The model scales a raw stream by its root: the perturbations have covariance Sigma.
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-    draws = GaussianSampler(11, cov).draw(200_000)
-    emp = np.cov(draws, rowvar=False)
+    model = RiskModel(1.0, cov, np.eye(2))
+    theta = np.array([0.5, -1.0])
+    points = _perturbed(model, theta, 200_000, model.sampler(11))
+    emp = np.cov(points - theta, rowvar=False)
     assert np.allclose(emp, cov, atol=0.05)
 
 
 def test_split_children_are_independent_and_deterministic():
-    parent1 = GaussianSampler(5, np.eye(1))
-    parent2 = GaussianSampler(5, np.eye(1))
+    parent1 = GaussianSampler(5, dim=1)
+    parent2 = GaussianSampler(5, dim=1)
     kids1 = parent1.split(2)
     kids2 = parent2.split(2)
     assert np.array_equal(kids1[0].draw(100), kids2[0].draw(100))
     assert not np.array_equal(kids1[0].draw(100), kids1[1].draw(100))
-
-
-def test_split_inherits_covariance():
-    cov = np.array([[4.0]])
-    child = GaussianSampler(3, cov).split(1)[0]
-    assert np.allclose(child.covariance, cov)
-
-
-def test_scalar_covariance_needs_dim():
-    s = GaussianSampler(0, 0.25, dim=3)
-    assert s.dim == 3
-    assert s.draw(4).shape == (4, 3)
 
 
 def test_rejects_bad_seed_and_asymmetric_covariance():
@@ -64,15 +56,22 @@ def test_rejects_bad_seed_and_asymmetric_covariance():
 
 def test_singular_covariance_rejected():
     with pytest.raises(IllConditionedError):
-        symmetric_sqrt(np.diag([1.0, 0.0]))
+        spd_factor(np.diag([1.0, 0.0]))
     with pytest.raises(IllConditionedError):
-        spd_inverse(np.diag([1.0, -0.1]))
+        spd_factor(np.diag([1.0, -0.1]))
 
 
 def test_sqrt_and_inverse_are_consistent():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     mat = (q * [0.5, 1.0, 2.0, 3.0]) @ q.T
-    root = symmetric_sqrt(mat)
+    inverse, root = spd_factor(mat)
     assert np.allclose(root @ root, mat, atol=1e-12)
-    assert np.allclose(spd_inverse(mat) @ mat, np.eye(4), atol=1e-12)
+    assert np.allclose(inverse @ mat, np.eye(4), atol=1e-12)
+
+
+def test_a_sampler_holds_no_covariance():
+    # The risk models own every covariance; a sampler is a raw N(0, I) stream.
+    with pytest.raises(TypeError):
+        GaussianSampler(0, np.eye(2))
+    assert not hasattr(GaussianSampler(0, dim=2), "covariance")

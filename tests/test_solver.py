@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from riskconvex.csvio import read_float_table
 from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
-from riskconvex.fields import constant_field
+from riskconvex.fields import constant_field, linear_field
 from riskconvex.objective import isotropic_model
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import (
@@ -148,6 +148,34 @@ class TestScheduleAndCertificate:
         certs = [convergence_certificate(1.0, 2.0, t) for t in (10, 100, 1000, 10000)]
         assert all(a > b for a, b in zip(certs, certs[1:]))
 
+    @staticmethod
+    def linear_solve(feasible, zeta=None):
+        model = isotropic_model(4.0, 0.25, 1.0, 1)
+        return solve(linear_field([1.0]), model, feasible(), SolverConfig(iterations=5, zeta=zeta),
+                     model.sampler(0))
+
+    @pytest.mark.parametrize("feasible,zeta,match", [
+        (lambda: FeasibleSet.unconstrained(1, radius_bound=-0.01), None, "radius_bound must"),
+        (lambda: FeasibleSet.unconstrained(1, radius_bound=0.0), None, "radius_bound must"),
+        (lambda: FeasibleSet.unconstrained(1, radius_bound=np.inf), None, "radius_bound must"),
+        (lambda: FeasibleSet.ball(np.zeros(1), 1.0), np.inf, "zeta must"),
+        (lambda: FeasibleSet.ball(np.zeros(1), np.inf), None, "ball radius must"),
+        (lambda: FeasibleSet.ball([np.nan], 1.0), None, "ball center must"),
+        (lambda: FeasibleSet.box([-np.inf], [1.0]), None, "finite radius bound"),
+        (lambda: FeasibleSet.box([np.nan], [1.0]), None, "NaN"),
+        (lambda: FeasibleSet.box([0.0], [np.nan]), None, "NaN"),
+    ], ids=["negative-bound", "zero-bound", "infinite-bound", "infinite-zeta",
+            "infinite-ball", "nan-center", "infinite-box", "nan-lower", "nan-upper"])
+    def test_schedule_inputs_that_forge_a_certificate_are_contract_errors(self, feasible,
+                                                                         zeta, match):
+        with pytest.raises(ContractError, match=match):
+            self.linear_solve(feasible, zeta)
+
+    def test_degenerate_box_certifies_zero(self):
+        rep = self.linear_solve(lambda: FeasibleSet.box([0.3], [0.3]))
+        assert rep.certificate == 0.0 and rep.certified
+        assert np.array_equal(rep.theta_hat, [0.3])
+
 
 class TestSolve:
     def test_analytic_case_stays_at_minimum(self):
@@ -210,7 +238,7 @@ class TestSolve:
         rep = solve(f, model, fs, cfg, model.sampler(13))
 
         def samples(theta, n, stream):
-            draws = stream.draw(n)
+            draws = stream.draw(n) @ model.sigma_root
             expo = model.alpha * f.evaluate_batch(theta + draws) + model.alpha * model.quad(theta)
             return model.alpha * np.exp(expo)[:, None] * (f.grad_batch(theta + draws)
                                                           + model.reg @ theta)
@@ -237,7 +265,7 @@ class TestSolve:
             rep = solve(f, model, fs, SolverConfig(iterations=1, batch=batch),
                         model.sampler(seed))
             pilot, _ = model.sampler(seed).split(2)
-            points = pilot.draw(200)
+            points = pilot.draw(200) @ model.sigma_root
             expo = model.alpha * f.evaluate_batch(points)
             samples = model.alpha * np.exp(expo)[:, None] * f.grad_batch(points)
             assert rep.zeta == pytest.approx(per_sample_zeta(samples, batch), rel=1e-14)
