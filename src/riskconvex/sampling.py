@@ -29,13 +29,13 @@ def as_covariance(cov, dim: int | None = None) -> np.ndarray:
     if arr.ndim == 0:
         arr = arr * np.eye(dim if dim is not None else 1)
     arr = np.atleast_2d(arr)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ContractError(f"covariance must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ContractError(f"covariance must be square and nonempty, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ContractError(f"covariance is {arr.shape[0]}x{arr.shape[0]}, expected dim {dim}")
     if not np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12):
         raise ContractError("covariance must be symmetric")
-    return 0.5 * (arr + arr.T)
+    return 0.5 * arr + 0.5 * arr.T  # halves first: no overflow near the float maximum
 
 
 def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarray:
@@ -67,7 +67,7 @@ class GaussianSampler:
     Args:
         seed: 64-bit integer or a ``numpy.random.SeedSequence`` (children
             derived by :meth:`split` pass a sequence).
-        dim: dimension of each draw.
+        dim: dimension of each draw, at least 1.
     """
 
     def __init__(self, seed, *, dim: int):
@@ -78,6 +78,8 @@ class GaussianSampler:
             if not 0 <= seed < MAX_SEED:
                 raise ContractError(f"seed must be a 64-bit unsigned integer, got {seed}")
             self.seed_sequence = np.random.SeedSequence(seed)
+        if int(dim) < 1:
+            raise ContractError(f"dim must be at least 1, got {dim}")
         self._rng = np.random.default_rng(self.seed_sequence)
         self._dim = int(dim)
 

@@ -94,10 +94,10 @@ class FeasibleSet:
         if self.kind == "ball":
             return float(self.radius)
         if self.kind == "box":
-            bound = float(np.linalg.norm(0.5 * (self.upper - self.lower)))
+            bound = _norm(0.5 * self.upper - 0.5 * self.lower)
             if not math.isfinite(bound):
                 raise ContractError("the step schedule needs a finite radius bound; "
-                                    "this box has an infinite bound")
+                                    "this box's half-diagonal is not finite")
             return bound
         if self.explicit_radius_bound is not None:
             return float(self.explicit_radius_bound)

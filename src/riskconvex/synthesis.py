@@ -13,8 +13,10 @@ the expectation is det(W)^(-1/2) / sqrt(prod det Sigma_t) when W > 0 and
 
     maximize log det W(K)  subject to  W(K) >= 0,
 
-which is concave in K whenever alpha R >= S.  synthesize() runs projected
-gradient ascent with step backtracking; the log det's own blow-up near a
+which is concave in K whenever alpha R >= S.  synthesize() runs Newton
+ascent on the free gain entries that W can see, with step backtracking,
+and falls back to a projected gradient step when the Hessian does not
+factor or no Newton step improves; the log det's own blow-up near a
 singular W acts as the barrier.
 
 Evaluation is factorized.  K only ever multiplies the row blocks M_t of
@@ -29,7 +31,10 @@ exists, log det W = 2 sum(log diag L), and the gradient's solves with W
 are two triangular solves.  With p = (N-1) m, an evaluation costs one
 p x p product and one factorization, O(p^3) with small constants;
 eigenvalues of W are computed only when a caller reads
-``DetMaxResult.min_eig`` or ``feasible``.
+``DetMaxResult.min_eig`` or ``feasible``.  The Newton system comes from
+the same factor (:func:`_newton_terms`): one more pair of triangular
+solves and three products, then a Cholesky of the r x r system, r being
+the number of visible free entries.
 """
 
 from __future__ import annotations
@@ -318,8 +323,9 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     is -2 (M_t Y_t)', Y_t being the t-th block of m columns of Y; no
     inverse and no off-diagonal block is formed.  Cost: one assembly of
     W, one Cholesky and the p x p solves; the first two are skipped when
-    the last evaluation on ``blocks`` was at the same alpha and gains, as
-    for the iterate ``synthesize`` just accepted.  Where W is indefinite,
+    the last evaluation on ``blocks`` was at the same alpha and gains.
+    ``synthesize`` gets the same gradient from its Newton pass
+    (:func:`_newton_terms`).  Where W is indefinite,
     Y comes from an LU solve and the result is the gradient of
     log |det W|.
 
@@ -327,15 +333,115 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     """
     if blocks is None:
         blocks = build_block_operators(sys)
-    N, m = blocks.horizon, blocks.control_dim
     _, W, Z, L = blocks._evaluate(float(alpha), blocks.stack(gains))
-    if L is None:
-        Y = np.linalg.solve(W, Z.T)
-    else:
-        from scipy.linalg.lapack import dpotrs
+    return _gradient(blocks, _solve_w(W, L, Z.T))
 
-        Y = dpotrs(L, Z.T, lower=1)[0]
+
+def _solve_w(W: np.ndarray, L: Optional[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """W^-1 rhs: two triangular solves with the Cholesky factor L, or an
+    LU solve when W is not positive definite (L is None)."""
+    if L is None:
+        return np.linalg.solve(W, rhs)
+    from scipy.linalg.lapack import dpotrs
+
+    return dpotrs(L, rhs, lower=1)[0]
+
+
+def _gradient(blocks: BlockOperators, Y: np.ndarray) -> np.ndarray:
+    """Blocks -2 (M_t Y_t)' of the gradient, from Y = W^-1 Z'."""
+    N, m = blocks.horizon, blocks.control_dim
     return -2.0 * np.einsum("tna,atm->tmn", blocks.traj_rows, Y.reshape(-1, N - 1, m))
+
+
+@dataclass(frozen=True)
+class _Coordinates:
+    """Directions in gain space, each moving one gain row.
+
+    Coordinate k moves row ``row[k] = t m + i`` of the stacked gains
+    (row i of K_t) along ``vectors[k]`` (length n); ``traj[:, k]`` is
+    M_t' vectors[k], the coordinate's effect on the rows of KM.
+    """
+
+    row: np.ndarray      # (r,)
+    vectors: np.ndarray  # (r, n)
+    traj: np.ndarray     # (p, r)
+
+    def expand(self, x: np.ndarray, shape) -> np.ndarray:
+        """The stacked gains sum_k x_k e_row[k] vectors[k]', of ``shape``."""
+        out = np.zeros(shape)
+        np.add.at(out.reshape(-1, shape[-1]), self.row, x[:, None] * self.vectors)
+        return out
+
+
+def _visible_coordinates(blocks: BlockOperators, masks: np.ndarray) -> _Coordinates:
+    """An orthonormal basis, row by row, of the free gain directions that
+    W(K) can see.
+
+    W depends on row i of K_t only through K_t[i, F] M_t[F], F the free
+    columns of that row, so the directions u with u' M_t[F] = 0 are
+    invisible: all of K_1 (s_1 = 0), and K_2 outside range(B_1).  The
+    gradient vanishes there and the Hessian is singular.  The basis of a
+    row is the left singular vectors of M_t[F] whose singular value
+    passes numpy's numerical-rank cutoff s_max max(n, p) eps, so a Newton
+    step moves no gain entry that W cannot see.
+    """
+    n = blocks.state_dim
+    rows = masks.reshape(-1, n)
+    mats = blocks.traj_rows[np.arange(rows.shape[0]) // blocks.control_dim] * rows[:, :, None]
+    U, s, Vt = np.linalg.svd(mats, full_matrices=False)
+    row, k = np.nonzero(s > s[:, :1] * max(mats.shape[1:]) * np.finfo(float).eps)
+    # M_t[F]' u_k = s_k v_k for the left and right singular vectors u_k, v_k.
+    return _Coordinates(row=row, vectors=U[row, :, k] * rows[row],
+                        traj=(s[row, k, None] * Vt[row, k]).T)
+
+
+def _newton_terms(blocks: BlockOperators, alpha: float, G: np.ndarray, coords: _Coordinates):
+    """(gradient, -H, g) of log det W at stacked gains G: the gradient as
+    an (N-1, m, n) array, and the negated Hessian and the gradient in the
+    coordinates ``coords``.
+
+    With X = W^-1, D = blockdiag(alpha R_t - S_t), U the matrix whose
+    column k is M_t' u_k and r_k the row coordinate k moves,
+
+        -H[k, l] = 2 [ B[k, l] B[l, k] + (Z X Z' + D)[r_k, r_l] (U' X U)[k, l] ],
+
+    B = (Z X U)[r, :], and g = -2 diag(B).  Y = X Z' is solved once, for
+    the gradient; Z X U = Y' U and Z X Z' = Z Y, so the Hessian costs one
+    more pair of triangular solves (against U) and three small products.
+    -H is positive semidefinite when alpha R_t >= S_t at every step.
+    Where W is indefinite, X comes from LU solves, as in
+    :func:`detmax_gradient`, and these are the derivatives of log |det W|.
+    """
+    terms, W, Z, L = blocks._evaluate(alpha, G)
+    Y = _solve_w(W, L, Z.T)
+    grad = _gradient(blocks, Y)
+    m = blocks.control_dim
+    U, row = coords.traj, coords.row
+    ZXZ = Z @ Y
+    steps = np.arange(blocks.horizon - 1)
+    ZXZ.reshape(-1, m, blocks.horizon - 1, m)[steps, :, steps, :] += terms.D
+    neg_hess = U.T @ _solve_w(W, L, U)
+    neg_hess *= ZXZ[np.ix_(row, row)]
+    B = (Y.T @ U)[row]
+    neg_hess += B * B.T
+    neg_hess *= 2.0
+    return grad, neg_hess, -2.0 * B.diagonal()
+
+
+def _ascent_directions(blocks: BlockOperators, alpha: float, G: np.ndarray,
+                       coords: _Coordinates):
+    """(gradient, Newton direction) at stacked gains G, both as
+    (N-1, m, n) arrays.  The direction is (-H)^-1 g in ``coords``, or
+    None when there is no coordinate or -H is not positive definite."""
+    grad, neg_hess, g = _newton_terms(blocks, alpha, G, coords)
+    if not g.size:
+        return grad, None
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    factor, info = dpotrf(neg_hess, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return grad, None
+    return grad, coords.expand(dpotrs(factor, g, lower=1)[0], G.shape)
 
 
 def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
@@ -390,16 +496,27 @@ class SynthesisReport:
 def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None,
                feasible: Optional[FeasibleSet] = None,
                config: Optional[SynthesisConfig] = None) -> SynthesisReport:
-    """Maximize log det W over structured gains by projected gradient ascent.
+    """Maximize log det W over structured gains by Newton ascent.
 
     ``structure`` is an optional list of (m x n) boolean masks, True
     where the entry is free; masked (False) entries are held at zero.
-    ``feasible`` optionally projects the stacked free gains.  Steps are
-    halved until W stays positive definite and the objective improves.
-    Starts at K = 0; if that is infeasible the report flags failure.
+    ``feasible`` optionally projects the stacked free gains.  Starts at
+    K = 0; if that is infeasible the report flags failure.
+
+    Each iteration takes the exact Newton direction on the free entries
+    that W can see (:func:`_visible_coordinates`; the others never move),
+    tried first at step 1.  When -H does not factor (it can be indefinite
+    where alpha R_t < S_t) or no Newton step improves the objective (a
+    ``feasible`` projection can cause this), the iteration takes a
+    projected gradient step instead, its step starting from the last
+    accepted gradient step over ``backtrack`` (at most ``step0``).
+    Either way steps are multiplied by ``backtrack`` until the objective
+    improves, which also keeps W positive definite, and the run stops
+    when neither step improves at a step above ``step_tol``.
     """
     blocks = build_block_operators(sys)
     cfg = config or SynthesisConfig()
+    alpha = float(alpha)
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
     if structure is None:
         masks = np.ones((N - 1, m, n), dtype=bool)
@@ -425,34 +542,46 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
                                message="no feasible start: W(0) is not positive definite")
 
     value = res.value
-    advisory = res.convexity_advisory
+    coords = _visible_coordinates(blocks, masks)
+
+    def line_search(direction, step):
+        """Backtrack from ``step`` until the objective improves; the
+        accepted step (gains and value move there), or None."""
+        nonlocal gains, value
+        while step > cfg.step_tol:
+            moved = gains + step * direction
+            cand = apply_constraints(moved)
+            cand_value = detmax_objective(sys, alpha, cand, blocks=blocks).value
+            # value is finite, so an improvement also means W(cand) > 0.
+            if cand_value > value:
+                gains, value = cand, cand_value
+                return step
+            if np.array_equal(moved, gains):
+                break  # rounding is monotone: every shorter step gives this same candidate
+            step *= cfg.backtrack
+        return None
+
     step = cfg.step0
     converged = False
     grad_norm = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = detmax_gradient(sys, alpha, gains, blocks=blocks) * masks
+        grad, newton = _ascent_directions(blocks, alpha, gains, coords)
+        grad *= masks
         grad_norm = math.sqrt(float(np.sum(grad**2)))
         if grad_norm <= cfg.grad_tol * (1.0 + abs(value)):
             converged = True
             break
-        step = min(cfg.step0, step / cfg.backtrack)  # allow the step to regrow
-        accepted = False
-        while step > cfg.step_tol:
-            cand = apply_constraints(gains + step * grad)
-            cand_value = detmax_objective(sys, alpha, cand, blocks=blocks).value
-            # value is finite, so an improvement also means W(cand) > 0.
-            if cand_value > value:
-                gains, value = cand, cand_value
-                accepted = True
-                break
-            step *= cfg.backtrack
-        if not accepted:
+        if newton is not None and line_search(newton, 1.0) is not None:
+            continue
+        accepted = line_search(grad, min(cfg.step0, step / cfg.backtrack))
+        if accepted is None:
             converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))
             break
+        step = accepted
     return SynthesisReport(gains=list(gains), objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
-                           convexity_advisory=advisory)
+                           convexity_advisory=res.convexity_advisory)
 
 
 def write_gains_csv(directory, gains) -> None:

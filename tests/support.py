@@ -268,3 +268,31 @@ def dense_operators(sys: LinearSystem) -> DenseOperators:
     return DenseOperators(M=M, S=sl.block_diag(*[np.linalg.inv(s) for s in sys.sigma]),
                           R=sl.block_diag(*sys.R), Q=sl.block_diag(*sys.Q),
                           state_dim=n, control_dim=m)
+
+
+def riccati_gains(sys: LinearSystem, alpha: float) -> list:
+    """The optimal state feedback K_1..K_{N-1} of the risk-sensitive
+    linear-quadratic problem, by the backward Riccati recursion of
+    Jacobson (1973).
+
+    The cost to go is E exp(alpha J_t) = c_t exp(alpha s' P_t s / 2) with
+    P_N = Q_N.  Averaging over eps_t ~ N(0, Sigma_t) turns P_{t+1} into
+    P~ = P + alpha P B inv(inv(Sigma) - alpha B'PB) B'P, which is finite
+    only while inv(Sigma) - alpha B'PB > 0; then
+    K_t = -inv(R + B'P~B) B'P~A and P_t = Q_t + A'P~(A + B K_t).  Written
+    from the dynamic program alone, independently of the det-max program
+    in ``riskconvex.synthesis``.
+    """
+    P = sys.Q[-1]
+    gains = []
+    for t in reversed(range(sys.horizon - 1)):
+        A, B = sys.A[t], sys.B[t]
+        inner = np.linalg.inv(sys.sigma[t]) - alpha * B.T @ P @ B
+        if np.linalg.eigvalsh(0.5 * (inner + inner.T))[0] <= 0.0:
+            raise ContractError(f"E exp(alpha J) is infinite from step {t + 1} on")
+        P_tilde = P + alpha * P @ B @ np.linalg.solve(inner, B.T @ P)
+        K = -np.linalg.solve(sys.R[t] + B.T @ P_tilde @ B, B.T @ P_tilde @ A)
+        P = sys.Q[t] + A.T @ P_tilde @ (A + B @ K)
+        P = 0.5 * (P + P.T)
+        gains.append(K)
+    return gains[::-1]

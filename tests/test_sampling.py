@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,28 @@ def test_a_sampler_holds_no_covariance():
     with pytest.raises(TypeError):
         GaussianSampler(0, np.eye(2))
     assert not hasattr(GaussianSampler(0, dim=2), "covariance")
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sampler_dimension_must_be_positive(dim):
+    with pytest.raises(ContractError, match="dim must be at least 1"):
+        GaussianSampler(0, dim=dim)
+
+
+def test_empty_covariance_rejected():
+    with pytest.raises(ContractError, match="nonempty"):
+        as_covariance(np.zeros((0, 0)))
+    with pytest.raises(ContractError, match="nonempty"):
+        RiskModel(1.0, np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_huge_finite_covariance_does_not_overflow():
+    # 0.5 * (a + a') overflows above about 9e307; the halves do not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_covariance([[1.7e308]]), [[1.7e308]])
+        try:
+            model = RiskModel(1.0, [[1.7e308]], np.eye(1))
+        except ContractError:
+            return
+    assert np.array_equal(model.sigma, [[1.7e308]])

@@ -73,6 +73,16 @@ class TestProjection:
         with pytest.raises(ContractError):
             FeasibleSet.unconstrained(2).radius_bound
 
+    def test_radius_bound_of_a_huge_finite_box(self):
+        # 0.5 * (upper - lower) overflows here; the halved bounds do not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FeasibleSet.box([-1e308], [1e308]).radius_bound == 1e308
+            assert FeasibleSet.box([-1e308] * 2, [1e308] * 2).radius_bound == \
+                pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+            with pytest.raises(ContractError, match="finite radius bound"):
+                FeasibleSet.box([-1.7e308] * 2, [1.7e308] * 2).radius_bound
+
     def test_far_point_projects_onto_the_sphere_and_is_not_contained(self):
         # ||x||^2 overflows, but ||x|| = 1.7e160 is finite.
         x = np.full(3, 1e160)

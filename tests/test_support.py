@@ -6,7 +6,7 @@ import pytest
 from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.errors import ContractError
 from riskconvex.sampling import GaussianSampler
-from support import bump_field, scalar_grid_objective
+from support import bump_field, riccati_gains, scalar_grid_objective
 
 
 def step_by_step_grid_objective(bench, gain_grid, n_rollouts, sampler):
@@ -56,3 +56,17 @@ def test_bump_field_value_matches_the_broadcast_form_bit_for_bit(dim):
     d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     broadcast = (weights * np.exp(-0.5 * d2 / widths**2)).sum(axis=1)
     assert np.array_equal(field.value(pts).view(np.int64), broadcast.view(np.int64))
+
+
+def test_riccati_gains_by_hand():
+    # a = b = r = sigma = alpha = 1: from P_3 = q, P~ = q / (1 - q) and
+    # K_2 = -P~ / (1 + P~) = -q; then P_2 = q + P~ (1 + K_2) = 2 q, and
+    # K_1 (which acts on s_1 = 0) follows from P_2 the same way.
+    bench = ScalarBenchmark()
+    k1, k2 = riccati_gains(bench.system(), bench.alpha)
+    q = bench.q
+    assert k2[0, 0] == pytest.approx(-q, rel=1e-14)
+    p2_tilde = 2.0 * q / (1.0 - 2.0 * q)
+    assert k1[0, 0] == pytest.approx(-p2_tilde / (1.0 + p2_tilde), rel=1e-14)
+    with pytest.raises(ContractError, match="infinite from step 2"):
+        riccati_gains(ScalarBenchmark(q=1.5).system(), 1.0)

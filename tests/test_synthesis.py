@@ -21,7 +21,7 @@ from riskconvex.synthesis import (
     synthesize,
     write_gains_csv,
 )
-from support import dense_operators
+from support import dense_operators, riccati_gains
 
 
 def scalar_system(a=1.0, b=1.0, q=0.0, r=1.0, sig=1.0, horizon=3):
@@ -336,11 +336,15 @@ class TestFactorizedEvaluator:
         sys = random_system(np.random.default_rng(14), 4, 2, 6, q_scale=0.01)
         kwargs = dict(structure=[DECENTRALIZED] * 5 if masked else None,
                       config=SynthesisConfig(max_iters=40))
-        counts = {"dpotrf": 0, "objective": 0}
+        counts = {"dpotrf": 0, "objective": 0, "newton": 0}
+        p = 5 * 2  # W is p x p; the Newton system has one row per visible gain direction
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                if name == "dpotrf" and np.shape(args[0]) != (p, p):
+                    counts["newton"] += 1
+                else:
+                    counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -350,6 +354,7 @@ class TestFactorizedEvaluator:
         cached = synthesize(sys, 1.0, **kwargs)
         assert cached.iterations > 1
         assert counts["dpotrf"] == counts["objective"]
+        assert counts["newton"] == cached.iterations
 
         # Without the kept evaluation every gradient factors W again.
         evaluate = BlockOperators._evaluate
@@ -359,12 +364,131 @@ class TestFactorizedEvaluator:
             return evaluate(self, alpha, G)
 
         monkeypatch.setattr(BlockOperators, "_evaluate", uncached)
-        counts.update(dpotrf=0, objective=0)
+        counts.update(dpotrf=0, objective=0, newton=0)
         fresh = synthesize(sys, 1.0, **kwargs)
         assert counts["dpotrf"] == counts["objective"] + fresh.iterations
         assert fresh.iterations == cached.iterations
         assert fresh.objective == cached.objective
         assert np.array_equal(np.array(fresh.gains), np.array(cached.gains))
+
+
+def entry_coordinates(blocks, masks):
+    """One Newton coordinate per free gain entry (t, i, j): row t m + i,
+    direction e_j, so -H is indexed like the free entries themselves."""
+    t, i, j = np.nonzero(masks)
+    return synthesis._Coordinates(row=t * blocks.control_dim + i,
+                                  vectors=np.eye(blocks.state_dim)[j],
+                                  traj=blocks.traj_rows[t, j].T)
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("alpha, advisory", [(2.5, True), (0.4, False)])
+    def test_hessian_matches_central_differences_of_the_gradient(self, alpha, advisory,
+                                                                 masked):
+        rng = np.random.default_rng(60)
+        sys = random_system(rng, 4, 2, 5, q_scale=0.01)
+        masks = np.array([DECENTRALIZED if masked else np.ones((2, 4), bool)] * 4)
+        gains = 0.1 * rng.standard_normal((4, 2, 4)) * masks
+        blocks = build_block_operators(sys)
+        coords = entry_coordinates(blocks, masks)
+        grad, neg_hess, g = synthesis._newton_terms(blocks, alpha, gains, coords)
+        assert detmax_objective(sys, alpha, gains).convexity_advisory == advisory
+        free = np.nonzero(masks)
+        assert np.array_equal(grad, detmax_gradient(sys, alpha, gains))
+        assert np.allclose(g, grad[free], rtol=1e-12, atol=1e-14)
+
+        h = 1e-5
+        fd = np.empty_like(neg_hess)
+        for k, entry in enumerate(zip(*free)):
+            up, dn = gains.copy(), gains.copy()
+            up[entry] += h
+            dn[entry] -= h
+            fd[:, k] = (detmax_gradient(sys, alpha, up)[free]
+                        - detmax_gradient(sys, alpha, dn)[free]) / (2 * h)
+        scale = np.abs(neg_hess).max()
+        assert np.abs(neg_hess + fd).max() <= 1e-7 * scale
+        assert np.abs(neg_hess - neg_hess.T).max() <= 1e-12 * scale
+        if advisory:
+            assert np.linalg.eigvalsh(neg_hess)[0] >= -1e-12 * scale
+        # K_1 moves nothing: s_1 = 0, so its rows and columns of -H vanish.
+        first = free[0] == 0
+        assert np.all(neg_hess[first] == 0.0) and np.all(neg_hess[:, first] == 0.0)
+
+    def test_visible_coordinates_skip_what_w_cannot_see(self):
+        sys = random_system(np.random.default_rng(61), 4, 2, 5, q_scale=0.01)
+        blocks = build_block_operators(sys)
+        for masks in (np.ones((4, 2, 4), bool), np.array([DECENTRALIZED] * 4)):
+            coords = synthesis._visible_coordinates(blocks, masks)
+            steps = coords.row // 2
+            # None for K_1 (s_1 = 0); m per row of K_2 (range(B_1)); the free count after.
+            assert not np.any(steps == 0)
+            assert np.sum(steps == 1) == 2 * min(2, masks[1, 0].sum())
+            assert np.sum(steps >= 2) == masks[2:].sum()
+            rows = masks.reshape(-1, 4)[coords.row]
+            assert np.all(coords.vectors[~rows] == 0.0)
+            traj = np.einsum("kn,knp->pk", coords.vectors, blocks.traj_rows[steps])
+            assert np.allclose(coords.traj, traj, rtol=0.0, atol=1e-14)
+
+
+class TestRiccatiOracle:
+    """Unmasked det-max synthesis against the risk-sensitive Riccati
+    recursion (tests/support.py), which never forms W."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        sys = random_system(np.random.default_rng(1), 4, 2, 30, q_scale=0.01)
+        alpha = 3.0
+        return sys, alpha, synthesize(sys, alpha), riccati_gains(sys, alpha)
+
+    def test_gains_match_on_the_trajectory(self, case):
+        sys, alpha, rep, ric = case
+        blocks = build_block_operators(sys)
+        reached = np.matmul(np.array(rep.gains), blocks.traj_rows)   # K_t M_t
+        oracle = np.matmul(np.array(ric), blocks.traj_rows)
+        assert np.abs(reached - oracle).max() <= 1e-8
+        ric_value = detmax_objective(sys, alpha, ric).value
+        assert rep.objective == pytest.approx(ric_value, rel=1e-10)
+        assert detmax_objective(sys, alpha, ric).convexity_advisory
+
+    def test_unseen_gain_entries_stay_put(self, case):
+        sys, _, rep, _ = case
+        assert np.all(rep.gains[0] == 0.0)
+        null = np.linalg.svd(sys.B[0])[0][:, 2:]       # null(B_1')
+        k2 = rep.gains[1]
+        assert np.linalg.norm(k2 @ null) <= 1e-12 * np.linalg.norm(k2)
+
+    def test_converges_in_a_few_newton_steps(self, case):
+        # Projected gradient ascent stopped here after 300 unconverged steps.
+        rep = case[2]
+        assert rep.success and rep.converged
+        assert rep.iterations <= 10
+
+    def test_gradient_steps_where_the_hessian_does_not_factor(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        # alpha R < S: log det W is not concave, and -H is indefinite at
+        # one iterate of this run, which then takes a gradient step.
+        sys, alpha = scalar_system(a=1.4, b=0.6, q=0.55, r=0.1, sig=1.45, horizon=4), 0.14
+        infos = []
+        dpotrf = lapack.dpotrf
+
+        def recorded(a, *args, **kwargs):
+            out = dpotrf(a, *args, **kwargs)
+            if np.shape(a) != (3, 3):   # the Newton system, not W
+                infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(lapack, "dpotrf", recorded)
+        rep = synthesize(sys, alpha)
+        assert not rep.convexity_advisory
+        assert any(info != 0 for info in infos) and infos[-1] == 0
+        assert rep.success and rep.converged
+        blocks = build_block_operators(sys)
+        ric = riccati_gains(sys, alpha)
+        assert np.abs(np.matmul(np.array(rep.gains), blocks.traj_rows)
+                      - np.matmul(np.array(ric), blocks.traj_rows)).max() <= 1e-8
+        assert rep.objective == pytest.approx(detmax_objective(sys, alpha, ric).value, rel=1e-10)
 
 
 class TestClosedFormExpectation:
