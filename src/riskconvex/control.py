@@ -27,9 +27,15 @@ is not ``vectorized`` are evaluated row by row and stacked.  Batch
 estimation draws from derived sampler streams and reduces in fixed order:
 the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
-per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.  A
-Jacobian returned as ``np.broadcast_to`` of one matrix is applied to the
-whole batch as one product.
+per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
+A batch first draws all of its noise (s_1, then eps_t and xi_t for each
+t, the order of a step-by-step rollout), then runs in row blocks of
+2**15 // (n + m) rollouts: each block's forward pass, weights and scores
+stay in cache, and no full-batch trajectory is allocated.  A batch of
+one block keeps the bits of one unblocked pass; on more blocks, only the
+block sums of the moments round differently.  A Jacobian returned as
+``np.broadcast_to`` of one matrix is applied to the whole batch as one
+product.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .errors import (
     FieldEvaluationError,
 )
 from .fields import _first_violation
-from .objective import certificate_margins, check_exponents, check_std_err
+from .objective import _row_blocks, certificate_margins, check_exponents, check_std_err
 from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
@@ -303,6 +309,7 @@ class _RolloutEngine:
             raise ContractError("control dimension mismatch")
         self.dyn, self.cost = dyn, cost
         self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
+        self.width = dyn.state_dim + dyn.control_dim  # of a row block (objective._row_blocks)
         self.alpha = model.alpha
         self.R = cost.control_weights
         self.noise_root, self.noise_inv = model.noise_root, model.noise_inv
@@ -322,75 +329,85 @@ class _RolloutEngine:
             raise ContractError("model-based gradient requires dynamics and features "
                                 "Jacobians and state cost gradients")
 
-    def _checked_state_cost(self, s: np.ndarray, t: int) -> np.ndarray:
+    def _checked_state_cost(self, s: np.ndarray, t: int, start: int = 0) -> np.ndarray:
         """The state costs l(s, t) of the batch ``s``, or
-        :class:`FieldEvaluationError` naming the first that breaks the bound."""
+        :class:`FieldEvaluationError` carrying the first state that breaks
+        the bound and naming its rollout, ``start`` being the batch index
+        of ``s[0]``."""
         vals = np.asarray(self.state_cost(s, t), dtype=float)
         bound = self.cost.bound
         i = _first_violation(vals, bound)
         if i is not None:
             raise FieldEvaluationError(
-                f"state cost {np.ravel(vals)[i]} violates bound {bound} at t={t}", theta=s
+                f"state cost {np.ravel(vals)[i]} violates bound {bound} at t={t} "
+                f"in rollout {start + i}", theta=s[i]
             )
         return vals
 
-    def forward(self, K: np.ndarray, sampler: GaussianSampler, n: int,
-                s1=None, frozen: Optional[FrozenNoise] = None):
-        """n rollouts under the stacked gains K, from ``s1`` or with
-        ``frozen`` replayed on every row as in :func:`rollout`: states S
-        (N, n, nd), U, Y, XI (N-1, n, .), the features PHI (a list of
-        (n, q)), J (n,) and the stage costs (N, n) whose left fold J is."""
+    def draw(self, sampler: GaussianSampler, n: int, s1=None):
+        """The noise of n rollouts, in stream order: s_1 (n, nd) unless
+        given, then eps_t and xi_t for t = 1..N-1, stacked as eps
+        (N-1, n, m) and xi (N-1, n, p).  No draw depends on a state, so
+        drawing them all before any rollout leaves the stream unchanged."""
         dyn = self.dyn
         N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
         rng = sampler.rng
-        if frozen is not None:
-            s1 = frozen.s1
         if s1 is not None:
-            s = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
-        elif frozen is None and dyn.init_state_batch is not None:
-            s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
-        elif frozen is None and dyn.init_state is not None:
-            s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
+            s1 = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
+        elif dyn.init_state_batch is not None:
+            s1 = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
+        elif dyn.init_state is not None:
+            s1 = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
         else:
-            s = np.zeros((n, nd))
+            s1 = np.zeros((n, nd))
+        eps = np.empty((N - 1, n, m))
+        xi = np.zeros((N - 1, n, p))
+        for t in range(1, N):
+            np.matmul(sampler.normal((n, m)), self.noise_root[t - 1], out=eps[t - 1])
+            if p == 0:
+                continue
+            if dyn.disturbance_batch is not None:
+                xi[t - 1] = dyn.disturbance_batch(rng, t, n)
+            elif dyn.disturbance is not None:
+                xi[t - 1] = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
+                                      for _ in range(n)])
+        return s1, eps, xi
 
-        S = np.empty((N, n, nd))
-        U = np.empty((N - 1, n, m))
-        Y = np.empty((N - 1, n, m))
-        XI = np.empty((N - 1, n, p))
-        stage = np.empty((N, n))
+    def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
+                start: int = 0):
+        """Rollouts of the b rows of ``s1`` under the stacked gains K with
+        the noise eps (N-1, b, m) and xi (N-1, b, p), a row block of
+        :meth:`draw` or one frozen realization (b = 1): states S
+        (N, b, nd), U, Y (N-1, b, m), XI = xi, the features PHI (a list of
+        (b, q)), J (b,) and the stage costs (N, b) whose left fold J is.
+        ``start`` is the batch index of row 0, which errors name."""
+        dyn = self.dyn
+        N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
+        b = s1.shape[0]
+        S = np.empty((N, b, nd))
+        U = np.empty((N - 1, b, m))
+        Y = np.empty((N - 1, b, m))
+        stage = np.empty((N, b))
         PHI = []
-        total = np.zeros(n)
-        S[0] = s
+        total = np.zeros(b)
+        S[0] = s1
         for t in range(1, N):
             # Callables see rows of S, so features that return s itself
             # keep no second copy of the states alive.
             s = S[t - 1]
             phi = np.asarray(self.features(s, t), dtype=float)
             u = phi @ K[t - 1].T
-            stage[t - 1] = _stage_cost(self._checked_state_cost(s, t), u, self.R[t - 1])
+            stage[t - 1] = _stage_cost(self._checked_state_cost(s, t, start), u, self.R[t - 1])
             total += stage[t - 1]
-            if frozen is not None:
-                eps = frozen.eps[t - 1]
-                xi = np.broadcast_to(np.asarray(frozen.xi[t - 1], dtype=float), (n, p))
-            else:
-                eps = sampler.normal((n, m)) @ self.noise_root[t - 1]
-                if p == 0 or dyn.disturbance is None and dyn.disturbance_batch is None:
-                    xi = np.zeros((n, p))
-                elif dyn.disturbance_batch is not None:
-                    xi = np.asarray(dyn.disturbance_batch(rng, t, n), dtype=float)
-                else:
-                    xi = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
-                                   for _ in range(n)])
-            y = u + eps
-            S[t] = self.step(s, y, xi, t)
+            y = u + eps[t - 1]
+            S[t] = self.step(s, y, xi[t - 1], t)
             if not np.isfinite(S[t]).all():
                 raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
             PHI.append(phi)
-            U[t - 1], Y[t - 1], XI[t - 1] = u, y, xi
-        stage[N - 1] = self._checked_state_cost(S[N - 1], N)
+            U[t - 1], Y[t - 1] = u, y
+        stage[N - 1] = self._checked_state_cost(S[N - 1], N, start)
         total += stage[N - 1]
-        return S, U, Y, XI, PHI, total, stage
+        return S, U, Y, xi, PHI, total, stage
 
     def _scores(self, method: str, K: np.ndarray, traj):
         """Yield (t, g_t) such that row b's raw G_t = g_t[b] phi_t[b]':
@@ -425,23 +442,17 @@ class _RolloutEngine:
             G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
         return G
 
-    def _weighted(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str):
-        """(trajectory, w = exp(alpha J), per-row sample scale: alpha w for
-        the model-based estimator, w for the derivative-free one).
-        :class:`EstimateOverflowError` names the first row whose
-        exp(alpha J) overflows."""
-        traj = self.forward(K, sampler, n)
-        w = np.exp(check_exponents(self.alpha * traj[5]))
-        return traj, w, (self.alpha * w if method == "model_based" else w)
-
-    def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
-                second: bool = False):
-        """(batch mean, batch second moment or None, w) of the gradient
-        samples, reduced per step with small products and no per-sample
-        tensor: with c = scale / n the mean is (c g_t)' phi_t and the second
-        moment n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n."""
-        traj, w, scale = self._weighted(K, sampler, n, method)
-        c = scale[:, None] / n
+    def _block_moments(self, K: np.ndarray, noise, start: int, n: int, method: str,
+                       second: bool):
+        """(this block's share of the batch mean, of the second moment or
+        None, w = exp(alpha J)) for the rollouts of one row block of the
+        ``noise`` of an n-rollout batch, rows ``start`` on: with
+        scale = alpha w (model-based) or w (derivative-free) and
+        c = scale / n, the shares are (c g_t)' phi_t and
+        n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n."""
+        traj = self.forward(K, *noise, start)
+        w = np.exp(check_exponents(self.alpha * traj[5], start))
+        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
         mean = np.empty(self.shape)
         sq = np.empty(self.shape) if second else None
         for t, g in self._scores(method, K, traj):
@@ -451,6 +462,36 @@ class _RolloutEngine:
             if second:
                 cg *= cg
                 sq[t - 1] = (cg.T @ (phi * phi)) * n
+        return mean, sq, w
+
+    def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
+                second: bool = False):
+        """(batch mean, batch second moment or None, w = exp(alpha J)) of
+        the gradient samples of n rollouts, with no per-sample tensor.
+
+        The noise of the whole batch is drawn first (:meth:`draw`); then
+        each row block runs the forward pass, J, w and the scores
+        (:meth:`_block_moments`), and the blocks' shares are summed in
+        order.  An overflowing exp(alpha J) raises
+        :class:`EstimateOverflowError` naming its rollout; on a batch of
+        several blocks, this error, :class:`DivergenceError` and the
+        state-cost :class:`FieldEvaluationError` report the first failure
+        of the first block that fails."""
+        s1, eps, xi = self.draw(sampler, n)
+        blocks = _row_blocks(n, self.width)
+        if len(blocks) == 1:
+            return self._block_moments(K, (s1, eps, xi), 0, n, method, second)
+        w = np.empty(n)
+        mean = sq = None
+        for rows in blocks:
+            block_mean, block_sq, w[rows] = self._block_moments(
+                K, (s1[rows], eps[:, rows], xi[:, rows]), rows.start, n, method, second)
+            if mean is None:
+                mean, sq = block_mean, block_sq
+            else:
+                mean += block_mean
+                if second:
+                    sq += block_sq
         return mean, sq, w
 
 
@@ -463,13 +504,18 @@ def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=Non
         engine.check_method(method)
     if mode not in ("noisy", "mean"):
         raise ContractError(f"unknown rollout mode {mode!r}")
+    N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
     if mode == "mean" and frozen is None:
-        N = dyn.horizon
-        frozen = FrozenNoise(s1=np.zeros(dyn.state_dim) if s1 is None else s1,
-                             eps=np.zeros((N - 1, dyn.control_dim)),
-                             xi=np.zeros((N - 1, dyn.disturbance_dim)))
+        frozen = FrozenNoise(s1=np.zeros(nd) if s1 is None else s1,
+                             eps=np.zeros((N - 1, m)), xi=np.zeros((N - 1, p)))
+    if frozen is None:
+        noise = engine.draw(sampler, 1, s1)
+    else:  # the frozen realization as a batch of one; the Rollout keeps a copy of xi
+        noise = (np.broadcast_to(np.asarray(frozen.s1, dtype=float), (1, nd)).copy(),
+                 np.asarray(frozen.eps, dtype=float).reshape(N - 1, 1, m),
+                 np.array(frozen.xi, dtype=float).reshape(N - 1, 1, p))
     K = np.stack(policy.gains)
-    traj = engine.forward(K, sampler, 1, s1, frozen)
+    traj = engine.forward(K, *noise)
     S, U, Y, XI, _, total, stage = traj
     expo = check_exponents(model.alpha * total)
     r = Rollout(states=S[:, 0], controls=U[:, 0], realized=Y[:, 0], disturbances=XI[:, 0],
@@ -571,7 +617,10 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
                           n: int, method: str = "derivative_free") -> BatchGradientEstimate:
     """Average n gradient samples with per-entry standard errors.
 
-    The samples are reduced per step as moments, never stored: with
+    The noise of all n rollouts is drawn first, in the stream order of
+    a step-by-step rollout, and the rollouts then run in row blocks
+    (module docstring).  The samples are reduced per step as moments,
+    summed over the blocks, never stored: with
     scale = alpha w (model-based) or w (derivative-free), w = exp(alpha J),
     the mean is (scale g_t / n)' phi_t and the second moment
     E2 = ((scale g_t)^2)' (phi_t^2) / n, then
@@ -581,9 +630,13 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     1983), far below the sampling error 1 / sqrt(2n) of a standard error
     for noisy Monte Carlo samples; entries whose samples are all exactly
     zero (phi_1 = 0 when s_1 = 0) come out exactly 0.  ``exp_cost_mean``
-    and ``exp_cost_std_err`` are the two-pass mean and std of w.  A
-    standard error whose squares overflow raises
-    :class:`EstimateOverflowError`.
+    and ``exp_cost_std_err`` are the two-pass mean and std of w, which
+    keep their bits however the batch is blocked.  A standard error whose
+    squares overflow raises :class:`EstimateOverflowError`.  Errors name
+    rollouts by their batch index; on a batch of several blocks, a
+    :class:`DivergenceError` (with its ``step``), a state-cost
+    :class:`FieldEvaluationError` or an overflowing exp(alpha J) is the
+    first failure of the first block that fails.
     """
     if n < 2:
         raise ContractError("batch gradient estimation needs n >= 2")

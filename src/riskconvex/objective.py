@@ -15,6 +15,13 @@ semidefinite; :func:`check_convexity_certificate` evaluates that margin.
 Aggregation of exponentials always subtracts the max exponent first, and
 standard errors of log-of-mean estimates use the delta method.
 
+The estimators draw, perturb and evaluate the field in row blocks of
+2**15 // k points, so the field's temporaries stay in cache; each block
+writes into one per-sample array that is reduced once, in the order of
+a single draw of n rows.  On a batch of several blocks, an error is the
+first one of the first block that fails; an overflowing exponent is
+named by its batch index.
+
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
 :mod:`riskconvex.sampling`).
@@ -35,6 +42,21 @@ from .fields import ScalarField
 from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
+
+# Entries of one row block: a (rows x width) float64 array of 256 KiB, so a
+# block's temporaries stay in cache instead of streaming through memory.
+_BLOCK_ENTRIES = 2**15
+
+
+def _row_blocks(n: int, width: int) -> list:
+    """Slices of rows 0..n-1 in blocks of 2**15 // width rows; the last
+    block also takes the remainder, so no block is a sliver and a batch
+    of fewer than two blocks is the one slice(0, n)."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    if n < 2 * rows:  # the common small batch, kept cheap
+        return [slice(0, n)]
+    count = n // rows
+    return [slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count)]
 
 
 @dataclass
@@ -152,11 +174,21 @@ def _perturbed(model: RiskModel, theta, n: int, sampler: GaussianSampler) -> np.
     return theta + sampler.draw(n) @ model.sigma_root
 
 
+def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
+                  sampler: GaussianSampler) -> np.ndarray:
+    """f at n points theta + w, (n,): drawn, perturbed and evaluated one
+    row block at a time, in the order of one draw of n rows."""
+    vals = np.empty(n)
+    for rows in _row_blocks(n, model.dim):
+        vals[rows] = f.evaluate_batch(_perturbed(model, theta, rows.stop - rows.start, sampler))
+    return vals
+
+
 def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
                    sampler: GaussianSampler) -> Estimate:
     """Monte Carlo estimate of the smoothed value E[f(theta + w)]."""
     theta = _check_args(f, model, sampler, n, theta)
-    vals = f.evaluate_batch(_perturbed(model, theta, n, sampler))
+    vals = _field_values(f, model, theta, n, sampler)
     se = float(vals.std(ddof=1) / np.sqrt(n))
     return Estimate(value=float(vals.mean()), std_err=se, n=n)
 
@@ -199,21 +231,23 @@ def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
                       sampler: GaussianSampler) -> Estimate:
     """Estimate of (1/alpha) log E[exp(alpha f(theta+w))] + 0.5 theta' R theta."""
     theta = _check_args(f, model, sampler, n, theta)
-    vals = f.evaluate_batch(_perturbed(model, theta, n, sampler))
-    lme, se = log_mean_exp(model.alpha * vals)
+    vals = _field_values(f, model, theta, n, sampler)
+    vals *= model.alpha
+    lme, se = log_mean_exp(vals)
     return Estimate(value=lme / model.alpha + model.quad(theta),
                     std_err=se / model.alpha, n=n)
 
 
-def check_exponents(expo: np.ndarray) -> np.ndarray:
+def check_exponents(expo: np.ndarray, start: int = 0) -> np.ndarray:
     """Return the exponents, or raise EstimateOverflowError naming the
-    first sample whose exp() would overflow."""
+    first sample whose exp() would overflow; ``start`` is the batch index
+    of ``expo[0]`` when ``expo`` is one row block of a batch."""
     over = expo > LOG_FLOAT_MAX
     if over.any():
         i = int(np.argmax(over))
         raise EstimateOverflowError(
-            f"exponent {expo[i]:.6g} at sample {i} exceeds the representable range",
-            sample_index=i,
+            f"exponent {expo[i]:.6g} at sample {start + i} exceeds the representable range",
+            sample_index=start + i,
         )
     return expo
 
@@ -230,22 +264,22 @@ def check_std_err(se):
     return se
 
 
-def _exponents(f: ScalarField, model: RiskModel, theta, points: np.ndarray) -> np.ndarray:
-    """alpha f(theta+w) + 0.5 alpha theta' R theta per perturbed point
-    theta + w, with overflow check."""
-    vals = f.evaluate_batch(points)
-    return check_exponents(model.alpha * vals + model.alpha * model.quad(theta))
-
-
 def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
                   sampler: GaussianSampler) -> np.ndarray:
     """n single-draw gradient samples of G, (n, k): per draw w,
     alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta),
-    scaled in place on one (n, k) array."""
-    points = _perturbed(model, theta, n, sampler)
-    expo = _exponents(f, model, theta, points)
-    out = f.grad_batch(points) + model.reg @ theta
-    out *= (model.alpha * np.exp(expo))[:, None]
+    drawn, evaluated and scaled in place one row block at a time.  An
+    overflowing exponent raises for the first one of the first block
+    that has one, named by its batch index."""
+    out = np.empty((n, model.dim))
+    shift = model.reg @ theta
+    quad = model.alpha * model.quad(theta)
+    for rows in _row_blocks(n, model.dim):
+        points = _perturbed(model, theta, rows.stop - rows.start, sampler)
+        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, rows.start)
+        block = out[rows]
+        np.add(f.grad_batch(points), shift, out=block)
+        block *= (model.alpha * np.exp(expo))[:, None]
     return out
 
 
@@ -254,7 +288,8 @@ def exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
     """Estimate of G(theta) = E[exp(alpha f(theta+w) + 0.5 alpha theta' R theta)];
     :class:`EstimateOverflowError` when its standard error overflows."""
     theta = _check_args(f, model, sampler, n, theta)
-    g = np.exp(_exponents(f, model, theta, _perturbed(model, theta, n, sampler)))
+    vals = _field_values(f, model, theta, n, sampler)
+    g = np.exp(check_exponents(model.alpha * vals + model.alpha * model.quad(theta)))
     with np.errstate(over="ignore", invalid="ignore"):
         value, se = float(g.mean()), float(g.std(ddof=1) / np.sqrt(n))
     return Estimate(value=value, std_err=check_std_err(se), n=n)

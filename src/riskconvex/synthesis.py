@@ -199,16 +199,16 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
 
     Block (i, j) of M is (A_{i-1} ... A_{j+1}) B_j for
     i > j and zero otherwise; the first block row is zero because
-    s_1 = 0.
+    s_1 = 0.  The block rows follow the dynamics, M_i = A_{i-1} M_{i-1}
+    with B_{i-1} in column block i-1: one (n x n) @ (n x p) product per
+    row, p = (N-1) m.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
-    M = np.zeros((N * n, (N - 1) * m))
-    for j in range(1, N):           # control index
-        block = sys.B[j - 1]
-        M[j * n:(j + 1) * n, (j - 1) * m:j * m] = block
-        for i in range(j + 2, N + 1):  # state index i > j+1
-            block = sys.A[i - 2] @ block
-            M[(i - 1) * n:i * n, (j - 1) * m:j * m] = block
+    rows = np.zeros((N, n, (N - 1) * m))
+    for i in range(1, N):
+        np.matmul(sys.A[i - 1], rows[i - 1], out=rows[i])
+        rows[i, :, (i - 1) * m:i * m] = sys.B[i - 1]
+    M = rows.reshape(N * n, (N - 1) * m)
 
     def blockdiag(mats):
         size = sum(b.shape[0] for b in mats)
@@ -228,7 +228,7 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
         state_dim=n,
         control_dim=m,
         horizon=N,
-        traj_rows=M[:(N - 1) * n].reshape(N - 1, n, (N - 1) * m),
+        traj_rows=rows[:N - 1],
         state_gram=0.5 * (gram + gram.T),
         noise_blocks=noise_blocks,
         cost_blocks=cost_blocks,
@@ -430,18 +430,21 @@ def _newton_terms(blocks: BlockOperators, alpha: float, G: np.ndarray, coords: _
 
 def _ascent_directions(blocks: BlockOperators, alpha: float, G: np.ndarray,
                        coords: _Coordinates):
-    """(gradient, Newton direction) at stacked gains G, both as
-    (N-1, m, n) arrays.  The direction is (-H)^-1 g in ``coords``, or
-    None when there is no coordinate or -H is not positive definite."""
+    """(gradient, Newton direction, Newton decrement) at stacked gains G,
+    the first two as (N-1, m, n) arrays.  The direction is
+    x = (-H)^-1 g in ``coords`` and the decrement g'x, twice the gain
+    the Newton model predicts; both are None when there is no
+    coordinate or -H is not positive definite."""
     grad, neg_hess, g = _newton_terms(blocks, alpha, G, coords)
     if not g.size:
-        return grad, None
+        return grad, None, None
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     factor, info = dpotrf(neg_hess, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        return grad, None
-    return grad, coords.expand(dpotrs(factor, g, lower=1)[0], G.shape)
+        return grad, None, None
+    x = dpotrs(factor, g, lower=1)[0]
+    return grad, coords.expand(x, G.shape), float(g @ x)
 
 
 def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
@@ -458,6 +461,11 @@ def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
         return math.inf
     log_det_sigmas = sum(np.linalg.slogdet(s)[1] for s in sys.sigma)
     return math.exp(-0.5 * (res.value + log_det_sigmas))
+
+
+# The Newton stop: a predicted gain of at most this many units of
+# roundoff of the objective, eps (1 + |log det W|), cannot be seen.
+_ROUNDING_GAIN = 8 * np.finfo(float).eps
 
 
 @dataclass
@@ -511,8 +519,13 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     projected gradient step instead, its step starting from the last
     accepted gradient step over ``backtrack`` (at most ``step0``).
     Either way steps are multiplied by ``backtrack`` until the objective
-    improves, which also keeps W positive definite, and the run stops
-    when neither step improves at a step above ``step_tol``.
+    improves, which also keeps W positive definite.  The run stops when
+    the gradient norm is at most ``grad_tol`` (1 + |log det W|)
+    (converged), when the gain the Newton model predicts, half the
+    decrement g'(-H)^-1 g, is at most 8 eps (1 + |log det W|), a few
+    rounding units of the objective, or when neither step improves at a
+    step above ``step_tol``; the last two count as converged when the
+    gradient norm is at most sqrt(``grad_tol``) (1 + |log det W|).
     """
     blocks = build_block_operators(sys)
     cfg = config or SynthesisConfig()
@@ -566,14 +579,19 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     grad_norm = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad, newton = _ascent_directions(blocks, alpha, gains, coords)
+        grad, newton, decrement = _ascent_directions(blocks, alpha, gains, coords)
         grad *= masks
         grad_norm = math.sqrt(float(np.sum(grad**2)))
         if grad_norm <= cfg.grad_tol * (1.0 + abs(value)):
             converged = True
             break
-        if newton is not None and line_search(newton, 1.0) is not None:
-            continue
+        if newton is not None:
+            if 0.5 * decrement <= _ROUNDING_GAIN * (1.0 + abs(value)):
+                # No step can show a gain the objective's rounding hides.
+                converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))
+                break
+            if line_search(newton, 1.0) is not None:
+                continue
         accepted = line_search(grad, min(cfg.step0, step / cfg.backtrack))
         if accepted is None:
             converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))

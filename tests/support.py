@@ -19,7 +19,7 @@ from riskconvex.control import (
 )
 from riskconvex.errors import ContractError
 from riskconvex.fields import ScalarField
-from riskconvex.objective import RiskModel
+from riskconvex.objective import RiskModel, check_exponents
 from riskconvex.synthesis import LinearSystem
 
 GAUSS_PEAK_SLOPE = np.exp(-0.5)  # max |d/dx exp(-x^2/2)| at x = 1
@@ -152,21 +152,50 @@ def smooth_control_problem(rng: np.random.Generator, n: int, m: int, horizon: in
 
 
 def _forward_batch(dyn, cost, policy, model, sampler, n):
-    """(S, U, Y, XI, PHI, total) of n noisy engine rollouts under the policy's gains."""
+    """(S, U, Y, XI, PHI, total) of n noisy engine rollouts under the
+    policy's gains, run as one block whatever n is."""
     engine = _RolloutEngine(dyn, cost, policy, model)
-    return engine.forward(np.stack(policy.gains), sampler, n)[:6]
+    return engine.forward(np.stack(policy.gains), *engine.draw(sampler, n))[:6]
 
 
-def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
-    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator;
-    overflow of exp(alpha J) raises instead of returning inf or NaN."""
+def _full_batch(dyn, cost, policy, model, sampler, n, method):
+    """(engine, K, trajectory, w, scale) of n rollouts run as one
+    unblocked forward pass: w = exp(alpha J), scale = alpha w
+    (model-based) or w (derivative-free)."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     engine.check_method(method)
     K = np.stack(policy.gains)
-    traj, w, scale = engine._weighted(K, sampler, n, method)
+    traj = engine.forward(K, *engine.draw(sampler, n))
+    w = np.exp(check_exponents(model.alpha * traj[5]))
+    return engine, K, traj, w, (model.alpha * w if method == "model_based" else w)
+
+
+def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
+    """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator
+    from one unblocked forward pass; overflow of exp(alpha J) raises
+    instead of returning inf or NaN."""
+    engine, K, traj, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
     G = engine.raw_gradients(method, K, traj)
     G *= scale[:, None, None, None]
     return G, w
+
+
+def _full_batch_moments(dyn, cost, policy, model, sampler, n, method):
+    """(mean, second moment, w) of the gradient samples of one unblocked
+    forward pass, reduced per step over the whole batch: with
+    c = scale / n, mean_t = (c g_t)' phi_t and second_t =
+    n ((c g_t)^2)' (phi_t^2), the reference of the engine's row-blocked
+    moments."""
+    engine, K, traj, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
+    c = scale[:, None] / n
+    mean, second = np.empty(engine.shape), np.empty(engine.shape)
+    for t, g in engine._scores(method, K, traj):
+        phi = traj[4][t - 1]
+        cg = c * g
+        mean[t - 1] = cg.T @ phi
+        cg *= cg
+        second[t - 1] = (cg.T @ (phi * phi)) * n
+    return mean, second, w
 
 
 def per_sample_zeta(samples: np.ndarray, batch: int) -> float:

@@ -429,3 +429,102 @@ class TestInvariants:
         a = log_exp_objective(f, model, theta, 5000, model.sampler(42))
         b = log_exp_objective(f, model, theta, 5000, model.sampler(42))
         assert (a.value, a.std_err) == (b.value, b.std_err)
+
+
+def _unblocked_points(model, theta, n, sampler):
+    """theta + w for n draws taken as one (n, k) array."""
+    return theta + sampler.draw(n) @ model.sigma_root
+
+
+def _unblocked_estimates(f, model, theta, n, seed):
+    """Every static estimator written over one unblocked draw per stream,
+    as flat arrays of the numbers each returns, and the gradient samples."""
+    vals = f.evaluate_batch(_unblocked_points(model, theta, n, model.sampler(seed)))
+    lme, lme_se = log_mean_exp(model.alpha * vals)
+    g = np.exp(model.alpha * vals + model.alpha * model.quad(theta))
+    points = _unblocked_points(model, theta, n, model.sampler(seed))
+    expo = model.alpha * f.evaluate_batch(points) + model.alpha * model.quad(theta)
+    samples = (f.grad_batch(points) + model.reg @ theta) * (model.alpha * np.exp(expo))[:, None]
+    out = {
+        "smoothed_value": np.array([vals.mean(), vals.std(ddof=1) / np.sqrt(n)]),
+        "log_exp_objective": np.array([lme / model.alpha + model.quad(theta),
+                                       lme_se / model.alpha]),
+        "exp_objective": np.array([g.mean(), g.std(ddof=1) / np.sqrt(n)]),
+        "unbiased_grad_mean": np.concatenate([samples.mean(axis=0),
+                                              samples.std(axis=0, ddof=1) / np.sqrt(n)]),
+    }
+    if n >= 100:
+        mean_stream, exp_stream = model.sampler(seed).split(2)
+        fbar = float(f.evaluate_batch(_unblocked_points(model, theta, n, mean_stream)).mean())
+        centered = f.evaluate_batch(_unblocked_points(model, theta, n, exp_stream)) - fbar
+        lme, lme_se = log_mean_exp(model.alpha * centered)
+        out["estimate_sensitivity"] = np.array([lme / model.alpha, lme_se / model.alpha])
+    return out, samples
+
+
+def _planted_field(dim, row, value):
+    """0 at every point but the ``row``-th one evaluated, counted across
+    calls, where it is ``value``; declared bound 1."""
+    seen = [0]
+
+    def f(thetas):
+        out = np.zeros(len(thetas))
+        lo = seen[0]
+        seen[0] += len(thetas)
+        if lo <= row < seen[0]:
+            out[row - lo] = value
+        return out
+
+    return ScalarField(value=f, upper_bound=1.0, dim=dim, gradient=np.zeros_like,
+                       vectorized=True)
+
+
+STATIC_ESTIMATES = {
+    "smoothed_value": lambda f, m, th, n, s: _moments(smoothed_value(f, m, th, n, s)),
+    "log_exp_objective": lambda f, m, th, n, s: _moments(log_exp_objective(f, m, th, n, s)),
+    "exp_objective": lambda f, m, th, n, s: _moments(exp_objective(f, m, th, n, s)),
+    "unbiased_grad_mean": lambda f, m, th, n, s: np.concatenate(unbiased_grad_mean(f, m, th,
+                                                                                   n, s)),
+    "estimate_sensitivity": lambda f, m, th, n, s: _moments(estimate_sensitivity(f, m, th,
+                                                                                 n, s)),
+}
+
+
+class TestRowBlocks:
+    """The static estimators draw, perturb and evaluate 2**15 // k points
+    at a time and keep the bits of one unblocked draw."""
+
+    @pytest.mark.parametrize("n", [2, 2 * 8192 - 1, 3 * 8192 + 1],
+                             ids=["n2", "one_block", "three_blocks_and_one"])
+    def test_estimators_keep_the_bits_of_one_unblocked_draw(self, n):
+        from riskconvex.objective import _grad_samples, _row_blocks
+
+        rng = np.random.default_rng(41)
+        f, model = bump_field(rng, 4), certified_model(rng, 4)
+        theta = 0.5 * rng.standard_normal(4)
+        assert len(_row_blocks(n, 4)) == (3 if n > 2 * 8192 else 1)
+        expected, samples = _unblocked_estimates(f, model, theta, n, 7)
+        got = {name: run(f, model, theta, n, model.sampler(7))
+               for name, run in STATIC_ESTIMATES.items() if name in expected}
+        assert got.keys() == expected.keys()
+        for name, values in expected.items():
+            assert np.array_equal(got[name], values), name
+        assert np.array_equal(_grad_samples(f, model, theta, n, model.sampler(7)), samples)
+
+    def test_overflow_in_the_third_block_names_the_batch_index(self):
+        n, row = 3 * 8192 + 1, 2 * 8192 + 5
+        model = RiskModel(800.0, np.eye(4), np.eye(4))   # alpha * 1 > LOG_FLOAT_MAX
+        for estimator in (exp_objective, unbiased_grad_mean):
+            with pytest.raises(EstimateOverflowError, match=f"at sample {row} ") as err:
+                estimator(_planted_field(4, row, 1.0), model, np.zeros(4), n, model.sampler(3))
+            assert err.value.sample_index == row
+
+    def test_bound_violation_in_the_third_block_carries_its_point(self):
+        from riskconvex.errors import FieldEvaluationError
+
+        n, row = 3 * 8192 + 1, 2 * 8192 + 5
+        model = isotropic_model(1.0, 1.0, 1.0, 4)
+        points = _unblocked_points(model, np.zeros(4), n, model.sampler(3))
+        with pytest.raises(FieldEvaluationError) as err:
+            smoothed_value(_planted_field(4, row, 2.0), model, np.zeros(4), n, model.sampler(3))
+        assert np.array_equal(err.value.theta, points[row])

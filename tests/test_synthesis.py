@@ -540,6 +540,33 @@ class TestSynthesize:
         assert rep.gains[1][0, 0] == pytest.approx(-bench.alpha * bench.q * bench.sigma_u,
                                                    abs=1e-6)
 
+    @pytest.mark.parametrize("round_index", [0, 2])
+    def test_stops_on_the_newton_decrement(self, round_index, monkeypatch):
+        # Rounds 0 and 2 of the N=30 det-max benchmark at seed 101: after
+        # the fourth Newton step the predicted gain is below the
+        # objective's rounding, and the run used to spend 64-68 rejected
+        # line-search trials finding that out.
+        n, m, N = 4, 2, 30
+        base = np.random.default_rng(3)
+        A0 = base.standard_normal((n, n))
+        A0 *= 0.8 / max(abs(np.linalg.eigvals(A0)))
+        B0 = 0.5 * base.standard_normal((n, m))
+        rng = np.random.default_rng(np.random.SeedSequence([101, 4]))
+        for _ in range(round_index + 1):
+            A = A0 + 0.03 * rng.standard_normal((n, n))
+            B = B0 + 0.03 * rng.standard_normal((n, m))
+            rng.integers(0, 2**63, size=2)
+        sys = LinearSystem(A=[A] * (N - 1), B=[B] * (N - 1), Q=[0.005 * np.eye(n)] * N,
+                           R=[np.eye(m)] * (N - 1), sigma=[np.eye(m)] * (N - 1), horizon=N)
+        evaluations = []
+        objective = synthesis.detmax_objective
+        monkeypatch.setattr(synthesis, "detmax_objective",
+                            lambda *a, **k: evaluations.append(1) or objective(*a, **k))
+        rep = synthesize(sys, 1.0)
+        assert rep.converged and len(evaluations) <= 6
+        ric = objective(sys, 1.0, riccati_gains(sys, 1.0)).value
+        assert rep.objective == pytest.approx(ric, rel=1e-12)
+
     def test_infeasible_start_reports_failure(self):
         rep = synthesize(scalar_system(q=1.5, horizon=2), 1.0)
         assert not rep.success
