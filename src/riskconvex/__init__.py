@@ -64,9 +64,7 @@ from .control import (
     train_policy,
 )
 from .synthesis import (
-    BlockOperators,
     LinearSystem,
-    build_block_operators,
     closed_form_expectation,
     detmax_objective,
     synthesize,

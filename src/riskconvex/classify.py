@@ -26,6 +26,9 @@ from .datasets import Dataset, sign_plus
 from .errors import ContractError, DivergenceError
 
 _SQRT_PI = float(np.sqrt(np.pi))
+# Descent steps are at most _STEP0; a line search halving them below _STEP_TOL stalls.
+_STEP0 = 1.0
+_STEP_TOL = 1e-12
 
 
 def log_half_erfc(z):
@@ -81,13 +84,11 @@ def erfc_objective(theta, X, y, sigma: float):
 
 @dataclass
 class ClassifierConfig:
-    """Prediction-noise scale and the deterministic descent settings."""
+    """Prediction-noise scale, iteration budget and gradient tolerance."""
 
     sigma: float = 1.0
     max_iters: int = 500
     grad_tol: float = 1e-8
-    step_tol: float = 1e-12
-    step0: float = 1.0
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -116,17 +117,17 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
                      test: Optional[Dataset] = None) -> ClassifierReport:
     """Full-batch gradient descent with Armijo backtracking from theta = 0.
 
-    Stops when the gradient norm or the accepted step falls below its
-    tolerance, or after max_iters.  A stalled line search reports
-    ``converged`` only when the gradient norm is at most
-    sqrt(grad_tol) (1 + |objective|).  A non-finite objective or gradient
+    Stops when the gradient norm falls below grad_tol, when the step
+    falls below 1e-12 (a stalled line search), or after max_iters.  A
+    stalled line search reports ``converged`` only when the gradient
+    norm is at most sqrt(grad_tol) (1 + |objective|).  A non-finite objective or gradient
     is a divergence error.
     """
     if not ds.is_binary():
         raise ContractError("training requires labels in {-1, +1}")
     theta = np.zeros(ds.n_features)
     value, grad = erfc_objective(theta, ds.X, ds.y, config.sigma)
-    step = config.step0
+    step = _STEP0
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
@@ -136,9 +137,9 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
         if gnorm <= config.grad_tol:
             converged = True
             break
-        step = min(config.step0, step * 2.0)
+        step = min(_STEP0, step * 2.0)
         accepted = False
-        while step > config.step_tol:
+        while step > _STEP_TOL:
             cand = theta - step * grad
             cand_value, cand_grad = erfc_objective(cand, ds.X, ds.y, config.sigma)
             if np.isfinite(cand_value) and cand_value <= value - 1e-4 * step * gnorm**2:

@@ -8,6 +8,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -61,18 +62,21 @@ def read_csv(path, header: bool = False):
 
 
 def parse_float(cell: str, path, line_no: int) -> float:
-    """Strict decimal float parse with a file/line error message."""
+    """Strict parse of a finite decimal float, with a file/line error message."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError as exc:
         raise ConfigError(f"{path}, line {line_no}: cannot parse {cell!r} as a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}, line {line_no}: non-finite value {cell!r}")
+    return value
 
 
 def read_float_table(path, header: bool = False):
     """Read a numeric CSV into (header or None, list of float rows).
 
-    Malformed cells are hard errors naming the line. Rows may have
-    differing lengths; callers validate shapes.
+    Malformed and non-finite cells are hard errors naming the line. Rows
+    may have differing lengths; callers validate shapes.
     """
     head, raw = read_csv(path, header=header)
     offset = 2 if header else 1

@@ -79,8 +79,6 @@ def load_dataset(path, task: str = "classification") -> Dataset:
                 f"{path}, line {line_no}: expected {width} columns, found {len(cells)}"
             )
         values = [parse_float(c, path, line_no) for c in cells]
-        if not all(np.isfinite(v) for v in values):
-            raise ConfigError(f"{path}, line {line_no}: non-finite value")
         X[i] = values[:-1]
         y[i] = values[-1]
     if task == "classification" and not np.all(np.isin(y, (-1.0, 1.0))):

@@ -24,17 +24,17 @@ M, so KM is the stack of K_t M_t, and with D = alpha R - S
 
     W(K) = S - alpha M'QM - S KM - (S KM)' - KM' D KM,
 
-where S KM and D KM are blockwise products and M'QM is a constant of the
-problem (:class:`BlockOperators` holds it with the other constants).
-One Cholesky factor L of W then gives everything: W > 0 exactly when it
-exists, log det W = 2 sum(log diag L), and the gradient's solves with W
-are two triangular solves.  With p = (N-1) m, an evaluation costs one
-p x p product and one factorization, O(p^3) with small constants;
-eigenvalues of W are computed only when a caller reads
-``DetMaxResult.min_eig`` or ``feasible``.  The Newton system comes from
-the same factor (:func:`_newton_terms`): one more pair of triangular
-solves and three products, then a Cholesky of the r x r system, r being
-the number of visible free entries.
+where S KM and D KM are blockwise products and M'QM is a constant that
+the :class:`LinearSystem` builds on first use and keeps.  One Cholesky
+factor L of W then gives everything: W > 0 exactly when it exists,
+log det W = 2 sum(log diag L), and the gradient's solves with W are two
+triangular solves.  With p = (N-1) m, an evaluation costs one p x p
+product and one factorization, O(p^3) with small constants; eigenvalues
+of W are computed only when a caller reads ``DetMaxResult.min_eig`` or
+``feasible``.  The Newton system comes from the same factor
+(:func:`_newton_terms`): one more pair of triangular solves and three
+products, then a Cholesky of the r x r system, r being the number of
+visible free entries.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .sampling import as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Time-varying linear system with quadratic costs and control noise.
 
@@ -64,26 +64,33 @@ class LinearSystem:
     t = 1..N-1.  A and B must be finite, Q and R are checked by
     :func:`as_psd_weight`, sigma by the conditioning rule of
     :func:`spd_factor` (:class:`IllConditionedError`).
+
+    The system is read-only, its fields tuples of read-only copies.  It
+    keeps the constants of W(K), built on first use, and its last W(K).
     """
 
-    A: list
-    B: list
-    Q: list
-    R: list
-    sigma: list
+    A: tuple
+    B: tuple
+    Q: tuple
+    R: tuple
+    sigma: tuple
     horizon: int
 
     def __post_init__(self):
         N = self.horizon
         if N < 2:
             raise ContractError("horizon must be >= 2")
-        self.A = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.A]
-        self.B = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.B]
-        self.Q = [as_psd_weight(q, name=f"Q at t={t}") for t, q in enumerate(self.Q, start=1)]
-        self.R = [as_psd_weight(r, name=f"R at t={t}") for t, r in enumerate(self.R, start=1)]
-        self.sigma = [as_covariance(s) for s in self.sigma]
+        copies = {"A": [np.atleast_2d(np.array(a, dtype=float)) for a in self.A],
+                  "B": [np.atleast_2d(np.array(b, dtype=float)) for b in self.B],
+                  "Q": [as_psd_weight(q, name=f"Q at t={t}") for t, q in enumerate(self.Q, 1)],
+                  "R": [as_psd_weight(r, name=f"R at t={t}") for t, r in enumerate(self.R, 1)],
+                  "sigma": [as_covariance(s) for s in self.sigma]}
+        for name, mats in copies.items():
+            for mat in mats:
+                mat.setflags(write=False)
+            object.__setattr__(self, name, tuple(mats))  # past the frozen __setattr__
         for t, s in enumerate(self.sigma, start=1):
-            spd_factor(s, name=f"control noise at t={t}")  # build_block_operators inverts
+            spd_factor(s, name=f"control noise at t={t}")  # _build_block_operators inverts
         if len(self.A) != N - 1 or len(self.B) != N - 1:
             raise ContractError(f"need {N - 1} A and B matrices")
         if len(self.Q) != N:
@@ -113,18 +120,22 @@ class LinearSystem:
     def control_dim(self) -> int:
         return self.B[0].shape[1]
 
+    @cached_property
+    def _operators(self) -> _BlockOperators:
+        """The constants of W(K), built on the first det-max call."""
+        return _build_block_operators(self)
 
-@dataclass
-class BlockOperators:
+
+@dataclass(eq=False)
+class _BlockOperators:
     """Stacked trajectory-space operators of a linear system.
 
     It holds the constants that every W(K) evaluation reuses, computed
-    once: S = blockdiag(inv(Sigma_t)), the row blocks M_t that the gains
-    act on, the Gram matrix M' Q M, and the per-step blocks of S and R
-    with their largest eigenvalues.  It also keeps the last evaluation
-    (W, Z and the Cholesky factor of W, keyed by exact equality of alpha
-    and the stacked gains), so the gradient at an iterate the objective
-    just accepted reuses its factorization.
+    once per system (field comments).  Its two slots, the gain-free
+    terms at the last alpha and the last evaluation, are each replaced
+    by one attribute assignment, so concurrent calls see the old or the
+    new entry, never a mix.  The kept evaluation lets the gradient at an
+    iterate the objective just accepted reuse its factorization.
     """
 
     noise_weight: np.ndarray  # S = blockdiag(inv(Sigma_t))
@@ -137,51 +148,58 @@ class BlockOperators:
     cost_blocks: np.ndarray   # R_t, (N-1, m, m)
     noise_max_eig: float      # largest eigenvalue of S
     cost_max_eig: float       # largest eigenvalue of R
-    _alpha_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _last_eval: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    log_det_sigma: float      # sum_t log det Sigma_t
+    _alpha_slot: Optional[tuple] = field(default=None, init=False, repr=False)
+    _last_eval: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def stack(self, gains) -> np.ndarray:
         """Gains K_1..K_{N-1}, a list of (m x n) matrices or already
-        stacked, as one (N-1, m, n) array."""
+        stacked, as one (N-1, m, n) array of finite entries."""
         n, m, N = self.state_dim, self.control_dim, self.horizon
-        if isinstance(gains, np.ndarray) and gains.ndim == 3:
-            if gains.shape[1:] == (m, n) and len(gains) == N - 1:
-                return gains.astype(float, copy=False)
-            gains = list(gains)
-        gains = [np.atleast_2d(np.asarray(k, dtype=float)) for k in gains]
-        if len(gains) != N - 1:
-            raise ContractError(f"need {N - 1} gain matrices")
-        for t, k in enumerate(gains):
-            if k.shape != (m, n):
-                raise ContractError(f"gain at t={t + 1} must be {m}x{n}")
-        return np.array(gains)
+        if isinstance(gains, np.ndarray) and gains.shape == (N - 1, m, n):
+            G = gains.astype(float, copy=False)
+        else:
+            gains = [np.atleast_2d(np.asarray(k, dtype=float)) for k in gains]
+            if len(gains) != N - 1:
+                raise ContractError(f"need {N - 1} gain matrices")
+            for t, k in enumerate(gains):
+                if k.shape != (m, n):
+                    raise ContractError(f"gain at t={t + 1} must be {m}x{n}")
+            G = np.array(gains)
+        finite = np.isfinite(G).all(axis=(1, 2))
+        if not finite.all():
+            raise ContractError(f"gain at t={int(np.argmin(finite)) + 1} must be finite")
+        return G
 
     def _alpha_terms(self, alpha: float) -> _AlphaTerms:
         """The gain-free terms of W(K) at this alpha; the last alpha's
         are kept, so a synthesis run computes them once."""
-        terms = self._alpha_cache.get(alpha)
-        if terms is None:
-            # R and S are block-diagonal, so alpha R >= S block by block.
-            margins, tols = certificate_margins(alpha, self.cost_blocks, self.noise_blocks)
-            terms = _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
-                                base=self.noise_weight - alpha * self.state_gram,
-                                tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
-                                convexity_advisory=bool(np.all(margins >= -tols)))
-            self._alpha_cache.clear()
-            self._alpha_cache[alpha] = terms
+        slot = self._alpha_slot
+        if slot is not None and slot[0] == alpha:
+            return slot[1]
+        if not 0.0 < alpha < math.inf:
+            raise ContractError("alpha must be positive and finite")
+        # R and S are block-diagonal, so alpha R >= S block by block.
+        margins, tols = certificate_margins(alpha, self.cost_blocks, self.noise_blocks)
+        terms = _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
+                            base=self.noise_weight - alpha * self.state_gram,
+                            tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
+                            convexity_advisory=bool(np.all(margins >= -tols)))
+        self._alpha_slot = (alpha, terms)
         return terms
 
     def _evaluate(self, alpha: float, G: np.ndarray):
-        """(terms, W, Z, L) at stacked gains G: the alpha terms, W(K),
-        Z = S + D KM and the Cholesky factor L of W (None when W is not
-        positive definite).  The last call's result is returned again
-        for an equal (alpha, G)."""
+        """(terms, W, Z, L) at stacked gains G: the alpha terms, W(K)
+        (read-only: callers see it), Z = S + D KM and the Cholesky factor
+        L of W (None when W is not positive definite).  The last call's
+        result is returned again for an equal (alpha, G)."""
         last = self._last_eval
         if last is not None and last[0] == alpha and np.array_equal(last[1], G):
             return last[2]
         terms = self._alpha_terms(alpha)
         W, Z = _w_matrix(self, terms, G)
         out = (terms, W, Z, _cholesky(W))
+        W.setflags(write=False)
         self._last_eval = (alpha, G.copy(), out)
         return out
 
@@ -194,7 +212,7 @@ class _AlphaTerms:
     convexity_advisory: bool  # alpha R_t >= S_t at every step (certificate_margins)
 
 
-def build_block_operators(sys: LinearSystem) -> BlockOperators:
+def _build_block_operators(sys: LinearSystem) -> _BlockOperators:
     """Assemble the constants of W(K) from the block trajectory map M.
 
     Block (i, j) of M is (A_{i-1} ... A_{j+1}) B_j for
@@ -209,22 +227,14 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
         np.matmul(sys.A[i - 1], rows[i - 1], out=rows[i])
         rows[i, :, (i - 1) * m:i * m] = sys.B[i - 1]
     M = rows.reshape(N * n, (N - 1) * m)
-
-    def blockdiag(mats):
-        size = sum(b.shape[0] for b in mats)
-        out = np.zeros((size, size))
-        pos = 0
-        for b in mats:
-            out[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
-            pos += b.shape[0]
-        return out
+    from scipy.linalg import block_diag  # on first use, as in _cholesky
 
     noise_blocks = np.array([np.linalg.inv(s) for s in sys.sigma])
     noise_blocks = 0.5 * (noise_blocks + noise_blocks.transpose(0, 2, 1))
     cost_blocks = np.array(sys.R)
-    gram = M.T @ blockdiag(sys.Q) @ M
-    return BlockOperators(
-        noise_weight=blockdiag(noise_blocks),
+    gram = M.T @ block_diag(*sys.Q) @ M
+    return _BlockOperators(
+        noise_weight=block_diag(*noise_blocks),
         state_dim=n,
         control_dim=m,
         horizon=N,
@@ -234,6 +244,7 @@ def build_block_operators(sys: LinearSystem) -> BlockOperators:
         cost_blocks=cost_blocks,
         noise_max_eig=float(np.linalg.eigvalsh(noise_blocks).max()),
         cost_max_eig=float(np.linalg.eigvalsh(cost_blocks).max()),
+        log_det_sigma=float(sum(np.linalg.slogdet(s)[1] for s in sys.sigma)),
     )
 
 
@@ -243,7 +254,7 @@ class DetMaxResult:
 
     ``min_eig`` and ``feasible`` are exact but lazy: the first read of
     either runs one ``eigvalsh(W)``, which the objective itself never
-    needs.
+    needs.  ``W`` is read-only: the system keeps it as its last evaluation.
     """
 
     value: float            # log det W, -inf when W is not positive definite
@@ -261,7 +272,7 @@ class DetMaxResult:
         return bool(self.min_eig >= -self.tol)
 
 
-def _w_matrix(blocks: BlockOperators, terms: _AlphaTerms, G: np.ndarray):
+def _w_matrix(blocks: _BlockOperators, terms: _AlphaTerms, G: np.ndarray):
     """(W, Z) at stacked gains G, with Z = S + D KM.
 
     W = S - alpha M'QM - S KM - (S KM)' - KM' D KM: KM, S KM and D KM
@@ -289,32 +300,27 @@ def _cholesky(W: np.ndarray) -> Optional[np.ndarray]:
     return L if info == 0 else None
 
 
-def detmax_objective(sys: LinearSystem, alpha: float, gains,
-                     blocks: Optional[BlockOperators] = None) -> DetMaxResult:
+def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
     """log det W(K) with the feasibility flag W(K) >= 0.
 
-    ``gains`` is a list of (m x n) matrices or an (N-1, m, n) array.
-    W is assembled blockwise (module docstring) and factored once: the
-    value is 2 sum(log diag L) for its Cholesky factor L, and -inf when
-    W is not positive definite.  With p = (N-1) m that costs one p x p
-    product and one p x p Cholesky.  The ``feasible`` flag tolerates
-    eigenvalues down to -tol (scale-relative), matching the case split
-    where an indefinite W makes the expectation +inf; it and ``min_eig``
-    come from ``eigvalsh(W)``, run only when one of them is read.
+    ``gains`` is a list of (m x n) matrices or an (N-1, m, n) array of
+    finite entries.  W is assembled blockwise (module docstring) from
+    the constants ``sys`` keeps and factored once: the value is
+    2 sum(log diag L) for its Cholesky factor L, and -inf when W is not
+    positive definite.  With p = (N-1) m that costs one p x p product
+    and one p x p Cholesky.  The ``feasible`` flag tolerates eigenvalues
+    down to -tol (scale-relative), matching the case split where an
+    indefinite W makes the expectation +inf; it and ``min_eig`` come
+    from ``eigvalsh(W)``, run only when one of them is read.
     """
-    if blocks is None:
-        blocks = build_block_operators(sys)
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise ContractError("alpha must be positive and finite")
-    terms, W, _, L = blocks._evaluate(alpha, blocks.stack(gains))
+    ops = sys._operators
+    terms, W, _, L = ops._evaluate(float(alpha), ops.stack(gains))
     value = -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
     return DetMaxResult(value=value, W=W, convexity_advisory=terms.convexity_advisory,
                         tol=terms.tol)
 
 
-def detmax_gradient(sys: LinearSystem, alpha: float, gains,
-                    blocks: Optional[BlockOperators] = None):
+def detmax_gradient(sys: LinearSystem, alpha: float, gains):
     """Gradient of log det W with respect to each K_t (exact).
 
     d log det W / dK is the block diagonal of -2 Z W^-1 M' with
@@ -323,31 +329,29 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains,
     is -2 (M_t Y_t)', Y_t being the t-th block of m columns of Y; no
     inverse and no off-diagonal block is formed.  Cost: one assembly of
     W, one Cholesky and the p x p solves; the first two are skipped when
-    the last evaluation on ``blocks`` was at the same alpha and gains.
+    the last evaluation on ``sys`` was at the same alpha and gains.
     ``synthesize`` gets the same gradient from its Newton pass
-    (:func:`_newton_terms`).  Where W is indefinite,
-    Y comes from an LU solve and the result is the gradient of
-    log |det W|.
+    (:func:`_newton_terms`).  Where W is not positive definite, log det W
+    is -inf and has no gradient: :class:`ContractError`.
 
     Returns the gradient as one (N-1, m, n) array.
     """
-    if blocks is None:
-        blocks = build_block_operators(sys)
-    _, W, Z, L = blocks._evaluate(float(alpha), blocks.stack(gains))
-    return _gradient(blocks, _solve_w(W, L, Z.T))
+    ops = sys._operators
+    _, _, Z, L = ops._evaluate(float(alpha), ops.stack(gains))
+    return _gradient(ops, _solve_w(L, Z.T))
 
 
-def _solve_w(W: np.ndarray, L: Optional[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """W^-1 rhs: two triangular solves with the Cholesky factor L, or an
-    LU solve when W is not positive definite (L is None)."""
+def _solve_w(L: Optional[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """W^-1 rhs by two triangular solves with the Cholesky factor L of W;
+    :class:`ContractError` when W is not positive definite (L is None)."""
     if L is None:
-        return np.linalg.solve(W, rhs)
+        raise ContractError("W(K) is not positive definite: log det W has no gradient")
     from scipy.linalg.lapack import dpotrs
 
     return dpotrs(L, rhs, lower=1)[0]
 
 
-def _gradient(blocks: BlockOperators, Y: np.ndarray) -> np.ndarray:
+def _gradient(blocks: _BlockOperators, Y: np.ndarray) -> np.ndarray:
     """Blocks -2 (M_t Y_t)' of the gradient, from Y = W^-1 Z'."""
     N, m = blocks.horizon, blocks.control_dim
     return -2.0 * np.einsum("tna,atm->tmn", blocks.traj_rows, Y.reshape(-1, N - 1, m))
@@ -373,7 +377,7 @@ class _Coordinates:
         return out
 
 
-def _visible_coordinates(blocks: BlockOperators, masks: np.ndarray) -> _Coordinates:
+def _visible_coordinates(blocks: _BlockOperators, masks: np.ndarray) -> _Coordinates:
     """An orthonormal basis, row by row, of the free gain directions that
     W(K) can see.
 
@@ -395,7 +399,7 @@ def _visible_coordinates(blocks: BlockOperators, masks: np.ndarray) -> _Coordina
                         traj=(s[row, k, None] * Vt[row, k]).T)
 
 
-def _newton_terms(blocks: BlockOperators, alpha: float, G: np.ndarray, coords: _Coordinates):
+def _newton_terms(blocks: _BlockOperators, alpha: float, G: np.ndarray, coords: _Coordinates):
     """(gradient, -H, g) of log det W at stacked gains G: the gradient as
     an (N-1, m, n) array, and the negated Hessian and the gradient in the
     coordinates ``coords``.
@@ -409,18 +413,17 @@ def _newton_terms(blocks: BlockOperators, alpha: float, G: np.ndarray, coords: _
     the gradient; Z X U = Y' U and Z X Z' = Z Y, so the Hessian costs one
     more pair of triangular solves (against U) and three small products.
     -H is positive semidefinite when alpha R_t >= S_t at every step.
-    Where W is indefinite, X comes from LU solves, as in
-    :func:`detmax_gradient`, and these are the derivatives of log |det W|.
+    W must be positive definite at G (:func:`_solve_w`).
     """
-    terms, W, Z, L = blocks._evaluate(alpha, G)
-    Y = _solve_w(W, L, Z.T)
+    terms, _, Z, L = blocks._evaluate(alpha, G)
+    Y = _solve_w(L, Z.T)
     grad = _gradient(blocks, Y)
     m = blocks.control_dim
     U, row = coords.traj, coords.row
     ZXZ = Z @ Y
     steps = np.arange(blocks.horizon - 1)
     ZXZ.reshape(-1, m, blocks.horizon - 1, m)[steps, :, steps, :] += terms.D
-    neg_hess = U.T @ _solve_w(W, L, U)
+    neg_hess = U.T @ _solve_w(L, U)
     neg_hess *= ZXZ[np.ix_(row, row)]
     B = (Y.T @ U)[row]
     neg_hess += B * B.T
@@ -428,7 +431,7 @@ def _newton_terms(blocks: BlockOperators, alpha: float, G: np.ndarray, coords: _
     return grad, neg_hess, -2.0 * B.diagonal()
 
 
-def _ascent_directions(blocks: BlockOperators, alpha: float, G: np.ndarray,
+def _ascent_directions(blocks: _BlockOperators, alpha: float, G: np.ndarray,
                        coords: _Coordinates):
     """(gradient, Newton direction, Newton decrement) at stacked gains G,
     the first two as (N-1, m, n) arrays.  The direction is
@@ -447,46 +450,39 @@ def _ascent_directions(blocks: BlockOperators, alpha: float, G: np.ndarray,
     return grad, coords.expand(x, G.shape), float(g @ x)
 
 
-def closed_form_expectation(sys: LinearSystem, alpha: float, gains,
-                            blocks: Optional[BlockOperators] = None) -> float:
+def closed_form_expectation(sys: LinearSystem, alpha: float, gains) -> float:
     """E[exp(alpha J(K))] in closed form: exp(-(log det W + sum log det Sigma_t)/2).
 
     The Gaussian normalizer c = sqrt((2 pi)^{m(N-1)} prod det Sigma_t)
     cancels the (2 pi) powers of the integral, leaving the determinant
-    ratio; everything is computed in log form.  Returns +inf when W is
-    not positive definite.
+    ratio; everything is computed in log form, with sum log det Sigma_t
+    kept by ``sys``.  Returns +inf when W is not positive definite.
     """
-    res = detmax_objective(sys, alpha, gains, blocks=blocks)
+    res = detmax_objective(sys, alpha, gains)
     if res.value == -math.inf:
         return math.inf
-    log_det_sigmas = sum(np.linalg.slogdet(s)[1] for s in sys.sigma)
-    return math.exp(-0.5 * (res.value + log_det_sigmas))
+    return math.exp(-0.5 * (res.value + sys._operators.log_det_sigma))
 
 
 # The Newton stop: a predicted gain of at most this many units of
 # roundoff of the objective, eps (1 + |log det W|), cannot be seen.
 _ROUNDING_GAIN = 8 * np.finfo(float).eps
+# The step rules and tolerances of synthesize (see its docstring).
+_STEP0 = 1.0
+_BACKTRACK = 0.5
+_STEP_TOL = 1e-14
+_GRAD_TOL = 1e-9
 
 
 @dataclass
 class SynthesisConfig:
+    """The iteration budget of :func:`synthesize`."""
+
     max_iters: int = 300
-    step0: float = 1.0
-    grad_tol: float = 1e-9
-    step_tol: float = 1e-14
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
-        if not self.step0 > 0.0:
-            raise ContractError("step0 must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ContractError("backtrack must be in (0, 1)")
-        if not self.step_tol > 0.0:
-            raise ContractError("step_tol must be positive")
-        if not self.grad_tol >= 0.0:
-            raise ContractError("grad_tol must be nonnegative")
 
 
 @dataclass
@@ -508,26 +504,26 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
 
     ``structure`` is an optional list of (m x n) boolean masks, True
     where the entry is free; masked (False) entries are held at zero.
-    ``feasible`` optionally projects the stacked free gains.  Starts at
-    K = 0; if that is infeasible the report flags failure.
+    ``feasible`` optionally projects the stacked free gains, (N-1) m n
+    entries ordered as by :func:`control.stack_gains`.  Starts at K = 0;
+    if that is infeasible the report flags failure.
 
     Each iteration takes the exact Newton direction on the free entries
     that W can see (:func:`_visible_coordinates`; the others never move),
     tried first at step 1.  When -H does not factor (it can be indefinite
     where alpha R_t < S_t) or no Newton step improves the objective (a
     ``feasible`` projection can cause this), the iteration takes a
-    projected gradient step instead, its step starting from the last
-    accepted gradient step over ``backtrack`` (at most ``step0``).
-    Either way steps are multiplied by ``backtrack`` until the objective
-    improves, which also keeps W positive definite.  The run stops when
-    the gradient norm is at most ``grad_tol`` (1 + |log det W|)
+    projected gradient step instead, its step starting from twice the
+    last accepted gradient step (at most 1).  Either way steps are halved
+    until the objective improves, which also keeps W positive definite.
+    The run stops when the gradient norm is at most 1e-9 (1 + |log det W|)
     (converged), when the gain the Newton model predicts, half the
     decrement g'(-H)^-1 g, is at most 8 eps (1 + |log det W|), a few
     rounding units of the objective, or when neither step improves at a
-    step above ``step_tol``; the last two count as converged when the
-    gradient norm is at most sqrt(``grad_tol``) (1 + |log det W|).
+    step above 1e-14; the last two count as converged when the gradient
+    norm is at most sqrt(1e-9) (1 + |log det W|).
     """
-    blocks = build_block_operators(sys)
+    blocks = sys._operators
     cfg = config or SynthesisConfig()
     alpha = float(alpha)
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
@@ -538,6 +534,8 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         if len(masks) != N - 1 or any(mk.shape != (m, n) for mk in masks):
             raise ContractError(f"structure needs {N - 1} boolean masks of shape {(m, n)}")
         masks = np.array(masks)
+    if feasible is not None and feasible.dim != masks.size:
+        raise ContractError(f"feasible set dimension {feasible.dim} != {masks.size} gain entries")
 
     def apply_constraints(G):
         # G.ravel() is the step-major order of control.stack_gains.
@@ -547,7 +545,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         return G
 
     gains = apply_constraints(np.zeros((N - 1, m, n)))
-    res = detmax_objective(sys, alpha, gains, blocks=blocks)
+    res = detmax_objective(sys, alpha, gains)
     if res.value == -math.inf:
         return SynthesisReport(gains=list(gains), objective=res.value, success=False,
                                converged=False, iterations=0, grad_norm=math.nan,
@@ -561,20 +559,20 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         """Backtrack from ``step`` until the objective improves; the
         accepted step (gains and value move there), or None."""
         nonlocal gains, value
-        while step > cfg.step_tol:
+        while step > _STEP_TOL:
             moved = gains + step * direction
             cand = apply_constraints(moved)
-            cand_value = detmax_objective(sys, alpha, cand, blocks=blocks).value
+            cand_value = detmax_objective(sys, alpha, cand).value
             # value is finite, so an improvement also means W(cand) > 0.
             if cand_value > value:
                 gains, value = cand, cand_value
                 return step
             if np.array_equal(moved, gains):
                 break  # rounding is monotone: every shorter step gives this same candidate
-            step *= cfg.backtrack
+            step *= _BACKTRACK
         return None
 
-    step = cfg.step0
+    step = _STEP0
     converged = False
     grad_norm = math.inf
     it = 0
@@ -582,19 +580,19 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         grad, newton, decrement = _ascent_directions(blocks, alpha, gains, coords)
         grad *= masks
         grad_norm = math.sqrt(float(np.sum(grad**2)))
-        if grad_norm <= cfg.grad_tol * (1.0 + abs(value)):
+        if grad_norm <= _GRAD_TOL * (1.0 + abs(value)):
             converged = True
             break
         if newton is not None:
             if 0.5 * decrement <= _ROUNDING_GAIN * (1.0 + abs(value)):
                 # No step can show a gain the objective's rounding hides.
-                converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))
+                converged = grad_norm <= math.sqrt(_GRAD_TOL) * (1.0 + abs(value))
                 break
             if line_search(newton, 1.0) is not None:
                 continue
-        accepted = line_search(grad, min(cfg.step0, step / cfg.backtrack))
+        accepted = line_search(grad, min(_STEP0, step / _BACKTRACK))
         if accepted is None:
-            converged = grad_norm <= math.sqrt(cfg.grad_tol) * (1.0 + abs(value))
+            converged = grad_norm <= math.sqrt(_GRAD_TOL) * (1.0 + abs(value))
             break
         step = accepted
     return SynthesisReport(gains=list(gains), objective=value, success=True,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from riskconvex import classify
 from riskconvex.classify import (
     ClassifierConfig,
     accuracy,
@@ -101,9 +102,10 @@ class TestTrainClassifier:
         assert report.theta[0] > 0.0
         assert report.train_accuracy == 1.0
 
-    def test_stalled_line_search_is_not_converged(self):
+    def test_stalled_line_search_is_not_converged(self, monkeypatch):
         ds = make_blobs(200, GaussianSampler(3, dim=1))
-        report = train_classifier(ds, ClassifierConfig(step0=1e-13))
+        monkeypatch.setattr(classify, "_STEP0", 1e-13)
+        report = train_classifier(ds, ClassifierConfig())
         assert report.iterations == 1
         assert not report.converged
 

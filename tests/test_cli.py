@@ -88,6 +88,22 @@ class TestExitCodes:
         code = run_cli(["--out", str(out), "--config", str(cfg), "control", "rollout"])
         assert code == 3 and not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "classify", "nnet"])
+    def test_non_finite_weight_is_three(self, tmp_path, sine_csv, capsys, command):
+        weights = tmp_path / "w"
+        weights.mkdir()
+        if command == "classify":
+            (weights / "model.csv").write_text("theta\nnan\n0.5\n")
+            argv = ["classify", "eval", str(write_classification_csv(tmp_path / "d.csv")),
+                    str(weights / "model.csv")]
+        else:
+            (weights / "K_01.csv").write_text("col_0\nnan\n")
+            (weights / "K_02.csv").write_text("col_0\n-0.3\n")
+            argv = (["nnet", "eval", str(sine_csv), str(weights)] if command == "nnet" else
+                    ["synth", "eval", str(weights)])
+        assert run_cli(argv) == 3
+        assert "line 2: non-finite value 'nan'" in capsys.readouterr().err
+
     def test_bad_flag_is_three(self):
         assert run_cli(["--no-such-flag", "demo-1d"]) == 3
 

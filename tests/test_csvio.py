@@ -49,3 +49,11 @@ def test_missing_file_is_config_error(tmp_path):
 def test_parse_float_error_message(tmp_path):
     with pytest.raises(ConfigError, match="line 7"):
         parse_float("x2", tmp_path / "f.csv", 7)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_cells_are_rejected(tmp_path, cell):
+    path = tmp_path / "n.csv"
+    path.write_text(f"col_0\n0.5\n{cell}\n")
+    with pytest.raises(ConfigError, match=f"line 3: non-finite value '{cell}'"):
+        read_float_table(path, header=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,11 @@ from riskconvex.control import policy_gradient_batch
 from riskconvex.errors import ContractError, IllConditionedError
 from riskconvex.objective import psd_tolerance
 from riskconvex.sampling import GaussianSampler
+from riskconvex.solver import FeasibleSet
 from riskconvex import synthesis
 from riskconvex.synthesis import (
-    BlockOperators,
     LinearSystem,
     SynthesisConfig,
-    build_block_operators,
     closed_form_expectation,
     detmax_gradient,
     detmax_objective,
@@ -68,7 +68,7 @@ def assert_layout_matches_dense(sys):
     """The library's row blocks M_t and Gram matrix M'QM against the
     dense operators of the test oracle."""
     N, n = sys.horizon, sys.state_dim
-    blocks = build_block_operators(sys)
+    blocks = synthesis._build_block_operators(sys)
     ops = dense_operators(sys)
     p = ops.M.shape[1]
     assert np.array_equal(blocks.traj_rows, ops.M[:(N - 1) * n].reshape(N - 1, n, p))
@@ -98,13 +98,46 @@ class TestInputChecks:
             LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.1]]] * 3,
                          R=[[[1.0]]] * 2, sigma=[[[1.0]], [[sig]]], horizon=3)
 
-    @pytest.mark.parametrize("field, value", [
-        ("max_iters", 0), ("step0", 0.0), ("step0", -1.0), ("backtrack", 0.0),
-        ("backtrack", 1.0), ("step_tol", 0.0), ("grad_tol", -1e-9), ("step0", math.nan),
-    ])
+    @pytest.mark.parametrize("field, value", [("max_iters", 0)])
     def test_synthesis_config_rejects(self, field, value):
         with pytest.raises(ContractError, match=field):
             SynthesisConfig(**{field: value})
+
+
+class TestReadOnlySystem:
+    def test_fields_cannot_be_assigned(self):
+        sys = scalar_system()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.A = [[[2.0]]] * 2
+
+    @pytest.mark.parametrize("name", ["A", "B", "Q", "R", "sigma"])
+    def test_matrices_cannot_be_written(self, name):
+        sys = scalar_system()
+        assert isinstance(getattr(sys, name), tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sys, name)[0][0, 0] = 2.0
+
+    def test_later_edits_of_the_callers_arrays_do_not_reach_the_system(self):
+        rng = np.random.default_rng(15)
+        mats = {"A": [0.5 * rng.standard_normal((2, 2)) for _ in range(3)],
+                "B": [rng.standard_normal((2, 1)) for _ in range(3)],
+                "Q": [0.05 * np.eye(2) for _ in range(4)],
+                "R": [np.eye(1) for _ in range(3)], "sigma": [np.eye(1) for _ in range(3)]}
+        kept = {name: [m.copy() for m in ms] for name, ms in mats.items()}
+        sys = LinearSystem(horizon=4, **mats)
+        for ms in mats.values():
+            for mat in ms:
+                mat *= 1.5
+        gains = [np.full((1, 2), 0.1)] * 3
+        assert detmax_objective(sys, 1.0, gains).value == \
+            detmax_objective(LinearSystem(horizon=4, **kept), 1.0, gains).value
+        assert detmax_objective(LinearSystem(horizon=4, **mats), 1.0, gains).value != \
+            detmax_objective(sys, 1.0, gains).value
+
+    def test_the_kept_w_cannot_be_written(self):
+        res = detmax_objective(scalar_system(q=0.3), 1.0, [np.zeros((1, 1))] * 2)
+        with pytest.raises(ValueError, match="read-only"):
+            res.W[0, 0] = 0.0
 
 
 class TestBlockOperators:
@@ -266,21 +299,13 @@ class TestFactorizedEvaluator:
         gains = [0.1 * rng.standard_normal((2, 4)) * DECENTRALIZED for _ in range(5)]
         assert_gradient_matches_finite_differences(sys, 1.2, gains)
 
-    def test_gradient_off_the_feasible_set_is_that_of_log_abs_det(self):
+    def test_gradient_at_an_indefinite_w_is_a_contract_error(self):
         # q = 0.6 makes W indefinite but nonsingular here; log det W is -inf.
         sys = scalar_system(q=0.6, horizon=3)
         gains = [np.array([[0.3]]), np.array([[-0.2]])]
         assert np.linalg.eigvalsh(dense_w(sys, 1.0, gains))[0] < 0.0
-        grad = detmax_gradient(sys, 1.0, gains)
-        h = 1e-6
-        for t in range(2):
-            up = [k.copy() for k in gains]
-            dn = [k.copy() for k in gains]
-            up[t][0, 0] += h
-            dn[t][0, 0] -= h
-            fd = (np.linalg.slogdet(dense_w(sys, 1.0, up))[1]
-                  - np.linalg.slogdet(dense_w(sys, 1.0, dn))[1]) / (2 * h)
-            assert grad[t][0, 0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        with pytest.raises(ContractError, match="not positive definite"):
+            detmax_gradient(sys, 1.0, gains)
 
     def test_list_and_stacked_inputs_agree(self):
         rng = np.random.default_rng(11)
@@ -301,24 +326,56 @@ class TestFactorizedEvaluator:
         ([np.zeros((2, 3))] * 3 + [np.zeros((3, 2))], "gain at t=4 must be 2x3"),
         (np.zeros((3, 2, 3)), "need 4 gain matrices"),
         (np.zeros((4, 3, 2)), "gain at t=1 must be 2x3"),
+        ([np.zeros((2, 3))] * 2 + [np.full((2, 3), math.nan)] + [np.zeros((2, 3))],
+         "gain at t=3 must be finite"),
+        ([np.zeros((2, 3))] * 3 + [np.array([[0.0, math.inf, 0.0], [0.0] * 3])],
+         "gain at t=4 must be finite"),
+        (np.stack([np.zeros((2, 3))] * 3 + [np.full((2, 3), -math.inf)]),
+         "gain at t=4 must be finite"),
     ])
     def test_bad_gains_rejected(self, bad, message):
         sys = random_system(np.random.default_rng(1), 3, 2, 5)
-        for fn in (detmax_objective, detmax_gradient):
+        for fn in (detmax_objective, detmax_gradient, closed_form_expectation):
             with pytest.raises(ContractError, match=message):
                 fn(sys, 1.0, bad)
 
-    def test_shared_blocks_follow_alpha(self):
-        sys = random_system(np.random.default_rng(12), 2, 1, 4)
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        sys = scalar_system()
+        for fn in (detmax_objective, detmax_gradient, closed_form_expectation):
+            with pytest.raises(ContractError, match="alpha must be positive and finite"):
+                fn(sys, alpha, [np.zeros((1, 1))] * 2)
+
+    def test_switching_alpha_matches_a_fresh_system(self):
+        def system():
+            return random_system(np.random.default_rng(12), 2, 1, 4)
+
+        sys = system()
         gains = [np.full((1, 2), 0.1)] * 3
-        blocks = build_block_operators(sys)
         for alpha in (0.5, 2.0, 0.5):
-            shared = detmax_objective(sys, alpha, gains, blocks=blocks)
-            fresh = detmax_objective(sys, alpha, gains)
-            assert shared.value == fresh.value
-            assert shared.convexity_advisory == fresh.convexity_advisory
-            assert np.array_equal(detmax_gradient(sys, alpha, gains, blocks=blocks),
-                                  detmax_gradient(sys, alpha, gains))
+            kept = detmax_objective(sys, alpha, gains)
+            fresh = detmax_objective(system(), alpha, gains)
+            assert kept.value == fresh.value
+            assert kept.convexity_advisory == fresh.convexity_advisory
+            assert np.array_equal(detmax_gradient(sys, alpha, gains),
+                                  detmax_gradient(system(), alpha, gains))
+            assert closed_form_expectation(sys, alpha, gains) == \
+                closed_form_expectation(system(), alpha, gains)
+
+    def test_the_system_builds_its_constants_once(self, monkeypatch):
+        builds = []
+        build = synthesis._build_block_operators
+        monkeypatch.setattr(synthesis, "_build_block_operators",
+                            lambda sys: builds.append(1) or build(sys))
+        sys = random_system(np.random.default_rng(16), 4, 2, 6, q_scale=0.01)
+        config = SynthesisConfig(max_iters=40)
+        full = synthesize(sys, 1.0, config=config)
+        masked = synthesize(sys, 1.0, structure=[DECENTRALIZED] * 5, config=config)
+        for rep in (full, masked):
+            assert rep.success
+            assert closed_form_expectation(sys, 1.0, rep.gains) < math.inf
+        detmax_gradient(sys, 1.0, full.gains)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_synthesize_objective_is_detmax_objective_exactly(self, masked):
@@ -357,13 +414,13 @@ class TestFactorizedEvaluator:
         assert counts["newton"] == cached.iterations
 
         # Without the kept evaluation every gradient factors W again.
-        evaluate = BlockOperators._evaluate
+        evaluate = synthesis._BlockOperators._evaluate
 
         def uncached(self, alpha, G):
             self._last_eval = None
             return evaluate(self, alpha, G)
 
-        monkeypatch.setattr(BlockOperators, "_evaluate", uncached)
+        monkeypatch.setattr(synthesis._BlockOperators, "_evaluate", uncached)
         counts.update(dpotrf=0, objective=0, newton=0)
         fresh = synthesize(sys, 1.0, **kwargs)
         assert counts["dpotrf"] == counts["objective"] + fresh.iterations
@@ -390,7 +447,7 @@ class TestNewtonSystem:
         sys = random_system(rng, 4, 2, 5, q_scale=0.01)
         masks = np.array([DECENTRALIZED if masked else np.ones((2, 4), bool)] * 4)
         gains = 0.1 * rng.standard_normal((4, 2, 4)) * masks
-        blocks = build_block_operators(sys)
+        blocks = sys._operators
         coords = entry_coordinates(blocks, masks)
         grad, neg_hess, g = synthesis._newton_terms(blocks, alpha, gains, coords)
         assert detmax_objective(sys, alpha, gains).convexity_advisory == advisory
@@ -417,7 +474,7 @@ class TestNewtonSystem:
 
     def test_visible_coordinates_skip_what_w_cannot_see(self):
         sys = random_system(np.random.default_rng(61), 4, 2, 5, q_scale=0.01)
-        blocks = build_block_operators(sys)
+        blocks = sys._operators
         for masks in (np.ones((4, 2, 4), bool), np.array([DECENTRALIZED] * 4)):
             coords = synthesis._visible_coordinates(blocks, masks)
             steps = coords.row // 2
@@ -443,7 +500,7 @@ class TestRiccatiOracle:
 
     def test_gains_match_on_the_trajectory(self, case):
         sys, alpha, rep, ric = case
-        blocks = build_block_operators(sys)
+        blocks = sys._operators
         reached = np.matmul(np.array(rep.gains), blocks.traj_rows)   # K_t M_t
         oracle = np.matmul(np.array(ric), blocks.traj_rows)
         assert np.abs(reached - oracle).max() <= 1e-8
@@ -484,7 +541,7 @@ class TestRiccatiOracle:
         assert not rep.convexity_advisory
         assert any(info != 0 for info in infos) and infos[-1] == 0
         assert rep.success and rep.converged
-        blocks = build_block_operators(sys)
+        blocks = sys._operators
         ric = riccati_gains(sys, alpha)
         assert np.abs(np.matmul(np.array(rep.gains), blocks.traj_rows)
                       - np.matmul(np.array(ric), blocks.traj_rows)).max() <= 1e-8
@@ -585,13 +642,18 @@ class TestSynthesize:
 
     def test_feasible_set_projection_applies(self):
         bench = ScalarBenchmark()
-        from riskconvex.solver import FeasibleSet
-
         box = FeasibleSet.box([-0.05] * 2, [0.05] * 2)
         rep = synthesize(bench.system(), bench.alpha, feasible=box,
                          config=SynthesisConfig(max_iters=100))
         assert rep.success
         assert rep.gains[1][0, 0] == pytest.approx(-0.05, abs=1e-6)
+
+    @pytest.mark.parametrize("feasible", [FeasibleSet.ball(np.zeros(5), 1.0),
+                                          FeasibleSet.box([-1.0] * 5, [1.0] * 5)],
+                             ids=["ball", "box"])
+    def test_feasible_set_of_the_wrong_size_rejected(self, feasible):
+        with pytest.raises(ContractError, match="feasible set dimension 5 != 2 gain entries"):
+            synthesize(ScalarBenchmark().system(), 1.0, feasible=feasible)
 
     def test_bad_structure_shape_rejected(self):
         with pytest.raises(ContractError):
