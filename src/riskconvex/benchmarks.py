@@ -28,7 +28,8 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
 
     State cost 0.5 s' Q_t s, state-feedback features phi(s) = s, zero
     system disturbance.  Returns (dynamics, cost, policy, model); the
-    policy starts at the supplied gains or zero.
+    policy starts at the supplied gains, N-1 matrices of shape m x n, or
+    zero.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
 
@@ -61,6 +62,9 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
                        vectorized=True)
     if gains is None:
         gains = [np.zeros((m, n)) for _ in range(N - 1)]
+    for t, k in enumerate(gains, start=1):
+        if np.shape(k) != (m, n):
+            raise ContractError(f"gain K_{t} must be {m}x{n}, got shape {np.shape(k)}")
     policy = Policy(gains=gains, features=features,
                     features_jacobian=features_jacobian, vectorized=True)
     model = ControlRiskModel(alpha=alpha, control_noise=list(sys.sigma))

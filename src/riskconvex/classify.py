@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .csvio import read_float_table, write_csv
+from .csvio import read_matrix, write_csv
 from .datasets import Dataset, sign_plus
-from .errors import ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError
 
 _SQRT_PI = float(np.sqrt(np.pi))
 # Descent steps are at most _STEP0; a line search halving them below _STEP_TOL stalls.
@@ -167,5 +167,7 @@ def write_model_csv(path, theta) -> None:
 
 
 def read_model_csv(path) -> np.ndarray:
-    _, rows = read_float_table(path, header=True)
-    return np.array([row[0] for row in rows])
+    head, theta = read_matrix(path, header=True)
+    if len(head) != 1:
+        raise ConfigError(f"{path}: expected 1 column, found {len(head)}")
+    return theta[:, 0]

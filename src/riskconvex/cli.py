@@ -75,17 +75,44 @@ def _echo_kv(**kwargs) -> None:
         click.echo(f"{key}={value}")
 
 
-# ---------------------------------------------------------------- demo-1d
+# Every setting of every subcommand, declared once: key -> (type, default).
+# tests/test_readme.py checks the README's config-key list against SETTINGS.
+NNET_TRAIN = {
+    "widths": ("list[int]", [1, 6, 1]), "alpha": ("float", 16.0),
+    "sigma": ("list[float]", [0.45]), "penalty": ("list[float]", []),
+    "loss_bound": ("float", 0.25), "iterations": ("int", 300), "batch": ("int", 64),
+    "radius": ("float", 6.0), "eval_every": ("int", 50), "test_split": ("float", 0.0),
+    "force": ("bool", False), "method": ("str", "derivative_free"),
+}
+# The scalar linear benchmark shared by the control and synth subcommands.
+SYSTEM = {
+    "a": ("float", 1.0), "b": ("float", 1.0), "q": ("float", 0.15), "r": ("float", 1.0),
+    "sigma_u": ("float", 1.0), "alpha": ("float", 1.0), "horizon": ("int", 3),
+}
+CONTROL_TRAIN = dict(SYSTEM, iterations=("int", 2000), batch=("int", 128),
+                     radius=("float", 0.6), method=("str", "derivative_free"),
+                     zeta=("float", 0.0))
+SYNTH = dict(SYSTEM, max_iters=("int", 300))
+SETTINGS = {
+    "demo-1d": {
+        "alpha": ("float", 4.0), "sigma": ("float", 0.5), "kappa": ("float", 1.0),
+        "field": ("str", "two-basin"), "grid_points": ("int", 121),
+        "grid_min": ("float", -3.0), "grid_max": ("float", 3.0), "samples": ("int", 20000),
+    },
+    "classify train": {"sigma": ("float", 1.0), "max_iters": ("int", 500),
+                       "grad_tol": ("float", 1e-8), "test_split": ("float", 0.0)},
+    "classify eval": {},
+    "classify corrupt": {"sigma_noise": ("float", 1.0)},
+    "nnet train": NNET_TRAIN,
+    "nnet eval": {"widths": NNET_TRAIN["widths"]},
+    "control train": CONTROL_TRAIN,
+    "control rollout": dict(CONTROL_TRAIN, gains=("str", ""), mode=("str", "noisy")),
+    "synth solve": SYNTH,
+    "synth eval": SYNTH,
+}
 
-DEMO_SCHEMA = {
-    "alpha": "float", "sigma": "float", "kappa": "float", "field": "str",
-    "grid_points": "int", "grid_min": "float", "grid_max": "float",
-    "samples": "int",
-}
-DEMO_DEFAULTS = {
-    "alpha": 4.0, "sigma": 0.5, "kappa": 1.0, "field": "two-basin",
-    "grid_points": 121, "grid_min": -3.0, "grid_max": 3.0, "samples": 20000,
-}
+
+# ---------------------------------------------------------------- demo-1d
 
 
 @cli.command("demo-1d")
@@ -93,7 +120,7 @@ DEMO_DEFAULTS = {
 def demo_1d(ctx):
     """Tabulate original, smoothed, and convexified 1-D curves as CSV."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], DEMO_SCHEMA, DEMO_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["demo-1d"])
     n = ctx.obj["samples"] or cfg["samples"]
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     grid = uniform_grid(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
@@ -105,11 +132,6 @@ def demo_1d(ctx):
 
 
 # ---------------------------------------------------------------- classify
-
-CLASSIFY_TRAIN_SCHEMA = {"sigma": "float", "max_iters": "int", "grad_tol": "float",
-                         "test_split": "float"}
-CLASSIFY_TRAIN_DEFAULTS = {"sigma": 1.0, "max_iters": 500, "grad_tol": 1e-8,
-                           "test_split": 0.0}
 
 
 @cli.group()
@@ -123,7 +145,7 @@ def classify():
 def classify_train(ctx, dataset):
     """Train weights on DATASET and write them as CSV."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], CLASSIFY_TRAIN_SCHEMA, CLASSIFY_TRAIN_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["classify train"])
     ds = load_dataset(dataset, task="classification")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     test = None
@@ -147,7 +169,7 @@ def classify_train(ctx, dataset):
 @click.pass_context
 def classify_eval(ctx, dataset, model):
     """Report accuracy of MODEL on DATASET."""
-    load_config(ctx.obj["config"], {}, {})
+    load_config(ctx.obj["config"], SETTINGS["classify eval"])
     ds = load_dataset(dataset, task="classification")
     theta = read_model_csv(model)
     if theta.size != ds.n_features:
@@ -158,16 +180,13 @@ def classify_eval(ctx, dataset, model):
         write_csv(ctx.obj["out"], [[acc]], header=["accuracy"])
 
 
-CLASSIFY_CORRUPT_SCHEMA = {"sigma_noise": "float"}
-
-
 @classify.command("corrupt")
 @click.argument("dataset", type=click.Path())
 @click.pass_context
 def classify_corrupt(ctx, dataset):
     """Write a label-corrupted copy of DATASET: y -> sign(y + noise)."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], CLASSIFY_CORRUPT_SCHEMA, {"sigma_noise": 1.0})
+    cfg = load_config(ctx.obj["config"], SETTINGS["classify corrupt"])
     ds = load_dataset(dataset, task="classification")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     corrupted = corrupt_labels(ds, cfg["sigma_noise"], sampler)
@@ -177,19 +196,6 @@ def classify_corrupt(ctx, dataset):
 
 
 # ---------------------------------------------------------------- nnet
-
-NNET_SCHEMA = {
-    "widths": "list[int]", "alpha": "float", "sigma": "list[float]",
-    "penalty": "list[float]", "loss_bound": "float", "iterations": "int",
-    "batch": "int", "radius": "float", "eval_every": "int",
-    "test_split": "float", "force": "bool", "method": "str",
-}
-NNET_DEFAULTS = {
-    "widths": [1, 6, 1], "alpha": 16.0, "sigma": [0.45], "penalty": [],
-    "loss_bound": 0.25, "iterations": 300, "batch": 64, "radius": 6.0,
-    "eval_every": 50, "test_split": 0.0, "force": False,
-    "method": "derivative_free",
-}
 
 
 def _nnet_config(cfg) -> NoisyNetConfig:
@@ -216,7 +222,7 @@ def nnet():
 def nnet_train(ctx, dataset):
     """Train on DATASET; write weight CSVs and curve.csv into --out."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], NNET_SCHEMA, NNET_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["nnet train"])
     net = _nnet_config(cfg)
     ds = load_dataset(dataset, task="regression")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
@@ -235,21 +241,18 @@ def nnet_train(ctx, dataset):
              out=out)
 
 
-NNET_EVAL_SCHEMA = {"widths": "list[int]"}
-
-
 @nnet.command("eval")
 @click.argument("dataset", type=click.Path())
 @click.argument("weights", type=click.Path())
 @click.pass_context
 def nnet_eval(ctx, dataset, weights):
     """Mean-network MSE of WEIGHTS on DATASET."""
-    cfg = load_config(ctx.obj["config"], NNET_EVAL_SCHEMA, {"widths": [1, 6, 1]})
+    cfg = load_config(ctx.obj["config"], SETTINGS["nnet eval"])
     widths = cfg["widths"]
     net = NoisyNetConfig(widths=widths, alpha=1.0,
                          noise_scales=[1.0] * (len(widths) - 1))
     ds = load_dataset(dataset, task="regression")
-    ws = read_gains_csv(weights)
+    ws = read_gains_csv(weights, [(net.internal_width,) * 2] * net.n_layers)
     value = mse(net, ws, ds)
     _echo_kv(mse=value, target_variance=float(np.var(ds.y)))
     if ctx.obj.get("out"):
@@ -258,22 +261,9 @@ def nnet_eval(ctx, dataset, weights):
 
 # ---------------------------------------------------------------- control
 
-CONTROL_SCHEMA = {
-    "a": "float", "b": "float", "q": "float", "r": "float", "sigma_u": "float",
-    "alpha": "float", "horizon": "int", "iterations": "int", "batch": "int",
-    "radius": "float", "method": "str", "zeta": "float",
-}
-CONTROL_DEFAULTS = {
-    "a": 1.0, "b": 1.0, "q": 0.15, "r": 1.0, "sigma_u": 1.0, "alpha": 1.0,
-    "horizon": 3, "iterations": 2000, "batch": 128, "radius": 0.6,
-    "method": "derivative_free", "zeta": 0.0,
-}
-
 
 def _benchmark(cfg) -> ScalarBenchmark:
-    return ScalarBenchmark(a=cfg["a"], b=cfg["b"], q=cfg["q"], r=cfg["r"],
-                           sigma_u=cfg["sigma_u"], alpha=cfg["alpha"],
-                           horizon=cfg["horizon"])
+    return ScalarBenchmark(**{key: cfg[key] for key in SYSTEM})
 
 
 @cli.group()
@@ -286,7 +276,7 @@ def control():
 def control_train(ctx):
     """Train gains; write K_*.csv and trace.csv into --out."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], CONTROL_SCHEMA, CONTROL_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["control train"])
     bench = _benchmark(cfg)
     dyn, cost, policy0, model = bench.problem()
     constraint = FeasibleSet.ball(np.zeros(bench.horizon - 1), cfg["radius"])
@@ -303,18 +293,14 @@ def control_train(ctx):
              certificate=report.certificate, out=out)
 
 
-CONTROL_ROLLOUT_SCHEMA = dict(CONTROL_SCHEMA, gains="str", mode="str")
-CONTROL_ROLLOUT_DEFAULTS = dict(CONTROL_DEFAULTS, gains="", mode="noisy")
-
-
 @control.command("rollout")
 @click.pass_context
 def control_rollout(ctx):
     """Simulate one trajectory and write it as CSV to --out."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], CONTROL_ROLLOUT_SCHEMA, CONTROL_ROLLOUT_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["control rollout"])
     bench = _benchmark(cfg)
-    gains = read_gains_csv(cfg["gains"]) if cfg["gains"] else None
+    gains = read_gains_csv(cfg["gains"], [(1, 1)] * (bench.horizon - 1)) if cfg["gains"] else None
     dyn, cost, policy, model = bench.problem(gains=gains)
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     r = rollout(dyn, cost, policy, model, sampler, mode=cfg["mode"])
@@ -323,15 +309,6 @@ def control_rollout(ctx):
 
 
 # ---------------------------------------------------------------- synth
-
-SYNTH_SCHEMA = {
-    "a": "float", "b": "float", "q": "float", "r": "float", "sigma_u": "float",
-    "alpha": "float", "horizon": "int", "max_iters": "int",
-}
-SYNTH_DEFAULTS = {
-    "a": 1.0, "b": 1.0, "q": 0.15, "r": 1.0, "sigma_u": 1.0, "alpha": 1.0,
-    "horizon": 3, "max_iters": 300,
-}
 
 
 @cli.group()
@@ -344,7 +321,7 @@ def synth():
 def synth_solve(ctx):
     """Optimize gains for the configured linear system; write K_*.csv."""
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SYNTH_SCHEMA, SYNTH_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["synth solve"])
     bench = _benchmark(cfg)
     report = synthesize(bench.system(), bench.alpha,
                         config=SynthesisConfig(max_iters=cfg["max_iters"]))
@@ -362,9 +339,9 @@ def synth_solve(ctx):
 @click.pass_context
 def synth_eval(ctx, gains):
     """Objective and feasibility of GAINS (a K_*.csv directory)."""
-    cfg = load_config(ctx.obj["config"], SYNTH_SCHEMA, SYNTH_DEFAULTS)
+    cfg = load_config(ctx.obj["config"], SETTINGS["synth eval"])
     bench = _benchmark(cfg)
-    ks = read_gains_csv(gains)
+    ks = read_gains_csv(gains, [(1, 1)] * (bench.horizon - 1))
     res = detmax_objective(bench.system(), bench.alpha, ks)
     _echo_kv(objective=res.value, feasible=res.feasible, min_eig=res.min_eig,
              convexity_advisory=res.convexity_advisory)

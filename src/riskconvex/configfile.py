@@ -1,8 +1,10 @@
 """key = value configuration files.
 
 One assignment per line, ``#`` starts a comment, blank lines are
-ignored.  Every subcommand declares its schema; unknown keys are errors,
-as are values that do not parse at the declared type.
+ignored.  Every subcommand declares each of its settings once, as
+``key: (type_name, default)``; :func:`load_config` takes that table.
+Unknown keys are errors, as are values that do not parse at the
+declared type.
 """
 
 from __future__ import annotations
@@ -39,13 +41,16 @@ PARSERS = {
 }
 
 
-def parse_config(path, schema: dict) -> dict:
-    """Parse a key = value file against a {key: type_name} schema.
+def load_config(path, settings: dict) -> dict:
+    """Every setting of ``settings``, a {key: (type_name, default)} table,
+    at its default or at the value the key = value file ``path`` assigns.
 
-    Returns only the keys present in the file; callers supply defaults.
-    Unknown keys, repeated keys, and unparseable values are errors
-    naming the line.
+    ``path`` may be None for defaults only.  Unknown keys, repeated keys,
+    and unparseable values are errors naming the line.
     """
+    defaults = {key: default for key, (_, default) in settings.items()}
+    if path is None:
+        return defaults
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -59,25 +64,17 @@ def parse_config(path, schema: dict) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}, line {line_no}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in schema:
-            known = ", ".join(sorted(schema))
+        if key not in settings:
+            known = ", ".join(sorted(settings))
             raise ConfigError(f"{path}, line {line_no}: unknown key {key!r} (known: {known})")
         if key in out:
             raise ConfigError(f"{path}, line {line_no}: key {key!r} assigned twice")
-        parser = PARSERS[schema[key]]
+        type_name = settings[key][0]
         try:
-            out[key] = parser(raw)
+            out[key] = PARSERS[type_name](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{path}, line {line_no}: bad value for {key!r} "
-                f"(expected {schema[key]}): {exc}"
+                f"(expected {type_name}): {exc}"
             ) from exc
-    return out
-
-
-def load_config(path, schema: dict, defaults: dict) -> dict:
-    """Merged defaults and file values; path may be None for defaults only."""
-    merged = dict(defaults)
-    if path is not None:
-        merged.update(parse_config(path, schema))
-    return merged
+    return {**defaults, **out}

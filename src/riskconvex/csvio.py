@@ -2,14 +2,22 @@
 
 Floats are written with repr(), the shortest decimal string that parses
 back to the identical float64, so every emitted CSV round-trips through
-:func:`read_csv` bit-exactly and reruns with the same seed are
+:func:`read_matrix` bit-exactly and reruns with the same seed are
 byte-identical.
+
+:func:`read_matrix` is the one reader of numeric input.  Its rule: a
+numeric CSV is a rectangular table of finite numbers, and its header
+fixes its width (for a headerless file, the first row does).  Anything
+else is a :class:`ConfigError` naming the file and, where there is one,
+the line.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -40,28 +48,7 @@ def write_csv(path, rows, header=None) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path, header: bool = False):
-    """Read a CSV written by :func:`write_csv`.
-
-    Returns (header_fields or None, rows) where rows are lists of raw
-    string cells.  Blank trailing lines are ignored.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in text.split("\n") if line != ""]
-    head = None
-    if header:
-        if not lines:
-            raise ConfigError(f"{path}: empty file, expected a header row")
-        head = lines[0].split(",")
-        lines = lines[1:]
-    return head, [line.split(",") for line in lines]
-
-
-def parse_float(cell: str, path, line_no: int) -> float:
+def _parse_float(cell: str, path, line_no: int) -> float:
     """Strict parse of a finite decimal float, with a file/line error message."""
     try:
         value = float(cell)
@@ -72,15 +59,25 @@ def parse_float(cell: str, path, line_no: int) -> float:
     return value
 
 
-def read_float_table(path, header: bool = False):
-    """Read a numeric CSV into (header or None, list of float rows).
+def read_matrix(path, header: bool = False):
+    """Read a numeric CSV into (header fields or None, float64 array of shape (rows, width)).
 
-    Malformed and non-finite cells are hard errors naming the line. Rows
-    may have differing lengths; callers validate shapes.
+    Blank lines are skipped; line numbers in errors count every line of
+    the file.  With ``header`` the first line names the columns.
     """
-    head, raw = read_csv(path, header=header)
-    offset = 2 if header else 1
-    rows = []
-    for i, cells in enumerate(raw):
-        rows.append([parse_float(c, path, i + offset) for c in cells])
-    return head, rows
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    lines = [(no, line.split(",")) for no, line in enumerate(text.split("\n"), 1) if line]
+    if not lines:
+        raise ConfigError(f"{path}: empty file" + (", expected a header row" if header else ""))
+    head = lines.pop(0)[1] if header else None
+    width = len(head) if header else len(lines[0][1])
+    out = np.empty((len(lines), width))
+    for i, (no, cells) in enumerate(lines):
+        if len(cells) != width:
+            raise ConfigError(f"{path}, line {no}: expected {width} columns, found {len(cells)}")
+        out[i] = [_parse_float(c, path, no) for c in cells]
+    return head, out

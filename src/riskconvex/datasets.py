@@ -1,18 +1,18 @@
 """Dataset ingestion, label corruption, and synthetic generators.
 
 The on-disk format is headerless CSV, features first and the label in
-the last column, decimal floating point throughout.  Malformed rows are
-hard errors naming the line.
+the last column, decimal floating point throughout.  It is read by
+:func:`csvio.read_matrix`, so a ragged row or a cell that is not a
+finite number is a ``ConfigError`` naming the file and the line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .csvio import parse_float, read_csv, write_csv
+from .csvio import read_matrix, write_csv
 from .errors import ConfigError, ContractError
 from .sampling import GaussianSampler
 
@@ -63,24 +63,10 @@ def load_dataset(path, task: str = "classification") -> Dataset:
     ``task`` "classification" requires labels in {-1, +1}; "regression"
     accepts any finite label.
     """
-    path = Path(path)
-    _, rows = read_csv(path, header=False)
-    if not rows:
-        raise ConfigError(f"{path}: dataset is empty")
-    width = len(rows[0])
-    if width < 2:
+    _, data = read_matrix(path)
+    if data.shape[1] < 2:
         raise ConfigError(f"{path}, line 1: need at least one feature and a label")
-    X = np.empty((len(rows), width - 1))
-    y = np.empty(len(rows))
-    for i, cells in enumerate(rows):
-        line_no = i + 1
-        if len(cells) != width:
-            raise ConfigError(
-                f"{path}, line {line_no}: expected {width} columns, found {len(cells)}"
-            )
-        values = [parse_float(c, path, line_no) for c in cells]
-        X[i] = values[:-1]
-        y[i] = values[-1]
+    X, y = data[:, :-1].copy(), data[:, -1].copy()
     if task == "classification" and not np.all(np.isin(y, (-1.0, 1.0))):
         bad = int(np.argmin(np.isin(y, (-1.0, 1.0))))
         raise ConfigError(f"{path}, line {bad + 1}: label {y[bad]} is not -1 or +1")

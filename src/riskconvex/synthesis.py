@@ -42,12 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .csvio import read_float_table, write_csv
-from .errors import ContractError
+from .csvio import read_matrix, write_csv
+from .errors import ConfigError, ContractError
 from .objective import certificate_margins, psd_tolerance
 from .sampling import as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet
@@ -606,8 +607,6 @@ def write_gains_csv(directory, gains) -> None:
     The header row names the columns col_0..col_{q-1}; the step index
     lives in the filename.
     """
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for t, k in enumerate(gains, start=1):
@@ -616,16 +615,22 @@ def write_gains_csv(directory, gains) -> None:
         write_csv(directory / f"K_{t:02d}.csv", k, header=header)
 
 
-def read_gains_csv(directory) -> list:
-    """Read gains written by :func:`write_gains_csv`, ordered by step."""
-    from pathlib import Path
+def read_gains_csv(directory, shapes) -> list:
+    """Read gains written by :func:`write_gains_csv`, ordered by step.
 
+    ``shapes`` lists the (rows, cols) the caller needs at each step;
+    another file count or matrix shape is a ``ConfigError`` naming the
+    directory or the file.
+    """
     directory = Path(directory)
-    paths = sorted(directory.glob("K_*.csv"))
-    if not paths:
-        raise ContractError(f"no gain files K_*.csv found in {directory}")
-    gains = []
-    for path in paths:
-        _, rows = read_float_table(path, header=True)
-        gains.append(np.array(rows))
+    # K_100.csv follows K_99.csv: shorter names first, then by name.
+    paths = sorted(directory.glob("K_*.csv"), key=lambda p: (len(p.name), p.name))
+    if len(paths) != len(shapes):
+        raise ConfigError(f"{directory}: expected {len(shapes)} gain files K_*.csv, "
+                          f"found {len(paths)}")
+    gains = [read_matrix(path, header=True)[1] for path in paths]
+    for path, k, shape in zip(paths, gains, shapes):
+        if k.shape != tuple(shape):
+            raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} gain, "
+                              f"found {k.shape[0]}x{k.shape[1]}")
     return gains

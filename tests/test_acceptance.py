@@ -392,7 +392,7 @@ def test_criterion_13_classification():
 
 @pytest.mark.filterwarnings("ignore:per-step certificate fails")
 def test_criterion_14_noisy_net_regression(tmp_path):
-    from riskconvex.csvio import read_float_table
+    from riskconvex.csvio import read_matrix
 
     t0 = time.perf_counter()
     cfg = NoisyNetConfig(widths=[1, 4, 1], alpha=3.0, noise_scales=[0.15, 0.15],
@@ -411,7 +411,7 @@ def test_criterion_14_noisy_net_regression(tmp_path):
 
     path = tmp_path / "curve.csv"
     last.write_curve_csv(path)
-    header, rows = read_float_table(path, header=True)
+    header, rows = read_matrix(path, header=True)
     assert header == ["evaluations", "train_loss", "test_loss"]
     assert [tuple(map(float, row)) for row in last.curve] == [tuple(r) for r in rows]
     elapsed = time.perf_counter() - t0

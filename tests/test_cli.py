@@ -111,6 +111,49 @@ class TestExitCodes:
         assert run_cli(["--help"]) == 0
 
 
+# Each case: files written under the working directory, the argv, and the
+# path the error must name. Every case exits 0 or 1 without the one reader
+# and the gain-shape checks.
+SIX_BY_SIX = "col_0,col_1,col_2,col_3,col_4,col_5\n" + "0.1,0.1,0.1,0.1,0.1,0.1\n" * 6
+MALFORMED_FILES = {
+    "ragged gain rows": (
+        {"g/K_01.csv": "col_0\n0.1\n", "g/K_02.csv": "col_0,col_1\n0.1,0.2\n0.3\n"},
+        ["synth", "eval", "g"], "g/K_02.csv, line 3: expected 2 columns, found 1"),
+    "model with a second column": (
+        {"model.csv": "theta\n0.5,7\n0.2\n"},
+        ["classify", "eval", "data.csv", "model.csv"],
+        "model.csv, line 2: expected 1 columns, found 2"),
+    "gain header wider than its rows": (
+        {"g/K_01.csv": "col_0,col_1\n0.1\n", "g/K_02.csv": "col_0\n-0.3\n"},
+        ["synth", "eval", "g"], "g/K_01.csv, line 2: expected 2 columns, found 1"),
+    "nnet gains not max(widths) square": (
+        {"w/K_01.csv": "col_0\n0.1\n", "w/K_02.csv": "col_0\n-0.3\n"},
+        ["nnet", "eval", "sine.csv", "w"], "w/K_01.csv: expected a 6x6 gain, found 1x1"),
+    "nnet gain count not len(widths) - 1": (
+        {f"w/K_0{t}.csv": SIX_BY_SIX for t in (1, 2, 3)},
+        ["nnet", "eval", "sine.csv", "w"], "w: expected 2 gain files K_*.csv, found 3"),
+    "rollout gains not m x n": (
+        {"g/K_01.csv": "col_0,col_1\n0.1,0.2\n", "g/K_02.csv": "col_0,col_1\n0.1,0.2\n",
+         "roll.cfg": "gains = g\n"},
+        ["--out", "r.csv", "--config", "roll.cfg", "control", "rollout"],
+        "g/K_01.csv: expected a 1x1 gain, found 1x2"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_input_file_is_three_and_named(tmp_path, sine_csv, capsys, monkeypatch,
+                                                 case):
+    files, argv, message = MALFORMED_FILES[case]
+    write_classification_csv(tmp_path / "data.csv")
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 class TestPipelines:
     def test_classify_train_eval_corrupt(self, tmp_path, capsys):
         data = write_classification_csv(tmp_path / "train.csv")

@@ -23,7 +23,6 @@ from riskconvex.control import (
     _RolloutEngine,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
-from riskconvex.csvio import read_csv
 from riskconvex.datasets import Dataset
 from riskconvex.errors import (
     ContractError,
@@ -145,7 +144,7 @@ class TestRollout:
         r = rollout(dyn, cost, pol, model, GaussianSampler(1, dim=1))
         path = tmp_path / "rollout.csv"
         write_rollout_csv(path, r)
-        header, rows = read_csv(path, header=True)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
         assert header == ["t", "s_0", "s_1", "u_0", "y_0", "stage_cost"]
         assert len(rows) == 3
         assert rows[-1][3] == "" and rows[-1][4] == ""  # terminal row has no controls
@@ -346,6 +345,14 @@ def row_lifted_smooth_problem(rng):
     dyn, cost, pol, model = smooth_control_problem(rng, 3, 2, 5)
     dyn.vectorized = cost.vectorized = pol.vectorized = False
     return dyn, cost, pol, model
+
+
+def test_linear_problem_rejects_gains_of_the_wrong_shape():
+    system = LinearSystem(A=[np.eye(2)] * 3, B=[np.eye(2)] * 3, Q=[np.eye(2)] * 4,
+                          R=[np.eye(2)] * 3, sigma=[np.eye(2)] * 3, horizon=4)
+    gains = [np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2))]
+    with pytest.raises(ContractError, match=r"gain K_2 must be 2x2, got shape \(2, 1\)"):
+        linear_control_problem(system, 0.5, gains=gains)
 
 
 class TestMomentReduction:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskconvex.csvio import format_value, parse_float, read_csv, read_float_table, write_csv
+from riskconvex.csvio import format_value, read_matrix, write_csv
 from riskconvex.errors import ConfigError
 
 
@@ -14,22 +14,31 @@ def test_float_format_round_trips_bit_exact(x):
 
 
 def test_write_read_round_trip(tmp_path):
-    rows = [[1, 0.1, "tag"], [2, -1.5e-30, "other"]]
+    rows = [[1, 0.1, True], [2, -1.5e-30, False]]
     path = tmp_path / "t.csv"
-    write_csv(path, rows, header=["i", "x", "name"])
-    header, back = read_csv(path, header=True)
-    assert header == ["i", "x", "name"]
-    assert back == [["1", "0.1", "tag"], ["2", "-1.5e-30", "other"]]
+    write_csv(path, rows, header=["i", "x", "flag"])
+    assert path.read_text() == "i,x,flag\n1,0.1,1\n2,-1.5e-30,0\n"
+    header, back = read_matrix(path, header=True)
+    assert header == ["i", "x", "flag"]
+    assert back.dtype == np.float64
+    assert np.array_equal(back, [[1.0, 0.1, 1.0], [2.0, -1.5e-30, 0.0]])
+
+
+def test_string_cells_are_written_verbatim(tmp_path):
+    path = tmp_path / "s.csv"
+    write_csv(path, [["tag", 0.5]])
+    assert path.read_text() == "tag,0.5\n"
 
 
 def test_float_table_parses_and_reports_lines(tmp_path):
     path = tmp_path / "n.csv"
     write_csv(path, [[0.5, 1.25], [2.5, -3.5]])
-    _, rows = read_float_table(path)
-    assert rows == [[0.5, 1.25], [2.5, -3.5]]
+    head, rows = read_matrix(path)
+    assert head is None
+    assert np.array_equal(rows, [[0.5, 1.25], [2.5, -3.5]])
     path.write_text("0.5,ok\n")
     with pytest.raises(ConfigError, match="line 1"):
-        read_float_table(path)
+        read_matrix(path)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -42,13 +51,23 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_missing_file_is_config_error(tmp_path):
-    with pytest.raises(ConfigError):
-        read_csv(tmp_path / "absent.csv")
+    path = tmp_path / "absent.csv"
+    with pytest.raises(ConfigError, match=f"cannot read {path}"):
+        read_matrix(path)
+
+
+def test_undecodable_file_is_config_error(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe0.5\n")
+    with pytest.raises(ConfigError, match=f"cannot read {path}"):
+        read_matrix(path)
 
 
 def test_parse_float_error_message(tmp_path):
-    with pytest.raises(ConfigError, match="line 7"):
-        parse_float("x2", tmp_path / "f.csv", 7)
+    path = tmp_path / "f.csv"
+    path.write_text("col_0\n" + "1.0\n" * 5 + "x2\n")
+    with pytest.raises(ConfigError, match=r"f\.csv, line 7: cannot parse 'x2' as a number"):
+        read_matrix(path, header=True)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -56,4 +75,41 @@ def test_non_finite_cells_are_rejected(tmp_path, cell):
     path = tmp_path / "n.csv"
     path.write_text(f"col_0\n0.5\n{cell}\n")
     with pytest.raises(ConfigError, match=f"line 3: non-finite value '{cell}'"):
-        read_float_table(path, header=True)
+        read_matrix(path, header=True)
+
+
+@pytest.mark.parametrize("text, header, message", [
+    ("col_0,col_1\n0.1\n", True, r"line 2: expected 2 columns, found 1"),
+    ("theta\n0.5,7\n0.2\n", True, r"line 2: expected 1 columns, found 2"),
+    ("0.1,0.2\n0.3\n", False, r"line 2: expected 2 columns, found 1"),
+    ("0.1\n0.3,0.4\n", False, r"line 2: expected 1 columns, found 2"),
+])
+def test_width_is_fixed_by_the_header_or_first_row(tmp_path, text, header, message):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"r\.csv, {message}"):
+        read_matrix(path, header=header)
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_empty_file_is_config_error(tmp_path, header):
+    path = tmp_path / "e.csv"
+    path.write_text("\n")
+    with pytest.raises(ConfigError, match=r"e\.csv: empty file"):
+        read_matrix(path, header=header)
+
+
+def test_header_only_file_is_an_empty_table_of_its_width(tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_text("col_0,col_1,col_2\n")
+    head, table = read_matrix(path, header=True)
+    assert head == ["col_0", "col_1", "col_2"] and table.shape == (0, 3)
+
+
+def test_blank_lines_are_skipped_and_counted(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("col_0\n\n0.5\n\nbad\n")
+    with pytest.raises(ConfigError, match="line 5: cannot parse 'bad'"):
+        read_matrix(path, header=True)
+    path.write_text("col_0\n\n0.5\n\n0.25\n\n")
+    assert np.array_equal(read_matrix(path, header=True)[1], [[0.5], [0.25]])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from riskconvex.csvio import read_float_table
+from riskconvex.csvio import read_matrix
 from riskconvex.demo1d import builtin_field, demo_curves, uniform_grid
 from riskconvex.errors import CertificateError, ContractError
 from riskconvex.sampling import GaussianSampler
@@ -108,7 +108,7 @@ def test_two_basin_curves_and_argmin(tmp_path):
     assert abs(grid[int(np.argmin(curves.objective))] - 1.5) < 0.11
     path = tmp_path / "demo.csv"
     curves.write_csv(path)
-    header, rows = read_float_table(path, header=True)
+    header, rows = read_matrix(path, header=True)
     assert header == ["theta", "objective", "smoothed", "convexified",
                       "convexified_std_err"]
     got = np.array(rows)

@@ -4,7 +4,7 @@ import pytest
 from riskconvex.control import check_control_certificate
 from riskconvex.datasets import Dataset, make_sine
 from riskconvex.errors import CertificateError, ContractError
-from riskconvex.csvio import read_float_table
+from riskconvex.csvio import read_matrix
 from riskconvex.noisynet import (
     NoisyNetConfig,
     build_control_problem,
@@ -136,7 +136,7 @@ class TestTraining:
                               batch=8, force=True, eval_every=10)
         path = tmp_path / "curve.csv"
         rep.write_curve_csv(path)
-        header, rows = read_float_table(path, header=True)
+        header, rows = read_matrix(path, header=True)
         assert header == ["evaluations", "train_loss", "test_loss"]
         assert [tuple(r) for r in rows] == [tuple(map(float, row)) for row in rep.curve]
 
@@ -155,7 +155,7 @@ def test_weights_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     weights = [rng.standard_normal((3, 3)) for _ in range(2)]
     write_gains_csv(tmp_path, weights)
-    back = read_gains_csv(tmp_path)
+    back = read_gains_csv(tmp_path, [(3, 3)] * 2)
     assert all(np.array_equal(a, b) for a, b in zip(weights, back))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskconvex.csvio import read_float_table
+from riskconvex.csvio import read_matrix
 from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
 from riskconvex.fields import constant_field, linear_field
 from riskconvex.objective import isotropic_model
@@ -350,7 +350,7 @@ class TestSolve:
         rep = solve(f, model, fs, SolverConfig(iterations=25), model.sampler(5))
         path = tmp_path / "trace.csv"
         rep.write_trace_csv(path)
-        header, rows = read_float_table(path, header=True)
+        header, rows = read_matrix(path, header=True)
         assert header == ["iter", "theta_0", "theta_1", "grad_norm", "eta"]
         assert len(rows) == 25
         got = np.array(rows)

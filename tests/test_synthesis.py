@@ -6,7 +6,7 @@ import pytest
 
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.control import policy_gradient_batch
-from riskconvex.errors import ContractError, IllConditionedError
+from riskconvex.errors import ConfigError, ContractError, IllConditionedError
 from riskconvex.objective import psd_tolerance
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet
@@ -667,9 +667,23 @@ class TestGainsCsv:
         write_gains_csv(tmp_path, gains)
         files = sorted(p.name for p in tmp_path.glob("K_*.csv"))
         assert files == ["K_01.csv", "K_02.csv"]
-        back = read_gains_csv(tmp_path)
+        back = read_gains_csv(tmp_path, [(2, 2)] * 2)
         assert all(np.array_equal(a, b) for a, b in zip(gains, back))
 
     def test_missing_directory_is_error(self, tmp_path):
-        with pytest.raises(ContractError):
-            read_gains_csv(tmp_path / "nope")
+        with pytest.raises(ConfigError, match="nope: expected 2 gain files K_\\*.csv, found 0"):
+            read_gains_csv(tmp_path / "nope", [(1, 1)] * 2)
+
+    def test_steps_past_99_keep_their_order(self, tmp_path):
+        gains = [np.full((1, 1), float(t)) for t in range(1, 102)]
+        write_gains_csv(tmp_path, gains)
+        assert [k[0, 0] for k in read_gains_csv(tmp_path, [(1, 1)] * 101)] == list(range(1, 102))
+
+    def test_shapes_fix_the_file_count_and_each_matrix(self, tmp_path):
+        write_gains_csv(tmp_path, [np.eye(2), np.ones((2, 2))])
+        back = read_gains_csv(tmp_path, [(2, 2)] * 2)
+        assert np.array_equal(back[1], np.ones((2, 2)))
+        with pytest.raises(ConfigError, match="expected 3 gain files K_\\*.csv, found 2"):
+            read_gains_csv(tmp_path, [(2, 2)] * 3)
+        with pytest.raises(ConfigError, match=r"K_02.csv: expected a 1x2 gain, found 2x2"):
+            read_gains_csv(tmp_path, [(2, 2), (1, 2)])
