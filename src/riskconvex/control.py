@@ -29,13 +29,16 @@ the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
 A batch first draws all of its noise (s_1, then eps_t and xi_t for each
-t, the order of a step-by-step rollout), then runs in row blocks of
-2**15 // (n + m) rollouts: each block's forward pass, weights and scores
-stay in cache, and no full-batch trajectory is allocated.  A batch of
-one block keeps the bits of one unblocked pass; on more blocks, only the
-block sums of the moments round differently.  A Jacobian returned as
-``np.broadcast_to`` of one matrix is applied to the whole batch as one
-product.
+t, the order of a step-by-step rollout; eps_t block by block), then runs
+in row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
+weights and scores stay in cache, and no full-batch trajectory is
+allocated.  The blocks of a fully vectorized problem run on the calling
+thread and the helper threads of :func:`~riskconvex.objective._map_blocks`
+and are summed in block order, so the bits do not depend on the thread
+count.  A batch of one block keeps the bits of one unblocked pass; on
+more blocks, only the block sums of the moments round differently.  A
+Jacobian returned as ``np.broadcast_to`` of one matrix is applied to the
+whole batch as one product.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ from .errors import (
     FieldEvaluationError,
 )
 from .fields import _first_violation
-from .objective import _row_blocks, certificate_margins, check_exponents, check_std_err
+from .objective import (
+    _map_blocks,
+    _row_blocks,
+    certificate_margins,
+    check_exponents,
+    check_std_err,
+)
 from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
@@ -71,6 +80,9 @@ class Dynamics:
     s_1 (None means s_1 = 0); their ``*_batch`` forms, preferred when
     given, draw b rows at once.  ``vectorized`` promises that step and
     the Jacobians accept a leading batch axis; otherwise they run per row.
+    Vectorized callables must be functions of their arguments alone: a
+    large batch calls them concurrently, from several threads, on
+    disjoint row blocks.  The draw callables run on the calling thread.
     """
 
     step: Callable
@@ -104,7 +116,9 @@ class ControlCost:
     cost) and must stay below ``bound``, which the rollout engine asserts
     at every evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
     R_t for t = 1..N-1.  ``vectorized`` promises that both callables
-    accept a leading batch axis; otherwise they run per row.
+    accept a leading batch axis; otherwise they run per row.  Vectorized
+    callables must be functions of their arguments alone: a large batch
+    calls them concurrently, from several threads, on disjoint row blocks.
     """
 
     state_cost: Callable
@@ -134,7 +148,9 @@ class Policy:
     d phi / d s (q x n) enables the model-based gradient; like the
     dynamics Jacobians, a broadcast one is applied as one product.
     ``vectorized`` promises that both callables accept a leading batch
-    axis; otherwise they run per row.
+    axis; otherwise they run per row.  Vectorized callables must be
+    functions of their arguments alone: a large batch calls them
+    concurrently, from several threads, on disjoint row blocks.
     """
 
     gains: list
@@ -310,6 +326,8 @@ class _RolloutEngine:
         self.dyn, self.cost = dyn, cost
         self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
         self.width = dyn.state_dim + dyn.control_dim  # of a row block (objective._row_blocks)
+        # Row loops of per-row callables hold the GIL: their blocks run serially.
+        self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
         self.alpha = model.alpha
         self.R = cost.control_weights
         self.noise_root, self.noise_inv = model.noise_root, model.noise_inv
@@ -348,7 +366,10 @@ class _RolloutEngine:
         """The noise of n rollouts, in stream order: s_1 (n, nd) unless
         given, then eps_t and xi_t for t = 1..N-1, stacked as eps
         (N-1, n, m) and xi (N-1, n, p).  No draw depends on a state, so
-        drawing them all before any rollout leaves the stream unchanged."""
+        drawing them all before any rollout leaves the stream unchanged.
+        Each eps_t is drawn and scaled one row block at a time, which
+        reads the stream like one draw of n rows and needs no (n, m)
+        temporary."""
         dyn = self.dyn
         N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
         rng = sampler.rng
@@ -362,8 +383,11 @@ class _RolloutEngine:
             s1 = np.zeros((n, nd))
         eps = np.empty((N - 1, n, m))
         xi = np.zeros((N - 1, n, p))
+        blocks = _row_blocks(n, self.width)
         for t in range(1, N):
-            np.matmul(sampler.normal((n, m)), self.noise_root[t - 1], out=eps[t - 1])
+            for rows in blocks:
+                np.matmul(sampler.normal((rows.stop - rows.start, m)), self.noise_root[t - 1],
+                          out=eps[t - 1, rows])
             if p == 0:
                 continue
             if dyn.disturbance_batch is not None:
@@ -471,8 +495,9 @@ class _RolloutEngine:
 
         The noise of the whole batch is drawn first (:meth:`draw`); then
         each row block runs the forward pass, J, w and the scores
-        (:meth:`_block_moments`), and the blocks' shares are summed in
-        order.  An overflowing exp(alpha J) raises
+        (:meth:`_block_moments`), on any thread of
+        :func:`~riskconvex.objective._map_blocks`, and the blocks' shares
+        are summed in block order.  An overflowing exp(alpha J) raises
         :class:`EstimateOverflowError` naming its rollout; on a batch of
         several blocks, this error, :class:`DivergenceError` and the
         state-cost :class:`FieldEvaluationError` report the first failure
@@ -482,16 +507,19 @@ class _RolloutEngine:
         if len(blocks) == 1:
             return self._block_moments(K, (s1, eps, xi), 0, n, method, second)
         w = np.empty(n)
-        mean = sq = None
-        for rows in blocks:
-            block_mean, block_sq, w[rows] = self._block_moments(
-                K, (s1[rows], eps[:, rows], xi[:, rows]), rows.start, n, method, second)
-            if mean is None:
-                mean, sq = block_mean, block_sq
-            else:
-                mean += block_mean
-                if second:
-                    sq += block_sq
+
+        def block(i, noise):
+            block_mean, block_sq, w[blocks[i]] = self._block_moments(
+                K, noise, blocks[i].start, n, method, second)
+            return block_mean, block_sq
+
+        parts = _map_blocks(block, ((s1[rows], eps[:, rows], xi[:, rows]) for rows in blocks),
+                            len(blocks), self.parallel)
+        mean, sq = parts[0]
+        for block_mean, block_sq in parts[1:]:
+            mean += block_mean
+            if second:
+                sq += block_sq
         return mean, sq, w
 
 

@@ -65,6 +65,13 @@ def read_matrix(path, header: bool = False):
     Blank lines are skipped; line numbers in errors count every line of
     the file.  With ``header`` the first line names the columns.
     """
+    head, out, _ = _read_numbered(path, header)
+    return head, out
+
+
+def _read_numbered(path, header: bool = False):
+    """:func:`read_matrix`, plus the file line number of each row, for
+    callers whose own checks name a line."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -80,4 +87,4 @@ def read_matrix(path, header: bool = False):
         if len(cells) != width:
             raise ConfigError(f"{path}, line {no}: expected {width} columns, found {len(cells)}")
         out[i] = [_parse_float(c, path, no) for c in cells]
-    return head, out
+    return head, out, [no for no, _ in lines]

@@ -1,9 +1,10 @@
 """Dataset ingestion, label corruption, and synthetic generators.
 
 The on-disk format is headerless CSV, features first and the label in
-the last column, decimal floating point throughout.  It is read by
-:func:`csvio.read_matrix`, so a ragged row or a cell that is not a
-finite number is a ``ConfigError`` naming the file and the line.
+the last column, decimal floating point throughout.  It is parsed by the
+one numeric reader of :mod:`csvio` (:func:`csvio.read_matrix`), so a
+ragged row, a cell that is not a finite number or a bad label is a
+``ConfigError`` naming the file and its line.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_matrix, write_csv
+from .csvio import _read_numbered, write_csv
 from .errors import ConfigError, ContractError
 from .sampling import GaussianSampler
 
@@ -63,13 +64,13 @@ def load_dataset(path, task: str = "classification") -> Dataset:
     ``task`` "classification" requires labels in {-1, +1}; "regression"
     accepts any finite label.
     """
-    _, data = read_matrix(path)
+    _, data, line_nos = _read_numbered(path)
     if data.shape[1] < 2:
-        raise ConfigError(f"{path}, line 1: need at least one feature and a label")
+        raise ConfigError(f"{path}, line {line_nos[0]}: need at least one feature and a label")
     X, y = data[:, :-1].copy(), data[:, -1].copy()
     if task == "classification" and not np.all(np.isin(y, (-1.0, 1.0))):
         bad = int(np.argmin(np.isin(y, (-1.0, 1.0))))
-        raise ConfigError(f"{path}, line {bad + 1}: label {y[bad]} is not -1 or +1")
+        raise ConfigError(f"{path}, line {line_nos[bad]}: label {y[bad]} is not -1 or +1")
     return Dataset(X=X, y=y, provenance=str(path))
 
 

@@ -18,7 +18,13 @@ import numpy as np
 from .csvio import write_csv
 from .errors import CertificateError, ContractError
 from .fields import RawField
-from .objective import check_convexity_certificate, isotropic_model, log_mean_exp
+from .objective import (
+    _map_blocks,
+    _row_blocks,
+    check_convexity_certificate,
+    isotropic_model,
+    log_mean_exp,
+)
 from .sampling import GaussianSampler
 
 FIELD_IDS = ("two-basin", "constant")
@@ -138,7 +144,9 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     Refuses (CertificateError) unless alpha * kappa >= 1 / sigma_noise^2,
     reporting the margin.  All grid points share one perturbation draw
     (common random numbers); the smoothed quadratic part is added in
-    closed form.
+    closed form.  When ``n_samples`` spans two or more row blocks, the
+    grid points run on the threads of
+    :func:`~riskconvex.objective._map_blocks`, with the same bits.
     """
     if not (sigma_noise > 0.0 and kappa > 0.0):
         raise ContractError("sigma and kappa must be positive")
@@ -161,16 +169,18 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     smoothed = np.empty(grid.size)
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
-    shifted = np.empty_like(draws)
-    for i, th in enumerate(grid):
+
+    def point(i, th):
         quad = 0.5 * kappa * th**2
-        vals = raw.value(np.add(draws, th, out=shifted))
+        vals = raw.value(draws + th)
         objective[i] = float(raw.value(np.array([th]))[0]) + quad
         smoothed[i] = float(vals.mean()) + quad + 0.5 * kappa * sigma_noise**2
         vals *= alpha
         lme, se = log_mean_exp(vals)
         convexified[i] = lme / alpha + quad
         std_err[i] = se / alpha
+
+    _map_blocks(point, grid, grid.size, parallel=len(_row_blocks(n_samples, 1)) > 1)
     return DemoCurves(theta=grid, objective=objective, smoothed=smoothed,
                       convexified=convexified, convexified_std_err=std_err)
 

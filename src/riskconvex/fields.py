@@ -60,6 +60,9 @@ class ScalarField:
             (n, dim) -> (n, dim) when vectorized.
         lipschitz: optional Lipschitz constant of ``value``.
         vectorized: whether value/gradient accept stacked (n, dim) input.
+            Vectorized callables must be functions of their arguments
+            alone: a large batch calls them concurrently, from several
+            threads, on disjoint row blocks.
     """
 
     value: Callable

@@ -204,7 +204,17 @@ def predict(cfg: NoisyNetConfig, weights, X: np.ndarray) -> np.ndarray:
     return out[:, 0] if cfg.output_dim == 1 else out
 
 
+def _check_features(cfg: NoisyNetConfig, ds: Dataset) -> None:
+    """:class:`ContractError` unless the dataset has the net's input width."""
+    if ds.n_features != cfg.input_dim:
+        raise ContractError(
+            f"dataset has {ds.n_features} features, config expects {cfg.input_dim}")
+
+
 def mse(cfg: NoisyNetConfig, weights, ds: Dataset) -> float:
+    """Mean squared error of the mean network on ``ds``; a dataset of
+    another width is a :class:`ContractError`."""
+    _check_features(cfg, ds)
     preds = predict(cfg, weights, ds.X)
     return float(np.mean((preds - ds.y) ** 2))
 
@@ -240,9 +250,7 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     starts from a small random init of scale 0.05 drawn from a
     derived stream, and reports the final, not the averaged, weights.
     """
-    if train.n_features != cfg.input_dim:
-        raise ContractError(
-            f"dataset has {train.n_features} features, config expects {cfg.input_dim}")
+    _check_features(cfg, train)
     margins, tols = _certificate(cfg)
     certified = bool(np.all(margins >= -tols))
     if not certified and not force:

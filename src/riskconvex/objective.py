@@ -16,11 +16,15 @@ Aggregation of exponentials always subtracts the max exponent first, and
 standard errors of log-of-mean estimates use the delta method.
 
 The estimators draw, perturb and evaluate the field in row blocks of
-2**15 // k points, so the field's temporaries stay in cache; each block
+2**14 // k points, so the field's temporaries stay in cache; each block
 writes into one per-sample array that is reduced once, in the order of
-a single draw of n rows.  On a batch of several blocks, an error is the
-first one of the first block that fails; an overflowing exponent is
-named by its batch index.
+a single draw of n rows.  A batch of two or more blocks of a vectorized
+field runs its blocks on the calling thread and one helper thread per
+other usable CPU (:func:`_map_blocks`); the calling thread makes every
+draw, in stream order, so the results keep their bits at any thread
+count.  On a batch of several blocks, an error is the first one of the
+first block that fails; an overflowing exponent is named by its batch
+index.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -29,6 +33,8 @@ from multiple threads as long as each thread owns its own sampler (see
 
 from __future__ import annotations
 
+import collections
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +49,190 @@ from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
-# Entries of one row block: a (rows x width) float64 array of 256 KiB, so a
-# block's temporaries stay in cache instead of streaming through memory.
-_BLOCK_ENTRIES = 2**15
+# Entries of one row block: a (rows x width) float64 array of 128 KiB, so a
+# block's temporaries stay in cache instead of streaming through memory,
+# even with one block in flight on each of two threads.  The layout
+# depends on n and the width alone, never on the thread count, so the
+# bits do not either.
+_BLOCK_ENTRIES = 2**14
+
+
+def _block_rows(width: int) -> int:
+    """Rows of one row block of ``width``-wide rows: 2**14 // width."""
+    return max(1, _BLOCK_ENTRIES // width)
 
 
 def _row_blocks(n: int, width: int) -> list:
-    """Slices of rows 0..n-1 in blocks of 2**15 // width rows; the last
+    """Slices of rows 0..n-1 in blocks of :func:`_block_rows` rows; the last
     block also takes the remainder, so no block is a sliver and a batch
     of fewer than two blocks is the one slice(0, n)."""
-    rows = max(1, _BLOCK_ENTRIES // width)
+    rows = _block_rows(width)
     if n < 2 * rows:  # the common small batch, kept cheap
         return [slice(0, n)]
     count = n // rows
     return [slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count)]
+
+
+class _Pool:
+    """The helper threads of one process: at most one per usable CPU
+    besides the calling thread, each started when a batch first needs it
+    and then serving queued tasks until exit (daemons, so they never
+    delay it).  ``threads`` counts the calling thread."""
+
+    def __init__(self):
+        import queue
+        import threading
+
+        try:
+            self.threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            self.threads = os.cpu_count() or 1
+        self._tasks = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._started = 0
+
+    def submit(self, task, count: int) -> None:
+        """Queue ``count`` calls of ``task``, starting helpers up to
+        ``count``.  A helper the system refuses to start is not retried:
+        its share of the blocks runs on the threads there are."""
+        import threading
+
+        with self._lock:
+            while self._started < count:
+                try:
+                    threading.Thread(target=self._serve, name="riskconvex-blocks",
+                                     daemon=True).start()
+                except RuntimeError:  # "can't start new thread"
+                    self.threads = self._started + 1
+                    break
+                self._started += 1
+        for _ in range(count):
+            self._tasks.put(task)
+
+    def _serve(self) -> None:
+        while True:
+            self._tasks.get()()
+
+
+_POOLS: dict = {}
+
+
+def _pool() -> _Pool:
+    """This process's pool, built on first use.  It is keyed by process
+    id: a forked child has none of its parent's threads, so it builds its
+    own."""
+    pid = os.getpid()
+    pool = _POOLS.get(pid)
+    return pool if pool is not None else _POOLS.setdefault(pid, _Pool())
+
+
+def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
+    """[work(i, x) for i, x in enumerate(inputs)] over the ``count`` blocks
+    of a batch, run on the calling thread and the pool's helpers.
+
+    ``inputs`` is read on the calling thread alone, in order, so any draw
+    it makes keeps its place in the stream; the results come back in
+    block order.  One block, a one-thread pool or ``parallel`` off (row
+    loops of non-vectorized callables hold the GIL) run the plain loop.
+    Otherwise a block may run on any thread, so ``work`` must depend on
+    its arguments alone (:class:`_Batch`).  If blocks fail, no block after
+    the lowest failed one is taken, and that block's error is raised: the
+    error the plain loop raises."""
+    pool = _pool() if parallel and count > 1 else None
+    helpers = min(count, pool.threads) - 1 if pool is not None else 0
+    if helpers < 1:
+        return [work(i, x) for i, x in enumerate(inputs)]
+    return _Batch(work, inputs, count, helpers).run(pool)
+
+
+class _Batch:
+    """One :func:`_map_blocks` call on the calling thread and ``helpers``
+    queued helper tasks.  The calling thread draws the inputs, keeping up
+    to two blocks per helper drawn ahead, and runs a block whenever that
+    many are ready or nothing is left to draw; helpers take ready blocks.
+    Blocks are taken in order under one lock.  The call returns only once
+    every helper that joined has left; a helper task that starts after
+    the call closed does nothing, so a call never waits for a thread that
+    is busy elsewhere (a nested call) or gone (a forked child).  Helpers
+    run under the caller's numpy error state."""
+
+    def __init__(self, work, inputs, count: int, helpers: int):
+        import threading
+
+        self.work, self.inputs, self.helpers = work, iter(inputs), helpers
+        self.cond = threading.Condition()
+        self.results = [None] * count
+        self.ready = collections.deque()  # (i, input) drawn and not yet taken
+        self.drawn = 0
+        self.limit = count  # the lowest failed block; no block from it on is taken
+        self.errors = {}
+        self.active = 0  # helpers inside the batch
+        self.closed = False
+        self.errstate = np.geterr()
+
+    def run(self, pool: _Pool) -> list:
+        pool.submit(self.help, self.helpers)
+        try:
+            self.lead()
+        finally:
+            with self.cond:
+                self.closed = True
+                self.cond.notify_all()
+                while self.active:
+                    self.cond.wait()
+        if self.errors:
+            raise self.errors[min(self.errors)]
+        return self.results
+
+    def takeable(self) -> bool:
+        return bool(self.ready) and self.ready[0][0] < self.limit
+
+    def lead(self) -> None:
+        ahead = 2 * self.helpers
+        while True:
+            with self.cond:
+                take = self.takeable() and (len(self.ready) >= ahead or self.drawn >= self.limit)
+                if take:
+                    i, x = self.ready.popleft()
+                elif self.drawn >= self.limit:
+                    return
+            if take:
+                self.run_block(i, x)
+                continue
+            x = next(self.inputs)
+            with self.cond:
+                self.ready.append((self.drawn, x))
+                self.drawn += 1
+                self.cond.notify()
+
+    def help(self) -> None:
+        with self.cond:
+            if self.closed:
+                return
+            self.active += 1
+        try:
+            with np.errstate(**self.errstate):
+                while True:
+                    with self.cond:
+                        while not self.takeable():
+                            if self.closed or self.drawn >= self.limit:
+                                return
+                            self.cond.wait()
+                        i, x = self.ready.popleft()
+                    self.run_block(i, x)
+        finally:
+            with self.cond:
+                self.active -= 1
+                self.cond.notify_all()
+
+    def run_block(self, i: int, x) -> None:
+        try:
+            self.results[i] = self.work(i, x)
+        except BaseException as exc:  # re-raised by run(), on the calling thread
+            with self.cond:
+                self.errors[i] = exc
+                self.limit = min(self.limit, i)
+                self.cond.notify_all()
 
 
 @dataclass
@@ -169,9 +345,15 @@ def _check_args(f: ScalarField, model: RiskModel, sampler: GaussianSampler, n: i
     return theta
 
 
-def _perturbed(model: RiskModel, theta, n: int, sampler: GaussianSampler) -> np.ndarray:
-    """n points theta + w, w ~ N(0, Sigma): raw draws times the symmetric root."""
-    return theta + sampler.draw(n) @ model.sigma_root
+def _perturbed(model: RiskModel, theta, raw: np.ndarray) -> np.ndarray:
+    """The points theta + w, w ~ N(0, Sigma), of raw N(0, I) draws: the
+    draws times the symmetric root."""
+    return theta + raw @ model.sigma_root
+
+
+def _block_draws(blocks: list, sampler: GaussianSampler):
+    """The raw N(0, I) draws of each row block, drawn in block order."""
+    return (sampler.draw(rows.stop - rows.start) for rows in blocks)
 
 
 def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
@@ -179,8 +361,12 @@ def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
     """f at n points theta + w, (n,): drawn, perturbed and evaluated one
     row block at a time, in the order of one draw of n rows."""
     vals = np.empty(n)
-    for rows in _row_blocks(n, model.dim):
-        vals[rows] = f.evaluate_batch(_perturbed(model, theta, rows.stop - rows.start, sampler))
+    blocks = _row_blocks(n, model.dim)
+
+    def block(i, raw):
+        vals[blocks[i]] = f.evaluate_batch(_perturbed(model, theta, raw))
+
+    _map_blocks(block, _block_draws(blocks, sampler), len(blocks), f.vectorized)
     return vals
 
 
@@ -274,12 +460,16 @@ def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
     out = np.empty((n, model.dim))
     shift = model.reg @ theta
     quad = model.alpha * model.quad(theta)
-    for rows in _row_blocks(n, model.dim):
-        points = _perturbed(model, theta, rows.stop - rows.start, sampler)
-        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, rows.start)
-        block = out[rows]
-        np.add(f.grad_batch(points), shift, out=block)
-        block *= (model.alpha * np.exp(expo))[:, None]
+    blocks = _row_blocks(n, model.dim)
+
+    def block(i, raw):
+        points = _perturbed(model, theta, raw)
+        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, blocks[i].start)
+        samples = out[blocks[i]]
+        np.add(f.grad_batch(points), shift, out=samples)
+        samples *= (model.alpha * np.exp(expo))[:, None]
+
+    _map_blocks(block, _block_draws(blocks, sampler), len(blocks), f.vectorized)
     return out
 
 

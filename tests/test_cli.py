@@ -12,6 +12,7 @@ import riskconvex
 from riskconvex.cli import main
 from riskconvex.datasets import Dataset, make_sine, save_dataset, sign_plus
 from riskconvex.sampling import GaussianSampler
+from riskconvex.synthesis import write_gains_csv
 
 
 def run_cli(argv):
@@ -210,6 +211,17 @@ class TestPipelines:
         assert run_cli(["--config", str(ecfg), "nnet", "eval", str(sine_csv),
                         str(out_dir)]) == 0
         assert "mse=" in capsys.readouterr().out
+
+
+def test_nnet_eval_on_a_dataset_of_another_width_is_three(tmp_path, capsys):
+    # widths = 1,4,1 expects one feature; the dataset has two.
+    save_dataset(tmp_path / "wide.csv", Dataset(X=np.zeros((5, 2)), y=np.zeros(5)))
+    write_gains_csv(tmp_path / "net", [np.zeros((4, 4))] * 2)
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("widths = 1,4,1\n")
+    assert run_cli(["--config", str(cfg), "nnet", "eval", str(tmp_path / "wide.csv"),
+                    str(tmp_path / "net")]) == 3
+    assert "dataset has 2 features, config expects 1" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -31,7 +31,7 @@ from riskconvex.errors import (
     FieldEvaluationError,
 )
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
-from riskconvex.objective import LOG_FLOAT_MAX, _row_blocks
+from riskconvex.objective import LOG_FLOAT_MAX, _block_rows, _row_blocks
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, step_size
 from riskconvex.synthesis import LinearSystem
@@ -413,8 +413,8 @@ class TestMomentReduction:
 
 
 def wide_row_lifted_problem():
-    # 8 states and 8 controls: blocks of 2**15 // 16 = 2048 rollouts keep
-    # a three-block batch of per-row callables quick.
+    # 8 states and 8 controls: blocks of _block_rows(16) rollouts keep a
+    # three-block batch of per-row callables quick.
     dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(31), 8, 8, 3)
     dyn.vectorized = cost.vectorized = pol.vectorized = False
     return dyn, cost, pol, model
@@ -444,7 +444,7 @@ def planted_row_problem(row, alpha, bound):
 
 
 class TestRowBlocks:
-    """Batches run in row blocks of 2**15 // (n + m) rollouts after one
+    """Batches run in row blocks of _block_rows(n + m) rollouts after one
     draw of the whole batch's noise; only the block sums of the moments
     may differ from one unblocked pass."""
 
@@ -455,7 +455,7 @@ class TestRowBlocks:
     def test_moments_match_the_full_batch_reference(self, blocks, build, method):
         problem = build()
         engine = _RolloutEngine(*problem)
-        rows = 2**15 // engine.width
+        rows = _block_rows(engine.width)
         n = 2 * rows - 1 if blocks == 1 else 3 * rows + 1   # the largest one block; 3 + 1 row
         assert len(_row_blocks(n, engine.width)) == blocks
         ref_mean, ref_sq, ref_w = _full_batch_moments(*problem, GaussianSampler(5, dim=1), n,
@@ -476,6 +476,19 @@ class TestRowBlocks:
                              (est.std_err, ref_se)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("build", [linear_problem, wide_row_lifted_problem],
+                             ids=["linear", "row_lifted"])
+    def test_noise_drawn_block_by_block_keeps_the_bits_of_one_draw(self, build):
+        # Neither problem draws s_1 from the stream: it starts at eps_1.
+        dyn, cost, pol, model = build()
+        engine = _RolloutEngine(dyn, cost, pol, model)
+        n = 3 * _block_rows(engine.width) + 1
+        _, eps, _ = engine.draw(GaussianSampler(5, dim=1), n)
+        stream = GaussianSampler(5, dim=1)
+        for t in range(dyn.horizon - 1):
+            assert np.array_equal(eps[t], stream.normal((n, dyn.control_dim))
+                                  @ model.noise_root[t])
+
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_large_batch_peak_memory_is_below_half_the_unblocked_peak(self, method):
         # One unblocked pass over these 2^17 rollouts peaked at 35.0 MiB
@@ -490,7 +503,8 @@ class TestRowBlocks:
         assert peak < 17.5 * 2**20
 
     def test_overflow_in_the_third_block_names_the_batch_index(self):
-        n, row = 3 * 2**14 + 1, 2 * 2**14 + 5   # width 2: blocks of 2**14 rollouts
+        rows = _block_rows(2)   # width 2: one state, one control
+        n, row = 3 * rows + 1, 2 * rows + 5
         problem = planted_row_problem(row, alpha=10.0, bound=1e3)
         assert _row_blocks(n, 2)[2].start <= row
         for method in ("model_based", "derivative_free"):
@@ -499,7 +513,8 @@ class TestRowBlocks:
             assert err.value.sample_index == row
 
     def test_bound_violation_in_the_third_block_names_the_rollout(self):
-        n, row = 3 * 2**14 + 1, 2 * 2**14 + 5
+        rows = _block_rows(2)
+        n, row = 3 * rows + 1, 2 * rows + 5
         problem = planted_row_problem(row, alpha=1.0, bound=1.0)
         with pytest.raises(FieldEvaluationError, match=f"at t=1 in rollout {row}$") as err:
             policy_gradient_batch(*problem, GaussianSampler(0, dim=1), n)

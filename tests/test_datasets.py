@@ -41,6 +41,14 @@ def test_malformed_rows_name_the_line(tmp_path):
         load_dataset(path, task="regression")
 
 
+def test_label_errors_name_the_line_of_the_file(tmp_path):
+    # Blank lines are skipped but counted: the bad label is on line 3.
+    path = tmp_path / "gap.csv"
+    path.write_text("0.1,1\n\n0.2,0.5\n")
+    with pytest.raises(ConfigError, match=r"gap\.csv, line 3: label 0\.5 is not -1 or \+1"):
+        load_dataset(path, task="classification")
+
+
 def test_regression_labels_allowed(tmp_path):
     path = tmp_path / "reg.csv"
     path.write_text("0.5,0.25\n-0.5,-0.125\n")

@@ -12,6 +12,7 @@ from riskconvex.errors import (
 from riskconvex.fields import ScalarField, constant_field, linear_field
 from riskconvex.objective import (
     RiskModel,
+    _block_rows,
     check_convexity_certificate,
     exp_objective,
     isotropic_model,
@@ -462,21 +463,21 @@ def _unblocked_estimates(f, model, theta, n, seed):
     return out, samples
 
 
-def _planted_field(dim, row, value):
-    """0 at every point but the ``row``-th one evaluated, counted across
-    calls, where it is ``value``; declared bound 1."""
-    seen = [0]
+def _planted_field(points, value):
+    """``value`` at each of ``points`` (p, k) and 0 elsewhere; declared
+    bound 1.  Like every vectorized callable, a function of its argument
+    alone: the row blocks of a batch may run on any thread, in any order."""
+    points = np.atleast_2d(points)
 
     def f(thetas):
-        out = np.zeros(len(thetas))
-        lo = seen[0]
-        seen[0] += len(thetas)
-        if lo <= row < seen[0]:
-            out[row - lo] = value
-        return out
+        return np.where((thetas[:, None, :] == points).all(axis=2).any(axis=1), value, 0.0)
 
-    return ScalarField(value=f, upper_bound=1.0, dim=dim, gradient=np.zeros_like,
+    return ScalarField(value=f, upper_bound=1.0, dim=points.shape[1], gradient=np.zeros_like,
                        vectorized=True)
+
+
+# Rows of one row block of 4-dimensional points.
+ROWS4 = _block_rows(4)
 
 
 STATIC_ESTIMATES = {
@@ -491,10 +492,10 @@ STATIC_ESTIMATES = {
 
 
 class TestRowBlocks:
-    """The static estimators draw, perturb and evaluate 2**15 // k points
-    at a time and keep the bits of one unblocked draw."""
+    """The static estimators draw, perturb and evaluate _block_rows(k)
+    points at a time and keep the bits of one unblocked draw."""
 
-    @pytest.mark.parametrize("n", [2, 2 * 8192 - 1, 3 * 8192 + 1],
+    @pytest.mark.parametrize("n", [2, 2 * ROWS4 - 1, 3 * ROWS4 + 1],
                              ids=["n2", "one_block", "three_blocks_and_one"])
     def test_estimators_keep_the_bits_of_one_unblocked_draw(self, n):
         from riskconvex.objective import _grad_samples, _row_blocks
@@ -502,7 +503,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(41)
         f, model = bump_field(rng, 4), certified_model(rng, 4)
         theta = 0.5 * rng.standard_normal(4)
-        assert len(_row_blocks(n, 4)) == (3 if n > 2 * 8192 else 1)
+        assert len(_row_blocks(n, 4)) == (3 if n > 2 * ROWS4 else 1)
         expected, samples = _unblocked_estimates(f, model, theta, n, 7)
         got = {name: run(f, model, theta, n, model.sampler(7))
                for name, run in STATIC_ESTIMATES.items() if name in expected}
@@ -512,19 +513,22 @@ class TestRowBlocks:
         assert np.array_equal(_grad_samples(f, model, theta, n, model.sampler(7)), samples)
 
     def test_overflow_in_the_third_block_names_the_batch_index(self):
-        n, row = 3 * 8192 + 1, 2 * 8192 + 5
+        n, row = 3 * ROWS4 + 1, 2 * ROWS4 + 5
         model = RiskModel(800.0, np.eye(4), np.eye(4))   # alpha * 1 > LOG_FLOAT_MAX
+        points = _unblocked_points(model, np.zeros(4), n, model.sampler(3))
         for estimator in (exp_objective, unbiased_grad_mean):
             with pytest.raises(EstimateOverflowError, match=f"at sample {row} ") as err:
-                estimator(_planted_field(4, row, 1.0), model, np.zeros(4), n, model.sampler(3))
+                estimator(_planted_field(points[row], 1.0), model, np.zeros(4), n,
+                          model.sampler(3))
             assert err.value.sample_index == row
 
     def test_bound_violation_in_the_third_block_carries_its_point(self):
         from riskconvex.errors import FieldEvaluationError
 
-        n, row = 3 * 8192 + 1, 2 * 8192 + 5
+        n, row = 3 * ROWS4 + 1, 2 * ROWS4 + 5
         model = isotropic_model(1.0, 1.0, 1.0, 4)
         points = _unblocked_points(model, np.zeros(4), n, model.sampler(3))
         with pytest.raises(FieldEvaluationError) as err:
-            smoothed_value(_planted_field(4, row, 2.0), model, np.zeros(4), n, model.sampler(3))
+            smoothed_value(_planted_field(points[row], 2.0), model, np.zeros(4), n,
+                           model.sampler(3))
         assert np.array_equal(err.value.theta, points[row])

@@ -33,7 +33,7 @@ def test_covariance_matches_declared():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     model = RiskModel(1.0, cov, np.eye(2))
     theta = np.array([0.5, -1.0])
-    points = _perturbed(model, theta, 200_000, model.sampler(11))
+    points = _perturbed(model, theta, model.sampler(11).draw(200_000))
     emp = np.cov(points - theta, rowvar=False)
     assert np.allclose(emp, cov, atol=0.05)
 
