@@ -19,12 +19,14 @@ The estimators draw, perturb and evaluate the field in row blocks of
 2**14 // k points, so the field's temporaries stay in cache; each block
 writes into one per-sample array that is reduced once, in the order of
 a single draw of n rows.  A batch of two or more blocks of a vectorized
-field runs its blocks on the calling thread and one helper thread per
-other usable CPU (:func:`_map_blocks`); the calling thread makes every
-draw, in stream order, so the results keep their bits at any thread
+field runs its blocks on the calling thread and, when a second CPU is
+usable, one helper thread (:func:`_map_blocks`); the calling thread makes
+every draw, in stream order, so the results keep their bits at any thread
 count.  On a batch of several blocks, an error is the first one of the
 first block that fails; an overflowing exponent is named by its batch
-index.
+index.  After an estimator raises, how far its sampler has advanced
+depends on the thread count (the calling thread draws up to two blocks
+ahead), so a caller that goes on after an error takes a fresh sampler.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -73,57 +75,37 @@ def _row_blocks(n: int, width: int) -> list:
     return [slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count)]
 
 
-class _Pool:
-    """The helper threads of one process: at most one per usable CPU
-    besides the calling thread, each started when a batch first needs it
-    and then serving queued tasks until exit (daemons, so they never
-    delay it).  ``threads`` counts the calling thread."""
-
-    def __init__(self):
-        import queue
-        import threading
-
-        try:
-            self.threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity masks on this platform
-            self.threads = os.cpu_count() or 1
-        self._tasks = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._started = 0
-
-    def submit(self, task, count: int) -> None:
-        """Queue ``count`` calls of ``task``, starting helpers up to
-        ``count``.  A helper the system refuses to start is not retried:
-        its share of the blocks runs on the threads there are."""
-        import threading
-
-        with self._lock:
-            while self._started < count:
-                try:
-                    threading.Thread(target=self._serve, name="riskconvex-blocks",
-                                     daemon=True).start()
-                except RuntimeError:  # "can't start new thread"
-                    self.threads = self._started + 1
-                    break
-                self._started += 1
-        for _ in range(count):
-            self._tasks.put(task)
-
-    def _serve(self) -> None:
-        while True:
-            self._tasks.get()()
-
+# Helper threads a batch may use besides the calling thread.  One helper
+# (two usable CPUs) is the configuration whose wall time and peak memory
+# were measured; each further helper would add its own malloc arena and
+# two more blocks drawn ahead, so more usable CPUs do not add helpers.
+_MAX_HELPERS = 1
 
 _POOLS: dict = {}
 
 
-def _pool() -> _Pool:
-    """This process's pool, built on first use.  It is keyed by process
-    id: a forked child has none of its parent's threads, so it builds its
-    own."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _pool() -> tuple:
+    """(executor, helpers) of this process, built on first use: ``helpers``
+    is one less than the usable CPUs, at most :data:`_MAX_HELPERS`, and
+    ``executor`` a thread pool of that many threads (None for none).  It is
+    keyed by process id: a forked child has none of its parent's threads,
+    so it builds its own."""
     pid = os.getpid()
     pool = _POOLS.get(pid)
-    return pool if pool is not None else _POOLS.setdefault(pid, _Pool())
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        helpers = max(0, min(_MAX_HELPERS, _usable_cpus() - 1))
+        executor = ThreadPoolExecutor(helpers, "riskconvex-blocks") if helpers else None
+        pool = _POOLS.setdefault(pid, (executor, helpers))
+    return pool
 
 
 def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
@@ -132,29 +114,29 @@ def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
 
     ``inputs`` is read on the calling thread alone, in order, so any draw
     it makes keeps its place in the stream; the results come back in
-    block order.  One block, a one-thread pool or ``parallel`` off (row
-    loops of non-vectorized callables hold the GIL) run the plain loop.
-    Otherwise a block may run on any thread, so ``work`` must depend on
-    its arguments alone (:class:`_Batch`).  If blocks fail, no block after
-    the lowest failed one is taken, and that block's error is raised: the
-    error the plain loop raises."""
-    pool = _pool() if parallel and count > 1 else None
-    helpers = min(count, pool.threads) - 1 if pool is not None else 0
+    block order.  One block, a pool without helpers or ``parallel`` off
+    (row loops of non-vectorized callables hold the GIL) run the plain
+    loop.  Otherwise a block may run on any thread, so ``work`` must
+    depend on its arguments alone (:class:`_Batch`).  If blocks fail, no
+    block after the lowest failed one is taken, and that block's error is
+    raised: the error the plain loop raises."""
+    executor, helpers = _pool() if parallel and count > 1 else (None, 0)
+    helpers = min(helpers, count - 1)
     if helpers < 1:
         return [work(i, x) for i, x in enumerate(inputs)]
-    return _Batch(work, inputs, count, helpers).run(pool)
+    return _Batch(work, inputs, count, helpers).run(executor)
 
 
 class _Batch:
     """One :func:`_map_blocks` call on the calling thread and ``helpers``
-    queued helper tasks.  The calling thread draws the inputs, keeping up
-    to two blocks per helper drawn ahead, and runs a block whenever that
-    many are ready or nothing is left to draw; helpers take ready blocks.
-    Blocks are taken in order under one lock.  The call returns only once
-    every helper that joined has left; a helper task that starts after
-    the call closed does nothing, so a call never waits for a thread that
-    is busy elsewhere (a nested call) or gone (a forked child).  Helpers
-    run under the caller's numpy error state."""
+    helper tasks.  The calling thread draws the inputs, keeping up to two
+    blocks per helper drawn ahead, and runs a block whenever that many are
+    ready or nothing is left to draw; helpers take ready blocks.  Blocks
+    are taken in order under one lock.  The call returns only once every
+    helper that joined has left, also when it is interrupted; a helper
+    task that starts after the call closed does nothing, so a call never
+    waits for a thread that is busy elsewhere (a nested call) or gone (a
+    forked child).  Helpers run under the caller's numpy error state."""
 
     def __init__(self, work, inputs, count: int, helpers: int):
         import threading
@@ -170,19 +152,37 @@ class _Batch:
         self.closed = False
         self.errstate = np.geterr()
 
-    def run(self, pool: _Pool) -> list:
-        pool.submit(self.help, self.helpers)
+    def run(self, executor) -> list:
+        for _ in range(self.helpers):
+            try:
+                executor.submit(self.help)
+            except RuntimeError:  # no thread to be had: the caller runs the blocks
+                break
         try:
             self.lead()
         finally:
-            with self.cond:
-                self.closed = True
-                self.cond.notify_all()
-                while self.active:
-                    self.cond.wait()
+            self.close()
         if self.errors:
             raise self.errors[min(self.errors)]
         return self.results
+
+    def close(self) -> None:
+        """Close the batch and wait for the helpers inside it.  An interrupt
+        during the wait is raised once they have left, so no helper still
+        runs a block when the call is over."""
+        interrupt = None
+        while True:
+            try:
+                with self.cond:
+                    self.closed = True
+                    self.cond.notify_all()
+                    while self.active:
+                        self.cond.wait()
+                break
+            except BaseException as exc:  # KeyboardInterrupt: wait on, then raise it
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
 
     def takeable(self) -> bool:
         return bool(self.ready) and self.ready[0][0] < self.limit
@@ -197,7 +197,8 @@ class _Batch:
                 elif self.drawn >= self.limit:
                     return
             if take:
-                self.run_block(i, x)
+                # An interrupt here is not a block error: it leaves at once.
+                self.run_block(i, x, Exception)
                 continue
             x = next(self.inputs)
             with self.cond:
@@ -219,16 +220,18 @@ class _Batch:
                                 return
                             self.cond.wait()
                         i, x = self.ready.popleft()
-                    self.run_block(i, x)
+                    self.run_block(i, x, BaseException)
         finally:
             with self.cond:
                 self.active -= 1
                 self.cond.notify_all()
 
-    def run_block(self, i: int, x) -> None:
+    def run_block(self, i: int, x, catch) -> None:
+        """Store block i's result, or its error of class ``catch``, which
+        run() re-raises on the calling thread."""
         try:
             self.results[i] = self.work(i, x)
-        except BaseException as exc:  # re-raised by run(), on the calling thread
+        except catch as exc:
             with self.cond:
                 self.errors[i] = exc
                 self.limit = min(self.limit, i)
@@ -495,8 +498,9 @@ def unbiased_grad_mean(f: ScalarField, model: RiskModel, theta, n: int,
     samples = _grad_samples(f, model, theta, n, sampler)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = samples.mean(axis=0)
-        # np.std(axis=0, ddof=1)'s own arithmetic, reusing the mean: same bits.
-        d = samples - mean
-        d *= d
-        se = np.sqrt(d.sum(axis=0) / (n - 1)) / np.sqrt(n)
+        # np.std(axis=0, ddof=1)'s own arithmetic, reusing the mean and, in
+        # place, the samples: same bits, and no second (n, k) array.
+        samples -= mean
+        samples *= samples
+        se = np.sqrt(samples.sum(axis=0) / (n - 1)) / np.sqrt(n)
     return mean, check_std_err(se)

@@ -48,9 +48,25 @@ ROWS4 = _block_rows(4)   # rows of one block of 4-dimensional points
 @pytest.fixture
 def threads(monkeypatch):
     """threads(k): run the batches of this test on k threads, the calling
-    thread included, whatever the machine's CPU count."""
-    pool = objective._pool()
-    return lambda k: monkeypatch.setattr(pool, "threads", k)
+    thread included, whatever the machine's CPU count; the pools it makes
+    are shut down after the test."""
+    pools = {}
+    monkeypatch.setattr(objective, "_POOLS", pools)
+
+    def use(k):
+        shut_down(pools)
+        monkeypatch.setattr(objective, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(objective, "_MAX_HELPERS", k - 1)
+
+    yield use
+    shut_down(pools)
+
+
+def shut_down(pools):
+    for executor, _ in pools.values():
+        if executor is not None:
+            executor.shutdown()
+    pools.clear()
 
 
 def bump_problem():
@@ -347,13 +363,15 @@ class TestNoWaitOnAThreadThatCannotRun:
         n = 3 * ROWS4 + 1
         threads(2)
         expected = smoothed_value(f, model, theta, n, model.sampler(4))  # starts a helper
+        parent_pool = objective._POOLS[os.getpid()][0]
         pid = os.fork()
         if pid == 0:  # the child: its own pool, of two threads
             code = 2
             try:
-                objective._pool().threads = 2
                 got = smoothed_value(f, model, theta, n, model.sampler(4))
-                code = 0 if (got.value, got.std_err) == (expected.value, expected.std_err) else 1
+                own = objective._POOLS[os.getpid()][0] is not parent_pool
+                code = 0 if own and (got.value, got.std_err) == (expected.value,
+                                                                 expected.std_err) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + JOIN_TIMEOUT
@@ -369,20 +387,45 @@ class TestNoWaitOnAThreadThatCannotRun:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_a_helper_the_system_refuses_leaves_the_blocks_to_the_caller(monkeypatch):
+def test_a_helper_the_system_refuses_leaves_the_blocks_to_the_caller(threads, monkeypatch):
     f, model, theta = bump_problem()
     n = 3 * ROWS4 + 1
-    monkeypatch.setattr(objective._pool(), "threads", 1)
+    threads(1)
     serial = static_estimates(f, model, theta, n, 7)
 
     def refuse(thread):
         raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(objective, "_POOLS", {})   # a fresh pool, with no helper yet
+    threads(3)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(objective._pool(), "threads", 3)
     assert_same(static_estimates(f, model, theta, n, 7), serial)
-    assert objective._pool().threads == 1
+
+
+def test_an_interrupt_on_the_calling_thread_leaves_no_helper_running(threads):
+    # Blocks on the helper fail slowly, blocks on the calling thread are
+    # interrupted at once: the interrupt, not a helper's lower-numbered
+    # error, leaves the call, and only after the helper's block is done.
+    threads(2)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    running = [0]
+
+    def value(thetas):
+        if threading.get_ident() == caller:
+            raise KeyboardInterrupt
+        with lock:
+            running[0] += 1
+        time.sleep(0.1)
+        with lock:
+            running[0] -= 1
+        return np.full(len(thetas), 2.0)
+
+    f = ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+    model = isotropic_model(1.0, 1.0, 1.0, 4)
+    for _ in range(3):
+        with pytest.raises(KeyboardInterrupt):
+            smoothed_value(f, model, np.zeros(4), 6 * ROWS4, model.sampler(1))
+        assert running[0] == 0
 
 
 def test_import_and_single_block_calls_start_no_thread():
