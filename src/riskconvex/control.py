@@ -33,10 +33,11 @@ t, the order of a step-by-step rollout; eps_t block by block), then runs
 in row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
 weights and scores stay in cache, and no full-batch trajectory is
 allocated.  The blocks of a fully vectorized problem run on the calling
-thread and the helper threads of :func:`~riskconvex.objective._map_blocks`
-and are summed in block order, so the bits do not depend on the thread
-count.  A batch of one block keeps the bits of one unblocked pass; on
-more blocks, only the block sums of the moments round differently.  A
+thread and the helper threads it feeds from a queue
+(:func:`~riskconvex.objective._map_blocks`), and are summed in block
+order, so the bits do not depend on the thread count.  A batch of one
+block keeps the bits of one unblocked pass; on more blocks, only the
+block sums of the moments round differently.  A
 Jacobian returned as ``np.broadcast_to`` of one matrix is applied to the
 whole batch as one product.
 """

@@ -145,7 +145,7 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     reporting the margin.  All grid points share one perturbation draw
     (common random numbers); the smoothed quadratic part is added in
     closed form.  When ``n_samples`` spans two or more row blocks, the
-    grid points run on the threads of
+    grid points are queued to the threads of
     :func:`~riskconvex.objective._map_blocks`, with the same bits.
     """
     if not (sigma_noise > 0.0 and kappa > 0.0):

@@ -20,13 +20,14 @@ The estimators draw, perturb and evaluate the field in row blocks of
 writes into one per-sample array that is reduced once, in the order of
 a single draw of n rows.  A batch of two or more blocks of a vectorized
 field runs its blocks on the calling thread and, when a second CPU is
-usable, one helper thread (:func:`_map_blocks`); the calling thread makes
-every draw, in stream order, so the results keep their bits at any thread
-count.  On a batch of several blocks, an error is the first one of the
-first block that fails; an overflowing exponent is named by its batch
-index.  After an estimator raises, how far its sampler has advanced
-depends on the thread count (the calling thread draws up to two blocks
-ahead), so a caller that goes on after an error takes a fresh sampler.
+usable, one helper thread fed from a queue (:func:`_map_blocks`); the
+calling thread makes every draw, in stream order, so the results keep
+their bits at any thread count.  On a batch of several blocks, an error is
+the first one of the first block that fails; an overflowing exponent is
+named by its batch index.  After an estimator raises, how far its sampler
+has advanced depends on the thread count (the calling thread draws up to
+two blocks ahead), so a caller that goes on after an error takes a fresh
+sampler.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -35,7 +36,6 @@ from multiple threads as long as each thread owns its own sampler (see
 
 from __future__ import annotations
 
-import collections
 import os
 from dataclasses import dataclass
 
@@ -116,126 +116,88 @@ def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
     it makes keeps its place in the stream; the results come back in
     block order.  One block, a pool without helpers or ``parallel`` off
     (row loops of non-vectorized callables hold the GIL) run the plain
-    loop.  Otherwise a block may run on any thread, so ``work`` must
-    depend on its arguments alone (:class:`_Batch`).  If blocks fail, no
-    block after the lowest failed one is taken, and that block's error is
-    raised: the error the plain loop raises."""
+    loop.  Otherwise one task per helper takes (i, x) off a queue until it
+    takes None; the calling thread puts the blocks on it, running one itself
+    whenever two per helper wait and the rest at the end.  A block may run
+    on any thread, so ``work`` must depend on its arguments alone; helpers
+    run under the caller's numpy error state.  If blocks fail, no block
+    after the lowest failed one starts, and that block's error is raised:
+    the error the plain loop raises.  The call returns once its started
+    tasks have finished, also when interrupted; a task that starts late
+    (queued by a refused thread start) takes a None at once, and an
+    unstarted one is cancelled, so a call never waits for a thread busy
+    elsewhere (a nested call) or gone (a forked child)."""
     executor, helpers = _pool() if parallel and count > 1 else (None, 0)
     helpers = min(helpers, count - 1)
     if helpers < 1:
         return [work(i, x) for i, x in enumerate(inputs)]
-    return _Batch(work, inputs, count, helpers).run(executor)
+    import queue
+    from concurrent.futures import wait
 
+    results, errors = [None] * count, {}
+    # count, then each failed block: none from the lowest on starts.  Appends
+    # lose no failure when two blocks fail at once, as a min-and-store could.
+    stops = [count]
+    todo = queue.SimpleQueue()
+    errstate = np.geterr()
 
-class _Batch:
-    """One :func:`_map_blocks` call on the calling thread and ``helpers``
-    helper tasks.  The calling thread draws the inputs, keeping up to two
-    blocks per helper drawn ahead, and runs a block whenever that many are
-    ready or nothing is left to draw; helpers take ready blocks.  Blocks
-    are taken in order under one lock.  The call returns only once every
-    helper that joined has left, also when it is interrupted; a helper
-    task that starts after the call closed does nothing, so a call never
-    waits for a thread that is busy elsewhere (a nested call) or gone (a
-    forked child).  Helpers run under the caller's numpy error state."""
-
-    def __init__(self, work, inputs, count: int, helpers: int):
-        import threading
-
-        self.work, self.inputs, self.helpers = work, iter(inputs), helpers
-        self.cond = threading.Condition()
-        self.results = [None] * count
-        self.ready = collections.deque()  # (i, input) drawn and not yet taken
-        self.drawn = 0
-        self.limit = count  # the lowest failed block; no block from it on is taken
-        self.errors = {}
-        self.active = 0  # helpers inside the batch
-        self.closed = False
-        self.errstate = np.geterr()
-
-    def run(self, executor) -> list:
-        for _ in range(self.helpers):
+    def run(i, x, catch) -> None:
+        """Store block i's result, or its error of class ``catch``."""
+        if i < min(stops):
             try:
-                executor.submit(self.help)
-            except RuntimeError:  # no thread to be had: the caller runs the blocks
-                break
-        try:
-            self.lead()
-        finally:
-            self.close()
-        if self.errors:
-            raise self.errors[min(self.errors)]
-        return self.results
+                results[i] = work(i, x)
+            except catch as exc:
+                errors[i] = exc
+                stops.append(i)
 
-    def close(self) -> None:
-        """Close the batch and wait for the helpers inside it.  An interrupt
-        during the wait is raised once they have left, so no helper still
-        runs a block when the call is over."""
+    def serve() -> None:
+        with np.errstate(**errstate):
+            for i, x in iter(todo.get, None):
+                run(i, x, BaseException)  # re-raised on the calling thread
+
+    def take() -> bool:
+        try:
+            item = todo.get_nowait()
+        except queue.Empty:
+            return False
+        run(*item, Exception)  # an interrupt is not a block error: it leaves at once
+        return True
+
+    tasks = []
+    try:
+        try:
+            for _ in range(helpers):
+                tasks.append(executor.submit(serve))
+        except RuntimeError:  # no thread to be had: the caller runs the blocks
+            pass
+        inputs = iter(inputs)
+        for i in range(count):
+            if i >= min(stops):
+                break
+            todo.put((i, next(inputs)))
+            if todo.qsize() >= 2 * helpers:
+                take()
+        while take():
+            pass
+    except BaseException:
+        stops.append(-1)  # the call raises: helpers start no further block
+        raise
+    finally:
+        for _ in range(helpers):  # refused submits too: their tasks may start late
+            todo.put(None)
+        started = [task for task in tasks if not task.cancel()]
         interrupt = None
         while True:
             try:
-                with self.cond:
-                    self.closed = True
-                    self.cond.notify_all()
-                    while self.active:
-                        self.cond.wait()
+                wait(started)
                 break
             except BaseException as exc:  # KeyboardInterrupt: wait on, then raise it
                 interrupt = exc
         if interrupt is not None:
             raise interrupt
-
-    def takeable(self) -> bool:
-        return bool(self.ready) and self.ready[0][0] < self.limit
-
-    def lead(self) -> None:
-        ahead = 2 * self.helpers
-        while True:
-            with self.cond:
-                take = self.takeable() and (len(self.ready) >= ahead or self.drawn >= self.limit)
-                if take:
-                    i, x = self.ready.popleft()
-                elif self.drawn >= self.limit:
-                    return
-            if take:
-                # An interrupt here is not a block error: it leaves at once.
-                self.run_block(i, x, Exception)
-                continue
-            x = next(self.inputs)
-            with self.cond:
-                self.ready.append((self.drawn, x))
-                self.drawn += 1
-                self.cond.notify()
-
-    def help(self) -> None:
-        with self.cond:
-            if self.closed:
-                return
-            self.active += 1
-        try:
-            with np.errstate(**self.errstate):
-                while True:
-                    with self.cond:
-                        while not self.takeable():
-                            if self.closed or self.drawn >= self.limit:
-                                return
-                            self.cond.wait()
-                        i, x = self.ready.popleft()
-                    self.run_block(i, x, BaseException)
-        finally:
-            with self.cond:
-                self.active -= 1
-                self.cond.notify_all()
-
-    def run_block(self, i: int, x, catch) -> None:
-        """Store block i's result, or its error of class ``catch``, which
-        run() re-raises on the calling thread."""
-        try:
-            self.results[i] = self.work(i, x)
-        except catch as exc:
-            with self.cond:
-                self.errors[i] = exc
-                self.limit = min(self.limit, i)
-                self.cond.notify_all()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass
@@ -389,7 +351,9 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
     1, so their variance comes from one pass of sums,
     (sum w^2 - sum w * mean w) / (n - 1), clipped at 0: its rounding is
     about eps (1 + mean^2 / variance) relative (Chan, Golub & LeVeque
-    1983), and equal weights give exactly 0.  The input is not modified.
+    1983), and equal weights give exactly 0.  sum w^2 is an einsum, not a
+    BLAS dot, so its bits do not depend on the BLAS thread count.  The
+    input is not modified.
 
     Raises :class:`ContractError` for fewer than 2 exponents,
     :class:`EstimateOverflowError` naming the first +inf exponent, and
@@ -412,7 +376,7 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
     np.exp(w, out=w)
     s1 = w.sum()
     mean_w = s1 / a.size
-    var_w = np.maximum(w @ w - s1 * mean_w, 0.0) / (a.size - 1)
+    var_w = np.maximum(np.einsum("i,i", w, w) - s1 * mean_w, 0.0) / (a.size - 1)
     return m + float(np.log(mean_w)), float(np.sqrt(var_w / a.size)) / float(mean_w)
 
 

@@ -2,6 +2,7 @@
 bits of the serial loop at any thread count, the serial loop's error, and
 no wait on a thread that cannot run (a forked child, a nested call)."""
 
+import collections
 import dataclasses
 import os
 import signal
@@ -387,18 +388,44 @@ class TestNoWaitOnAThreadThatCannotRun:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+def refuse(thread):
+    raise RuntimeError("can't start new thread")
+
+
 def test_a_helper_the_system_refuses_leaves_the_blocks_to_the_caller(threads, monkeypatch):
     f, model, theta = bump_problem()
     n = 3 * ROWS4 + 1
     threads(1)
     serial = static_estimates(f, model, theta, n, 7)
-
-    def refuse(thread):
-        raise RuntimeError("can't start new thread")
-
     threads(3)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert_same(static_estimates(f, model, theta, n, 7), serial)
+
+
+def test_a_task_queued_by_a_refused_thread_start_does_nothing_after_its_call(threads,
+                                                                           monkeypatch):
+    # The refused start leaves the first call's helper task queued in the
+    # pool.  It starts with the thread of the second call, after its own
+    # call returned, and must leave at once: run no block of its call and
+    # not keep the helper waiting on its call's queue.
+    threads(2)
+    model = isotropic_model(1.0, 1.0, 1.0, 4)
+    runs = collections.Counter()
+
+    def value(thetas):
+        runs[thetas[0].tobytes()] += 1   # blocks are told apart by their first point
+        return np.zeros(len(thetas))
+
+    f = ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    smoothed_value(f, model, np.zeros(4), 3 * ROWS4, model.sampler(1))
+    first = set(runs)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    smoothed_value(f, model, np.zeros(4), 3 * ROWS4, model.sampler(2))
+    objective._POOLS[os.getpid()][0].submit(int).result(JOIN_TIMEOUT)  # the helper is free
+    assert len(first) == 3
+    assert [runs[block] for block in first] == [1, 1, 1]
 
 
 def test_an_interrupt_on_the_calling_thread_leaves_no_helper_running(threads):
@@ -426,6 +453,37 @@ def test_an_interrupt_on_the_calling_thread_leaves_no_helper_running(threads):
         with pytest.raises(KeyboardInterrupt):
             smoothed_value(f, model, np.zeros(4), 6 * ROWS4, model.sampler(1))
         assert running[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="pthread_kill is POSIX only")
+def test_an_interrupt_during_the_wait_for_a_helper_leaves_no_helper_running(threads):
+    # The helper's block interrupts the calling thread, which by then has
+    # run its own block and waits for the helper's: the interrupt leaves
+    # the call, and only after the helper's block is done.
+    assert threading.current_thread() is threading.main_thread()
+    threads(2)
+    caller = threading.get_ident()
+    helping = threading.Event()
+    timer = threading.Timer(0.2, signal.pthread_kill, (caller, signal.SIGINT))
+    running = []
+
+    def value(thetas):
+        if threading.get_ident() == caller:
+            helping.wait(JOIN_TIMEOUT)   # leave the other block to the helper
+        else:
+            running.append(True)
+            helping.set()
+            timer.start()
+            time.sleep(0.4)
+            running.pop()
+        return np.zeros(len(thetas))
+
+    f = ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+    model = isotropic_model(1.0, 1.0, 1.0, 4)
+    with pytest.raises(KeyboardInterrupt):
+        smoothed_value(f, model, np.zeros(4), 2 * ROWS4, model.sampler(1))
+    assert running == []
+    timer.join(JOIN_TIMEOUT)
 
 
 def test_import_and_single_block_calls_start_no_thread():

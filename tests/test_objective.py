@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskconvex
 from riskconvex.errors import (
     ContractError,
     DegenerateEstimateError,
@@ -244,6 +249,23 @@ class TestLogMeanExp:
             w = np.exp(a - a.max())
             assert value == pytest.approx(a.max() + np.log(w.mean()), rel=1e-12)
             assert se == pytest.approx(w.std(ddof=1) / np.sqrt(a.size) / w.mean(), rel=1e-12)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # A BLAS dot over 20000 weights rounds differently at each BLAS
+        # thread count; the std err must not.
+        src = str(Path(riskconvex.__file__).resolve().parents[1])
+        code = ("import numpy as np; from riskconvex.objective import log_mean_exp; "
+                "a = np.random.default_rng(0).standard_normal(20000); "
+                "print(*(v.hex() for v in log_mean_exp(a)))")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True, check=True,
+                                       timeout=120).stdout)
+        assert outs[0] == outs[1]
 
     def test_equal_weights_have_exactly_zero_std_err(self):
         assert log_mean_exp(np.full(37, -2.5)) == (-2.5, 0.0)
