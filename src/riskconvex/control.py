@@ -33,7 +33,7 @@ t, the order of a step-by-step rollout; eps_t block by block), then runs
 in row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
 weights and scores stay in cache, and no full-batch trajectory is
 allocated.  The blocks of a fully vectorized problem run on the calling
-thread and the helper threads it feeds from a queue
+thread and a helper thread, each taking the next block index
 (:func:`~riskconvex.objective._map_blocks`), and are summed in block
 order, so the bits do not depend on the thread count.  A batch of one
 block keeps the bits of one unblocked pass; on more blocks, only the
@@ -467,16 +467,16 @@ class _RolloutEngine:
             G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
         return G
 
-    def _block_moments(self, K: np.ndarray, noise, start: int, n: int, method: str,
-                       second: bool):
+    def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
+                       method: str, second: bool):
         """(this block's share of the batch mean, of the second moment or
-        None, w = exp(alpha J)) for the rollouts of one row block of the
-        ``noise`` of an n-rollout batch, rows ``start`` on: with
-        scale = alpha w (model-based) or w (derivative-free) and
-        c = scale / n, the shares are (c g_t)' phi_t and
-        n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n."""
+        None) for the rollouts of one row block of the ``noise`` of an
+        n-rollout batch, rows ``start`` on, whose w = exp(alpha J) it writes
+        into ``w``: with scale = alpha w (model-based) or w
+        (derivative-free) and c = scale / n, the shares are (c g_t)' phi_t
+        and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n."""
         traj = self.forward(K, *noise, start)
-        w = np.exp(check_exponents(self.alpha * traj[5], start))
+        np.exp(check_exponents(self.alpha * traj[5], start), out=w)
         c = (self.alpha * w if method == "model_based" else w)[:, None] / n
         mean = np.empty(self.shape)
         sq = np.empty(self.shape) if second else None
@@ -487,7 +487,7 @@ class _RolloutEngine:
             if second:
                 cg *= cg
                 sq[t - 1] = (cg.T @ (phi * phi)) * n
-        return mean, sq, w
+        return mean, sq
 
     def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
                 second: bool = False):
@@ -496,7 +496,7 @@ class _RolloutEngine:
 
         The noise of the whole batch is drawn first (:meth:`draw`); then
         each row block runs the forward pass, J, w and the scores
-        (:meth:`_block_moments`), on any thread of
+        (:meth:`_block_moments`) on any thread of
         :func:`~riskconvex.objective._map_blocks`, and the blocks' shares
         are summed in block order.  An overflowing exp(alpha J) raises
         :class:`EstimateOverflowError` naming its rollout; on a batch of
@@ -505,17 +505,14 @@ class _RolloutEngine:
         of the first block that fails."""
         s1, eps, xi = self.draw(sampler, n)
         blocks = _row_blocks(n, self.width)
-        if len(blocks) == 1:
-            return self._block_moments(K, (s1, eps, xi), 0, n, method, second)
         w = np.empty(n)
 
-        def block(i, noise):
-            block_mean, block_sq, w[blocks[i]] = self._block_moments(
-                K, noise, blocks[i].start, n, method, second)
-            return block_mean, block_sq
+        def block(i):
+            rows = blocks[i]
+            return self._block_moments(K, (s1[rows], eps[:, rows], xi[:, rows]), w[rows],
+                                       rows.start, n, method, second)
 
-        parts = _map_blocks(block, ((s1[rows], eps[:, rows], xi[:, rows]) for rows in blocks),
-                            len(blocks), self.parallel)
+        parts = _map_blocks(block, len(blocks), self.parallel)
         mean, sq = parts[0]
         for block_mean, block_sq in parts[1:]:
             mean += block_mean

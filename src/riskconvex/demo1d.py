@@ -6,7 +6,10 @@ the risk-averse transform at a certified (alpha, sigma, kappa) destroys
 it, leaving the robust basin as the unique minimum.  The demo tabulates
 the original objective, its Gaussian smoothing, and the convexified
 objective on a uniform grid, with common random numbers across grid
-points so that curve differences are well resolved.
+points so that curve differences are well resolved.  That one draw comes
+first; when it spans two or more row blocks, the threads of
+:func:`~riskconvex.objective._map_blocks` take the grid points by index,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -144,9 +147,7 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     Refuses (CertificateError) unless alpha * kappa >= 1 / sigma_noise^2,
     reporting the margin.  All grid points share one perturbation draw
     (common random numbers); the smoothed quadratic part is added in
-    closed form.  When ``n_samples`` spans two or more row blocks, the
-    grid points are queued to the threads of
-    :func:`~riskconvex.objective._map_blocks`, with the same bits.
+    closed form.
     """
     if not (sigma_noise > 0.0 and kappa > 0.0):
         raise ContractError("sigma and kappa must be positive")
@@ -170,7 +171,8 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
 
-    def point(i, th):
+    def point(i):
+        th = grid[i]
         quad = 0.5 * kappa * th**2
         vals = raw.value(draws + th)
         objective[i] = float(raw.value(np.array([th]))[0]) + quad
@@ -180,7 +182,7 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
         convexified[i] = lme / alpha + quad
         std_err[i] = se / alpha
 
-    _map_blocks(point, grid, grid.size, parallel=len(_row_blocks(n_samples, 1)) > 1)
+    _map_blocks(point, grid.size, parallel=len(_row_blocks(n_samples, 1)) > 1)
     return DemoCurves(theta=grid, objective=objective, smoothed=smoothed,
                       convexified=convexified, convexified_std_err=std_err)
 

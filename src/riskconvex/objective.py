@@ -15,19 +15,15 @@ semidefinite; :func:`check_convexity_certificate` evaluates that margin.
 Aggregation of exponentials always subtracts the max exponent first, and
 standard errors of log-of-mean estimates use the delta method.
 
-The estimators draw, perturb and evaluate the field in row blocks of
-2**14 // k points, so the field's temporaries stay in cache; each block
-writes into one per-sample array that is reduced once, in the order of
-a single draw of n rows.  A batch of two or more blocks of a vectorized
-field runs its blocks on the calling thread and, when a second CPU is
-usable, one helper thread fed from a queue (:func:`_map_blocks`); the
-calling thread makes every draw, in stream order, so the results keep
-their bits at any thread count.  On a batch of several blocks, an error is
-the first one of the first block that fails; an overflowing exponent is
-named by its batch index.  After an estimator raises, how far its sampler
-has advanced depends on the thread count (the calling thread draws up to
-two blocks ahead), so a caller that goes on after an error takes a fresh
-sampler.
+A batch draws all its noise first, one draw of n rows, then perturbs
+and evaluates the field in row blocks of 2**14 // k points, so the
+field's temporaries stay in cache; each block writes into one per-sample
+array that is reduced once.  The blocks of a vectorized field run on the
+calling thread and, when a second CPU is usable, one helper thread, each
+taking the next block index (:func:`_map_blocks`), so the results keep
+their bits at any thread count.  On a batch of several blocks, an error
+is the first one of the first block that fails; an overflowing exponent
+is named by its batch index.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -78,7 +74,7 @@ def _row_blocks(n: int, width: int) -> list:
 # Helper threads a batch may use besides the calling thread.  One helper
 # (two usable CPUs) is the configuration whose wall time and peak memory
 # were measured; each further helper would add its own malloc arena and
-# two more blocks drawn ahead, so more usable CPUs do not add helpers.
+# one more block in flight, so more usable CPUs do not add helpers.
 _MAX_HELPERS = 1
 
 _POOLS: dict = {}
@@ -108,83 +104,65 @@ def _pool() -> tuple:
     return pool
 
 
-def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
-    """[work(i, x) for i, x in enumerate(inputs)] over the ``count`` blocks
-    of a batch, run on the calling thread and the pool's helpers.
+def _map_blocks(work, count: int, parallel: bool = True) -> list:
+    """[work(i) for i in range(count)] over the ``count`` blocks of a
+    batch, run on the calling thread and the pool's helpers.
 
-    ``inputs`` is read on the calling thread alone, in order, so any draw
-    it makes keeps its place in the stream; the results come back in
-    block order.  One block, a pool without helpers or ``parallel`` off
-    (row loops of non-vectorized callables hold the GIL) run the plain
-    loop.  Otherwise one task per helper takes (i, x) off a queue until it
-    takes None; the calling thread puts the blocks on it, running one itself
-    whenever two per helper wait and the rest at the end.  A block may run
-    on any thread, so ``work`` must depend on its arguments alone; helpers
-    run under the caller's numpy error state.  If blocks fail, no block
-    after the lowest failed one starts, and that block's error is raised:
-    the error the plain loop raises.  The call returns once its started
-    tasks have finished, also when interrupted; a task that starts late
-    (queued by a refused thread start) takes a None at once, and an
-    unstarted one is cancelled, so a call never waits for a thread busy
-    elsewhere (a nested call) or gone (a forked child)."""
+    The batch's noise is drawn before the call, so ``work`` takes a block
+    index alone; results come back in block order.  One block, a pool
+    without helpers or ``parallel`` off (row loops of non-vectorized
+    callables hold the GIL) run the plain loop.  Otherwise the caller and
+    one task per helper each take the next index off one queue, filled at
+    the start, until none is left; helpers run under the caller's numpy
+    error state.  If blocks fail, no block after the lowest failed one
+    starts, and that block's error is raised: the plain loop's error.
+    The call returns once its started tasks have finished, also when
+    interrupted, and then drops ``work``: a task that starts late (queued
+    by a refused thread start) finds no index left and keeps no array
+    alive.  An unstarted task is cancelled, so a call never waits for a
+    thread busy elsewhere (a nested call) or gone (a forked child)."""
     executor, helpers = _pool() if parallel and count > 1 else (None, 0)
     helpers = min(helpers, count - 1)
     if helpers < 1:
-        return [work(i, x) for i, x in enumerate(inputs)]
-    import queue
+        return [work(i) for i in range(count)]
+    from collections import deque
     from concurrent.futures import wait
 
     results, errors = [None] * count, {}
     # count, then each failed block: none from the lowest on starts.  Appends
     # lose no failure when two blocks fail at once, as a min-and-store could.
     stops = [count]
-    todo = queue.SimpleQueue()
+    todo = deque(range(count))  # its pops are thread-safe
     errstate = np.geterr()
 
-    def run(i, x, catch) -> None:
-        """Store block i's result, or its error of class ``catch``."""
-        if i < min(stops):
-            try:
-                results[i] = work(i, x)
-            except catch as exc:
-                errors[i] = exc
-                stops.append(i)
-
-    def serve() -> None:
+    def run(catch) -> None:
+        """Run the next blocks under the caller's error state; keep errors of ``catch``."""
         with np.errstate(**errstate):
-            for i, x in iter(todo.get, None):
-                run(i, x, BaseException)  # re-raised on the calling thread
-
-    def take() -> bool:
-        try:
-            item = todo.get_nowait()
-        except queue.Empty:
-            return False
-        run(*item, Exception)  # an interrupt is not a block error: it leaves at once
-        return True
+            while True:
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
+                if i >= min(stops):
+                    return
+                try:
+                    results[i] = work(i)
+                except catch as exc:
+                    errors[i] = exc
+                    stops.append(i)
 
     tasks = []
     try:
         try:
-            for _ in range(helpers):
-                tasks.append(executor.submit(serve))
+            for _ in range(helpers):  # a helper's error is re-raised on the calling thread
+                tasks.append(executor.submit(run, BaseException))
         except RuntimeError:  # no thread to be had: the caller runs the blocks
             pass
-        inputs = iter(inputs)
-        for i in range(count):
-            if i >= min(stops):
-                break
-            todo.put((i, next(inputs)))
-            if todo.qsize() >= 2 * helpers:
-                take()
-        while take():
-            pass
+        run(Exception)  # an interrupt is not a block error: it leaves at once
     except BaseException:
         stops.append(-1)  # the call raises: helpers start no further block
         raise
     finally:
-        for _ in range(helpers):  # refused submits too: their tasks may start late
-            todo.put(None)
         started = [task for task in tasks if not task.cancel()]
         interrupt = None
         while True:
@@ -193,6 +171,7 @@ def _map_blocks(work, inputs, count: int, parallel: bool = True) -> list:
                 break
             except BaseException as exc:  # KeyboardInterrupt: wait on, then raise it
                 interrupt = exc
+        del work  # a task that starts late must not keep the batch's arrays alive
         if interrupt is not None:
             raise interrupt
     if errors:
@@ -316,23 +295,28 @@ def _perturbed(model: RiskModel, theta, raw: np.ndarray) -> np.ndarray:
     return theta + raw @ model.sigma_root
 
 
-def _block_draws(blocks: list, sampler: GaussianSampler):
-    """The raw N(0, I) draws of each row block, drawn in block order."""
-    return (sampler.draw(rows.stop - rows.start) for rows in blocks)
-
-
 def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
                   sampler: GaussianSampler) -> np.ndarray:
-    """f at n points theta + w, (n,): drawn, perturbed and evaluated one
-    row block at a time, in the order of one draw of n rows."""
+    """f at n points theta + w, (n,): one draw of n rows, then perturbed
+    and evaluated one row block at a time."""
+    raw = sampler.draw(n)
     vals = np.empty(n)
     blocks = _row_blocks(n, model.dim)
 
-    def block(i, raw):
-        vals[blocks[i]] = f.evaluate_batch(_perturbed(model, theta, raw))
+    def block(i):
+        vals[blocks[i]] = f.evaluate_batch(_perturbed(model, theta, raw[blocks[i]]))
 
-    _map_blocks(block, _block_draws(blocks, sampler), len(blocks), f.vectorized)
+    _map_blocks(block, len(blocks), f.vectorized)
     return vals
+
+
+def _field_mean(vals: np.ndarray) -> float:
+    """The mean of field values; :class:`DegenerateEstimateError` naming
+    the first -inf value, whose mean is -inf and spread NaN."""
+    i = int(np.argmin(vals))
+    if vals[i] == -np.inf:
+        raise DegenerateEstimateError(f"field value at sample {i} is -inf", sample_index=i)
+    return float(vals.mean())
 
 
 def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
@@ -340,8 +324,8 @@ def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
     """Monte Carlo estimate of the smoothed value E[f(theta + w)]."""
     theta = _check_args(f, model, sampler, n, theta)
     vals = _field_values(f, model, theta, n, sampler)
-    se = float(vals.std(ddof=1) / np.sqrt(n))
-    return Estimate(value=float(vals.mean()), std_err=se, n=n)
+    value = _field_mean(vals)
+    return Estimate(value=value, std_err=float(vals.std(ddof=1) / np.sqrt(n)), n=n)
 
 
 def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
@@ -421,22 +405,22 @@ def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
                   sampler: GaussianSampler) -> np.ndarray:
     """n single-draw gradient samples of G, (n, k): per draw w,
     alpha exp(alpha f(theta+w) + 0.5 alpha theta' R theta) (grad f(theta+w) + R theta),
-    drawn, evaluated and scaled in place one row block at a time.  An
-    overflowing exponent raises for the first one of the first block
-    that has one, named by its batch index."""
-    out = np.empty((n, model.dim))
+    each row block's samples written over its draws in the output.  An
+    overflowing exponent raises for the first one of the first block that
+    has one, named by its batch index."""
+    out = sampler.draw(n)
     shift = model.reg @ theta
     quad = model.alpha * model.quad(theta)
     blocks = _row_blocks(n, model.dim)
 
-    def block(i, raw):
-        points = _perturbed(model, theta, raw)
-        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, blocks[i].start)
+    def block(i):
         samples = out[blocks[i]]
+        points = _perturbed(model, theta, samples)
+        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, blocks[i].start)
         np.add(f.grad_batch(points), shift, out=samples)
         samples *= (model.alpha * np.exp(expo))[:, None]
 
-    _map_blocks(block, _block_draws(blocks, sampler), len(blocks), f.vectorized)
+    _map_blocks(block, len(blocks), f.vectorized)
     return out
 
 

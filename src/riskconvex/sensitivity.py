@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .fields import ScalarField
-from .objective import RiskModel, log_mean_exp, _check_args, _field_values
+from .objective import RiskModel, log_mean_exp, _check_args, _field_mean, _field_values
 from .sampling import GaussianSampler
 
 
@@ -54,12 +54,13 @@ def estimate_sensitivity(f: ScalarField, model: RiskModel, theta, n: int,
 
     The smoothed mean and the exponential moment use independent derived
     sample streams with the same n per pass; reusing one stream would
-    bias the centered exponent.  Each pass draws and evaluates one row
-    block at a time into one array of n values.  Requires n >= 100.
+    bias the centered exponent.  Each pass fills one array of n values.
+    A -inf value in the mean pass, which no centered exponent survives,
+    raises :class:`DegenerateEstimateError` naming it.  Requires n >= 100.
     """
     theta = _check_args(f, model, sampler, n, theta, min_n=100)
     mean_stream, exp_stream = sampler.split(2)
-    fbar = float(_field_values(f, model, theta, n, mean_stream).mean())
+    fbar = _field_mean(_field_values(f, model, theta, n, mean_stream))
     centered = _field_values(f, model, theta, n, exp_stream)
     centered -= fbar
     centered *= model.alpha

@@ -4,12 +4,14 @@ no wait on a thread that cannot run (a forked child, a nested call)."""
 
 import collections
 import dataclasses
+import gc
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -320,6 +322,24 @@ def test_no_block_starts_after_a_failure(threads):
     assert len(calls) <= 6
 
 
+def test_an_error_leaves_the_sampler_at_the_end_of_the_batch(threads):
+    # The batch is drawn whole before any block runs, so after block 0
+    # fails the sampler stands where the batch ends, at any thread count.
+    model = isotropic_model(1.0, 1.0, 1.0, 4)
+    n = 6 * ROWS4
+    first = model.sampler(3).draw(1) @ model.sigma_root
+    f = ScalarField(value=lambda thetas: np.where((thetas == first).all(axis=1), 2.0, 0.0),
+                    upper_bound=1.0, dim=4, vectorized=True)
+    after = model.sampler(3)
+    after.draw(n)
+    for k in (1, 2):
+        threads(k)
+        sampler = model.sampler(3)
+        with pytest.raises(FieldEvaluationError):
+            smoothed_value(f, model, np.zeros(4), n, sampler)
+        assert sampler.rng.bit_generator.state == after.rng.bit_generator.state, k
+
+
 @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
 def test_helpers_run_under_the_callers_numpy_error_state(threads, method):
     # As in test_control: state costs + 250 overflow the squares of the
@@ -426,6 +446,28 @@ def test_a_task_queued_by_a_refused_thread_start_does_nothing_after_its_call(thr
     objective._POOLS[os.getpid()][0].submit(int).result(JOIN_TIMEOUT)  # the helper is free
     assert len(first) == 3
     assert [runs[block] for block in first] == [1, 1, 1]
+
+
+def test_a_task_queued_by_a_refused_thread_start_keeps_no_array_alive(threads, monkeypatch):
+    # The queued task outlives its call; what it still reaches once the
+    # call has returned must not include the batch's draws or values
+    # (32 MB and 8 MB here).
+    threads(2)
+    model = isotropic_model(1.0, 1.0, 1.0, 4)
+    f = ScalarField(value=lambda thetas: np.zeros(len(thetas)), upper_bound=1.0, dim=4,
+                    vectorized=True)
+    objective._pool()   # the pool, and what a first call imports, are not traced
+    smoothed_value(f, model, np.zeros(4), 100, model.sampler(1))
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        smoothed_value(f, model, np.zeros(4), 2**20, model.sampler(1))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_an_interrupt_on_the_calling_thread_leaves_no_helper_running(threads):

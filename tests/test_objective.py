@@ -213,6 +213,18 @@ class TestSmoothedValue:
         with pytest.raises(ContractError):
             smoothed_value(constant_field(0.0, 1), model, [0.0], 1, model.sampler(0))
 
+    def test_minus_inf_value_is_degenerate_without_a_warning(self):
+        # -inf values are legal, but their mean is -inf and its spread NaN
+        f = ScalarField(value=lambda th: np.where(np.asarray(th)[..., 0] > 0.0, -np.inf, 0.0),
+                        upper_bound=0.0, dim=1, vectorized=True)
+        model = isotropic_model(1.0, 1.0, 0.0, 1)
+        first = int(np.argmax(model.sampler(0).draw(200)[:, 0] > 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEstimateError, match=f"at sample {first} is -inf") as err:
+                smoothed_value(f, model, [0.0], 200, model.sampler(0))
+        assert err.value.sample_index == first
+
 
 class TestLogExpObjective:
     def test_zero_field_zero_reg_is_exact_zero(self):
