@@ -95,6 +95,8 @@ class ClassifierConfig:
             raise ContractError("sigma must be positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
+        if not 0.0 <= self.grad_tol < np.inf:
+            raise ContractError("grad_tol must be nonnegative and finite")
 
 
 @dataclass

@@ -190,6 +190,8 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
 def uniform_grid(lo: float = -3.0, hi: float = 3.0, points: int = 121) -> np.ndarray:
     if points < 3:
         raise ContractError("grid needs at least 3 points")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ContractError("grid ends must be finite")
     if not hi > lo:
         raise ContractError("grid upper end must exceed lower end")
     return np.linspace(lo, hi, int(points))

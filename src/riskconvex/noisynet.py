@@ -69,15 +69,15 @@ class NoisyNetConfig:
         self.noise_scales = [float(s) for s in self.noise_scales]
         if len(self.noise_scales) != self.n_layers:
             raise ContractError(f"need {self.n_layers} noise scales")
-        if any(s <= 0.0 for s in self.noise_scales):
-            raise ContractError("noise scales must be positive")
+        if not all(0.0 < s < np.inf for s in self.noise_scales):
+            raise ContractError("noise scales must be positive and finite")
         if self.penalty_weights is None:
             self.penalty_weights = [1.0 / (self.alpha * s**2) for s in self.noise_scales]
         self.penalty_weights = [float(c) for c in self.penalty_weights]
         if len(self.penalty_weights) != self.n_layers:
             raise ContractError(f"need {self.n_layers} penalty weights")
-        if any(c < 0.0 for c in self.penalty_weights):
-            raise ContractError("penalty weights must be nonnegative")
+        if not all(0.0 <= c < np.inf for c in self.penalty_weights):
+            raise ContractError("penalty weights must be nonnegative and finite")
         if not self.loss_bound > 0.0:
             raise ContractError("loss_bound must be positive")
 

@@ -312,20 +312,30 @@ def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
 
 def _field_mean(vals: np.ndarray) -> float:
     """The mean of field values; :class:`DegenerateEstimateError` naming
-    the first -inf value, whose mean is -inf and spread NaN."""
+    the first -inf value, whose mean is -inf and spread NaN, and
+    :class:`EstimateOverflowError` when the sum of the finite values
+    overflows."""
     i = int(np.argmin(vals))
     if vals[i] == -np.inf:
         raise DegenerateEstimateError(f"field value at sample {i} is -inf", sample_index=i)
-    return float(vals.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(vals.mean())
+    if not np.isfinite(mean):
+        raise EstimateOverflowError(f"the mean of the field values is {mean}: their sum overflows")
+    return mean
 
 
 def smoothed_value(f: ScalarField, model: RiskModel, theta, n: int,
                    sampler: GaussianSampler) -> Estimate:
-    """Monte Carlo estimate of the smoothed value E[f(theta + w)]."""
+    """Monte Carlo estimate of the smoothed value E[f(theta + w)];
+    :class:`EstimateOverflowError` when its mean or standard error
+    overflows."""
     theta = _check_args(f, model, sampler, n, theta)
     vals = _field_values(f, model, theta, n, sampler)
     value = _field_mean(vals)
-    return Estimate(value=value, std_err=float(vals.std(ddof=1) / np.sqrt(n)), n=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(vals.std(ddof=1) / np.sqrt(n))
+    return Estimate(value=value, std_err=check_std_err(se), n=n)
 
 
 def log_mean_exp(a: np.ndarray) -> tuple[float, float]:

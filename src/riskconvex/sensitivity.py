@@ -56,14 +56,17 @@ def estimate_sensitivity(f: ScalarField, model: RiskModel, theta, n: int,
     sample streams with the same n per pass; reusing one stream would
     bias the centered exponent.  Each pass fills one array of n values.
     A -inf value in the mean pass, which no centered exponent survives,
-    raises :class:`DegenerateEstimateError` naming it.  Requires n >= 100.
+    raises :class:`DegenerateEstimateError` naming it; a mean pass whose
+    sum overflows, or a centered exponent that does, raises
+    :class:`EstimateOverflowError`.  Requires n >= 100.
     """
     theta = _check_args(f, model, sampler, n, theta, min_n=100)
     mean_stream, exp_stream = sampler.split(2)
     fbar = _field_mean(_field_values(f, model, theta, n, mean_stream))
     centered = _field_values(f, model, theta, n, exp_stream)
-    centered -= fbar
-    centered *= model.alpha
+    with np.errstate(over="ignore"):   # log_mean_exp names a +inf exponent
+        centered -= fbar
+        centered *= model.alpha
     lme, se = log_mean_exp(centered)
     return SensitivityEstimate(value=lme / model.alpha, std_err=se / model.alpha,
                                n=n, theta=theta)

@@ -40,7 +40,7 @@ visible free entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -67,7 +67,8 @@ class LinearSystem:
     :func:`spd_factor` (:class:`IllConditionedError`).
 
     The system is read-only, its fields tuples of read-only copies.  It
-    keeps the constants of W(K), built on first use, and its last W(K).
+    builds the constants of W(K) on first use and keeps nothing else, so
+    threads may share it.
     """
 
     A: tuple
@@ -127,16 +128,12 @@ class LinearSystem:
         return _build_block_operators(self)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _BlockOperators:
-    """Stacked trajectory-space operators of a linear system.
-
-    It holds the constants that every W(K) evaluation reuses, computed
-    once per system (field comments).  Its two slots, the gain-free
-    terms at the last alpha and the last evaluation, are each replaced
-    by one attribute assignment, so concurrent calls see the old or the
-    new entry, never a mix.  The kept evaluation lets the gradient at an
-    iterate the objective just accepted reuse its factorization.
+    """Stacked trajectory-space operators of a linear system: the
+    constants that every W(K) evaluation reuses, computed once per
+    system (field comments).  An evaluation returns what it computes and
+    stores nothing; :func:`synthesize` carries the factor of its iterate.
     """
 
     noise_weight: np.ndarray  # S = blockdiag(inv(Sigma_t))
@@ -150,8 +147,6 @@ class _BlockOperators:
     noise_max_eig: float      # largest eigenvalue of S
     cost_max_eig: float       # largest eigenvalue of R
     log_det_sigma: float      # sum_t log det Sigma_t
-    _alpha_slot: Optional[tuple] = field(default=None, init=False, repr=False)
-    _last_eval: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def stack(self, gains) -> np.ndarray:
         """Gains K_1..K_{N-1}, a list of (m x n) matrices or already
@@ -173,36 +168,38 @@ class _BlockOperators:
         return G
 
     def _alpha_terms(self, alpha: float) -> _AlphaTerms:
-        """The gain-free terms of W(K) at this alpha; the last alpha's
-        are kept, so a synthesis run computes them once."""
-        slot = self._alpha_slot
-        if slot is not None and slot[0] == alpha:
-            return slot[1]
+        """The gain-free terms of W(K) at this alpha."""
         if not 0.0 < alpha < math.inf:
             raise ContractError("alpha must be positive and finite")
         # R and S are block-diagonal, so alpha R >= S block by block.
         margins, tols = certificate_margins(alpha, self.cost_blocks, self.noise_blocks)
-        terms = _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
-                            base=self.noise_weight - alpha * self.state_gram,
-                            tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
-                            convexity_advisory=bool(np.all(margins >= -tols)))
-        self._alpha_slot = (alpha, terms)
-        return terms
+        return _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
+                           base=self.noise_weight - alpha * self.state_gram,
+                           tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
+                           convexity_advisory=bool(np.all(margins >= -tols)))
 
-    def _evaluate(self, alpha: float, G: np.ndarray):
-        """(terms, W, Z, L) at stacked gains G: the alpha terms, W(K)
-        (read-only: callers see it), Z = S + D KM and the Cholesky factor
-        L of W (None when W is not positive definite).  The last call's
-        result is returned again for an equal (alpha, G)."""
-        last = self._last_eval
-        if last is not None and last[0] == alpha and np.array_equal(last[1], G):
-            return last[2]
-        terms = self._alpha_terms(alpha)
-        W, Z = _w_matrix(self, terms, G)
-        out = (terms, W, Z, _cholesky(W))
-        W.setflags(write=False)
-        self._last_eval = (alpha, G.copy(), out)
-        return out
+    def _evaluate(self, terms: _AlphaTerms, G: np.ndarray):
+        """(W, Z, L) at stacked gains G: W(K), Z = S + D KM and the
+        Cholesky factor L of W (None when W is not positive definite).
+
+        W = S - alpha M'QM - S KM - (S KM)' - KM' D KM: KM, S KM and D KM
+        are blockwise, and KM' (D KM) is the only dense product.  W is
+        formed as base - (T + T') with T = S KM + KM' D KM / 2, which is
+        exactly symmetric.
+        """
+        p = self.state_gram.shape[0]
+        KM = np.matmul(G, self.traj_rows)                       # K_t M_t, (N-1, m, p)
+        DKM = np.matmul(terms.D, KM).reshape(p, p)
+        T = KM.reshape(p, p).T @ DKM
+        T *= 0.5
+        T += np.matmul(self.noise_blocks, KM).reshape(p, p)
+        W = terms.base - (T + T.T)
+        # Imported on first use: scipy.linalg adds 0.1-0.25 s to
+        # `import riskconvex`, and only synthesis uses it.
+        from scipy.linalg.lapack import dpotrf
+
+        L, info = dpotrf(W, lower=1, clean=0)   # lower factor; upper triangle left as is
+        return W, self.noise_weight + DKM, L if info == 0 else None
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,7 @@ def _build_block_operators(sys: LinearSystem) -> _BlockOperators:
         np.matmul(sys.A[i - 1], rows[i - 1], out=rows[i])
         rows[i, :, (i - 1) * m:i * m] = sys.B[i - 1]
     M = rows.reshape(N * n, (N - 1) * m)
-    from scipy.linalg import block_diag  # on first use, as in _cholesky
+    from scipy.linalg import block_diag  # on first use, as in _evaluate
 
     noise_blocks = np.array([np.linalg.inv(s) for s in sys.sigma])
     noise_blocks = 0.5 * (noise_blocks + noise_blocks.transpose(0, 2, 1))
@@ -255,7 +252,7 @@ class DetMaxResult:
 
     ``min_eig`` and ``feasible`` are exact but lazy: the first read of
     either runs one ``eigvalsh(W)``, which the objective itself never
-    needs.  ``W`` is read-only: the system keeps it as its last evaluation.
+    needs.  ``W`` is the result's own array.
     """
 
     value: float            # log det W, -inf when W is not positive definite
@@ -273,32 +270,10 @@ class DetMaxResult:
         return bool(self.min_eig >= -self.tol)
 
 
-def _w_matrix(blocks: _BlockOperators, terms: _AlphaTerms, G: np.ndarray):
-    """(W, Z) at stacked gains G, with Z = S + D KM.
-
-    W = S - alpha M'QM - S KM - (S KM)' - KM' D KM: KM, S KM and D KM
-    are blockwise, and KM' (D KM) is the only dense product.  W is
-    formed as base - (T + T') with T = S KM + KM' D KM / 2, which is
-    exactly symmetric.
-    """
-    p = blocks.state_gram.shape[0]
-    KM = np.matmul(G, blocks.traj_rows)                     # K_t M_t, (N-1, m, p)
-    DKM = np.matmul(terms.D, KM).reshape(p, p)
-    T = KM.reshape(p, p).T @ DKM
-    T *= 0.5
-    T += np.matmul(blocks.noise_blocks, KM).reshape(p, p)
-    return terms.base - (T + T.T), blocks.noise_weight + DKM
-
-
-def _cholesky(W: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of W (upper triangle left as is), or None
-    when W is not positive definite."""
-    # Imported on first use: scipy.linalg adds 0.1-0.25 s to
-    # `import riskconvex`, and only synthesis uses it.
-    from scipy.linalg.lapack import dpotrf
-
-    L, info = dpotrf(W, lower=1, clean=0)
-    return L if info == 0 else None
+def _log_det(L: Optional[np.ndarray]) -> float:
+    """log det W = 2 sum(log diag L) from the Cholesky factor L of W;
+    -inf when W is not positive definite (L is None)."""
+    return -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
 
 
 def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
@@ -315,9 +290,10 @@ def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
     from ``eigvalsh(W)``, run only when one of them is read.
     """
     ops = sys._operators
-    terms, W, _, L = ops._evaluate(float(alpha), ops.stack(gains))
-    value = -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
-    return DetMaxResult(value=value, W=W, convexity_advisory=terms.convexity_advisory,
+    G = ops.stack(gains)
+    terms = ops._alpha_terms(float(alpha))
+    W, _, L = ops._evaluate(terms, G)
+    return DetMaxResult(value=_log_det(L), W=W, convexity_advisory=terms.convexity_advisory,
                         tol=terms.tol)
 
 
@@ -329,8 +305,7 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains):
     Y = W^-1 Z' takes two triangular solves, and block t of the gradient
     is -2 (M_t Y_t)', Y_t being the t-th block of m columns of Y; no
     inverse and no off-diagonal block is formed.  Cost: one assembly of
-    W, one Cholesky and the p x p solves; the first two are skipped when
-    the last evaluation on ``sys`` was at the same alpha and gains.
+    W, one Cholesky and the p x p solves.
     ``synthesize`` gets the same gradient from its Newton pass
     (:func:`_newton_terms`).  Where W is not positive definite, log det W
     is -inf and has no gradient: :class:`ContractError`.
@@ -338,7 +313,8 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains):
     Returns the gradient as one (N-1, m, n) array.
     """
     ops = sys._operators
-    _, _, Z, L = ops._evaluate(float(alpha), ops.stack(gains))
+    G = ops.stack(gains)
+    _, Z, L = ops._evaluate(ops._alpha_terms(float(alpha)), G)
     return _gradient(ops, _solve_w(L, Z.T))
 
 
@@ -400,9 +376,11 @@ def _visible_coordinates(blocks: _BlockOperators, masks: np.ndarray) -> _Coordin
                         traj=(s[row, k, None] * Vt[row, k]).T)
 
 
-def _newton_terms(blocks: _BlockOperators, alpha: float, G: np.ndarray, coords: _Coordinates):
-    """(gradient, -H, g) of log det W at stacked gains G: the gradient as
-    an (N-1, m, n) array, and the negated Hessian and the gradient in the
+def _newton_terms(blocks: _BlockOperators, terms: _AlphaTerms, Z: np.ndarray,
+                  L: Optional[np.ndarray], coords: _Coordinates):
+    """(gradient, -H, g) of log det W at the gains whose evaluation gave
+    Z and L (:meth:`_BlockOperators._evaluate`): the gradient as an
+    (N-1, m, n) array, and the negated Hessian and the gradient in the
     coordinates ``coords``.
 
     With X = W^-1, D = blockdiag(alpha R_t - S_t), U the matrix whose
@@ -414,9 +392,8 @@ def _newton_terms(blocks: _BlockOperators, alpha: float, G: np.ndarray, coords: 
     the gradient; Z X U = Y' U and Z X Z' = Z Y, so the Hessian costs one
     more pair of triangular solves (against U) and three small products.
     -H is positive semidefinite when alpha R_t >= S_t at every step.
-    W must be positive definite at G (:func:`_solve_w`).
+    W must be positive definite there (:func:`_solve_w`).
     """
-    terms, _, Z, L = blocks._evaluate(alpha, G)
     Y = _solve_w(L, Z.T)
     grad = _gradient(blocks, Y)
     m = blocks.control_dim
@@ -432,14 +409,14 @@ def _newton_terms(blocks: _BlockOperators, alpha: float, G: np.ndarray, coords: 
     return grad, neg_hess, -2.0 * B.diagonal()
 
 
-def _ascent_directions(blocks: _BlockOperators, alpha: float, G: np.ndarray,
-                       coords: _Coordinates):
-    """(gradient, Newton direction, Newton decrement) at stacked gains G,
-    the first two as (N-1, m, n) arrays.  The direction is
-    x = (-H)^-1 g in ``coords`` and the decrement g'x, twice the gain
-    the Newton model predicts; both are None when there is no
+def _ascent_directions(blocks: _BlockOperators, terms: _AlphaTerms, Z: np.ndarray,
+                       L: np.ndarray, coords: _Coordinates):
+    """(gradient, Newton direction, Newton decrement) at the gains whose
+    evaluation gave Z and L, the first two as (N-1, m, n) arrays.  The
+    direction is x = (-H)^-1 g in ``coords`` and the decrement g'x, twice
+    the gain the Newton model predicts; both are None when there is no
     coordinate or -H is not positive definite."""
-    grad, neg_hess, g = _newton_terms(blocks, alpha, G, coords)
+    grad, neg_hess, g = _newton_terms(blocks, terms, Z, L, coords)
     if not g.size:
         return grad, None, None
     from scipy.linalg.lapack import dpotrf, dpotrs
@@ -448,7 +425,7 @@ def _ascent_directions(blocks: _BlockOperators, alpha: float, G: np.ndarray,
     if info != 0:
         return grad, None, None
     x = dpotrs(factor, g, lower=1)[0]
-    return grad, coords.expand(x, G.shape), float(g @ x)
+    return grad, coords.expand(x, grad.shape), float(g @ x)
 
 
 def closed_form_expectation(sys: LinearSystem, alpha: float, gains) -> float:
@@ -546,27 +523,29 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         return G
 
     gains = apply_constraints(np.zeros((N - 1, m, n)))
-    res = detmax_objective(sys, alpha, gains)
-    if res.value == -math.inf:
-        return SynthesisReport(gains=list(gains), objective=res.value, success=False,
+    terms = blocks._alpha_terms(alpha)
+    _, Z, L = blocks._evaluate(terms, gains)
+    value = _log_det(L)
+    if value == -math.inf:
+        return SynthesisReport(gains=list(gains), objective=value, success=False,
                                converged=False, iterations=0, grad_norm=math.nan,
-                               convexity_advisory=res.convexity_advisory,
+                               convexity_advisory=terms.convexity_advisory,
                                message="no feasible start: W(0) is not positive definite")
 
-    value = res.value
     coords = _visible_coordinates(blocks, masks)
 
     def line_search(direction, step):
         """Backtrack from ``step`` until the objective improves; the
-        accepted step (gains and value move there), or None."""
-        nonlocal gains, value
+        accepted step (gains, value, Z and L move there), or None."""
+        nonlocal gains, value, Z, L
         while step > _STEP_TOL:
             moved = gains + step * direction
             cand = apply_constraints(moved)
-            cand_value = detmax_objective(sys, alpha, cand).value
+            _, cand_Z, cand_L = blocks._evaluate(terms, cand)
+            cand_value = _log_det(cand_L)
             # value is finite, so an improvement also means W(cand) > 0.
             if cand_value > value:
-                gains, value = cand, cand_value
+                gains, value, Z, L = cand, cand_value, cand_Z, cand_L
                 return step
             if np.array_equal(moved, gains):
                 break  # rounding is monotone: every shorter step gives this same candidate
@@ -578,7 +557,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     grad_norm = math.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad, newton, decrement = _ascent_directions(blocks, alpha, gains, coords)
+        grad, newton, decrement = _ascent_directions(blocks, terms, Z, L, coords)
         grad *= masks
         grad_norm = math.sqrt(float(np.sum(grad**2)))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(value)):
@@ -598,7 +577,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         step = accepted
     return SynthesisReport(gains=list(gains), objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
-                           convexity_advisory=res.convexity_advisory)
+                           convexity_advisory=terms.convexity_advisory)
 
 
 def write_gains_csv(directory, gains) -> None:

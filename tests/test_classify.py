@@ -96,6 +96,11 @@ def test_objective_gradient_matches_finite_differences():
 
 
 class TestTrainClassifier:
+    @pytest.mark.parametrize("grad_tol", [math.nan, -1e-8, math.inf])
+    def test_grad_tol_must_be_nonnegative_and_finite(self, grad_tol):
+        with pytest.raises(ContractError, match="grad_tol"):
+            ClassifierConfig(grad_tol=grad_tol)
+
     def test_separable_one_dimensional(self):
         ds = Dataset(X=np.array([[-1.0], [1.0]]), y=np.array([-1.0, 1.0]))
         report = train_classifier(ds, ClassifierConfig(sigma=1.0, max_iters=200))

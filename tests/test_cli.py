@@ -105,6 +105,24 @@ class TestExitCodes:
         assert run_cli(argv) == 3
         assert "line 2: non-finite value 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("nnet train", "sigma = nan", "noise scales must be positive and finite"),
+        ("nnet train", "penalty = nan", "penalty weights must be nonnegative and finite"),
+        ("demo-1d", "grid_min = -inf", "grid ends must be finite"),
+        ("classify train", "grad_tol = nan", "grad_tol must be nonnegative and finite"),
+    ])
+    def test_non_finite_setting_is_three(self, tmp_path, sine_csv, capsys, command, setting,
+                                         message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting + "\n")
+        data = {"nnet train": [str(sine_csv)], "demo-1d": [],
+                "classify train": [str(write_classification_csv(tmp_path / "d.csv"))]}
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "--config", str(cfg), *command.split(), *data[command]]
+        assert run_cli(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_is_three(self):
         assert run_cli(["--no-such-flag", "demo-1d"]) == 3
 

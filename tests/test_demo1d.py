@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,9 @@ def test_uniform_grid_shape_and_bounds():
     assert g[0] == -3.0 and g[-1] == 3.0 and g.size == 7
     with pytest.raises(ContractError):
         uniform_grid(1.0, 0.0, 5)
+    for lo, hi in ((-math.inf, 3.0), (-3.0, math.inf), (math.nan, 3.0)):
+        with pytest.raises(ContractError, match="grid ends must be finite"):
+            uniform_grid(lo, hi, 5)
 
 
 def test_builtin_field_has_two_basins():

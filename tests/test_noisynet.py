@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ class TestConfig:
             NoisyNetConfig(widths=[1, 2], alpha=1.0, noise_scales=[0.1, 0.1])
         with pytest.raises(ContractError):
             NoisyNetConfig(widths=[1, 2], alpha=0.0, noise_scales=[0.1])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractError, match="noise scales"):
+                NoisyNetConfig(widths=[1, 2], alpha=1.0, noise_scales=[bad])
+            with pytest.raises(ContractError, match="penalty weights"):
+                NoisyNetConfig(widths=[1, 2], alpha=1.0, noise_scales=[0.1],
+                               penalty_weights=[bad])
 
     def test_dims(self):
         cfg = NoisyNetConfig(widths=[2, 5, 3], alpha=1.0, noise_scales=[0.1, 0.1])

@@ -225,6 +225,25 @@ class TestSmoothedValue:
                 smoothed_value(f, model, [0.0], 200, model.sampler(0))
         assert err.value.sample_index == first
 
+    def test_overflowing_mean_is_typed_without_a_warning(self):
+        # Ten finite values of -1e308 sum past the float range.
+        model = isotropic_model(1.0, 1.0, 0.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimateOverflowError, match="mean of the field values is -inf"):
+                smoothed_value(constant_field(-1e308, 2), model, np.zeros(2), 10,
+                               model.sampler(0))
+
+    def test_overflowing_std_err_is_typed_without_a_warning(self):
+        # Values near 1e300 have a finite mean and squared deviations that are not.
+        f = ScalarField(value=lambda th: 1e300 * np.asarray(th)[..., 0], upper_bound=1e305,
+                        dim=1, vectorized=True)
+        model = isotropic_model(1.0, 1.0, 0.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimateOverflowError, match="standard error is inf"):
+                smoothed_value(f, model, [0.0], 10, model.sampler(0))
+
 
 class TestLogExpObjective:
     def test_zero_field_zero_reg_is_exact_zero(self):

@@ -64,13 +64,19 @@ class TestEstimateSensitivity:
             assert est.value >= -3.0 * est.std_err
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_exponent_is_typed(self):
+        # alpha (f - fbar) overflows to +inf on the positive draws, silently.
         model = RiskModel(alpha=1e307, sigma=np.eye(1), reg=np.eye(1))
         with pytest.raises(EstimateOverflowError) as err:
             estimate_sensitivity(linear_field([100.0], upper_bound=1e9), model, [0.0], 1000,
                                  model.sampler(0))
         assert err.value.sample_index is not None
+
+    def test_overflowing_mean_pass_is_typed(self):
+        model = isotropic_model(1.0, 1.0, 0.0, 1)
+        for estimate in (estimate_sensitivity, certify_gap):
+            with pytest.raises(EstimateOverflowError, match="mean of the field values is inf"):
+                estimate(constant_field(1e308, 1), model, [0.0], 200, model.sampler(0))
 
     def test_nan_exponent_is_degenerate(self):
         # -inf values are legal, but a -inf smoothed mean would make

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,10 +136,19 @@ class TestReadOnlySystem:
         assert detmax_objective(LinearSystem(horizon=4, **mats), 1.0, gains).value != \
             detmax_objective(sys, 1.0, gains).value
 
-    def test_the_kept_w_cannot_be_written(self):
-        res = detmax_objective(scalar_system(q=0.3), 1.0, [np.zeros((1, 1))] * 2)
-        with pytest.raises(ValueError, match="read-only"):
-            res.W[0, 0] = 0.0
+    def test_each_result_owns_its_w(self):
+        sys, gains = scalar_system(q=0.3), [np.zeros((1, 1))] * 2
+        first = detmax_objective(sys, 1.0, gains)
+        kept = first.W.copy()
+        first.W[0, 0] = 0.0
+        again = detmax_objective(sys, 1.0, gains)
+        assert again.W is not first.W and np.array_equal(again.W, kept)
+        assert again.value == first.value
+
+    def test_the_constants_of_w_cannot_be_assigned(self):
+        ops = scalar_system()._operators
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ops.state_gram = np.zeros((2, 2))
 
 
 class TestBlockOperators:
@@ -362,6 +373,38 @@ class TestFactorizedEvaluator:
             assert closed_form_expectation(sys, alpha, gains) == \
                 closed_form_expectation(system(), alpha, gains)
 
+    def test_threads_sharing_a_system_match_fresh_systems(self):
+        def system():
+            return random_system(np.random.default_rng(17), 4, 2, 6, q_scale=0.01)
+
+        gains = 0.05 * np.random.default_rng(18).standard_normal((5, 2, 4))
+        alphas = (0.7, 1.4)   # alpha and 2 alpha, alternated by each thread
+
+        def evaluate(sys, alpha):
+            res = detmax_objective(sys, alpha, gains)
+            return (res.value, res.W, detmax_gradient(sys, alpha, gains),
+                    closed_form_expectation(sys, alpha, gains))
+
+        fresh = {alpha: evaluate(system(), alpha) for alpha in alphas}
+        shared = system()
+        start = threading.Barrier(2)
+
+        def worker(first):
+            start.wait()
+            out = []
+            for k in range(60):
+                alpha = alphas[(first + k) % 2]
+                out.append((alpha, evaluate(shared, alpha)))
+            return out
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(worker, (0, 1)))
+        for run in runs:
+            for alpha, (value, W, grad, expectation) in run:
+                ref = fresh[alpha]
+                assert value == ref[0] and expectation == ref[3]
+                assert np.array_equal(W, ref[1]) and np.array_equal(grad, ref[2])
+
     def test_the_system_builds_its_constants_once(self, monkeypatch):
         builds = []
         build = synthesis._build_block_operators
@@ -387,13 +430,11 @@ class TestFactorizedEvaluator:
         assert rep.objective == detmax_objective(sys, 1.0, rep.gains).value
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-    def test_synthesize_factors_w_once_per_objective_evaluation(self, masked, monkeypatch):
+    def test_synthesize_factors_w_once_per_evaluated_candidate(self, masked, monkeypatch):
         from scipy.linalg import lapack
 
         sys = random_system(np.random.default_rng(14), 4, 2, 6, q_scale=0.01)
-        kwargs = dict(structure=[DECENTRALIZED] * 5 if masked else None,
-                      config=SynthesisConfig(max_iters=40))
-        counts = {"dpotrf": 0, "objective": 0, "newton": 0}
+        counts = {"dpotrf": 0, "evaluate": 0, "newton": 0, "objective": 0}
         p = 5 * 2  # W is p x p; the Newton system has one row per visible gain direction
 
         def counted(name, fn):
@@ -406,27 +447,18 @@ class TestFactorizedEvaluator:
             return wrapper
 
         monkeypatch.setattr(lapack, "dpotrf", counted("dpotrf", lapack.dpotrf))
-        monkeypatch.setattr(synthesis, "detmax_objective",
-                            counted("objective", synthesis.detmax_objective))
-        cached = synthesize(sys, 1.0, **kwargs)
-        assert cached.iterations > 1
-        assert counts["dpotrf"] == counts["objective"]
-        assert counts["newton"] == cached.iterations
-
-        # Without the kept evaluation every gradient factors W again.
-        evaluate = synthesis._BlockOperators._evaluate
-
-        def uncached(self, alpha, G):
-            self._last_eval = None
-            return evaluate(self, alpha, G)
-
-        monkeypatch.setattr(synthesis._BlockOperators, "_evaluate", uncached)
-        counts.update(dpotrf=0, objective=0, newton=0)
-        fresh = synthesize(sys, 1.0, **kwargs)
-        assert counts["dpotrf"] == counts["objective"] + fresh.iterations
-        assert fresh.iterations == cached.iterations
-        assert fresh.objective == cached.objective
-        assert np.array_equal(np.array(fresh.gains), np.array(cached.gains))
+        monkeypatch.setattr(synthesis._BlockOperators, "_evaluate",
+                            counted("evaluate", synthesis._BlockOperators._evaluate))
+        monkeypatch.setattr(synthesis, "_log_det", counted("objective", synthesis._log_det))
+        rep = synthesize(sys, 1.0, structure=[DECENTRALIZED] * 5 if masked else None,
+                         config=SynthesisConfig(max_iters=40))
+        # The start point and every line-search candidate are evaluated
+        # once, for their objective value; each iteration's Newton pass
+        # reuses the factor of its iterate.
+        assert rep.iterations > 1
+        assert counts["evaluate"] == counts["objective"] >= rep.iterations
+        assert counts["dpotrf"] == counts["evaluate"]
+        assert counts["newton"] == rep.iterations
 
 
 def entry_coordinates(blocks, masks):
@@ -449,7 +481,9 @@ class TestNewtonSystem:
         gains = 0.1 * rng.standard_normal((4, 2, 4)) * masks
         blocks = sys._operators
         coords = entry_coordinates(blocks, masks)
-        grad, neg_hess, g = synthesis._newton_terms(blocks, alpha, gains, coords)
+        terms = blocks._alpha_terms(alpha)
+        _, Z, L = blocks._evaluate(terms, gains)
+        grad, neg_hess, g = synthesis._newton_terms(blocks, terms, Z, L, coords)
         assert detmax_objective(sys, alpha, gains).convexity_advisory == advisory
         free = np.nonzero(masks)
         assert np.array_equal(grad, detmax_gradient(sys, alpha, gains))
