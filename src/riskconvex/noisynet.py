@@ -69,10 +69,14 @@ class NoisyNetConfig:
         self.noise_scales = [float(s) for s in self.noise_scales]
         if len(self.noise_scales) != self.n_layers:
             raise ContractError(f"need {self.n_layers} noise scales")
-        if not all(0.0 < s < np.inf for s in self.noise_scales):
-            raise ContractError("noise scales must be positive and finite")
+        if not all(0.0 < s < np.inf and _reciprocal_square(s) < np.inf for s in self.noise_scales):
+            raise ContractError("noise scales must be positive and finite, "
+                                "with 1 / sigma_t^2 finite")
         if self.penalty_weights is None:
-            self.penalty_weights = [1.0 / (self.alpha * s**2) for s in self.noise_scales]
+            self.penalty_weights = [_reciprocal_square(s, self.alpha) for s in self.noise_scales]
+            if not all(0.0 < c < np.inf for c in self.penalty_weights):
+                raise ContractError("the default penalty weights 1 / (alpha sigma_t^2) "
+                                    "must be positive and finite")
         self.penalty_weights = [float(c) for c in self.penalty_weights]
         if len(self.penalty_weights) != self.n_layers:
             raise ContractError(f"need {self.n_layers} penalty weights")
@@ -100,6 +104,14 @@ class NoisyNetConfig:
     def certificate_margins(self) -> np.ndarray:
         """Per-layer margins alpha c_t - 1 / sigma_t^2 (isotropic)."""
         return _certificate(self)[0]
+
+
+def _reciprocal_square(s: float, scale: float = 1.0) -> float:
+    """1 / (scale s^2); inf where Python's float arithmetic raises on it."""
+    try:
+        return 1.0 / (scale * s**2)
+    except (ZeroDivisionError, OverflowError):
+        return np.inf
 
 
 def _certificate(cfg: NoisyNetConfig):
@@ -195,9 +207,9 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
 
 def predict(cfg: NoisyNetConfig, weights, X: np.ndarray) -> np.ndarray:
     """Noise-free forward pass (the mean network) on stacked inputs."""
-    w = cfg.internal_width
-    act = np.zeros((np.atleast_2d(np.asarray(X, dtype=float)).shape[0], w))
-    act[:, :cfg.input_dim] = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    act = np.zeros((X.shape[0], cfg.internal_width))
+    act[:, :cfg.input_dim] = X
     for K in weights:
         act = np.tanh(act @ np.asarray(K, dtype=float).T)
     out = act[:, :cfg.output_dim]

@@ -93,26 +93,18 @@ class LinearSystem:
             object.__setattr__(self, name, tuple(mats))  # past the frozen __setattr__
         for t, s in enumerate(self.sigma, start=1):
             spd_factor(s, name=f"control noise at t={t}")  # _build_block_operators inverts
-        if len(self.A) != N - 1 or len(self.B) != N - 1:
-            raise ContractError(f"need {N - 1} A and B matrices")
-        if len(self.Q) != N:
-            raise ContractError(f"need {N} state cost matrices")
-        if len(self.R) != N - 1 or len(self.sigma) != N - 1:
-            raise ContractError(f"need {N - 1} control cost and noise matrices")
+        for name in copies:
+            count = N if name == "Q" else N - 1
+            if len(getattr(self, name)) != count:
+                raise ContractError(f"need {count} {name} matrices")
         n, m = self.B[0].shape
-        for t in range(N - 1):
-            if self.A[t].shape != (n, n):
-                raise ContractError(f"A at t={t + 1} must be {n}x{n}")
-            if self.B[t].shape != (n, m):
-                raise ContractError(f"B at t={t + 1} must be {n}x{m}")
-            for name, mat in (("A", self.A[t]), ("B", self.B[t])):
-                if not np.isfinite(mat).all():
-                    raise ContractError(f"{name} at t={t + 1} must be finite")
-            if self.R[t].shape != (m, m) or self.sigma[t].shape != (m, m):
-                raise ContractError(f"R and sigma at t={t + 1} must be {m}x{m}")
-        for t in range(N):
-            if self.Q[t].shape != (n, n):
-                raise ContractError(f"Q at t={t + 1} must be {n}x{n}")
+        shapes = {"A": (n, n), "B": (n, m), "Q": (n, n), "R": (m, m), "sigma": (m, m)}
+        for name, shape in shapes.items():
+            for t, mat in enumerate(getattr(self, name), start=1):
+                if mat.shape != shape:
+                    raise ContractError(f"{name} at t={t} must be {shape[0]}x{shape[1]}")
+                if not np.isfinite(mat).all():  # Q, R and sigma were checked when copied
+                    raise ContractError(f"{name} at t={t} must be finite")
 
     @property
     def state_dim(self) -> int:
@@ -271,8 +263,7 @@ class DetMaxResult:
 
 
 def _log_det(L: Optional[np.ndarray]) -> float:
-    """log det W = 2 sum(log diag L) from the Cholesky factor L of W;
-    -inf when W is not positive definite (L is None)."""
+    """log det W = 2 sum(log diag L) from the Cholesky factor L; -inf when L is None."""
     return -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
 
 

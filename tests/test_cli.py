@@ -108,6 +108,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, setting, message", [
         ("nnet train", "sigma = nan", "noise scales must be positive and finite"),
         ("nnet train", "penalty = nan", "penalty weights must be nonnegative and finite"),
+        ("nnet train", "sigma = 1e-200", "with 1 / sigma_t^2 finite"),
+        ("nnet train", "sigma = 1e200", "with 1 / sigma_t^2 finite"),
         ("demo-1d", "grid_min = -inf", "grid ends must be finite"),
         ("classify train", "grad_tol = nan", "grad_tol must be nonnegative and finite"),
     ])

@@ -49,6 +49,17 @@ class TestConfig:
                 NoisyNetConfig(widths=[1, 2], alpha=1.0, noise_scales=[0.1],
                                penalty_weights=[bad])
 
+    @pytest.mark.parametrize("penalty", [None, [1.0]])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_whose_square_leaves_the_floats_is_rejected(self, scale, penalty):
+        with pytest.raises(ContractError, match="with 1 / sigma_t\\^2 finite"):
+            NoisyNetConfig(widths=[1, 2], alpha=1.0, noise_scales=[scale],
+                           penalty_weights=penalty)
+
+    def test_default_penalty_that_leaves_the_floats_is_rejected(self):
+        with pytest.raises(ContractError, match="default penalty weights"):
+            NoisyNetConfig(widths=[1, 2], alpha=1e-300, noise_scales=[1e-100])
+
     def test_dims(self):
         cfg = NoisyNetConfig(widths=[2, 5, 3], alpha=1.0, noise_scales=[0.1, 0.1])
         assert cfg.internal_width == 5
