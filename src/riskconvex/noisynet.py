@@ -69,14 +69,11 @@ class NoisyNetConfig:
         self.noise_scales = [float(s) for s in self.noise_scales]
         if len(self.noise_scales) != self.n_layers:
             raise ContractError(f"need {self.n_layers} noise scales")
-        if not all(0.0 < s < np.inf and _reciprocal_square(s) < np.inf for s in self.noise_scales):
+        if not all(0.0 < s and _reciprocal_square(s) < np.inf for s in self.noise_scales):
             raise ContractError("noise scales must be positive and finite, "
                                 "with 1 / sigma_t^2 finite")
         if self.penalty_weights is None:
             self.penalty_weights = [_reciprocal_square(s, self.alpha) for s in self.noise_scales]
-            if not all(0.0 < c < np.inf for c in self.penalty_weights):
-                raise ContractError("the default penalty weights 1 / (alpha sigma_t^2) "
-                                    "must be positive and finite")
         self.penalty_weights = [float(c) for c in self.penalty_weights]
         if len(self.penalty_weights) != self.n_layers:
             raise ContractError(f"need {self.n_layers} penalty weights")
@@ -107,11 +104,12 @@ class NoisyNetConfig:
 
 
 def _reciprocal_square(s: float, scale: float = 1.0) -> float:
-    """1 / (scale s^2); inf where Python's float arithmetic raises on it."""
+    """1 / (scale s^2); inf where scale s^2 is not positive and finite."""
     try:
-        return 1.0 / (scale * s**2)
-    except (ZeroDivisionError, OverflowError):
+        d = scale * s**2
+    except OverflowError:  # Python's float power raises where numpy would give inf
         return np.inf
+    return 1.0 / d if 0.0 < d < np.inf else np.inf
 
 
 def _certificate(cfg: NoisyNetConfig):

@@ -263,7 +263,8 @@ class DetMaxResult:
 
 
 def _log_det(L: Optional[np.ndarray]) -> float:
-    """log det W = 2 sum(log diag L) from the Cholesky factor L; -inf when L is None."""
+    """log det W = 2 sum(log diag L) from the Cholesky factor L of W;
+    -inf when W is not positive definite (L is None)."""
     return -math.inf if L is None else 2.0 * float(np.log(L.diagonal()).sum())
 
 

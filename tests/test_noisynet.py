@@ -57,7 +57,7 @@ class TestConfig:
                            penalty_weights=penalty)
 
     def test_default_penalty_that_leaves_the_floats_is_rejected(self):
-        with pytest.raises(ContractError, match="default penalty weights"):
+        with pytest.raises(ContractError, match="penalty weights must be nonnegative and finite"):
             NoisyNetConfig(widths=[1, 2], alpha=1e-300, noise_scales=[1e-100])
 
     def test_dims(self):

@@ -66,6 +66,15 @@ def test_shape_errors_count_steps_from_one():
                      sigma=[[[1.0]]], horizon=2)
 
 
+@pytest.mark.parametrize("name, count", [("A", 1), ("Q", 2), ("sigma", 1)])
+def test_a_missing_matrix_names_its_field_and_count(name, count):
+    mats = {"A": [[[1.0]]], "B": [[[1.0]]], "Q": [[[0.1]]] * 2, "R": [[[1.0]]],
+            "sigma": [[[1.0]]]}
+    mats[name] = mats[name][1:]
+    with pytest.raises(ContractError, match=f"need {count} {name} matrices"):
+        LinearSystem(horizon=2, **mats)
+
+
 def assert_layout_matches_dense(sys):
     """The library's row blocks M_t and Gram matrix M'QM against the
     dense operators of the test oracle."""
