@@ -29,24 +29,29 @@ the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
 A batch first draws all of its noise (s_1, then eps_t and xi_t for each
-t, the order of a step-by-step rollout; eps_t block by block), then runs
-in row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
-weights and scores stay in cache, and no full-batch trajectory is
-allocated.  The blocks of a fully vectorized problem run on the calling
-thread and a helper thread, each taking the next block index
-(:func:`~riskconvex.objective._map_blocks`), and are summed in block
-order, so the bits do not depend on the thread count.  A batch of one
-block keeps the bits of one unblocked pass; on more blocks, only the
-block sums of the moments round differently.  A
-Jacobian returned as ``np.broadcast_to`` of one matrix is applied to the
-whole batch as one product.
+t, the order of a step-by-step rollout), then runs in row blocks of
+2**14 // (n + m) rollouts: each block's forward pass, weights and scores
+stay in cache, and no full-batch trajectory is allocated.  Within a
+block, the steps run in chunks whose (steps x rows x (n + m)) entries fit
+the same budget: a chunk's eps draw, control costs, likelihood-ratio
+scores and moments are one stacked product each, so a small batch makes
+each of these calls once per chunk rather than once per step, with the
+bits of the per-step products.  The blocks of a fully vectorized problem
+run on the calling thread and a helper thread, each taking the next block
+index (:func:`~riskconvex.objective._map_blocks`), and are summed in
+block order, so the bits do not depend on the thread count.  A batch of
+one block keeps the bits of one unblocked pass; on more blocks, only the
+block sums of the moments round differently.  A Jacobian returned as
+``np.broadcast_to`` of one matrix is applied to the whole batch as one
+product.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +61,9 @@ from .errors import (
     DivergenceError,
     FieldEvaluationError,
 )
-from .fields import _first_violation
+from .fields import _bound_limit, _first_violation
 from .objective import (
+    _BLOCK_ENTRIES,
     _map_blocks,
     _row_blocks,
     certificate_margins,
@@ -293,9 +299,35 @@ def _batched(fn, vectorized: bool, scalar: bool = False):
     return lifted
 
 
-def _stage_cost(vals: np.ndarray, u: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """l(s_t) + 0.5 u_t' R_t u_t per row."""
-    return vals + 0.5 * np.einsum("bi,bi->b", u @ R, u)
+@functools.lru_cache(maxsize=256)
+def _step_chunks(n_steps: int, rows: int, width: int) -> tuple:
+    """The ``n_steps`` steps of a block of ``rows`` rollouts of ``width``
+    entries as slices of _BLOCK_ENTRIES // (rows * width) steps, at least
+    one: a chunk's (steps, rows, width) entries fit in one row block's, so
+    its noise, control costs, scores and moments are each one stacked
+    product that stays in cache.  A block of a batch of several blocks
+    fills the budget alone, so its chunks are single steps."""
+    steps = max(1, _BLOCK_ENTRIES // (rows * width))
+    return tuple(slice(t, min(t + steps, n_steps)) for t in range(0, n_steps, steps))
+
+
+def _stacked(PHI, steps: slice) -> np.ndarray:
+    """The features of a chunk of ``steps`` as one (steps, b, q) array:
+    a view when ``PHI`` is an array or the chunk is one step."""
+    if isinstance(PHI, np.ndarray):
+        return PHI[steps]
+    if steps.stop - steps.start == 1:
+        return PHI[steps.start][None]
+    return np.stack(PHI[steps])
+
+
+def _shaped(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array, or :class:`ContractError` naming it when
+    its shape is not ``shape``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ContractError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -307,10 +339,24 @@ def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bi->bj", J, v)
 
 
+class _Trajectory(NamedTuple):
+    """Rollouts of b rows, as :meth:`_RolloutEngine.forward` returns them."""
+
+    S: np.ndarray       # (N, b, nd) states
+    U: np.ndarray       # (N-1, b, m) mean controls
+    Y: np.ndarray       # (N-1, b, m) realized controls
+    XI: np.ndarray      # (N-1, b, p) disturbances
+    PHI: object         # S[:-1] when the features return their states, else a list of (b, q)
+    J: np.ndarray       # (b,) costs, the left fold of the stage costs
+    stage: np.ndarray   # (N, b) stage costs
+    chunks: tuple       # the chunks of steps (_step_chunks)
+
+
 class _RolloutEngine:
     """The batched rollout engine.  Construction validates the problem and
-    resolves the dimensions, R_t, the noise factors
-    and the lifted callables once; gains come in per call as one stacked
+    resolves the dimensions, the state-cost limit, R_t and the noise
+    factors (stacked (N-1, m, m), so a chunk of steps is one product) and
+    the lifted callables once; gains come in per call as one stacked
     (N-1, m, q) array, so a training loop rebuilds nothing per iteration."""
 
     def __init__(self, dyn: Dynamics, cost: ControlCost, policy: Policy,
@@ -324,14 +370,15 @@ class _RolloutEngine:
             raise ContractError(f"policy needs {n_steps} gains")
         if policy.control_dim != dyn.control_dim or model.control_dim != dyn.control_dim:
             raise ContractError("control dimension mismatch")
-        self.dyn, self.cost = dyn, cost
+        self.dyn = dyn
         self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
         self.width = dyn.state_dim + dyn.control_dim  # of a row block (objective._row_blocks)
         # Row loops of per-row callables hold the GIL: their blocks run serially.
         self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
         self.alpha = model.alpha
-        self.R = cost.control_weights
-        self.noise_root, self.noise_inv = model.noise_root, model.noise_inv
+        self.bound, self.limit = cost.bound, _bound_limit(cost.bound)
+        self.R = np.array(cost.control_weights)
+        self.noise_root, self.noise_inv = np.array(model.noise_root), np.array(model.noise_inv)
         self.step = _batched(dyn.step, dyn.vectorized)
         self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized)
         self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized)
@@ -354,11 +401,10 @@ class _RolloutEngine:
         the bound and naming its rollout, ``start`` being the batch index
         of ``s[0]``."""
         vals = np.asarray(self.state_cost(s, t), dtype=float)
-        bound = self.cost.bound
-        i = _first_violation(vals, bound)
+        i = _first_violation(vals, self.limit)
         if i is not None:
             raise FieldEvaluationError(
-                f"state cost {np.ravel(vals)[i]} violates bound {bound} at t={t} "
+                f"state cost {np.ravel(vals)[i]} violates bound {self.bound} at t={t} "
                 f"in rollout {start + i}", theta=s[i]
             )
         return vals
@@ -368,9 +414,11 @@ class _RolloutEngine:
         given, then eps_t and xi_t for t = 1..N-1, stacked as eps
         (N-1, n, m) and xi (N-1, n, p).  No draw depends on a state, so
         drawing them all before any rollout leaves the stream unchanged.
-        Each eps_t is drawn and scaled one row block at a time, which
-        reads the stream like one draw of n rows and needs no (n, m)
-        temporary."""
+        numpy fills a draw in stream order, so eps is drawn and scaled
+        into its array one chunk of steps (:func:`_step_chunks`) and one row
+        block at a time: a one-block batch whose eps_t no disturbance
+        draw interleaves takes a chunk's eps in one call, and a larger
+        batch needs no (n, m) temporary."""
         dyn = self.dyn
         N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
         rng = sampler.rng
@@ -384,87 +432,101 @@ class _RolloutEngine:
             s1 = np.zeros((n, nd))
         eps = np.empty((N - 1, n, m))
         xi = np.zeros((N - 1, n, p))
+        disturbed = p > 0 and (dyn.disturbance_batch is not None or dyn.disturbance is not None)
+        chunks = ([slice(t, t + 1) for t in range(N - 1)] if disturbed
+                  else _step_chunks(N - 1, n, self.width))
         blocks = _row_blocks(n, self.width)
-        for t in range(1, N):
+        for steps in chunks:
             for rows in blocks:
-                np.matmul(sampler.normal((rows.stop - rows.start, m)), self.noise_root[t - 1],
-                          out=eps[t - 1, rows])
-            if p == 0:
+                np.matmul(sampler.normal((steps.stop - steps.start, rows.stop - rows.start, m)),
+                          self.noise_root[steps], out=eps[steps, rows])
+            if not disturbed:
                 continue
+            t = steps.stop
             if dyn.disturbance_batch is not None:
                 xi[t - 1] = dyn.disturbance_batch(rng, t, n)
-            elif dyn.disturbance is not None:
+            else:
                 xi[t - 1] = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
                                       for _ in range(n)])
         return s1, eps, xi
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
                 start: int = 0):
-        """Rollouts of the b rows of ``s1`` under the stacked gains K with
-        the noise eps (N-1, b, m) and xi (N-1, b, p), a row block of
-        :meth:`draw` or one frozen realization (b = 1): states S
-        (N, b, nd), U, Y (N-1, b, m), XI = xi, the features PHI (a list of
-        (b, q)), J (b,) and the stage costs (N, b) whose left fold J is.
+        """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
+        under the stacked gains K with the noise eps (N-1, b, m) and xi
+        (N-1, b, p), a row block of :meth:`draw` or one frozen realization
+        (b = 1).  The steps run in order, each checking its state costs
+        against the bound and its next states for finiteness; the control
+        costs 0.5 u_t' R_t u_t of a chunk are one stacked product.
         ``start`` is the batch index of row 0, which errors name."""
         dyn = self.dyn
         N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
         b = s1.shape[0]
+        chunks = _step_chunks(N - 1, b, self.width)
         S = np.empty((N, b, nd))
         U = np.empty((N - 1, b, m))
         Y = np.empty((N - 1, b, m))
         stage = np.empty((N, b))
         PHI = []
+        views = True  # every phi_t is S[t - 1] itself
         total = np.zeros(b)
         S[0] = s1
-        for t in range(1, N):
-            # Callables see rows of S, so features that return s itself
-            # keep no second copy of the states alive.
-            s = S[t - 1]
-            phi = np.asarray(self.features(s, t), dtype=float)
-            u = phi @ K[t - 1].T
-            stage[t - 1] = _stage_cost(self._checked_state_cost(s, t, start), u, self.R[t - 1])
-            total += stage[t - 1]
-            y = u + eps[t - 1]
-            S[t] = self.step(s, y, xi[t - 1], t)
-            if not np.isfinite(S[t]).all():
-                raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-            PHI.append(phi)
-            U[t - 1], Y[t - 1] = u, y
+        for steps in chunks:
+            for t in range(steps.start + 1, steps.stop + 1):
+                # Callables see rows of S, so features that return s itself
+                # keep no second copy of the states alive.
+                s = S[t - 1]
+                phi = np.asarray(self.features(s, t), dtype=float)
+                views = views and phi is s
+                PHI.append(phi)
+                np.matmul(phi, K[t - 1].T, out=U[t - 1])
+                stage[t - 1] = self._checked_state_cost(s, t, start)
+                S[t] = self.step(s, np.add(U[t - 1], eps[t - 1], out=Y[t - 1]), xi[t - 1], t)
+                if not np.isfinite(S[t]).all():
+                    raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
+            u = U[steps]
+            stage[steps] += 0.5 * np.einsum("tbi,tbi->tb", u @ self.R[steps], u)
+            for t in range(steps.start, steps.stop):
+                total += stage[t]
         stage[N - 1] = self._checked_state_cost(S[N - 1], N, start)
         total += stage[N - 1]
-        return S, U, Y, xi, PHI, total, stage
+        return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, total, stage, chunks)
 
     def _scores(self, method: str, K: np.ndarray, traj):
-        """Yield (t, g_t) such that row b's raw G_t = g_t[b] phi_t[b]':
-        the likelihood-ratio score, or backward from t = N-1 the adjoint
-        recursion of :func:`policy_gradient_model_based` as two-operand
-        vector-Jacobian products, O(b n (n + m + q)) per step."""
-        S, U, Y, XI = traj[:4]
-        N = S.shape[0]
+        """Yield (steps, g) for each chunk of steps, g (steps, b, m) such
+        that row b's raw G_t = g[t - 1 - steps.start, b] phi_t[b]': the
+        likelihood-ratio score, one stacked product per chunk, or, chunk
+        by chunk backward from t = N-1, the adjoint recursion of
+        :func:`policy_gradient_model_based` as two-operand vector-Jacobian
+        products, O(b n (n + m + q)) per step."""
+        S, U, Y, XI = traj.S, traj.U, traj.Y, traj.XI
         if method == "derivative_free":
-            for t in range(1, N):
-                yield t, ((Y[t - 1] - U[t - 1]) @ self.noise_inv[t - 1]
-                          + self.alpha * (U[t - 1] @ self.R[t - 1]))
+            for steps in traj.chunks:
+                yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
+                              + self.alpha * (U[steps] @ self.R[steps]))
             return
+        N = S.shape[0]
         lam = np.asarray(self.state_cost_grad(S[N - 1], N), dtype=float)
-        for t in range(N - 1, 0, -1):
-            s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
-            f_y = np.asarray(self.jac_control(s, y, xi, t), dtype=float)
-            g = u @ self.R[t - 1] + _vjp(f_y, lam)
-            yield t, g
-            if t == 1:  # nothing reads lam_1
-                return
-            f_s = np.asarray(self.jac_state(s, y, xi, t), dtype=float)
-            phi_s = np.asarray(self.features_jacobian(s, t), dtype=float)
-            lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
-                   + _vjp(f_s, lam) + _vjp(phi_s, g @ K[t - 1]))
+        for steps in reversed(traj.chunks):
+            g = np.empty(U[steps].shape)
+            for t in range(steps.stop, steps.start, -1):
+                s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
+                f_y = np.asarray(self.jac_control(s, y, xi, t), dtype=float)
+                g_t = g[t - 1 - steps.start]
+                g_t[...] = u @ self.R[t - 1] + _vjp(f_y, lam)
+                if t == 1:  # nothing reads lam_1
+                    break
+                f_s = np.asarray(self.jac_state(s, y, xi, t), dtype=float)
+                phi_s = np.asarray(self.features_jacobian(s, t), dtype=float)
+                lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
+                       + _vjp(f_s, lam) + _vjp(phi_s, g_t @ K[t - 1]))
+            yield steps, g
 
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:
-        """The raw G_t of every row, (n, N-1, m, q)."""
-        PHI = traj[4]
-        G = np.empty((PHI[0].shape[0],) + self.shape)
-        for t, g in self._scores(method, K, traj):
-            G[:, t - 1] = np.einsum("bm,bq->bmq", g, PHI[t - 1])
+        """The raw G_t of every row, (b, N-1, m, q)."""
+        G = np.empty((traj.J.shape[0],) + self.shape)
+        for steps, g in self._scores(method, K, traj):
+            G[:, steps] = np.einsum("tbm,tbq->btmq", g, _stacked(traj.PHI, steps))
         return G
 
     def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
@@ -474,19 +536,22 @@ class _RolloutEngine:
         n-rollout batch, rows ``start`` on, whose w = exp(alpha J) it writes
         into ``w``: with scale = alpha w (model-based) or w
         (derivative-free) and c = scale / n, the shares are (c g_t)' phi_t
-        and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n."""
+        and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n, one
+        stacked product per chunk of steps."""
         traj = self.forward(K, *noise, start)
-        np.exp(check_exponents(self.alpha * traj[5], start), out=w)
+        np.exp(check_exponents(self.alpha * traj.J, start), out=w)
         c = (self.alpha * w if method == "model_based" else w)[:, None] / n
         mean = np.empty(self.shape)
         sq = np.empty(self.shape) if second else None
-        for t, g in self._scores(method, K, traj):
-            phi = traj[4][t - 1]
-            cg = c * g
-            mean[t - 1] = cg.T @ phi
+        for steps, g in self._scores(method, K, traj):
+            phi = _stacked(traj.PHI, steps)
+            g *= c
+            cg_t = g.transpose(0, 2, 1)
+            np.matmul(cg_t, phi, out=mean[steps])
             if second:
-                cg *= cg
-                sq[t - 1] = (cg.T @ (phi * phi)) * n
+                g *= g
+                np.matmul(cg_t, phi * phi, out=sq[steps])
+                sq[steps] *= n
         return mean, sq
 
     def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
@@ -524,29 +589,33 @@ class _RolloutEngine:
 def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=None,
             method=None):
     """One rollout as an engine batch of one: (Rollout, raw G of ``method``).
-    Mean mode is the replay of zero noise from s_1 (zero unless given)."""
+    Mean mode is the replay of zero noise from s_1 (zero unless given).
+    A given s1 must be (n,), and a frozen realization must hold s1 (n,),
+    eps (N-1, m) and xi (N-1, p): another shape is a
+    :class:`ContractError` naming it."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     if method is not None:
         engine.check_method(method)
     if mode not in ("noisy", "mean"):
         raise ContractError(f"unknown rollout mode {mode!r}")
     N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+    if s1 is not None:
+        s1 = _shaped(s1, "s1", (nd,))
     if mode == "mean" and frozen is None:
         frozen = FrozenNoise(s1=np.zeros(nd) if s1 is None else s1,
                              eps=np.zeros((N - 1, m)), xi=np.zeros((N - 1, p)))
     if frozen is None:
         noise = engine.draw(sampler, 1, s1)
     else:  # the frozen realization as a batch of one; the Rollout keeps a copy of xi
-        noise = (np.broadcast_to(np.asarray(frozen.s1, dtype=float), (1, nd)).copy(),
-                 np.asarray(frozen.eps, dtype=float).reshape(N - 1, 1, m),
-                 np.array(frozen.xi, dtype=float).reshape(N - 1, 1, p))
+        noise = (_shaped(frozen.s1, "frozen noise s1", (nd,))[None],
+                 _shaped(frozen.eps, "frozen noise eps", (N - 1, m))[:, None],
+                 _shaped(frozen.xi, "frozen noise xi", (N - 1, p))[:, None].copy())
     K = np.stack(policy.gains)
     traj = engine.forward(K, *noise)
-    S, U, Y, XI, _, total, stage = traj
-    expo = check_exponents(model.alpha * total)
-    r = Rollout(states=S[:, 0], controls=U[:, 0], realized=Y[:, 0], disturbances=XI[:, 0],
-                stage_costs=stage[:, 0], cost=float(total[0]),
-                exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
+    expo = check_exponents(model.alpha * traj.J)
+    r = Rollout(states=traj.S[:, 0], controls=traj.U[:, 0], realized=traj.Y[:, 0],
+                disturbances=traj.XI[:, 0], stage_costs=traj.stage[:, 0],
+                cost=float(traj.J[0]), exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
     return r, None if method is None else engine.raw_gradients(method, K, traj)[0]
 
 

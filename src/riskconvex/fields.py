@@ -18,13 +18,20 @@ import numpy as np
 from .errors import ContractError, FieldEvaluationError
 
 
-def _first_violation(vals, bound: float) -> Optional[int]:
+def _bound_limit(bound: float) -> float:
+    """bound + 1e-9 (1 + |bound|): the bound with the one floating-point
+    slack of every bound check."""
+    return bound + 1e-9 * (1.0 + abs(bound))
+
+
+def _first_violation(vals, limit: float) -> Optional[int]:
     """Index of the first of ``vals`` (0 for a scalar) that is NaN, +inf
-    or above the limit bound + 1e-9 (1 + |bound|), the one floating-point
-    slack of every bound check, else None.  The one comparison
-    ``vals <= limit`` is false exactly for those; -inf passes."""
-    ok = np.asarray(vals <= bound + 1e-9 * (1.0 + abs(bound)))
-    return None if ok.all() else int(np.argmin(ok))
+    or above ``limit`` (a :func:`_bound_limit`), else None.  The one
+    comparison ``vals <= limit`` is false exactly for those, and for the
+    maximum of ``vals`` when one of them is (NaN propagates); -inf passes."""
+    if np.maximum.reduce(vals, axis=None, initial=-np.inf) <= limit:
+        return None
+    return int(np.argmin(np.asarray(vals <= limit)))
 
 
 @dataclass
@@ -87,7 +94,7 @@ class ScalarField:
             vals = np.asarray(self.value(thetas), dtype=float)
         else:
             vals = np.array([float(self.value(row)) for row in thetas])
-        i = _first_violation(vals, self.upper_bound)
+        i = _first_violation(vals, _bound_limit(self.upper_bound))
         if i is not None:
             raise FieldEvaluationError(
                 f"field value {vals[i]} violates bound {self.upper_bound} at theta={thetas[i]!r}",

@@ -32,6 +32,7 @@ from multiple threads as long as each thread owns its own sampler (see
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -60,15 +61,17 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // width)
 
 
-def _row_blocks(n: int, width: int) -> list:
+@functools.lru_cache(maxsize=256)
+def _row_blocks(n: int, width: int) -> tuple:
     """Slices of rows 0..n-1 in blocks of :func:`_block_rows` rows; the last
     block also takes the remainder, so no block is a sliver and a batch
-    of fewer than two blocks is the one slice(0, n)."""
+    of fewer than two blocks is the one slice(0, n).  Cached, as every
+    batch asks for its blocks."""
     rows = _block_rows(width)
-    if n < 2 * rows:  # the common small batch, kept cheap
-        return [slice(0, n)]
+    if n < 2 * rows:
+        return (slice(0, n),)
     count = n // rows
-    return [slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count)]
+    return tuple(slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count))
 
 
 # Helper threads a batch may use besides the calling thread.  One helper
@@ -121,6 +124,8 @@ def _map_blocks(work, count: int, parallel: bool = True) -> list:
     by a refused thread start) finds no index left and keeps no array
     alive.  An unstarted task is cancelled, so a call never waits for a
     thread busy elsewhere (a nested call) or gone (a forked child)."""
+    if count == 1:
+        return [work(0)]
     executor, helpers = _pool() if parallel and count > 1 else (None, 0)
     helpers = min(helpers, count - 1)
     if helpers < 1:
@@ -388,10 +393,11 @@ def log_exp_objective(f: ScalarField, model: RiskModel, theta, n: int,
 def check_exponents(expo: np.ndarray, start: int = 0) -> np.ndarray:
     """Return the exponents, or raise EstimateOverflowError naming the
     first sample whose exp() would overflow; ``start`` is the batch index
-    of ``expo[0]`` when ``expo`` is one row block of a batch."""
-    over = expo > LOG_FLOAT_MAX
-    if over.any():
-        i = int(np.argmax(over))
+    of ``expo[0]`` when ``expo`` is one row block of a batch.  NaN
+    exponents pass, as ``expo > LOG_FLOAT_MAX`` is false for them; the
+    NaN-ignoring maximum keeps them from hiding an overflow."""
+    if np.fmax.reduce(expo, axis=None, initial=-np.inf) > LOG_FLOAT_MAX:
+        i = int(np.argmax(expo > LOG_FLOAT_MAX))
         raise EstimateOverflowError(
             f"exponent {expo[i]:.6g} at sample {start + i} exceeds the representable range",
             sample_index=start + i,

@@ -274,11 +274,13 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet,
     for i in range(1, T + 1):
         thetas[i - 1] = theta
         g, _, objective = oracle(theta, config.batch, run_stream, False)
-        if not np.isfinite(g).all():
+        # A non-finite g has a non-finite norm; a finite g whose norm
+        # overflows even rescaled passes the array check.
+        grad_norms[i - 1] = norm = _norm(g)
+        if not math.isfinite(norm) and not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
         objectives.append(objective)
         eta = step_size(radius, zeta, i)
-        grad_norms[i - 1] = _norm(g)
         etas[i - 1] = eta
         try:
             theta = feasible.project(theta - eta * g)
@@ -334,7 +336,8 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
 
     def oracle(theta, n, stream, second):
         g = _grad_samples(f, model, theta, n, stream)
-        return g.mean(axis=0), (g * g).mean(axis=0) if second else None, None
+        mean = g[0] if n == 1 else g.mean(axis=0)  # one row is its own mean, bit for bit
+        return mean, (g * g).mean(axis=0) if second else None, None
 
     return projected_sgd(oracle, start, feasible, config, sampler, cert.holds, cert.margin)
 

@@ -16,6 +16,7 @@ from riskconvex.control import (
     Policy,
     Rollout,
     _RolloutEngine,
+    _vjp,
 )
 from riskconvex.errors import ContractError
 from riskconvex.fields import ScalarField
@@ -151,51 +152,119 @@ def smooth_control_problem(rng: np.random.Generator, n: int, m: int, horizon: in
     return dyn, cost, policy, model
 
 
-def _forward_batch(dyn, cost, policy, model, sampler, n):
-    """(S, U, Y, XI, PHI, total) of n noisy engine rollouts under the
-    policy's gains, run as one block whatever n is."""
+def _reference_pass(dyn, cost, policy, model, sampler, n):
+    """(engine, K, S, U, Y, XI, PHI, total) of n noisy rollouts written out
+    one step at a time, independent of the engine's draw, its chunked
+    products and its row blocks; only the problem's lifted callables and
+    the bound-checked state cost are the engine's.  The noise is drawn in
+    stream order: s_1, then per step eps_t as one (n, m) draw times
+    Sigma_t's root and xi_t.  Per step: phi_t, u_t = phi_t K_t', the stage
+    cost l(s_t) + 0.5 u_t' R_t u_t folded into J, y_t = u_t + eps_t and
+    s_{t+1}; PHI is the list of the phi_t."""
     engine = _RolloutEngine(dyn, cost, policy, model)
-    return engine.forward(np.stack(policy.gains), *engine.draw(sampler, n))[:6]
+    K = np.stack(policy.gains)
+    N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+    rng = sampler.rng
+    if dyn.init_state_batch is not None:
+        s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
+    elif dyn.init_state is not None:
+        s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
+    else:
+        s = np.zeros((n, nd))
+    eps, XI = [], []
+    for t in range(1, N):
+        eps.append(sampler.normal((n, m)) @ model.noise_root[t - 1])
+        if p > 0 and dyn.disturbance_batch is not None:
+            XI.append(np.asarray(dyn.disturbance_batch(rng, t, n), dtype=float))
+        elif p > 0 and dyn.disturbance is not None:
+            XI.append(np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
+                                for _ in range(n)]))
+        else:
+            XI.append(np.zeros((n, p)))
+    S, U, Y, PHI = [s], [], [], []
+    total = np.zeros(n)
+    for t in range(1, N):
+        phi = np.asarray(engine.features(s, t), dtype=float)
+        u = phi @ K[t - 1].T
+        total += (engine._checked_state_cost(s, t)
+                  + 0.5 * np.einsum("bi,bi->b", u @ cost.control_weights[t - 1], u))
+        y = u + eps[t - 1]
+        s = np.asarray(engine.step(s, y, XI[t - 1], t), dtype=float)
+        S.append(s)
+        U.append(u)
+        Y.append(y)
+        PHI.append(phi)
+    total += engine._checked_state_cost(s, N)
+    return engine, K, np.stack(S), np.stack(U), np.stack(Y), np.stack(XI), PHI, total
+
+
+def _reference_scores(engine, model, cost, method, K, S, U, Y, XI):
+    """[g_1, ..., g_{N-1}], each (n, m), such that row b's raw G_t =
+    g_t[b] phi_t[b]', one step at a time: the likelihood-ratio score
+    (y_t - u_t) inv(Sigma_t) + alpha u_t R_t, or the adjoint recursion
+    g_t = u_t R_t + F_y' lam_{t+1}, lam_t = grad l(s_t) + F_s' lam_{t+1}
+    + phi_s' (K_t' g_t) from lam_N = grad l(s_N)."""
+    N = S.shape[0]
+    R = cost.control_weights
+    if method == "derivative_free":
+        return [(Y[t - 1] - U[t - 1]) @ model.noise_inv[t - 1]
+                + model.alpha * (U[t - 1] @ R[t - 1]) for t in range(1, N)]
+    g = [None] * (N - 1)
+    lam = np.asarray(engine.state_cost_grad(S[N - 1], N), dtype=float)
+    for t in range(N - 1, 0, -1):
+        s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
+        g[t - 1] = u @ R[t - 1] + _vjp(np.asarray(engine.jac_control(s, y, xi, t), dtype=float),
+                                       lam)
+        if t > 1:
+            lam = (np.asarray(engine.state_cost_grad(s, t), dtype=float)
+                   + _vjp(np.asarray(engine.jac_state(s, y, xi, t), dtype=float), lam)
+                   + _vjp(np.asarray(engine.features_jacobian(s, t), dtype=float),
+                          g[t - 1] @ K[t - 1]))
+    return g
+
+
+def _forward_batch(dyn, cost, policy, model, sampler, n):
+    """(S, U, Y, XI, PHI, total) of n noisy rollouts under the policy's
+    gains, written out step by step (:func:`_reference_pass`)."""
+    return _reference_pass(dyn, cost, policy, model, sampler, n)[2:]
 
 
 def _full_batch(dyn, cost, policy, model, sampler, n, method):
-    """(engine, K, trajectory, w, scale) of n rollouts run as one
-    unblocked forward pass: w = exp(alpha J), scale = alpha w
-    (model-based) or w (derivative-free)."""
-    engine = _RolloutEngine(dyn, cost, policy, model)
+    """(scores g_t, features phi_t, w, scale) of n rollouts written out
+    step by step: w = exp(alpha J), scale = alpha w (model-based) or w
+    (derivative-free)."""
+    engine, K, S, U, Y, XI, PHI, total = _reference_pass(dyn, cost, policy, model, sampler, n)
     engine.check_method(method)
-    K = np.stack(policy.gains)
-    traj = engine.forward(K, *engine.draw(sampler, n))
-    w = np.exp(check_exponents(model.alpha * traj[5]))
-    return engine, K, traj, w, (model.alpha * w if method == "model_based" else w)
+    w = np.exp(check_exponents(model.alpha * total))
+    g = _reference_scores(engine, model, cost, method, K, S, U, Y, XI)
+    return g, PHI, w, (model.alpha * w if method == "model_based" else w)
 
 
 def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
     """(samples (n, N-1, m, q), exp_costs (n,)) of the chosen estimator
-    from one unblocked forward pass; overflow of exp(alpha J) raises
-    instead of returning inf or NaN."""
-    engine, K, traj, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
-    G = engine.raw_gradients(method, K, traj)
+    from one pass written out step by step; overflow of exp(alpha J)
+    raises instead of returning inf or NaN."""
+    g, PHI, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
+    G = np.stack([np.einsum("bm,bq->bmq", g_t, phi) for g_t, phi in zip(g, PHI)], axis=1)
     G *= scale[:, None, None, None]
     return G, w
 
 
 def _full_batch_moments(dyn, cost, policy, model, sampler, n, method):
-    """(mean, second moment, w) of the gradient samples of one unblocked
-    forward pass, reduced per step over the whole batch: with
-    c = scale / n, mean_t = (c g_t)' phi_t and second_t =
-    n ((c g_t)^2)' (phi_t^2), the reference of the engine's row-blocked
-    moments."""
-    engine, K, traj, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
+    """(mean, second moment, w) of the gradient samples of one pass
+    written out step by step, reduced per step over the whole batch:
+    with c = scale / n, mean_t = (c g_t)' phi_t and second_t =
+    n ((c g_t)^2)' (phi_t^2), the reference of the engine's chunked,
+    row-blocked moments."""
+    g, PHI, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
     c = scale[:, None] / n
-    mean, second = np.empty(engine.shape), np.empty(engine.shape)
-    for t, g in engine._scores(method, K, traj):
-        phi = traj[4][t - 1]
-        cg = c * g
-        mean[t - 1] = cg.T @ phi
+    mean, second = [], []
+    for g_t, phi in zip(g, PHI):
+        cg = c * g_t
+        mean.append(cg.T @ phi)
         cg *= cg
-        second[t - 1] = (cg.T @ (phi * phi)) * n
-    return mean, second, w
+        second.append((cg.T @ (phi * phi)) * n)
+    return np.stack(mean), np.stack(second), w
 
 
 def per_sample_zeta(samples: np.ndarray, batch: int) -> float:

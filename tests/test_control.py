@@ -21,6 +21,7 @@ from riskconvex.control import (
     unstack_gains,
     write_rollout_csv,
     _RolloutEngine,
+    _step_chunks,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.datasets import Dataset
@@ -137,6 +138,26 @@ class TestRollout:
         r2 = rollout(dyn, cost, pol, model, GaussianSampler(99, dim=1), frozen=r1.frozen())
         assert np.array_equal(r1.states, r2.states)
         assert r1.cost == r2.cost
+
+    def test_frozen_replay_rejects_misshapen_noise(self):
+        # Two states, two controls and N - 1 = 3 steps: a transposed eps
+        # (2, 3) and a flat one (6,) hold the 6 entries of (3, 2), so a
+        # reshape would replay either one silently.
+        dyn, cost, pol, model = linear_problem()
+        frozen = rollout(dyn, cost, pol, model, GaussianSampler(3, dim=1)).frozen()
+        replay = rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1), frozen=frozen)
+        assert replay.cost == rollout(dyn, cost, pol, model, GaussianSampler(3, dim=1)).cost
+        for name, bad, shape in (("eps", frozen.eps.T, r"\(3, 2\), got \(2, 3\)"),
+                                 ("eps", frozen.eps.ravel(), r"\(3, 2\), got \(6,\)"),
+                                 ("s1", np.zeros(3), r"\(2,\), got \(3,\)"),
+                                 ("xi", np.zeros((3, 1)), r"\(3, 0\), got \(3, 1\)")):
+            bent = dataclasses.replace(frozen, **{name: bad})
+            for replay in (rollout, policy_gradient_derivative_free):
+                with pytest.raises(ContractError, match=f"noise {name} must have shape {shape}"):
+                    replay(dyn, cost, pol, model, GaussianSampler(0, dim=1), frozen=bent)
+        for mode in ("noisy", "mean"):  # a given s1 is checked the same way
+            with pytest.raises(ContractError, match=r"^s1 must have shape \(2,\), got \(3,\)"):
+                rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1), mode, s1=np.zeros(3))
 
     def test_csv_export_round_trips_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -441,6 +462,66 @@ def planted_row_problem(row, alpha, bound):
                  features_jacobian=lambda s, t: np.broadcast_to(np.eye(1), s.shape + (1,)),
                  vectorized=True)
     return dyn, cost, pol, ControlRiskModel(alpha, [np.eye(1)] * 2)
+
+
+def long_linear_problem():
+    # 2 states, 2 controls, N - 1 = 29 steps: a batch of 200 rollouts runs
+    # its steps in chunks of 2**14 // (200 * 4) = 20 and 9.
+    rng = np.random.default_rng(43)
+    system = LinearSystem(A=[0.5 * rng.standard_normal((2, 2)) for _ in range(29)],
+                          B=[0.5 * rng.standard_normal((2, 2)) for _ in range(29)],
+                          Q=[0.1 * np.eye(2)] * 30, R=[2.0 * np.eye(2)] * 29,
+                          sigma=[np.eye(2)] * 29, horizon=30)
+    gains = [0.1 * rng.standard_normal((2, 2)) for _ in range(29)]
+    return linear_control_problem(system, 0.2, gains=gains)
+
+
+class TestStepChunks:
+    """A one-block batch runs its steps in chunks of
+    2**14 // (rows * width): each chunk's eps draw, control costs,
+    scores and moments are one stacked product, and keep the bits of the
+    steps written out one at a time."""
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    @pytest.mark.parametrize("build,n,chunks", [
+        (linear_problem, 64, [3]),
+        (wide_row_lifted_problem, 40, [2]),
+        (lambda: disturbed_problem("disturbance_batch"), 64, [3]),
+        (long_linear_problem, 200, [20, 9]),
+        (linear_problem, 3000, [1, 1, 1]),   # one step of 3000 x 4 fills the budget
+    ], ids=["linear", "row_lifted", "disturbance_batch", "long_horizon", "one_step"])
+    def test_one_block_moments_are_the_steps_written_out(self, build, n, chunks, method):
+        problem = build()
+        engine = _RolloutEngine(*problem)
+        assert len(_row_blocks(n, engine.width)) == 1
+        assert [c.stop - c.start for c in _step_chunks(engine.shape[0], n, engine.width)] == chunks
+        mean, sq, w = engine.moments(np.stack(problem[2].gains), GaussianSampler(5, dim=1), n,
+                                     method)
+        ref_mean, _, ref_w = _full_batch_moments(*problem, GaussianSampler(5, dim=1), n, method)
+        assert sq is None
+        assert np.any(mean != 0.0)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(w, ref_w)
+
+    def test_one_block_peak_memory(self):
+        # The simulate shape of det-max synthesis: N = 30, 4 states, 2
+        # controls, 4096 rollouts in one block of one-step chunks.  It
+        # peaks at 10.7 MiB under tracemalloc; stacking all 29 steps at
+        # once peaked at 15.8 MiB.
+        rng = np.random.default_rng(47)
+        system = LinearSystem(A=[0.3 * rng.standard_normal((4, 4)) for _ in range(29)],
+                              B=[0.3 * rng.standard_normal((4, 2)) for _ in range(29)],
+                              Q=[np.eye(4)] * 30, R=[np.eye(2)] * 29, sigma=[np.eye(2)] * 29,
+                              horizon=30)
+        problem = linear_control_problem(system, 0.05)
+        assert len(_row_blocks(4096, _RolloutEngine(*problem).width)) == 1
+        tracemalloc.start()
+        try:
+            policy_gradient_batch(*problem, GaussianSampler(7, dim=1), 4096, "derivative_free")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestRowBlocks:
@@ -777,13 +858,13 @@ class TestTrainPolicy:
                               GaussianSampler(41, dim=1),
                               callback=lambda i, th, avg: seen.append((i, th.copy(), avg.copy())))
 
-        engine = _RolloutEngine(dyn, cost, pol, model)
+        shape = (pol.n_steps, 1, 2)
         pilot, run = GaussianSampler(41, dim=1).split(2)
         theta = constraint.project(stack_gains(pol.gains))
-        mean, sq, _ = engine.moments(theta.reshape(engine.shape), pilot, cfg.pilot_samples,
-                                     method, second=True)
+        start = pol.with_gains(unstack_gains(theta, *shape))
+        mean, sq, _ = _full_batch_moments(dyn, cost, start, model, pilot, cfg.pilot_samples,
+                                          method)
         assert rep.zeta == pilot_zeta(mean.ravel(), sq, cfg.pilot_samples, cfg.batch)
-        start = pol.with_gains(unstack_gains(theta, *engine.shape))
         samples, _ = _gradient_samples(dyn, cost, start, model,
                                        GaussianSampler(41, dim=1).split(2)[0],
                                        cfg.pilot_samples, method)
@@ -793,7 +874,8 @@ class TestTrainPolicy:
         for i in range(1, cfg.iterations + 1):
             assert np.array_equal(rep.thetas[i - 1], theta)
             running_sum += theta
-            g, _, w = engine.moments(theta.reshape(engine.shape), run, cfg.batch, method)
+            g, _, w = _full_batch_moments(dyn, cost, pol.with_gains(unstack_gains(theta, *shape)),
+                                          model, run, cfg.batch, method)
             assert np.array_equal(rep.objective_trace[i - 1], w.sum() / cfg.batch)
             theta = constraint.project(
                 theta - step_size(constraint.radius_bound, rep.zeta, i) * g.ravel())

@@ -19,6 +19,7 @@ from riskconvex.objective import (
     RiskModel,
     _block_rows,
     check_convexity_certificate,
+    check_exponents,
     exp_objective,
     isotropic_model,
     log_exp_objective,
@@ -316,6 +317,13 @@ class TestLogMeanExp:
         with pytest.raises(error) as err:
             log_mean_exp(a)
         assert err.value.sample_index == 3
+
+    def test_nan_exponent_neither_overflows_nor_hides_an_overflow(self):
+        expo = np.array([0.0, np.nan, 1.0, 800.0, np.inf])
+        with pytest.raises(EstimateOverflowError) as err:
+            check_exponents(expo, start=10)
+        assert err.value.sample_index == 13
+        np.testing.assert_array_equal(check_exponents(expo[:3]), expo[:3])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_log_exp_objective_overflow_is_typed(self):

@@ -132,6 +132,37 @@ class TestProjectedSGD:
                                    rtol=1e-15)
         assert rep.objective_trace is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_is_a_divergence_at_its_iteration(self, bad):
+        # The 1e200 entry makes the squares overflow; the rescaled norm of
+        # the finite gradients stays finite, and the bad entry is found.
+        def oracle(theta, n, stream, second):
+            calls.append(theta)
+            return np.array([1e200, bad if len(calls) == 3 else 0.5, 1.0]), None, None
+
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite gradient estimate at "
+                                                      "iteration 3$") as err:
+                projected_sgd(oracle, np.zeros(3), FeasibleSet.ball(np.zeros(3), 1.0),
+                              SolverConfig(iterations=5, zeta=1.0), GaussianSampler(0, dim=3),
+                              True, 0.0)
+        assert err.value.step == 3 and len(calls) == 3
+
+    def test_finite_gradient_with_an_overflowing_norm_is_not_a_divergence(self):
+        # ||g|| = 1.5e308 sqrt(2) overflows even rescaled, but every entry of
+        # g is finite: the norm is recorded as inf and the box clips the step.
+        g = np.array([1.5e308, -1.5e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
+                                FeasibleSet.box(-np.ones(3), np.ones(3)),
+                                SolverConfig(iterations=3, zeta=10.0),
+                                GaussianSampler(0, dim=3), True, 0.0)
+        assert np.isposinf(rep.grad_norms).all()
+        np.testing.assert_array_equal(rep.thetas[1:, :2], [[-1.0, 1.0], [-1.0, 1.0]])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("feasible", [FeasibleSet.ball(np.zeros(3), 1.0),
                                           FeasibleSet.unconstrained(3, radius_bound=1.0)],
@@ -239,12 +270,13 @@ class TestSolve:
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.grad_norms, b.grad_norms)
 
-    def test_pilot_and_batches_match_the_estimator_written_out(self):
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_pilot_and_batches_match_the_estimator_written_out(self, batch):
         rng = np.random.default_rng(12)
         f = bump_field(rng, 2)
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
-        cfg = SolverConfig(iterations=20, batch=16)
+        cfg = SolverConfig(iterations=20, batch=batch)
         rep = solve(f, model, fs, cfg, model.sampler(13))
 
         def samples(theta, n, stream):
