@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlCost, ControlRiskModel, Dynamics, Policy, check_control_certificate
+from .control import (
+    ControlCost,
+    ControlRiskModel,
+    Dynamics,
+    Policy,
+    _row_quads,
+    check_control_certificate,
+)
 from .errors import ContractError
 from .synthesis import LinearSystem
 
@@ -32,8 +39,14 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     zero.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
+    # A_t' and B_t', contiguous for a batch's products; a single row keeps
+    # the transposed views, with which its products round differently.
+    AT = [np.ascontiguousarray(a.T) for a in sys.A]
+    BT = [np.ascontiguousarray(b.T) for b in sys.B]
 
     def step(s, y, xi, t):
+        if s.ndim == 2 and len(s) > 1:
+            return s @ AT[t - 1] + y @ BT[t - 1]
         return s @ sys.A[t - 1].T + y @ sys.B[t - 1].T
 
     def jac_state(s, y, xi, t):
@@ -43,7 +56,7 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
         return np.broadcast_to(sys.B[t - 1], np.shape(s)[:-1] + (n, m))
 
     def state_cost(s, t):
-        return 0.5 * np.einsum("...i,...i->...", s @ sys.Q[t - 1], s)
+        return 0.5 * _row_quads(s, sys.Q[t - 1])
 
     def state_cost_grad(s, t):
         return s @ sys.Q[t - 1].T

@@ -28,22 +28,26 @@ estimation draws from derived sampler streams and reduces in fixed order:
 the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
-A batch first draws all of its noise (s_1, then eps_t and xi_t for each
-t, the order of a step-by-step rollout), then runs in row blocks of
-2**14 // (n + m) rollouts: each block's forward pass, weights and scores
-stay in cache, and no full-batch trajectory is allocated.  Within a
-block, the steps run in chunks whose (steps x rows x (n + m)) entries fit
-the same budget: a chunk's eps draw, control costs, likelihood-ratio
-scores and moments are one stacked product each, so a small batch makes
-each of these calls once per chunk rather than once per step, with the
-bits of the per-step products.  The blocks of a fully vectorized problem
-run on the calling thread and a helper thread, each taking the next block
-index (:func:`~riskconvex.objective._map_blocks`), and are summed in
-block order, so the bits do not depend on the thread count.  A batch of
-one block keeps the bits of one unblocked pass; on more blocks, only the
-block sums of the moments round differently.  A Jacobian returned as
-``np.broadcast_to`` of one matrix is applied to the whole batch as one
-product.
+A batch draws all of its noise on the calling thread, in the order of a
+step-by-step rollout (s_1, then eps_t and xi_t for each t), and runs in
+row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
+weights and scores stay in cache, and no full-batch trajectory is
+allocated.  Within a block, the steps run in chunks whose (steps x rows x
+(n + m)) entries fit the same budget: a chunk's eps draw, control costs,
+likelihood-ratio scores and moments are one stacked product each, so a
+small batch makes each of these calls once per chunk rather than once per
+step, with the bits of the per-step products.  The blocks of a fully
+vectorized problem run on a helper thread while the calling thread draws,
+each chunk as soon as the noise of its steps has landed, and then on both
+threads, each taking the next block index
+(:func:`~riskconvex.objective._map_blocks`); they are summed in block
+order, so the bits do not depend on the thread count.  A batch of one
+block whose steps make one chunk, as ``control train``'s, has nothing to
+run during the draw and runs after it on the calling thread alone.  A
+batch of one block keeps the bits of one unblocked pass; on more blocks,
+only the block sums of the moments round differently.  A Jacobian
+returned as ``np.broadcast_to`` of one matrix is applied to the whole
+batch as one product.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .errors import (
 from .fields import _bound_limit, _first_violation
 from .objective import (
     _BLOCK_ENTRIES,
+    _drawn,
     _map_blocks,
     _row_blocks,
     certificate_margins,
@@ -330,6 +335,22 @@ def _shaped(value, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+_PAIR = np.ones(2)
+
+
+def _row_quads(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x_b' M x_b for every row x_b of x (..., w), M (w, w) or stacked
+    along x's leading axes.  Rows of two entries take a product and a BLAS
+    row sum: faster than the einsum, and with its bits, since a sum of two
+    terms has one order.  Wider rows keep the einsum, whose order of
+    additions a row sum would not keep."""
+    xm = x @ M
+    if x.shape[-1] != 2:
+        return np.einsum("...i,...i->...", xm, x)
+    xm *= x
+    return xm @ _PAIR
+
+
 def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v_b' J_b for every row b.  A Jacobian whose rows share one matrix
     (stride 0 on the batch axis, as ``np.broadcast_to`` returns) is
@@ -410,28 +431,45 @@ class _RolloutEngine:
         return vals
 
     def draw(self, sampler: GaussianSampler, n: int, s1=None):
-        """The noise of n rollouts, in stream order: s_1 (n, nd) unless
-        given, then eps_t and xi_t for t = 1..N-1, stacked as eps
-        (N-1, n, m) and xi (N-1, n, p).  No draw depends on a state, so
-        drawing them all before any rollout leaves the stream unchanged.
-        numpy fills a draw in stream order, so eps is drawn and scaled
-        into its array one chunk of steps (:func:`_step_chunks`) and one row
-        block at a time: a one-block batch whose eps_t no disturbance
-        draw interleaves takes a chunk's eps in one call, and a larger
-        batch needs no (n, m) temporary."""
+        """The noise (s1, eps, xi) of n rollouts, drawn whole
+        (:meth:`drawing`)."""
+        noise, parts = self.drawing(sampler, n, s1)
+        for _ in parts:
+            pass
+        return noise
+
+    def drawing(self, sampler: GaussianSampler, n: int, s1=None):
+        """(noise, parts): the arrays (s1, eps, xi) of the noise of n
+        rollouts, s_1 (n, nd), eps (N-1, n, m) and xi (N-1, n, p), and an
+        iterator that fills them in stream order as it runs, yielding the
+        steps drawn so far (the ``draw`` of
+        :func:`~riskconvex.objective._map_blocks`): s_1 unless given, then
+        eps_t and xi_t for t = 1..N-1.  No draw depends on a state, so
+        drawing them apart from the rollouts leaves the stream unchanged.
+        numpy fills a draw in stream order, so eps is drawn and scaled into
+        its array one chunk of steps (:func:`_step_chunks`) and one row
+        block at a time: a one-block batch whose eps_t no disturbance draw
+        interleaves takes a chunk's eps in one call, and a larger batch
+        needs no (n, m) temporary."""
         dyn = self.dyn
         N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+        # s_1 stays 0 unless it is given or drawn.
+        noise = (np.zeros((n, nd)), np.empty((N - 1, n, m)), np.zeros((N - 1, n, p)))
+        return noise, self._draw_parts(sampler, noise, s1)
+
+    def _draw_parts(self, sampler: GaussianSampler, noise: tuple, s1):
+        """The iterator of :meth:`drawing`, filling ``noise``."""
+        dyn = self.dyn
+        out, eps, xi = noise
+        n, N, m, p = out.shape[0], dyn.horizon, dyn.control_dim, dyn.disturbance_dim
         rng = sampler.rng
         if s1 is not None:
-            s1 = np.broadcast_to(np.asarray(s1, dtype=float), (n, nd)).copy()
+            out[...] = s1
         elif dyn.init_state_batch is not None:
-            s1 = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
+            out[...] = dyn.init_state_batch(rng, n)
         elif dyn.init_state is not None:
-            s1 = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
-        else:
-            s1 = np.zeros((n, nd))
-        eps = np.empty((N - 1, n, m))
-        xi = np.zeros((N - 1, n, p))
+            for row in out:
+                row[...] = dyn.init_state(rng)
         disturbed = p > 0 and (dyn.disturbance_batch is not None or dyn.disturbance is not None)
         chunks = ([slice(t, t + 1) for t in range(N - 1)] if disturbed
                   else _step_chunks(N - 1, n, self.width))
@@ -440,25 +478,26 @@ class _RolloutEngine:
             for rows in blocks:
                 np.matmul(sampler.normal((steps.stop - steps.start, rows.stop - rows.start, m)),
                           self.noise_root[steps], out=eps[steps, rows])
-            if not disturbed:
-                continue
             t = steps.stop
-            if dyn.disturbance_batch is not None:
-                xi[t - 1] = dyn.disturbance_batch(rng, t, n)
-            else:
-                xi[t - 1] = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
-                                      for _ in range(n)])
-        return s1, eps, xi
+            if disturbed:
+                if dyn.disturbance_batch is not None:
+                    xi[t - 1] = dyn.disturbance_batch(rng, t, n)
+                else:
+                    xi[t - 1] = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
+                                          for _ in range(n)])
+            yield t
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
-                start: int = 0):
+                start: int = 0, ready=_drawn):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
-        (N-1, b, p), a row block of :meth:`draw` or one frozen realization
-        (b = 1).  The steps run in order, each checking its state costs
-        against the bound and its next states for finiteness; the control
-        costs 0.5 u_t' R_t u_t of a chunk are one stacked product.
-        ``start`` is the batch index of row 0, which errors name."""
+        (N-1, b, p), a row block of :meth:`drawing` or one frozen
+        realization (b = 1).  The steps run in order, each checking its
+        state costs against the bound and its next states for finiteness;
+        the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
+        product.  ``start`` is the batch index of row 0, which errors name;
+        ``ready(t)`` returns once the noise of steps 1..t has landed, and
+        is called before each chunk reads it."""
         dyn = self.dyn
         N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
         b = s1.shape[0]
@@ -470,8 +509,16 @@ class _RolloutEngine:
         PHI = []
         views = True  # every phi_t is S[t - 1] itself
         total = np.zeros(b)
-        S[0] = s1
+        # The transposed gains, contiguous for a batch's products; a single
+        # row keeps the transposed views, with which its product rounds
+        # differently.
+        KT = K.transpose(0, 2, 1)
+        if b > 1:
+            KT = np.ascontiguousarray(KT)
         for steps in chunks:
+            ready(steps.stop)
+            if steps.start == 0:
+                S[0] = s1  # drawn before eps_1
             for t in range(steps.start + 1, steps.stop + 1):
                 # Callables see rows of S, so features that return s itself
                 # keep no second copy of the states alive.
@@ -479,13 +526,12 @@ class _RolloutEngine:
                 phi = np.asarray(self.features(s, t), dtype=float)
                 views = views and phi is s
                 PHI.append(phi)
-                np.matmul(phi, K[t - 1].T, out=U[t - 1])
+                np.matmul(phi, KT[t - 1], out=U[t - 1])
                 stage[t - 1] = self._checked_state_cost(s, t, start)
                 S[t] = self.step(s, np.add(U[t - 1], eps[t - 1], out=Y[t - 1]), xi[t - 1], t)
                 if not np.isfinite(S[t]).all():
                     raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-            u = U[steps]
-            stage[steps] += 0.5 * np.einsum("tbi,tbi->tb", u @ self.R[steps], u)
+            stage[steps] += 0.5 * _row_quads(U[steps], self.R[steps])
             for t in range(steps.start, steps.stop):
                 total += stage[t]
         stage[N - 1] = self._checked_state_cost(S[N - 1], N, start)
@@ -530,15 +576,15 @@ class _RolloutEngine:
         return G
 
     def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
-                       method: str, second: bool):
+                       method: str, second: bool, ready=_drawn):
         """(this block's share of the batch mean, of the second moment or
         None) for the rollouts of one row block of the ``noise`` of an
         n-rollout batch, rows ``start`` on, whose w = exp(alpha J) it writes
         into ``w``: with scale = alpha w (model-based) or w
         (derivative-free) and c = scale / n, the shares are (c g_t)' phi_t
         and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n, one
-        stacked product per chunk of steps."""
-        traj = self.forward(K, *noise, start)
+        stacked product per chunk of steps; ``ready`` is :meth:`forward`'s."""
+        traj = self.forward(K, *noise, start, ready)
         np.exp(check_exponents(self.alpha * traj.J, start), out=w)
         c = (self.alpha * w if method == "model_based" else w)[:, None] / n
         mean = np.empty(self.shape)
@@ -559,25 +605,28 @@ class _RolloutEngine:
         """(batch mean, batch second moment or None, w = exp(alpha J)) of
         the gradient samples of n rollouts, with no per-sample tensor.
 
-        The noise of the whole batch is drawn first (:meth:`draw`); then
-        each row block runs the forward pass, J, w and the scores
-        (:meth:`_block_moments`) on any thread of
-        :func:`~riskconvex.objective._map_blocks`, and the blocks' shares
-        are summed in block order.  An overflowing exp(alpha J) raises
+        The calling thread draws the noise of the whole batch
+        (:meth:`drawing`) while each row block runs the forward pass, J, w
+        and the scores (:meth:`_block_moments`) on any thread of
+        :func:`~riskconvex.objective._map_blocks`, each chunk of steps once
+        its noise has landed, and the blocks' shares are summed in block
+        order.  An overflowing exp(alpha J) raises
         :class:`EstimateOverflowError` naming its rollout; on a batch of
         several blocks, this error, :class:`DivergenceError` and the
         state-cost :class:`FieldEvaluationError` report the first failure
         of the first block that fails."""
-        s1, eps, xi = self.draw(sampler, n)
+        (s1, eps, xi), draw = self.drawing(sampler, n)
         blocks = _row_blocks(n, self.width)
         w = np.empty(n)
 
-        def block(i):
+        def block(i, ready):
             rows = blocks[i]
             return self._block_moments(K, (s1[rows], eps[:, rows], xi[:, rows]), w[rows],
-                                       rows.start, n, method, second)
+                                       rows.start, n, method, second, ready)
 
-        parts = _map_blocks(block, len(blocks), self.parallel)
+        # One block whose steps run as one chunk needs the whole draw at once.
+        overlap = len(blocks) > 1 or len(_step_chunks(self.shape[0], n, self.width)) > 1
+        parts = _map_blocks(block, len(blocks), self.parallel and overlap, draw)
         mean, sq = parts[0]
         for block_mean, block_sq in parts[1:]:
             mean += block_mean
@@ -712,10 +761,11 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
                           n: int, method: str = "derivative_free") -> BatchGradientEstimate:
     """Average n gradient samples with per-entry standard errors.
 
-    The noise of all n rollouts is drawn first, in the stream order of
-    a step-by-step rollout, and the rollouts then run in row blocks
-    (module docstring).  The samples are reduced per step as moments,
-    summed over the blocks, never stored: with
+    The noise of all n rollouts is drawn in the stream order of a
+    step-by-step rollout, and the rollouts run in row blocks, each chunk
+    of steps once its noise has landed (module docstring).  The samples
+    are reduced per step as moments, summed over the blocks, never
+    stored: with
     scale = alpha w (model-based) or w (derivative-free), w = exp(alpha J),
     the mean is (scale g_t / n)' phi_t and the second moment
     E2 = ((scale g_t)^2)' (phi_t^2) / n, then

@@ -171,7 +171,7 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
 
-    def point(i):
+    def point(i, ready):  # every point reads the one draw above, made before the call
         th = grid[i]
         quad = 0.5 * kappa * th**2
         vals = raw.value(draws + th)

@@ -15,15 +15,17 @@ semidefinite; :func:`check_convexity_certificate` evaluates that margin.
 Aggregation of exponentials always subtracts the max exponent first, and
 standard errors of log-of-mean estimates use the delta method.
 
-A batch draws all its noise first, one draw of n rows, then perturbs
-and evaluates the field in row blocks of 2**14 // k points, so the
+A batch draws its noise in row blocks of 2**14 // k points, in stream
+order, and perturbs and evaluates the field one block at a time, so the
 field's temporaries stay in cache; each block writes into one per-sample
-array that is reduced once.  The blocks of a vectorized field run on the
-calling thread and, when a second CPU is usable, one helper thread, each
-taking the next block index (:func:`_map_blocks`), so the results keep
-their bits at any thread count.  On a batch of several blocks, an error
-is the first one of the first block that fails; an overflowing exponent
-is named by its batch index.
+array that is reduced once.  The blocks of a vectorized field run on one
+helper thread, when a second CPU is usable, while the calling thread
+draws, each block as soon as its draws have landed, and then on both
+threads, each taking the next block index (:func:`_map_blocks`), so the
+results keep their bits at any thread count.  On a batch of several
+blocks, an error is the first one of the first block that fails, raised
+once the whole batch is drawn; an overflowing exponent is named by its
+batch index.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -107,38 +109,80 @@ def _pool() -> tuple:
     return pool
 
 
-def _map_blocks(work, count: int, parallel: bool = True) -> list:
-    """[work(i) for i in range(count)] over the ``count`` blocks of a
-    batch, run on the calling thread and the pool's helpers.
+def _drawn(reach) -> None:
+    """The ``ready`` of a block whose batch has been drawn: nothing to wait for."""
 
-    The batch's noise is drawn before the call, so ``work`` takes a block
-    index alone; results come back in block order.  One block, a pool
-    without helpers or ``parallel`` off (row loops of non-vectorized
-    callables hold the GIL) run the plain loop.  Otherwise the caller and
-    one task per helper each take the next index off one queue, filled at
-    the start, until none is left; helpers run under the caller's numpy
-    error state.  If blocks fail, no block after the lowest failed one
-    starts, and that block's error is raised: the plain loop's error.
-    The call returns once its started tasks have finished, also when
-    interrupted, and then drops ``work``: a task that starts late (queued
-    by a refused thread start) finds no index left and keeps no array
-    alive.  An unstarted task is cancelled, so a call never waits for a
-    thread busy elsewhere (a nested call) or gone (a forked child)."""
-    if count == 1:
-        return [work(0)]
-    executor, helpers = _pool() if parallel and count > 1 else (None, 0)
-    helpers = min(helpers, count - 1)
+
+class _DrawStopped(Exception):
+    """A batch's draw stopped before it reached the noise a block waits for."""
+
+
+def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
+    """[work(i, ready) for i in range(count)] over the ``count`` blocks of a
+    batch, run on the calling thread and the pool's helpers while or after
+    ``draw`` draws the batch.
+
+    ``draw``, when given, draws the batch's noise in stream order on the
+    calling thread as it is iterated, and yields how far it has got (rows
+    of a static batch, steps of a rollout batch) as each part lands.
+    ``work`` calls ``ready(reach)`` before it reads noise up to ``reach``;
+    ``ready`` returns once the draw has got that far.  The plain loop
+    (``parallel`` off, as row loops of non-vectorized callables hold the
+    GIL; one block and nothing to draw; a pool without helpers) draws the
+    whole batch first and then runs the blocks.  Otherwise each helper
+    task takes the next index off one queue, filled at the start, until
+    none is left, while the calling thread draws, one progress counter (a
+    ``threading.Condition``) telling the blocks what has landed; then the
+    calling thread takes indices too.  Helpers run under the caller's
+    numpy error state.  The draw is whole before the call raises an error
+    of its own blocks, and an error of the draw wins, as it would come
+    first in the plain loop.  If blocks fail, no block after the lowest
+    failed one starts, and that block's error is raised: the plain loop's
+    error.  The call returns once its started tasks have finished, also
+    when interrupted (a block waiting for the draw wakes up when the draw
+    stops), and then drops ``work``: a task that starts late (queued by a
+    refused thread start) finds no index left and keeps no array alive.
+    An unstarted task is cancelled, so a call never waits for a thread
+    busy elsewhere (a nested call) or gone (a forked child)."""
+    helpers = 0
+    if parallel and (count > 1 or draw is not None):
+        executor, helpers = _pool()
+        helpers = min(helpers, count if draw is not None else count - 1)
     if helpers < 1:
-        return [work(i) for i in range(count)]
+        if draw is not None:
+            for _ in draw:
+                pass
+        if count == 1:  # the common small batch: no comprehension frame
+            return [work(0, _drawn)]
+        return [work(i, _drawn) for i in range(count)]
+    import threading
     from collections import deque
     from concurrent.futures import wait
 
     results, errors = [None] * count, {}
-    # count, then each failed block: none from the lowest on starts.  Appends
-    # lose no failure when two blocks fail at once, as a min-and-store could.
+    # count, then each failed block: none from the lowest on starts; -1 once
+    # the call raises.  Appends lose no failure when two blocks fail at
+    # once, as a min-and-store could.
     stops = [count]
     todo = deque(range(count))  # its pops are thread-safe
     errstate = np.geterr()
+    reached = [0]  # how far the draw has got; inf once it is whole
+    progress = threading.Condition()
+
+    def ready(reach) -> None:
+        """Wait until the draw has got as far as ``reach``, or stopped short of it."""
+        if reached[0] >= reach:
+            return
+        with progress:
+            while reached[0] < reach and min(stops) >= 0:
+                progress.wait()
+        if reached[0] < reach:
+            raise _DrawStopped
+
+    def advance(reach) -> None:
+        with progress:
+            reached[0] = reach
+            progress.notify_all()
 
     def run(catch) -> None:
         """Run the next blocks under the caller's error state; keep errors of ``catch``."""
@@ -151,7 +195,7 @@ def _map_blocks(work, count: int, parallel: bool = True) -> list:
                 if i >= min(stops):
                     return
                 try:
-                    results[i] = work(i)
+                    results[i] = work(i, ready)
                 except catch as exc:
                     errors[i] = exc
                     stops.append(i)
@@ -163,9 +207,13 @@ def _map_blocks(work, count: int, parallel: bool = True) -> list:
                 tasks.append(executor.submit(run, BaseException))
         except RuntimeError:  # no thread to be had: the caller runs the blocks
             pass
+        for reach in draw or ():
+            advance(reach)
+        advance(np.inf)
         run(Exception)  # an interrupt is not a block error: it leaves at once
     except BaseException:
         stops.append(-1)  # the call raises: helpers start no further block
+        advance(reached[0])  # and a block waiting for the draw wakes up
         raise
     finally:
         started = [task for task in tasks if not task.cancel()]
@@ -300,18 +348,38 @@ def _perturbed(model: RiskModel, theta, raw: np.ndarray) -> np.ndarray:
     return theta + raw @ model.sigma_root
 
 
+def _block_draws(sampler: GaussianSampler, n: int, blocks: tuple) -> tuple:
+    """(draws, parts): the (n, k) raw draws of a batch in ``blocks``, and
+    the ``draw`` of :func:`_map_blocks` that fills them block by block in
+    stream order, yielding the rows drawn so far (numpy fills a draw in
+    stream order, so the bits are those of one draw of n rows).  A batch
+    of one block is drawn here, with nothing left to yield."""
+    if len(blocks) == 1:
+        return sampler.draw(n), None
+    draws = np.empty((n, sampler.dim))
+
+    def parts():
+        for rows in blocks:
+            draws[rows] = sampler.draw(rows.stop - rows.start)
+            yield rows.stop
+
+    return draws, parts()
+
+
 def _field_values(f: ScalarField, model: RiskModel, theta, n: int,
                   sampler: GaussianSampler) -> np.ndarray:
-    """f at n points theta + w, (n,): one draw of n rows, then perturbed
-    and evaluated one row block at a time."""
-    raw = sampler.draw(n)
+    """f at n points theta + w, (n,): drawn, perturbed and evaluated one
+    row block at a time, a block as soon as its draws have landed."""
     vals = np.empty(n)
     blocks = _row_blocks(n, model.dim)
+    raw, parts = _block_draws(sampler, n, blocks)
 
-    def block(i):
-        vals[blocks[i]] = f.evaluate_batch(_perturbed(model, theta, raw[blocks[i]]))
+    def block(i, ready):
+        rows = blocks[i]
+        ready(rows.stop)
+        vals[rows] = f.evaluate_batch(_perturbed(model, theta, raw[rows]))
 
-    _map_blocks(block, len(blocks), f.vectorized)
+    _map_blocks(block, len(blocks), f.vectorized, parts)
     return vals
 
 
@@ -424,19 +492,21 @@ def _grad_samples(f: ScalarField, model: RiskModel, theta: np.ndarray, n: int,
     each row block's samples written over its draws in the output.  An
     overflowing exponent raises for the first one of the first block that
     has one, named by its batch index."""
-    out = sampler.draw(n)
     shift = model.reg @ theta
     quad = model.alpha * model.quad(theta)
     blocks = _row_blocks(n, model.dim)
+    out, parts = _block_draws(sampler, n, blocks)
 
-    def block(i):
-        samples = out[blocks[i]]
+    def block(i, ready):
+        rows = blocks[i]
+        ready(rows.stop)
+        samples = out[rows]
         points = _perturbed(model, theta, samples)
-        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, blocks[i].start)
+        expo = check_exponents(model.alpha * f.evaluate_batch(points) + quad, rows.start)
         np.add(f.grad_batch(points), shift, out=samples)
         samples *= (model.alpha * np.exp(expo))[:, None]
 
-    _map_blocks(block, len(blocks), f.vectorized)
+    _map_blocks(block, len(blocks), f.vectorized, parts)
     return out
 
 

@@ -1,6 +1,7 @@
-"""Batches of several row blocks on the block pool of ``objective``: the
-bits of the serial loop at any thread count, the serial loop's error, and
-no wait on a thread that cannot run (a forked child, a nested call)."""
+"""Batches on the block pool of ``objective``: the bits of the serial loop
+at any thread count, the serial loop's error, no wait on a thread that
+cannot run (a forked child, a nested call), and blocks that run while the
+calling thread draws the batch."""
 
 import collections
 import dataclasses
@@ -20,11 +21,14 @@ import pytest
 
 import riskconvex
 from riskconvex import objective
+from riskconvex.benchmarks import linear_control_problem
 from riskconvex.control import (
     ControlCost,
     ControlRiskModel,
     Dynamics,
     Policy,
+    _RolloutEngine,
+    _step_chunks,
     policy_gradient_batch,
 )
 from riskconvex.demo1d import demo_curves, uniform_grid
@@ -42,6 +46,7 @@ from riskconvex.objective import (
 )
 from riskconvex.sampling import GaussianSampler
 from riskconvex.sensitivity import estimate_sensitivity
+from riskconvex.synthesis import LinearSystem
 from support import bump_field, certified_model, smooth_control_problem
 
 JOIN_TIMEOUT = 120.0
@@ -196,16 +201,25 @@ class TestSameBits:
 
 def test_stress_more_threads_than_cores_with_fast_switching(threads):
     # Eight threads, three callers at once and a switch of the interpreter
-    # lock every microsecond: a block lost, run twice or stored in the
-    # wrong place would change some result's bits.
+    # lock every microsecond: a block lost, run twice, stored in the wrong
+    # place or run before its noise landed would change some result's bits.
     f, model, theta = bump_problem()
     n = 16 * ROWS4 + 3
+
+    def run(seed):
+        out = static_estimates(f, model, theta, n, seed)
+        for rollouts in (DRAWN_N, 3 * _block_rows(2) + 1):   # one block; three
+            est = policy_gradient_batch(*drawn_problem(), GaussianSampler(seed, dim=1),
+                                        rollouts, "model_based")
+            out[f"rollouts {rollouts}"] = np.concatenate([est.mean.ravel(), [est.exp_cost_mean]])
+        return out
+
     threads(1)
-    serial = [static_estimates(f, model, theta, n, seed) for seed in (1, 2, 3)]
+    serial = [run(seed) for seed in (1, 2, 3)]
     threads(8)
     results = [None] * 3
-    users = [threading.Thread(target=lambda i=i: results.__setitem__(
-        i, static_estimates(f, model, theta, n, i + 1))) for i in range(3)]
+    users = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(i + 1)))
+             for i in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -528,6 +542,201 @@ def test_an_interrupt_during_the_wait_for_a_helper_leaves_no_helper_running(thre
     timer.join(JOIN_TIMEOUT)
 
 
+def simulate_problem():
+    """The shape of det-max synthesis' Monte Carlo check: 4 states, 2
+    controls, horizon 30; 4096 rollouts are one block of 29 one-step chunks."""
+    rng = np.random.default_rng(47)
+    system = LinearSystem(A=[0.3 * rng.standard_normal((4, 4)) for _ in range(29)],
+                          B=[0.3 * rng.standard_normal((4, 2)) for _ in range(29)],
+                          Q=[np.eye(4)] * 30, R=[np.eye(2)] * 29, sigma=[np.eye(2)] * 29,
+                          horizon=30)
+    return linear_control_problem(system, 0.05,
+                                  gains=[0.2 * rng.standard_normal((2, 4)) for _ in range(29)])
+
+
+def drawn_problem(draw_hook=None, cost_hook=None):
+    """s' = 0.9 s + y + xi with l(s) = s^2 / 2 over 29 steps, s_1 and each
+    xi_t drawn from the stream: ``draw_hook(t)`` runs before each of these
+    draws (t = 0 for s_1), on the thread that draws, and ``cost_hook(t)``
+    before each state cost, on the thread that runs the block."""
+    def init_state_batch(g, b):
+        if draw_hook is not None:
+            draw_hook(0)
+        return 0.5 * g.standard_normal((b, 1))
+
+    def disturbance_batch(g, t, b):
+        if draw_hook is not None:
+            draw_hook(t)
+        return 0.1 * g.standard_normal((b, 1))
+
+    def state_cost(s, t):
+        if cost_hook is not None:
+            cost_hook(t)
+        return 0.5 * s[:, 0] ** 2
+
+    eye = lambda s, *_: np.broadcast_to(np.eye(1), s.shape + (1,))  # noqa: E731
+    dyn = Dynamics(step=lambda s, y, xi, t: 0.9 * s + y + xi, state_dim=1, control_dim=1,
+                   disturbance_dim=1, horizon=30,
+                   jacobian_state=lambda s, y, xi, t: 0.9 * eye(s), jacobian_control=eye,
+                   init_state_batch=init_state_batch, disturbance_batch=disturbance_batch,
+                   vectorized=True)
+    cost = ControlCost(state_cost=state_cost, control_weights=[np.eye(1)] * 29, bound=1e6,
+                       state_cost_grad=lambda s, t: s, vectorized=True)
+    pol = Policy(gains=[np.full((1, 1), -0.3)] * 29, features=lambda s, t: s,
+                 features_jacobian=eye, vectorized=True)
+    return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 29)
+
+
+DRAWN_N = 4096   # one block of 15 chunks: the block starts while the draw runs
+
+
+def helper_is_free(timeout=JOIN_TIMEOUT):
+    """The one helper of the pool takes a new task at once: none of an
+    earlier call is still running or waiting."""
+    executor = objective._POOLS[os.getpid()][0]
+    return executor.submit(int).result(timeout) == 0
+
+
+class TestBlocksWhileTheBatchIsDrawn:
+    """The calling thread draws the batch while the helper runs the blocks
+    whose noise has landed."""
+
+    def test_one_block_rollouts_keep_their_bits(self, threads):
+        problem = simulate_problem()
+        engine = _RolloutEngine(*problem)
+        assert len(_row_blocks(4096, engine.width)) == 1
+        assert len(_step_chunks(29, 4096, engine.width)) == 29
+        threads(1)
+        serial = batch_estimates(problem, 4096, 5)
+        threads(2)
+        assert_same(batch_estimates(problem, 4096, 5), serial)
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_a_disturbed_batch_keeps_its_bits(self, threads, method):
+        assert len(_step_chunks(29, DRAWN_N, 2)) == 15
+        threads(1)
+        serial = policy_gradient_batch(*drawn_problem(), GaussianSampler(3, dim=1), DRAWN_N,
+                                       method)
+        threads(2)
+        pooled = policy_gradient_batch(*drawn_problem(), GaussianSampler(3, dim=1), DRAWN_N,
+                                       method)
+        for name in ("mean", "std_err", "exp_cost_mean", "exp_cost_std_err"):
+            assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+
+    def test_static_blocks_keep_their_bits(self, threads):
+        f, model, theta = bump_problem()
+        n = 3 * ROWS4 + 1
+        threads(1)
+        serial = static_estimates(f, model, theta, n, 7)
+        threads(2)
+        assert_same(static_estimates(f, model, theta, n, 7), serial)
+
+    @pytest.mark.parametrize("step", [0, 10], ids=["init_state_batch", "disturbance_batch"])
+    def test_a_draw_that_raises_gives_its_error(self, threads, step):
+        def draw_hook(t):
+            if t == step:
+                raise ValueError(f"no draw at t={t}")
+
+        def run():
+            sampler = GaussianSampler(3, dim=1)
+            with pytest.raises(ValueError, match=f"no draw at t={step}$"):
+                policy_gradient_batch(*drawn_problem(draw_hook), sampler, DRAWN_N)
+            return sampler.rng.bit_generator.state
+
+        threads(1)
+        serial = run()
+        threads(2)
+        assert joined(run) == serial
+        assert helper_is_free()
+
+    def test_a_block_that_fails_during_the_draw_leaves_the_sampler_at_the_end(self, threads):
+        # The draw waits at step 15 until the block has failed at its first
+        # state cost: the draw still runs to the end of the batch.
+        events = []
+        failed = threading.Event()
+
+        def draw_hook(t):
+            if t == 15:
+                failed.wait(JOIN_TIMEOUT)
+            events.append(("drawn", t))
+
+        def cost_hook(t):
+            events.append(("cost", t))
+            failed.set()
+            raise ValueError("no state cost")
+
+        problem = drawn_problem(draw_hook, cost_hook)
+        after = GaussianSampler(3, dim=1)
+        _RolloutEngine(*drawn_problem()).draw(after, DRAWN_N)
+        threads(2)
+        sampler = GaussianSampler(3, dim=1)
+        with pytest.raises(ValueError, match="no state cost"):
+            joined(lambda: policy_gradient_batch(*problem, sampler, DRAWN_N))
+        assert events.index(("cost", 1)) < events.index(("drawn", 29))
+        assert events[-1] == ("drawn", 29)
+        assert sampler.rng.bit_generator.state == after.rng.bit_generator.state
+
+    def test_a_nested_call_during_the_draw_finishes(self, threads):
+        # The helper waits for the outer batch's steps while the calling
+        # thread, in the draw, runs a batch of three blocks.
+        f, model, theta = bump_problem()
+        inner = []
+
+        def draw_hook(t):
+            if t == 5:
+                inner.append(smoothed_value(f, model, theta, 3 * ROWS4 + 1, model.sampler(2)))
+
+        def run():
+            inner.clear()
+            est = policy_gradient_batch(*drawn_problem(draw_hook), GaussianSampler(3, dim=1),
+                                        DRAWN_N)
+            return est.mean, inner[0].value
+
+        threads(1)
+        serial = run()
+        threads(2)
+        pooled = joined(run)
+        assert np.array_equal(pooled[0], serial[0]) and pooled[1] == serial[1]
+        assert helper_is_free()
+
+    def test_a_refused_thread_start_leaves_the_draw_and_blocks_to_the_caller(self, threads,
+                                                                              monkeypatch):
+        problem = simulate_problem()
+        f, model, theta = bump_problem()
+        threads(1)
+        serial = {**batch_estimates(problem, 4096, 5),
+                  **static_estimates(f, model, theta, 3 * ROWS4 + 1, 7)}
+        threads(2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert_same({**batch_estimates(problem, 4096, 5),
+                     **static_estimates(f, model, theta, 3 * ROWS4 + 1, 7)}, serial)
+
+    def test_an_interrupt_during_the_draw_leaves_no_helper_running(self, threads):
+        # The helper runs the first steps' chunks, each with a slow state
+        # cost, while the draw is interrupted at step 10.
+        lock = threading.Lock()
+        running = [0]
+
+        def draw_hook(t):
+            if t == 10:
+                raise KeyboardInterrupt
+
+        def cost_hook(t):
+            with lock:
+                running[0] += 1
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+
+        threads(2)
+        for _ in range(3):
+            with pytest.raises(KeyboardInterrupt):
+                joined(lambda: policy_gradient_batch(*drawn_problem(draw_hook, cost_hook),
+                                                     GaussianSampler(3, dim=1), DRAWN_N))
+            assert running[0] == 0
+            assert helper_is_free()
+
+
 def test_import_and_single_block_calls_start_no_thread():
     src = str(Path(riskconvex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -536,6 +745,10 @@ def test_import_and_single_block_calls_start_no_thread():
             "imported = threading.active_count(); "
             "m = rc.isotropic_model(1.0, 1.0, 1.0, 4); "
             "rc.smoothed_value(rc.linear_field(np.ones(4)), m, np.zeros(4), 1000, m.sampler(1)); "
+            # control train's batch: 128 rollouts of 2 steps, one block of one chunk
+            "from riskconvex.benchmarks import ScalarBenchmark; "
+            "rc.policy_gradient_batch(*ScalarBenchmark().problem(), rc.GaussianSampler(1, dim=1), "
+            "128); "
             "print(imported, threading.active_count(), 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
