@@ -30,16 +30,17 @@ products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
 A batch draws all of its noise on the calling thread, in the order of a
 step-by-step rollout (s_1, then eps_t and xi_t for each t), and runs in
-row blocks of 2**14 // (n + m) rollouts: each block's forward pass,
-weights and scores stay in cache, and no full-batch trajectory is
-allocated.  Within a block, the steps run in chunks whose (steps x rows x
-(n + m)) entries fit the same budget: a chunk's eps draw, control costs,
-likelihood-ratio scores and moments are one stacked product each, so a
-small batch makes each of these calls once per chunk rather than once per
-step, with the bits of the per-step products.  The blocks of a fully
-vectorized problem run on a helper thread while the calling thread draws,
-each chunk as soon as the noise of its steps has landed, and then on both
-threads, each taking the next block index
+row blocks of 2**14 // max(n, m, q) rollouts, so the widest per-step
+array of a block (states, controls or features) holds 2**14 entries: each
+block's forward pass, weights and scores stay in cache, and no full-batch
+trajectory is allocated.  Within a block, the steps run in chunks whose
+(steps x rows x max(n, m, q)) entries fit the same budget: a chunk's eps
+draw, control costs, likelihood-ratio scores and moments are one stacked
+product each, so a small batch makes each of these calls once per chunk
+rather than once per step, with the bits of the per-step products.  The
+blocks of a fully vectorized problem run on a helper thread while the
+calling thread draws, each chunk as soon as the noise of its steps has
+landed, and then on both threads, each taking the next block index
 (:func:`~riskconvex.objective._map_blocks`); they are summed in block
 order, so the bits do not depend on the thread count.  A batch of one
 block whose steps make one chunk, as ``control train``'s, has nothing to
@@ -47,7 +48,8 @@ run during the draw and runs after it on the calling thread alone.  A
 batch of one block keeps the bits of one unblocked pass; on more blocks,
 only the block sums of the moments round differently.  A Jacobian
 returned as ``np.broadcast_to`` of one matrix is applied to the whole
-batch as one product.
+batch as one product, and the adjoint recursion passes each Jacobian
+straight into its product, so a block holds one Jacobian at a time.
 """
 
 from __future__ import annotations
@@ -393,7 +395,10 @@ class _RolloutEngine:
             raise ContractError("control dimension mismatch")
         self.dyn = dyn
         self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
-        self.width = dyn.state_dim + dyn.control_dim  # of a row block (objective._row_blocks)
+        # Of a row block (objective._row_blocks): the widest per-step array,
+        # s_t (b, n), u_t, y_t, eps_t (b, m) or phi_t (b, q), so each fills
+        # at most the block's 2**14 entries.
+        self.width = max(dyn.state_dim, dyn.control_dim, policy.feature_dim)
         # Row loops of per-row callables hold the GIL: their blocks run serially.
         self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
         self.alpha = model.alpha
@@ -556,16 +561,18 @@ class _RolloutEngine:
         for steps in reversed(traj.chunks):
             g = np.empty(U[steps].shape)
             for t in range(steps.stop, steps.start, -1):
+                # Each Jacobian goes straight into its product, so one dense
+                # (b, n, n), (b, n, m) or (b, q, n) Jacobian is alive at a time.
                 s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
-                f_y = np.asarray(self.jac_control(s, y, xi, t), dtype=float)
                 g_t = g[t - 1 - steps.start]
-                g_t[...] = u @ self.R[t - 1] + _vjp(f_y, lam)
+                g_t[...] = u @ self.R[t - 1] + _vjp(
+                    np.asarray(self.jac_control(s, y, xi, t), dtype=float), lam)
                 if t == 1:  # nothing reads lam_1
                     break
-                f_s = np.asarray(self.jac_state(s, y, xi, t), dtype=float)
-                phi_s = np.asarray(self.features_jacobian(s, t), dtype=float)
                 lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
-                       + _vjp(f_s, lam) + _vjp(phi_s, g_t @ K[t - 1]))
+                       + _vjp(np.asarray(self.jac_state(s, y, xi, t), dtype=float), lam)
+                       + _vjp(np.asarray(self.features_jacobian(s, t), dtype=float),
+                              g_t @ K[t - 1]))
             yield steps, g
 
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:

@@ -52,9 +52,11 @@ LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
 # Entries of one row block: a (rows x width) float64 array of 128 KiB, so a
 # block's temporaries stay in cache instead of streaming through memory,
-# even with one block in flight on each of two threads.  The layout
-# depends on n and the width alone, never on the thread count, so the
-# bits do not either.
+# even with one block in flight on each of two threads.  The width is the
+# widest per-row array: the draw dimension k of the static estimators, and
+# max(n, m, q) of a rollout step (control._RolloutEngine.width).  The
+# layout depends on n and the width alone, never on the thread count, so
+# the bits do not either.
 _BLOCK_ENTRIES = 2**14
 
 

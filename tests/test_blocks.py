@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,11 @@ def shut_down(pools):
         if executor is not None:
             executor.shutdown()
     pools.clear()
+
+
+def rollout_rows(problem):
+    """Rollouts of one row block of ``problem``'s batches."""
+    return _block_rows(_RolloutEngine(*problem).width)
 
 
 def bump_problem():
@@ -156,7 +162,8 @@ class TestSameBits:
 
     def test_policy_gradient_batch(self, threads):
         problem = smooth_control_problem(np.random.default_rng(3), 3, 2, 4)
-        n = 3 * _block_rows(3 + 2) + 1
+        n = 3 * rollout_rows(problem) + 1
+        assert len(_row_blocks(n, _RolloutEngine(*problem).width)) == 3
         threads(1)
         serial = batch_estimates(problem, n, 5)
         threads(3)
@@ -178,7 +185,7 @@ class TestSameBits:
     def test_two_user_threads_get_their_serial_results(self, threads):
         f, model, theta = bump_problem()
         problem = smooth_control_problem(np.random.default_rng(3), 3, 2, 4)
-        n, n_pg = 3 * ROWS4 + 1, 3 * _block_rows(5) + 1
+        n, n_pg = 3 * ROWS4 + 1, 3 * rollout_rows(problem) + 1
 
         def both(seed):
             return {**static_estimates(f, model, theta, n, seed),
@@ -208,7 +215,7 @@ def test_stress_more_threads_than_cores_with_fast_switching(threads):
 
     def run(seed):
         out = static_estimates(f, model, theta, n, seed)
-        for rollouts in (DRAWN_N, 3 * _block_rows(2) + 1):   # one block; three
+        for rollouts in (DRAWN_N, 3 * rollout_rows(drawn_problem()) + 1):   # one block; three
             est = policy_gradient_batch(*drawn_problem(), GaussianSampler(seed, dim=1),
                                         rollouts, "model_based")
             out[f"rollouts {rollouts}"] = np.concatenate([est.mean.ravel(), [est.exp_cost_mean]])
@@ -298,11 +305,11 @@ class TestFirstFailingBlock:
 
     def test_policy_gradient_batch(self, threads):
         threads(3)
-        width_rows = _block_rows(2)   # one state, one control
+        width_rows = rollout_rows(planted_rollouts([0], 1.0, 1.0))
         n = 5 * width_rows + 1
         rows = [2 * width_rows + 5, 4 * width_rows + 7]
-        assert len(_row_blocks(n, 2)) == 5
         problem = planted_rollouts(rows, alpha=10.0, bound=1e3)
+        assert len(_row_blocks(n, _RolloutEngine(*problem).width)) == 5
         for method in ("model_based", "derivative_free"):
             with pytest.raises(EstimateOverflowError, match=f"at sample {rows[0]} ") as err:
                 policy_gradient_batch(*problem, GaussianSampler(0, dim=1), n, method)
@@ -354,6 +361,38 @@ def test_an_error_leaves_the_sampler_at_the_end_of_the_batch(threads):
         assert sampler.rng.bit_generator.state == after.rng.bit_generator.state, k
 
 
+def test_the_adjoint_holds_one_jacobian_at_a_time(threads):
+    # Dense (b, n, n), (b, n, m) and (b, q, n) Jacobians, each a new array:
+    # every callable records how many Jacobians are still alive when it is
+    # entered, and each result counts itself out when it is freed.
+    dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 4, 3, 5)
+    live = [0]
+    entered = []
+
+    def release():
+        live[0] -= 1
+
+    def counted(fn):
+        def jacobian(*args):
+            entered.append(live[0])
+            J = fn(*args)
+            live[0] += 1
+            weakref.finalize(J, release)
+            return J
+        return jacobian
+
+    dyn = dataclasses.replace(dyn, jacobian_state=counted(dyn.jacobian_state),
+                              jacobian_control=counted(dyn.jacobian_control))
+    pol = dataclasses.replace(pol, features_jacobian=counted(pol.features_jacobian))
+    threads(1)
+    n = 2 * rollout_rows((dyn, cost, pol, model))
+    assert len(_row_blocks(n, _RolloutEngine(dyn, cost, pol, model).width)) == 2
+    policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(1, dim=1), n, "model_based")
+    assert len(entered) == 2 * (3 * 4 - 2)   # per block: 4 steps of 3, only f_y at t = 1
+    assert entered == [0] * len(entered)
+    assert live[0] == 0
+
+
 @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
 def test_helpers_run_under_the_callers_numpy_error_state(threads, method):
     # As in test_control: state costs + 250 overflow the squares of the
@@ -364,7 +403,8 @@ def test_helpers_run_under_the_callers_numpy_error_state(threads, method):
     base = cost.state_cost
     cost = dataclasses.replace(cost, state_cost=lambda s, t: base(s, t) + 250.0,
                                bound=cost.bound + 250.0)
-    n = 3 * _block_rows(3) + 1
+    n = 3 * rollout_rows((dyn, cost, pol, model)) + 1
+    assert len(_row_blocks(n, _RolloutEngine(dyn, cost, pol, model).width)) == 3
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EstimateOverflowError, match="standard error is nan"):
@@ -587,7 +627,7 @@ def drawn_problem(draw_hook=None, cost_hook=None):
     return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 29)
 
 
-DRAWN_N = 4096   # one block of 15 chunks: the block starts while the draw runs
+DRAWN_N = 4096   # one block of 8 chunks: the block starts while the draw runs
 
 
 def helper_is_free(timeout=JOIN_TIMEOUT):
@@ -613,7 +653,9 @@ class TestBlocksWhileTheBatchIsDrawn:
 
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_a_disturbed_batch_keeps_its_bits(self, threads, method):
-        assert len(_step_chunks(29, DRAWN_N, 2)) == 15
+        width = _RolloutEngine(*drawn_problem()).width
+        assert len(_row_blocks(DRAWN_N, width)) == 1
+        assert len(_step_chunks(29, DRAWN_N, width)) == 8
         threads(1)
         serial = policy_gradient_batch(*drawn_problem(), GaussianSampler(3, dim=1), DRAWN_N,
                                        method)

@@ -434,8 +434,8 @@ class TestMomentReduction:
 
 
 def wide_row_lifted_problem():
-    # 8 states and 8 controls: blocks of _block_rows(16) rollouts keep a
-    # three-block batch of per-row callables quick.
+    # 8 states, 8 controls and 8 features: blocks of _block_rows(8)
+    # rollouts keep a three-block batch of per-row callables quick.
     dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(31), 8, 8, 3)
     dyn.vectorized = cost.vectorized = pol.vectorized = False
     return dyn, cost, pol, model
@@ -465,8 +465,8 @@ def planted_row_problem(row, alpha, bound):
 
 
 def long_linear_problem():
-    # 2 states, 2 controls, N - 1 = 29 steps: a batch of 200 rollouts runs
-    # its steps in chunks of 2**14 // (200 * 4) = 20 and 9.
+    # 2 states, 2 controls, N - 1 = 29 steps: a batch of 400 rollouts runs
+    # its steps in chunks of 2**14 // (400 * 2) = 20 and 9.
     rng = np.random.default_rng(43)
     system = LinearSystem(A=[0.5 * rng.standard_normal((2, 2)) for _ in range(29)],
                           B=[0.5 * rng.standard_normal((2, 2)) for _ in range(29)],
@@ -487,8 +487,8 @@ class TestStepChunks:
         (linear_problem, 64, [3]),
         (wide_row_lifted_problem, 40, [2]),
         (lambda: disturbed_problem("disturbance_batch"), 64, [3]),
-        (long_linear_problem, 200, [20, 9]),
-        (linear_problem, 3000, [1, 1, 1]),   # one step of 3000 x 4 fills the budget
+        (long_linear_problem, 400, [20, 9]),
+        (linear_problem, 6000, [1, 1, 1]),   # one step of 6000 x 2 fills the budget
     ], ids=["linear", "row_lifted", "disturbance_batch", "long_horizon", "one_step"])
     def test_one_block_moments_are_the_steps_written_out(self, build, n, chunks, method):
         problem = build()
@@ -525,9 +525,36 @@ class TestStepChunks:
 
 
 class TestRowBlocks:
-    """Batches run in row blocks of _block_rows(n + m) rollouts after one
-    draw of the whole batch's noise; only the block sums of the moments
+    """Batches run in row blocks of _block_rows(max(n, m, q)) rollouts after
+    one draw of the whole batch's noise; only the block sums of the moments
     may differ from one unblocked pass."""
+
+    @pytest.mark.parametrize("build", [
+        linear_problem,
+        wide_row_lifted_problem,
+        lambda: noisy_net_problem(np.random.default_rng(29)),
+    ], ids=["linear", "row_lifted", "noisy_net"])
+    def test_the_width_is_the_widest_per_step_array(self, build):
+        dyn, cost, pol, model = build()
+        width = _RolloutEngine(dyn, cost, pol, model).width
+        assert width == max(dyn.state_dim, dyn.control_dim, pol.feature_dim)
+
+    def test_a_batch_of_the_large_n_benchmark_shape_runs_in_full_blocks(self, monkeypatch):
+        # 2 states, 2 controls and 2 features, as mc_large_n's linear system:
+        # blocks of 2**14 // 2 rollouts.
+        problem = linear_problem()
+        engine = _RolloutEngine(*problem)
+        calls = []
+        run_block = engine._block_moments
+
+        def counted(K, noise, w, start, n, *args):
+            calls.append(w.shape[0])
+            return run_block(K, noise, w, start, n, *args)
+
+        monkeypatch.setattr(engine, "_block_moments", counted)
+        engine.moments(np.stack(problem[2].gains), GaussianSampler(3, dim=1), 2**18,
+                       "derivative_free")
+        assert calls == [8192] * (2**18 // 8192)
 
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     @pytest.mark.parametrize("build", [linear_problem, wide_row_lifted_problem],
@@ -584,19 +611,22 @@ class TestRowBlocks:
         assert peak < 17.5 * 2**20
 
     def test_overflow_in_the_third_block_names_the_batch_index(self):
-        rows = _block_rows(2)   # width 2: one state, one control
+        width = _RolloutEngine(*planted_row_problem(0, 1.0, 1.0)).width
+        rows = _block_rows(width)
         n, row = 3 * rows + 1, 2 * rows + 5
         problem = planted_row_problem(row, alpha=10.0, bound=1e3)
-        assert _row_blocks(n, 2)[2].start <= row
+        assert len(_row_blocks(n, width)) == 3 and _row_blocks(n, width)[2].start <= row
         for method in ("model_based", "derivative_free"):
             with pytest.raises(EstimateOverflowError, match=f"at sample {row} ") as err:
                 policy_gradient_batch(*problem, GaussianSampler(0, dim=1), n, method)
             assert err.value.sample_index == row
 
     def test_bound_violation_in_the_third_block_names_the_rollout(self):
-        rows = _block_rows(2)
+        width = _RolloutEngine(*planted_row_problem(0, 1.0, 1.0)).width
+        rows = _block_rows(width)
         n, row = 3 * rows + 1, 2 * rows + 5
         problem = planted_row_problem(row, alpha=1.0, bound=1.0)
+        assert len(_row_blocks(n, width)) == 3 and _row_blocks(n, width)[2].start <= row
         with pytest.raises(FieldEvaluationError, match=f"at t=1 in rollout {row}$") as err:
             policy_gradient_batch(*problem, GaussianSampler(0, dim=1), n)
         assert np.array_equal(err.value.theta, [10.0])
