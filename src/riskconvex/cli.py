@@ -235,8 +235,7 @@ def nnet_train(ctx, dataset):
                              force=cfg["force"], method=cfg["method"])
     write_gains_csv(out, report.weights)
     report.write_curve_csv(Path(out) / "curve.csv")
-    _echo_kv(certified=report.certified,
-             worst_margin=float(report.certificate_margins.min()),
+    _echo_kv(certified=report.convexity.holds, worst_margin=report.convexity.margin,
              train_mse=report.final_train_mse, test_mse=report.final_test_mse,
              out=out)
 
@@ -289,7 +288,7 @@ def control_train(ctx):
     write_gains_csv(out, trained.gains)
     report.write_trace_csv(Path(out) / "trace.csv")
     gains = [float(k[0, 0]) for k in trained.gains]
-    _echo_kv(certified=report.certified, gains=",".join(repr(g) for g in gains),
+    _echo_kv(certified=report.convexity.holds, gains=",".join(repr(g) for g in gains),
              certificate=report.certificate, out=out)
 
 
@@ -330,7 +329,7 @@ def synth_solve(ctx):
     write_gains_csv(out, report.gains)
     gains = [float(k[0, 0]) for k in report.gains]
     _echo_kv(objective=report.objective, converged=report.converged,
-             convexity_advisory=report.convexity_advisory,
+             convexity_advisory=report.convexity.holds,
              gains=",".join(repr(g) for g in gains), out=out)
 
 
@@ -344,7 +343,7 @@ def synth_eval(ctx, gains):
     ks = read_gains_csv(gains, [(1, 1)] * (bench.horizon - 1))
     res = detmax_objective(bench.system(), bench.alpha, ks)
     _echo_kv(objective=res.value, feasible=res.feasible, min_eig=res.min_eig,
-             convexity_advisory=res.convexity_advisory)
+             convexity_advisory=res.convexity.holds)
     if ctx.obj.get("out"):
         write_csv(ctx.obj["out"], [[res.value, res.min_eig, int(res.feasible)]],
                   header=["objective", "min_eig", "feasible"])

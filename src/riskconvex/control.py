@@ -70,12 +70,13 @@ from .errors import (
 from .fields import _bound_limit, _first_violation
 from .objective import (
     _BLOCK_ENTRIES,
+    ConvexityCertificate,
     _drawn,
     _map_blocks,
     _row_blocks,
-    certificate_margins,
     check_exponents,
     check_std_err,
+    convexity_certificate,
 )
 from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet, SolverConfig, projected_sgd
@@ -227,16 +228,7 @@ class ControlRiskModel:
         return self.control_noise[0].shape[0]
 
 
-@dataclass
-class ControlCertificate:
-    """Per-step margins of the condition alpha R_t >= inv(Sigma_t)."""
-
-    margins: np.ndarray
-    tols: np.ndarray
-    holds: bool
-
-
-def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> ControlCertificate:
+def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> ConvexityCertificate:
     """Margin lambda_min(alpha R_t - inv(Sigma_t)) for each control step."""
     if len(cost.control_weights) != model.n_steps:
         raise ContractError(
@@ -244,10 +236,8 @@ def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> Con
         )
     if cost.control_dim != model.control_dim:
         raise ContractError("control dimension mismatch between cost and noise model")
-    margins, tols = certificate_margins(model.alpha, np.array(cost.control_weights),
-                                        np.array(model.noise_inv))
-    return ControlCertificate(margins=margins, tols=tols,
-                              holds=bool(np.all(margins >= -tols)))
+    return convexity_certificate(model.alpha, np.array(cost.control_weights),
+                                 np.array(model.noise_inv))
 
 
 @dataclass
@@ -845,7 +835,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     cert = check_control_certificate(cost, model)
     if not cert.holds:
         warnings.warn(
-            f"per-step certificate fails (worst margin {cert.margins.min():.3e}); "
+            f"per-step certificate fails (worst margin {cert.margin:.3e}); "
             "the optimality certificate in the report is void",
             stacklevel=2,
         )
@@ -854,8 +844,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
         return mean.ravel(), sq, w.sum() / n
 
-    report = projected_sgd(oracle, start, constraint, config, sampler, cert.holds,
-                           float(cert.margins.min()), callback)
+    report = projected_sgd(oracle, start, constraint, config, sampler, cert, callback)
     trained = policy0.with_gains(unstack_gains(report.theta_hat, *shape))
     return trained, report
 

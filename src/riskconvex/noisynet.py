@@ -38,7 +38,7 @@ from .control import (
 from .csvio import write_csv
 from .datasets import Dataset
 from .errors import CertificateError, ContractError
-from .objective import certificate_margins
+from .objective import ConvexityCertificate, convexity_certificate
 from .sampling import GaussianSampler
 from .solver import FeasibleSet, SolverConfig
 
@@ -100,7 +100,7 @@ class NoisyNetConfig:
 
     def certificate_margins(self) -> np.ndarray:
         """Per-layer margins alpha c_t - 1 / sigma_t^2 (isotropic)."""
-        return _certificate(self)[0]
+        return _certificate(self).margins
 
 
 def _reciprocal_square(s: float, scale: float = 1.0) -> float:
@@ -112,11 +112,11 @@ def _reciprocal_square(s: float, scale: float = 1.0) -> float:
     return 1.0 / d if 0.0 < d < np.inf else np.inf
 
 
-def _certificate(cfg: NoisyNetConfig):
-    """(margins, tols) of the per-layer certificate: :func:`certificate_margins`
-    on the 1 x 1 blocks c_t and 1 / sigma_t^2 (both weights are multiples of I)."""
-    return certificate_margins(cfg.alpha, np.reshape(cfg.penalty_weights, (-1, 1, 1)),
-                               np.reshape([1.0 / s**2 for s in cfg.noise_scales], (-1, 1, 1)))
+def _certificate(cfg: NoisyNetConfig) -> ConvexityCertificate:
+    """The per-layer certificate: :func:`convexity_certificate` on the
+    1 x 1 blocks c_t and 1 / sigma_t^2 (both weights are multiples of I)."""
+    return convexity_certificate(cfg.alpha, np.reshape(cfg.penalty_weights, (-1, 1, 1)),
+                                 np.reshape([1.0 / s**2 for s in cfg.noise_scales], (-1, 1, 1)))
 
 
 def _embed(cfg: NoisyNetConfig, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -233,10 +233,13 @@ def mse(cfg: NoisyNetConfig, weights, ds: Dataset) -> float:
 class NoisyNetReport:
     weights: list
     curve: list                      # rows (evaluations, train_loss, test_loss)
-    certificate_margins: np.ndarray
-    certified: bool
+    convexity: ConvexityCertificate  # the per-layer certificate of ``cfg``
     final_train_mse: float
     final_test_mse: float
+
+    @property
+    def certified(self) -> bool:
+        return self.convexity.holds
 
     def write_curve_csv(self, path) -> None:
         write_csv(path, self.curve, header=["evaluations", "train_loss", "test_loss"])
@@ -249,8 +252,9 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     """Train the noisy net with a policy-gradient estimator.
 
     Refuses with :class:`CertificateError` when any per-layer margin
-    alpha c_t - 1/sigma_t^2 is below its tolerance, unless ``force`` is set (the
-    report then records the void certificate).  The learning curve logs
+    alpha c_t - 1/sigma_t^2 is below its tolerance, unless ``force`` is set.
+    The refusal's ``report`` and the report's ``convexity`` are that
+    per-layer :class:`ConvexityCertificate`.  The learning curve logs
     the mean-network train/test MSE every ``eval_every`` iterations,
     indexed by the cumulative number of network rollouts.
 
@@ -261,14 +265,13 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     derived stream, and reports the final, not the averaged, weights.
     """
     _check_features(cfg, train)
-    margins, tols = _certificate(cfg)
-    certified = bool(np.all(margins >= -tols))
-    if not certified and not force:
+    cert = _certificate(cfg)
+    if not cert.holds and not force:
         raise CertificateError(
             "refusing: per-layer certificate alpha*penalty >= 1/sigma^2 fails "
-            f"(worst margin {margins.min():.6g}); pass force to train anyway "
+            f"(worst margin {cert.margin:.6g}); pass force to train anyway "
             "with a void certificate",
-            report=margins,
+            report=cert,
         )
     dyn, cost, policy0, model = build_control_problem(cfg, train)
     stacked_dim = cfg.n_layers * cfg.internal_width**2
@@ -294,6 +297,5 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     final_test = mse(cfg, weights, test_ds)
     if not curve or curve[-1][0] != iterations * batch:
         curve.append((iterations * batch, final_train, final_test))
-    return NoisyNetReport(weights=weights, curve=curve,
-                          certificate_margins=margins, certified=certified,
+    return NoisyNetReport(weights=weights, curve=curve, convexity=cert,
                           final_train_mse=final_train, final_test_mse=final_test)

@@ -277,24 +277,39 @@ def isotropic_model(alpha: float, sigma_sq: float, kappa: float, dim: int) -> Ri
     return RiskModel(alpha, sigma_sq * np.eye(dim), kappa * np.eye(dim))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvexityCertificate:
-    """Result of the certificate check alpha R >= inv(Sigma)."""
+    """Verdict of the convexity condition alpha R_t >= inv(Sigma_t), step by
+    step (one step for a static model), built by :func:`convexity_certificate`:
+    ``margins[t]`` = lambda_min(sym(alpha R_t - inv(Sigma_t))) with the
+    scale-relative tolerance ``tols[t]``.  It ``holds`` when every margin_t >=
+    -tol_t; ``margin`` is the worst margin and ``tol`` the tolerance at its step."""
 
-    holds: bool
-    margin: float
-    tol: float
+    margins: np.ndarray
+    tols: np.ndarray
+
+    @property
+    def holds(self) -> bool:
+        return bool(np.all(self.margins >= -self.tols))
+
+    @property
+    def margin(self) -> float:
+        return float(self.margins.min())
+
+    @property
+    def tol(self) -> float:
+        return float(self.tols[np.argmin(self.margins)])
 
 
 def psd_tolerance(lam_max_areg, lam_max_sigma_inv):
     """Scale-relative semidefiniteness tolerance of the convexity
-    certificate, elementwise on arrays (see :func:`certificate_margins`)."""
+    certificate, elementwise on arrays (see :func:`convexity_certificate`)."""
     return 1e-10 * (1.0 + lam_max_areg + lam_max_sigma_inv)
 
 
-def certificate_margins(alpha: float, regs, noise_invs) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, tols) of the convexity condition alpha R_t >= inv(Sigma_t)
-    over stacked (T, k, k) blocks R_t and inv(Sigma_t): margin_t =
+def convexity_certificate(alpha: float, regs, noise_invs) -> ConvexityCertificate:
+    """The convexity condition alpha R_t >= inv(Sigma_t) over stacked
+    (T, k, k) blocks R_t and inv(Sigma_t): margin_t =
     lambda_min(sym(alpha R_t - inv(Sigma_t))), tol_t = psd_tolerance(
     lambda_max(alpha R_t), lambda_max(inv(Sigma_t))), and step t holds when
     margin_t >= -tol_t.  Every certificate check in the package is this rule.
@@ -304,20 +319,14 @@ def certificate_margins(alpha: float, regs, noise_invs) -> tuple[np.ndarray, np.
     d = areg - noise_invs
     margins = np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1)))[:, 0]
     tols = psd_tolerance(np.linalg.eigvalsh(areg)[:, -1], np.linalg.eigvalsh(noise_invs)[:, -1])
-    return margins, tols
+    return ConvexityCertificate(margins=margins, tols=tols)
 
 
 def check_convexity_certificate(model: RiskModel) -> ConvexityCertificate:
     """Check the convexity condition alpha R >= inv(Sigma), the one-block
-    case of :func:`certificate_margins`.
-
-    Returns the smallest eigenvalue of alpha R - inv(Sigma) as the margin;
-    the certificate holds when the margin is >= -tol with a scale-relative
-    tolerance.
-    """
-    margins, tols = certificate_margins(model.alpha, model.reg[None], model.sigma_inv[None])
-    margin, tol = float(margins[0]), float(tols[0])
-    return ConvexityCertificate(holds=margin >= -tol, margin=margin, tol=tol)
+    case of :func:`convexity_certificate`; ``margin`` is the smallest
+    eigenvalue of alpha R - inv(Sigma)."""
+    return convexity_certificate(model.alpha, model.reg[None], model.sigma_inv[None])
 
 
 @dataclass

@@ -25,8 +25,8 @@ import numpy as np
 from .csvio import write_csv
 from .errors import ContractError, DivergenceError, EstimateOverflowError
 from .fields import ScalarField
-from .objective import RiskModel, certificate_margins, check_convexity_certificate
-from .objective import _check_args, _grad_samples
+from .objective import (ConvexityCertificate, RiskModel, _check_args, _grad_samples,
+                        check_convexity_certificate, convexity_certificate)
 from .sampling import GaussianSampler
 
 
@@ -185,9 +185,12 @@ class SolverReport:
     thetas: np.ndarray          # (T, k) pre-update iterates, averaged into theta_hat
     grad_norms: np.ndarray      # (T,) norms of the sampled gradients
     etas: np.ndarray            # (T,) step sizes
-    certified: bool
-    certificate_margin: float
+    convexity: ConvexityCertificate  # the hypothesis behind ``certificate``
     objective_trace: Optional[np.ndarray] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.convexity.holds
 
     @property
     def iterations(self) -> int:
@@ -237,9 +240,8 @@ def pilot_zeta(mean, second, n: int, batch: int) -> float:
     return zeta if zeta > 0.0 else 1.0
 
 
-def projected_sgd(oracle: Callable, start, feasible: FeasibleSet,
-                  config: SolverConfig, sampler: GaussianSampler, certified: bool,
-                  certificate_margin: float,
+def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: SolverConfig,
+                  sampler: GaussianSampler, convexity: ConvexityCertificate,
                   callback: Optional[Callable] = None) -> SolverReport:
     """Projected stochastic gradient iterations from the projected ``start``.
 
@@ -250,7 +252,8 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet,
     :func:`pilot_zeta` of one ``second`` call on the pilot stream.
     ``sampler`` splits into the pilot and the run stream.
     ``callback(i, theta, running_average)`` fires after each update;
-    ``certified`` and ``certificate_margin`` are copied into the report.
+    ``convexity``, the caller's check of the convexity hypothesis, is
+    carried into the report.
     Raises :class:`EstimateOverflowError` when the pilot zeta is not
     finite, and :class:`DivergenceError` carrying the iteration index on a
     non-finite gradient estimate, or when a finite step overflows to an
@@ -298,8 +301,7 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet,
         thetas=thetas,
         grad_norms=grad_norms,
         etas=etas,
-        certified=certified,
-        certificate_margin=certificate_margin,
+        convexity=convexity,
         objective_trace=None if objective is None else np.array(objectives),
     )
 
@@ -339,7 +341,7 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
         mean = g[0] if n == 1 else g.mean(axis=0)  # one row is its own mean, bit for bit
         return mean, (g * g).mean(axis=0) if second else None, None
 
-    return projected_sgd(oracle, start, feasible, config, sampler, cert.holds, cert.margin)
+    return projected_sgd(oracle, start, feasible, config, sampler, cert)
 
 
 @dataclass
@@ -369,11 +371,10 @@ class VarianceBoundInputs:
             raise ContractError("beta must be nonnegative")
         if self.gamma_sq < 0.0 or self.radius < 0.0:
             raise ContractError("gamma_sq and radius must be nonnegative")
-        margins, tols = certificate_margins(self.alpha, [[[self.kappa]]],
-                                            [[[1.0 / self.sigma**2]]])
-        if not margins[0] >= -tols[0]:
+        cert = convexity_certificate(self.alpha, [[[self.kappa]]], [[[1.0 / self.sigma**2]]])
+        if not cert.holds:
             raise ContractError("certificate precondition alpha*kappa >= 1/sigma^2 fails "
-                                f"(margin {margins[0]:.3e}, tolerance {tols[0]:.3e})")
+                                f"(margin {cert.margin:.3e}, tolerance {cert.tol:.3e})")
 
 
 def variance_bound(inputs: VarianceBoundInputs) -> float:

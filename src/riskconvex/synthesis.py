@@ -49,7 +49,7 @@ import numpy as np
 
 from .csvio import read_matrix, write_csv
 from .errors import ConfigError, ContractError
-from .objective import certificate_margins, psd_tolerance
+from .objective import ConvexityCertificate, convexity_certificate, psd_tolerance
 from .sampling import as_covariance, as_psd_weight, spd_factor
 from .solver import FeasibleSet
 
@@ -164,11 +164,11 @@ class _BlockOperators:
         if not 0.0 < alpha < math.inf:
             raise ContractError("alpha must be positive and finite")
         # R and S are block-diagonal, so alpha R >= S block by block.
-        margins, tols = certificate_margins(alpha, self.cost_blocks, self.noise_blocks)
         return _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
                            base=self.noise_weight - alpha * self.state_gram,
                            tol=psd_tolerance(alpha * self.cost_max_eig, self.noise_max_eig),
-                           convexity_advisory=bool(np.all(margins >= -tols)))
+                           convexity=convexity_certificate(alpha, self.cost_blocks,
+                                                           self.noise_blocks))
 
     def _evaluate(self, terms: _AlphaTerms, G: np.ndarray):
         """(W, Z, L) at stacked gains G: W(K), Z = S + D KM and the
@@ -196,10 +196,10 @@ class _BlockOperators:
 
 @dataclass(frozen=True)
 class _AlphaTerms:
-    D: np.ndarray             # D_t = alpha R_t - S_t, (N-1, m, m)
-    base: np.ndarray          # S - alpha M'QM
-    tol: float                # scale-relative semidefiniteness tolerance of W
-    convexity_advisory: bool  # alpha R_t >= S_t at every step (certificate_margins)
+    D: np.ndarray                    # D_t = alpha R_t - S_t, (N-1, m, m)
+    base: np.ndarray                 # S - alpha M'QM
+    tol: float                       # scale-relative semidefiniteness tolerance of W
+    convexity: ConvexityCertificate  # alpha R_t >= S_t, step by step
 
 
 def _build_block_operators(sys: LinearSystem) -> _BlockOperators:
@@ -247,10 +247,10 @@ class DetMaxResult:
     needs.  ``W`` is the result's own array.
     """
 
-    value: float            # log det W, -inf when W is not positive definite
+    value: float                     # log det W, -inf when W is not positive definite
     W: np.ndarray
-    convexity_advisory: bool  # whether alpha R >= S held (concavity of log det W)
-    tol: float              # scale-relative semidefiniteness tolerance
+    convexity: ConvexityCertificate  # alpha R >= S (concavity of log det W)
+    tol: float                       # scale-relative semidefiniteness tolerance
 
     @cached_property
     def min_eig(self) -> float:
@@ -285,8 +285,7 @@ def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
     G = ops.stack(gains)
     terms = ops._alpha_terms(float(alpha))
     W, _, L = ops._evaluate(terms, G)
-    return DetMaxResult(value=_log_det(L), W=W, convexity_advisory=terms.convexity_advisory,
-                        tol=terms.tol)
+    return DetMaxResult(value=_log_det(L), W=W, convexity=terms.convexity, tol=terms.tol)
 
 
 def detmax_gradient(sys: LinearSystem, alpha: float, gains):
@@ -463,7 +462,7 @@ class SynthesisReport:
     converged: bool
     iterations: int
     grad_norm: float
-    convexity_advisory: bool
+    convexity: ConvexityCertificate
     message: str = ""
 
 
@@ -521,7 +520,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     if value == -math.inf:
         return SynthesisReport(gains=list(gains), objective=value, success=False,
                                converged=False, iterations=0, grad_norm=math.nan,
-                               convexity_advisory=terms.convexity_advisory,
+                               convexity=terms.convexity,
                                message="no feasible start: W(0) is not positive definite")
 
     coords = _visible_coordinates(blocks, masks)
@@ -569,7 +568,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         step = accepted
     return SynthesisReport(gains=list(gains), objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
-                           convexity_advisory=terms.convexity_advisory)
+                           convexity=terms.convexity)
 
 
 def write_gains_csv(directory, gains) -> None:

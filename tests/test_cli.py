@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 import riskconvex
+from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.cli import main
-from riskconvex.datasets import Dataset, make_sine, save_dataset, sign_plus
+from riskconvex.control import train_policy
+from riskconvex.datasets import Dataset, load_dataset, make_sine, save_dataset, sign_plus
+from riskconvex.noisynet import NoisyNetConfig, train_noisy_net
 from riskconvex.sampling import GaussianSampler
-from riskconvex.synthesis import write_gains_csv
+from riskconvex.solver import FeasibleSet, SolverConfig
+from riskconvex.synthesis import detmax_objective, read_gains_csv, synthesize, write_gains_csv
 
 
 def run_cli(argv):
@@ -231,6 +235,58 @@ class TestPipelines:
         assert run_cli(["--config", str(ecfg), "nnet", "eval", str(sine_csv),
                         str(out_dir)]) == 0
         assert "mse=" in capsys.readouterr().out
+
+
+def printed(capsys) -> dict:
+    """The key=value lines of the captured stdout."""
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+
+
+class TestPrintedCertificates:
+    """The certificate flags the CLI prints are the library's report fields."""
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("alpha, sigma, penalty", [(16.0, 0.45, None), (3.0, 0.15, 0.05)],
+                             ids=["boundary", "forced"])
+    def test_nnet_train(self, tmp_path, sine_csv, capsys, alpha, sigma, penalty):
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"widths = 1,4,1\nalpha = {alpha}\nsigma = {sigma}\niterations = 10\n"
+                       "batch = 8\nforce = true\n" + (f"penalty = {penalty}\n" if penalty else ""))
+        assert run_cli(["--seed", "4", "--out", str(tmp_path / "net"), "--config", str(cfg),
+                        "nnet", "train", str(sine_csv)]) == 0
+        flags = printed(capsys)
+        net = NoisyNetConfig(widths=[1, 4, 1], alpha=alpha, noise_scales=[sigma] * 2,
+                             penalty_weights=penalty and [penalty] * 2)
+        report = train_noisy_net(load_dataset(sine_csv, task="regression"), net,
+                                 GaussianSampler(4, dim=1), iterations=10, batch=8, force=True)
+        assert flags["certified"] == str(report.certified) == str(penalty is None)
+        assert flags["worst_margin"] == str(report.convexity.margin)
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_control_train(self, tmp_path, capsys, r):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"r = {r}\niterations = 10\nbatch = 8\n")
+        assert run_cli(["--seed", "5", "--out", str(tmp_path / "gains"), "--config", str(cfg),
+                        "control", "train"]) == 0
+        dyn, cost, policy0, model = ScalarBenchmark(r=r).problem()
+        _, report = train_policy(dyn, cost, policy0, model, "derivative_free",
+                                 SolverConfig(iterations=10, batch=8),
+                                 FeasibleSet.ball(np.zeros(2), 0.6), GaussianSampler(5, dim=1))
+        assert printed(capsys)["certified"] == str(report.certified) == str(r == 1.0)
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_synth_solve_and_eval(self, tmp_path, capsys, r):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"r = {r}\n")
+        gains_dir = tmp_path / "gains"
+        bench = ScalarBenchmark(r=r)
+        assert run_cli(["--out", str(gains_dir), "--config", str(cfg), "synth", "solve"]) == 0
+        report = synthesize(bench.system(), bench.alpha)
+        assert printed(capsys)["convexity_advisory"] == str(report.convexity.holds)
+        assert run_cli(["--config", str(cfg), "synth", "eval", str(gains_dir)]) == 0
+        res = detmax_objective(bench.system(), bench.alpha, read_gains_csv(gains_dir, [(1, 1)] * 2))
+        assert printed(capsys)["convexity_advisory"] == str(res.convexity.holds) == str(r == 1.0)
 
 
 def test_nnet_eval_on_a_dataset_of_another_width_is_three(tmp_path, capsys):

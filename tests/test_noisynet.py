@@ -119,7 +119,7 @@ class TestTraining:
         rep = train_noisy_net(ds, cfg, GaussianSampler(1, dim=1), iterations=10,
                               batch=8, force=True, eval_every=5)
         assert not rep.certified
-        assert np.all(rep.certificate_margins < 0.0)
+        assert np.all(rep.convexity.margins < 0.0)
 
     @pytest.mark.filterwarnings("ignore:per-step certificate fails")
     def test_sine_fit_beats_variance_decisively(self):

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from riskconvex.errors import (
 )
 from riskconvex.fields import ScalarField, constant_field, linear_field
 from riskconvex.objective import (
+    ConvexityCertificate,
     RiskModel,
     _block_rows,
     check_convexity_certificate,
@@ -28,14 +30,14 @@ from riskconvex.objective import (
     unbiased_grad_mean,
 )
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
-from riskconvex.control import ControlRiskModel, check_control_certificate
+from riskconvex.control import ControlRiskModel, check_control_certificate, train_policy
 from riskconvex.datasets import make_sine
 from riskconvex.errors import CertificateError
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem, train_noisy_net
 from riskconvex.sampling import GaussianSampler
 from riskconvex.sensitivity import certify_gap, estimate_sensitivity
 from riskconvex.solver import FeasibleSet, SolverConfig, VarianceBoundInputs, solve
-from riskconvex.synthesis import LinearSystem, detmax_objective
+from riskconvex.synthesis import LinearSystem, detmax_objective, synthesize
 from support import bump_field, certified_model
 
 EXP_HALF = 1.6487212707001282  # float(np.exp(0.5))
@@ -135,6 +137,17 @@ class TestOneNoiseConvention:
             STATIC_RUNS[name](f, model, theta, model.sampler(0))
 
 
+def assert_same_check(cert, ref):
+    """``cert`` is the one certificate type, with the margins of ``ref``."""
+    assert isinstance(cert, ConvexityCertificate)
+    assert np.array_equal(cert.margins, ref.margins) and np.array_equal(cert.tols, ref.tols)
+    assert cert.holds == ref.holds
+
+
+def warns_unless(holds, match):
+    return contextlib.nullcontext() if holds else pytest.warns(UserWarning, match=match)
+
+
 class TestOneCertificateRule:
     """Every entry point that certifies alpha R >= inv(Sigma) gives the
     verdict of check_convexity_certificate / check_control_certificate on
@@ -142,9 +155,21 @@ class TestOneCertificateRule:
 
     @pytest.mark.parametrize("r", [1.0 - 1e-11, 1.0 - 1e-6])
     def test_scalar_benchmark(self, r):
-        ref = check_convexity_certificate(RiskModel(1.0, np.eye(1), r * np.eye(1))).holds
-        assert ScalarBenchmark(r=r).certified() == ref
-        assert ref == (r > 1.0 - 1e-9)
+        model = RiskModel(1.0, np.eye(1), r * np.eye(1))
+        ref = check_convexity_certificate(model)
+        bench = ScalarBenchmark(r=r)
+        assert bench.certified() == ref.holds
+        assert ref.holds == (r > 1.0 - 1e-9)
+        config = SolverConfig(iterations=2, zeta=1.0)
+        with warns_unless(ref.holds, "convexity certificate fails"):
+            rep = solve(linear_field([0.5]), model, FeasibleSet.ball(np.zeros(1), 1.0), config,
+                        model.sampler(0))
+        assert_same_check(rep.convexity, ref)
+        dyn, cost, policy0, control_model = bench.problem()
+        with warns_unless(ref.holds, "per-step certificate fails"):
+            _, rep = train_policy(dyn, cost, policy0, control_model, "derivative_free", config,
+                                  FeasibleSet.ball(np.zeros(2), 1.0), GaussianSampler(0, dim=1))
+        assert_same_check(rep.convexity, check_control_certificate(cost, control_model))
 
     @pytest.mark.parametrize("shrink", [2e-10, 1e-6])
     def test_noisy_net_refusal_and_report(self, shrink):
@@ -154,17 +179,21 @@ class TestOneCertificateRule:
                              penalty_weights=[c0 * (1.0 - shrink)] * 2)
         ds = make_sine(20, GaussianSampler(3, dim=1))
         _, cost, _, model = build_control_problem(cfg, ds)
-        ref = check_control_certificate(cost, model).holds
-        assert ref == (shrink < 1e-9)
+        ref = check_control_certificate(cost, model)
+        assert ref.holds == (shrink < 1e-9)
         run = dict(iterations=2, batch=4, eval_every=1)
-        if ref:
-            assert train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), **run).certified
+        if ref.holds:
+            rep = train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), **run)
         else:
-            with pytest.raises(CertificateError):
+            with pytest.raises(CertificateError) as err:
                 train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), **run)
+            assert_same_check(err.value.report, ref)
+            assert err.value.report.holds is False
+            assert np.array_equal(err.value.report.margins, cfg.certificate_margins())
             with pytest.warns(UserWarning, match="certificate fails"):
                 rep = train_noisy_net(ds, cfg, GaussianSampler(4, dim=1), force=True, **run)
-            assert not rep.certified
+        assert_same_check(rep.convexity, ref)
+        assert rep.certified == ref.holds
 
     @pytest.mark.parametrize("kappa", [1.0 - 5e-11, 1.0 - 1e-8])
     def test_variance_bound_precondition(self, kappa):
@@ -184,9 +213,10 @@ class TestOneCertificateRule:
         sys = LinearSystem(A=[[[1.0]]] * 2, B=[[[1.0]]] * 2, Q=[[[0.15]]] * 3,
                            R=[[[1e6]], [[r2]]], sigma=[[[1.0]]] * 2, horizon=3)
         _, cost, _, model = linear_control_problem(sys, 1.0)
-        ref = check_control_certificate(cost, model).holds
-        assert ref == (r2 > 1.0 - 1e-9)
-        assert detmax_objective(sys, 1.0, np.zeros((2, 1, 1))).convexity_advisory == ref
+        ref = check_control_certificate(cost, model)
+        assert ref.holds == (r2 > 1.0 - 1e-9)
+        assert_same_check(detmax_objective(sys, 1.0, np.zeros((2, 1, 1))).convexity, ref)
+        assert_same_check(synthesize(sys, 1.0).convexity, ref)
 
 
 class TestSmoothedValue:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from riskconvex.csvio import read_matrix
 from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
 from riskconvex.fields import constant_field, linear_field
-from riskconvex.objective import isotropic_model
+from riskconvex.objective import ConvexityCertificate, isotropic_model
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import (
     FeasibleSet,
@@ -26,6 +26,7 @@ from riskconvex.solver import (
 from support import bump_field, certified_model, per_sample_zeta
 
 E_SQUARED_TIMES_FOUR = 29.5562243957226  # float(4 * np.exp(2))
+HOLDS = ConvexityCertificate(margins=np.zeros(1), tols=np.zeros(1))
 
 
 class TestProjection:
@@ -122,7 +123,7 @@ class TestProjectedSGD:
             warnings.simplefilter("error")
             rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
                                 ball, SolverConfig(iterations=4, zeta=1.0),
-                                GaussianSampler(0, dim=3), True, 0.0)
+                                GaussianSampler(0, dim=3), HOLDS)
             zeta = rep.empirical_zeta()
         expected = 1e200 * math.sqrt(3.0)
         np.testing.assert_allclose(rep.grad_norms, expected, rtol=1e-15)
@@ -147,7 +148,7 @@ class TestProjectedSGD:
                                                       "iteration 3$") as err:
                 projected_sgd(oracle, np.zeros(3), FeasibleSet.ball(np.zeros(3), 1.0),
                               SolverConfig(iterations=5, zeta=1.0), GaussianSampler(0, dim=3),
-                              True, 0.0)
+                              HOLDS)
         assert err.value.step == 3 and len(calls) == 3
 
     def test_finite_gradient_with_an_overflowing_norm_is_not_a_divergence(self):
@@ -159,7 +160,7 @@ class TestProjectedSGD:
             rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
                                 FeasibleSet.box(-np.ones(3), np.ones(3)),
                                 SolverConfig(iterations=3, zeta=10.0),
-                                GaussianSampler(0, dim=3), True, 0.0)
+                                GaussianSampler(0, dim=3), HOLDS)
         assert np.isposinf(rep.grad_norms).all()
         np.testing.assert_array_equal(rep.thetas[1:, :2], [[-1.0, 1.0], [-1.0, 1.0]])
 
@@ -173,7 +174,7 @@ class TestProjectedSGD:
         with pytest.raises(DivergenceError) as err:
             projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3), feasible,
                           SolverConfig(iterations=4, zeta=1e-10),
-                          GaussianSampler(0, dim=3), True, 0.0)
+                          GaussianSampler(0, dim=3), HOLDS)
         assert err.value.step == 1
 
 

@@ -224,9 +224,9 @@ class TestDetMaxObjective:
 
     def test_convexity_advisory(self):
         assert detmax_objective(scalar_system(r=1.0, sig=1.0), 1.0,
-                                [np.zeros((1, 1))] * 2).convexity_advisory
+                                [np.zeros((1, 1))] * 2).convexity.holds
         assert not detmax_objective(scalar_system(r=1.0, sig=0.5), 1.0,
-                                    [np.zeros((1, 1))] * 2).convexity_advisory
+                                    [np.zeros((1, 1))] * 2).convexity.holds
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
@@ -246,7 +246,7 @@ class TestDetMaxObjective:
         rng = np.random.default_rng(3)
         sys = random_system(rng, 2, 1, 4, q_scale=0.02)
         alpha = 2.0  # alpha R >= S comfortably for these draws
-        assert detmax_objective(sys, alpha, [np.zeros((1, 2))] * 3).convexity_advisory
+        assert detmax_objective(sys, alpha, [np.zeros((1, 2))] * 3).convexity.holds
         count = 0
         trials = 0
         while count < 100 and trials < 500:
@@ -376,7 +376,7 @@ class TestFactorizedEvaluator:
             kept = detmax_objective(sys, alpha, gains)
             fresh = detmax_objective(system(), alpha, gains)
             assert kept.value == fresh.value
-            assert kept.convexity_advisory == fresh.convexity_advisory
+            assert kept.convexity.holds == fresh.convexity.holds
             assert np.array_equal(detmax_gradient(sys, alpha, gains),
                                   detmax_gradient(system(), alpha, gains))
             assert closed_form_expectation(sys, alpha, gains) == \
@@ -493,7 +493,7 @@ class TestNewtonSystem:
         terms = blocks._alpha_terms(alpha)
         _, Z, L = blocks._evaluate(terms, gains)
         grad, neg_hess, g = synthesis._newton_terms(blocks, terms, Z, L, coords)
-        assert detmax_objective(sys, alpha, gains).convexity_advisory == advisory
+        assert detmax_objective(sys, alpha, gains).convexity.holds == advisory
         free = np.nonzero(masks)
         assert np.array_equal(grad, detmax_gradient(sys, alpha, gains))
         assert np.allclose(g, grad[free], rtol=1e-12, atol=1e-14)
@@ -549,7 +549,7 @@ class TestRiccatiOracle:
         assert np.abs(reached - oracle).max() <= 1e-8
         ric_value = detmax_objective(sys, alpha, ric).value
         assert rep.objective == pytest.approx(ric_value, rel=1e-10)
-        assert detmax_objective(sys, alpha, ric).convexity_advisory
+        assert detmax_objective(sys, alpha, ric).convexity.holds
 
     def test_unseen_gain_entries_stay_put(self, case):
         sys, _, rep, _ = case
@@ -581,7 +581,7 @@ class TestRiccatiOracle:
 
         monkeypatch.setattr(lapack, "dpotrf", recorded)
         rep = synthesize(sys, alpha)
-        assert not rep.convexity_advisory
+        assert not rep.convexity.holds
         assert any(info != 0 for info in infos) and infos[-1] == 0
         assert rep.success and rep.converged
         blocks = sys._operators
