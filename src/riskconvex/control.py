@@ -32,29 +32,36 @@ A batch draws all of its noise on the calling thread, in the order of a
 step-by-step rollout (s_1, then eps_t and xi_t for each t), and runs in
 row blocks of 2**14 // max(n, m, q) rollouts, so the widest per-step
 array of a block (states, controls or features) holds 2**14 entries: each
-block's forward pass, weights and scores stay in cache, and no full-batch
-trajectory is allocated.  Within a block, the steps run in chunks whose
-(steps x rows x max(n, m, q)) entries fit the same budget: a chunk's eps
-draw, control costs, likelihood-ratio scores and moments are one stacked
-product each, so a small batch makes each of these calls once per chunk
-rather than once per step, with the bits of the per-step products.  The
-blocks of a fully vectorized problem run on a helper thread while the
-calling thread draws, each chunk as soon as the noise of its steps has
-landed, and then on both threads, each taking the next block index
-(:func:`~riskconvex.objective._map_blocks`); they are summed in block
-order, so the bits do not depend on the thread count.  A batch of one
-block whose steps make one chunk, as ``control train``'s, has nothing to
-run during the draw and runs after it on the calling thread alone.  A
+block's per-step temporaries, weights and scores stay in cache.  A block
+holds its whole trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage
+costs (N, b), as views of one allocation: glibc's malloc trims its heap
+once the free top exceeds twice the mmap threshold, which rises to the
+largest memory-mapped chunk freed, so four arrays freed together (8.7 MB
+for 4096 rollouts of 29 steps, against a 3.9 MB threshold set by S) went
+back to the system after every batch and were faulted in again, while one
+chunk of that size keeps its pages.  Within a block, the steps run in
+chunks whose (steps x rows x max(n, m, q)) entries fit the same budget: a
+chunk's eps draw, control costs, likelihood-ratio scores and moments are
+one stacked product each, so a small batch makes each of these calls once
+per chunk rather than once per step, with the bits of the per-step
+products.  The blocks of a fully vectorized problem run on a helper thread
+while the calling thread draws, each chunk as soon as the noise of its
+steps has landed, and then on both threads, each taking the next block
+index (:func:`~riskconvex.objective._map_blocks`); they are summed in
+block order, so the bits do not depend on the thread count.  A batch of
+one block whose steps make one chunk, as ``control train``'s, has nothing
+to run during the draw and runs after it on the calling thread alone.  A
 batch of one block keeps the bits of one unblocked pass; on more blocks,
-only the block sums of the moments round differently.  A Jacobian
-returned as ``np.broadcast_to`` of one matrix is applied to the whole
-batch as one product, and the adjoint recursion passes each Jacobian
-straight into its product, so a block holds one Jacobian at a time.
+only the block sums of the moments round differently.  A Jacobian returned
+as ``np.broadcast_to`` of one matrix is applied to the whole batch as one
+product, and the adjoint recursion passes each Jacobian straight into its
+product, so a block holds one Jacobian at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -497,10 +504,15 @@ class _RolloutEngine:
         N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
         b = s1.shape[0]
         chunks = _step_chunks(N - 1, b, self.width)
-        S = np.empty((N, b, nd))
-        U = np.empty((N - 1, b, m))
-        Y = np.empty((N - 1, b, m))
-        stage = np.empty((N, b))
+        # One allocation holds the whole trajectory (module docstring).
+        s_end = N * b * nd
+        u_end = s_end + (N - 1) * b * m
+        y_end = u_end + (N - 1) * b * m
+        buf = np.empty(y_end + N * b)
+        S = buf[:s_end].reshape(N, b, nd)
+        U = buf[s_end:u_end].reshape(N - 1, b, m)
+        Y = buf[u_end:y_end].reshape(N - 1, b, m)
+        stage = buf[y_end:].reshape(N, b)
         PHI = []
         views = True  # every phi_t is S[t - 1] itself
         total = np.zeros(b)
@@ -800,6 +812,23 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     )
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` with which the function calling this names, in its
+    warnings, the line that called into the library: the first frame whose
+    module is not a library module of the package, the CLI counting as a
+    caller (``skip_file_prefixes`` of Python 3.12, which 3.10 lacks).  So a
+    warning of :func:`train_policy` names the caller of
+    :func:`~riskconvex.noisynet.train_noisy_net` as well."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if not module.startswith(__package__ + ".") or module == __package__ + ".cli":
+            break
+        level += 1
+        frame = frame.f_back
+    return level
+
+
 def stack_gains(gains) -> np.ndarray:
     return np.concatenate([np.asarray(k, dtype=float).ravel() for k in gains])
 
@@ -837,7 +866,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         warnings.warn(
             f"per-step certificate fails (worst margin {cert.margin:.3e}); "
             "the optimality certificate in the report is void",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
 
     def oracle(theta, n, stream, second):

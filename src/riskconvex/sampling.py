@@ -33,7 +33,9 @@ def as_covariance(cov, dim: int | None = None) -> np.ndarray:
         raise ContractError(f"covariance must be square and nonempty, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ContractError(f"covariance is {arr.shape[0]}x{arr.shape[0]}, expected dim {dim}")
-    if not np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12):
+    # np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12) on finite entries,
+    # without its NaN and infinity handling.
+    if not (abs(arr - arr.T) <= 1e-12 + 1e-10 * abs(arr.T)).all():
         raise ContractError("covariance must be symmetric")
     return 0.5 * arr + 0.5 * arr.T  # halves first: no overflow near the float maximum
 

@@ -236,6 +236,17 @@ class TestPipelines:
                         str(out_dir)]) == 0
         assert "mse=" in capsys.readouterr().out
 
+    def test_forced_nnet_train_warns_at_the_cli_line(self, tmp_path, sine_csv):
+        # The warning names the CLI's call of train_noisy_net, not a line
+        # of the library.
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("widths = 1,4,1\nalpha = 3.0\nsigma = 0.15\npenalty = 0.05\n"
+                       "iterations = 2\nbatch = 8\nforce = true\n")
+        with pytest.warns(UserWarning, match="per-step certificate fails") as record:
+            assert run_cli(["--out", str(tmp_path / "net"), "--config", str(cfg),
+                            "nnet", "train", str(sine_csv)]) == 0
+        assert [w.filename for w in record] == [riskconvex.cli.__file__]
+
 
 def printed(capsys) -> dict:
     """The key=value lines of the captured stdout."""

@@ -598,6 +598,39 @@ class TestRowBlocks:
                                   @ model.noise_root[t])
 
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_a_long_one_block_batch_is_one_allocation_with_the_reference_bits(self, method):
+        # The simulate shape of det-max synthesis: 4 states, 2 controls,
+        # N = 30 and 4096 rollouts, one block of one-step chunks.  S, U, Y
+        # and the stage costs are views of one buffer, so freeing it frees
+        # one chunk, and the pass keeps the bits of the steps written out.
+        rng = np.random.default_rng(53)
+        system = LinearSystem(A=[0.3 * rng.standard_normal((4, 4)) for _ in range(29)],
+                              B=[0.3 * rng.standard_normal((4, 2)) for _ in range(29)],
+                              Q=[np.eye(4)] * 30, R=[np.eye(2)] * 29, sigma=[np.eye(2)] * 29,
+                              horizon=30)
+        gains = [0.1 * rng.standard_normal((2, 4)) for _ in range(29)]
+        problem = linear_control_problem(system, 0.05, gains=gains)
+        engine = _RolloutEngine(*problem)
+        n = 4096
+        assert len(_row_blocks(n, engine.width)) == 1
+        assert len(_step_chunks(29, n, engine.width)) == 29
+        K = np.stack(problem[2].gains)
+        traj = engine.forward(K, *engine.draw(GaussianSampler(9, dim=1), n))
+        parts = (traj.S, traj.U, traj.Y, traj.stage)
+        buf = traj.S.base
+        assert buf is not None and all(a.base is buf for a in parts)
+        assert sum(a.nbytes for a in parts) == buf.nbytes
+        S, U, Y, _, _, total = _forward_batch(*problem, GaussianSampler(9, dim=1), n)
+        for got, ref in ((traj.S, S), (traj.U, U), (traj.Y, Y), (traj.J, total)):
+            assert np.array_equal(got, ref)
+        mean, sq, w = engine.moments(K, GaussianSampler(9, dim=1), n, method, second=True)
+        ref_mean, ref_sq, ref_w = _full_batch_moments(*problem, GaussianSampler(9, dim=1), n,
+                                                      method)
+        assert np.any(mean != 0.0)
+        for got, ref in ((mean, ref_mean), (sq, ref_sq), (w, ref_w)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_large_batch_peak_memory_is_below_half_the_unblocked_peak(self, method):
         # One unblocked pass over these 2^17 rollouts peaked at 35.0 MiB
         # (derivative-free) and 40.0 MiB (model-based) under tracemalloc.

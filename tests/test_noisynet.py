@@ -10,6 +10,7 @@ from riskconvex.csvio import read_matrix
 from riskconvex.noisynet import (
     NoisyNetConfig,
     build_control_problem,
+    _certificate,
     mse,
     predict,
     train_noisy_net,
@@ -68,13 +69,21 @@ class TestConfig:
 
 
 class TestControlProblemMapping:
-    def test_certificate_matches_control_module(self):
-        cfg = NoisyNetConfig(widths=[1, 3, 1], alpha=4.0, noise_scales=[0.3, 0.3])
+    @pytest.mark.parametrize("cfg, holds", [
+        (NoisyNetConfig(widths=[1, 3, 1], alpha=4.0, noise_scales=[0.3, 0.3]), True),
+        (small_config(), False),
+        (NoisyNetConfig(widths=[1, 5, 1], alpha=2.0, noise_scales=[0.7, 0.2],
+                        penalty_weights=[0.5, 9.0]), False),
+    ], ids=["boundary", "forced", "forced_mixed"])
+    def test_certificate_matches_control_module(self, cfg, holds):
+        # The per-layer 1 x 1 certificate the report keeps and the (w, w)
+        # blocks train_policy checks give the same verdict, bit for bit.
         ds = make_sine(20, GaussianSampler(0, dim=1))
         dyn, cost, policy, model = build_control_problem(cfg, ds)
-        cert = check_control_certificate(cost, model)
-        assert cert.holds  # boundary default
-        assert np.allclose(cert.margins, cfg.certificate_margins(), atol=1e-9)
+        cert, ref = check_control_certificate(cost, model), _certificate(cfg)
+        assert cert.holds is holds
+        assert np.array_equal(cert.margins, ref.margins)
+        assert np.array_equal(cert.tols, ref.tols)
 
     def test_predict_matches_mean_rollout(self):
         from riskconvex.control import rollout
@@ -111,6 +120,13 @@ class TestTraining:
         ds = make_sine(30, GaussianSampler(0, dim=1))
         with pytest.raises(CertificateError):
             train_noisy_net(ds, cfg, GaussianSampler(1, dim=1), iterations=5, batch=8)
+
+    def test_forced_run_warns_at_the_callers_line(self):
+        ds = make_sine(30, GaussianSampler(0, dim=1))
+        with pytest.warns(UserWarning, match="per-step certificate fails") as record:
+            train_noisy_net(ds, small_config(), GaussianSampler(1, dim=1), iterations=2,
+                            batch=8, force=True)
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.filterwarnings("ignore:per-step certificate fails")
     def test_forced_run_flags_void_certificate(self):

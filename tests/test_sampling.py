@@ -102,3 +102,29 @@ def test_huge_finite_covariance_does_not_overflow():
         except ContractError:
             return
     assert np.array_equal(model.sigma, [[1.7e308]])
+
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e-12, 1.0, 1e12, 1e100, 1e200, 1e300])
+def test_symmetry_check_is_the_allclose_verdict(scale):
+    # |a_ij - a_ji| <= 1e-12 + 1e-10 |a_ji| accepts exactly what
+    # np.allclose(a, a.T, rtol=1e-10, atol=1e-12) accepts: on both sides
+    # of the relative bound, at the absolute bound of tiny entries, and on
+    # exactly symmetric matrices.
+    mats = []
+    for rel in (0.0, 5e-11, 1e-10 * (1 - 1e-6), 1e-10, 1e-10 * (1 + 1e-6), 2e-10, 1e-3):
+        for base in ([[2.0, 1.0], [1.0, 3.0]],
+                     [[1.0, -0.5, 0.25], [-0.5, 2.0, 0.0], [0.25, 0.0, 1.5]]):
+            a = scale * np.array(base)
+            a[0, 1] = a[1, 0] * (1 + rel)
+            mats.append(a)
+    for off in (0.0, 5e-13, 1e-12, 1e-12 * (1 + 1e-6), 2e-12):
+        mats.append(np.array([[scale, 0.0], [off, scale]]))
+    verdicts = [np.allclose(a, a.T, rtol=1e-10, atol=1e-12) for a in mats]
+    assert set(verdicts) == {True, False}
+    for a, symmetric in zip(mats, verdicts):
+        if symmetric:
+            as_covariance(a)
+        else:
+            with pytest.raises(ContractError, match="symmetric"):
+                as_covariance(a)
