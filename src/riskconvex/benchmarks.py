@@ -19,6 +19,7 @@ from .control import (
     Dynamics,
     Policy,
     _row_quads,
+    as_gains,
     check_control_certificate,
 )
 from .errors import ContractError
@@ -35,7 +36,8 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
 
     State cost 0.5 s' Q_t s, state-feedback features phi(s) = s, zero
     system disturbance.  Returns (dynamics, cost, policy, model); the
-    policy starts at the supplied gains, N-1 matrices of shape m x n, or
+    policy starts at the supplied gains, an (N-1, m, n) array or N-1
+    matrices of shape m x n (:func:`~riskconvex.control.as_gains`), or
     zero.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
@@ -73,13 +75,10 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     cost = ControlCost(state_cost=state_cost, control_weights=list(sys.R),
                        bound=QUADRATIC_COST_CEILING, state_cost_grad=state_cost_grad,
                        vectorized=True)
-    if gains is None:
-        gains = [np.zeros((m, n)) for _ in range(N - 1)]
-    for t, k in enumerate(gains, start=1):
-        if np.shape(k) != (m, n):
-            raise ContractError(f"gain K_{t} must be {m}x{n}, got shape {np.shape(k)}")
-    policy = Policy(gains=gains, features=features,
-                    features_jacobian=features_jacobian, vectorized=True)
+    shape = (N - 1, m, n)
+    policy = Policy(gains=np.zeros(shape) if gains is None else as_gains(gains, shape),
+                    features=features, features_jacobian=features_jacobian,
+                    vectorized=True)
     model = ControlRiskModel(alpha=alpha, control_noise=list(sys.sigma))
     return dyn, cost, policy, model
 

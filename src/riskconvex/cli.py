@@ -149,7 +149,7 @@ def classify_train(ctx, dataset):
     ds = load_dataset(dataset, task="classification")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     test = None
-    if cfg["test_split"] > 0.0:
+    if cfg["test_split"] != 0.0:
         ds, test = ds.split(cfg["test_split"], sampler)
     report = train_classifier(
         ds,
@@ -227,7 +227,7 @@ def nnet_train(ctx, dataset):
     ds = load_dataset(dataset, task="regression")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     test = None
-    if cfg["test_split"] > 0.0:
+    if cfg["test_split"] != 0.0:
         ds, test = ds.split(cfg["test_split"], sampler)
     report = train_noisy_net(ds, net, sampler, iterations=cfg["iterations"],
                              batch=cfg["batch"], radius=cfg["radius"],
@@ -251,7 +251,7 @@ def nnet_eval(ctx, dataset, weights):
     net = NoisyNetConfig(widths=widths, alpha=1.0,
                          noise_scales=[1.0] * (len(widths) - 1))
     ds = load_dataset(dataset, task="regression")
-    ws = read_gains_csv(weights, [(net.internal_width,) * 2] * net.n_layers)
+    ws = read_gains_csv(weights, (net.n_layers, net.internal_width, net.internal_width))
     value = mse(net, ws, ds)
     _echo_kv(mse=value, target_variance=float(np.var(ds.y)))
     if ctx.obj.get("out"):
@@ -280,15 +280,15 @@ def control_train(ctx):
     dyn, cost, policy0, model = bench.problem()
     constraint = FeasibleSet.ball(np.zeros(bench.horizon - 1), cfg["radius"])
     solver_cfg = SolverConfig(iterations=cfg["iterations"],
-                              zeta=cfg["zeta"] if cfg["zeta"] > 0 else None,
+                              zeta=None if cfg["zeta"] == 0 else cfg["zeta"],
                               batch=cfg["batch"])
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     trained, report = train_policy(dyn, cost, policy0, model, cfg["method"],
                                    solver_cfg, constraint, sampler)
     write_gains_csv(out, trained.gains)
     report.write_trace_csv(Path(out) / "trace.csv")
-    gains = [float(k[0, 0]) for k in trained.gains]
-    _echo_kv(certified=report.convexity.holds, gains=",".join(repr(g) for g in gains),
+    _echo_kv(certified=report.convexity.holds,
+             gains=",".join(map(repr, trained.gains[:, 0, 0].tolist())),
              certificate=report.certificate, out=out)
 
 
@@ -299,7 +299,7 @@ def control_rollout(ctx):
     out = _require_out(ctx)
     cfg = load_config(ctx.obj["config"], SETTINGS["control rollout"])
     bench = _benchmark(cfg)
-    gains = read_gains_csv(cfg["gains"], [(1, 1)] * (bench.horizon - 1)) if cfg["gains"] else None
+    gains = read_gains_csv(cfg["gains"], (bench.horizon - 1, 1, 1)) if cfg["gains"] else None
     dyn, cost, policy, model = bench.problem(gains=gains)
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     r = rollout(dyn, cost, policy, model, sampler, mode=cfg["mode"])
@@ -327,10 +327,9 @@ def synth_solve(ctx):
     if not report.success:
         raise DivergenceError(f"synthesis failed: {report.message}")
     write_gains_csv(out, report.gains)
-    gains = [float(k[0, 0]) for k in report.gains]
     _echo_kv(objective=report.objective, converged=report.converged,
              convexity_advisory=report.convexity.holds,
-             gains=",".join(repr(g) for g in gains), out=out)
+             gains=",".join(map(repr, report.gains[:, 0, 0].tolist())), out=out)
 
 
 @synth.command("eval")
@@ -340,7 +339,7 @@ def synth_eval(ctx, gains):
     """Objective and feasibility of GAINS (a K_*.csv directory)."""
     cfg = load_config(ctx.obj["config"], SETTINGS["synth eval"])
     bench = _benchmark(cfg)
-    ks = read_gains_csv(gains, [(1, 1)] * (bench.horizon - 1))
+    ks = read_gains_csv(gains, (bench.horizon - 1, 1, 1))
     res = detmax_objective(bench.system(), bench.alpha, ks)
     _echo_kv(objective=res.value, feasible=res.feasible, min_eig=res.min_eig,
              convexity_advisory=res.convexity.holds)

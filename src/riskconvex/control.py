@@ -161,43 +161,59 @@ class ControlCost:
         return self.control_weights[0].shape[0]
 
 
+def as_gains(gains, shape=None) -> np.ndarray:
+    """The one shape rule of a gain set: ``gains``, an (N-1, m, q) array or
+    N-1 (m x q) matrices, as a new (N-1, m, q) float64 array.  ``shape``
+    defaults to the count and the first gain's shape.  Another count, or
+    a gain of another shape, is a :class:`ContractError` (naming its step)."""
+    if shape is None:
+        shape = (len(gains),) + (np.shape(gains[0]) if len(gains) else ())
+    if len(shape) != 3:
+        raise ContractError(f"gains must stack to (N-1, m, q), got {shape}")
+    n_steps, m, q = shape
+    if not (isinstance(gains, np.ndarray) and gains.shape == tuple(shape)):
+        if len(gains) != n_steps:
+            raise ContractError(f"need {n_steps} gain matrices, got {len(gains)}")
+        for t, k in enumerate(gains, start=1):
+            if np.shape(k) != (m, q):
+                raise ContractError(f"gain at t={t} must be {m}x{q}, got shape {np.shape(k)}")
+    return np.array(gains, dtype=float)
+
+
 @dataclass
 class Policy:
     """Feedback policy u_t = K_t phi(s_t, t), linear in the gains.
 
-    ``gains[t-1]`` is the (m x q) gain K_t for t = 1..N-1; ``features``
-    maps (s, t) to a q-vector.  The optional features Jacobian
-    d phi / d s (q x n) enables the model-based gradient; like the
-    dynamics Jacobians, a broadcast one is applied as one product.
+    ``gains`` is one (N-1, m, q) array (:func:`as_gains`) of the gains
+    K_t, t = 1..N-1; ``features`` maps (s, t) to a q-vector.  The optional
+    features Jacobian d phi / d s (q x n) enables the model-based gradient;
+    like the dynamics Jacobians, a broadcast one is applied as one product.
     ``vectorized`` promises that both callables accept a leading batch
     axis; otherwise they run per row.  Vectorized callables must be
     functions of their arguments alone: a large batch calls them
     concurrently, from several threads, on disjoint row blocks.
     """
 
-    gains: list
+    gains: np.ndarray
     features: Callable
     features_jacobian: Optional[Callable] = None
     vectorized: bool = False
 
-    def __post_init__(self):
-        self.gains = [np.atleast_2d(np.asarray(k, dtype=float)) for k in self.gains]
-        shape = self.gains[0].shape
-        for t, k in enumerate(self.gains, start=1):
-            if k.shape != shape:
-                raise ContractError(f"gain at t={t} has shape {k.shape}, expected {shape}")
+    def __setattr__(self, name, value):
+        # Construction and later assignments alike store the stacked copy.
+        super().__setattr__(name, as_gains(value) if name == "gains" else value)
 
     @property
     def n_steps(self) -> int:
-        return len(self.gains)
+        return self.gains.shape[0]
 
     @property
     def control_dim(self) -> int:
-        return self.gains[0].shape[0]
+        return self.gains.shape[1]
 
     @property
     def feature_dim(self) -> int:
-        return self.gains[0].shape[1]
+        return self.gains.shape[2]
 
     def with_gains(self, gains) -> "Policy":
         return Policy(gains=gains, features=self.features,
@@ -391,7 +407,7 @@ class _RolloutEngine:
         if policy.control_dim != dyn.control_dim or model.control_dim != dyn.control_dim:
             raise ContractError("control dimension mismatch")
         self.dyn = dyn
-        self.shape = (policy.n_steps, policy.control_dim, policy.feature_dim)
+        self.shape = policy.gains.shape
         # Of a row block (objective._row_blocks): the widest per-step array,
         # s_t (b, n), u_t, y_t, eps_t (b, m) or phi_t (b, q), so each fills
         # at most the block's 2**14 entries.
@@ -668,13 +684,12 @@ def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=Non
         noise = (_shaped(frozen.s1, "frozen noise s1", (nd,))[None],
                  _shaped(frozen.eps, "frozen noise eps", (N - 1, m))[:, None],
                  _shaped(frozen.xi, "frozen noise xi", (N - 1, p))[:, None].copy())
-    K = np.stack(policy.gains)
-    traj = engine.forward(K, *noise)
+    traj = engine.forward(policy.gains, *noise)
     expo = check_exponents(model.alpha * traj.J)
     r = Rollout(states=traj.S[:, 0], controls=traj.U[:, 0], realized=traj.Y[:, 0],
                 disturbances=traj.XI[:, 0], stage_costs=traj.stage[:, 0],
                 cost=float(traj.J[0]), exp_cost=float(np.exp(expo[0])), alpha=model.alpha)
-    return r, None if method is None else engine.raw_gradients(method, K, traj)[0]
+    return r, None if method is None else engine.raw_gradients(method, policy.gains, traj)[0]
 
 
 def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRiskModel,
@@ -797,8 +812,7 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     engine = _RolloutEngine(dyn, cost, policy, model)
     engine.check_method(method)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sq, costs = engine.moments(np.stack(policy.gains), sampler, n, method,
-                                         second=True)
+        mean, sq, costs = engine.moments(policy.gains, sampler, n, method, second=True)
         var = np.maximum(sq - mean * mean, 0.0) * (n / (n - 1))
         std_err = np.sqrt(var / n)
         exp_cost_mean = float(costs.mean())
@@ -829,14 +843,6 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def stack_gains(gains) -> np.ndarray:
-    return np.concatenate([np.asarray(k, dtype=float).ravel() for k in gains])
-
-
-def unstack_gains(vec: np.ndarray, n_steps: int, m: int, q: int) -> list:
-    return [vec[i * m * q:(i + 1) * m * q].reshape(m, q).copy() for i in range(n_steps)]
-
-
 def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                  model: ControlRiskModel, method: str, config: SolverConfig,
                  constraint: FeasibleSet, sampler: GaussianSampler,
@@ -858,7 +864,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     dim = int(np.prod(shape))
     if constraint.dim != dim:
         raise ContractError(f"constraint dimension {constraint.dim} != stacked gain size {dim}")
-    start = stack_gains(policy0.gains if config.theta0 is None else [config.theta0])
+    start = np.ravel(policy0.gains if config.theta0 is None else config.theta0)
     if start.size != dim:
         raise ContractError(f"theta0 has size {start.size} != stacked gain size {dim}")
     cert = check_control_certificate(cost, model)
@@ -874,7 +880,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         return mean.ravel(), sq, w.sum() / n
 
     report = projected_sgd(oracle, start, constraint, config, sampler, cert, callback)
-    trained = policy0.with_gains(unstack_gains(report.theta_hat, *shape))
+    trained = policy0.with_gains(report.theta_hat.reshape(shape))
     return trained, report
 
 

@@ -32,8 +32,8 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
+    as_gains,
     train_policy,
-    unstack_gains,
 )
 from .csvio import write_csv
 from .datasets import Dataset
@@ -196,7 +196,7 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
     cost = ControlCost(state_cost=state_cost,
                        control_weights=[c * np.eye(w) for c in cfg.penalty_weights],
                        bound=mbar, state_cost_grad=state_cost_grad, vectorized=True)
-    policy = Policy(gains=[np.zeros((w, w)) for _ in range(L)], features=features,
+    policy = Policy(gains=np.zeros((L, w, w)), features=features,
                     features_jacobian=features_jacobian, vectorized=True)
     model = ControlRiskModel(alpha=cfg.alpha,
                              control_noise=[s**2 * np.eye(w) for s in cfg.noise_scales])
@@ -204,12 +204,14 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
 
 
 def predict(cfg: NoisyNetConfig, weights, X: np.ndarray) -> np.ndarray:
-    """Noise-free forward pass (the mean network) on stacked inputs."""
+    """Noise-free forward pass (the mean network) on stacked inputs.
+    ``weights`` must be one (w x w) matrix per layer (:func:`as_gains`)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    act = np.zeros((X.shape[0], cfg.internal_width))
+    w = cfg.internal_width
+    act = np.zeros((X.shape[0], w))
     act[:, :cfg.input_dim] = X
-    for K in weights:
-        act = np.tanh(act @ np.asarray(K, dtype=float).T)
+    for K in as_gains(weights, (cfg.n_layers, w, w)):
+        act = np.tanh(act @ K.T)
     out = act[:, :cfg.output_dim]
     return out[:, 0] if cfg.output_dim == 1 else out
 
@@ -231,7 +233,7 @@ def mse(cfg: NoisyNetConfig, weights, ds: Dataset) -> float:
 
 @dataclass
 class NoisyNetReport:
-    weights: list
+    weights: np.ndarray              # (n_layers, w, w)
     curve: list                      # rows (evaluations, train_loss, test_loss)
     convexity: ConvexityCertificate  # the per-layer certificate of ``cfg``
     final_train_mse: float
@@ -255,8 +257,9 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     alpha c_t - 1/sigma_t^2 is below its tolerance, unless ``force`` is set.
     The refusal's ``report`` and the report's ``convexity`` are that
     per-layer :class:`ConvexityCertificate`.  The learning curve logs
-    the mean-network train/test MSE every ``eval_every`` iterations,
-    indexed by the cumulative number of network rollouts.
+    the mean-network train/test MSE every ``eval_every`` iterations
+    (at least 1, else :class:`ContractError`), indexed by the cumulative
+    number of network rollouts.
 
     The all-zero weight vector is always a stationary point of the
     exponentiated objective (zero-mean layer noise through an odd
@@ -264,6 +267,8 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     starts from a small random init of scale 0.05 drawn from a
     derived stream, and reports the final, not the averaged, weights.
     """
+    if eval_every < 1:
+        raise ContractError(f"eval_every must be >= 1, got {eval_every}")
     _check_features(cfg, train)
     cert = _certificate(cfg)
     if not cert.holds and not force:
@@ -274,25 +279,23 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
             report=cert,
         )
     dyn, cost, policy0, model = build_control_problem(cfg, train)
-    stacked_dim = cfg.n_layers * cfg.internal_width**2
-    constraint = FeasibleSet.ball(np.zeros(stacked_dim), radius)
+    shape = policy0.gains.shape  # (n_layers, w, w)
+    constraint = FeasibleSet.ball(np.zeros(policy0.gains.size), radius)
     init_stream, train_stream = sampler.split(2)
-    w = cfg.internal_width
-    policy0 = policy0.with_gains(
-        [0.05 * init_stream.normal((w, w)) for _ in range(cfg.n_layers)])
+    policy0 = policy0.with_gains(0.05 * init_stream.normal(shape))
     test_ds = test if test is not None and test.size > 0 else train
 
     curve = []
 
     def record(i, theta, theta_avg):
         if i % eval_every == 0 or i == iterations:
-            ws = unstack_gains(theta, cfg.n_layers, w, w)
+            ws = theta.reshape(shape)
             curve.append((i * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
     trained, report = train_policy(dyn, cost, policy0, model, method, config,
                                    constraint, train_stream, callback=record)
-    weights = [k.copy() for k in trained.gains]
+    weights = trained.gains
     final_train = mse(cfg, weights, train)
     final_test = mse(cfg, weights, test_ds)
     if not curve or curve[-1][0] != iterations * batch:

@@ -47,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from .control import as_gains
 from .csvio import read_matrix, write_csv
 from .errors import ConfigError, ContractError
 from .objective import ConvexityCertificate, convexity_certificate, psd_tolerance
@@ -141,19 +142,9 @@ class _BlockOperators:
     log_det_sigma: float      # sum_t log det Sigma_t
 
     def stack(self, gains) -> np.ndarray:
-        """Gains K_1..K_{N-1}, a list of (m x n) matrices or already
-        stacked, as one (N-1, m, n) array of finite entries."""
-        n, m, N = self.state_dim, self.control_dim, self.horizon
-        if isinstance(gains, np.ndarray) and gains.shape == (N - 1, m, n):
-            G = gains.astype(float, copy=False)
-        else:
-            gains = [np.atleast_2d(np.asarray(k, dtype=float)) for k in gains]
-            if len(gains) != N - 1:
-                raise ContractError(f"need {N - 1} gain matrices")
-            for t, k in enumerate(gains):
-                if k.shape != (m, n):
-                    raise ContractError(f"gain at t={t + 1} must be {m}x{n}")
-            G = np.array(gains)
+        """Gains K_1..K_{N-1} (:func:`~riskconvex.control.as_gains`) as
+        one (N-1, m, n) array of finite entries."""
+        G = as_gains(gains, (self.horizon - 1, self.control_dim, self.state_dim))
         finite = np.isfinite(G).all(axis=(1, 2))
         if not finite.all():
             raise ContractError(f"gain at t={int(np.argmin(finite)) + 1} must be finite")
@@ -271,7 +262,7 @@ def _log_det(L: Optional[np.ndarray]) -> float:
 def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
     """log det W(K) with the feasibility flag W(K) >= 0.
 
-    ``gains`` is a list of (m x n) matrices or an (N-1, m, n) array of
+    ``gains`` is an (N-1, m, n) array or a list of (m x n) matrices, of
     finite entries.  W is assembled blockwise (module docstring) from
     the constants ``sys`` keeps and factored once: the value is
     2 sum(log diag L) for its Cholesky factor L, and -inf when W is not
@@ -456,7 +447,7 @@ class SynthesisConfig:
 
 @dataclass
 class SynthesisReport:
-    gains: list
+    gains: np.ndarray   # (N-1, m, n)
     objective: float
     success: bool
     converged: bool
@@ -474,7 +465,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     ``structure`` is an optional list of (m x n) boolean masks, True
     where the entry is free; masked (False) entries are held at zero.
     ``feasible`` optionally projects the stacked free gains, (N-1) m n
-    entries ordered as by :func:`control.stack_gains`.  Starts at K = 0;
+    entries in the step-major ``ravel`` of the stacked gains.  Starts at K = 0;
     if that is infeasible the report flags failure.
 
     Each iteration takes the exact Newton direction on the free entries
@@ -507,7 +498,6 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
         raise ContractError(f"feasible set dimension {feasible.dim} != {masks.size} gain entries")
 
     def apply_constraints(G):
-        # G.ravel() is the step-major order of control.stack_gains.
         G = G * masks
         if feasible is not None:
             G = feasible.project(G.ravel()).reshape(G.shape) * masks
@@ -518,7 +508,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     _, Z, L = blocks._evaluate(terms, gains)
     value = _log_det(L)
     if value == -math.inf:
-        return SynthesisReport(gains=list(gains), objective=value, success=False,
+        return SynthesisReport(gains=gains, objective=value, success=False,
                                converged=False, iterations=0, grad_norm=math.nan,
                                convexity=terms.convexity,
                                message="no feasible start: W(0) is not positive definite")
@@ -566,7 +556,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
             converged = grad_norm <= math.sqrt(_GRAD_TOL) * (1.0 + abs(value))
             break
         step = accepted
-    return SynthesisReport(gains=list(gains), objective=value, success=True,
+    return SynthesisReport(gains=gains, objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
                            convexity=terms.convexity)
 
@@ -574,33 +564,35 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
 def write_gains_csv(directory, gains) -> None:
     """One file per step, K_01.csv, K_02.csv, ...; rows are matrix rows.
 
+    ``gains`` is one gain set (:func:`~riskconvex.control.as_gains`).
     The header row names the columns col_0..col_{q-1}; the step index
     lives in the filename.
     """
+    gains = as_gains(gains)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = [f"col_{j}" for j in range(gains.shape[2])]
     for t, k in enumerate(gains, start=1):
-        k = np.atleast_2d(np.asarray(k, dtype=float))
-        header = [f"col_{j}" for j in range(k.shape[1])]
         write_csv(directory / f"K_{t:02d}.csv", k, header=header)
 
 
-def read_gains_csv(directory, shapes) -> list:
+def read_gains_csv(directory, shape) -> np.ndarray:
     """Read gains written by :func:`write_gains_csv`, ordered by step.
 
-    ``shapes`` lists the (rows, cols) the caller needs at each step;
-    another file count or matrix shape is a ``ConfigError`` naming the
-    directory or the file.
+    ``shape`` is the (steps, rows, cols) the caller needs, and the gains
+    come back as one array of it; another file count or matrix shape is
+    a ``ConfigError`` naming the directory or the file.
     """
     directory = Path(directory)
+    steps, rows, cols = shape
     # K_100.csv follows K_99.csv: shorter names first, then by name.
     paths = sorted(directory.glob("K_*.csv"), key=lambda p: (len(p.name), p.name))
-    if len(paths) != len(shapes):
-        raise ConfigError(f"{directory}: expected {len(shapes)} gain files K_*.csv, "
+    if len(paths) != steps:
+        raise ConfigError(f"{directory}: expected {steps} gain files K_*.csv, "
                           f"found {len(paths)}")
     gains = [read_matrix(path, header=True)[1] for path in paths]
-    for path, k, shape in zip(paths, gains, shapes):
-        if k.shape != tuple(shape):
-            raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} gain, "
+    for path, k in zip(paths, gains):
+        if k.shape != (rows, cols):
+            raise ConfigError(f"{path}: expected a {rows}x{cols} gain, "
                               f"found {k.shape[0]}x{k.shape[1]}")
-    return gains
+    return np.array(gains)

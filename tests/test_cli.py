@@ -116,12 +116,22 @@ class TestExitCodes:
         ("nnet train", "sigma = 1e200", "with 1 / sigma_t^2 finite"),
         ("demo-1d", "grid_min = -inf", "grid ends must be finite"),
         ("classify train", "grad_tol = nan", "grad_tol must be nonnegative and finite"),
+        # Only an exact 0 turns zeta (pilot estimate) or test_split (no split)
+        # off; any other bad value goes to the library's checks.
+        ("control train", "zeta = -5", "zeta must be positive and finite"),
+        ("control train", "zeta = nan", "zeta must be positive and finite"),
+        ("classify train", "test_split = -0.5", "test_fraction must be in [0, 1)"),
+        ("classify train", "test_split = nan", "test_fraction must be in [0, 1)"),
+        ("nnet train", "test_split = -0.5", "test_fraction must be in [0, 1)"),
+        ("nnet train", "test_split = nan", "test_fraction must be in [0, 1)"),
+        ("nnet train", "eval_every = 0", "eval_every must be >= 1, got 0"),
+        ("nnet train", "eval_every = -1", "eval_every must be >= 1, got -1"),
     ])
     def test_non_finite_setting_is_three(self, tmp_path, sine_csv, capsys, command, setting,
                                          message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(setting + "\n")
-        data = {"nnet train": [str(sine_csv)], "demo-1d": [],
+        data = {"nnet train": [str(sine_csv)], "demo-1d": [], "control train": [],
                 "classify train": [str(write_classification_csv(tmp_path / "d.csv"))]}
         out = tmp_path / "out"
         argv = ["--out", str(out), "--config", str(cfg), *command.split(), *data[command]]
@@ -296,7 +306,7 @@ class TestPrintedCertificates:
         report = synthesize(bench.system(), bench.alpha)
         assert printed(capsys)["convexity_advisory"] == str(report.convexity.holds)
         assert run_cli(["--config", str(cfg), "synth", "eval", str(gains_dir)]) == 0
-        res = detmax_objective(bench.system(), bench.alpha, read_gains_csv(gains_dir, [(1, 1)] * 2))
+        res = detmax_objective(bench.system(), bench.alpha, read_gains_csv(gains_dir, (2, 1, 1)))
         assert printed(capsys)["convexity_advisory"] == str(res.convexity.holds) == str(r == 1.0)
 
 

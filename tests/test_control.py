@@ -11,14 +11,13 @@ from riskconvex.control import (
     Dynamics,
     FrozenNoise,
     Policy,
+    as_gains,
     check_control_certificate,
     policy_gradient_batch,
     policy_gradient_derivative_free,
     policy_gradient_model_based,
     rollout,
-    stack_gains,
     train_policy,
-    unstack_gains,
     write_rollout_csv,
     _RolloutEngine,
     _step_chunks,
@@ -372,8 +371,58 @@ def test_linear_problem_rejects_gains_of_the_wrong_shape():
     system = LinearSystem(A=[np.eye(2)] * 3, B=[np.eye(2)] * 3, Q=[np.eye(2)] * 4,
                           R=[np.eye(2)] * 3, sigma=[np.eye(2)] * 3, horizon=4)
     gains = [np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2))]
-    with pytest.raises(ContractError, match=r"gain K_2 must be 2x2, got shape \(2, 1\)"):
+    with pytest.raises(ContractError, match=r"gain at t=2 must be 2x2, got shape \(2, 1\)"):
         linear_control_problem(system, 0.5, gains=gains)
+
+
+class TestGainsLayout:
+    """Every gain set is one stacked (N-1, m, q) float64 array (as_gains)."""
+
+    def test_policy_stacks_a_list_into_one_array(self):
+        pol = Policy(gains=[[[1, 2, 3]], [[4, 5, 6]]], features=lambda s, t: s)
+        assert type(pol.gains) is np.ndarray and pol.gains.dtype == np.float64
+        assert pol.gains.shape == (pol.n_steps, pol.control_dim, pol.feature_dim) == (2, 1, 3)
+        assert np.array_equal(pol.gains.ravel(), np.arange(1.0, 7.0))
+
+    def test_policy_copies_its_input(self):
+        stacked = np.zeros((2, 1, 1))
+        listed = [np.zeros((1, 1)), np.zeros((1, 1))]
+        from_array = Policy(gains=stacked, features=lambda s, t: s)
+        from_list = Policy(gains=listed, features=lambda s, t: s)
+        stacked[:] = 1.0
+        listed[1][0, 0] = 1.0
+        assert not from_array.gains.any() and not from_list.gains.any()
+        assert from_array.with_gains(from_array.gains).gains is not from_array.gains
+
+    def test_assigned_gains_are_stacked_too(self):
+        pol = Policy(gains=np.zeros((2, 1, 1)), features=lambda s, t: s)
+        pol.gains = [[[0.1]], [[0.2]]]
+        assert type(pol.gains) is np.ndarray and pol.gains.shape == (2, 1, 1)
+        with pytest.raises(ContractError, match=r"gain at t=2 must be 1x1, got shape \(1, 2\)"):
+            pol.gains = [np.zeros((1, 1)), np.zeros((1, 2))]
+
+    def test_one_rule_names_the_first_misshapen_step(self):
+        with pytest.raises(ContractError, match=r"gain at t=2 must be 1x2, got shape \(2, 1\)"):
+            as_gains([np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((3, 3))])
+        with pytest.raises(ContractError, match=r"gain at t=1 must be 1x2, got shape \(2, 1\)"):
+            as_gains(np.zeros((3, 2, 1)), (3, 1, 2))
+        with pytest.raises(ContractError, match="need 3 gain matrices, got 2"):
+            as_gains(np.zeros((2, 1, 2)), (3, 1, 2))
+        for bad in ([np.zeros(2)] * 2, [], np.zeros((2, 2))):
+            with pytest.raises(ContractError, match="gains must stack to"):
+                Policy(gains=bad, features=lambda s, t: s)
+
+    def test_trained_policy_holds_one_array(self):
+        pol0 = Policy(gains=[np.array([[0.8]]), np.array([[-0.6]])],
+                      features=lambda s, t: np.atleast_1d(s[..., 0]) * 0.0 + 1.0)
+        trained, rep = train_policy(scalar_integrator(), zero_cost(2, weights=[np.eye(1)] * 2),
+                                    pol0, ControlRiskModel(1.0, [np.eye(1)] * 2),
+                                    "derivative_free", SolverConfig(iterations=5, batch=4),
+                                    FeasibleSet.ball(np.zeros(2), 2.0), GaussianSampler(3, dim=1))
+        assert type(trained.gains) is np.ndarray and trained.gains.dtype == np.float64
+        assert trained.gains.shape == (2, 1, 1)
+        assert np.array_equal(trained.gains.ravel(), rep.theta_hat)
+        assert np.array_equal(pol0.gains.ravel(), [0.8, -0.6])
 
 
 class TestMomentReduction:
@@ -855,7 +904,7 @@ class TestTrainPolicy:
                                     SolverConfig(iterations=1500, batch=32,
                                                  averaging=False),
                                     constraint, GaussianSampler(3, dim=1))
-        assert np.linalg.norm(stack_gains(trained.gains)) < 0.1
+        assert np.linalg.norm(np.ravel(trained.gains)) < 0.1
         assert rep.certified
 
     def test_active_box_constraint_binds(self):
@@ -889,12 +938,6 @@ class TestTrainPolicy:
                          SolverConfig(iterations=3, batch=4, theta0=np.zeros(3)),
                          constraint, GaussianSampler(2, dim=1))
 
-    def test_stack_unstack_roundtrip(self):
-        gains = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 12.0).reshape(2, 3)]
-        vec = stack_gains(gains)
-        back = unstack_gains(vec, 2, 2, 3)
-        assert all(np.array_equal(a, b) for a, b in zip(gains, back))
-
     @pytest.mark.filterwarnings("ignore:per-step certificate fails")
     def test_trace_and_determinism(self):
         rng = np.random.default_rng(19)
@@ -923,8 +966,8 @@ class TestTrainPolicy:
 
         shape = (pol.n_steps, 1, 2)
         pilot, run = GaussianSampler(41, dim=1).split(2)
-        theta = constraint.project(stack_gains(pol.gains))
-        start = pol.with_gains(unstack_gains(theta, *shape))
+        theta = constraint.project(np.ravel(pol.gains))
+        start = pol.with_gains(theta.reshape(shape))
         mean, sq, _ = _full_batch_moments(dyn, cost, start, model, pilot, cfg.pilot_samples,
                                           method)
         assert rep.zeta == pilot_zeta(mean.ravel(), sq, cfg.pilot_samples, cfg.batch)
@@ -937,7 +980,7 @@ class TestTrainPolicy:
         for i in range(1, cfg.iterations + 1):
             assert np.array_equal(rep.thetas[i - 1], theta)
             running_sum += theta
-            g, _, w = _full_batch_moments(dyn, cost, pol.with_gains(unstack_gains(theta, *shape)),
+            g, _, w = _full_batch_moments(dyn, cost, pol.with_gains(theta.reshape(shape)),
                                           model, run, cfg.batch, method)
             assert np.array_equal(rep.objective_trace[i - 1], w.sum() / cfg.batch)
             theta = constraint.project(

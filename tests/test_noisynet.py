@@ -186,11 +186,37 @@ class TestTraining:
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
 
+    def test_eval_every_below_one_is_a_contract_error(self):
+        ds = make_sine(30, GaussianSampler(0, dim=1))
+        for eval_every in (0, -2):
+            with pytest.raises(ContractError, match="eval_every must be >= 1"):
+                train_noisy_net(ds, small_config(), GaussianSampler(1, dim=1), iterations=5,
+                                batch=8, force=True, eval_every=eval_every)
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    def test_weights_are_one_stacked_array(self):
+        cfg = small_config()
+        rep = train_noisy_net(make_sine(30, GaussianSampler(6, dim=1)), cfg,
+                              GaussianSampler(7, dim=1), iterations=3, batch=8, force=True)
+        assert type(rep.weights) is np.ndarray and rep.weights.dtype == np.float64
+        assert rep.weights.shape == (cfg.n_layers, cfg.internal_width, cfg.internal_width)
+
+
+def test_one_initial_draw_has_the_bits_of_per_layer_draws():
+    # train_noisy_net draws its initial weights as one (L, w, w) array; the
+    # stream fills it in the order of L separate (w, w) draws.
+    w, L = 6, 3
+    one = GaussianSampler(7, dim=1).split(2)[0].normal((L, w, w))
+    stream = GaussianSampler(7, dim=1).split(2)[0]
+    per_layer = [stream.normal((w, w)) for _ in range(L)]
+    assert np.array_equal(one, np.stack(per_layer))
+
+
 def test_weights_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     weights = [rng.standard_normal((3, 3)) for _ in range(2)]
     write_gains_csv(tmp_path, weights)
-    back = read_gains_csv(tmp_path, [(3, 3)] * 2)
+    back = read_gains_csv(tmp_path, (2, 3, 3))
     assert all(np.array_equal(a, b) for a, b in zip(weights, back))
 
 
@@ -199,6 +225,17 @@ def test_mse_helper():
     ds = Dataset(X=np.array([[0.0], [1.0]]), y=np.array([0.0, 0.5]))
     weights = [np.zeros((1, 1))]
     assert mse(cfg, weights, ds) == pytest.approx(0.125)
+
+
+def test_mse_checks_the_gain_set_of_the_config():
+    # One 4x4 matrix per layer: another count or width is a ContractError,
+    # not a silent MSE of a shorter net or a numpy error.
+    cfg = small_config()
+    ds = Dataset(X=np.array([[0.5], [1.0]]), y=np.array([0.1, 0.2]))
+    with pytest.raises(ContractError, match="need 2 gain matrices, got 1"):
+        mse(cfg, [0.3 * np.ones((4, 4))], ds)
+    with pytest.raises(ContractError, match=r"gain at t=1 must be 4x4, got shape \(3, 3\)"):
+        mse(cfg, [np.ones((3, 3))] * 2, ds)
 
 
 def test_model_based_gradient_matches_finite_differences_on_net():

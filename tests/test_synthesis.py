@@ -435,7 +435,7 @@ class TestFactorizedEvaluator:
         sys = random_system(rng, 4, 2, 6, q_scale=0.01)
         rep = synthesize(sys, 1.0, structure=[DECENTRALIZED] * 5 if masked else None,
                          config=SynthesisConfig(max_iters=40))
-        assert rep.success and isinstance(rep.gains, list) and len(rep.gains) == 5
+        assert rep.success and isinstance(rep.gains, np.ndarray) and len(rep.gains) == 5
         assert rep.objective == detmax_objective(sys, 1.0, rep.gains).value
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
@@ -667,6 +667,15 @@ class TestSynthesize:
         ric = objective(sys, 1.0, riccati_gains(sys, 1.0)).value
         assert rep.objective == pytest.approx(ric, rel=1e-12)
 
+    def test_report_gains_are_one_stacked_array(self):
+        # The converged report and the infeasible-start report alike.
+        cases = [(random_system(np.random.default_rng(4), 3, 2, 5), (4, 2, 3)),
+                 (scalar_system(q=1.5, horizon=2), (1, 1, 1))]
+        for sys, shape in cases:
+            gains = synthesize(sys, 1.0).gains
+            assert type(gains) is np.ndarray and gains.dtype == np.float64
+            assert gains.shape == shape
+
     def test_infeasible_start_reports_failure(self):
         rep = synthesize(scalar_system(q=1.5, horizon=2), 1.0)
         assert not rep.success
@@ -710,23 +719,41 @@ class TestGainsCsv:
         write_gains_csv(tmp_path, gains)
         files = sorted(p.name for p in tmp_path.glob("K_*.csv"))
         assert files == ["K_01.csv", "K_02.csv"]
-        back = read_gains_csv(tmp_path, [(2, 2)] * 2)
+        back = read_gains_csv(tmp_path, (2, 2, 2))
         assert all(np.array_equal(a, b) for a, b in zip(gains, back))
+
+    def test_read_returns_one_stacked_array(self, tmp_path):
+        write_gains_csv(tmp_path, [np.eye(2), np.ones((2, 2))])
+        back = read_gains_csv(tmp_path, (2, 2, 2))
+        assert type(back) is np.ndarray and back.dtype == np.float64
+        assert np.array_equal(back, np.stack([np.eye(2), np.ones((2, 2))]))
+
+    def test_write_takes_one_gain_set(self, tmp_path):
+        # A 2-D array is not N-1 gains: its rows are not written as 1 x q gains.
+        with pytest.raises(ContractError, match=r"gains must stack to .*, got \(2, 3\)"):
+            write_gains_csv(tmp_path, np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ContractError, match=r"gain at t=2 must be 2x2, got shape \(1, 2\)"):
+            write_gains_csv(tmp_path, [np.eye(2), np.ones((1, 2))])
+        assert not list(tmp_path.glob("K_*.csv"))
 
     def test_missing_directory_is_error(self, tmp_path):
         with pytest.raises(ConfigError, match="nope: expected 2 gain files K_\\*.csv, found 0"):
-            read_gains_csv(tmp_path / "nope", [(1, 1)] * 2)
+            read_gains_csv(tmp_path / "nope", (2, 1, 1))
 
     def test_steps_past_99_keep_their_order(self, tmp_path):
         gains = [np.full((1, 1), float(t)) for t in range(1, 102)]
         write_gains_csv(tmp_path, gains)
-        assert [k[0, 0] for k in read_gains_csv(tmp_path, [(1, 1)] * 101)] == list(range(1, 102))
+        assert [k[0, 0] for k in read_gains_csv(tmp_path, (101, 1, 1))] == list(range(1, 102))
 
     def test_shapes_fix_the_file_count_and_each_matrix(self, tmp_path):
         write_gains_csv(tmp_path, [np.eye(2), np.ones((2, 2))])
-        back = read_gains_csv(tmp_path, [(2, 2)] * 2)
+        back = read_gains_csv(tmp_path, (2, 2, 2))
         assert np.array_equal(back[1], np.ones((2, 2)))
         with pytest.raises(ConfigError, match="expected 3 gain files K_\\*.csv, found 2"):
-            read_gains_csv(tmp_path, [(2, 2)] * 3)
-        with pytest.raises(ConfigError, match=r"K_02.csv: expected a 1x2 gain, found 2x2"):
-            read_gains_csv(tmp_path, [(2, 2), (1, 2)])
+            read_gains_csv(tmp_path, (3, 2, 2))
+        with pytest.raises(ConfigError, match=r"K_01.csv: expected a 1x2 gain, found 2x2"):
+            read_gains_csv(tmp_path, (2, 1, 2))
+        write_gains_csv(tmp_path / "mixed", [np.eye(2), np.eye(2)])
+        (tmp_path / "mixed" / "K_02.csv").write_text("col_0,col_1\n1,1\n")
+        with pytest.raises(ConfigError, match=r"K_02.csv: expected a 2x2 gain, found 1x2"):
+            read_gains_csv(tmp_path / "mixed", (2, 2, 2))
