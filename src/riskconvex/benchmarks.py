@@ -19,10 +19,10 @@ from .control import (
     Dynamics,
     Policy,
     _row_quads,
-    as_gains,
     check_control_certificate,
 )
 from .errors import ContractError
+from .sampling import as_steps
 from .synthesis import LinearSystem
 
 # Quadratic state costs are unbounded above; trajectories of the linear
@@ -37,14 +37,14 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     State cost 0.5 s' Q_t s, state-feedback features phi(s) = s, zero
     system disturbance.  Returns (dynamics, cost, policy, model); the
     policy starts at the supplied gains, an (N-1, m, n) array or N-1
-    matrices of shape m x n (:func:`~riskconvex.control.as_gains`), or
+    matrices of shape m x n (:func:`~riskconvex.sampling.as_steps`), or
     zero.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
     # A_t' and B_t', contiguous for a batch's products; a single row keeps
     # the transposed views, with which its products round differently.
-    AT = [np.ascontiguousarray(a.T) for a in sys.A]
-    BT = [np.ascontiguousarray(b.T) for b in sys.B]
+    AT = np.ascontiguousarray(sys.A.transpose(0, 2, 1))
+    BT = np.ascontiguousarray(sys.B.transpose(0, 2, 1))
 
     def step(s, y, xi, t):
         if s.ndim == 2 and len(s) > 1:
@@ -72,14 +72,14 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     dyn = Dynamics(step=step, state_dim=n, control_dim=m, disturbance_dim=0,
                    horizon=N, jacobian_state=jac_state, jacobian_control=jac_control,
                    vectorized=True)
-    cost = ControlCost(state_cost=state_cost, control_weights=list(sys.R),
+    cost = ControlCost(state_cost=state_cost, control_weights=sys.R,
                        bound=QUADRATIC_COST_CEILING, state_cost_grad=state_cost_grad,
                        vectorized=True)
     shape = (N - 1, m, n)
-    policy = Policy(gains=np.zeros(shape) if gains is None else as_gains(gains, shape),
+    policy = Policy(gains=np.zeros(shape) if gains is None else as_steps(gains, shape),
                     features=features, features_jacobian=features_jacobian,
                     vectorized=True)
-    model = ControlRiskModel(alpha=alpha, control_noise=list(sys.sigma))
+    model = ControlRiskModel(alpha=alpha, control_noise=sys.sigma)
     return dyn, cost, policy, model
 
 

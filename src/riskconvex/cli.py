@@ -121,7 +121,7 @@ def demo_1d(ctx):
     """Tabulate original, smoothed, and convexified 1-D curves as CSV."""
     out = _require_out(ctx)
     cfg = load_config(ctx.obj["config"], SETTINGS["demo-1d"])
-    n = ctx.obj["samples"] or cfg["samples"]
+    n = cfg["samples"] if ctx.obj["samples"] is None else ctx.obj["samples"]
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     grid = uniform_grid(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
     curves = demo_curves(cfg["alpha"], cfg["sigma"], cfg["kappa"], grid, n,

@@ -85,7 +85,7 @@ from .objective import (
     check_std_err,
     convexity_certificate,
 )
-from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
+from .sampling import GaussianSampler, as_covariance, as_psd_weight, as_steps, spd_factor
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
 
@@ -137,14 +137,15 @@ class ControlCost:
     ``state_cost(s, t)`` is defined for t = 1..N (t = N is the terminal
     cost) and must stay below ``bound``, which the rollout engine asserts
     at every evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
-    R_t for t = 1..N-1.  ``vectorized`` promises that both callables
-    accept a leading batch axis; otherwise they run per row.  Vectorized
-    callables must be functions of their arguments alone: a large batch
-    calls them concurrently, from several threads, on disjoint row blocks.
+    R_t for t = 1..N-1, kept as one (N-1, m, m) array.  ``vectorized``
+    promises that both callables accept a leading batch axis; otherwise
+    they run per row.  Vectorized callables must be functions of their
+    arguments alone: a large batch calls them concurrently, from several
+    threads, on disjoint row blocks.
     """
 
     state_cost: Callable
-    control_weights: list
+    control_weights: np.ndarray
     bound: float
     state_cost_grad: Optional[Callable] = None
     vectorized: bool = False
@@ -153,38 +154,16 @@ class ControlCost:
         self.bound = float(self.bound)
         if not np.isfinite(self.bound):
             raise ContractError("state cost bound must be finite")
-        self.control_weights = [as_psd_weight(r, name=f"control weight at t={t}")
-                                for t, r in enumerate(self.control_weights, start=1)]
-
-    @property
-    def control_dim(self) -> int:
-        return self.control_weights[0].shape[0]
-
-
-def as_gains(gains, shape=None) -> np.ndarray:
-    """The one shape rule of a gain set: ``gains``, an (N-1, m, q) array or
-    N-1 (m x q) matrices, as a new (N-1, m, q) float64 array.  ``shape``
-    defaults to the count and the first gain's shape.  Another count, or
-    a gain of another shape, is a :class:`ContractError` (naming its step)."""
-    if shape is None:
-        shape = (len(gains),) + (np.shape(gains[0]) if len(gains) else ())
-    if len(shape) != 3:
-        raise ContractError(f"gains must stack to (N-1, m, q), got {shape}")
-    n_steps, m, q = shape
-    if not (isinstance(gains, np.ndarray) and gains.shape == tuple(shape)):
-        if len(gains) != n_steps:
-            raise ContractError(f"need {n_steps} gain matrices, got {len(gains)}")
-        for t, k in enumerate(gains, start=1):
-            if np.shape(k) != (m, q):
-                raise ContractError(f"gain at t={t} must be {m}x{q}, got shape {np.shape(k)}")
-    return np.array(gains, dtype=float)
+        self.control_weights = as_psd_weight(as_steps(self.control_weights, name="control weight"),
+                                             name="control weight")
 
 
 @dataclass
 class Policy:
     """Feedback policy u_t = K_t phi(s_t, t), linear in the gains.
 
-    ``gains`` is one (N-1, m, q) array (:func:`as_gains`) of the gains
+    ``gains`` is one (N-1, m, q) array
+    (:func:`~riskconvex.sampling.as_steps`) of the gains
     K_t, t = 1..N-1; ``features`` maps (s, t) to a q-vector.  The optional
     features Jacobian d phi / d s (q x n) enables the model-based gradient;
     like the dynamics Jacobians, a broadcast one is applied as one product.
@@ -201,7 +180,7 @@ class Policy:
 
     def __setattr__(self, name, value):
         # Construction and later assignments alike store the stacked copy.
-        super().__setattr__(name, as_gains(value) if name == "gains" else value)
+        super().__setattr__(name, as_steps(value) if name == "gains" else value)
 
     @property
     def n_steps(self) -> int:
@@ -223,44 +202,28 @@ class Policy:
 
 @dataclass
 class ControlRiskModel:
-    """Risk factor and per-step control-noise covariances.
-
-    Inverses and symmetric square roots of each Sigma_t are cached at
-    construction.
+    """Risk factor and per-step control-noise covariances Sigma_t, one
+    (N-1, m, m) array; their inverses ``noise_inv`` and symmetric square
+    roots ``noise_root``, stacked alike, are factored at construction.
     """
 
     alpha: float
-    control_noise: list
+    control_noise: np.ndarray
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
         if not 0.0 < self.alpha < np.inf:
             raise ContractError("alpha must be positive and finite")
-        self.control_noise = [as_covariance(s) for s in self.control_noise]
-        factors = [spd_factor(s, name=f"control noise at t={t}")
-                   for t, s in enumerate(self.control_noise, start=1)]
-        self.noise_inv = [inv for inv, _ in factors]
-        self.noise_root = [root for _, root in factors]
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.control_noise)
-
-    @property
-    def control_dim(self) -> int:
-        return self.control_noise[0].shape[0]
+        self.control_noise = as_covariance(as_steps(self.control_noise, name="control noise"))
+        self.noise_inv, self.noise_root = spd_factor(self.control_noise, name="control noise")
 
 
 def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> ConvexityCertificate:
     """Margin lambda_min(alpha R_t - inv(Sigma_t)) for each control step."""
-    if len(cost.control_weights) != model.n_steps:
-        raise ContractError(
-            f"cost has {len(cost.control_weights)} control steps, model has {model.n_steps}"
-        )
-    if cost.control_dim != model.control_dim:
-        raise ContractError("control dimension mismatch between cost and noise model")
-    return convexity_certificate(model.alpha, np.array(cost.control_weights),
-                                 np.array(model.noise_inv))
+    if cost.control_weights.shape != model.control_noise.shape:
+        raise ContractError(f"cost control weights {cost.control_weights.shape} and model "
+                            f"noise {model.control_noise.shape} differ")
+    return convexity_certificate(model.alpha, cost.control_weights, model.noise_inv)
 
 
 @dataclass
@@ -397,15 +360,12 @@ class _RolloutEngine:
 
     def __init__(self, dyn: Dynamics, cost: ControlCost, policy: Policy,
                  model: ControlRiskModel):
-        n_steps = dyn.horizon - 1
-        if len(cost.control_weights) != n_steps:
-            raise ContractError(f"cost needs {n_steps} control weights")
-        if model.n_steps != n_steps:
-            raise ContractError(f"model needs {n_steps} noise covariances")
-        if policy.n_steps != n_steps:
-            raise ContractError(f"policy needs {n_steps} gains")
-        if policy.control_dim != dyn.control_dim or model.control_dim != dyn.control_dim:
-            raise ContractError("control dimension mismatch")
+        steps = (dyn.horizon - 1, dyn.control_dim)  # leading axes of every per-step stack
+        for name, arr in (("cost control weights", cost.control_weights),
+                          ("model noise", model.control_noise), ("policy gains", policy.gains)):
+            if arr.shape[:2] != steps:
+                raise ContractError(f"{name} must stack {steps[0]} steps of {steps[1]} "
+                                    f"controls, got shape {arr.shape}")
         self.dyn = dyn
         self.shape = policy.gains.shape
         # Of a row block (objective._row_blocks): the widest per-step array,
@@ -416,8 +376,8 @@ class _RolloutEngine:
         self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
         self.alpha = model.alpha
         self.bound, self.limit = cost.bound, _bound_limit(cost.bound)
-        self.R = np.array(cost.control_weights)
-        self.noise_root, self.noise_inv = np.array(model.noise_root), np.array(model.noise_inv)
+        self.R, self.noise_inv, self.noise_root = (cost.control_weights, model.noise_inv,
+                                                   model.noise_root)
         self.step = _batched(dyn.step, dyn.vectorized)
         self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized)
         self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized)
@@ -666,13 +626,16 @@ def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=Non
     Mean mode is the replay of zero noise from s_1 (zero unless given).
     A given s1 must be (n,), and a frozen realization must hold s1 (n,),
     eps (N-1, m) and xi (N-1, p): another shape is a
-    :class:`ContractError` naming it."""
+    :class:`ContractError` naming it, and so is an s1 given with a frozen
+    realization, which holds its own."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     if method is not None:
         engine.check_method(method)
     if mode not in ("noisy", "mean"):
         raise ContractError(f"unknown rollout mode {mode!r}")
     N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+    if s1 is not None and frozen is not None:
+        raise ContractError("give s1 or frozen noise, not both: frozen.s1 is the initial state")
     if s1 is not None:
         s1 = _shaped(s1, "s1", (nd,))
     if mode == "mean" and frozen is None:
@@ -701,7 +664,8 @@ def rollout(dyn: Dynamics, cost: ControlCost, policy: Policy, model: ControlRisk
     disturbance sampler; mode "mean" replays zero noise, y_t = u_t and
     xi_t = 0 (and s_1 = 0 unless given); any other mode is a
     :class:`ContractError`.  ``frozen`` replays a fixed noise
-    realization regardless of mode.  Raises
+    realization, its own s_1 included, regardless of mode; giving ``s1``
+    too is a :class:`ContractError`.  Raises
     :class:`DivergenceError` carrying t when a state goes non-finite,
     and :class:`EstimateOverflowError` when exp(alpha J) overflows.
     """

@@ -32,14 +32,13 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
-    as_gains,
     train_policy,
 )
 from .csvio import write_csv
 from .datasets import Dataset
 from .errors import CertificateError, ContractError
 from .objective import ConvexityCertificate, convexity_certificate
-from .sampling import GaussianSampler
+from .sampling import GaussianSampler, as_steps
 from .solver import FeasibleSet, SolverConfig
 
 
@@ -205,12 +204,13 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
 
 def predict(cfg: NoisyNetConfig, weights, X: np.ndarray) -> np.ndarray:
     """Noise-free forward pass (the mean network) on stacked inputs.
-    ``weights`` must be one (w x w) matrix per layer (:func:`as_gains`)."""
+    ``weights`` must be one (w x w) matrix per layer
+    (:func:`~riskconvex.sampling.as_steps`)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     w = cfg.internal_width
     act = np.zeros((X.shape[0], w))
     act[:, :cfg.input_dim] = X
-    for K in as_gains(weights, (cfg.n_layers, w, w)):
+    for K in as_steps(weights, (cfg.n_layers, w, w)):
         act = np.tanh(act @ K.T)
     out = act[:, :cfg.output_dim]
     return out[:, 0] if cfg.output_dim == 1 else out

@@ -1,4 +1,5 @@
-"""Seeded N(0, I) streams, and the one factorization of every covariance.
+"""Seeded N(0, I) streams, the one shape rule of per-step matrices, and
+the one factorization of every covariance.
 
 Every source of randomness in the package flows through a
 :class:`GaussianSampler`, so a single 64-bit seed reproduces a run bit for
@@ -6,6 +7,8 @@ bit.  The risk models own each covariance and scale raw draws by its
 root from :func:`spd_factor`.  A sampler is the only stateful object in
 the library: use one per thread, or derive independent children with
 :meth:`GaussianSampler.split` and reduce results in a fixed order.
+Per-step matrices are stacked by :func:`as_steps`; the checks and the
+factorization take one matrix or such a stack, in one batched pass.
 """
 
 from __future__ import annotations
@@ -20,24 +23,62 @@ COND_LIMIT = 1e12
 MAX_SEED = 2**64
 
 
+def as_steps(mats, shape=None, name: str = "gain") -> np.ndarray:
+    """The one shape rule of per-step matrices (gains, A_t, B_t, Q_t, R_t,
+    Sigma_t, structure masks): ``mats``, a (T, rows, cols) array or T
+    (rows x cols) matrices, as a new (T, rows, cols) float64 array of
+    finite entries.  ``shape`` defaults to the count and the first
+    matrix's shape.  Another count, or a matrix of another shape (a scalar
+    among them) or with a non-finite entry, is a :class:`ContractError`
+    naming the matrices by ``name`` and the failing one by its step t."""
+    if shape is None:
+        shape = (len(mats),) + (np.shape(mats[0]) if len(mats) else ())
+    if len(shape) != 3:
+        raise ContractError(f"{name}s must stack to (steps, rows, cols), got {shape}")
+    steps, rows, cols = shape
+    if not (isinstance(mats, np.ndarray) and mats.shape == tuple(shape)):
+        if len(mats) != steps:
+            raise ContractError(f"need {steps} {name} matrices, got {len(mats)}")
+        for t, mat in enumerate(mats, start=1):
+            if np.shape(mat) != (rows, cols):
+                raise ContractError(
+                    f"{name} at t={t} must be {rows}x{cols}, got shape {np.shape(mat)}")
+    arr = np.array(mats, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ContractError(
+            f"{_first_failure(name, ~np.isfinite(arr).all(axis=(1, 2)))[0]} must be finite")
+    return arr
+
+
+def _first_failure(name: str, bad: np.ndarray) -> tuple[str, int]:
+    """(label, index) of the first matrix flagged in ``bad``, one flag per
+    matrix: ``name`` and 0 for one matrix (0-d ``bad``), and
+    '<name> at t=<t>' and t - 1 for step t of a stack."""
+    i = int(np.argmax(bad))
+    return (f"{name} at t={i + 1}" if bad.ndim else name), i
+
+
 def as_covariance(cov, dim: int | None = None) -> np.ndarray:
     """Coerce a scalar or square array of finite entries into a validated
-    covariance matrix."""
+    covariance matrix, or a (T, k, k) stack into T of them."""
     arr = np.asarray(cov, dtype=float)
     if not np.isfinite(arr).all():
         raise ContractError("covariance entries must be finite")
     if arr.ndim == 0:
         arr = arr * np.eye(dim if dim is not None else 1)
     arr = np.atleast_2d(arr)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    if arr.ndim > 3 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
         raise ContractError(f"covariance must be square and nonempty, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ContractError(f"covariance is {arr.shape[0]}x{arr.shape[0]}, expected dim {dim}")
-    # np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12) on finite entries,
+    if dim is not None and arr.shape[-1] != dim:
+        raise ContractError(f"covariance is {arr.shape[-1]}x{arr.shape[-1]}, expected dim {dim}")
+    arr_t = arr.swapaxes(-1, -2)
+    # np.allclose(arr, arr_t, rtol=1e-10, atol=1e-12) on finite entries,
     # without its NaN and infinity handling.
-    if not (abs(arr - arr.T) <= 1e-12 + 1e-10 * abs(arr.T)).all():
-        raise ContractError("covariance must be symmetric")
-    return 0.5 * arr + 0.5 * arr.T  # halves first: no overflow near the float maximum
+    close = abs(arr - arr_t) <= 1e-12 + 1e-10 * abs(arr_t)
+    if not close.all():
+        label = _first_failure("covariance", ~close.all(axis=(-2, -1)))[0]
+        raise ContractError(f"{label} must be symmetric")
+    return 0.5 * arr + 0.5 * arr_t  # halves first: no overflow near the float maximum
 
 
 def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarray:
@@ -45,22 +86,30 @@ def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarr
     the scale-relative slack lambda_min >= -1e-10 (1 + |lambda_max|)."""
     arr = as_covariance(mat, dim)
     w = np.linalg.eigvalsh(arr)
-    if w[0] < -1e-10 * (1.0 + abs(w[-1])):
-        raise ContractError(f"{name} must be positive semidefinite (min eigenvalue {w[0]:.3e})")
+    bad = w[..., 0] < -1e-10 * (1.0 + abs(w[..., -1]))
+    if bad.any():
+        label, i = _first_failure(name, bad)
+        raise ContractError(f"{label} must be positive semidefinite "
+                            f"(min eigenvalue {w.reshape(-1, w.shape[-1])[i, 0]:.3e})")
     return arr
 
 
 def spd_factor(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
     """(inverse, symmetric square root) of a symmetric positive-definite
-    matrix from one eigendecomposition; :class:`IllConditionedError` when
-    lambda_max <= 0 or lambda_min <= lambda_max / COND_LIMIT."""
+    matrix, or of each of a (T, k, k) stack, from one eigendecomposition;
+    :class:`IllConditionedError` when lambda_max <= 0 or
+    lambda_min <= lambda_max / COND_LIMIT."""
     w, v = np.linalg.eigh(mat)
-    if w[-1] <= 0.0 or w[0] <= w[-1] / COND_LIMIT:
+    bad = (w[..., -1] <= 0.0) | (w[..., 0] <= w[..., -1] / COND_LIMIT)
+    if bad.any():
+        label, i = _first_failure(name, bad)
+        lo, hi = w.reshape(-1, w.shape[-1])[i, [0, -1]]
         raise IllConditionedError(
-            f"{name} is not positive definite within conditioning limits "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+            f"{label} is not positive definite within conditioning limits "
+            f"(eigenvalue range [{lo:.3e}, {hi:.3e}])"
         )
-    return (v / w) @ v.T, (v * np.sqrt(w)) @ v.T
+    vt = v.swapaxes(-1, -2)
+    return (v / w[..., None, :]) @ vt, (v * np.sqrt(w)[..., None, :]) @ vt
 
 
 class GaussianSampler:

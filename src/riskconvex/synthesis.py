@@ -47,11 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from .control import as_gains
 from .csvio import read_matrix, write_csv
 from .errors import ConfigError, ContractError
 from .objective import ConvexityCertificate, convexity_certificate, psd_tolerance
-from .sampling import as_covariance, as_psd_weight, spd_factor
+from .sampling import as_covariance, as_psd_weight, as_steps, spd_factor
 from .solver import FeasibleSet
 
 
@@ -63,57 +62,49 @@ class LinearSystem:
     s_{t+1} = A_t s_t + B_t y_t for t = 1..N-1; ``Q[t-1]`` (n x n, PSD)
     weights the state cost at t = 1..N; ``R[t-1]`` (m x m, PSD) and
     ``sigma[t-1]`` (m x m, PD) are the control cost and noise at
-    t = 1..N-1.  A and B must be finite, Q and R are checked by
-    :func:`as_psd_weight`, sigma by the conditioning rule of
-    :func:`spd_factor` (:class:`IllConditionedError`).
+    t = 1..N-1.  Each field is given as a stacked array or a sequence of
+    matrices and kept as one stacked (T, rows, cols) array
+    (:func:`~riskconvex.sampling.as_steps`) of finite entries.  Q and R are
+    checked by :func:`as_psd_weight`, sigma by the conditioning rule of
+    :func:`spd_factor` (:class:`IllConditionedError`), whose inverses the
+    system keeps as ``sigma_inv``, (N-1, m, m).
 
-    The system is read-only, its fields tuples of read-only copies.  It
-    builds the constants of W(K) on first use and keeps nothing else, so
-    threads may share it.
+    The system is read-only, its arrays read-only copies.  It builds the
+    constants of W(K) on first use and keeps nothing else, so threads may
+    share it.
     """
 
-    A: tuple
-    B: tuple
-    Q: tuple
-    R: tuple
-    sigma: tuple
+    A: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    sigma: np.ndarray
     horizon: int
 
     def __post_init__(self):
         N = self.horizon
         if N < 2:
             raise ContractError("horizon must be >= 2")
-        copies = {"A": [np.atleast_2d(np.array(a, dtype=float)) for a in self.A],
-                  "B": [np.atleast_2d(np.array(b, dtype=float)) for b in self.B],
-                  "Q": [as_psd_weight(q, name=f"Q at t={t}") for t, q in enumerate(self.Q, 1)],
-                  "R": [as_psd_weight(r, name=f"R at t={t}") for t, r in enumerate(self.R, 1)],
-                  "sigma": [as_covariance(s) for s in self.sigma]}
-        for name, mats in copies.items():
-            for mat in mats:
-                mat.setflags(write=False)
-            object.__setattr__(self, name, tuple(mats))  # past the frozen __setattr__
-        for t, s in enumerate(self.sigma, start=1):
-            spd_factor(s, name=f"control noise at t={t}")  # _build_block_operators inverts
-        for name in copies:
-            count = N if name == "Q" else N - 1
-            if len(getattr(self, name)) != count:
-                raise ContractError(f"need {count} {name} matrices")
-        n, m = self.B[0].shape
-        shapes = {"A": (n, n), "B": (n, m), "Q": (n, n), "R": (m, m), "sigma": (m, m)}
-        for name, shape in shapes.items():
-            for t, mat in enumerate(getattr(self, name), start=1):
-                if mat.shape != shape:
-                    raise ContractError(f"{name} at t={t} must be {shape[0]}x{shape[1]}")
-                if not np.isfinite(mat).all():  # Q, R and sigma were checked when copied
-                    raise ContractError(f"{name} at t={t} must be finite")
+        n, m = as_steps(self.B, name="B").shape[1:]
+        shapes = {"A": (N - 1, n, n), "B": (N - 1, n, m), "Q": (N, n, n),
+                  "R": (N - 1, m, m), "sigma": (N - 1, m, m)}
+        mats = {name: as_steps(getattr(self, name), shape, name)
+                for name, shape in shapes.items()}
+        mats["Q"] = as_psd_weight(mats["Q"], name="Q")
+        mats["R"] = as_psd_weight(mats["R"], name="R")
+        mats["sigma"] = as_covariance(mats["sigma"])
+        mats["sigma_inv"] = spd_factor(mats["sigma"], name="control noise")[0]
+        for name, mat in mats.items():
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)  # past the frozen __setattr__
 
     @property
     def state_dim(self) -> int:
-        return self.B[0].shape[0]
+        return self.B.shape[1]
 
     @property
     def control_dim(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @cached_property
     def _operators(self) -> _BlockOperators:
@@ -142,13 +133,9 @@ class _BlockOperators:
     log_det_sigma: float      # sum_t log det Sigma_t
 
     def stack(self, gains) -> np.ndarray:
-        """Gains K_1..K_{N-1} (:func:`~riskconvex.control.as_gains`) as
+        """Gains K_1..K_{N-1} (:func:`~riskconvex.sampling.as_steps`) as
         one (N-1, m, n) array of finite entries."""
-        G = as_gains(gains, (self.horizon - 1, self.control_dim, self.state_dim))
-        finite = np.isfinite(G).all(axis=(1, 2))
-        if not finite.all():
-            raise ContractError(f"gain at t={int(np.argmin(finite)) + 1} must be finite")
-        return G
+        return as_steps(gains, (self.horizon - 1, self.control_dim, self.state_dim))
 
     def _alpha_terms(self, alpha: float) -> _AlphaTerms:
         """The gain-free terms of W(K) at this alpha."""
@@ -210,9 +197,7 @@ def _build_block_operators(sys: LinearSystem) -> _BlockOperators:
     M = rows.reshape(N * n, (N - 1) * m)
     from scipy.linalg import block_diag  # on first use, as in _evaluate
 
-    noise_blocks = np.array([np.linalg.inv(s) for s in sys.sigma])
-    noise_blocks = 0.5 * (noise_blocks + noise_blocks.transpose(0, 2, 1))
-    cost_blocks = np.array(sys.R)
+    noise_blocks = 0.5 * (sys.sigma_inv + sys.sigma_inv.transpose(0, 2, 1))
     gram = M.T @ block_diag(*sys.Q) @ M
     return _BlockOperators(
         noise_weight=block_diag(*noise_blocks),
@@ -222,10 +207,10 @@ def _build_block_operators(sys: LinearSystem) -> _BlockOperators:
         traj_rows=rows[:N - 1],
         state_gram=0.5 * (gram + gram.T),
         noise_blocks=noise_blocks,
-        cost_blocks=cost_blocks,
+        cost_blocks=sys.R,
         noise_max_eig=float(np.linalg.eigvalsh(noise_blocks).max()),
-        cost_max_eig=float(np.linalg.eigvalsh(cost_blocks).max()),
-        log_det_sigma=float(sum(np.linalg.slogdet(s)[1] for s in sys.sigma)),
+        cost_max_eig=float(np.linalg.eigvalsh(sys.R).max()),
+        log_det_sigma=float(sum(np.linalg.slogdet(sys.sigma)[1])),
     )
 
 
@@ -462,8 +447,9 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
                config: Optional[SynthesisConfig] = None) -> SynthesisReport:
     """Maximize log det W over structured gains by Newton ascent.
 
-    ``structure`` is an optional list of (m x n) boolean masks, True
-    where the entry is free; masked (False) entries are held at zero.
+    ``structure`` optionally holds the N-1 (m x n) masks of the steps, an
+    (N-1, m, n) array or a sequence (:func:`~riskconvex.sampling.as_steps`),
+    nonzero where the entry is free; masked (zero) entries are held at zero.
     ``feasible`` optionally projects the stacked free gains, (N-1) m n
     entries in the step-major ``ravel`` of the stacked gains.  Starts at K = 0;
     if that is infeasible the report flags failure.
@@ -490,10 +476,7 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     if structure is None:
         masks = np.ones((N - 1, m, n), dtype=bool)
     else:
-        masks = [np.asarray(mk, dtype=bool) for mk in structure]
-        if len(masks) != N - 1 or any(mk.shape != (m, n) for mk in masks):
-            raise ContractError(f"structure needs {N - 1} boolean masks of shape {(m, n)}")
-        masks = np.array(masks)
+        masks = as_steps(structure, (N - 1, m, n), "structure mask").astype(bool)
     if feasible is not None and feasible.dim != masks.size:
         raise ContractError(f"feasible set dimension {feasible.dim} != {masks.size} gain entries")
 
@@ -564,11 +547,11 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
 def write_gains_csv(directory, gains) -> None:
     """One file per step, K_01.csv, K_02.csv, ...; rows are matrix rows.
 
-    ``gains`` is one gain set (:func:`~riskconvex.control.as_gains`).
+    ``gains`` is one gain set (:func:`~riskconvex.sampling.as_steps`).
     The header row names the columns col_0..col_{q-1}; the step index
     lives in the filename.
     """
-    gains = as_gains(gains)
+    gains = as_steps(gains)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = [f"col_{j}" for j in range(gains.shape[2])]

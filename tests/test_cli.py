@@ -49,6 +49,12 @@ class TestExitCodes:
         code = run_cli(["--seed", "3", "--out", str(out), "--config", str(cfg), "demo-1d"])
         assert code == 0 and out.exists()
 
+    def test_zero_samples_flag_is_three(self, tmp_path):
+        # Only an omitted --samples falls back to the config's count.
+        out = tmp_path / "d.csv"
+        code = run_cli(["--samples", "0", "--out", str(out), "demo-1d"])
+        assert code == 3 and not out.exists()
+
     def test_certificate_refusal_is_two(self, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text("alpha = 1.0\nsigma = 0.5\nkappa = 1.0\ngrid_points = 9\nsamples = 100\n")

@@ -11,7 +11,6 @@ from riskconvex.control import (
     Dynamics,
     FrozenNoise,
     Policy,
-    as_gains,
     check_control_certificate,
     policy_gradient_batch,
     policy_gradient_derivative_free,
@@ -29,10 +28,11 @@ from riskconvex.errors import (
     DivergenceError,
     EstimateOverflowError,
     FieldEvaluationError,
+    IllConditionedError,
 )
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX, _block_rows, _row_blocks
-from riskconvex.sampling import GaussianSampler
+from riskconvex.sampling import GaussianSampler, as_steps
 from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, step_size
 from riskconvex.synthesis import LinearSystem
 from support import (
@@ -157,6 +157,16 @@ class TestRollout:
         for mode in ("noisy", "mean"):  # a given s1 is checked the same way
             with pytest.raises(ContractError, match=r"^s1 must have shape \(2,\), got \(3,\)"):
                 rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1), mode, s1=np.zeros(3))
+
+    def test_s1_given_with_frozen_noise_is_rejected(self):
+        # The frozen realization holds its own s1; a second one used to be
+        # validated and then dropped.
+        dyn, cost, pol, model = ScalarBenchmark().problem()
+        frozen = rollout(dyn, cost, pol, model, GaussianSampler(2, dim=1)).frozen()
+        for mode in ("noisy", "mean"):
+            with pytest.raises(ContractError, match="s1 or frozen noise, not both"):
+                rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1), mode,
+                        s1=np.array([5.0]), frozen=frozen)
 
     def test_csv_export_round_trips_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -376,7 +386,7 @@ def test_linear_problem_rejects_gains_of_the_wrong_shape():
 
 
 class TestGainsLayout:
-    """Every gain set is one stacked (N-1, m, q) float64 array (as_gains)."""
+    """Every gain set is one stacked (N-1, m, q) float64 array (as_steps)."""
 
     def test_policy_stacks_a_list_into_one_array(self):
         pol = Policy(gains=[[[1, 2, 3]], [[4, 5, 6]]], features=lambda s, t: s)
@@ -403,11 +413,11 @@ class TestGainsLayout:
 
     def test_one_rule_names_the_first_misshapen_step(self):
         with pytest.raises(ContractError, match=r"gain at t=2 must be 1x2, got shape \(2, 1\)"):
-            as_gains([np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((3, 3))])
+            as_steps([np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((3, 3))])
         with pytest.raises(ContractError, match=r"gain at t=1 must be 1x2, got shape \(2, 1\)"):
-            as_gains(np.zeros((3, 2, 1)), (3, 1, 2))
+            as_steps(np.zeros((3, 2, 1)), (3, 1, 2))
         with pytest.raises(ContractError, match="need 3 gain matrices, got 2"):
-            as_gains(np.zeros((2, 1, 2)), (3, 1, 2))
+            as_steps(np.zeros((2, 1, 2)), (3, 1, 2))
         for bad in ([np.zeros(2)] * 2, [], np.zeros((2, 2))):
             with pytest.raises(ContractError, match="gains must stack to"):
                 Policy(gains=bad, features=lambda s, t: s)
@@ -423,6 +433,69 @@ class TestGainsLayout:
         assert trained.gains.shape == (2, 1, 1)
         assert np.array_equal(trained.gains.ravel(), rep.theta_hat)
         assert np.array_equal(pol0.gains.ravel(), [0.8, -0.6])
+
+
+class TestPerStepLayout:
+    """R_t and Sigma_t, with the inverses and roots of Sigma_t, are each one
+    stacked (N-1, m, m) float64 array (sampling.as_steps)."""
+
+    @staticmethod
+    def problem(stacked):
+        rng = np.random.default_rng(21)
+        dyn, _, pol, _ = smooth_control_problem(rng, 3, 2, 5)
+        weights = [np.diag(rng.uniform(2.0, 3.0, 2)) for _ in range(4)]
+        noise = [np.array([[0.6, 0.1 * t], [0.1 * t, 0.5]]) for t in range(4)]
+        if stacked:
+            weights, noise = np.array(weights), np.array(noise)
+        cost = ControlCost(state_cost=lambda s, t: 0.5 * np.sum(s * s, axis=-1),
+                           control_weights=weights, bound=2.0,
+                           state_cost_grad=lambda s, t: s, vectorized=True)
+        return dyn, cost, pol, ControlRiskModel(0.8, noise)
+
+    def test_each_per_step_field_is_one_stack(self):
+        _, cost, _, model = self.problem(stacked=False)
+        for arr in (cost.control_weights, model.control_noise, model.noise_inv,
+                    model.noise_root):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert arr.shape == (4, 2, 2)
+        assert np.allclose(model.noise_inv @ model.control_noise, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["derivative_free", "model_based"])
+    def test_list_and_array_input_give_the_same_bits(self, method):
+        listed, stacked = self.problem(stacked=False), self.problem(stacked=True)
+        a = policy_gradient_batch(*listed, GaussianSampler(6, dim=1), 300, method)
+        b = policy_gradient_batch(*stacked, GaussianSampler(6, dim=1), 300, method)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std_err, b.std_err)
+        assert a.exp_cost_mean == b.exp_cost_mean
+        ra = rollout(*listed, GaussianSampler(7, dim=1))
+        rb = rollout(*stacked, GaussianSampler(7, dim=1))
+        assert np.array_equal(ra.states, rb.states) and ra.cost == rb.cost
+
+    def test_mixed_sizes_name_the_step(self):
+        with pytest.raises(ContractError, match=r"control weight at t=2 must be 1x1, "
+                                                r"got shape \(2, 2\)"):
+            zero_cost(2, weights=[np.eye(1), np.eye(2)])
+        with pytest.raises(ContractError, match=r"control noise at t=2 must be 1x1, "
+                                                r"got shape \(2, 2\)"):
+            ControlRiskModel(1.0, [np.eye(1), np.eye(2)])
+        with pytest.raises(ContractError, match="control weight at t=2 must be positive"):
+            zero_cost(2, weights=[np.eye(1), -np.eye(1)])
+        with pytest.raises(IllConditionedError, match="control noise at t=2 is not positive"):
+            ControlRiskModel(1.0, [np.eye(1), np.zeros((1, 1))])
+        dyn, _, pol, model = self.problem(stacked=True)
+        with pytest.raises(ContractError, match=r"cost control weights must stack 4 steps of "
+                                                r"2 controls, got shape \(4, 1, 1\)"):
+            rollout(dyn, zero_cost(4), pol, model, GaussianSampler(0, dim=1))
+        with pytest.raises(ContractError, match=r"cost control weights \(4, 1, 1\) and model "
+                                                r"noise \(4, 2, 2\) differ"):
+            check_control_certificate(zero_cost(4), model)
+
+    def test_empty_and_scalar_steps_are_rejected(self):
+        for bad in ([], [1.0, 1.0]):
+            with pytest.raises(ContractError, match="control weights must stack to"):
+                zero_cost(2, weights=bad)
+            with pytest.raises(ContractError, match="control noises must stack to"):
+                ControlRiskModel(1.0, bad)
 
 
 class TestMomentReduction:

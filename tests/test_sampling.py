@@ -5,7 +5,13 @@ import pytest
 
 from riskconvex.errors import ContractError, IllConditionedError
 from riskconvex.objective import RiskModel, _perturbed
-from riskconvex.sampling import GaussianSampler, as_covariance, spd_factor
+from riskconvex.sampling import (
+    GaussianSampler,
+    as_covariance,
+    as_psd_weight,
+    as_steps,
+    spd_factor,
+)
 
 
 def test_identical_seed_identical_stream():
@@ -128,3 +134,62 @@ def test_symmetry_check_is_the_allclose_verdict(scale):
         else:
             with pytest.raises(ContractError, match="symmetric"):
                 as_covariance(a)
+
+
+class TestStacks:
+    """A (T, k, k) stack is checked and factored in one pass, with the bits
+    of per-step calls, and a failing step is named by t."""
+
+    @staticmethod
+    def stack(seed=4, steps=5, k=3):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((steps, k, k))
+        return mats @ mats.transpose(0, 2, 1) + 0.2 * np.eye(k)
+
+    def test_stacked_factor_has_the_bits_of_per_step_factors(self):
+        for k in (1, 2, 3):
+            sig = as_covariance(self.stack(k=k))
+            inv, root = spd_factor(sig)
+            assert inv.shape == root.shape == sig.shape == (5, k, k)
+            for t in range(5):
+                step_inv, step_root = spd_factor(as_covariance(sig[t]))
+                assert np.array_equal(inv[t], step_inv) and np.array_equal(root[t], step_root)
+            assert np.array_equal(as_psd_weight(sig), np.array([as_psd_weight(s) for s in sig]))
+
+    def test_the_first_failing_step_is_named(self):
+        sig = self.stack()
+        sig[2] = np.diag([1.0, 0.0, 1.0])
+        sig[3] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(IllConditionedError, match=r"noise at t=3 is not positive definite"):
+            spd_factor(sig, name="noise")
+        with pytest.raises(ContractError, match=r"R at t=4 must be positive semidefinite "
+                                                r"\(min eigenvalue -1.000e\+00\)"):
+            as_psd_weight(sig, name="R")
+        sig[1, 0, 1] += 1.0
+        with pytest.raises(ContractError, match="covariance at t=2 must be symmetric"):
+            as_covariance(sig)
+        sig[0, 0, 0] = np.nan
+        with pytest.raises(ContractError, match="noise at t=1 must be finite"):
+            as_steps(sig, name="noise")
+        with pytest.raises(ContractError, match="covariance is 3x3, expected dim 2"):
+            as_covariance(self.stack(), dim=2)
+
+    def test_one_matrix_keeps_its_unnamed_messages(self):
+        with pytest.raises(IllConditionedError, match=r"^sigma is not positive definite"):
+            spd_factor(np.diag([1.0, 0.0]), name="sigma")
+        with pytest.raises(ContractError, match=r"^reg must be positive semidefinite"):
+            as_psd_weight(np.diag([1.0, -1.0]), name="reg")
+        with pytest.raises(ContractError, match=r"^covariance must be symmetric"):
+            as_covariance([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ContractError, match=r"^covariance entries must be finite"):
+            as_covariance([[np.inf]])
+
+    def test_the_shape_rule_names_its_matrices(self):
+        assert as_steps([[[1, 2]], [[3, 4]]], name="B").dtype == np.float64
+        with pytest.raises(ContractError, match=r"Q at t=2 must be 2x2, got shape \(\)"):
+            as_steps([np.eye(2), 1.0], (2, 2, 2), "Q")
+        with pytest.raises(ContractError, match="need 3 A matrices, got 2"):
+            as_steps([np.eye(2)] * 2, (3, 2, 2), "A")
+        for scalars in ([1.0, 2.0], np.ones(2)):
+            with pytest.raises(ContractError, match="control weights must stack to"):
+                as_steps(scalars, name="control weight")

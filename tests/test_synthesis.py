@@ -124,7 +124,7 @@ class TestReadOnlySystem:
     @pytest.mark.parametrize("name", ["A", "B", "Q", "R", "sigma"])
     def test_matrices_cannot_be_written(self, name):
         sys = scalar_system()
-        assert isinstance(getattr(sys, name), tuple)
+        assert isinstance(getattr(sys, name), np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             getattr(sys, name)[0][0, 0] = 2.0
 
@@ -144,6 +144,28 @@ class TestReadOnlySystem:
             detmax_objective(LinearSystem(horizon=4, **kept), 1.0, gains).value
         assert detmax_objective(LinearSystem(horizon=4, **mats), 1.0, gains).value != \
             detmax_objective(sys, 1.0, gains).value
+
+    def test_fields_are_read_only_stacks_with_the_noise_inverse(self):
+        rng = np.random.default_rng(16)
+        sys = random_system(rng, 3, 2, 5)
+        shapes = {"A": (4, 3, 3), "B": (4, 3, 2), "Q": (5, 3, 3), "R": (4, 2, 2),
+                  "sigma": (4, 2, 2), "sigma_inv": (4, 2, 2)}
+        for name, shape in shapes.items():
+            arr = getattr(sys, name)
+            assert arr.dtype == np.float64 and arr.shape == shape
+            assert not arr.flags.writeable
+        assert np.allclose(sys.sigma_inv @ sys.sigma, np.eye(2), atol=1e-12)
+
+    def test_list_and_array_input_give_the_same_bits(self):
+        rng = np.random.default_rng(17)
+        listed = random_system(rng, 3, 2, 5)
+        stacked = LinearSystem(A=np.array(listed.A), B=np.array(listed.B),
+                               Q=np.array(listed.Q), R=np.array(listed.R),
+                               sigma=np.array(listed.sigma), horizon=5)
+        gains = 0.05 * rng.standard_normal((4, 2, 3))
+        a = detmax_objective(listed, 0.8, list(gains))
+        b = detmax_objective(stacked, 0.8, gains)
+        assert a.value == b.value and np.array_equal(a.W, b.W)
 
     def test_each_result_owns_its_w(self):
         sys, gains = scalar_system(q=0.3), [np.zeros((1, 1))] * 2
@@ -710,6 +732,17 @@ class TestSynthesize:
     def test_bad_structure_shape_rejected(self):
         with pytest.raises(ContractError):
             synthesize(scalar_system(), 1.0, structure=[np.ones((2, 2), dtype=bool)] * 2)
+
+
+    def test_structure_mask_message_names_the_step_and_shape(self):
+        sys = random_system(np.random.default_rng(18), 2, 2, 4)
+        masks = [np.ones((2, 2), dtype=bool), np.ones((2, 1), dtype=bool),
+                 np.ones((2, 2), dtype=bool)]
+        with pytest.raises(ContractError, match=r"structure mask at t=2 must be 2x2, "
+                                                r"got shape \(2, 1\)"):
+            synthesize(sys, 1.0, structure=masks)
+        with pytest.raises(ContractError, match="need 3 structure mask matrices, got 2"):
+            synthesize(sys, 1.0, structure=masks[:2])
 
 
 class TestGainsCsv:
