@@ -50,7 +50,11 @@ steps has landed, and then on both threads, each taking the next block
 index (:func:`~riskconvex.objective._map_blocks`); they are summed in
 block order, so the bits do not depend on the thread count.  A batch of
 one block whose steps make one chunk, as ``control train``'s, has nothing
-to run during the draw and runs after it on the calling thread alone.  A
+to run during the draw: it is drawn whole and runs on the calling thread
+alone, with no pool and no block views (:meth:`_RolloutEngine.serial`).
+A training run of such batches, when eps is all they draw, takes its
+normals in slabs of up to 2**16 entries, many iterations per call
+(:class:`_Slabs`), with the bits of one draw per iteration.  A
 batch of one block keeps the bits of one unblocked pass; on more blocks,
 only the block sums of the moments round differently.  A Jacobian returned
 as ``np.broadcast_to`` of one matrix is applied to the whole batch as one
@@ -61,6 +65,7 @@ product, so a block holds one Jacobian at a time.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -318,15 +323,24 @@ _PAIR = np.ones(2)
 
 def _row_quads(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x_b' M x_b for every row x_b of x (..., w), M (w, w) or stacked
-    along x's leading axes.  Rows of two entries take a product and a BLAS
-    row sum: faster than the einsum, and with its bits, since a sum of two
-    terms has one order.  Wider rows keep the einsum, whose order of
-    additions a row sum would not keep."""
-    xm = x @ M
-    if x.shape[-1] != 2:
-        return np.einsum("...i,...i->...", xm, x)
+    along x's leading axes.  Narrow rows skip the einsum and keep its
+    bits.  A row of two takes a product and a BLAS row sum, since a sum of
+    two terms has one order.  A row of one entry is x * M * x plus 0.0:
+    the einsum's one-term sum 0 + p turns -0.0 into 0.0, and so erases
+    the only way x * M can differ from x @ M, the sign of a zero (a
+    vector x keeps the matrix product, whose shape differs).  Wider rows
+    keep the einsum, whose order of additions a row sum would not keep."""
+    width = x.shape[-1]
+    if width > 2:
+        return np.einsum("...i,...i->...", x @ M, x)
+    if width == 2:
+        xm = x @ M
+        xm *= x
+        return xm @ _PAIR
+    xm = x * M if x.ndim > 1 else x @ M
     xm *= x
-    return xm @ _PAIR
+    xm += 0.0
+    return xm[..., 0]
 
 
 def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -374,6 +388,9 @@ class _RolloutEngine:
         self.width = max(dyn.state_dim, dyn.control_dim, policy.feature_dim)
         # Row loops of per-row callables hold the GIL: their blocks run serially.
         self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
+        # A disturbance draw follows each step's eps in the stream.
+        self.disturbed = dyn.disturbance_dim > 0 and (dyn.disturbance_batch is not None
+                                                      or dyn.disturbance is not None)
         self.alpha = model.alpha
         self.bound, self.limit = cost.bound, _bound_limit(cost.bound)
         self.R, self.noise_inv, self.noise_root = (cost.control_weights, model.noise_inv,
@@ -409,47 +426,42 @@ class _RolloutEngine:
         return vals
 
     def draw(self, sampler: GaussianSampler, n: int, s1=None):
-        """The noise (s1, eps, xi) of n rollouts, drawn whole
-        (:meth:`drawing`)."""
-        noise, parts = self.drawing(sampler, n, s1)
-        for _ in parts:
-            pass
+        """The noise (s1, eps, xi) of n rollouts, drawn whole (:meth:`_fill`)."""
+        noise = self._noise(n)
+        self._fill(sampler, noise, s1)
         return noise
 
-    def drawing(self, sampler: GaussianSampler, n: int, s1=None):
-        """(noise, parts): the arrays (s1, eps, xi) of the noise of n
-        rollouts, s_1 (n, nd), eps (N-1, n, m) and xi (N-1, n, p), and an
-        iterator that fills them in stream order as it runs, yielding the
-        steps drawn so far (the ``draw`` of
-        :func:`~riskconvex.objective._map_blocks`): s_1 unless given, then
-        eps_t and xi_t for t = 1..N-1.  No draw depends on a state, so
-        drawing them apart from the rollouts leaves the stream unchanged.
-        numpy fills a draw in stream order, so eps is drawn and scaled into
-        its array one chunk of steps (:func:`_step_chunks`) and one row
-        block at a time: a one-block batch whose eps_t no disturbance draw
-        interleaves takes a chunk's eps in one call, and a larger batch
-        needs no (n, m) temporary."""
+    def _noise(self, n: int) -> tuple:
+        """Arrays for the noise of n rollouts: s_1 (n, nd), eps (N-1, n, m)
+        and xi (N-1, n, p); s_1 and xi stay 0 unless given or drawn."""
         dyn = self.dyn
-        N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
-        # s_1 stays 0 unless it is given or drawn.
-        noise = (np.zeros((n, nd)), np.empty((N - 1, n, m)), np.zeros((N - 1, n, p)))
-        return noise, self._draw_parts(sampler, noise, s1)
+        N = dyn.horizon
+        return (np.zeros((n, dyn.state_dim)), np.empty((N - 1, n, dyn.control_dim)),
+                np.zeros((N - 1, n, dyn.disturbance_dim)))
 
-    def _draw_parts(self, sampler: GaussianSampler, noise: tuple, s1):
-        """The iterator of :meth:`drawing`, filling ``noise``."""
+    def _fill(self, sampler: GaussianSampler, noise: tuple, s1=None, landed=_drawn) -> None:
+        """Draw the noise of :meth:`_noise` into it in stream order, the one
+        order of every batch: s_1 unless given, then eps_t and xi_t for
+        t = 1..N-1, calling ``landed(t)`` once steps 1..t have landed (the
+        ``draw`` of :func:`~riskconvex.objective._map_blocks`).  No draw
+        depends on a state, so drawing them apart from the rollouts leaves
+        the stream unchanged.  numpy fills a draw in stream order, so eps
+        is drawn and scaled into its array one chunk of steps
+        (:func:`_step_chunks`) and one row block at a time: a one-block
+        batch whose eps_t no disturbance draw interleaves takes a chunk's
+        eps in one call, and a larger batch needs no (n, m) temporary.
+        Only s_1 and the disturbances read ``sampler.rng``."""
         dyn = self.dyn
         out, eps, xi = noise
-        n, N, m, p = out.shape[0], dyn.horizon, dyn.control_dim, dyn.disturbance_dim
-        rng = sampler.rng
+        n, N, m = out.shape[0], dyn.horizon, dyn.control_dim
         if s1 is not None:
             out[...] = s1
         elif dyn.init_state_batch is not None:
-            out[...] = dyn.init_state_batch(rng, n)
+            out[...] = dyn.init_state_batch(sampler.rng, n)
         elif dyn.init_state is not None:
             for row in out:
-                row[...] = dyn.init_state(rng)
-        disturbed = p > 0 and (dyn.disturbance_batch is not None or dyn.disturbance is not None)
-        chunks = ([slice(t, t + 1) for t in range(N - 1)] if disturbed
+                row[...] = dyn.init_state(sampler.rng)
+        chunks = ([slice(t, t + 1) for t in range(N - 1)] if self.disturbed
                   else _step_chunks(N - 1, n, self.width))
         blocks = _row_blocks(n, self.width)
         for steps in chunks:
@@ -457,19 +469,25 @@ class _RolloutEngine:
                 np.matmul(sampler.normal((steps.stop - steps.start, rows.stop - rows.start, m)),
                           self.noise_root[steps], out=eps[steps, rows])
             t = steps.stop
-            if disturbed:
+            if self.disturbed:
                 if dyn.disturbance_batch is not None:
-                    xi[t - 1] = dyn.disturbance_batch(rng, t, n)
+                    xi[t - 1] = dyn.disturbance_batch(sampler.rng, t, n)
                 else:
-                    xi[t - 1] = np.stack([np.asarray(dyn.disturbance(rng, t), dtype=float)
+                    xi[t - 1] = np.stack([np.asarray(dyn.disturbance(sampler.rng, t), dtype=float)
                                           for _ in range(n)])
-            yield t
+            landed(t)
+
+    def serial(self, n: int) -> bool:
+        """Whether a batch of n rollouts is one row block whose steps make
+        one chunk: nothing of it can run before its whole draw has landed."""
+        return (len(_row_blocks(n, self.width)) == 1
+                and len(_step_chunks(self.shape[0], n, self.width)) == 1)
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
                 start: int = 0, ready=_drawn):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
-        (N-1, b, p), a row block of :meth:`drawing` or one frozen
+        (N-1, b, p), a row block of :meth:`_fill`'s noise or one frozen
         realization (b = 1).  The steps run in order, each checking its
         state costs against the bound and its next states for finiteness;
         the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
@@ -591,27 +609,33 @@ class _RolloutEngine:
         the gradient samples of n rollouts, with no per-sample tensor.
 
         The calling thread draws the noise of the whole batch
-        (:meth:`drawing`) while each row block runs the forward pass, J, w
+        (:meth:`_fill`) while each row block runs the forward pass, J, w
         and the scores (:meth:`_block_moments`) on any thread of
         :func:`~riskconvex.objective._map_blocks`, each chunk of steps once
         its noise has landed, and the blocks' shares are summed in block
-        order.  An overflowing exp(alpha J) raises
+        order.  A :meth:`serial` batch has nothing to run during its draw:
+        it is drawn whole and runs here, with no pool and no block views.
+        An overflowing exp(alpha J) raises
         :class:`EstimateOverflowError` naming its rollout; on a batch of
         several blocks, this error, :class:`DivergenceError` and the
         state-cost :class:`FieldEvaluationError` report the first failure
         of the first block that fails."""
-        (s1, eps, xi), draw = self.drawing(sampler, n)
-        blocks = _row_blocks(n, self.width)
+        noise = self._noise(n)
         w = np.empty(n)
+        if self.serial(n):
+            self._fill(sampler, noise)
+            mean, sq = self._block_moments(K, noise, w, 0, n, method, second)
+            return mean, sq, w
+        s1, eps, xi = noise
+        blocks = _row_blocks(n, self.width)
 
         def block(i, ready):
             rows = blocks[i]
             return self._block_moments(K, (s1[rows], eps[:, rows], xi[:, rows]), w[rows],
                                        rows.start, n, method, second, ready)
 
-        # One block whose steps run as one chunk needs the whole draw at once.
-        overlap = len(blocks) > 1 or len(_step_chunks(self.shape[0], n, self.width)) > 1
-        parts = _map_blocks(block, len(blocks), self.parallel and overlap, draw)
+        parts = _map_blocks(block, len(blocks), self.parallel,
+                            functools.partial(self._fill, sampler, noise, None))
         mean, sq = parts[0]
         for block_mean, block_sq in parts[1:]:
             mean += block_mean
@@ -790,6 +814,31 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     )
 
 
+# Entries of one slab of a training run's noise (:class:`_Slabs`): 512 KiB.
+_SLAB_ENTRIES = 2**16
+
+
+class _Slabs:
+    """The run stream of :func:`train_policy` when each of its ``draws``
+    batches draws one eps of one shape and nothing else: ``normal``
+    serves these draws from slabs of up to _SLAB_ENTRIES entries, each
+    drawn in one call and none past the last batch.  numpy fills a draw
+    in stream order, so each batch's eps keeps the bits of its own call."""
+
+    def __init__(self, sampler: GaussianSampler, draws: int):
+        self.sampler, self.left = sampler, draws
+        self.slab, self.next = (), 0
+
+    def normal(self, shape: tuple) -> np.ndarray:
+        if self.next == len(self.slab):
+            count = min(self.left, max(1, _SLAB_ENTRIES // math.prod(shape)))
+            self.slab = ()  # one slab alive at a time
+            self.slab, self.next = self.sampler.normal((count,) + shape), 0
+            self.left -= count
+        self.next += 1
+        return self.slab[self.next - 1]
+
+
 def _caller_stacklevel() -> int:
     """The ``stacklevel`` with which the function calling this names, in its
     warnings, the line that called into the library: the first frame whose
@@ -839,7 +888,18 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
             stacklevel=_caller_stacklevel(),
         )
 
+    # The run's batches (``second`` unset) all draw from the run stream;
+    # when each is serial and draws eps alone, those draws come in slabs.
+    slabbed = (not engine.disturbed and dyn.init_state is None
+               and dyn.init_state_batch is None and engine.serial(config.batch))
+    slabs = None
+
     def oracle(theta, n, stream, second):
+        nonlocal slabs
+        if slabbed and not second:
+            if slabs is None:
+                slabs = _Slabs(stream, config.iterations)
+            stream = slabs
         mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
         return mean.ravel(), sq, w.sum() / n
 

@@ -23,6 +23,8 @@ from .errors import ConfigError
 
 
 def format_value(x) -> str:
+    if type(x) is float:  # the common cell, tested first
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool,)):
@@ -44,7 +46,7 @@ def write_csv(path, rows, header=None) -> None:
     if header is not None:
         lines.append(",".join(str(h) for h in header))
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

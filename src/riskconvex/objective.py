@@ -124,9 +124,10 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     batch, run on the calling thread and the pool's helpers while or after
     ``draw`` draws the batch.
 
-    ``draw``, when given, draws the batch's noise in stream order on the
-    calling thread as it is iterated, and yields how far it has got (rows
-    of a static batch, steps of a rollout batch) as each part lands.
+    ``draw``, when given, is called as ``draw(landed)`` on the calling
+    thread: it draws the batch's noise in stream order and calls
+    ``landed(reach)`` with how far it has got (rows of a static batch,
+    steps of a rollout batch) as each part lands.
     ``work`` calls ``ready(reach)`` before it reads noise up to ``reach``;
     ``ready`` returns once the draw has got that far.  The plain loop
     (``parallel`` off, as row loops of non-vectorized callables hold the
@@ -152,8 +153,7 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
         helpers = min(helpers, count if draw is not None else count - 1)
     if helpers < 1:
         if draw is not None:
-            for _ in draw:
-                pass
+            draw(_drawn)
         if count == 1:  # the common small batch: no comprehension frame
             return [work(0, _drawn)]
         return [work(i, _drawn) for i in range(count)]
@@ -209,8 +209,8 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
                 tasks.append(executor.submit(run, BaseException))
         except RuntimeError:  # no thread to be had: the caller runs the blocks
             pass
-        for reach in draw or ():
-            advance(reach)
+        if draw is not None:
+            draw(advance)
         advance(np.inf)
         run(Exception)  # an interrupt is not a block error: it leaves at once
     except BaseException:
@@ -362,19 +362,19 @@ def _perturbed(model: RiskModel, theta, raw: np.ndarray) -> np.ndarray:
 def _block_draws(sampler: GaussianSampler, n: int, blocks: tuple) -> tuple:
     """(draws, parts): the (n, k) raw draws of a batch in ``blocks``, and
     the ``draw`` of :func:`_map_blocks` that fills them block by block in
-    stream order, yielding the rows drawn so far (numpy fills a draw in
+    stream order, reporting the rows drawn so far (numpy fills a draw in
     stream order, so the bits are those of one draw of n rows).  A batch
-    of one block is drawn here, with nothing left to yield."""
+    of one block is drawn here, with nothing left to draw."""
     if len(blocks) == 1:
         return sampler.draw(n), None
     draws = np.empty((n, sampler.dim))
 
-    def parts():
+    def parts(landed):
         for rows in blocks:
             draws[rows] = sampler.draw(rows.stop - rows.start)
-            yield rows.stop
+            landed(rows.stop)
 
-    return draws, parts()
+    return draws, parts
 
 
 def _field_values(f: ScalarField, model: RiskModel, theta, n: int,

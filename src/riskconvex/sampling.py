@@ -29,10 +29,11 @@ def as_steps(mats, shape=None, name: str = "gain") -> np.ndarray:
     (rows x cols) matrices, as a new (T, rows, cols) float64 array of
     finite entries.  ``shape`` defaults to the count and the first
     matrix's shape.  Another count, or a matrix of another shape (a scalar
-    among them) or with a non-finite entry, is a :class:`ContractError`
-    naming the matrices by ``name`` and the failing one by its step t."""
+    among them), with ragged rows or with a non-finite entry, is a
+    :class:`ContractError` naming the matrices by ``name`` and the failing
+    one by its step t."""
     if shape is None:
-        shape = (len(mats),) + (np.shape(mats[0]) if len(mats) else ())
+        shape = (len(mats),) + (_matrix_shape(mats[0], name, 1) if len(mats) else ())
     if len(shape) != 3:
         raise ContractError(f"{name}s must stack to (steps, rows, cols), got {shape}")
     steps, rows, cols = shape
@@ -40,7 +41,7 @@ def as_steps(mats, shape=None, name: str = "gain") -> np.ndarray:
         if len(mats) != steps:
             raise ContractError(f"need {steps} {name} matrices, got {len(mats)}")
         for t, mat in enumerate(mats, start=1):
-            if np.shape(mat) != (rows, cols):
+            if _matrix_shape(mat, name, t) != (rows, cols):
                 raise ContractError(
                     f"{name} at t={t} must be {rows}x{cols}, got shape {np.shape(mat)}")
     arr = np.array(mats, dtype=float)
@@ -48,6 +49,15 @@ def as_steps(mats, shape=None, name: str = "gain") -> np.ndarray:
         raise ContractError(
             f"{_first_failure(name, ~np.isfinite(arr).all(axis=(1, 2)))[0]} must be finite")
     return arr
+
+
+def _matrix_shape(mat, name: str, t: int) -> tuple:
+    """The shape of ``name``'s matrix at step t, or :class:`ContractError`
+    naming it when its rows are ragged (numpy's untyped ValueError)."""
+    try:
+        return np.shape(mat)
+    except ValueError as exc:
+        raise ContractError(f"{name} at t={t} is ragged: its rows differ in shape") from exc
 
 
 def _first_failure(name: str, bad: np.ndarray) -> tuple[str, int]:

@@ -210,9 +210,11 @@ class SolverReport:
         """Columns: iter, theta_0..theta_{k-1}, grad_norm, eta."""
         k = self.thetas.shape[1]
         header = ["iter"] + [f"theta_{j}" for j in range(k)] + ["grad_norm", "eta"]
+        # Python floats from tolist() format faster than numpy scalars, with the same repr.
         rows = (
-            [i + 1, *self.thetas[i], self.grad_norms[i], self.etas[i]]
-            for i in range(self.iterations)
+            [i, *theta, norm, eta]
+            for i, theta, norm, eta in zip(range(1, self.iterations + 1), self.thetas.tolist(),
+                                           self.grad_norms.tolist(), self.etas.tolist())
         )
         write_csv(path, rows, header=header)
 

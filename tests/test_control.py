@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -19,9 +20,12 @@ from riskconvex.control import (
     train_policy,
     write_rollout_csv,
     _RolloutEngine,
+    _row_quads,
     _step_chunks,
 )
+from riskconvex import benchmarks, control
 from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
+from riskconvex.cli import main
 from riskconvex.datasets import Dataset
 from riskconvex.errors import (
     ContractError,
@@ -33,7 +37,7 @@ from riskconvex.errors import (
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX, _block_rows, _row_blocks
 from riskconvex.sampling import GaussianSampler, as_steps
-from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, step_size
+from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, projected_sgd, step_size
 from riskconvex.synthesis import LinearSystem
 from support import (
     _forward_batch,
@@ -1128,3 +1132,168 @@ def test_adjoint_stops_at_the_first_step():
     policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(1, dim=1), 16, "model_based")
     assert calls == {"jac_state": horizon - 2, "features_jacobian": horizon - 2,
                      "state_cost_grad": horizon - 1, "jac_control": horizon - 1}
+
+
+def einsum_quads(x, M):
+    """The einsum form of :func:`_row_quads`, its reference."""
+    return np.einsum("...i,...i->...", x @ M, x)
+
+
+class TestRowQuads:
+    """Rows of one or two entries skip the einsum and keep its bits."""
+
+    SPECIALS = [0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_the_einsum_bits(self, width):
+        rng = np.random.default_rng(width)
+        x = np.concatenate([np.array(list(itertools.product(self.SPECIALS, repeat=width))),
+                            rng.standard_normal((64, width))])
+        weights = [np.zeros((width, width)), -np.zeros((width, width)), np.eye(width),
+                   rng.standard_normal((width, width))]
+        stacked = x[: 6 * (len(x) // 6)].reshape(6, -1, width)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cases = [(x, M) for M in weights] + [(row, weights[3]) for row in x[::9]] + [
+                (stacked, np.stack([weights[i % len(weights)] for i in range(6)]))]
+            for rows, M in cases:
+                got, ref = _row_quads(rows, M), einsum_quads(rows, M)
+                assert got.shape == ref.shape == rows.shape[:-1]
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        if width == 1:  # the einsum's 0 + p: no -0.0 comes out
+            assert not np.signbit(_row_quads(np.array([[-0.0], [0.0]]), np.ones((1, 1)))).any()
+
+    @pytest.mark.parametrize("mode", ["mean", "noisy"])
+    def test_rollout_csv_keeps_the_einsum_bytes(self, tmp_path, monkeypatch, mode):
+        cfg = tmp_path / "roll.cfg"
+        cfg.write_text(f"mode = {mode}\n")
+
+        def run(out):
+            with pytest.raises(SystemExit) as exc:
+                main(["--seed", "4", "--out", str(out), "--config", str(cfg),
+                      "control", "rollout"])
+            assert exc.value.code == 0
+            return out.read_bytes()
+
+        fast = run(tmp_path / "fast.csv")
+        monkeypatch.setattr(control, "_row_quads", einsum_quads)
+        monkeypatch.setattr(benchmarks, "_row_quads", einsum_quads)
+        assert run(tmp_path / "einsum.csv") == fast
+
+
+def per_iteration_training(problem, cfg, constraint, seed, written_out=True):
+    """train_policy's derivative-free report with each batch drawn from
+    the stream on its own: by the step-by-step reference pass
+    (``written_out``, one unblocked pass) or by the engine."""
+    dyn, cost, pol, model = problem
+    engine = _RolloutEngine(*problem)
+
+    def oracle(theta, n, stream, second):
+        K = theta.reshape(pol.gains.shape)
+        if written_out:
+            mean, sq, w = _full_batch_moments(dyn, cost, pol.with_gains(K), model, stream, n,
+                                              "derivative_free")
+        else:
+            mean, sq, w = engine.moments(K, stream, n, "derivative_free", second)
+        return mean.ravel(), sq, w.sum() / n
+
+    return projected_sgd(oracle, np.ravel(pol.gains), constraint, cfg,
+                         GaussianSampler(seed, dim=1), check_control_certificate(cost, model))
+
+
+def assert_same_run(report, ref):
+    for name in ("zeta", "thetas", "grad_norms", "etas", "objective_trace", "final_theta"):
+        assert np.array_equal(getattr(report, name), getattr(ref, name)), name
+
+
+@pytest.fixture
+def normal_shapes(monkeypatch):
+    """The shapes of the sampler's normal draws of the test, in order."""
+    shapes = []
+    normal = GaussianSampler.normal
+
+    def recorded(self, shape):
+        shapes.append(tuple(shape))
+        return normal(self, shape)
+
+    monkeypatch.setattr(GaussianSampler, "normal", recorded)
+    return shapes
+
+
+def init_drawn(problem):
+    dyn, *rest = problem
+    return (dataclasses.replace(dyn, init_state_batch=lambda g, b: 0.1 * g.standard_normal((b, 1))),
+            *rest)
+
+
+def disturbance_drawn(problem):
+    dyn, *rest = problem
+    return (dataclasses.replace(dyn, disturbance_dim=1,
+                                disturbance_batch=lambda g, t, b: g.standard_normal((b, 1))),
+            *rest)
+
+
+class TestRunNoiseSlabs:
+    """A training run whose batches are serial and draw nothing but eps
+    takes the run stream's normals in slabs of many iterations, with the
+    bits of one draw per iteration; other runs draw per iteration."""
+
+    @pytest.mark.parametrize("batch", [2, 128])
+    @pytest.mark.parametrize("iterations", [1, 7, 257, 2001])
+    def test_slabs_keep_the_bits_of_per_iteration_draws(self, iterations, batch,
+                                                        normal_shapes):
+        problem = ScalarBenchmark().problem()
+        cfg = SolverConfig(iterations=iterations, batch=batch)
+        constraint = FeasibleSet.ball(np.zeros(2), 0.6)
+        _, report = train_policy(*problem, "derivative_free", cfg, constraint,
+                                 GaussianSampler(11, dim=1))
+        per_slab = control._SLAB_ENTRIES // (2 * batch)
+        full, rest = divmod(iterations, per_slab)
+        assert normal_shapes == ([(2, cfg.pilot_samples, 1)]
+                                 + [(per_slab, 2, batch, 1)] * full
+                                 + [(rest, 2, batch, 1)] * (rest > 0))
+        assert_same_run(report, per_iteration_training(problem, cfg, constraint, 11))
+
+    @pytest.mark.parametrize("build,batch,iterations,written_out", [
+        (lambda: init_drawn(ScalarBenchmark().problem()), 128, 9, True),
+        (lambda: disturbance_drawn(ScalarBenchmark().problem()), 128, 9, True),
+        (lambda: ScalarBenchmark().problem(), 2 * _block_rows(1), 2, False),
+        (lambda: ScalarBenchmark(a=0.5, r=100.0, alpha=0.01, horizon=200).problem(), 128, 3,
+         True),
+    ], ids=["init_state_batch", "disturbance_batch", "several_blocks", "several_chunks"])
+    def test_other_runs_draw_per_iteration(self, build, batch, iterations, written_out,
+                                           normal_shapes):
+        problem = build()
+        engine = _RolloutEngine(*problem)
+        assert (engine.disturbed or problem[0].init_state_batch is not None
+                or not engine.serial(batch))
+        cfg = SolverConfig(iterations=iterations, batch=batch)
+        constraint = FeasibleSet.ball(np.zeros(problem[2].gains.size), 0.6)
+        _, report = train_policy(*problem, "derivative_free", cfg, constraint,
+                                 GaussianSampler(13, dim=1))
+        assert all(len(shape) == 3 for shape in normal_shapes)
+        assert_same_run(report, per_iteration_training(problem, cfg, constraint, 13,
+                                                       written_out))
+
+    @pytest.mark.parametrize("a,error,match", [
+        (1e308, DivergenceError, "^non-finite state at t=3$"),
+        (1e7, FieldEvaluationError, r"at t=3 in rollout \d+$"),
+    ], ids=["divergence", "state_cost_bound"])
+    def test_errors_keep_their_step_and_rollout(self, a, error, match):
+        problem = ScalarBenchmark(a=a).problem()
+        # zeta given: no pilot, so the first failing batch is one of the run.
+        cfg = SolverConfig(iterations=300, batch=128, zeta=1.0)
+        constraint = FeasibleSet.ball(np.zeros(2), 0.6)
+        raised = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: train_policy(*problem, "derivative_free", cfg, constraint,
+                                             GaussianSampler(17, dim=1)),
+                        lambda: per_iteration_training(problem, cfg, constraint, 17,
+                                                       written_out=False)):
+                with pytest.raises(error, match=match) as err:
+                    run()
+                raised.append(err.value)
+        assert str(raised[0]) == str(raised[1])
+        if error is DivergenceError:
+            assert raised[0].step == raised[1].step == 3
+        else:
+            assert np.array_equal(raised[0].theta, raised[1].theta)

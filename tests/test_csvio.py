@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from riskconvex.csvio import format_value, read_matrix, write_csv
 from riskconvex.errors import ConfigError
+from riskconvex.solver import SolverReport
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,3 +114,26 @@ def test_blank_lines_are_skipped_and_counted(tmp_path):
         read_matrix(path, header=True)
     path.write_text("col_0\n\n0.5\n\n0.25\n\n")
     assert np.array_equal(read_matrix(path, header=True)[1], [[0.5], [0.25]])
+
+
+@pytest.mark.parametrize("x,text", [
+    (-0.0, "-0.0"), (0.0, "0.0"), (5e-324, "5e-324"), (1e308, "1e+308"), (0.1, "0.1"),
+    (3, "3"), (-7, "-7"), (True, "1"), (False, "0"), ("tag", "tag"), ("", ""),
+])
+def test_a_cell_keeps_its_text_whatever_its_type(x, text):
+    assert format_value(x) == text
+    if type(x) is float:  # a numpy scalar writes the Python float's text
+        assert format_value(np.float64(x)) == text
+
+
+def test_trace_csv_keeps_the_bytes_of_numpy_scalar_rows(tmp_path):
+    thetas = np.array([[-0.0, 5e-324], [1e308, 0.1], [-1.5e-30, 2.0]])
+    norms, etas = np.array([0.0, 1e-300, 3.0]), np.array([0.5, 1.0 / 3.0, -0.0])
+    report = SolverReport(theta_hat=thetas.mean(axis=0), final_theta=thetas[-1], certificate=0.0,
+                          zeta=1.0, thetas=thetas, grad_norms=norms, etas=etas, convexity=None)
+    report.write_trace_csv(tmp_path / "trace.csv")
+    write_csv(tmp_path / "ref.csv",
+              [[i + 1, *thetas[i], norms[i], etas[i]] for i in range(3)],
+              header=["iter", "theta_0", "theta_1", "grad_norm", "eta"])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "1,-0.0,5e-324,0.0,0.5"

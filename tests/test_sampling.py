@@ -193,3 +193,13 @@ class TestStacks:
         for scalars in ([1.0, 2.0], np.ones(2)):
             with pytest.raises(ContractError, match="control weights must stack to"):
                 as_steps(scalars, name="control weight")
+
+    @pytest.mark.parametrize("mats,t", [
+        ([[[1.0, 2.0], [3.0]], np.eye(2)], 1),
+        ([np.eye(2), [[1.0, 2.0], [3.0]]], 2),
+    ], ids=["first", "later"])
+    def test_a_ragged_matrix_is_named_by_its_step(self, mats, t):
+        with pytest.raises(ContractError, match=f"^gain at t={t} is ragged"):
+            as_steps(mats)
+        with pytest.raises(ContractError, match=f"^A at t={t} is ragged"):
+            as_steps(mats, (2, 2, 2), "A")
