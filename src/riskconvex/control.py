@@ -28,38 +28,33 @@ estimation draws from derived sampler streams and reduces in fixed order:
 the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
-A batch draws all of its noise on the calling thread, in the order of a
-step-by-step rollout (s_1, then eps_t and xi_t for each t), and runs in
-row blocks of 2**14 // max(n, m, q) rollouts, so the widest per-step
-array of a block (states, controls or features) holds 2**14 entries: each
-block's per-step temporaries, weights and scores stay in cache.  A block
-holds its whole trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage
-costs (N, b), as views of one allocation: glibc's malloc trims its heap
-once the free top exceeds twice the mmap threshold, which rises to the
-largest memory-mapped chunk freed, so four arrays freed together (8.7 MB
-for 4096 rollouts of 29 steps, against a 3.9 MB threshold set by S) went
-back to the system after every batch and were faulted in again, while one
-chunk of that size keeps its pages.  Within a block, the steps run in
-chunks whose (steps x rows x max(n, m, q)) entries fit the same budget: a
-chunk's eps draw, control costs, likelihood-ratio scores and moments are
-one stacked product each, so a small batch makes each of these calls once
-per chunk rather than once per step, with the bits of the per-step
-products.  The blocks of a fully vectorized problem run on a helper thread
-while the calling thread draws, each chunk as soon as the noise of its
-steps has landed, and then on both threads, each taking the next block
-index (:func:`~riskconvex.objective._map_blocks`); they are summed in
-block order, so the bits do not depend on the thread count.  A batch of
-one block whose steps make one chunk, as ``control train``'s, has nothing
-to run during the draw: it is drawn whole and runs on the calling thread
-alone, with no pool and no block views (:meth:`_RolloutEngine.serial`).
-A training run of such batches, when eps is all they draw, takes its
-normals in slabs of up to 2**16 entries, many iterations per call
-(:class:`_Slabs`), with the bits of one draw per iteration.  A
-batch of one block keeps the bits of one unblocked pass; on more blocks,
-only the block sums of the moments round differently.  A Jacobian returned
-as ``np.broadcast_to`` of one matrix is applied to the whole batch as one
+Batches run in row blocks of 2**14 // max(n, m, q) rollouts, so the widest
+per-step array of a block (states, controls or features) holds 2**14
+entries: each block's per-step temporaries, weights and scores stay in
+cache.  A block holds its whole trajectory, S (N, b, n), U and Y
+(N-1, b, m) and the stage costs (N, b), as views of one allocation, whose
+pages glibc's malloc keeps from batch to batch: four arrays freed together
+crossed its heap-trim threshold and were faulted in again every batch.
+Within a block, the steps run in chunks whose (steps x rows x max(n, m,
+q)) entries fit the same budget: a chunk's eps draw, control costs,
+likelihood-ratio scores and moments are one stacked product each, with the
+bits of the per-step products.  The calling thread draws s_1 of a whole
+batch.  A batch of one block draws its eps_t and xi_t from the sampler in
+the order of a step-by-step rollout, on the calling thread, while a helper
+thread runs each chunk of the block as soon as its noise has landed
+(:func:`~riskconvex.objective._map_blocks`), and keeps the bits of one
+unblocked pass.  One whose steps make one chunk, as ``control train``'s,
+is drawn whole and runs on the calling thread alone, with no pool
+(:meth:`_RolloutEngine.serial`); a training run of such batches, when eps
+is all they draw, takes its normals in slabs of up to 2**16 entries
+(:class:`_Slabs`), with the bits of one draw per iteration.  A batch of
+several blocks splits the sampler into one stream per block: each block
+draws its own eps_t and xi_t on whichever thread runs it, and the blocks
+are summed in block order, so the bits depend on the layout (n, width)
+and the sampler, never on the thread count.  A Jacobian returned as
+``np.broadcast_to`` of one matrix is applied to the whole batch as one
 product, and the adjoint recursion passes each Jacobian straight into its
-product, so a block holds one Jacobian at a time.
+product, so a block holds one at a time.
 """
 
 from __future__ import annotations
@@ -109,7 +104,8 @@ class Dynamics:
     the Jacobians accept a leading batch axis; otherwise they run per row.
     Vectorized callables must be functions of their arguments alone: a
     large batch calls them concurrently, from several threads, on
-    disjoint row blocks.  The draw callables run on the calling thread.
+    disjoint row blocks; so is ``disturbance*``, with each block's own
+    generator.  ``init_state*`` runs on the calling thread.
     """
 
     step: Callable
@@ -352,6 +348,15 @@ def _vjp(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bi->bj", J, v)
 
 
+def _reduced(cg_t: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """np.matmul(cg_t, phi, out) over b rows, cg_t (steps, 1, b), phi (steps,
+    b, 1), summed in order in pieces of 8192 rows: one matmul is a BLAS dot,
+    which OpenBLAS splits over its threads past 10000 rows, rounding by their count."""
+    np.matmul(cg_t[..., :8192], phi[:, :8192], out)
+    for k in range(8192, phi.shape[1], 8192):
+        out += cg_t[..., k:k + 8192] @ phi[:, k:k + 8192]
+
+
 class _Trajectory(NamedTuple):
     """Rollouts of b rows, as :meth:`_RolloutEngine.forward` returns them."""
 
@@ -426,48 +431,50 @@ class _RolloutEngine:
         return vals
 
     def draw(self, sampler: GaussianSampler, n: int, s1=None):
-        """The noise (s1, eps, xi) of n rollouts, drawn whole (:meth:`_fill`)."""
-        noise = self._noise(n)
-        self._fill(sampler, noise, s1)
+        """The noise (s1, eps, xi) of n rollouts drawn whole, ``s1`` (n, nd) if given."""
+        noise = self._noise(n, s1)
+        self._fill(sampler, noise, initial=s1 is None)
         return noise
 
-    def _noise(self, n: int) -> tuple:
-        """Arrays for the noise of n rollouts: s_1 (n, nd), eps (N-1, n, m)
-        and xi (N-1, n, p); s_1 and xi stay 0 unless given or drawn."""
-        dyn = self.dyn
-        N = dyn.horizon
-        return (np.zeros((n, dyn.state_dim)), np.empty((N - 1, n, dyn.control_dim)),
-                np.zeros((N - 1, n, dyn.disturbance_dim)))
+    def _noise(self, n: int, s1=None) -> tuple:
+        """Arrays for the noise of n rollouts: s_1 (n, nd) or ``s1``, eps
+        (N-1, n, m) and xi (N-1, n, p); s_1 and xi stay 0 unless drawn."""
+        dyn, T = self.dyn, self.shape[0]  # T = N - 1 steps
+        return (np.zeros((n, dyn.state_dim)) if s1 is None else s1,
+                np.empty((T, n, dyn.control_dim)), np.zeros((T, n, dyn.disturbance_dim)))
 
-    def _fill(self, sampler: GaussianSampler, noise: tuple, s1=None, landed=_drawn) -> None:
-        """Draw the noise of :meth:`_noise` into it in stream order, the one
-        order of every batch: s_1 unless given, then eps_t and xi_t for
-        t = 1..N-1, calling ``landed(t)`` once steps 1..t have landed (the
-        ``draw`` of :func:`~riskconvex.objective._map_blocks`).  No draw
-        depends on a state, so drawing them apart from the rollouts leaves
-        the stream unchanged.  numpy fills a draw in stream order, so eps
-        is drawn and scaled into its array one chunk of steps
-        (:func:`_step_chunks`) and one row block at a time: a one-block
-        batch whose eps_t no disturbance draw interleaves takes a chunk's
-        eps in one call, and a larger batch needs no (n, m) temporary.
-        Only s_1 and the disturbances read ``sampler.rng``."""
+    def _initial(self, sampler: GaussianSampler, out: np.ndarray) -> np.ndarray:
+        """``out`` with s_1 of a whole batch drawn into it by ``init_state*``."""
         dyn = self.dyn
-        out, eps, xi = noise
-        n, N, m = out.shape[0], dyn.horizon, dyn.control_dim
-        if s1 is not None:
-            out[...] = s1
-        elif dyn.init_state_batch is not None:
-            out[...] = dyn.init_state_batch(sampler.rng, n)
+        if dyn.init_state_batch is not None:
+            out[...] = dyn.init_state_batch(sampler.rng, out.shape[0])
         elif dyn.init_state is not None:
             for row in out:
                 row[...] = dyn.init_state(sampler.rng)
+        return out
+
+    def _fill(self, sampler: GaussianSampler, noise: tuple, landed=_drawn, initial=True) -> None:
+        """Draw the noise of :meth:`_noise` into it in stream order, the one
+        order of every stream: s_1 when ``initial`` (:meth:`_initial`), then
+        eps_t and xi_t for t = 1..N-1, calling ``landed(t)`` once steps
+        1..t have landed (the ``draw`` of
+        :func:`~riskconvex.objective._map_blocks`).  No draw depends on a
+        state, so drawing them apart from the rollouts leaves the stream
+        unchanged.  numpy fills a draw in stream order, so eps is drawn
+        and scaled into its array one chunk of steps (:func:`_step_chunks`)
+        at a time: a batch whose eps_t no disturbance draw interleaves
+        takes a chunk's eps in one call.  Only s_1 and the disturbances
+        read ``sampler.rng``."""
+        dyn = self.dyn
+        _, eps, xi = noise
+        N, n, m = dyn.horizon, eps.shape[1], dyn.control_dim
+        if initial:
+            self._initial(sampler, noise[0])
         chunks = ([slice(t, t + 1) for t in range(N - 1)] if self.disturbed
                   else _step_chunks(N - 1, n, self.width))
-        blocks = _row_blocks(n, self.width)
         for steps in chunks:
-            for rows in blocks:
-                np.matmul(sampler.normal((steps.stop - steps.start, rows.stop - rows.start, m)),
-                          self.noise_root[steps], out=eps[steps, rows])
+            np.matmul(sampler.normal((steps.stop - steps.start, n, m)), self.noise_root[steps],
+                      out=eps[steps])
             t = steps.stop
             if self.disturbed:
                 if dyn.disturbance_batch is not None:
@@ -487,7 +494,7 @@ class _RolloutEngine:
                 start: int = 0, ready=_drawn):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
-        (N-1, b, p), a row block of :meth:`_fill`'s noise or one frozen
+        (N-1, b, p): a row block's noise (:meth:`_fill`) or one frozen
         realization (b = 1).  The steps run in order, each checking its
         state costs against the bound and its next states for finiteness;
         the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
@@ -581,13 +588,15 @@ class _RolloutEngine:
     def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
                        method: str, second: bool, ready=_drawn):
         """(this block's share of the batch mean, of the second moment or
-        None) for the rollouts of one row block of the ``noise`` of an
-        n-rollout batch, rows ``start`` on, whose w = exp(alpha J) it writes
+        None) for the rollouts of one row block with ``noise``, rows
+        ``start`` on of an n-rollout batch, whose w = exp(alpha J) it writes
         into ``w``: with scale = alpha w (model-based) or w
         (derivative-free) and c = scale / n, the shares are (c g_t)' phi_t
         and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n, one
-        stacked product per chunk of steps; ``ready`` is :meth:`forward`'s."""
+        product per chunk of steps (:func:`_reduced` for a one-by-one
+        moment over more than 8192 rows); ``ready`` is :meth:`forward`'s."""
         traj = self.forward(K, *noise, start, ready)
+        product = _reduced if self.shape[1:] == (1, 1) and len(w) > 8192 else np.matmul
         np.exp(check_exponents(self.alpha * traj.J, start), out=w)
         c = (self.alpha * w if method == "model_based" else w)[:, None] / n
         mean = np.empty(self.shape)
@@ -596,10 +605,10 @@ class _RolloutEngine:
             phi = _stacked(traj.PHI, steps)
             g *= c
             cg_t = g.transpose(0, 2, 1)
-            np.matmul(cg_t, phi, out=mean[steps])
+            product(cg_t, phi, mean[steps])
             if second:
                 g *= g
-                np.matmul(cg_t, phi * phi, out=sq[steps])
+                product(cg_t, phi * phi, sq[steps])
                 sq[steps] *= n
         return mean, sq
 
@@ -608,39 +617,48 @@ class _RolloutEngine:
         """(batch mean, batch second moment or None, w = exp(alpha J)) of
         the gradient samples of n rollouts, with no per-sample tensor.
 
-        The calling thread draws the noise of the whole batch
-        (:meth:`_fill`) while each row block runs the forward pass, J, w
-        and the scores (:meth:`_block_moments`) on any thread of
-        :func:`~riskconvex.objective._map_blocks`, each chunk of steps once
-        its noise has landed, and the blocks' shares are summed in block
-        order.  A :meth:`serial` batch has nothing to run during its draw:
-        it is drawn whole and runs here, with no pool and no block views.
-        An overflowing exp(alpha J) raises
-        :class:`EstimateOverflowError` naming its rollout; on a batch of
-        several blocks, this error, :class:`DivergenceError` and the
-        state-cost :class:`FieldEvaluationError` report the first failure
-        of the first block that fails."""
-        noise = self._noise(n)
+        The calling thread draws s_1 of the batch.  A batch of several row
+        blocks then splits ``sampler`` into one stream per block; each
+        block, on any thread of :func:`~riskconvex.objective._map_blocks`,
+        draws its eps_t and xi_t from its stream (:meth:`_fill`) and runs
+        :meth:`_block_moments`, and the shares are summed in block order.
+        A batch of one block draws from ``sampler`` on the calling thread
+        while the block runs each chunk once its noise has landed; a
+        :meth:`serial` one is drawn whole and runs here, with no pool.  An
+        overflowing exp(alpha J) raises :class:`EstimateOverflowError`
+        naming its rollout; on a batch of several blocks, this error,
+        :class:`DivergenceError` and the state-cost
+        :class:`FieldEvaluationError` report the first failure of the
+        first block that fails, and leave the sampler as a successful
+        batch does."""
         w = np.empty(n)
         if self.serial(n):
+            noise = self._noise(n)
             self._fill(sampler, noise)
-            mean, sq = self._block_moments(K, noise, w, 0, n, method, second)
-            return mean, sq, w
-        s1, eps, xi = noise
+            return (*self._block_moments(K, noise, w, 0, n, method, second), w)
         blocks = _row_blocks(n, self.width)
+        if len(blocks) > 1:
+            dyn = self.dyn  # s_1 = 0 unless drawn: then each block makes its own rows
+            s1 = (self._initial(sampler, np.zeros((n, dyn.state_dim)))
+                  if dyn.init_state_batch is not None or dyn.init_state is not None else None)
+            streams = sampler.split(len(blocks))
 
-        def block(i, ready):
-            rows = blocks[i]
-            return self._block_moments(K, (s1[rows], eps[:, rows], xi[:, rows]), w[rows],
-                                       rows.start, n, method, second, ready)
+            def block(i, ready):
+                rows = blocks[i]
+                noise = self._noise(rows.stop - rows.start, None if s1 is None else s1[rows])
+                self._fill(streams[i], noise, initial=False)
+                return self._block_moments(K, noise, w[rows], rows.start, n, method, second)
 
-        parts = _map_blocks(block, len(blocks), self.parallel,
-                            functools.partial(self._fill, sampler, noise, None))
-        mean, sq = parts[0]
-        for block_mean, block_sq in parts[1:]:
-            mean += block_mean
-            if second:
-                sq += block_sq
+            (mean, sq), *rest = _map_blocks(block, len(blocks), self.parallel)
+            for block_mean, block_sq in rest:
+                mean += block_mean
+                if second:
+                    sq += block_sq
+            return mean, sq, w
+        noise = self._noise(n)
+        [(mean, sq)] = _map_blocks(
+            lambda i, ready: self._block_moments(K, noise, w, 0, n, method, second, ready),
+            1, self.parallel, functools.partial(self._fill, sampler, noise))
         return mean, sq, w
 
 
@@ -666,7 +684,7 @@ def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=Non
         frozen = FrozenNoise(s1=np.zeros(nd) if s1 is None else s1,
                              eps=np.zeros((N - 1, m)), xi=np.zeros((N - 1, p)))
     if frozen is None:
-        noise = engine.draw(sampler, 1, s1)
+        noise = engine.draw(sampler, 1, None if s1 is None else s1[None])
     else:  # the frozen realization as a batch of one; the Rollout keeps a copy of xi
         noise = (_shaped(frozen.s1, "frozen noise s1", (nd,))[None],
                  _shaped(frozen.eps, "frozen noise eps", (N - 1, m))[:, None],

@@ -127,9 +127,10 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     ``draw``, when given, is called as ``draw(landed)`` on the calling
     thread: it draws the batch's noise in stream order and calls
     ``landed(reach)`` with how far it has got (rows of a static batch,
-    steps of a rollout batch) as each part lands.
-    ``work`` calls ``ready(reach)`` before it reads noise up to ``reach``;
-    ``ready`` returns once the draw has got that far.  The plain loop
+    steps of a one-block rollout batch; the blocks of a larger rollout
+    batch draw their own) as each part lands.  ``work`` calls
+    ``ready(reach)`` before it reads noise up to ``reach``; ``ready``
+    returns once the draw has got that far.  The plain loop
     (``parallel`` off, as row loops of non-vectorized callables hold the
     GIL; one block and nothing to draw; a pool without helpers) draws the
     whole batch first and then runs the blocks.  Otherwise each helper

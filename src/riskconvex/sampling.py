@@ -164,8 +164,9 @@ class GaussianSampler:
     def split(self, n: int) -> list["GaussianSampler"]:
         """Derive n independent child samplers of the same dimension.
 
-        Children depend deterministically on the seed and on how many
-        times split() has been called, never on how many draws were taken.
+        Children depend deterministically on the seed and on how many split()
+        calls came before (one per rollout batch of several row blocks),
+        never on how many draws were taken.
         """
         return [GaussianSampler(child, dim=self._dim)
                 for child in self.seed_sequence.spawn(int(n))]

@@ -20,7 +20,7 @@ from riskconvex.control import (
 )
 from riskconvex.errors import ContractError
 from riskconvex.fields import ScalarField
-from riskconvex.objective import RiskModel, check_exponents
+from riskconvex.objective import RiskModel, _row_blocks, check_exponents
 from riskconvex.synthesis import LinearSystem
 
 GAUSS_PEAK_SLOPE = np.exp(-0.5)  # max |d/dx exp(-x^2/2)| at x = 1
@@ -152,25 +152,32 @@ def smooth_control_problem(rng: np.random.Generator, n: int, m: int, horizon: in
     return dyn, cost, policy, model
 
 
-def _reference_pass(dyn, cost, policy, model, sampler, n):
+def _reference_s1(dyn, sampler, n):
+    """s_1 of n rollouts drawn from ``sampler.rng``: one init_state_batch
+    call, n init_state calls, or zeros when the dynamics draw none."""
+    rng = sampler.rng
+    if dyn.init_state_batch is not None:
+        return np.asarray(dyn.init_state_batch(rng, n), dtype=float)
+    if dyn.init_state is not None:
+        return np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
+    return np.zeros((n, dyn.state_dim))
+
+
+def _reference_pass(dyn, cost, policy, model, sampler, n, s1=None):
     """(engine, K, S, U, Y, XI, PHI, total) of n noisy rollouts written out
     one step at a time, independent of the engine's draw, its chunked
     products and its row blocks; only the problem's lifted callables and
     the bound-checked state cost are the engine's.  The noise is drawn in
-    stream order: s_1, then per step eps_t as one (n, m) draw times
-    Sigma_t's root and xi_t.  Per step: phi_t, u_t = phi_t K_t', the stage
-    cost l(s_t) + 0.5 u_t' R_t u_t folded into J, y_t = u_t + eps_t and
-    s_{t+1}; PHI is the list of the phi_t."""
+    stream order: s_1 unless given (:func:`_reference_s1`), then per step
+    eps_t as one (n, m) draw times Sigma_t's root and xi_t.  Per step:
+    phi_t, u_t = phi_t K_t', the stage cost l(s_t) + 0.5 u_t' R_t u_t
+    folded into J, y_t = u_t + eps_t and s_{t+1}; PHI is the list of the
+    phi_t."""
     engine = _RolloutEngine(dyn, cost, policy, model)
     K = np.stack(policy.gains)
-    N, nd, m, p = dyn.horizon, dyn.state_dim, dyn.control_dim, dyn.disturbance_dim
+    N, m, p = dyn.horizon, dyn.control_dim, dyn.disturbance_dim
     rng = sampler.rng
-    if dyn.init_state_batch is not None:
-        s = np.asarray(dyn.init_state_batch(rng, n), dtype=float)
-    elif dyn.init_state is not None:
-        s = np.stack([np.asarray(dyn.init_state(rng), dtype=float) for _ in range(n)])
-    else:
-        s = np.zeros((n, nd))
+    s = _reference_s1(dyn, sampler, n) if s1 is None else s1
     eps, XI = [], []
     for t in range(1, N):
         eps.append(sampler.normal((n, m)) @ model.noise_root[t - 1])
@@ -229,15 +236,34 @@ def _forward_batch(dyn, cost, policy, model, sampler, n):
     return _reference_pass(dyn, cost, policy, model, sampler, n)[2:]
 
 
-def _full_batch(dyn, cost, policy, model, sampler, n, method):
+def _full_batch(dyn, cost, policy, model, sampler, n, method, s1=None):
     """(scores g_t, features phi_t, w, scale) of n rollouts written out
-    step by step: w = exp(alpha J), scale = alpha w (model-based) or w
-    (derivative-free)."""
-    engine, K, S, U, Y, XI, PHI, total = _reference_pass(dyn, cost, policy, model, sampler, n)
+    step by step (``s1`` as :func:`_reference_pass` takes it): w =
+    exp(alpha J), scale = alpha w (model-based) or w (derivative-free)."""
+    engine, K, S, U, Y, XI, PHI, total = _reference_pass(dyn, cost, policy, model, sampler, n,
+                                                         s1)
     engine.check_method(method)
     w = np.exp(check_exponents(model.alpha * total))
     g = _reference_scores(engine, model, cost, method, K, S, U, Y, XI)
     return g, PHI, w, (model.alpha * w if method == "model_based" else w)
+
+
+def _per_block_batch(dyn, cost, policy, model, sampler, n, method):
+    """:func:`_full_batch` of a batch of several row blocks, whose blocks
+    draw from streams of their own: s_1 of all n rollouts from
+    ``sampler``, then ``sampler.split`` into one stream per row block of
+    the engine's layout (``_row_blocks(n, width)``), from which each block
+    draws its steps' noise and is written out step by step.  The blocks'
+    scores, features, w and scales are joined in block order."""
+    width = _RolloutEngine(dyn, cost, policy, model).width
+    s1 = _reference_s1(dyn, sampler, n)
+    blocks = _row_blocks(n, width)
+    parts = [_full_batch(dyn, cost, policy, model, stream, rows.stop - rows.start, method,
+                         s1[rows])
+             for rows, stream in zip(blocks, sampler.split(len(blocks)))]
+    g, PHI, w, scale = zip(*parts)
+    return ([np.concatenate(g_t) for g_t in zip(*g)], [np.concatenate(p) for p in zip(*PHI)],
+            np.concatenate(w), np.concatenate(scale))
 
 
 def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
@@ -250,13 +276,14 @@ def _gradient_samples(dyn, cost, policy, model, sampler, n, method):
     return G, w
 
 
-def _full_batch_moments(dyn, cost, policy, model, sampler, n, method):
+def _full_batch_moments(dyn, cost, policy, model, sampler, n, method, batch=_full_batch):
     """(mean, second moment, w) of the gradient samples of one pass
-    written out step by step, reduced per step over the whole batch:
-    with c = scale / n, mean_t = (c g_t)' phi_t and second_t =
-    n ((c g_t)^2)' (phi_t^2), the reference of the engine's chunked,
-    row-blocked moments."""
-    g, PHI, w, scale = _full_batch(dyn, cost, policy, model, sampler, n, method)
+    written out step by step by ``batch`` (:func:`_full_batch`, or
+    :func:`_per_block_batch` for the streams of a batch of several
+    blocks), reduced per step over the whole batch: with c = scale / n,
+    mean_t = (c g_t)' phi_t and second_t = n ((c g_t)^2)' (phi_t^2), the
+    reference of the engine's chunked, row-blocked moments."""
+    g, PHI, w, scale = batch(dyn, cost, policy, model, sampler, n, method)
     c = scale[:, None] / n
     mean, second = [], []
     for g_t, phi in zip(g, PHI):

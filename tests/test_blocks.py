@@ -1,7 +1,8 @@
 """Batches on the block pool of ``objective``: the bits of the serial loop
 at any thread count, the serial loop's error, no wait on a thread that
-cannot run (a forked child, a nested call), and blocks that run while the
-calling thread draws the batch."""
+cannot run (a forked child, a nested call), blocks that run while the
+calling thread draws the batch, the per-block streams of rollout batches
+of several blocks, and rollout moments at one and two BLAS threads."""
 
 import collections
 import dataclasses
@@ -777,6 +778,119 @@ class TestBlocksWhileTheBatchIsDrawn:
                                                      GaussianSampler(3, dim=1), DRAWN_N))
             assert running[0] == 0
             assert helper_is_free()
+
+
+def streams_problem(fail_row=None, calls=None, vectorized=True):
+    """drawn_problem over 3 steps: s_1 and each xi_t drawn from the stream.
+    ``calls`` records (thread, b) for each init_state_batch call and
+    (spawn key of the generator, t, b) for each disturbance_batch call;
+    rollout ``fail_row`` starts at s_1 = 100, whose state cost breaks the
+    bound.  The state cost takes a row or a batch, so the problem can be
+    lifted row by row (``vectorized`` off) with the same bits per row."""
+    def init_state_batch(g, b):
+        if calls is not None:
+            calls.append((threading.get_ident(), b))
+        s1 = 0.5 * g.standard_normal((b, 1))
+        if fail_row is not None:
+            s1[fail_row] = 100.0
+        return s1
+
+    def disturbance_batch(g, t, b):
+        if calls is not None:
+            calls.append((g.bit_generator.seed_seq.spawn_key, t, b))
+        return 0.1 * g.standard_normal((b, 1))
+
+    dyn, cost, pol, model = drawn_problem()
+    dyn = dataclasses.replace(dyn, horizon=4, init_state_batch=init_state_batch,
+                              disturbance_batch=disturbance_batch, vectorized=vectorized)
+    cost = dataclasses.replace(cost, state_cost=lambda s, t: 0.5 * np.sum(s * s, axis=-1),
+                               control_weights=cost.control_weights[:3], bound=1e3,
+                               vectorized=vectorized)
+    pol = dataclasses.replace(pol, gains=pol.gains[:3], vectorized=vectorized)
+    return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 3)
+
+
+STREAMS_N = 3 * _block_rows(1) + 1   # three blocks of one-entry rows, the last one row longer
+
+
+class TestBlockStreams:
+    """A rollout batch of several row blocks draws s_1 of all its rollouts
+    on the calling thread, then splits its sampler into one stream per
+    block, from which each block draws its eps_t and xi_t on the thread
+    that runs it."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_init_state_batch_is_called_once_on_the_calling_thread(self, threads, k):
+        threads(k)
+        calls = []
+        policy_gradient_batch(*streams_problem(calls=calls), GaussianSampler(3, dim=1), STREAMS_N)
+        assert [call for call in calls if len(call) == 2] == [(threading.get_ident(), STREAMS_N)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_disturbance_batch_is_called_per_block_with_its_generator(self, threads, k):
+        # The sampler's first split gives block i the spawn key (i,).
+        threads(k)
+        calls = []
+        policy_gradient_batch(*streams_problem(calls=calls), GaussianSampler(3, dim=1), STREAMS_N)
+        blocks = _row_blocks(STREAMS_N, 1)
+        assert len(blocks) == 3
+        got = collections.defaultdict(list)
+        for key, t, b in (call for call in calls if len(call) == 3):
+            got[key].append((t, b))
+        assert got == {(i,): [(t, rows.stop - rows.start) for t in (1, 2, 3)]
+                       for i, rows in enumerate(blocks)}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_an_error_in_block_2_leaves_the_sampler_where_a_batch_does(self, threads, k):
+        # The rollout twin of test_an_error_leaves_the_sampler_at_the_end_of_the_batch.
+        threads(k)
+        row = 2 * _block_rows(1) + 5
+        ok = GaussianSampler(3, dim=1)
+        policy_gradient_batch(*streams_problem(), ok, STREAMS_N)
+        failed = GaussianSampler(3, dim=1)
+        with pytest.raises(FieldEvaluationError, match=f"at t=1 in rollout {row}$"):
+            policy_gradient_batch(*streams_problem(fail_row=row), failed, STREAMS_N)
+        assert failed.rng.bit_generator.state == ok.rng.bit_generator.state
+        assert failed.seed_sequence.n_children_spawned == ok.seed_sequence.n_children_spawned == 3
+        assert np.array_equal(failed.split(1)[0].draw(4), ok.split(1)[0].draw(4))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_row_lifted_problem_keeps_the_bits_of_its_vectorized_twin(self, threads, k):
+        # The row-lifted twin runs serially, so at k = 2 this also checks
+        # that the pooled batch keeps the serial bits.
+        threads(k)
+        assert_same(batch_estimates(streams_problem(vectorized=False), STREAMS_N, 5),
+                    batch_estimates(streams_problem(), STREAMS_N, 5))
+
+
+def blas_moments(threads_env, sizes):
+    """policy_gradient_batch on the scalar benchmark (gains -0.3, seed 5)
+    in a new process with OPENBLAS_NUM_THREADS=threads_env: the bytes of
+    mean and std_err at each n of ``sizes``, hex-encoded."""
+    src = str(Path(riskconvex.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads_env), PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, numpy as np, riskconvex as rc; "
+            "from riskconvex.benchmarks import ScalarBenchmark; "
+            "dyn, cost, pol, model = ScalarBenchmark().problem(); "
+            "pol = pol.with_gains(np.full(pol.gains.shape, -0.3)); "
+            "[print((e.mean.tobytes() + e.std_err.tobytes()).hex()) for e in "
+            "(rc.policy_gradient_batch(dyn, cost, pol, model, rc.GaussianSampler(5, dim=1), "
+            "int(n)) for n in sys.argv[1:])]")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, sizes)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_moments_keep_their_bits_at_one_and_two_blas_threads():
+    # One-entry rows: a block of 12000 rows is one 12000-row dot, which
+    # OpenBLAS splits over its threads; 40000 and 2**18 rows are blocks of
+    # 16384 rows or more.
+    sizes = (128, 12000, 40000, 2**18)
+    assert len(_row_blocks(12000, 1)) == 1 and len(_row_blocks(2**18, 1)) == 16
+    one = blas_moments(1, sizes)
+    assert len(one) == len(sizes)
+    assert blas_moments(2, sizes) == one
 
 
 def test_import_and_single_block_calls_start_no_thread():

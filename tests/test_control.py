@@ -20,6 +20,7 @@ from riskconvex.control import (
     train_policy,
     write_rollout_csv,
     _RolloutEngine,
+    _reduced,
     _row_quads,
     _step_chunks,
 )
@@ -41,8 +42,10 @@ from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, projected_s
 from riskconvex.synthesis import LinearSystem
 from support import (
     _forward_batch,
+    _full_batch,
     _full_batch_moments,
     _gradient_samples,
+    _per_block_batch,
     per_sample_zeta,
     recompute_cost,
     smooth_control_problem,
@@ -651,9 +654,11 @@ class TestStepChunks:
 
 
 class TestRowBlocks:
-    """Batches run in row blocks of _block_rows(max(n, m, q)) rollouts after
-    one draw of the whole batch's noise; only the block sums of the moments
-    may differ from one unblocked pass."""
+    """Batches run in row blocks of _block_rows(max(n, m, q)) rollouts.  A
+    batch of one block keeps the bits of one unblocked pass; on more
+    blocks, each draws its steps' noise from a stream of its own, and only
+    the block sums of the moments may differ from one pass over the same
+    noise."""
 
     @pytest.mark.parametrize("build", [
         linear_problem,
@@ -692,8 +697,10 @@ class TestRowBlocks:
         rows = _block_rows(engine.width)
         n = 2 * rows - 1 if blocks == 1 else 3 * rows + 1   # the largest one block; 3 + 1 row
         assert len(_row_blocks(n, engine.width)) == blocks
-        ref_mean, ref_sq, ref_w = _full_batch_moments(*problem, GaussianSampler(5, dim=1), n,
-                                                      method)
+        # One block draws from the sampler itself, three from a stream each.
+        ref_mean, ref_sq, ref_w = _full_batch_moments(
+            *problem, GaussianSampler(5, dim=1), n, method,
+            batch=_full_batch if blocks == 1 else _per_block_batch)
         mean, sq, w = engine.moments(np.stack(problem[2].gains), GaussianSampler(5, dim=1), n,
                                      method, second=True)
         est = policy_gradient_batch(*problem, GaussianSampler(5, dim=1), n, method)
@@ -768,6 +775,25 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 17.5 * 2**20
+
+    @pytest.mark.parametrize("rows", [1, 8192, 8193, 40000])
+    def test_a_one_by_one_moment_is_a_sum_of_dots_of_8192_rows(self, rows):
+        # One matmul would be a BLAS dot, which OpenBLAS splits over its
+        # threads past 10000 rows; up to 8192 rows, one piece is that matmul.
+        rng = np.random.default_rng(rows)
+        cg_t = rng.standard_normal((2, rows, 1)).transpose(0, 2, 1)
+        phi = rng.standard_normal((2, rows, 1))
+        out = np.empty((2, 1, 1))
+        _reduced(cg_t, phi, out)
+        ref = np.zeros((2, 1, 1))
+        for t in range(2):
+            total = float(np.dot(cg_t[t, 0, :8192], phi[t, :8192, 0]))
+            for k in range(8192, rows, 8192):
+                total += float(np.dot(cg_t[t, 0, k:k + 8192], phi[t, k:k + 8192, 0]))
+            ref[t] = total
+        assert np.array_equal(out, ref)
+        if rows <= 8192:
+            assert np.array_equal(out, np.matmul(cg_t, phi))
 
     def test_overflow_in_the_third_block_names_the_batch_index(self):
         width = _RolloutEngine(*planted_row_problem(0, 1.0, 1.0)).width
