@@ -42,12 +42,14 @@ bits of the per-step products.  The calling thread draws s_1 of a whole
 batch.  A batch of one block draws its eps_t and xi_t from the sampler in
 the order of a step-by-step rollout, on the calling thread, while a helper
 thread runs each chunk of the block as soon as its noise has landed
-(:func:`~riskconvex.objective._map_blocks`), and keeps the bits of one
-unblocked pass.  One whose steps make one chunk, as ``control train``'s,
-is drawn whole and runs on the calling thread alone, with no pool
-(:meth:`_RolloutEngine.serial`); a training run of such batches, when eps
-is all they draw, takes its normals in slabs of up to 2**16 entries
-(:class:`_Slabs`), with the bits of one draw per iteration.  A batch of
+(:func:`~riskconvex.objective._map_blocks`); its likelihood-ratio scores
+and moments then run in groups of steps of up to 2**15 entries on both
+threads.  It keeps the bits of one unblocked pass.  One whose steps make
+one chunk, as ``control train``'s, is drawn whole and runs on the calling
+thread alone, with no pool (:meth:`_RolloutEngine.serial`); a training run
+of such batches, when eps is all they draw, takes its normals in slabs of
+up to 2**16 entries (:class:`_Slabs`), with the bits of one draw per
+iteration.  A batch of
 several blocks splits the sampler into one stream per block: each block
 draws its own eps_t and xi_t on whichever thread runs it, and the blocks
 are summed in block order, so the bits depend on the layout (n, width)
@@ -284,14 +286,14 @@ def _batched(fn, vectorized: bool, scalar: bool = False):
 
 
 @functools.lru_cache(maxsize=256)
-def _step_chunks(n_steps: int, rows: int, width: int) -> tuple:
+def _step_chunks(n_steps: int, rows: int, width: int, entries: int = _BLOCK_ENTRIES) -> tuple:
     """The ``n_steps`` steps of a block of ``rows`` rollouts of ``width``
-    entries as slices of _BLOCK_ENTRIES // (rows * width) steps, at least
+    entries as slices of ``entries`` // (rows * width) steps, at least
     one: a chunk's (steps, rows, width) entries fit in one row block's, so
     its noise, control costs, scores and moments are each one stacked
     product that stays in cache.  A block of a batch of several blocks
     fills the budget alone, so its chunks are single steps."""
-    steps = max(1, _BLOCK_ENTRIES // (rows * width))
+    steps = max(1, entries // (rows * width))
     return tuple(slice(t, min(t + steps, n_steps)) for t in range(0, n_steps, steps))
 
 
@@ -546,22 +548,23 @@ class _RolloutEngine:
         total += stage[N - 1]
         return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, total, stage, chunks)
 
-    def _scores(self, method: str, K: np.ndarray, traj):
-        """Yield (steps, g) for each chunk of steps, g (steps, b, m) such
-        that row b's raw G_t = g[t - 1 - steps.start, b] phi_t[b]': the
-        likelihood-ratio score, one stacked product per chunk, or, chunk
-        by chunk backward from t = N-1, the adjoint recursion of
+    def _scores(self, method: str, K: np.ndarray, traj, chunks: tuple):
+        """Yield (steps, g) for each of the ``chunks`` of steps, g (steps,
+        b, m) such that row b's raw G_t = g[t - 1 - steps.start, b]
+        phi_t[b]': the likelihood-ratio score, one stacked product per
+        chunk, or, chunk by chunk backward from t = N-1 (``chunks`` then
+        covers every step), the adjoint recursion of
         :func:`policy_gradient_model_based` as two-operand vector-Jacobian
         products, O(b n (n + m + q)) per step."""
         S, U, Y, XI = traj.S, traj.U, traj.Y, traj.XI
         if method == "derivative_free":
-            for steps in traj.chunks:
+            for steps in chunks:
                 yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
                               + self.alpha * (U[steps] @ self.R[steps]))
             return
         N = S.shape[0]
         lam = np.asarray(self.state_cost_grad(S[N - 1], N), dtype=float)
-        for steps in reversed(traj.chunks):
+        for steps in reversed(chunks):
             g = np.empty(U[steps].shape)
             for t in range(steps.stop, steps.start, -1):
                 # Each Jacobian goes straight into its product, so one dense
@@ -581,35 +584,47 @@ class _RolloutEngine:
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:
         """The raw G_t of every row, (b, N-1, m, q)."""
         G = np.empty((traj.J.shape[0],) + self.shape)
-        for steps, g in self._scores(method, K, traj):
+        for steps, g in self._scores(method, K, traj, traj.chunks):
             G[:, steps] = np.einsum("tbm,tbq->btmq", g, _stacked(traj.PHI, steps))
         return G
 
-    def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
-                       method: str, second: bool, ready=_drawn):
-        """(this block's share of the batch mean, of the second moment or
-        None) for the rollouts of one row block with ``noise``, rows
-        ``start`` on of an n-rollout batch, whose w = exp(alpha J) it writes
-        into ``w``: with scale = alpha w (model-based) or w
-        (derivative-free) and c = scale / n, the shares are (c g_t)' phi_t
-        and n ((c g_t)^2)' (phi_t^2) = ((scale g_t)^2)' (phi_t^2) / n, one
-        product per chunk of steps (:func:`_reduced` for a one-by-one
-        moment over more than 8192 rows); ``ready`` is :meth:`forward`'s."""
+    def _weighted(self, K: np.ndarray, noise, w: np.ndarray, start: int, ready=_drawn):
+        """:meth:`forward` of one row block with ``noise``, rows ``start``
+        on of its batch, after which it writes the block's w = exp(alpha J)
+        into ``w``; ``ready`` is :meth:`forward`'s."""
         traj = self.forward(K, *noise, start, ready)
-        product = _reduced if self.shape[1:] == (1, 1) and len(w) > 8192 else np.matmul
         np.exp(check_exponents(self.alpha * traj.J, start), out=w)
-        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
-        mean = np.empty(self.shape)
-        sq = np.empty(self.shape) if second else None
-        for steps, g in self._scores(method, K, traj):
+        return traj
+
+    def _shares(self, method: str, K: np.ndarray, traj, c: np.ndarray, n: int, mean, sq,
+                chunks: tuple) -> None:
+        """Write one row block's share of the mean of an n-rollout batch,
+        and of its second moment unless ``sq`` is None, into the steps of
+        ``chunks``: with scale = alpha w (model-based) or w
+        (derivative-free) and c = scale / n (b, 1), (c g_t)' phi_t and
+        n ((c g_t)^2)' (phi_t^2), one product per chunk of steps
+        (:func:`_reduced` for a one-by-one moment over more than 8192 rows)."""
+        product = _reduced if self.shape[1:] == (1, 1) and len(c) > 8192 else np.matmul
+        for steps, g in self._scores(method, K, traj, chunks):
             phi = _stacked(traj.PHI, steps)
             g *= c
             cg_t = g.transpose(0, 2, 1)
             product(cg_t, phi, mean[steps])
-            if second:
+            if sq is not None:
                 g *= g
                 product(cg_t, phi * phi, sq[steps])
                 sq[steps] *= n
+
+    def _block_moments(self, K: np.ndarray, noise, w: np.ndarray, start: int, n: int,
+                       method: str, second: bool):
+        """(this block's share of the batch mean, of the second moment or
+        None) for the rollouts of one row block with ``noise``, rows
+        ``start`` on of an n-rollout batch (:meth:`_weighted`,
+        :meth:`_shares`), on this thread."""
+        traj = self._weighted(K, noise, w, start)
+        mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
+        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
+        self._shares(method, K, traj, c, n, mean, sq, traj.chunks)
         return mean, sq
 
     def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
@@ -623,7 +638,10 @@ class _RolloutEngine:
         draws its eps_t and xi_t from its stream (:meth:`_fill`) and runs
         :meth:`_block_moments`, and the shares are summed in block order.
         A batch of one block draws from ``sampler`` on the calling thread
-        while the block runs each chunk once its noise has landed; a
+        while the block runs each chunk once its noise has landed
+        (:meth:`_weighted`); then its derivative-free scores and moments run
+        on both threads in groups of 2**15 (steps x rows x width) entries,
+        each writing its own steps of the moments (:meth:`_shares`).  A
         :meth:`serial` one is drawn whole and runs here, with no pool.  An
         overflowing exp(alpha J) raises :class:`EstimateOverflowError`
         naming its rollout; on a batch of several blocks, this error,
@@ -656,9 +674,16 @@ class _RolloutEngine:
                     sq += block_sq
             return mean, sq, w
         noise = self._noise(n)
-        [(mean, sq)] = _map_blocks(
-            lambda i, ready: self._block_moments(K, noise, w, 0, n, method, second, ready),
-            1, self.parallel, functools.partial(self._fill, sampler, noise))
+        [traj] = _map_blocks(lambda i, ready: self._weighted(K, noise, w, 0, ready), 1,
+                             self.parallel, functools.partial(self._fill, sampler, noise))
+        # The adjoint runs backward as one group, on this thread.
+        groups = ((traj.chunks,) if method == "model_based" else
+                  [(steps,) for steps in _step_chunks(self.shape[0], n, self.width,
+                                                      2 * _BLOCK_ENTRIES)])
+        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
+        mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
+        _map_blocks(lambda i, ready: self._shares(method, K, traj, c, n, mean, sq, groups[i]),
+                    len(groups), self.parallel)
         return mean, sq, w
 
 

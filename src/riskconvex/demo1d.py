@@ -58,6 +58,10 @@ def _well(theta, center: float, depth: float, width: float) -> np.ndarray:
     z = np.subtract(theta, center, out=np.empty(np.shape(theta)))
     z *= z
     z *= -0.5 / width**2
+    if z.min(initial=np.inf) >= _EXP_CUT:  # nothing to clamp; NaN and -inf lanes fail this
+        np.exp(z, out=z)
+        z *= depth
+        return z
     keep = z >= _EXP_CUT
     np.maximum(z, _EXP_CUT, out=z)
     np.exp(z, out=z)

@@ -121,8 +121,9 @@ class _DrawStopped(Exception):
 
 def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     """[work(i, ready) for i in range(count)] over the ``count`` blocks of a
-    batch, run on the calling thread and the pool's helpers while or after
-    ``draw`` draws the batch.
+    batch (or the step groups of a drawn one-block rollout batch's
+    scores), run on the calling thread and the pool's helpers while or
+    after ``draw`` draws the batch.
 
     ``draw``, when given, is called as ``draw(landed)`` on the calling
     thread: it draws the batch's noise in stream order and calls

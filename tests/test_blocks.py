@@ -1,8 +1,9 @@
 """Batches on the block pool of ``objective``: the bits of the serial loop
 at any thread count, the serial loop's error, no wait on a thread that
 cannot run (a forked child, a nested call), blocks that run while the
-calling thread draws the batch, the per-block streams of rollout batches
-of several blocks, and rollout moments at one and two BLAS threads."""
+calling thread draws the batch, the score groups of a one-block rollout
+batch on both threads, the per-block streams of rollout batches of
+several blocks, and rollout moments at one and two BLAS threads."""
 
 import collections
 import dataclasses
@@ -24,17 +25,19 @@ import pytest
 import riskconvex
 from riskconvex import objective
 from riskconvex.benchmarks import linear_control_problem
+from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.control import (
     ControlCost,
     ControlRiskModel,
     Dynamics,
     Policy,
+    _reduced,
     _RolloutEngine,
     _step_chunks,
     policy_gradient_batch,
 )
 from riskconvex.demo1d import demo_curves, uniform_grid
-from riskconvex.errors import EstimateOverflowError, FieldEvaluationError
+from riskconvex.errors import DivergenceError, EstimateOverflowError, FieldEvaluationError
 from riskconvex.fields import ScalarField
 from riskconvex.objective import (
     RiskModel,
@@ -49,7 +52,7 @@ from riskconvex.objective import (
 from riskconvex.sampling import GaussianSampler
 from riskconvex.sensitivity import estimate_sensitivity
 from riskconvex.synthesis import LinearSystem
-from support import bump_field, certified_model, smooth_control_problem
+from support import _full_batch, bump_field, certified_model, smooth_control_problem
 
 JOIN_TIMEOUT = 120.0
 ROWS4 = _block_rows(4)   # rows of one block of 4-dimensional points
@@ -209,17 +212,20 @@ class TestSameBits:
 
 def test_stress_more_threads_than_cores_with_fast_switching(threads):
     # Eight threads, three callers at once and a switch of the interpreter
-    # lock every microsecond: a block lost, run twice, stored in the wrong
-    # place or run before its noise landed would change some result's bits.
+    # lock every microsecond: a block or score group lost, run twice, stored
+    # in the wrong place or run before its noise landed would change some
+    # result's bits.
     f, model, theta = bump_problem()
     n = 16 * ROWS4 + 3
 
     def run(seed):
         out = static_estimates(f, model, theta, n, seed)
-        for rollouts in (DRAWN_N, 3 * rollout_rows(drawn_problem()) + 1):   # one block; three
+        for rollouts, method in ((DRAWN_N, "model_based"), (DRAWN_N, "derivative_free"),
+                                 (3 * rollout_rows(drawn_problem()) + 1, "model_based")):
             est = policy_gradient_batch(*drawn_problem(), GaussianSampler(seed, dim=1),
-                                        rollouts, "model_based")
-            out[f"rollouts {rollouts}"] = np.concatenate([est.mean.ravel(), [est.exp_cost_mean]])
+                                        rollouts, method)
+            out[f"{method} {rollouts}"] = np.concatenate([est.mean.ravel(), est.std_err.ravel(),
+                                                          [est.exp_cost_mean]])
         return out
 
     threads(1)
@@ -778,6 +784,124 @@ class TestBlocksWhileTheBatchIsDrawn:
                                                      GaussianSampler(3, dim=1), DRAWN_N))
             assert running[0] == 0
             assert helper_is_free()
+
+
+def stepwise_estimate(problem, n, seed, method):
+    """policy_gradient_batch's mean, std_err and exp_cost_* from the
+    rollouts written out step by step (support's _full_batch, built on
+    _reference_pass and _reference_scores), each step's moments reduced
+    on their own: one product, or _reduced's dots of 8192 rows for a
+    one-by-one moment over more rows."""
+    g, PHI, w, scale = _full_batch(*problem, GaussianSampler(seed, dim=1), n, method)
+    c = scale[:, None] / n
+    product = _reduced if g[0].shape[1] == PHI[0].shape[1] == 1 and n > 8192 else np.matmul
+    mean = np.empty((len(g), g[0].shape[1], PHI[0].shape[1]))
+    sq = np.empty(mean.shape)
+    for t, (g_t, phi) in enumerate(zip(g, PHI)):
+        cg = c * g_t
+        product(cg.T[None], phi[None], mean[t:t + 1])
+        cg *= cg
+        product(cg.T[None], (phi * phi)[None], sq[t:t + 1])
+        sq[t] *= n
+    var = np.maximum(sq - mean * mean, 0.0) * (n / (n - 1))
+    return {"mean": mean, "std_err": np.sqrt(var / n), "exp_cost_mean": w.mean(),
+            "exp_cost_std_err": w.std(ddof=1) / np.sqrt(n)}
+
+
+def estimate_of(problem, n, seed, method):
+    est = policy_gradient_batch(*problem, GaussianSampler(seed, dim=1), n, method)
+    return {name: getattr(est, name)
+            for name in ("mean", "std_err", "exp_cost_mean", "exp_cost_std_err")}
+
+
+def score_groups(problem, n):
+    """(steps of each forward chunk, of each score group) of a one-block batch."""
+    engine = _RolloutEngine(*problem)
+    assert len(_row_blocks(n, engine.width)) == 1
+    T = engine.shape[0]
+    return ([c.stop - c.start for c in _step_chunks(T, n, engine.width)],
+            [c.stop - c.start for c in _step_chunks(T, n, engine.width, 2**15)])
+
+
+def scalar_problem(horizon):
+    dyn, cost, pol, model = ScalarBenchmark(horizon=horizon).problem()
+    return dyn, cost, pol.with_gains(np.full(pol.gains.shape, -0.3)), model
+
+
+def planted_simulation(kind, row=100, step=10):
+    """simulate_problem with one failure planted in rollout ``row`` at
+    ``step``: a non-finite next state ("divergence"), a state cost past
+    the bound ("bound") or one 1e5 larger, within the bound, so that
+    exp(alpha J) overflows ("overflow")."""
+    dyn, cost, pol, model = simulate_problem()
+    if kind == "divergence":
+        base_step = dyn.step
+
+        def step_fn(s, y, xi, t):
+            out = np.array(base_step(s, y, xi, t))
+            if t == step:
+                out[row] = np.inf
+            return out
+
+        return dataclasses.replace(dyn, step=step_fn), cost, pol, model
+    base_cost, extra = cost.state_cost, 1e5 if kind == "overflow" else 2 * cost.bound
+
+    def state_cost(s, t):
+        vals = np.array(base_cost(s, t))
+        if t == step:
+            vals[row] += extra
+        return vals
+
+    return dyn, dataclasses.replace(cost, state_cost=state_cost), pol, model
+
+
+class TestScoreGroups:
+    """A one-block derivative-free batch of several chunks runs its
+    forward pass while the calling thread draws, then its scores and
+    moments in groups of at most 2**15 (rows x width x steps) entries on
+    both threads: the bits of each step's moments written out alone."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("build,n,chunks,groups", [
+        (simulate_problem, 4096, [1] * 29, [2] * 14 + [1]),
+        (drawn_problem, DRAWN_N, [4] * 7 + [1], [8] * 3 + [5]),
+        (lambda: scalar_problem(12), 12000, [1] * 11, [2] * 5 + [1]),
+    ], ids=["detmax_simulate", "undivided_steps", "reduced_one_by_one"])
+    def test_the_groups_keep_the_bits_of_the_steps(self, threads, k, build, n, chunks, groups):
+        problem = build()
+        assert score_groups(problem, n) == (chunks, groups)
+        threads(k)
+        got = estimate_of(problem, n, 5, "derivative_free")
+        assert np.any(got["mean"] != 0.0)
+        assert_same(got, stepwise_estimate(problem, n, 5, "derivative_free"))
+
+    def test_a_row_lifted_problem_starts_no_thread(self, threads):
+        # 16 states, controls and features: 1100 rows are one block whose
+        # three steps are a chunk and a score group each.
+        problem = smooth_control_problem(np.random.default_rng(5), 16, 16, 4)
+        for part in problem[:3]:
+            part.vectorized = False
+        assert score_groups(problem, 1100) == ([1, 1, 1], [1, 1, 1])
+        threads(2)
+        got = estimate_of(problem, 1100, 5, "derivative_free")
+        assert objective._POOLS == {}
+        assert_same(got, stepwise_estimate(problem, 1100, 5, "derivative_free"))
+
+    @pytest.mark.parametrize("kind,error,match", [
+        ("divergence", DivergenceError, "non-finite state at t=11$"),
+        ("bound", FieldEvaluationError, "at t=10 in rollout 100$"),
+        ("overflow", EstimateOverflowError, "at sample 100 "),
+    ])
+    def test_a_forward_pass_error_leaves_the_sampler_at_the_end(self, threads, kind, error,
+                                                                 match):
+        after = GaussianSampler(3, dim=1)
+        _RolloutEngine(*simulate_problem()).draw(after, 4096)
+        for k in (1, 2):
+            threads(k)
+            sampler = GaussianSampler(3, dim=1)
+            with pytest.raises(error, match=match):
+                policy_gradient_batch(*planted_simulation(kind), sampler, 4096)
+            assert sampler.rng.bit_generator.state == after.rng.bit_generator.state, k
 
 
 def streams_problem(fail_row=None, calls=None, vectorized=True):
