@@ -18,6 +18,7 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
+    _HALF,
     _row_quads,
     check_control_certificate,
 )
@@ -58,7 +59,7 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
         return np.broadcast_to(sys.B[t - 1], np.shape(s)[:-1] + (n, m))
 
     def state_cost(s, t):
-        return 0.5 * _row_quads(s, sys.Q[t - 1])
+        return _HALF * _row_quads(s, sys.Q[t - 1])
 
     def state_cost_grad(s, t):
         return s @ sys.Q[t - 1].T

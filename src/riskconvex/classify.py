@@ -26,6 +26,7 @@ from .datasets import Dataset, sign_plus
 from .errors import ConfigError, ContractError, DivergenceError
 
 _SQRT_PI = float(np.sqrt(np.pi))
+_SQRT2 = math.sqrt(2.0)
 # Descent steps are at most _STEP0; a line search halving them below _STEP_TOL stalls.
 _STEP0 = 1.0
 _STEP_TOL = 1e-12
@@ -39,23 +40,22 @@ def log_half_erfc(z):
     """
     # Imported on first use, like LAPACK in synthesis: scipy.special
     # would otherwise cost every `import riskconvex.cli` ~0.3 s.
-    from scipy.special import erfc, erfcx
+    from scipy.special import erfcx
 
     z = np.asarray(z, dtype=float)
+    return _log_half_erfc(z, erfcx(z))
+
+
+def _log_half_erfc(z: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """:func:`log_half_erfc` of z given ex = erfcx(z)."""
+    from scipy.special import erfc
+
     out = np.empty_like(z)
     neg = z <= 0.0
     out[neg] = np.log(0.5 * erfc(z[neg]))
     pos = ~neg
-    out[pos] = np.log(0.5 * erfcx(z[pos])) - z[pos] ** 2
+    out[pos] = np.log(0.5 * ex[pos]) - z[pos] ** 2
     return out
-
-
-def _dlog_half_erfc(z):
-    """d/dz log(0.5 erfc(z)) = -2 / (sqrt(pi) * erfcx(z))."""
-    from scipy.special import erfcx
-
-    z = np.asarray(z, dtype=float)
-    return -2.0 / (_SQRT_PI * erfcx(z))
 
 
 def erfc_loss(theta, x, y, sigma: float) -> float:
@@ -72,12 +72,18 @@ def erfc_loss(theta, x, y, sigma: float) -> float:
 
 
 def erfc_objective(theta, X, y, sigma: float):
-    """(mean objective, gradient) over a dataset, fully vectorized."""
+    """(mean objective, gradient) over a dataset, fully vectorized.  One
+    erfcx(arg) serves the value (:func:`log_half_erfc`) and the gradient,
+    d/dz log(0.5 erfc(z)) = -2 / (sqrt(pi) erfcx(z))."""
+    from scipy.special import erfcx
+
     theta = np.asarray(theta, dtype=float)
     z = X @ theta
-    arg = y * z / (np.sqrt(2.0) * sigma)
-    value = float(np.mean(log_half_erfc(arg) + z**2 / (2.0 * sigma**2)))
-    dz = _dlog_half_erfc(arg) * y / (np.sqrt(2.0) * sigma) + z / sigma**2
+    arg = y * z / (_SQRT2 * sigma)
+    ex = erfcx(arg)
+    terms = _log_half_erfc(arg, ex) + z**2 / (2.0 * sigma**2)
+    value = float(np.add.reduce(terms) / terms.size)  # np.mean's sum and division
+    dz = -2.0 / (_SQRT_PI * ex) * y / (_SQRT2 * sigma) + z / sigma**2
     grad = X.T @ dz / X.shape[0]
     return value, grad
 
@@ -133,7 +139,7 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm's expression
         if not np.isfinite(value) or not np.isfinite(gnorm):
             raise DivergenceError(f"non-finite objective at iteration {it}", step=it)
         if gnorm <= config.grad_tol:

@@ -23,18 +23,23 @@ provided:
 Both are unbiased for grad_K E[exp(alpha J)].  Every rollout, gradient
 sample and training iteration runs through one batched engine, and a
 single rollout is a batch of one; the callables of a problem object that
-is not ``vectorized`` are evaluated row by row and stacked.  Batch
+is not ``vectorized`` are evaluated row by row and stacked.  Rows of two
+shapes, and a step, state cost or features result of another shape than
+the batch's, are a :class:`ContractError` naming the callable and t,
+never broadcast over the batch.  Batch
 estimation draws from derived sampler streams and reduces in fixed order:
 the batch mean and second moment are reduced per step as small matrix
 products (g_t' phi_t), so only the single-rollout estimators build a
 per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
 Batches run in row blocks of 2**14 // max(n, m, q) rollouts, so the widest
 per-step array of a block (states, controls or features) holds 2**14
-entries: each block's per-step temporaries, weights and scores stay in
-cache.  A block holds its whole trajectory, S (N, b, n), U and Y
-(N-1, b, m) and the stage costs (N, b), as views of one allocation, whose
-pages glibc's malloc keeps from batch to batch: four arrays freed together
-crossed its heap-trim threshold and were faulted in again every batch.
+entries, which bounds the memory of each block's per-step temporaries,
+weights and scores (memory and the GIL set the size, see
+:data:`~riskconvex.objective._BLOCK_ENTRIES`).  A block holds its whole
+trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage costs (N, b),
+as views of one allocation, whose pages glibc's malloc keeps from batch to
+batch: four arrays freed together crossed its heap-trim threshold and were
+faulted in again every batch.
 Within a block, the steps run in chunks whose (steps x rows x max(n, m,
 q)) entries fit the same budget: a chunk's eps draw, control costs,
 likelihood-ratio scores and moments are one stacked product each, with the
@@ -268,19 +273,31 @@ class Rollout:
                            xi=self.disturbances.copy())
 
 
-def _batched(fn, vectorized: bool, scalar: bool = False):
+def _batched(fn, vectorized: bool, name: str, scalar: bool = False):
     """``fn`` lifted to a leading batch axis on every argument but the
-    last (t): itself when ``vectorized``, else a loop over the rows that
-    stacks the results, as :meth:`ScalarField.evaluate_batch` does;
-    ``scalar`` results are read with float(), as state costs are."""
+    last (t): itself when ``vectorized``, else a loop over the rows whose
+    results become one (b, ...) float array.  Every row must have the
+    shape of row 0, or () when ``scalar`` (state costs); a row of another
+    shape is a :class:`ContractError` naming ``name``, t and the row, never
+    broadcast."""
     if vectorized or fn is None:
         return fn
 
     def lifted(*args):
         *batch, t = args
-        if scalar:
-            return np.array([float(fn(*row, t)) for row in zip(*batch)])
-        return np.stack([np.asarray(fn(*row, t), dtype=float) for row in zip(*batch)])
+        rows = [fn(*row, t) for row in zip(*batch)]
+        try:  # one conversion of the list, which never broadcasts a row
+            out = np.array(rows, dtype=float)
+        except ValueError:
+            out = None
+        if out is None or (scalar and out.ndim != 1):
+            shape = () if scalar else np.shape(rows[0])
+            for i, row in enumerate(rows):
+                if np.shape(row) != shape:
+                    raise ContractError(f"{name} at t={t} must return shape {shape} for "
+                                        f"every row, got {np.shape(row)} for row {i}")
+            np.array(rows, dtype=float)  # fails for another reason: raise its error
+        return out
 
     return lifted
 
@@ -291,8 +308,8 @@ def _step_chunks(n_steps: int, rows: int, width: int, entries: int = _BLOCK_ENTR
     entries as slices of ``entries`` // (rows * width) steps, at least
     one: a chunk's (steps, rows, width) entries fit in one row block's, so
     its noise, control costs, scores and moments are each one stacked
-    product that stays in cache.  A block of a batch of several blocks
-    fills the budget alone, so its chunks are single steps."""
+    product no larger than a block's arrays.  A block of a batch of
+    several blocks fills the budget alone, so its chunks are single steps."""
     steps = max(1, entries // (rows * width))
     return tuple(slice(t, min(t + steps, n_steps)) for t in range(0, n_steps, steps))
 
@@ -317,6 +334,11 @@ def _shaped(value, name: str, shape: tuple) -> np.ndarray:
 
 
 _PAIR = np.ones(2)
+# 0-d array operands of the per-step arithmetic: numpy takes them about
+# 0.13 us faster per call than the Python floats 0.0 and 0.5, with the same
+# bits.
+_ZERO = np.zeros(())
+_HALF = np.full((), 0.5)
 
 
 def _row_quads(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -337,7 +359,7 @@ def _row_quads(x: np.ndarray, M: np.ndarray) -> np.ndarray:
         return xm @ _PAIR
     xm = x * M if x.ndim > 1 else x @ M
     xm *= x
-    xm += 0.0
+    xm += _ZERO
     return xm[..., 0]
 
 
@@ -399,16 +421,18 @@ class _RolloutEngine:
         self.disturbed = dyn.disturbance_dim > 0 and (dyn.disturbance_batch is not None
                                                       or dyn.disturbance is not None)
         self.alpha = model.alpha
+        self.alpha_op = np.full((), model.alpha)  # a 0-d operand, as _HALF
         self.bound, self.limit = cost.bound, _bound_limit(cost.bound)
         self.R, self.noise_inv, self.noise_root = (cost.control_weights, model.noise_inv,
                                                    model.noise_root)
-        self.step = _batched(dyn.step, dyn.vectorized)
-        self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized)
-        self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized)
-        self.state_cost = _batched(cost.state_cost, cost.vectorized, scalar=True)
-        self.state_cost_grad = _batched(cost.state_cost_grad, cost.vectorized)
-        self.features = _batched(policy.features, policy.vectorized)
-        self.features_jacobian = _batched(policy.features_jacobian, policy.vectorized)
+        self.step = _batched(dyn.step, dyn.vectorized, "step")
+        self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized, "jacobian_state")
+        self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized, "jacobian_control")
+        self.state_cost = _batched(cost.state_cost, cost.vectorized, "state_cost", scalar=True)
+        self.state_cost_grad = _batched(cost.state_cost_grad, cost.vectorized, "state_cost_grad")
+        self.features = _batched(policy.features, policy.vectorized, "features")
+        self.features_jacobian = _batched(policy.features_jacobian, policy.vectorized,
+                                          "features_jacobian")
 
     def check_method(self, method: str) -> None:
         if method not in ("model_based", "derivative_free"):
@@ -422,8 +446,12 @@ class _RolloutEngine:
         """The state costs l(s, t) of the batch ``s``, or
         :class:`FieldEvaluationError` carrying the first state that breaks
         the bound and naming its rollout, ``start`` being the batch index
-        of ``s[0]``."""
+        of ``s[0]``; costs of another shape than (b,) are a
+        :class:`ContractError`."""
         vals = np.asarray(self.state_cost(s, t), dtype=float)
+        if vals.shape != (len(s),):
+            raise ContractError(f"state_cost at t={t} must return shape {(len(s),)}, "
+                                f"got {vals.shape}")
         i = _first_violation(vals, self.limit)
         if i is not None:
             raise FieldEvaluationError(
@@ -518,7 +546,8 @@ class _RolloutEngine:
         stage = buf[y_end:].reshape(N, b)
         PHI = []
         views = True  # every phi_t is S[t - 1] itself
-        total = np.zeros(b)
+        q = self.shape[2]
+        features, step, state_cost = self.features, self.step, self._checked_state_cost
         # The transposed gains, contiguous for a batch's products; a single
         # row keeps the transposed views, with which its product rounds
         # differently.
@@ -532,21 +561,32 @@ class _RolloutEngine:
             for t in range(steps.start + 1, steps.stop + 1):
                 # Callables see rows of S, so features that return s itself
                 # keep no second copy of the states alive.
-                s = S[t - 1]
-                phi = np.asarray(self.features(s, t), dtype=float)
+                s, u, y = S[t - 1], U[t - 1], Y[t - 1]
+                phi = np.asarray(features(s, t), dtype=float)
+                if phi.shape != (b, q):
+                    raise ContractError(f"features at t={t} must return shape {(b, q)}, "
+                                        f"got {phi.shape}")
                 views = views and phi is s
                 PHI.append(phi)
-                np.matmul(phi, KT[t - 1], out=U[t - 1])
-                stage[t - 1] = self._checked_state_cost(s, t, start)
-                S[t] = self.step(s, np.add(U[t - 1], eps[t - 1], out=Y[t - 1]), xi[t - 1], t)
-                if not np.isfinite(S[t]).all():
+                np.matmul(phi, KT[t - 1], out=u)
+                stage[t - 1] = state_cost(s, t, start)
+                nxt = np.asarray(step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t),
+                                 dtype=float)
+                if nxt.shape != (b, nd):
+                    raise ContractError(f"step at t={t} must return shape {(b, nd)}, "
+                                        f"got {nxt.shape}")
+                S[t] = nxt
+                if not np.isfinite(nxt).all():
                     raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-            stage[steps] += 0.5 * _row_quads(U[steps], self.R[steps])
-            for t in range(steps.start, steps.stop):
-                total += stage[t]
-        stage[N - 1] = self._checked_state_cost(S[N - 1], N, start)
-        total += stage[N - 1]
-        return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, total, stage, chunks)
+            stage[steps] += _HALF * _row_quads(U[steps], self.R[steps])
+        stage[N - 1] = state_cost(S[N - 1], N, start)
+        # J, the left fold of the stage costs from 0.0: one reduce along
+        # the steps adds them row by row, but numpy sums a single column
+        # pairwise, so one rollout takes the last of its running sums, plus
+        # 0.0 (the fold's 0.0 + l_1 turns an all -0.0 sum into 0.0).
+        J = (np.add.reduce(stage, axis=0, initial=0.0) if b > 1
+             else np.add.accumulate(stage[:, 0])[-1:] + _ZERO)
+        return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, J, stage, chunks)
 
     def _scores(self, method: str, K: np.ndarray, traj, chunks: tuple):
         """Yield (steps, g) for each of the ``chunks`` of steps, g (steps,
@@ -560,7 +600,7 @@ class _RolloutEngine:
         if method == "derivative_free":
             for steps in chunks:
                 yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
-                              + self.alpha * (U[steps] @ self.R[steps]))
+                              + self.alpha_op * (U[steps] @ self.R[steps]))
             return
         N = S.shape[0]
         lam = np.asarray(self.state_cost_grad(S[N - 1], N), dtype=float)
@@ -593,7 +633,7 @@ class _RolloutEngine:
         on of its batch, after which it writes the block's w = exp(alpha J)
         into ``w``; ``ready`` is :meth:`forward`'s."""
         traj = self.forward(K, *noise, start, ready)
-        np.exp(check_exponents(self.alpha * traj.J, start), out=w)
+        np.exp(check_exponents(self.alpha_op * traj.J, start), out=w)
         return traj
 
     def _shares(self, method: str, K: np.ndarray, traj, c: np.ndarray, n: int, mean, sq,
@@ -623,7 +663,7 @@ class _RolloutEngine:
         :meth:`_shares`), on this thread."""
         traj = self._weighted(K, noise, w, start)
         mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
-        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
+        c = (self.alpha_op * w if method == "model_based" else w)[:, None] / n
         self._shares(method, K, traj, c, n, mean, sq, traj.chunks)
         return mean, sq
 
@@ -680,7 +720,7 @@ class _RolloutEngine:
         groups = ((traj.chunks,) if method == "model_based" else
                   [(steps,) for steps in _step_chunks(self.shape[0], n, self.width,
                                                       2 * _BLOCK_ENTRIES)])
-        c = (self.alpha * w if method == "model_based" else w)[:, None] / n
+        c = (self.alpha_op * w if method == "model_based" else w)[:, None] / n
         mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
         _map_blocks(lambda i, ready: self._shares(method, K, traj, c, n, mean, sq, groups[i]),
                     len(groups), self.parallel)

@@ -22,11 +22,11 @@ from .csvio import write_csv
 from .errors import CertificateError, ContractError
 from .fields import RawField
 from .objective import (
+    _log_mean_exp,
     _map_blocks,
     _row_blocks,
     check_convexity_certificate,
     isotropic_model,
-    log_mean_exp,
 )
 from .sampling import GaussianSampler
 
@@ -38,9 +38,9 @@ FIELD_IDS = ("two-basin", "constant")
 _EXP_CUT = -707.0
 
 
-def _well(theta, center: float, depth: float, width: float) -> np.ndarray:
-    """depth * exp(-0.5 ((theta - center) / width)^2), computed in place on
-    one temporary (theta itself is not modified).
+def _well(theta, center: float, depth: float, width: float, out: np.ndarray) -> np.ndarray:
+    """depth * exp(-0.5 ((theta - center) / width)^2), computed in place in
+    ``out``, which may be theta itself (theta is otherwise not modified).
 
     Exponents below ``_EXP_CUT`` are clamped to it before ``exp`` and the
     result is zeroed there, so exp never runs on its slow path.  Within
@@ -55,7 +55,7 @@ def _well(theta, center: float, depth: float, width: float) -> np.ndarray:
     returns 0.  So subtracting the term cannot move a bit.  NaN lanes
     stay NaN, and +-inf lanes give 0 as before.
     """
-    z = np.subtract(theta, center, out=np.empty(np.shape(theta)))
+    z = np.subtract(theta, center, out=out)
     z *= z
     z *= -0.5 / width**2
     if z.min(initial=np.inf) >= _EXP_CUT:  # nothing to clamp; NaN and -inf lanes fail this
@@ -68,6 +68,32 @@ def _well(theta, center: float, depth: float, width: float) -> np.ndarray:
     z *= depth
     z *= keep
     return z
+
+
+# The two-basin field's wells (builtin_field): center, depth and width.
+_WIDE = (-1.0, 1.2, 0.8)
+_NARROW = (1.5, 2.0, 0.05)
+
+
+def _two_basin(theta, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The two-basin value 1 - wide - narrow at the points ``theta``, written
+    into ``out``; the narrow well is made in ``work``, which may be theta
+    itself (theta is then overwritten)."""
+    v = _well(theta, *_WIDE, out)
+    np.subtract(1.0, v, out=v)
+    v -= _well(theta, *_NARROW, work)
+    return v
+
+
+def _zero(theta, out: np.ndarray) -> np.ndarray:
+    out.fill(0.0)
+    return out
+
+
+# Each demo field's value at the points theta written into out, theta
+# being overwritten (demo_curves' per-point buffers).
+_VALUE_INTO = {"two-basin": lambda theta, out: _two_basin(theta, out, theta),
+               "constant": _zero}
 
 
 def builtin_field(field_id: str = "two-basin") -> RawField:
@@ -93,16 +119,13 @@ def builtin_field(field_id: str = "two-basin") -> RawField:
     if field_id != "two-basin":
         raise ContractError(f"unknown demo field {field_id!r}; choose from {FIELD_IDS}")
 
-    wide_c, wide_d, wide_w = -1.0, 1.2, 0.8
-    narrow_c, narrow_d, narrow_w = 1.5, 2.0, 0.05
+    wide_c, wide_d, wide_w = _WIDE
+    narrow_c, narrow_d, narrow_w = _NARROW
 
     # Accepts a plain array of scalar points, or the (n, 1) stacked form
     # used by ScalarField batch evaluation.
     def scalar_value(theta):
-        v = _well(theta, wide_c, wide_d, wide_w)
-        np.subtract(1.0, v, out=v)
-        v -= _well(theta, narrow_c, narrow_d, narrow_w)
-        return v
+        return _two_basin(theta, np.empty(np.shape(theta)), np.empty(np.shape(theta)))
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)
@@ -167,24 +190,36 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
             report=cert,
         )
     raw = builtin_field(field_id)
+    value_into = _VALUE_INTO[field_id]
     grid = np.asarray(grid, dtype=float)
     draws = sigma_noise * sampler.normal(n_samples)
 
-    objective = np.empty(grid.size)
+    # f(theta) of the whole grid in one call: the field is elementwise, and
+    # :func:`_well`'s clamp moves no bit of a point's value.
+    objective = raw.value(grid)
     smoothed = np.empty(grid.size)
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
+    # Pairs of n_samples arrays, each used by one point at a time and kept
+    # for the next: fresh arrays at every point were trimmed from the heap
+    # and faulted in again.  Each thread takes its own pair.
+    spare = []
 
     def point(i, ready):  # every point reads the one draw above, made before the call
+        try:
+            x, vals = spare.pop()
+        except IndexError:
+            x, vals = np.empty(n_samples), np.empty(n_samples)
         th = grid[i]
         quad = 0.5 * kappa * th**2
-        vals = raw.value(draws + th)
-        objective[i] = float(raw.value(np.array([th]))[0]) + quad
-        smoothed[i] = float(vals.mean()) + quad + 0.5 * kappa * sigma_noise**2
+        value_into(np.add(draws, th, out=x), vals)
+        objective[i] += quad
+        smoothed[i] = float(np.add.reduce(vals) / vals.size) + quad + 0.5 * kappa * sigma_noise**2
         vals *= alpha
-        lme, se = log_mean_exp(vals)
+        lme, se = _log_mean_exp(vals, vals)
         convexified[i] = lme / alpha + quad
         std_err[i] = se / alpha
+        spare.append((x, vals))
 
     _map_blocks(point, grid.size, parallel=len(_row_blocks(n_samples, 1)) > 1)
     return DemoCurves(theta=grid, objective=objective, smoothed=smoothed,

@@ -16,16 +16,16 @@ Aggregation of exponentials always subtracts the max exponent first, and
 standard errors of log-of-mean estimates use the delta method.
 
 A batch draws its noise in row blocks of 2**14 // k points, in stream
-order, and perturbs and evaluates the field one block at a time, so the
-field's temporaries stay in cache; each block writes into one per-sample
-array that is reduced once.  The blocks of a vectorized field run on one
-helper thread, when a second CPU is usable, while the calling thread
-draws, each block as soon as its draws have landed, and then on both
-threads, each taking the next block index (:func:`_map_blocks`), so the
-results keep their bits at any thread count.  On a batch of several
-blocks, an error is the first one of the first block that fails, raised
-once the whole batch is drawn; an overflowing exponent is named by its
-batch index.
+order, and perturbs and evaluates the field one block at a time, so its
+temporaries are those of a block per thread, not of the whole batch
+(``_BLOCK_ENTRIES``); each block writes into one per-sample array that is
+reduced once.  The blocks of a vectorized field run on one helper thread,
+when a second CPU is usable, while the calling thread draws, each block
+as soon as its draws have landed, and then on both threads, each taking
+the next block index (:func:`_map_blocks`), so the results keep their
+bits at any thread count.  On a batch of several blocks, an error is the
+first one of the first block that fails, raised once the whole batch is
+drawn; an overflowing exponent is named by its batch index.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -50,9 +50,14 @@ from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
-# Entries of one row block: a (rows x width) float64 array of 128 KiB, so a
-# block's temporaries stay in cache instead of streaming through memory,
-# even with one block in flight on each of two threads.  The width is the
+# Entries of one row block: a (rows x width) float64 array of 128 KiB.  The
+# cache does not set this size: on one thread, a 2**18-rollout batch of
+# mc_large_n's 2 x 2 system took 37.3 ms in blocks of 2**14 entries and
+# 35.9 ms in blocks of 2**16 (2-vCPU x86 container, numpy 2.4).  Memory and
+# the GIL do.  A batch holds one block's temporaries per thread in flight,
+# and larger multi-block rows, which hand the GIL between the two threads
+# less often, raised mc_large_n's peak RSS from 97 to 108-112 MB (12-15%);
+# smaller blocks hand it over more often.  The width is the
 # widest per-row array: the draw dimension k of the static estimators, and
 # max(n, m, q) of a rollout step (control._RolloutEngine.width).  The
 # layout depends on n and the width alone, never on the thread count, so
@@ -441,6 +446,12 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
     when every exponent is -inf.
     """
     a = np.asarray(a, dtype=float)
+    return _log_mean_exp(a, np.empty(a.shape))
+
+
+def _log_mean_exp(a: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """:func:`log_mean_exp` of the float array ``a``, with the weights made
+    in ``w``, which may be ``a`` itself (``a`` is then overwritten)."""
     if a.size < 2:
         raise ContractError(f"need at least 2 samples, got {a.size}")
     m = float(a.max())
@@ -452,7 +463,7 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float]:
         raise EstimateOverflowError(f"exponent at sample {i} is +inf", sample_index=i)
     if m == -np.inf:
         raise DegenerateEstimateError("every sampled exponent underflowed to -inf")
-    w = a - m
+    np.subtract(a, m, out=w)
     np.exp(w, out=w)
     s1 = w.sum()
     mean_w = s1 / a.size

@@ -30,17 +30,18 @@ from .objective import (ConvexityCertificate, RiskModel, _check_args, _grad_samp
 from .sampling import GaussianSampler
 
 
-@np.errstate(over="ignore")
 def _norm(x) -> float:
     """Euclidean norm sqrt(x . x), bit for bit np.linalg.norm's expression;
     only when the sum of squares overflows for a finite x is it recomputed
-    as s ||x / s|| with s = max |x|, so a huge vector keeps a finite norm."""
+    as s ||x / s|| with s = max |x|, so a huge vector keeps a finite norm.
+    np.vdot is the BLAS dot of x.dot(x), but an overflowing one gives inf
+    with no warning, so no np.errstate (0.45 us a call) is needed."""
     x = np.asarray(x, dtype=float).ravel(order="K")
-    norm = math.sqrt(x.dot(x))
+    norm = math.sqrt(np.vdot(x, x))
     if norm == math.inf and np.isfinite(x).all():
         s = float(np.abs(x).max())
         x = x / s
-        norm = s * math.sqrt(x.dot(x))
+        norm = s * math.sqrt(np.vdot(x, x))
     return norm
 
 
@@ -164,9 +165,10 @@ class SolverConfig:
             raise ContractError("pilot_samples must be >= 2")
 
 
-def step_size(radius_bound: float, zeta: float, i: int) -> float:
-    """Schedule eta_i = (R(C)/zeta) * sqrt(1/(2i))."""
-    return (radius_bound / zeta) * math.sqrt(1.0 / (2.0 * i))
+def step_size(radius_bound: float, zeta: float, i):
+    """Schedule eta_i = (R(C)/zeta) * sqrt(1/(2i)); ``i`` may be an array of
+    iteration indices, whose steps have the bits of one call each."""
+    return (radius_bound / zeta) * np.sqrt(1.0 / (2.0 * i))
 
 
 def convergence_certificate(radius_bound: float, zeta: float, iterations: int) -> float:
@@ -273,10 +275,10 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
     T = config.iterations
     thetas = np.empty((T, theta.size))
     grad_norms = np.empty(T)
-    etas = np.empty(T)
+    etas = step_size(radius, zeta, np.arange(1, T + 1))
     objectives = []
     running_sum = np.zeros(theta.size)
-    for i in range(1, T + 1):
+    for i, eta in enumerate(etas.tolist(), 1):
         thetas[i - 1] = theta
         g, _, objective = oracle(theta, config.batch, run_stream, False)
         # A non-finite g has a non-finite norm; a finite g whose norm
@@ -285,8 +287,6 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
         if not math.isfinite(norm) and not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
         objectives.append(objective)
-        eta = step_size(radius, zeta, i)
-        etas[i - 1] = eta
         try:
             theta = feasible.project(theta - eta * g)
         except ContractError as exc:

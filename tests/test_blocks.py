@@ -213,13 +213,14 @@ class TestSameBits:
 def test_stress_more_threads_than_cores_with_fast_switching(threads):
     # Eight threads, three callers at once and a switch of the interpreter
     # lock every microsecond: a block or score group lost, run twice, stored
-    # in the wrong place or run before its noise landed would change some
-    # result's bits.
+    # in the wrong place or run before its noise landed, or a demo point's
+    # buffers taken by two threads at once, would change some result's bits.
     f, model, theta = bump_problem()
     n = 16 * ROWS4 + 3
 
     def run(seed):
         out = static_estimates(f, model, theta, n, seed)
+        out.update(demo_table(3 * _block_rows(1) + 1))
         for rollouts, method in ((DRAWN_N, "model_based"), (DRAWN_N, "derivative_free"),
                                  (3 * rollout_rows(drawn_problem()) + 1, "model_based")):
             est = policy_gradient_batch(*drawn_problem(), GaussianSampler(seed, dim=1),

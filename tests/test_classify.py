@@ -95,6 +95,35 @@ def test_objective_gradient_matches_finite_differences():
         assert grad[j] == pytest.approx((up - dn) / (2 * h), rel=1e-6, abs=1e-9)
 
 
+def composed_objective(theta, X, y, sigma):
+    """erfc_objective written as the composition it replaces: the value from
+    log_half_erfc and np.mean, the gradient from its own erfcx call."""
+    from scipy.special import erfcx
+
+    z = X @ theta
+    arg = y * z / (np.sqrt(2.0) * sigma)
+    value = float(np.mean(log_half_erfc(arg) + z**2 / (2.0 * sigma**2)))
+    dz = -2.0 / (math.sqrt(math.pi) * erfcx(arg)) * y / (np.sqrt(2.0) * sigma) + z / sigma**2
+    return value, X.T @ dz / X.shape[0]
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 3.0, 40.0], ids=["zero", "small", "unit", "large"])
+def test_objective_keeps_the_bits_of_the_composition(scale):
+    # One erfcx call serves the value and the gradient.  Margins y z of both
+    # signs, exactly 0 and (at scale 40) deep in the erfc tail all occur.
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((300, 3))
+    X[:5] = 0.0
+    y = np.where(rng.standard_normal(300) > 0, 1.0, -1.0)
+    theta = scale * rng.standard_normal(3)
+    for sigma in (0.4, 1.0, 2.5):
+        value, grad = erfc_objective(theta, X, y, sigma)
+        ref_value, ref_grad = composed_objective(theta, X, y, sigma)
+        assert math.copysign(1.0, value) == math.copysign(1.0, ref_value)
+        assert value == ref_value
+        assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+
+
 class TestTrainClassifier:
     @pytest.mark.parametrize("grad_tol", [math.nan, -1e-8, math.inf])
     def test_grad_tol_must_be_nonnegative_and_finite(self, grad_tol):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from riskconvex.control import (
     train_policy,
     write_rollout_csv,
     _RolloutEngine,
+    _batched,
     _reduced,
     _row_quads,
     _step_chunks,
@@ -46,6 +48,7 @@ from support import (
     _full_batch_moments,
     _gradient_samples,
     _per_block_batch,
+    _reference_pass,
     per_sample_zeta,
     recompute_cost,
     smooth_control_problem,
@@ -1323,3 +1326,135 @@ class TestRunNoiseSlabs:
             assert raised[0].step == raised[1].step == 3
         else:
             assert np.array_equal(raised[0].theta, raised[1].theta)
+
+
+class TestCostFold:
+    """J is the left fold of the stage costs from 0.0: one reduce along the
+    steps for a batch, the last running sum for a single rollout."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 400])
+    def test_one_block_matches_the_steps_written_out(self, n):
+        problem = long_linear_problem()  # N = 30
+        engine = _RolloutEngine(*problem)
+        traj = engine.forward(problem[2].gains, *engine.draw(GaussianSampler(5, dim=1), n))
+        total = _reference_pass(*problem, GaussianSampler(5, dim=1), n)[-1]
+        assert np.array_equal(traj.J.view(np.int64), total.view(np.int64))
+
+    def test_several_blocks_match_the_steps_written_out(self):
+        problem = long_linear_problem()
+        n = 20_000  # two row blocks of 2-wide rows
+        assert len(_row_blocks(n, _RolloutEngine(*problem).width)) == 2
+        _, _, w, _ = _per_block_batch(*problem, GaussianSampler(6, dim=1), n,
+                                      "derivative_free")
+        engine = _RolloutEngine(*problem)
+        got = engine.moments(problem[2].gains, GaussianSampler(6, dim=1), n,
+                             "derivative_free")[2]
+        assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+    def test_a_single_rollout_of_negative_zero_costs_folds_to_zero(self):
+        # As in Rollout.total_cost, the fold starts from 0.0: -0.0 state costs
+        # and a control cost that rounds to -0.0 (R within the PSD slack
+        # below 0, u = 2.2e-12) sum to 0.0, not -0.0.
+        dyn = Dynamics(step=lambda s, y, xi, t: s, state_dim=1, control_dim=1,
+                       disturbance_dim=0, horizon=2, vectorized=True)
+        cost = ControlCost(state_cost=lambda s, t: np.full(len(s), -0.0),
+                           control_weights=[[[-1e-300]]], bound=1.0, vectorized=True)
+        pol = Policy(gains=[[[2.2e-12]]], features=lambda s, t: s, vectorized=True)
+        r = rollout(dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)]),
+                    GaussianSampler(0, dim=1), mode="mean", s1=[1.0])
+        assert np.signbit(r.stage_costs).all()
+        assert r.cost == r.total_cost() == 0.0
+        assert math.copysign(1.0, r.cost) == 1.0
+
+
+class TestRowLift:
+    """The per-row lift makes one (b, ...) array of the rows' results with
+    the bits of stacking them, and refuses a row of another shape."""
+
+    def test_rows_keep_the_bits_of_a_stack(self):
+        dyn, cost, pol, _ = row_lifted_smooth_problem(np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        s, y, xi = rng.uniform(-1, 1, (7, 3)), rng.standard_normal((7, 2)), np.zeros((7, 0))
+        for fn, args in ((dyn.step, (s, y, xi)), (dyn.jacobian_state, (s, y, xi)),
+                         (pol.features, (s,)), (cost.state_cost_grad, (s,))):
+            want = np.stack([np.asarray(fn(*row, 2), dtype=float) for row in zip(*args)])
+            got = _batched(fn, False, "fn")(*args, 2)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = np.array([float(cost.state_cost(row, 2)) for row in s])
+        got = _batched(cost.state_cost, False, "state_cost", scalar=True)(s, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_vectorized_callable_keeps_its_own_result(self):
+        fn = lambda s, t: s  # noqa: E731
+        assert _batched(fn, True, "features") is fn
+
+
+def first_row_only(step):
+    """``step`` that returns the next state of its first row alone."""
+    return lambda s, y, xi, t: step(s, y, xi, t)[0]
+
+
+def shape_problem(part, vectorized):
+    """The scalar benchmark (gains 0.1), or the per-row scalar integrator,
+    with one callable that returns the wrong shape: ``part`` names it."""
+    if vectorized:
+        dyn, cost, pol, model = linear_control_problem(ScalarBenchmark().system(), 1.0,
+                                                       gains=[[[0.1]]] * 2)
+        if part == "step":
+            dyn.step = first_row_only(dyn.step)
+        elif part == "state_cost":
+            cost.state_cost = lambda s, t: 0.25
+        else:
+            pol.features = lambda s, t: np.hstack([s, s])
+        return dyn, cost, pol, model
+    dyn, cost = scalar_integrator(), zero_cost(2, bound=1.0)
+    pol = Policy(gains=[0.1 * np.eye(1)] * 2, features=lambda s, t: s,
+                 features_jacobian=lambda s, t: np.eye(1))
+    if part == "step":  # rows of two shapes: (2,) for row 1, (1,) for the others
+        rows = itertools.count()
+        dyn.step = lambda s, y, xi, t: np.hstack([s, y]) if next(rows) == 1 else s + y
+    elif part == "state_cost":
+        cost.state_cost = lambda s, t: np.array([0.25])
+    else:
+        pol.features = lambda s, t: np.hstack([s, s])
+    return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 2)
+
+
+class TestResultShapes:
+    """step, state_cost and features must return the batch's shape, on the
+    vectorized and the per-row path; anything else is a ContractError
+    naming the callable and t, never broadcast over the batch."""
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
+    @pytest.mark.parametrize("part,match", [
+        ("step", r"^step at t=1 must return shape"),
+        ("state_cost", r"^state_cost at t=1 must return shape"),
+        ("features", r"^features at t=1 must return shape \(64, 1\), got \(64, 2\)$"),
+    ])
+    def test_batch_refuses_a_result_of_another_shape(self, part, match, vectorized):
+        for method in ("derivative_free", "model_based"):
+            with pytest.raises(ContractError, match=match):
+                policy_gradient_batch(*shape_problem(part, vectorized),
+                                      GaussianSampler(0, dim=1), 64, method)
+
+    def test_messages_name_the_shapes(self):
+        with pytest.raises(ContractError, match=r"^step at t=1 must return shape \(64, 1\), "
+                                                r"got \(1,\)$"):
+            policy_gradient_batch(*shape_problem("step", True), GaussianSampler(0, dim=1), 64)
+        with pytest.raises(ContractError, match=r"^state_cost at t=1 must return shape "
+                                                r"\(64,\), got \(\)$"):
+            policy_gradient_batch(*shape_problem("state_cost", True), GaussianSampler(0, dim=1),
+                                  64)
+        with pytest.raises(ContractError, match=r"^step at t=1 must return shape \(1,\) for "
+                                                r"every row, got \(2,\) for row 1$"):
+            policy_gradient_batch(*shape_problem("step", False), GaussianSampler(0, dim=1), 64)
+        with pytest.raises(ContractError, match=r"^state_cost at t=1 must return shape \(\) "
+                                                r"for every row, got \(1,\) for row 0$"):
+            policy_gradient_batch(*shape_problem("state_cost", False),
+                                  GaussianSampler(0, dim=1), 64)
+
+    @pytest.mark.parametrize("part", ["step", "state_cost", "features"])
+    def test_a_single_rollout_refuses_it_too(self, part):
+        with pytest.raises(ContractError, match=f"^{part} at t=1 must return shape"):
+            rollout(*shape_problem(part, True), GaussianSampler(0, dim=1))

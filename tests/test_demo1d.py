@@ -7,6 +7,7 @@ import pytest
 from riskconvex.csvio import read_matrix
 from riskconvex.demo1d import builtin_field, demo_curves, uniform_grid
 from riskconvex.errors import CertificateError, ContractError
+from riskconvex.objective import log_mean_exp
 from riskconvex.sampling import GaussianSampler
 from support import two_basin_reference
 
@@ -125,3 +126,38 @@ def test_deterministic_given_seed():
     a = demo_curves(4.0, 0.5, 1.0, grid, 2000, GaussianSampler(5, dim=1))
     b = demo_curves(4.0, 0.5, 1.0, grid, 2000, GaussianSampler(5, dim=1))
     assert np.array_equal(a.convexified, b.convexified)
+
+
+def per_point_curves(alpha, sigma, kappa, grid, n, sampler, field_id):
+    """The demo columns one grid point at a time, each value from its own
+    field call on fresh arrays: f at the point itself for the objective,
+    and at the draws plus the point for the smoothed and convexified
+    columns."""
+    raw = builtin_field(field_id)
+    draws = sigma * sampler.normal(n)
+    cols = np.empty((4, grid.size))
+    for i, th in enumerate(grid):
+        quad = 0.5 * kappa * th**2
+        vals = raw.value(draws + th)
+        cols[0, i] = float(raw.value(np.array([th]))[0]) + quad
+        cols[1, i] = float(vals.mean()) + quad + 0.5 * kappa * sigma**2
+        lme, se = log_mean_exp(alpha * vals)
+        cols[2, i] = lme / alpha + quad
+        cols[3, i] = se / alpha
+    return cols
+
+
+@pytest.mark.parametrize("field_id", ["two-basin", "constant"])
+@pytest.mark.parametrize("grid,n", [
+    (uniform_grid(), 2000),                       # the default grid
+    (np.linspace(-40.0, 40.0, 41), 2000),         # both wells clamped at the ends
+    (np.linspace(-3.0, 3.0, 9), 40_000),          # two row blocks: both threads
+], ids=["default", "clamped", "pooled"])
+def test_columns_keep_the_bits_of_per_point_evaluation(field_id, grid, n):
+    # The objective column is one field call over the grid, and each point
+    # evaluates into reused buffers; neither moves a bit.
+    curves = demo_curves(4.0, 0.5, 1.0, grid, n, GaussianSampler(7, dim=1), field_id)
+    ref = per_point_curves(4.0, 0.5, 1.0, grid, n, GaussianSampler(7, dim=1), field_id)
+    got = np.array([curves.objective, curves.smoothed, curves.convexified,
+                    curves.convexified_std_err])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -20,6 +20,7 @@ from riskconvex.objective import (
     ConvexityCertificate,
     RiskModel,
     _block_rows,
+    _log_mean_exp,
     check_convexity_certificate,
     check_exponents,
     exp_objective,
@@ -328,6 +329,13 @@ class TestLogMeanExp:
                                        capture_output=True, text=True, check=True,
                                        timeout=120).stdout)
         assert outs[0] == outs[1]
+
+    def test_weights_made_over_the_exponents_keep_the_bits(self):
+        # demo_curves makes each point's weights in its own buffer.
+        a = 3.0 * np.random.default_rng(9).standard_normal(20000) - 50.0
+        want = log_mean_exp(a)
+        assert _log_mean_exp(a, a) == want
+        assert not np.array_equal(a, 3.0 * np.random.default_rng(9).standard_normal(20000) - 50.0)
 
     def test_equal_weights_have_exactly_zero_std_err(self):
         assert log_mean_exp(np.full(37, -2.5)) == (-2.5, 0.0)

@@ -13,6 +13,7 @@ from riskconvex.objective import ConvexityCertificate, isotropic_model
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import (
     FeasibleSet,
+    _norm,
     SolverConfig,
     VarianceBoundInputs,
     convergence_certificate,
@@ -83,6 +84,22 @@ class TestProjection:
                 pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
             with pytest.raises(ContractError, match="finite radius bound"):
                 FeasibleSet.box([-1.7e308] * 2, [1.7e308] * 2).radius_bound
+
+    def test_norm_keeps_the_bits_of_numpy_norm(self):
+        # np.vdot is the BLAS dot of x.dot(x): the same bits, and an
+        # overflowing sum of squares is inf with no warning, then rescaled.
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for size in (1, 2, 3, 4, 7, 16, 33, 100, 1000):
+                for scale in (1e-170, 1e-3, 1.0, 1e5, 1e150):
+                    x = scale * rng.standard_normal(size)
+                    norm = _norm(x)
+                    assert norm == float(np.linalg.norm(x))
+                    assert norm == _norm(x.reshape(1, -1, 1))
+            assert _norm(np.full(4, 1e300)) == 2e300
+            assert _norm(np.array([np.inf, 1.0])) == np.inf
+            assert math.isnan(_norm(np.array([np.nan, 1.0])))
 
     def test_far_point_projects_onto_the_sphere_and_is_not_contained(self):
         # ||x||^2 overflows, but ||x|| = 1.7e160 is finite.
@@ -185,6 +202,14 @@ class TestScheduleAndCertificate:
     def test_schedule_strictly_decreasing(self):
         etas = [step_size(1.0, 2.0, i) for i in range(1, 50)]
         assert all(a > b > 0 for a, b in zip(etas, etas[1:]))
+
+    def test_a_schedule_of_many_steps_keeps_the_bits_of_one_call_each(self):
+        # projected_sgd takes its whole schedule from one array call.
+        for radius, zeta in ((0.6, 1.7), (2.0, 0.3), (3.7e5, 1e-3)):
+            etas = step_size(radius, zeta, np.arange(1, 5001))
+            one = [(radius / zeta) * math.sqrt(1.0 / (2.0 * i)) for i in range(1, 5001)]
+            assert etas.tolist() == one
+            assert [step_size(radius, zeta, i) for i in range(1, 5001)] == one
 
     def test_certificate_strictly_decreasing_in_iterations(self):
         certs = [convergence_certificate(1.0, 2.0, t) for t in (10, 100, 1000, 10000)]
