@@ -36,7 +36,7 @@ from .demo1d import demo_curves, uniform_grid
 from .errors import EXIT_INPUT, ConfigError, DivergenceError, RiskConvexError
 from .noisynet import NoisyNetConfig, mse, train_noisy_net
 from .sampling import GaussianSampler
-from .solver import FeasibleSet, SolverConfig
+from .solver import FeasibleSet, SolverConfig, write_trace_csv
 from .synthesis import (
     SynthesisConfig,
     detmax_objective,
@@ -283,10 +283,11 @@ def control_train(ctx):
                               zeta=None if cfg["zeta"] == 0 else cfg["zeta"],
                               batch=cfg["batch"])
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
-    trained, report = train_policy(dyn, cost, policy0, model, cfg["method"],
-                                   solver_cfg, constraint, sampler)
+    steps = []
+    trained, report = train_policy(dyn, cost, policy0, model, cfg["method"], solver_cfg,
+                                   constraint, sampler, sink=lambda *step: steps.append(step))
     write_gains_csv(out, trained.gains)
-    report.write_trace_csv(Path(out) / "trace.csv")
+    write_trace_csv(Path(out) / "trace.csv", steps)
     _echo_kv(certified=report.convexity.holds,
              gains=",".join(map(repr, trained.gains[:, 0, 0].tolist())),
              certificate=report.certificate, out=out)

@@ -942,7 +942,7 @@ def _caller_stacklevel() -> int:
 def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                  model: ControlRiskModel, method: str, config: SolverConfig,
                  constraint: FeasibleSet, sampler: GaussianSampler,
-                 callback: Optional[Callable] = None):
+                 sink: Optional[Callable] = None):
     """Projected SGD over the stacked gains, run by :func:`~riskconvex.solver.projected_sgd`.
 
     Starts from the projected ``config.theta0`` when set, else from the
@@ -951,8 +951,8 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     and a SolverReport).  A failed per-step certificate is a warning;
     the report flags the void optimality certificate.  The objective
     trace records the batch mean of exp(alpha J) at each iterate.
-    ``callback(i, theta, running_average)`` fires after each update with
-    the stacked gains.
+    ``sink`` is the driver's per-iteration sink; its theta is the
+    step-major ``ravel`` of the stacked gains.
     """
     engine = _RolloutEngine(dyn, cost, policy0, model)
     engine.check_method(method)
@@ -986,7 +986,7 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
         mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
         return mean.ravel(), sq, w.sum() / n
 
-    report = projected_sgd(oracle, start, constraint, config, sampler, cert, callback)
+    report = projected_sgd(oracle, start, constraint, config, sampler, cert, sink)
     trained = policy0.with_gains(report.theta_hat.reshape(shape))
     return trained, report
 

@@ -39,7 +39,7 @@ from .datasets import Dataset
 from .errors import CertificateError, ContractError
 from .objective import ConvexityCertificate, convexity_certificate
 from .sampling import GaussianSampler, as_steps
-from .solver import FeasibleSet, SolverConfig
+from .solver import FeasibleSet, SolverConfig, SolverReport
 
 
 @dataclass
@@ -238,6 +238,7 @@ class NoisyNetReport:
     convexity: ConvexityCertificate  # the per-layer certificate of ``cfg``
     final_train_mse: float
     final_test_mse: float
+    run: SolverReport                # the training run's zeta, certificate and trace
 
     @property
     def certified(self) -> bool:
@@ -259,7 +260,7 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     per-layer :class:`ConvexityCertificate`.  The learning curve logs
     the mean-network train/test MSE every ``eval_every`` iterations
     (at least 1, else :class:`ContractError`), indexed by the cumulative
-    number of network rollouts.
+    number of network rollouts, from the weights each step left.
 
     The all-zero weight vector is always a stationary point of the
     exponentiated objective (zero-mean layer noise through an odd
@@ -287,18 +288,16 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
 
     curve = []
 
-    def record(i, theta, theta_avg):
-        if i % eval_every == 0 or i == iterations:
+    def record(i, theta, *_):
+        # theta_i is the iterate step i - 1 left; the final iterate is step T's.
+        if i > 1 and ((i - 1) % eval_every == 0 or i > iterations):
             ws = theta.reshape(shape)
-            curve.append((i * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
+            curve.append(((i - 1) * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
     trained, report = train_policy(dyn, cost, policy0, model, method, config,
-                                   constraint, train_stream, callback=record)
-    weights = trained.gains
-    final_train = mse(cfg, weights, train)
-    final_test = mse(cfg, weights, test_ds)
-    if not curve or curve[-1][0] != iterations * batch:
-        curve.append((iterations * batch, final_train, final_test))
-    return NoisyNetReport(weights=weights, curve=curve, convexity=cert,
-                          final_train_mse=final_train, final_test_mse=final_test)
+                                   constraint, train_stream, sink=record)
+    record(iterations + 1, report.final_theta)
+    _, final_train, final_test = curve[-1]
+    return NoisyNetReport(weights=trained.gains, curve=curve, convexity=cert,
+                          final_train_mse=final_train, final_test_mse=final_test, run=report)

@@ -28,18 +28,22 @@ def as_steps(mats, shape=None, name: str = "gain") -> np.ndarray:
     Sigma_t, structure masks): ``mats``, a (T, rows, cols) array or T
     (rows x cols) matrices, as a new (T, rows, cols) float64 array of
     finite entries.  ``shape`` defaults to the count and the first
-    matrix's shape.  Another count, or a matrix of another shape (a scalar
-    among them), with ragged rows or with a non-finite entry, is a
-    :class:`ContractError` naming the matrices by ``name`` and the failing
-    one by its step t."""
+    matrix's shape.  A scalar or None in place of the sequence, another
+    count, or a matrix of another shape (a scalar among them), with ragged
+    rows or with a non-finite entry, is a :class:`ContractError` naming the
+    matrices by ``name`` and the failing one by its step t."""
+    try:
+        count = len(mats)
+    except TypeError:  # None, a scalar or a 0-d array
+        raise ContractError(f"{name}s must be a sequence of matrices, got {mats!r}") from None
     if shape is None:
-        shape = (len(mats),) + (_matrix_shape(mats[0], name, 1) if len(mats) else ())
+        shape = (count,) + (_matrix_shape(mats[0], name, 1) if count else ())
     if len(shape) != 3:
         raise ContractError(f"{name}s must stack to (steps, rows, cols), got {shape}")
     steps, rows, cols = shape
     if not (isinstance(mats, np.ndarray) and mats.shape == tuple(shape)):
-        if len(mats) != steps:
-            raise ContractError(f"need {steps} {name} matrices, got {len(mats)}")
+        if count != steps:
+            raise ContractError(f"need {steps} {name} matrices, got {count}")
         for t, mat in enumerate(mats, start=1):
             if _matrix_shape(mat, name, t) != (rows, cols):
                 raise ContractError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,13 +178,14 @@ def convergence_certificate(radius_bound: float, zeta: float, iterations: int) -
 
 @dataclass
 class SolverReport:
-    """Trace and certificate of one projected stochastic gradient run."""
+    """Trace and certificate of one projected stochastic gradient run.  It
+    holds no iterates (they go to :func:`projected_sgd`'s sink), only T floats
+    per trace, which :meth:`empirical_zeta` and bounds over the path read."""
 
     theta_hat: np.ndarray
     final_theta: np.ndarray
     certificate: float
     zeta: float
-    thetas: np.ndarray          # (T, k) pre-update iterates, averaged into theta_hat
     grad_norms: np.ndarray      # (T,) norms of the sampled gradients
     etas: np.ndarray            # (T,) step sizes
     convexity: ConvexityCertificate  # the hypothesis behind ``certificate``
@@ -196,7 +197,7 @@ class SolverReport:
 
     @property
     def iterations(self) -> int:
-        return self.thetas.shape[0]
+        return self.etas.shape[0]
 
     @np.errstate(over="ignore")
     def empirical_zeta(self) -> float:
@@ -208,17 +209,15 @@ class SolverReport:
             zeta = s * float(np.sqrt(np.mean((self.grad_norms / s) ** 2)))
         return zeta
 
-    def write_trace_csv(self, path) -> None:
-        """Columns: iter, theta_0..theta_{k-1}, grad_norm, eta."""
-        k = self.thetas.shape[1]
-        header = ["iter"] + [f"theta_{j}" for j in range(k)] + ["grad_norm", "eta"]
-        # Python floats from tolist() format faster than numpy scalars, with the same repr.
-        rows = (
-            [i, *theta, norm, eta]
-            for i, theta, norm, eta in zip(range(1, self.iterations + 1), self.thetas.tolist(),
-                                           self.grad_norms.tolist(), self.etas.tolist())
-        )
-        write_csv(path, rows, header=header)
+
+def write_trace_csv(path, steps) -> None:
+    """Columns: iter, theta_0..theta_{k-1}, grad_norm, eta, one row per step
+    ``(i, theta_i, grad_norm_i, eta_i, objective_i)`` a :func:`projected_sgd`
+    sink kept, each cell the repr of a Python int or float, as csvio writes it."""
+    header = ["iter"] + [f"theta_{j}" for j in range(len(steps[0][1]))] + ["grad_norm", "eta"]
+    rows = (",".join(map(repr, [i, *theta.tolist(), float(norm), float(eta)]))
+            for i, theta, norm, eta, _ in steps)
+    write_csv(path, rows, header=header)
 
 
 @np.errstate(over="ignore")
@@ -246,7 +245,7 @@ def pilot_zeta(mean, second, n: int, batch: int) -> float:
 
 def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: SolverConfig,
                   sampler: GaussianSampler, convexity: ConvexityCertificate,
-                  callback: Optional[Callable] = None) -> SolverReport:
+                  sink: Optional[Callable] = None) -> SolverReport:
     """Projected stochastic gradient iterations from the projected ``start``.
 
     ``oracle(theta, n, stream, second)`` draws n gradient samples and
@@ -255,9 +254,10 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
     ``objective_trace`` None).  Unless ``config.zeta`` is set, zeta is
     :func:`pilot_zeta` of one ``second`` call on the pilot stream.
     ``sampler`` splits into the pilot and the run stream.
-    ``callback(i, theta, running_average)`` fires after each update;
-    ``convexity``, the caller's check of the convexity hypothesis, is
-    carried into the report.
+    ``sink(i, theta_i, grad_norm_i, eta_i, objective_i)`` is called after each
+    gradient check with the iterate the gradient was drawn at.  No iterate is
+    changed in place, so a sink may keep them; the loop keeps only their sum.
+    ``convexity``, the caller's check of convexity, goes into the report.
     Raises :class:`EstimateOverflowError` when the pilot zeta is not
     finite, and :class:`DivergenceError` carrying the iteration index on a
     non-finite gradient estimate, or when a finite step overflows to an
@@ -273,13 +273,11 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
         zeta = pilot_zeta(mean, second, config.pilot_samples, config.batch)
 
     T = config.iterations
-    thetas = np.empty((T, theta.size))
     grad_norms = np.empty(T)
     etas = step_size(radius, zeta, np.arange(1, T + 1))
     objectives = []
-    running_sum = np.zeros(theta.size)
+    total = None
     for i, eta in enumerate(etas.tolist(), 1):
-        thetas[i - 1] = theta
         g, _, objective = oracle(theta, config.batch, run_stream, False)
         # A non-finite g has a non-finite norm; a finite g whose norm
         # overflows even rescaled passes the array check.
@@ -287,20 +285,20 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
         if not math.isfinite(norm) and not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient estimate at iteration {i}", step=i)
         objectives.append(objective)
+        if sink is not None:
+            sink(i, theta, norm, eta, objective)
+        # Row by row from the first iterate: the bits of mean(axis=0) of a (T, k >= 2) stack.
+        total = theta if total is None else total + theta
         try:
             theta = feasible.project(theta - eta * g)
         except ContractError as exc:
             raise DivergenceError(f"non-finite iterate at iteration {i}", step=i) from exc
-        if callback is not None:
-            running_sum += thetas[i - 1]
-            callback(i, theta, running_sum / i)
 
     return SolverReport(
-        theta_hat=thetas.mean(axis=0) if config.averaging else theta.copy(),
+        theta_hat=total / T if config.averaging else theta.copy(),
         final_theta=theta,
         certificate=convergence_certificate(radius, zeta, T),
         zeta=zeta,
-        thetas=thetas,
         grad_norms=grad_norms,
         etas=etas,
         convexity=convexity,

@@ -4,10 +4,12 @@ oracles: references written independently of the library code they check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import scipy.linalg as sl
 
+from riskconvex import solver
 from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.control import (
     ControlCost,
@@ -24,6 +26,28 @@ from riskconvex.objective import RiskModel, _row_blocks, check_exponents
 from riskconvex.synthesis import LinearSystem
 
 GAUSS_PEAK_SLOPE = np.exp(-0.5)  # max |d/dx exp(-x^2/2)| at x = 1
+
+
+class Iterates(list):
+    """A ``projected_sgd`` sink that keeps each iterate it is handed, in order."""
+
+    def __call__(self, i, theta, grad_norm, eta, objective):
+        assert i == len(self) + 1
+        self.append(theta)
+
+
+def solve_with_sink(sink, *args):
+    """``solver.solve(*args)`` with ``sink`` on its driver, ``projected_sgd``."""
+    driver = solver.projected_sgd
+    with mock.patch.object(solver, "projected_sgd", lambda *a: driver(*a, sink=sink)):
+        return solver.solve(*args)
+
+
+def solve_with_iterates(*args):
+    """``solver.solve(*args)`` and its (T, k) pre-update iterates, which a
+    sink on the driver keeps (the report holds none)."""
+    seen = Iterates()
+    return solve_with_sink(seen, *args), np.array(seen)
 
 
 def bump_field(rng: np.random.Generator, dim: int, n_bumps: int = 4,

@@ -43,6 +43,7 @@ from riskconvex.sampling import GaussianSampler, as_steps
 from riskconvex.solver import FeasibleSet, SolverConfig, pilot_zeta, projected_sgd, step_size
 from riskconvex.synthesis import LinearSystem
 from support import (
+    Iterates,
     _forward_batch,
     _full_batch,
     _full_batch_moments,
@@ -1035,10 +1036,11 @@ class TestTrainPolicy:
         model = ControlRiskModel(1.0, [np.eye(1)] * 2)
         constraint = FeasibleSet.ball(np.zeros(2), 0.5)
         theta0 = np.array([1.0, -2.0])
-        _, rep = train_policy(dyn, cost, pol0, model, "derivative_free",
-                              SolverConfig(iterations=3, batch=4, theta0=theta0),
-                              constraint, GaussianSampler(2, dim=1))
-        assert np.array_equal(rep.thetas[0], constraint.project(theta0))
+        seen = Iterates()
+        train_policy(dyn, cost, pol0, model, "derivative_free",
+                     SolverConfig(iterations=3, batch=4, theta0=theta0),
+                     constraint, GaussianSampler(2, dim=1), sink=seen)
+        assert np.array_equal(seen[0], constraint.project(theta0))
         with pytest.raises(ContractError, match="theta0"):
             train_policy(dyn, cost, pol0, model, "derivative_free",
                          SolverConfig(iterations=3, batch=4, theta0=np.zeros(3)),
@@ -1050,11 +1052,12 @@ class TestTrainPolicy:
         dyn, cost, pol, model = smooth_control_problem(rng, 2, 1, 3)
         constraint = FeasibleSet.ball(np.zeros(pol.n_steps * 1 * 2), 1.0)
         cfg = SolverConfig(iterations=40, batch=16)
+        seen1, seen2 = Iterates(), Iterates()
         t1, r1 = train_policy(dyn, cost, pol, model, "derivative_free", cfg,
-                              constraint, GaussianSampler(9, dim=1))
+                              constraint, GaussianSampler(9, dim=1), sink=seen1)
         t2, r2 = train_policy(dyn, cost, pol, model, "derivative_free", cfg,
-                              constraint, GaussianSampler(9, dim=1))
-        assert np.array_equal(r1.thetas, r2.thetas)
+                              constraint, GaussianSampler(9, dim=1), sink=seen2)
+        assert np.array_equal(seen1, seen2)
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
         assert r1.objective_trace.shape == (40,)
 
@@ -1067,8 +1070,7 @@ class TestTrainPolicy:
         cfg = SolverConfig(iterations=15, batch=8)
         seen = []
         _, rep = train_policy(dyn, cost, pol, model, method, cfg, constraint,
-                              GaussianSampler(41, dim=1),
-                              callback=lambda i, th, avg: seen.append((i, th.copy(), avg.copy())))
+                              GaussianSampler(41, dim=1), sink=lambda *step: seen.append(step))
 
         shape = (pol.n_steps, 1, 2)
         pilot, run = GaussianSampler(41, dim=1).split(2)
@@ -1084,17 +1086,17 @@ class TestTrainPolicy:
         assert len(seen) == cfg.iterations
         running_sum = np.zeros(theta.size)
         for i in range(1, cfg.iterations + 1):
-            assert np.array_equal(rep.thetas[i - 1], theta)
+            step, handed, norm, eta, objective = seen[i - 1]
+            assert step == i and np.array_equal(handed, theta)
             running_sum += theta
             g, _, w = _full_batch_moments(dyn, cost, pol.with_gains(theta.reshape(shape)),
                                           model, run, cfg.batch, method)
-            assert np.array_equal(rep.objective_trace[i - 1], w.sum() / cfg.batch)
-            theta = constraint.project(
-                theta - step_size(constraint.radius_bound, rep.zeta, i) * g.ravel())
-            assert seen[i - 1][0] == i
-            assert np.array_equal(seen[i - 1][1], theta)
-            assert np.array_equal(seen[i - 1][2], running_sum / i)
+            assert objective == rep.objective_trace[i - 1] == w.sum() / cfg.batch
+            assert eta == rep.etas[i - 1] == step_size(constraint.radius_bound, rep.zeta, i)
+            assert norm == rep.grad_norms[i - 1] == np.linalg.norm(g)
+            theta = constraint.project(theta - eta * g.ravel())
         assert np.array_equal(rep.final_theta, theta)
+        assert np.array_equal(rep.theta_hat, running_sum / cfg.iterations)
 
     @pytest.mark.filterwarnings("ignore:per-step certificate fails")
     @pytest.mark.parametrize("batch", [1, 8, 128])
@@ -1210,8 +1212,8 @@ class TestRowQuads:
 
 
 def per_iteration_training(problem, cfg, constraint, seed, written_out=True):
-    """train_policy's derivative-free report with each batch drawn from
-    the stream on its own: by the step-by-step reference pass
+    """train_policy's derivative-free report and iterates with each batch
+    drawn from the stream on its own: by the step-by-step reference pass
     (``written_out``, one unblocked pass) or by the engine."""
     dyn, cost, pol, model = problem
     engine = _RolloutEngine(*problem)
@@ -1225,13 +1227,19 @@ def per_iteration_training(problem, cfg, constraint, seed, written_out=True):
             mean, sq, w = engine.moments(K, stream, n, "derivative_free", second)
         return mean.ravel(), sq, w.sum() / n
 
-    return projected_sgd(oracle, np.ravel(pol.gains), constraint, cfg,
-                         GaussianSampler(seed, dim=1), check_control_certificate(cost, model))
+    seen = Iterates()
+    report = projected_sgd(oracle, np.ravel(pol.gains), constraint, cfg,
+                           GaussianSampler(seed, dim=1), check_control_certificate(cost, model),
+                           seen)
+    return report, seen
 
 
-def assert_same_run(report, ref):
-    for name in ("zeta", "thetas", "grad_norms", "etas", "objective_trace", "final_theta"):
-        assert np.array_equal(getattr(report, name), getattr(ref, name)), name
+def assert_same_run(run, ref):
+    """Two (report, iterates) pairs of the same run."""
+    (report, seen), (ref_report, ref_seen) = run, ref
+    assert len(seen) == len(ref_seen) and np.array_equal(seen, ref_seen), "iterates"
+    for name in ("zeta", "grad_norms", "etas", "objective_trace", "theta_hat", "final_theta"):
+        assert np.array_equal(getattr(report, name), getattr(ref_report, name)), name
 
 
 @pytest.fixture
@@ -1273,14 +1281,15 @@ class TestRunNoiseSlabs:
         problem = ScalarBenchmark().problem()
         cfg = SolverConfig(iterations=iterations, batch=batch)
         constraint = FeasibleSet.ball(np.zeros(2), 0.6)
+        seen = Iterates()
         _, report = train_policy(*problem, "derivative_free", cfg, constraint,
-                                 GaussianSampler(11, dim=1))
+                                 GaussianSampler(11, dim=1), seen)
         per_slab = control._SLAB_ENTRIES // (2 * batch)
         full, rest = divmod(iterations, per_slab)
         assert normal_shapes == ([(2, cfg.pilot_samples, 1)]
                                  + [(per_slab, 2, batch, 1)] * full
                                  + [(rest, 2, batch, 1)] * (rest > 0))
-        assert_same_run(report, per_iteration_training(problem, cfg, constraint, 11))
+        assert_same_run((report, seen), per_iteration_training(problem, cfg, constraint, 11))
 
     @pytest.mark.parametrize("build,batch,iterations,written_out", [
         (lambda: init_drawn(ScalarBenchmark().problem()), 128, 9, True),
@@ -1297,11 +1306,12 @@ class TestRunNoiseSlabs:
                 or not engine.serial(batch))
         cfg = SolverConfig(iterations=iterations, batch=batch)
         constraint = FeasibleSet.ball(np.zeros(problem[2].gains.size), 0.6)
+        seen = Iterates()
         _, report = train_policy(*problem, "derivative_free", cfg, constraint,
-                                 GaussianSampler(13, dim=1))
+                                 GaussianSampler(13, dim=1), seen)
         assert all(len(shape) == 3 for shape in normal_shapes)
-        assert_same_run(report, per_iteration_training(problem, cfg, constraint, 13,
-                                                       written_out))
+        assert_same_run((report, seen), per_iteration_training(problem, cfg, constraint, 13,
+                                                               written_out))
 
     @pytest.mark.parametrize("a,error,match", [
         (1e308, DivergenceError, "^non-finite state at t=3$"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from riskconvex.csvio import format_value, read_matrix, write_csv
 from riskconvex.errors import ConfigError
-from riskconvex.solver import SolverReport
+from riskconvex.solver import write_trace_csv
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,9 +129,8 @@ def test_a_cell_keeps_its_text_whatever_its_type(x, text):
 def test_trace_csv_keeps_the_bytes_of_numpy_scalar_rows(tmp_path):
     thetas = np.array([[-0.0, 5e-324], [1e308, 0.1], [-1.5e-30, 2.0]])
     norms, etas = np.array([0.0, 1e-300, 3.0]), np.array([0.5, 1.0 / 3.0, -0.0])
-    report = SolverReport(theta_hat=thetas.mean(axis=0), final_theta=thetas[-1], certificate=0.0,
-                          zeta=1.0, thetas=thetas, grad_norms=norms, etas=etas, convexity=None)
-    report.write_trace_csv(tmp_path / "trace.csv")
+    write_trace_csv(tmp_path / "trace.csv",
+                    [(i + 1, thetas[i], norms[i], etas[i], None) for i in range(3)])
     write_csv(tmp_path / "ref.csv",
               [[i + 1, *thetas[i], norms[i], etas[i]] for i in range(3)],
               header=["iter", "theta_0", "theta_1", "grad_norm", "eta"])

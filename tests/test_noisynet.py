@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskconvex.control import check_control_certificate
+from riskconvex.control import check_control_certificate, train_policy
 from riskconvex.datasets import Dataset, make_sine
 from riskconvex.errors import CertificateError, ContractError
 from riskconvex.csvio import read_matrix
@@ -16,7 +16,9 @@ from riskconvex.noisynet import (
     train_noisy_net,
 )
 from riskconvex.sampling import GaussianSampler
+from riskconvex.solver import FeasibleSet, SolverConfig, SolverReport
 from riskconvex.synthesis import read_gains_csv, write_gains_csv
+from support import Iterates
 
 
 def small_config(**kwargs):
@@ -185,6 +187,31 @@ class TestTraining:
                             batch=8, force=True)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
+
+    @pytest.mark.filterwarnings("ignore:per-step certificate fails")
+    @pytest.mark.parametrize("eval_every", [1, 4, 7, 20])
+    def test_curve_and_run_match_the_training_written_out(self, eval_every):
+        cfg = small_config()
+        ds = make_sine(30, GaussianSampler(4, dim=1))
+        T, batch = 10, 8
+        rep = train_noisy_net(ds, cfg, GaussianSampler(5, dim=1), iterations=T, batch=batch,
+                              force=True, eval_every=eval_every)
+        dyn, cost, policy0, model = build_control_problem(cfg, ds)
+        init_stream, train_stream = GaussianSampler(5, dim=1).split(2)
+        policy0 = policy0.with_gains(0.05 * init_stream.normal(policy0.gains.shape))
+        seen = Iterates()
+        _, run = train_policy(dyn, cost, policy0, model, "derivative_free",
+                              SolverConfig(iterations=T, batch=batch, averaging=False),
+                              FeasibleSet.ball(np.zeros(policy0.gains.size), 6.0), train_stream,
+                              sink=seen)
+        # The weights step i left: the iterate of step i + 1, the final one after step T.
+        left = [theta.reshape(policy0.gains.shape) for theta in seen[1:] + [run.final_theta]]
+        assert rep.curve == [(i * batch, mse(cfg, left[i - 1], ds), mse(cfg, left[i - 1], ds))
+                             for i in range(1, T + 1) if i % eval_every == 0 or i == T]
+        assert isinstance(rep.run, SolverReport) and rep.run.iterations == T
+        for name in ("zeta", "certificate", "grad_norms", "etas", "objective_trace",
+                     "final_theta"):
+            assert np.array_equal(getattr(rep.run, name), getattr(run, name)), name
 
     def test_eval_every_below_one_is_a_contract_error(self):
         ds = make_sine(30, GaussianSampler(0, dim=1))

@@ -39,7 +39,7 @@ from riskconvex.sampling import GaussianSampler
 from riskconvex.sensitivity import certify_gap, estimate_sensitivity
 from riskconvex.solver import FeasibleSet, SolverConfig, VarianceBoundInputs, solve
 from riskconvex.synthesis import LinearSystem, detmax_objective, synthesize
-from support import bump_field, certified_model
+from support import bump_field, certified_model, solve_with_iterates
 
 EXP_HALF = 1.6487212707001282  # float(np.exp(0.5))
 
@@ -108,9 +108,9 @@ STATIC_RUNS = {
     "estimate_sensitivity": lambda f, m, th, s: _moments(estimate_sensitivity(f, m, th,
                                                                               500, s)),
     "certify_gap": lambda f, m, th, s: np.array([certify_gap(f, m, th, 500, s).gap_bound]),
-    "solve": lambda f, m, th, s: solve(f, m, FeasibleSet.ball(np.zeros(m.dim), 1.0),
-                                       SolverConfig(iterations=20, batch=4, theta0=th),
-                                       s).thetas,
+    "solve": lambda f, m, th, s: solve_with_iterates(f, m, FeasibleSet.ball(np.zeros(m.dim), 1.0),
+                                                     SolverConfig(iterations=20, batch=4,
+                                                                  theta0=th), s)[1],
 }
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem
 from riskconvex.errors import ContractError, IllConditionedError
 from riskconvex.objective import RiskModel, _perturbed
 from riskconvex.sampling import (
@@ -193,6 +194,17 @@ class TestStacks:
         for scalars in ([1.0, 2.0], np.ones(2)):
             with pytest.raises(ContractError, match="control weights must stack to"):
                 as_steps(scalars, name="control weight")
+
+    @pytest.mark.parametrize("mats", [None, 3, 0.1, np.float64(2.0), np.array(1.0)])
+    def test_a_scalar_in_place_of_the_matrices_is_named(self, mats):
+        with pytest.raises(ContractError, match="^gains must be a sequence of matrices, got "):
+            as_steps(mats)
+        with pytest.raises(ContractError, match="^As must be a sequence of matrices, got "):
+            as_steps(mats, (2, 1, 1), "A")
+
+    def test_a_scalar_gain_of_a_linear_problem_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="^gains must be a sequence of matrices, got 0.1$"):
+            linear_control_problem(ScalarBenchmark().system(), 1.0, gains=0.1)
 
     @pytest.mark.parametrize("mats,t", [
         ([[[1.0, 2.0], [3.0]], np.eye(2)], 1),

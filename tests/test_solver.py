@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,8 +24,10 @@ from riskconvex.solver import (
     solve,
     step_size,
     variance_bound,
+    write_trace_csv,
 )
-from support import bump_field, certified_model, per_sample_zeta
+from support import (Iterates, bump_field, certified_model, per_sample_zeta, solve_with_iterates,
+                     solve_with_sink)
 
 E_SQUARED_TIMES_FOUR = 29.5562243957226  # float(4 * np.exp(2))
 HOLDS = ConvexityCertificate(margins=np.zeros(1), tols=np.zeros(1))
@@ -136,19 +139,37 @@ class TestProjectedSGD:
         # g @ g overflows for g = 1e200 (1, 1, 1), but ||g|| is finite.
         g = 1e200 * np.ones(3)
         ball = FeasibleSet.ball(np.zeros(3), 1.0)
+        seen = Iterates()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
                                 ball, SolverConfig(iterations=4, zeta=1.0),
-                                GaussianSampler(0, dim=3), HOLDS)
+                                GaussianSampler(0, dim=3), HOLDS, sink=seen)
             zeta = rep.empirical_zeta()
         expected = 1e200 * math.sqrt(3.0)
         np.testing.assert_allclose(rep.grad_norms, expected, rtol=1e-15)
         assert zeta == pytest.approx(expected, rel=1e-15)
         # Every step lands on the sphere, opposite g, never at the center.
-        np.testing.assert_allclose(rep.thetas[1:], -np.ones((3, 3)) / math.sqrt(3.0),
-                                   rtol=1e-15)
+        np.testing.assert_allclose(seen[1:], -np.ones((3, 3)) / math.sqrt(3.0), rtol=1e-15)
         assert rep.objective_trace is None
+
+    def test_traced_peak_does_not_grow_with_the_iterations(self):
+        # The loop keeps O(k) iterate state; a (T, k) store of the 1000
+        # iterates below would take 32 MB.
+        g = np.full(4096, 1e-3)
+        ball = FeasibleSet.ball(np.zeros(4096), 1.0)
+
+        def peak(iterations):
+            tracemalloc.start()
+            try:
+                projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(4096),
+                              ball, SolverConfig(iterations=iterations, zeta=1.0),
+                              GaussianSampler(0, dim=1), HOLDS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) - peak(10) < 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_is_a_divergence_at_its_iteration(self, bad):
@@ -172,14 +193,15 @@ class TestProjectedSGD:
         # ||g|| = 1.5e308 sqrt(2) overflows even rescaled, but every entry of
         # g is finite: the norm is recorded as inf and the box clips the step.
         g = np.array([1.5e308, -1.5e308, 1.0])
+        seen = Iterates()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = projected_sgd(lambda theta, n, stream, second: (g, None, None), np.zeros(3),
                                 FeasibleSet.box(-np.ones(3), np.ones(3)),
                                 SolverConfig(iterations=3, zeta=10.0),
-                                GaussianSampler(0, dim=3), HOLDS)
+                                GaussianSampler(0, dim=3), HOLDS, sink=seen)
         assert np.isposinf(rep.grad_norms).all()
-        np.testing.assert_array_equal(rep.thetas[1:, :2], [[-1.0, 1.0], [-1.0, 1.0]])
+        np.testing.assert_array_equal(np.array(seen)[1:, :2], [[-1.0, 1.0], [-1.0, 1.0]])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("feasible", [FeasibleSet.ball(np.zeros(3), 1.0),
@@ -273,8 +295,9 @@ class TestSolve:
         f = bump_field(rng, 2)
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 0.8)
-        rep = solve(f, model, fs, SolverConfig(iterations=300), model.sampler(3))
-        for theta in rep.thetas:
+        rep, thetas = solve_with_iterates(f, model, fs, SolverConfig(iterations=300),
+                                          model.sampler(3))
+        for theta in thetas:
             assert np.allclose(fs.project(theta), theta, atol=1e-12)
         assert np.allclose(fs.project(rep.theta_hat), rep.theta_hat, atol=1e-12)
 
@@ -283,17 +306,20 @@ class TestSolve:
         f = bump_field(rng, 2)
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
-        rep = solve(f, model, fs, SolverConfig(iterations=100), model.sampler(9))
-        assert np.array_equal(rep.thetas.mean(axis=0), rep.theta_hat)
+        rep, thetas = solve_with_iterates(f, model, fs, SolverConfig(iterations=100),
+                                          model.sampler(9))
+        assert np.array_equal(thetas.mean(axis=0), rep.theta_hat)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
         f = bump_field(rng, 2)
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
-        a = solve(f, model, fs, SolverConfig(iterations=50), model.sampler(11))
-        b = solve(f, model, fs, SolverConfig(iterations=50), model.sampler(11))
-        assert np.array_equal(a.thetas, b.thetas)
+        a, a_thetas = solve_with_iterates(f, model, fs, SolverConfig(iterations=50),
+                                          model.sampler(11))
+        b, b_thetas = solve_with_iterates(f, model, fs, SolverConfig(iterations=50),
+                                          model.sampler(11))
+        assert np.array_equal(a_thetas, b_thetas)
         assert np.array_equal(a.grad_norms, b.grad_norms)
 
     @pytest.mark.parametrize("batch", [1, 16])
@@ -303,7 +329,7 @@ class TestSolve:
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
         cfg = SolverConfig(iterations=20, batch=batch)
-        rep = solve(f, model, fs, cfg, model.sampler(13))
+        rep, thetas = solve_with_iterates(f, model, fs, cfg, model.sampler(13))
 
         def samples(theta, n, stream):
             draws = stream.draw(n) @ model.sigma_root
@@ -318,7 +344,7 @@ class TestSolve:
                                       cfg.pilot_samples, cfg.batch)
         assert rep.zeta == pytest.approx(per_sample_zeta(g, cfg.batch), rel=1e-14)
         for i in range(1, cfg.iterations + 1):
-            assert np.array_equal(rep.thetas[i - 1], theta)
+            assert np.array_equal(thetas[i - 1], theta)
             g = samples(theta, cfg.batch, run).mean(axis=0)
             theta = fs.project(theta - step_size(fs.radius_bound, rep.zeta, i) * g)
         assert np.array_equal(rep.final_theta, theta)
@@ -353,8 +379,8 @@ class TestSolve:
         field = ScalarField(value=lambda th: raw.value(th) + shift, upper_bound=1.0 + shift,
                             dim=1, gradient=raw.gradient, vectorized=True)
         model = isotropic_model(4.0, 0.25, 1.0, 1)
-        return solve(field, model, FeasibleSet.ball(np.zeros(1), 2.0),
-                     SolverConfig(iterations=200, batch=8), model.sampler(1))
+        return solve_with_iterates(field, model, FeasibleSet.ball(np.zeros(1), 2.0),
+                                   SolverConfig(iterations=200, batch=8), model.sampler(1))
 
     def test_overflowing_pilot_moment_is_a_typed_error(self):
         # alpha f ~ 600: the pilot samples reach ~1e261, so their squares overflow.
@@ -362,9 +388,9 @@ class TestSolve:
             warnings.simplefilter("error")
             with pytest.raises(EstimateOverflowError):
                 self.shifted_demo_solve(150.0)
-            rep = self.shifted_demo_solve(50.0)
+            rep, thetas = self.shifted_demo_solve(50.0)
         assert 1e88 < rep.zeta < 1e89
-        assert np.isfinite(rep.thetas).all()
+        assert np.isfinite(thetas).all()
 
     def test_uncertified_model_warns_and_flags(self):
         rng = np.random.default_rng(7)
@@ -405,15 +431,19 @@ class TestSolve:
         f = bump_field(rng, 2)
         model = certified_model(rng, 2)
         fs = FeasibleSet.ball(np.zeros(2), 1.0)
-        rep = solve(f, model, fs, SolverConfig(iterations=25), model.sampler(5))
+        steps = []
+        rep = solve_with_sink(lambda *step: steps.append(step), f, model, fs,
+                              SolverConfig(iterations=25), model.sampler(5))
         path = tmp_path / "trace.csv"
-        rep.write_trace_csv(path)
+        write_trace_csv(path, steps)
         header, rows = read_matrix(path, header=True)
         assert header == ["iter", "theta_0", "theta_1", "grad_norm", "eta"]
         assert len(rows) == 25
         got = np.array(rows)
-        assert np.array_equal(got[:, 1:3], rep.thetas)
+        assert np.array_equal(got[:, 0], np.arange(1, 26))
+        assert np.array_equal(got[:, 1:3], [theta for _, theta, *_ in steps])
         assert np.array_equal(got[:, 3], rep.grad_norms)
+        assert np.array_equal(got[:, 4], rep.etas)
 
 
 class TestVarianceBound:
