@@ -35,16 +35,18 @@ def format_value(x) -> str:
 
 
 def write_csv(path, rows, header=None) -> None:
-    """Write rows (iterables of values, or lines their caller formatted as
-    str) with an optional header row.
+    """Write rows (iterables of values) with an optional header row.
 
     Uses "\\n" line endings and UTF-8 regardless of platform so reruns
     are byte-identical.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [] if header is None else [",".join(map(str, header))]
-    lines += (row if type(row) is str else ",".join(map(format_value, row)) for row in rows)
+    lines = []
+    if header is not None:
+        lines.append(",".join(str(h) for h in header))
+    for row in rows:
+        lines.append(",".join(map(format_value, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

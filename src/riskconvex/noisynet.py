@@ -289,15 +289,14 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     curve = []
 
     def record(i, theta, *_):
-        # theta_i is the iterate step i - 1 left; the final iterate is step T's.
-        if i > 1 and ((i - 1) % eval_every == 0 or i > iterations):
+        if i > 1 and (i - 1) % eval_every == 0:  # theta_i: the weights step i - 1 left
             ws = theta.reshape(shape)
             curve.append(((i - 1) * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
     trained, report = train_policy(dyn, cost, policy0, model, method, config,
                                    constraint, train_stream, sink=record)
-    record(iterations + 1, report.final_theta)
-    _, final_train, final_test = curve[-1]
+    final_train, final_test = (mse(cfg, trained.gains, ds) for ds in (train, test_ds))
+    curve.append((iterations * batch, final_train, final_test))
     return NoisyNetReport(weights=trained.gains, curve=curve, convexity=cert,
                           final_train_mse=final_train, final_test_mse=final_test, run=report)

@@ -178,9 +178,8 @@ def convergence_certificate(radius_bound: float, zeta: float, iterations: int) -
 
 @dataclass
 class SolverReport:
-    """Trace and certificate of one projected stochastic gradient run.  It
-    holds no iterates (they go to :func:`projected_sgd`'s sink), only T floats
-    per trace, which :meth:`empirical_zeta` and bounds over the path read."""
+    """Trace and certificate of one projected SGD run: no iterates (a sink gets
+    them), T floats a trace, read by :meth:`empirical_zeta` and path bounds."""
 
     theta_hat: np.ndarray
     final_theta: np.ndarray
@@ -213,9 +212,9 @@ class SolverReport:
 def write_trace_csv(path, steps) -> None:
     """Columns: iter, theta_0..theta_{k-1}, grad_norm, eta, one row per step
     ``(i, theta_i, grad_norm_i, eta_i, objective_i)`` a :func:`projected_sgd`
-    sink kept, each cell the repr of a Python int or float, as csvio writes it."""
+    sink kept, each a one-cell row of the reprs of its Python ints and floats."""
     header = ["iter"] + [f"theta_{j}" for j in range(len(steps[0][1]))] + ["grad_norm", "eta"]
-    rows = (",".join(map(repr, [i, *theta.tolist(), float(norm), float(eta)]))
+    rows = ((",".join(map(repr, [i, *theta.tolist(), float(norm), float(eta)])),)
             for i, theta, norm, eta, _ in steps)
     write_csv(path, rows, header=header)
 
