@@ -39,7 +39,7 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     system disturbance.  Returns (dynamics, cost, policy, model); the
     policy starts at the supplied gains, an (N-1, m, n) array or N-1
     matrices of shape m x n (:func:`~riskconvex.sampling.as_steps`), or
-    zero.
+    zero.  The model shares the system's factored noise.
     """
     N, n, m = sys.horizon, sys.state_dim, sys.control_dim
     # A_t' and B_t', contiguous for a batch's products; a single row keeps
@@ -80,7 +80,7 @@ def linear_control_problem(sys: LinearSystem, alpha: float, gains=None):
     policy = Policy(gains=np.zeros(shape) if gains is None else as_steps(gains, shape),
                     features=features, features_jacobian=features_jacobian,
                     vectorized=True)
-    model = ControlRiskModel(alpha=alpha, control_noise=sys.sigma)
+    model = ControlRiskModel(alpha=alpha, control_noise=sys._noise)
     return dyn, cost, policy, model
 
 

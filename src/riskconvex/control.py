@@ -26,42 +26,22 @@ single rollout is a batch of one; the callables of a problem object that
 is not ``vectorized`` are evaluated row by row and stacked.  Rows of two
 shapes, and a step, state cost or features result of another shape than
 the batch's, are a :class:`ContractError` naming the callable and t,
-never broadcast over the batch.  Batch
-estimation draws from derived sampler streams and reduces in fixed order:
-the batch mean and second moment are reduced per step as small matrix
-products (g_t' phi_t), so only the single-rollout estimators build a
-per-sample (n, N-1, m, q) tensor; batches and the step-size pilot do not.
-Batches run in row blocks of 2**14 // max(n, m, q) rollouts, so the widest
-per-step array of a block (states, controls or features) holds 2**14
-entries, which bounds the memory of each block's per-step temporaries,
-weights and scores (memory and the GIL set the size, see
-:data:`~riskconvex.objective._BLOCK_ENTRIES`).  A block holds its whole
-trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage costs (N, b),
-as views of one allocation, whose pages glibc's malloc keeps from batch to
-batch: four arrays freed together crossed its heap-trim threshold and were
-faulted in again every batch.
-Within a block, the steps run in chunks whose (steps x rows x max(n, m,
-q)) entries fit the same budget: a chunk's eps draw, control costs,
-likelihood-ratio scores and moments are one stacked product each, with the
-bits of the per-step products.  The calling thread draws s_1 of a whole
-batch.  A batch of one block draws its eps_t and xi_t from the sampler in
-the order of a step-by-step rollout, on the calling thread, while a helper
-thread runs each chunk of the block as soon as its noise has landed
-(:func:`~riskconvex.objective._map_blocks`); its likelihood-ratio scores
-and moments then run in groups of steps of up to 2**15 entries on both
-threads.  It keeps the bits of one unblocked pass.  One whose steps make
-one chunk, as ``control train``'s, is drawn whole and runs on the calling
-thread alone, with no pool (:meth:`_RolloutEngine.serial`); a training run
-of such batches, when eps is all they draw, takes its normals in slabs of
-up to 2**16 entries (:class:`_Slabs`), with the bits of one draw per
-iteration.  A batch of
-several blocks splits the sampler into one stream per block: each block
-draws its own eps_t and xi_t on whichever thread runs it, and the blocks
-are summed in block order, so the bits depend on the layout (n, width)
-and the sampler, never on the thread count.  A Jacobian returned as
-``np.broadcast_to`` of one matrix is applied to the whole batch as one
-product, and the adjoint recursion passes each Jacobian straight into its
-product, so a block holds one at a time.
+never broadcast over the batch.  Batch estimation draws from derived
+sampler streams and reduces in fixed order: the batch mean and second
+moment are reduced per step as small matrix products (g_t' phi_t), so only
+the single-rollout estimators build a per-sample (n, N-1, m, q) tensor;
+batches and the step-size pilot do not.
+Batches run in row blocks of 2**14 // max(n, m, q) rollouts, and a block
+in chunks of steps (:func:`_step_chunks`), so the temporaries of each
+hold about 2**14 entries per per-step array (memory and the GIL set the
+size, see :data:`~riskconvex.objective._BLOCK_ENTRIES`).
+:meth:`_RolloutEngine.moments` tells how a batch draws its noise and runs
+its blocks on the calling thread and a helper, with bits that depend on
+the layout (n, width) and the sampler, never on the thread count.  A
+block holds its whole trajectory, S (N, b, n), U and Y (N-1, b, m) and the
+stage costs (N, b), as views of one allocation, whose pages glibc's malloc
+keeps from batch to batch: four arrays freed together crossed its
+heap-trim threshold and were faulted in again every batch.
 """
 
 from __future__ import annotations
@@ -85,6 +65,7 @@ from .fields import _bound_limit, _first_violation
 from .objective import (
     _BLOCK_ENTRIES,
     ConvexityCertificate,
+    _checked_alpha,
     _drawn,
     _map_blocks,
     _row_blocks,
@@ -92,7 +73,7 @@ from .objective import (
     check_std_err,
     convexity_certificate,
 )
-from .sampling import GaussianSampler, as_covariance, as_psd_weight, as_steps, spd_factor
+from .sampling import GaussianSampler, _factored_noise, as_psd_weight, as_steps
 from .solver import FeasibleSet, SolverConfig, projected_sgd
 
 
@@ -212,18 +193,16 @@ class Policy:
 class ControlRiskModel:
     """Risk factor and per-step control-noise covariances Sigma_t, one
     (N-1, m, m) array; their inverses ``noise_inv`` and symmetric square
-    roots ``noise_root``, stacked alike, are factored at construction.
+    roots ``noise_root``, stacked alike, are its one factored noise, read-only.
     """
 
     alpha: float
     control_noise: np.ndarray
 
     def __post_init__(self):
-        self.alpha = float(self.alpha)
-        if not 0.0 < self.alpha < np.inf:
-            raise ContractError("alpha must be positive and finite")
-        self.control_noise = as_covariance(as_steps(self.control_noise, name="control noise"))
-        self.noise_inv, self.noise_root = spd_factor(self.control_noise, name="control noise")
+        self.alpha = _checked_alpha(self.alpha)
+        self._noise = _factored_noise(self.control_noise, name="control noise")
+        self.control_noise, self.noise_inv, self.noise_root = self._noise
 
 
 def check_control_certificate(cost: ControlCost, model: ControlRiskModel) -> ConvexityCertificate:
@@ -308,8 +287,9 @@ def _step_chunks(n_steps: int, rows: int, width: int, entries: int = _BLOCK_ENTR
     entries as slices of ``entries`` // (rows * width) steps, at least
     one: a chunk's (steps, rows, width) entries fit in one row block's, so
     its noise, control costs, scores and moments are each one stacked
-    product no larger than a block's arrays.  A block of a batch of
-    several blocks fills the budget alone, so its chunks are single steps."""
+    product no larger than a block's arrays, with the bits of the per-step
+    products.  A block of a batch of several blocks fills the budget
+    alone, so its chunks are single steps."""
     steps = max(1, entries // (rows * width))
     return tuple(slice(t, min(t + steps, n_steps)) for t in range(0, n_steps, steps))
 
@@ -954,6 +934,12 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     ``sink`` is the driver's per-iteration sink; its theta is the
     step-major ``ravel`` of the stacked gains.
     """
+    return _train_policy(dyn, cost, policy0, model, method, config, constraint, sampler, sink)
+
+
+def _train_policy(dyn, cost, policy0, model, method, config, constraint, sampler, sink,
+                  cert: Optional[ConvexityCertificate] = None):
+    """:func:`train_policy`, under the caller's ``cert`` of (cost, model) if given."""
     engine = _RolloutEngine(dyn, cost, policy0, model)
     engine.check_method(method)
     shape = engine.shape
@@ -963,7 +949,8 @@ def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
     start = np.ravel(policy0.gains if config.theta0 is None else config.theta0)
     if start.size != dim:
         raise ContractError(f"theta0 has size {start.size} != stacked gain size {dim}")
-    cert = check_control_certificate(cost, model)
+    if cert is None:
+        cert = check_control_certificate(cost, model)
     if not cert.holds:
         warnings.warn(
             f"per-step certificate fails (worst margin {cert.margin:.3e}); "

@@ -32,12 +32,13 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
-    train_policy,
+    _train_policy,
+    check_control_certificate,
 )
 from .csvio import write_csv
 from .datasets import Dataset
 from .errors import CertificateError, ContractError
-from .objective import ConvexityCertificate, convexity_certificate
+from .objective import ConvexityCertificate, _checked_alpha
 from .sampling import GaussianSampler, as_steps
 from .solver import FeasibleSet, SolverConfig, SolverReport
 
@@ -63,8 +64,7 @@ class NoisyNetConfig:
         self.widths = [int(w) for w in self.widths]
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ContractError("widths must list at least input and output sizes, all >= 1")
-        if not 0.0 < self.alpha < np.inf:
-            raise ContractError("alpha must be positive and finite")
+        self.alpha = _checked_alpha(self.alpha)
         self.noise_scales = [float(s) for s in self.noise_scales]
         if len(self.noise_scales) != self.n_layers:
             raise ContractError(f"need {self.n_layers} noise scales")
@@ -98,8 +98,9 @@ class NoisyNetConfig:
         return self.widths[-1]
 
     def certificate_margins(self) -> np.ndarray:
-        """Per-layer margins alpha c_t - 1 / sigma_t^2 (isotropic)."""
-        return _certificate(self).margins
+        """Per-layer margins alpha c_t - 1 / sigma_t^2 of the certificate that
+        :func:`train_noisy_net` checks, :func:`check_control_certificate`."""
+        return check_control_certificate(*_cost_and_model(self)).margins
 
 
 def _reciprocal_square(s: float, scale: float = 1.0) -> float:
@@ -109,13 +110,6 @@ def _reciprocal_square(s: float, scale: float = 1.0) -> float:
     except OverflowError:  # Python's float power raises where numpy would give inf
         return np.inf
     return 1.0 / d if 0.0 < d < np.inf else np.inf
-
-
-def _certificate(cfg: NoisyNetConfig) -> ConvexityCertificate:
-    """The per-layer certificate: :func:`convexity_certificate` on the
-    1 x 1 blocks c_t and 1 / sigma_t^2 (both weights are multiples of I)."""
-    return convexity_certificate(cfg.alpha, np.reshape(cfg.penalty_weights, (-1, 1, 1)),
-                                 np.reshape([1.0 / s**2 for s in cfg.noise_scales], (-1, 1, 1)))
 
 
 def _embed(cfg: NoisyNetConfig, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -129,42 +123,11 @@ def _embed(cfg: NoisyNetConfig, X: np.ndarray, targets: np.ndarray) -> np.ndarra
     return s
 
 
-def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
-    """(dynamics, cost, initial policy, risk model) for a dataset.
-
-    The dataset rows are the disturbance distribution: the initial-state
-    sampler draws a uniformly random example per rollout.
-    """
+def _cost_and_model(cfg: NoisyNetConfig):
+    """(cost, risk model) of :func:`build_control_problem`, free of the dataset."""
     w = cfg.internal_width
-    n = w + cfg.output_dim
     L = cfg.n_layers
     mbar = cfg.loss_bound
-    init_states = _embed(cfg, dataset.X, dataset.y)
-    # The constant Jacobians, shared by every row: d s' / d s passes the
-    # target slots through, and d phi / d s = [I_w 0].
-    pass_through = np.diag(np.arange(n) >= w).astype(float)
-    select = np.eye(w, n)
-
-    def step(s, y, xi, t):
-        act = np.tanh(y)
-        tail = s[..., w:]
-        return np.concatenate([act, tail], axis=-1)
-
-    def jac_state(s, y, xi, t):
-        return np.broadcast_to(pass_through, s.shape[:-1] + (n, n))
-
-    def jac_control(s, y, xi, t):
-        base = np.zeros(s.shape[:-1] + (n, w))
-        d = 1.0 - np.tanh(y) ** 2
-        idx = np.arange(w)
-        base[..., idx, idx] = d
-        return base
-
-    def features(s, t):
-        return s[..., :w]
-
-    def features_jacobian(s, t):
-        return np.broadcast_to(select, s.shape[:-1] + (w, n))
 
     def state_cost(s, t):
         if t <= L:
@@ -184,21 +147,56 @@ def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
         g[..., w:] = -(2.0 * scale)[..., None] * err
         return g
 
-    def init_state_batch(rng, b):
-        idx = rng.integers(0, init_states.shape[0], size=b)
-        return init_states[idx]
-
-    dyn = Dynamics(step=step, state_dim=n, control_dim=w, disturbance_dim=0,
-                   horizon=L + 1, jacobian_state=jac_state,
-                   jacobian_control=jac_control, init_state_batch=init_state_batch,
-                   vectorized=True)
     cost = ControlCost(state_cost=state_cost,
                        control_weights=[c * np.eye(w) for c in cfg.penalty_weights],
                        bound=mbar, state_cost_grad=state_cost_grad, vectorized=True)
-    policy = Policy(gains=np.zeros((L, w, w)), features=features,
-                    features_jacobian=features_jacobian, vectorized=True)
     model = ControlRiskModel(alpha=cfg.alpha,
                              control_noise=[s**2 * np.eye(w) for s in cfg.noise_scales])
+    return cost, model
+
+
+def build_control_problem(cfg: NoisyNetConfig, dataset: Dataset):
+    """(dynamics, cost, initial policy, risk model) for a dataset.
+
+    The dataset rows are the disturbance distribution: the initial-state
+    sampler draws a uniformly random example per rollout.
+    """
+    w = cfg.internal_width
+    n = w + cfg.output_dim
+    init_states = _embed(cfg, dataset.X, dataset.y)
+    # The constant Jacobians, shared by every row: d s' / d s passes the
+    # target slots through, and d phi / d s = [I_w 0].
+    pass_through = np.diag(np.arange(n) >= w).astype(float)
+    select = np.eye(w, n)
+
+    def step(s, y, xi, t):
+        return np.concatenate([np.tanh(y), s[..., w:]], axis=-1)
+
+    def jac_state(s, y, xi, t):
+        return np.broadcast_to(pass_through, s.shape[:-1] + (n, n))
+
+    def jac_control(s, y, xi, t):
+        base = np.zeros(s.shape[:-1] + (n, w))
+        idx = np.arange(w)
+        base[..., idx, idx] = 1.0 - np.tanh(y) ** 2
+        return base
+
+    def features(s, t):
+        return s[..., :w]
+
+    def features_jacobian(s, t):
+        return np.broadcast_to(select, s.shape[:-1] + (w, n))
+
+    def init_state_batch(rng, b):
+        return init_states[rng.integers(0, init_states.shape[0], size=b)]
+
+    dyn = Dynamics(step=step, state_dim=n, control_dim=w, disturbance_dim=0,
+                   horizon=cfg.n_layers + 1, jacobian_state=jac_state,
+                   jacobian_control=jac_control, init_state_batch=init_state_batch,
+                   vectorized=True)
+    policy = Policy(gains=np.zeros((cfg.n_layers, w, w)), features=features,
+                    features_jacobian=features_jacobian, vectorized=True)
+    cost, model = _cost_and_model(cfg)
     return dyn, cost, policy, model
 
 
@@ -235,7 +233,7 @@ def mse(cfg: NoisyNetConfig, weights, ds: Dataset) -> float:
 class NoisyNetReport:
     weights: np.ndarray              # (n_layers, w, w)
     curve: list                      # rows (evaluations, train_loss, test_loss)
-    convexity: ConvexityCertificate  # the per-layer certificate of ``cfg``
+    convexity: ConvexityCertificate  # the run's per-layer certificate, run.convexity
     final_train_mse: float
     final_test_mse: float
     run: SolverReport                # the training run's zeta, certificate and trace
@@ -256,11 +254,12 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
 
     Refuses with :class:`CertificateError` when any per-layer margin
     alpha c_t - 1/sigma_t^2 is below its tolerance, unless ``force`` is set.
-    The refusal's ``report`` and the report's ``convexity`` are that
-    per-layer :class:`ConvexityCertificate`.  The learning curve logs
-    the mean-network train/test MSE every ``eval_every`` iterations
-    (at least 1, else :class:`ContractError`), indexed by the cumulative
-    number of network rollouts, from the weights each step left.
+    The refusal's ``report`` and the report's ``convexity`` are the run's one
+    certificate, :func:`check_control_certificate` of the problem it trains.
+    The learning curve logs the mean-network train/test MSE every
+    ``eval_every`` iterations (at least 1, else :class:`ContractError`),
+    indexed by the cumulative number of network rollouts, from the weights
+    each step left.
 
     The all-zero weight vector is always a stationary point of the
     exponentiated objective (zero-mean layer noise through an odd
@@ -271,7 +270,8 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     if eval_every < 1:
         raise ContractError(f"eval_every must be >= 1, got {eval_every}")
     _check_features(cfg, train)
-    cert = _certificate(cfg)
+    dyn, cost, policy0, model = build_control_problem(cfg, train)
+    cert = check_control_certificate(cost, model)
     if not cert.holds and not force:
         raise CertificateError(
             "refusing: per-layer certificate alpha*penalty >= 1/sigma^2 fails "
@@ -279,7 +279,6 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
             "with a void certificate",
             report=cert,
         )
-    dyn, cost, policy0, model = build_control_problem(cfg, train)
     shape = policy0.gains.shape  # (n_layers, w, w)
     constraint = FeasibleSet.ball(np.zeros(policy0.gains.size), radius)
     init_stream, train_stream = sampler.split(2)
@@ -294,9 +293,9 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
             curve.append(((i - 1) * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
-    trained, report = train_policy(dyn, cost, policy0, model, method, config,
-                                   constraint, train_stream, sink=record)
+    trained, report = _train_policy(dyn, cost, policy0, model, method, config,
+                                    constraint, train_stream, record, cert)
     final_train, final_test = (mse(cfg, trained.gains, ds) for ds in (train, test_ds))
     curve.append((iterations * batch, final_train, final_test))
-    return NoisyNetReport(weights=trained.gains, curve=curve, convexity=cert,
+    return NoisyNetReport(weights=trained.gains, curve=curve, convexity=report.convexity,
                           final_train_mse=final_train, final_test_mse=final_test, run=report)

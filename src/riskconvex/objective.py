@@ -17,15 +17,13 @@ standard errors of log-of-mean estimates use the delta method.
 
 A batch draws its noise in row blocks of 2**14 // k points, in stream
 order, and perturbs and evaluates the field one block at a time, so its
-temporaries are those of a block per thread, not of the whole batch
-(``_BLOCK_ENTRIES``); each block writes into one per-sample array that is
-reduced once.  The blocks of a vectorized field run on one helper thread,
-when a second CPU is usable, while the calling thread draws, each block
-as soon as its draws have landed, and then on both threads, each taking
-the next block index (:func:`_map_blocks`), so the results keep their
-bits at any thread count.  On a batch of several blocks, an error is the
-first one of the first block that fails, raised once the whole batch is
-drawn; an overflowing exponent is named by its batch index.
+temporaries are those of a block per thread (``_BLOCK_ENTRIES``); each
+block writes into one per-sample array that is reduced once.  The blocks
+of a vectorized field run on the calling thread and a helper while the
+batch is drawn (:func:`_map_blocks`), so the results keep their bits at
+any thread count.  On a batch of several blocks, an error is the first one
+of the first block that fails, raised once the whole batch is drawn; an
+overflowing exponent is named by its batch index.
 
 All estimators are pure given their sampler, so they are safe to call
 from multiple threads as long as each thread owns its own sampler (see
@@ -46,7 +44,7 @@ from .errors import (
     EstimateOverflowError,
 )
 from .fields import ScalarField
-from .sampling import GaussianSampler, as_covariance, as_psd_weight, spd_factor
+from .sampling import GaussianSampler, _factored_noise, as_psd_weight
 
 LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))
 
@@ -241,6 +239,13 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     return results
 
 
+def _checked_alpha(alpha) -> float:
+    """``alpha`` as a float: the one rule of every risk factor, 0 < alpha < inf."""
+    if not 0.0 < float(alpha) < np.inf:
+        raise ContractError("alpha must be positive and finite")
+    return float(alpha)
+
+
 @dataclass
 class RiskModel:
     """The triple (alpha, Sigma, R) governing the transform.
@@ -249,8 +254,8 @@ class RiskModel:
         alpha: risk factor, finite and > 0.
         sigma: perturbation covariance, symmetric positive definite (k x k).
         reg: quadratic weight, symmetric positive semidefinite (k x k).
-        sigma_inv, sigma_root: Sigma's inverse and root, factored once
-            (:class:`IllConditionedError` here when Sigma is ill-conditioned).
+        sigma_inv, sigma_root: Sigma's inverse and root; with sigma, read-only
+            views of the model's one-step factored noise (IllConditionedError).
     """
 
     alpha: float
@@ -258,12 +263,10 @@ class RiskModel:
     reg: np.ndarray
 
     def __post_init__(self):
-        self.alpha = float(self.alpha)
-        if not 0.0 < self.alpha < np.inf:
-            raise ContractError("alpha must be positive and finite")
-        self.sigma = as_covariance(self.sigma)
-        self.reg = as_psd_weight(self.reg, dim=self.sigma.shape[0], name="reg")
-        self.sigma_inv, self.sigma_root = spd_factor(self.sigma, name="sigma")
+        self.alpha = _checked_alpha(self.alpha)
+        self._noise = _factored_noise(np.atleast_2d(self.sigma)[None], name="sigma")
+        self.sigma, self.sigma_inv, self.sigma_root = (arr[0] for arr in self._noise)
+        self.reg = as_psd_weight(self.reg, dim=self.dim, name="reg")
 
     @property
     def dim(self) -> int:
@@ -322,7 +325,6 @@ def convexity_certificate(alpha: float, regs, noise_invs) -> ConvexityCertificat
     margin_t >= -tol_t.  Every certificate check in the package is this rule.
     """
     areg = alpha * np.asarray(regs, dtype=float)
-    noise_invs = np.asarray(noise_invs, dtype=float)
     d = areg - noise_invs
     margins = np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1)))[:, 0]
     tols = psd_tolerance(np.linalg.eigvalsh(areg)[:, -1], np.linalg.eigvalsh(noise_invs)[:, -1])
@@ -330,10 +332,10 @@ def convexity_certificate(alpha: float, regs, noise_invs) -> ConvexityCertificat
 
 
 def check_convexity_certificate(model: RiskModel) -> ConvexityCertificate:
-    """Check the convexity condition alpha R >= inv(Sigma), the one-block
+    """Check the convexity condition alpha R >= inv(Sigma), the one-step
     case of :func:`convexity_certificate`; ``margin`` is the smallest
     eigenvalue of alpha R - inv(Sigma)."""
-    return convexity_certificate(model.alpha, model.reg[None], model.sigma_inv[None])
+    return convexity_certificate(model.alpha, model.reg[None], model._noise.inv)
 
 
 @dataclass

@@ -3,15 +3,17 @@ the one factorization of every covariance.
 
 Every source of randomness in the package flows through a
 :class:`GaussianSampler`, so a single 64-bit seed reproduces a run bit for
-bit.  The risk models own each covariance and scale raw draws by its
-root from :func:`spd_factor`.  A sampler is the only stateful object in
+bit.  Each risk model holds one factored noise (:func:`_factored_noise`)
+and scales raw draws by its root.  A sampler is the only stateful object in
 the library: use one per thread, or derive independent children with
 :meth:`GaussianSampler.split` and reduce results in a fixed order.
-Per-step matrices are stacked by :func:`as_steps`; the checks and the
-factorization take one matrix or such a stack, in one batched pass.
+Per-step matrices are stacked by :func:`as_steps`; the checks take one
+matrix or such a stack, and the factorization a stack, in one batched pass.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,22 +110,33 @@ def as_psd_weight(mat, dim: int | None = None, name: str = "weight") -> np.ndarr
     return arr
 
 
-def spd_factor(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
-    """(inverse, symmetric square root) of a symmetric positive-definite
-    matrix, or of each of a (T, k, k) stack, from one eigendecomposition;
-    :class:`IllConditionedError` when lambda_max <= 0 or
-    lambda_min <= lambda_max / COND_LIMIT."""
-    w, v = np.linalg.eigh(mat)
-    bad = (w[..., -1] <= 0.0) | (w[..., 0] <= w[..., -1] / COND_LIMIT)
+class _FactoredNoise(NamedTuple):
+    """Read-only (T, k, k) stacks of Sigma_t, its inverse and its root."""
+
+    cov: np.ndarray
+    inv: np.ndarray
+    root: np.ndarray
+
+
+def _factored_noise(cov, name: str = "covariance") -> _FactoredNoise:
+    """The one factorization of every covariance: Sigma_t stacked by :func:`as_steps`
+    and checked by :func:`as_covariance`, with inverses and symmetric roots from one
+    ``eigh``; :class:`IllConditionedError` names the first step with lambda_max <= 0
+    or lambda_min <= lambda_max / COND_LIMIT.  A factored noise is returned as is."""
+    if isinstance(cov, _FactoredNoise):
+        return cov
+    cov = as_covariance(as_steps(cov, name=name))
+    w, v = np.linalg.eigh(cov)
+    bad = (w[:, -1] <= 0.0) | (w[:, 0] <= w[:, -1] / COND_LIMIT)
     if bad.any():
         label, i = _first_failure(name, bad)
-        lo, hi = w.reshape(-1, w.shape[-1])[i, [0, -1]]
-        raise IllConditionedError(
-            f"{label} is not positive definite within conditioning limits "
-            f"(eigenvalue range [{lo:.3e}, {hi:.3e}])"
-        )
+        raise IllConditionedError(f"{label} is not positive definite within conditioning "
+                                  f"limits (eigenvalue range [{w[i, 0]:.3e}, {w[i, -1]:.3e}])")
     vt = v.swapaxes(-1, -2)
-    return (v / w[..., None, :]) @ vt, (v * np.sqrt(w)[..., None, :]) @ vt
+    noise = _FactoredNoise(cov, (v / w[:, None, :]) @ vt, (v * np.sqrt(w)[:, None, :]) @ vt)
+    for arr in noise:
+        arr.setflags(write=False)
+    return noise
 
 
 class GaussianSampler:

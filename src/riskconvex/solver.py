@@ -26,7 +26,7 @@ from .csvio import write_csv
 from .errors import ContractError, DivergenceError, EstimateOverflowError
 from .fields import ScalarField
 from .objective import (ConvexityCertificate, RiskModel, _check_args, _grad_samples,
-                        check_convexity_certificate, convexity_certificate)
+                        check_convexity_certificate, isotropic_model)
 from .sampling import GaussianSampler
 
 
@@ -362,15 +362,14 @@ class VarianceBoundInputs:
     radius: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ContractError("alpha must be positive and finite")
         if not self.sigma > 0.0:
             raise ContractError("sigma must be positive")
         if self.beta < 0.0:
             raise ContractError("beta must be nonnegative")
         if self.gamma_sq < 0.0 or self.radius < 0.0:
             raise ContractError("gamma_sq and radius must be nonnegative")
-        cert = convexity_certificate(self.alpha, [[[self.kappa]]], [[[1.0 / self.sigma**2]]])
+        cert = check_convexity_certificate(isotropic_model(self.alpha, self.sigma**2,
+                                                           self.kappa, 1))
         if not cert.holds:
             raise ContractError("certificate precondition alpha*kappa >= 1/sigma^2 fails "
                                 f"(margin {cert.margin:.3e}, tolerance {cert.tol:.3e})")

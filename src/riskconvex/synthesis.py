@@ -49,8 +49,8 @@ import numpy as np
 
 from .csvio import read_matrix, write_csv
 from .errors import ConfigError, ContractError
-from .objective import ConvexityCertificate, convexity_certificate, psd_tolerance
-from .sampling import as_covariance, as_psd_weight, as_steps, spd_factor
+from .objective import ConvexityCertificate, _checked_alpha, convexity_certificate, psd_tolerance
+from .sampling import _factored_noise, as_psd_weight, as_steps
 from .solver import FeasibleSet
 
 
@@ -65,9 +65,8 @@ class LinearSystem:
     t = 1..N-1.  Each field is given as a stacked array or a sequence of
     matrices and kept as one stacked (T, rows, cols) array
     (:func:`~riskconvex.sampling.as_steps`) of finite entries.  Q and R are
-    checked by :func:`as_psd_weight`, sigma by the conditioning rule of
-    :func:`spd_factor` (:class:`IllConditionedError`), whose inverses the
-    system keeps as ``sigma_inv``, (N-1, m, m).
+    checked by :func:`as_psd_weight`; sigma and its inverses ``sigma_inv``
+    are the stacks of the system's one factored noise (IllConditionedError).
 
     The system is read-only, its arrays read-only copies.  It builds the
     constants of W(K) on first use and keeps nothing else, so threads may
@@ -92,11 +91,12 @@ class LinearSystem:
                 for name, shape in shapes.items()}
         mats["Q"] = as_psd_weight(mats["Q"], name="Q")
         mats["R"] = as_psd_weight(mats["R"], name="R")
-        mats["sigma"] = as_covariance(mats["sigma"])
-        mats["sigma_inv"] = spd_factor(mats["sigma"], name="control noise")[0]
+        noise = _factored_noise(mats["sigma"], "control noise")
+        mats.update(sigma=noise.cov, sigma_inv=noise.inv)
         for name, mat in mats.items():
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)  # past the frozen __setattr__
+        object.__setattr__(self, "_noise", noise)
 
     @property
     def state_dim(self) -> int:
@@ -139,8 +139,7 @@ class _BlockOperators:
 
     def _alpha_terms(self, alpha: float) -> _AlphaTerms:
         """The gain-free terms of W(K) at this alpha."""
-        if not 0.0 < alpha < math.inf:
-            raise ContractError("alpha must be positive and finite")
+        alpha = _checked_alpha(alpha)
         # R and S are block-diagonal, so alpha R >= S block by block.
         return _AlphaTerms(D=alpha * self.cost_blocks - self.noise_blocks,
                            base=self.noise_weight - alpha * self.state_gram,
@@ -267,7 +266,7 @@ def detmax_objective(sys: LinearSystem, alpha: float, gains) -> DetMaxResult:
     """
     ops = sys._operators
     G = ops.stack(gains)
-    terms = ops._alpha_terms(float(alpha))
+    terms = ops._alpha_terms(alpha)
     W, _, L = ops._evaluate(terms, G)
     return DetMaxResult(value=_log_det(L), W=W, convexity=terms.convexity, tol=terms.tol)
 
@@ -289,7 +288,7 @@ def detmax_gradient(sys: LinearSystem, alpha: float, gains):
     """
     ops = sys._operators
     G = ops.stack(gains)
-    _, Z, L = ops._evaluate(ops._alpha_terms(float(alpha)), G)
+    _, Z, L = ops._evaluate(ops._alpha_terms(alpha), G)
     return _gradient(ops, _solve_w(L, Z.T))
 
 

@@ -7,10 +7,10 @@ from riskconvex.control import check_control_certificate, train_policy
 from riskconvex.datasets import Dataset, make_sine
 from riskconvex.errors import CertificateError, ContractError
 from riskconvex.csvio import read_matrix
+from riskconvex.objective import convexity_certificate
 from riskconvex.noisynet import (
     NoisyNetConfig,
     build_control_problem,
-    _certificate,
     mse,
     predict,
     train_noisy_net,
@@ -78,14 +78,34 @@ class TestControlProblemMapping:
                         penalty_weights=[0.5, 9.0]), False),
     ], ids=["boundary", "forced", "forced_mixed"])
     def test_certificate_matches_control_module(self, cfg, holds):
-        # The per-layer 1 x 1 certificate the report keeps and the (w, w)
-        # blocks train_policy checks give the same verdict, bit for bit.
+        # The (w, w) blocks train_policy checks and the per-layer 1 x 1 blocks
+        # c_t and 1 / sigma_t^2 give the same verdict here, bit for bit, and the
+        # config's margins are those of the (w, w) certificate.
         ds = make_sine(20, GaussianSampler(0, dim=1))
         dyn, cost, policy, model = build_control_problem(cfg, ds)
-        cert, ref = check_control_certificate(cost, model), _certificate(cfg)
+        cert = check_control_certificate(cost, model)
+        ref = convexity_certificate(cfg.alpha, np.reshape(cfg.penalty_weights, (-1, 1, 1)),
+                                    np.reshape([1.0 / s**2 for s in cfg.noise_scales], (-1, 1, 1)))
         assert cert.holds is holds
         assert np.array_equal(cert.margins, ref.margins)
         assert np.array_equal(cert.tols, ref.tols)
+        assert np.array_equal(cfg.certificate_margins(), cert.margins)
+
+    def test_one_certificate_per_run_at_a_tiny_noise_scale(self):
+        # At sigma_t = 1e-150 the (w, w) inverse of Sigma_t rounds away from
+        # the 1 x 1 block 1 / sigma_t^2 (margins about -3e284, not 0): the
+        # run reports, and the config's margins read, the certificate of the
+        # control problem it trains.  Zero inputs keep the penalty finite.
+        cfg = NoisyNetConfig(widths=[1, 6, 1], alpha=16.0, noise_scales=[1e-150] * 2)
+        ds = Dataset(X=np.zeros((8, 1)), y=np.linspace(-0.5, 0.5, 8))
+        _, cost, _, model = build_control_problem(cfg, ds)
+        ref = check_control_certificate(cost, model)
+        rep = train_noisy_net(ds, cfg, GaussianSampler(1, dim=1), iterations=3, batch=8)
+        assert rep.convexity is rep.run.convexity
+        assert np.array_equal(rep.convexity.margins, ref.margins)
+        assert np.array_equal(rep.convexity.tols, ref.tols)
+        assert np.array_equal(cfg.certificate_margins(), ref.margins)
+        assert rep.convexity.margin == ref.margin < 0.0 and rep.certified
 
     def test_predict_matches_mean_rollout(self):
         from riskconvex.control import rollout

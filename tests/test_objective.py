@@ -93,6 +93,19 @@ class TestCertificate:
         with pytest.raises(ContractError, match="finite"):
             build()
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("build", [
+        lambda a: RiskModel(a, np.eye(1), np.eye(1)),
+        lambda a: ControlRiskModel(a, [np.eye(1)]),
+        lambda a: NoisyNetConfig(widths=[1, 1], alpha=a, noise_scales=[1.0]),
+        lambda a: detmax_objective(ScalarBenchmark().system(), a, np.zeros((2, 1, 1))),
+        lambda a: VarianceBoundInputs(alpha=a, kappa=1.0, sigma=1.0, beta=0.0, gamma_sq=1.0,
+                                      mbar=0.0, radius=1.0),
+    ], ids=["risk-model", "control-model", "noisynet", "detmax", "variance-bound"])
+    def test_every_alpha_meets_one_rule(self, build, alpha):
+        with pytest.raises(ContractError, match=r"^alpha must be positive and finite$"):
+            build(alpha)
+
 
 def _moments(est):
     return np.array([est.value, est.std_err])

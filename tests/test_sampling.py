@@ -11,7 +11,7 @@ from riskconvex.sampling import (
     as_covariance,
     as_psd_weight,
     as_steps,
-    spd_factor,
+    _factored_noise,
 )
 
 
@@ -65,16 +65,16 @@ def test_rejects_bad_seed_and_asymmetric_covariance():
 
 def test_singular_covariance_rejected():
     with pytest.raises(IllConditionedError):
-        spd_factor(np.diag([1.0, 0.0]))
+        _factored_noise([np.diag([1.0, 0.0])])
     with pytest.raises(IllConditionedError):
-        spd_factor(np.diag([1.0, -0.1]))
+        _factored_noise([np.diag([1.0, -0.1])])
 
 
 def test_sqrt_and_inverse_are_consistent():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     mat = (q * [0.5, 1.0, 2.0, 3.0]) @ q.T
-    inverse, root = spd_factor(mat)
+    _, [inverse], [root] = _factored_noise([mat])
     assert np.allclose(root @ root, mat, atol=1e-12)
     assert np.allclose(inverse @ mat, np.eye(4), atol=1e-12)
 
@@ -150,11 +150,13 @@ class TestStacks:
     def test_stacked_factor_has_the_bits_of_per_step_factors(self):
         for k in (1, 2, 3):
             sig = as_covariance(self.stack(k=k))
-            inv, root = spd_factor(sig)
+            _, inv, root = _factored_noise(sig)
             assert inv.shape == root.shape == sig.shape == (5, k, k)
             for t in range(5):
-                step_inv, step_root = spd_factor(as_covariance(sig[t]))
-                assert np.array_equal(inv[t], step_inv) and np.array_equal(root[t], step_root)
+                # A static model is the one-step case, with the same bits.
+                step = RiskModel(1.0, sig[t], np.eye(k))
+                assert np.array_equal(inv[t], step.sigma_inv)
+                assert np.array_equal(root[t], step.sigma_root)
             assert np.array_equal(as_psd_weight(sig), np.array([as_psd_weight(s) for s in sig]))
 
     def test_the_first_failing_step_is_named(self):
@@ -162,7 +164,10 @@ class TestStacks:
         sig[2] = np.diag([1.0, 0.0, 1.0])
         sig[3] = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(IllConditionedError, match=r"noise at t=3 is not positive definite"):
-            spd_factor(sig, name="noise")
+            _factored_noise(sig, name="noise")
+        # A static model's Sigma is factored as the one step of a stack.
+        with pytest.raises(IllConditionedError, match=r"^sigma at t=1 is not positive definite"):
+            RiskModel(1.0, np.diag([1.0, 0.0]), np.eye(2))
         with pytest.raises(ContractError, match=r"R at t=4 must be positive semidefinite "
                                                 r"\(min eigenvalue -1.000e\+00\)"):
             as_psd_weight(sig, name="R")
@@ -176,8 +181,6 @@ class TestStacks:
             as_covariance(self.stack(), dim=2)
 
     def test_one_matrix_keeps_its_unnamed_messages(self):
-        with pytest.raises(IllConditionedError, match=r"^sigma is not positive definite"):
-            spd_factor(np.diag([1.0, 0.0]), name="sigma")
         with pytest.raises(ContractError, match=r"^reg must be positive semidefinite"):
             as_psd_weight(np.diag([1.0, -1.0]), name="reg")
         with pytest.raises(ContractError, match=r"^covariance must be symmetric"):

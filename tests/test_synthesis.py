@@ -156,6 +156,21 @@ class TestReadOnlySystem:
             assert not arr.flags.writeable
         assert np.allclose(sys.sigma_inv @ sys.sigma, np.eye(2), atol=1e-12)
 
+    def test_the_control_problem_reuses_the_system_factorization(self, monkeypatch):
+        # Sigma_t is factored once per system: the problem's risk model shares
+        # the system's inverses and roots and runs no eigendecomposition.
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        sys = random_system(np.random.default_rng(18), 3, 2, 5)
+        assert calls == [(4, 2, 2)]
+        _, _, _, model = linear_control_problem(sys, 0.8)
+        assert calls == [(4, 2, 2)]
+        assert np.shares_memory(model.noise_inv, sys.sigma_inv)
+        assert np.shares_memory(model.control_noise, sys.sigma)
+        assert np.shares_memory(model.noise_root, sys._noise.root)
+        assert not model.noise_root.flags.writeable
+
     def test_list_and_array_input_give_the_same_bits(self):
         rng = np.random.default_rng(17)
         listed = random_system(rng, 3, 2, 5)
