@@ -36,12 +36,13 @@ in chunks of steps (:func:`_step_chunks`), so the temporaries of each
 hold about 2**14 entries per per-step array (memory and the GIL set the
 size, see :data:`~riskconvex.objective._BLOCK_ENTRIES`).
 :meth:`_RolloutEngine.moments` tells how a batch draws its noise and runs
-its blocks on the calling thread and a helper, with bits that depend on
-the layout (n, width) and the sampler, never on the thread count.  A
-block holds its whole trajectory, S (N, b, n), U and Y (N-1, b, m) and the
-stage costs (N, b), as views of one allocation, whose pages glibc's malloc
-keeps from batch to batch: four arrays freed together crossed its
-heap-trim threshold and were faulted in again every batch.
+its blocks: one block on the calling thread alone, several on it and a
+helper, with bits that depend on the layout (n, width) and the sampler,
+never on the thread count.  A block holds its whole trajectory, S (N, b,
+n), U and Y (N-1, b, m) and the stage costs (N, b), as views of one
+allocation, whose pages glibc's malloc keeps from batch to batch: four
+arrays freed together crossed its heap-trim threshold and were faulted
+in again every batch.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .objective import (
     _BLOCK_ENTRIES,
     ConvexityCertificate,
     _checked_alpha,
-    _drawn,
     _map_blocks,
     _row_blocks,
     check_exponents,
@@ -282,15 +282,15 @@ def _batched(fn, vectorized: bool, name: str, scalar: bool = False):
 
 
 @functools.lru_cache(maxsize=256)
-def _step_chunks(n_steps: int, rows: int, width: int, entries: int = _BLOCK_ENTRIES) -> tuple:
+def _step_chunks(n_steps: int, rows: int, width: int) -> tuple:
     """The ``n_steps`` steps of a block of ``rows`` rollouts of ``width``
-    entries as slices of ``entries`` // (rows * width) steps, at least
+    entries as slices of _BLOCK_ENTRIES // (rows * width) steps, at least
     one: a chunk's (steps, rows, width) entries fit in one row block's, so
     its noise, control costs, scores and moments are each one stacked
     product no larger than a block's arrays, with the bits of the per-step
     products.  A block of a batch of several blocks fills the budget
     alone, so its chunks are single steps."""
-    steps = max(1, entries // (rows * width))
+    steps = max(1, _BLOCK_ENTRIES // (rows * width))
     return tuple(slice(t, min(t + steps, n_steps)) for t in range(0, n_steps, steps))
 
 
@@ -463,17 +463,15 @@ class _RolloutEngine:
                 row[...] = dyn.init_state(sampler.rng)
         return out
 
-    def _fill(self, sampler: GaussianSampler, noise: tuple, landed=_drawn, initial=True) -> None:
+    def _fill(self, sampler: GaussianSampler, noise: tuple, initial=True) -> None:
         """Draw the noise of :meth:`_noise` into it in stream order, the one
         order of every stream: s_1 when ``initial`` (:meth:`_initial`), then
-        eps_t and xi_t for t = 1..N-1, calling ``landed(t)`` once steps
-        1..t have landed (the ``draw`` of
-        :func:`~riskconvex.objective._map_blocks`).  No draw depends on a
-        state, so drawing them apart from the rollouts leaves the stream
-        unchanged.  numpy fills a draw in stream order, so eps is drawn
-        and scaled into its array one chunk of steps (:func:`_step_chunks`)
-        at a time: a batch whose eps_t no disturbance draw interleaves
-        takes a chunk's eps in one call.  Only s_1 and the disturbances
+        eps_t and xi_t for t = 1..N-1, on this thread.  No draw depends on
+        a state, so drawing them whole before the rollouts leaves the
+        stream unchanged.  numpy fills a draw in stream order, so eps is
+        drawn and scaled into its array one chunk of steps
+        (:func:`_step_chunks`) at a time: a batch whose eps_t no
+        disturbance draw interleaves takes a chunk's eps in one call.  Only s_1 and the disturbances
         read ``sampler.rng``."""
         dyn = self.dyn
         _, eps, xi = noise
@@ -492,25 +490,23 @@ class _RolloutEngine:
                 else:
                     xi[t - 1] = np.stack([np.asarray(dyn.disturbance(sampler.rng, t), dtype=float)
                                           for _ in range(n)])
-            landed(t)
 
     def serial(self, n: int) -> bool:
         """Whether a batch of n rollouts is one row block whose steps make
-        one chunk: nothing of it can run before its whole draw has landed."""
+        one chunk, so that it draws one eps of one shape (the condition of
+        :class:`_Slabs`)."""
         return (len(_row_blocks(n, self.width)) == 1
                 and len(_step_chunks(self.shape[0], n, self.width)) == 1)
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
-                start: int = 0, ready=_drawn):
+                start: int = 0):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
         (N-1, b, p): a row block's noise (:meth:`_fill`) or one frozen
         realization (b = 1).  The steps run in order, each checking its
         state costs against the bound and its next states for finiteness;
         the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
-        product.  ``start`` is the batch index of row 0, which errors name;
-        ``ready(t)`` returns once the noise of steps 1..t has landed, and
-        is called before each chunk reads it."""
+        product.  ``start`` is the batch index of row 0, which errors name."""
         dyn = self.dyn
         N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
         b = s1.shape[0]
@@ -535,7 +531,6 @@ class _RolloutEngine:
         if b > 1:
             KT = np.ascontiguousarray(KT)
         for steps in chunks:
-            ready(steps.stop)
             if steps.start == 0:
                 S[0] = s1  # drawn before eps_1
             for t in range(steps.start + 1, steps.stop + 1):
@@ -568,15 +563,14 @@ class _RolloutEngine:
              else np.add.accumulate(stage[:, 0])[-1:] + _ZERO)
         return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, J, stage, chunks)
 
-    def _scores(self, method: str, K: np.ndarray, traj, chunks: tuple):
-        """Yield (steps, g) for each of the ``chunks`` of steps, g (steps,
-        b, m) such that row b's raw G_t = g[t - 1 - steps.start, b]
+    def _scores(self, method: str, K: np.ndarray, traj):
+        """Yield (steps, g) for each of the chunks of steps of ``traj``, g
+        (steps, b, m) such that row b's raw G_t = g[t - 1 - steps.start, b]
         phi_t[b]': the likelihood-ratio score, one stacked product per
-        chunk, or, chunk by chunk backward from t = N-1 (``chunks`` then
-        covers every step), the adjoint recursion of
-        :func:`policy_gradient_model_based` as two-operand vector-Jacobian
-        products, O(b n (n + m + q)) per step."""
-        S, U, Y, XI = traj.S, traj.U, traj.Y, traj.XI
+        chunk, or, chunk by chunk backward from t = N-1, the adjoint
+        recursion of :func:`policy_gradient_model_based` as two-operand
+        vector-Jacobian products, O(b n (n + m + q)) per step."""
+        S, U, Y, XI, chunks = traj.S, traj.U, traj.Y, traj.XI, traj.chunks
         if method == "derivative_free":
             for steps in chunks:
                 yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
@@ -604,28 +598,19 @@ class _RolloutEngine:
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:
         """The raw G_t of every row, (b, N-1, m, q)."""
         G = np.empty((traj.J.shape[0],) + self.shape)
-        for steps, g in self._scores(method, K, traj, traj.chunks):
+        for steps, g in self._scores(method, K, traj):
             G[:, steps] = np.einsum("tbm,tbq->btmq", g, _stacked(traj.PHI, steps))
         return G
 
-    def _weighted(self, K: np.ndarray, noise, w: np.ndarray, start: int, ready=_drawn):
-        """:meth:`forward` of one row block with ``noise``, rows ``start``
-        on of its batch, after which it writes the block's w = exp(alpha J)
-        into ``w``; ``ready`` is :meth:`forward`'s."""
-        traj = self.forward(K, *noise, start, ready)
-        np.exp(check_exponents(self.alpha_op * traj.J, start), out=w)
-        return traj
-
-    def _shares(self, method: str, K: np.ndarray, traj, c: np.ndarray, n: int, mean, sq,
-                chunks: tuple) -> None:
+    def _shares(self, method: str, K: np.ndarray, traj, c: np.ndarray, n: int, mean, sq) -> None:
         """Write one row block's share of the mean of an n-rollout batch,
-        and of its second moment unless ``sq`` is None, into the steps of
-        ``chunks``: with scale = alpha w (model-based) or w
-        (derivative-free) and c = scale / n (b, 1), (c g_t)' phi_t and
-        n ((c g_t)^2)' (phi_t^2), one product per chunk of steps
-        (:func:`_reduced` for a one-by-one moment over more than 8192 rows)."""
+        and of its second moment unless ``sq`` is None: with scale =
+        alpha w (model-based) or w (derivative-free) and c = scale / n
+        (b, 1), (c g_t)' phi_t and n ((c g_t)^2)' (phi_t^2), one product
+        per chunk of steps (:func:`_reduced` for a one-by-one moment over
+        more than 8192 rows)."""
         product = _reduced if self.shape[1:] == (1, 1) and len(c) > 8192 else np.matmul
-        for steps, g in self._scores(method, K, traj, chunks):
+        for steps, g in self._scores(method, K, traj):
             phi = _stacked(traj.PHI, steps)
             g *= c
             cg_t = g.transpose(0, 2, 1)
@@ -639,12 +624,14 @@ class _RolloutEngine:
                        method: str, second: bool):
         """(this block's share of the batch mean, of the second moment or
         None) for the rollouts of one row block with ``noise``, rows
-        ``start`` on of an n-rollout batch (:meth:`_weighted`,
-        :meth:`_shares`), on this thread."""
-        traj = self._weighted(K, noise, w, start)
+        ``start`` on of an n-rollout batch, on this thread: its
+        :meth:`forward` pass, whose w = exp(alpha J) it writes into ``w``,
+        then its :meth:`_shares`."""
+        traj = self.forward(K, *noise, start)
+        np.exp(check_exponents(self.alpha_op * traj.J, start), out=w)
         mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
         c = (self.alpha_op * w if method == "model_based" else w)[:, None] / n
-        self._shares(method, K, traj, c, n, mean, sq, traj.chunks)
+        self._shares(method, K, traj, c, n, mean, sq)
         return mean, sq
 
     def moments(self, K: np.ndarray, sampler: GaussianSampler, n: int, method: str,
@@ -652,58 +639,41 @@ class _RolloutEngine:
         """(batch mean, batch second moment or None, w = exp(alpha J)) of
         the gradient samples of n rollouts, with no per-sample tensor.
 
-        The calling thread draws s_1 of the batch.  A batch of several row
-        blocks then splits ``sampler`` into one stream per block; each
-        block, on any thread of :func:`~riskconvex.objective._map_blocks`,
-        draws its eps_t and xi_t from its stream (:meth:`_fill`) and runs
-        :meth:`_block_moments`, and the shares are summed in block order.
-        A batch of one block draws from ``sampler`` on the calling thread
-        while the block runs each chunk once its noise has landed
-        (:meth:`_weighted`); then its derivative-free scores and moments run
-        on both threads in groups of 2**15 (steps x rows x width) entries,
-        each writing its own steps of the moments (:meth:`_shares`).  A
-        :meth:`serial` one is drawn whole and runs here, with no pool.  An
-        overflowing exp(alpha J) raises :class:`EstimateOverflowError`
-        naming its rollout; on a batch of several blocks, this error,
-        :class:`DivergenceError` and the state-cost
-        :class:`FieldEvaluationError` report the first failure of the
-        first block that fails, and leave the sampler as a successful
-        batch does."""
+        A batch of one row block is drawn whole from ``sampler``
+        (:meth:`_fill`) and runs (:meth:`_block_moments`) on the calling
+        thread, which starts no thread.  A batch of several draws s_1 of
+        all its rollouts on the calling thread, then splits ``sampler``
+        into one stream per block; each block, on any thread of
+        :func:`~riskconvex.objective._map_blocks`, draws its eps_t and
+        xi_t from its stream and runs :meth:`_block_moments`, and the
+        shares are summed in block order.  An overflowing exp(alpha J)
+        raises :class:`EstimateOverflowError` naming its rollout; on a
+        batch of several blocks, this error, :class:`DivergenceError` and
+        the state-cost :class:`FieldEvaluationError` report the first
+        failure of the first block that fails, and leave the sampler as a
+        successful batch does."""
         w = np.empty(n)
-        if self.serial(n):
+        blocks = _row_blocks(n, self.width)
+        if len(blocks) == 1:
             noise = self._noise(n)
             self._fill(sampler, noise)
             return (*self._block_moments(K, noise, w, 0, n, method, second), w)
-        blocks = _row_blocks(n, self.width)
-        if len(blocks) > 1:
-            dyn = self.dyn  # s_1 = 0 unless drawn: then each block makes its own rows
-            s1 = (self._initial(sampler, np.zeros((n, dyn.state_dim)))
-                  if dyn.init_state_batch is not None or dyn.init_state is not None else None)
-            streams = sampler.split(len(blocks))
+        dyn = self.dyn  # s_1 = 0 unless drawn: then each block makes its own rows
+        s1 = (self._initial(sampler, np.zeros((n, dyn.state_dim)))
+              if dyn.init_state_batch is not None or dyn.init_state is not None else None)
+        streams = sampler.split(len(blocks))
 
-            def block(i, ready):
-                rows = blocks[i]
-                noise = self._noise(rows.stop - rows.start, None if s1 is None else s1[rows])
-                self._fill(streams[i], noise, initial=False)
-                return self._block_moments(K, noise, w[rows], rows.start, n, method, second)
+        def block(i, ready):
+            rows = blocks[i]
+            noise = self._noise(rows.stop - rows.start, None if s1 is None else s1[rows])
+            self._fill(streams[i], noise, initial=False)
+            return self._block_moments(K, noise, w[rows], rows.start, n, method, second)
 
-            (mean, sq), *rest = _map_blocks(block, len(blocks), self.parallel)
-            for block_mean, block_sq in rest:
-                mean += block_mean
-                if second:
-                    sq += block_sq
-            return mean, sq, w
-        noise = self._noise(n)
-        [traj] = _map_blocks(lambda i, ready: self._weighted(K, noise, w, 0, ready), 1,
-                             self.parallel, functools.partial(self._fill, sampler, noise))
-        # The adjoint runs backward as one group, on this thread.
-        groups = ((traj.chunks,) if method == "model_based" else
-                  [(steps,) for steps in _step_chunks(self.shape[0], n, self.width,
-                                                      2 * _BLOCK_ENTRIES)])
-        c = (self.alpha_op * w if method == "model_based" else w)[:, None] / n
-        mean, sq = np.empty(self.shape), np.empty(self.shape) if second else None
-        _map_blocks(lambda i, ready: self._shares(method, K, traj, c, n, mean, sq, groups[i]),
-                    len(groups), self.parallel)
+        (mean, sq), *rest = _map_blocks(block, len(blocks), self.parallel)
+        for block_mean, block_sq in rest:
+            mean += block_mean
+            if second:
+                sq += block_sq
         return mean, sq, w
 
 
@@ -837,8 +807,8 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     """Average n gradient samples with per-entry standard errors.
 
     The noise of all n rollouts is drawn in the stream order of a
-    step-by-step rollout, and the rollouts run in row blocks, each chunk
-    of steps once its noise has landed (module docstring).  The samples
+    step-by-step rollout, and the rollouts run in row blocks, each block
+    once its noise has been drawn (module docstring).  The samples
     are reduced per step as moments, summed over the blocks, never
     stored: with
     scale = alpha w (model-based) or w (derivative-free), w = exp(alpha J),

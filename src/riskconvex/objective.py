@@ -124,19 +124,17 @@ class _DrawStopped(Exception):
 
 def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     """[work(i, ready) for i in range(count)] over the ``count`` blocks of a
-    batch (or the step groups of a drawn one-block rollout batch's
-    scores), run on the calling thread and the pool's helpers while or
+    batch, run on the calling thread and the pool's helpers while or
     after ``draw`` draws the batch.
 
-    ``draw``, when given, is called as ``draw(landed)`` on the calling
-    thread: it draws the batch's noise in stream order and calls
-    ``landed(reach)`` with how far it has got (rows of a static batch,
-    steps of a one-block rollout batch; the blocks of a larger rollout
-    batch draw their own) as each part lands.  ``work`` calls
-    ``ready(reach)`` before it reads noise up to ``reach``; ``ready``
-    returns once the draw has got that far.  The plain loop
-    (``parallel`` off, as row loops of non-vectorized callables hold the
-    GIL; one block and nothing to draw; a pool without helpers) draws the
+    ``draw``, when given (a static batch of several blocks; the blocks of
+    a rollout batch draw their own), is called as ``draw(landed)`` on the
+    calling thread: it draws the batch's noise in stream order and calls
+    ``landed(reach)`` with the rows drawn so far as each block lands.
+    ``work`` calls ``ready(reach)`` before it reads noise up to
+    ``reach``; ``ready`` returns once the draw has got that far.  The
+    plain loop (``parallel`` off, as row loops of non-vectorized
+    callables hold the GIL; one block; a pool without helpers) draws the
     whole batch first and then runs the blocks.  Otherwise each helper
     task takes the next index off one queue, filled at the start, until
     none is left, while the calling thread draws, one progress counter (a
@@ -153,7 +151,7 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     An unstarted task is cancelled, so a call never waits for a thread
     busy elsewhere (a nested call) or gone (a forked child)."""
     helpers = 0
-    if parallel and (count > 1 or draw is not None):
+    if parallel and count > 1:
         executor, helpers = _pool()
         helpers = min(helpers, count if draw is not None else count - 1)
     if helpers < 1:

@@ -1,9 +1,10 @@
 """Batches on the block pool of ``objective``: the bits of the serial loop
 at any thread count, the serial loop's error, no wait on a thread that
-cannot run (a forked child, a nested call), blocks that run while the
-calling thread draws the batch, the score groups of a one-block rollout
-batch on both threads, the per-block streams of rollout batches of
-several blocks, and rollout moments at one and two BLAS threads."""
+cannot run (a forked child, a nested call), static blocks that run while
+the calling thread draws the batch, one-block rollout batches that run on
+the calling thread alone with the bits of their steps written out, the
+per-block streams of rollout batches of several blocks, and rollout
+moments at one and two BLAS threads."""
 
 import collections
 import dataclasses
@@ -212,8 +213,8 @@ class TestSameBits:
 
 def test_stress_more_threads_than_cores_with_fast_switching(threads):
     # Eight threads, three callers at once and a switch of the interpreter
-    # lock every microsecond: a block or score group lost, run twice, stored
-    # in the wrong place or run before its noise landed, or a demo point's
+    # lock every microsecond: a block lost, run twice, stored in the wrong
+    # place or run before its noise landed, or a demo point's
     # buffers taken by two threads at once, would change some result's bits.
     f, model, theta = bump_problem()
     n = 16 * ROWS4 + 3
@@ -635,7 +636,7 @@ def drawn_problem(draw_hook=None, cost_hook=None):
     return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 29)
 
 
-DRAWN_N = 4096   # one block of 8 chunks: the block starts while the draw runs
+DRAWN_N = 4096   # one block of 8 chunks, drawn whole before it runs
 
 
 def helper_is_free(timeout=JOIN_TIMEOUT):
@@ -646,8 +647,10 @@ def helper_is_free(timeout=JOIN_TIMEOUT):
 
 
 class TestBlocksWhileTheBatchIsDrawn:
-    """The calling thread draws the batch while the helper runs the blocks
-    whose noise has landed."""
+    """The calling thread draws a static batch while the helper runs the
+    blocks whose noise has landed.  A one-block rollout batch is drawn
+    whole and then runs on the calling thread, with the bits, the errors
+    and the sampler state of a one-thread run, and starts no pool."""
 
     def test_one_block_rollouts_keep_their_bits(self, threads):
         problem = simulate_problem()
@@ -697,38 +700,28 @@ class TestBlocksWhileTheBatchIsDrawn:
         serial = run()
         threads(2)
         assert joined(run) == serial
-        assert helper_is_free()
+        assert objective._POOLS == {}
 
-    def test_a_block_that_fails_during_the_draw_leaves_the_sampler_at_the_end(self, threads):
-        # The draw waits at step 15 until the block has failed at its first
-        # state cost: the draw still runs to the end of the batch.
-        events = []
-        failed = threading.Event()
-
-        def draw_hook(t):
-            if t == 15:
-                failed.wait(JOIN_TIMEOUT)
-            events.append(("drawn", t))
-
+    def test_a_block_that_fails_after_the_draw_leaves_the_sampler_at_the_end(self, threads):
+        # The block fails at its first state cost, which it reaches once
+        # the whole batch is drawn.
         def cost_hook(t):
-            events.append(("cost", t))
-            failed.set()
             raise ValueError("no state cost")
 
-        problem = drawn_problem(draw_hook, cost_hook)
+        problem = drawn_problem(cost_hook=cost_hook)
         after = GaussianSampler(3, dim=1)
         _RolloutEngine(*drawn_problem()).draw(after, DRAWN_N)
-        threads(2)
-        sampler = GaussianSampler(3, dim=1)
-        with pytest.raises(ValueError, match="no state cost"):
-            joined(lambda: policy_gradient_batch(*problem, sampler, DRAWN_N))
-        assert events.index(("cost", 1)) < events.index(("drawn", 29))
-        assert events[-1] == ("drawn", 29)
-        assert sampler.rng.bit_generator.state == after.rng.bit_generator.state
+        for k in (1, 2):
+            threads(k)
+            sampler = GaussianSampler(3, dim=1)
+            with pytest.raises(ValueError, match="no state cost"):
+                joined(lambda: policy_gradient_batch(*problem, sampler, DRAWN_N))
+            assert sampler.rng.bit_generator.state == after.rng.bit_generator.state, k
+            assert objective._POOLS == {}
 
     def test_a_nested_call_during_the_draw_finishes(self, threads):
-        # The helper waits for the outer batch's steps while the calling
-        # thread, in the draw, runs a batch of three blocks.
+        # The calling thread, in the outer batch's draw, runs a batch of
+        # three blocks on the pool.
         f, model, theta = bump_problem()
         inner = []
 
@@ -762,8 +755,7 @@ class TestBlocksWhileTheBatchIsDrawn:
                      **static_estimates(f, model, theta, 3 * ROWS4 + 1, 7)}, serial)
 
     def test_an_interrupt_during_the_draw_leaves_no_helper_running(self, threads):
-        # The helper runs the first steps' chunks, each with a slow state
-        # cost, while the draw is interrupted at step 10.
+        # The draw is interrupted at step 10, before any state cost runs.
         lock = threading.Lock()
         running = [0]
 
@@ -784,7 +776,7 @@ class TestBlocksWhileTheBatchIsDrawn:
                 joined(lambda: policy_gradient_batch(*drawn_problem(draw_hook, cost_hook),
                                                      GaussianSampler(3, dim=1), DRAWN_N))
             assert running[0] == 0
-            assert helper_is_free()
+            assert objective._POOLS == {}
 
 
 def stepwise_estimate(problem, n, seed, method):
@@ -815,13 +807,11 @@ def estimate_of(problem, n, seed, method):
             for name in ("mean", "std_err", "exp_cost_mean", "exp_cost_std_err")}
 
 
-def score_groups(problem, n):
-    """(steps of each forward chunk, of each score group) of a one-block batch."""
+def chunk_steps(problem, n):
+    """The steps of each chunk of a one-block batch."""
     engine = _RolloutEngine(*problem)
     assert len(_row_blocks(n, engine.width)) == 1
-    T = engine.shape[0]
-    return ([c.stop - c.start for c in _step_chunks(T, n, engine.width)],
-            [c.stop - c.start for c in _step_chunks(T, n, engine.width, 2**15)])
+    return [c.stop - c.start for c in _step_chunks(engine.shape[0], n, engine.width)]
 
 
 def scalar_problem(horizon):
@@ -856,21 +846,20 @@ def planted_simulation(kind, row=100, step=10):
     return dyn, dataclasses.replace(cost, state_cost=state_cost), pol, model
 
 
-class TestScoreGroups:
-    """A one-block derivative-free batch of several chunks runs its
-    forward pass while the calling thread draws, then its scores and
-    moments in groups of at most 2**15 (rows x width x steps) entries on
-    both threads: the bits of each step's moments written out alone."""
+class TestOneBlockSteps:
+    """A one-block derivative-free batch of several chunks, drawn whole and
+    run chunk by chunk on the calling thread at any thread count, has the
+    bits of each step's moments written out alone."""
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("build,n,chunks,groups", [
-        (simulate_problem, 4096, [1] * 29, [2] * 14 + [1]),
-        (drawn_problem, DRAWN_N, [4] * 7 + [1], [8] * 3 + [5]),
-        (lambda: scalar_problem(12), 12000, [1] * 11, [2] * 5 + [1]),
+    @pytest.mark.parametrize("build,n,chunks", [
+        (simulate_problem, 4096, [1] * 29),
+        (drawn_problem, DRAWN_N, [4] * 7 + [1]),
+        (lambda: scalar_problem(12), 12000, [1] * 11),
     ], ids=["detmax_simulate", "undivided_steps", "reduced_one_by_one"])
-    def test_the_groups_keep_the_bits_of_the_steps(self, threads, k, build, n, chunks, groups):
+    def test_the_chunks_keep_the_bits_of_the_steps(self, threads, k, build, n, chunks):
         problem = build()
-        assert score_groups(problem, n) == (chunks, groups)
+        assert chunk_steps(problem, n) == chunks
         threads(k)
         got = estimate_of(problem, n, 5, "derivative_free")
         assert np.any(got["mean"] != 0.0)
@@ -878,11 +867,11 @@ class TestScoreGroups:
 
     def test_a_row_lifted_problem_starts_no_thread(self, threads):
         # 16 states, controls and features: 1100 rows are one block whose
-        # three steps are a chunk and a score group each.
+        # three steps are a chunk each.
         problem = smooth_control_problem(np.random.default_rng(5), 16, 16, 4)
         for part in problem[:3]:
             part.vectorized = False
-        assert score_groups(problem, 1100) == ([1, 1, 1], [1, 1, 1])
+        assert chunk_steps(problem, 1100) == [1, 1, 1]
         threads(2)
         got = estimate_of(problem, 1100, 5, "derivative_free")
         assert objective._POOLS == {}
@@ -1019,17 +1008,31 @@ def test_moments_keep_their_bits_at_one_and_two_blas_threads():
 
 
 def test_import_and_single_block_calls_start_no_thread():
+    engine = _RolloutEngine(*simulate_problem())
+    assert engine.parallel and len(_row_blocks(4096, engine.width)) == 1
+    assert len(_step_chunks(29, 4096, engine.width)) == 29
     src = str(Path(riskconvex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, threading, numpy as np, riskconvex.cli as cli, riskconvex as rc; "
             "imported = threading.active_count(); "
+            # the calls below run as if on two CPUs, whatever the machine's count
+            "from riskconvex import objective; objective._usable_cpus = lambda: 2; "
             "m = rc.isotropic_model(1.0, 1.0, 1.0, 4); "
             "rc.smoothed_value(rc.linear_field(np.ones(4)), m, np.zeros(4), 1000, m.sampler(1)); "
             # control train's batch: 128 rollouts of 2 steps, one block of one chunk
-            "from riskconvex.benchmarks import ScalarBenchmark; "
+            "from riskconvex.benchmarks import ScalarBenchmark, linear_control_problem; "
             "rc.policy_gradient_batch(*ScalarBenchmark().problem(), rc.GaussianSampler(1, dim=1), "
             "128); "
+            # simulate_problem's batch: 4096 rollouts of 29 steps, one block of 29 chunks
+            "from riskconvex.synthesis import LinearSystem; g = np.random.default_rng(47); "
+            "system = LinearSystem(A=[0.3 * g.standard_normal((4, 4)) for _ in range(29)], "
+            "B=[0.3 * g.standard_normal((4, 2)) for _ in range(29)], Q=[np.eye(4)] * 30, "
+            "R=[np.eye(2)] * 29, sigma=[np.eye(2)] * 29, horizon=30); "
+            "problem = linear_control_problem(system, 0.05, "
+            "gains=[0.2 * g.standard_normal((2, 4)) for _ in range(29)]); "
+            "[rc.policy_gradient_batch(*problem, rc.GaussianSampler(1, dim=1), 4096, method) "
+            "for method in ('model_based', 'derivative_free')]; "
             "print(imported, threading.active_count(), 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
