@@ -38,17 +38,17 @@ size, see :data:`~riskconvex.objective._BLOCK_ENTRIES`).
 :meth:`_RolloutEngine.moments` tells how a batch draws its noise and runs
 its blocks: one block on the calling thread alone, several on it and a
 helper, with bits that depend on the layout (n, width) and the sampler,
-never on the thread count.  A block holds its whole trajectory, S (N, b,
-n), U and Y (N-1, b, m) and the stage costs (N, b), as views of one
-allocation, whose pages glibc's malloc keeps from batch to batch: four
-arrays freed together crossed its heap-trim threshold and were faulted
-in again every batch.
+never on the thread count.  Each batch of a training run draws its own
+noise from the run stream when it runs.  A block holds its whole
+trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage costs (N, b),
+as views of one allocation, whose pages glibc's malloc keeps from batch
+to batch: four arrays freed together crossed its heap-trim threshold and
+were faulted in again every batch.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -491,13 +491,6 @@ class _RolloutEngine:
                     xi[t - 1] = np.stack([np.asarray(dyn.disturbance(sampler.rng, t), dtype=float)
                                           for _ in range(n)])
 
-    def serial(self, n: int) -> bool:
-        """Whether a batch of n rollouts is one row block whose steps make
-        one chunk, so that it draws one eps of one shape (the condition of
-        :class:`_Slabs`)."""
-        return (len(_row_blocks(n, self.width)) == 1
-                and len(_step_chunks(self.shape[0], n, self.width)) == 1)
-
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
                 start: int = 0):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
@@ -663,7 +656,7 @@ class _RolloutEngine:
               if dyn.init_state_batch is not None or dyn.init_state is not None else None)
         streams = sampler.split(len(blocks))
 
-        def block(i, ready):
+        def block(i):
             rows = blocks[i]
             noise = self._noise(rows.stop - rows.start, None if s1 is None else s1[rows])
             self._fill(streams[i], noise, initial=False)
@@ -847,31 +840,6 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     )
 
 
-# Entries of one slab of a training run's noise (:class:`_Slabs`): 512 KiB.
-_SLAB_ENTRIES = 2**16
-
-
-class _Slabs:
-    """The run stream of :func:`train_policy` when each of its ``draws``
-    batches draws one eps of one shape and nothing else: ``normal``
-    serves these draws from slabs of up to _SLAB_ENTRIES entries, each
-    drawn in one call and none past the last batch.  numpy fills a draw
-    in stream order, so each batch's eps keeps the bits of its own call."""
-
-    def __init__(self, sampler: GaussianSampler, draws: int):
-        self.sampler, self.left = sampler, draws
-        self.slab, self.next = (), 0
-
-    def normal(self, shape: tuple) -> np.ndarray:
-        if self.next == len(self.slab):
-            count = min(self.left, max(1, _SLAB_ENTRIES // math.prod(shape)))
-            self.slab = ()  # one slab alive at a time
-            self.slab, self.next = self.sampler.normal((count,) + shape), 0
-            self.left -= count
-        self.next += 1
-        return self.slab[self.next - 1]
-
-
 def _caller_stacklevel() -> int:
     """The ``stacklevel`` with which the function calling this names, in its
     warnings, the line that called into the library: the first frame whose
@@ -928,18 +896,7 @@ def _train_policy(dyn, cost, policy0, model, method, config, constraint, sampler
             stacklevel=_caller_stacklevel(),
         )
 
-    # The run's batches (``second`` unset) all draw from the run stream;
-    # when each is serial and draws eps alone, those draws come in slabs.
-    slabbed = (not engine.disturbed and dyn.init_state is None
-               and dyn.init_state_batch is None and engine.serial(config.batch))
-    slabs = None
-
     def oracle(theta, n, stream, second):
-        nonlocal slabs
-        if slabbed and not second:
-            if slabs is None:
-                slabs = _Slabs(stream, config.iterations)
-            stream = slabs
         mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
         return mean.ravel(), sq, w.sum() / n
 

@@ -9,7 +9,8 @@ objective on a uniform grid, with common random numbers across grid
 points so that curve differences are well resolved.  That one draw comes
 first; when it spans two or more row blocks, the threads of
 :func:`~riskconvex.objective._map_blocks` take the grid points by index,
-with the same bits.
+with the same bits.  Each point evaluates the field and its weights in
+arrays of its own.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _zero(theta, out: np.ndarray) -> np.ndarray:
 
 
 # Each demo field's value at the points theta written into out, theta
-# being overwritten (demo_curves' per-point buffers).
+# being overwritten (demo_curves' per-point arrays).
 _VALUE_INTO = {"two-basin": lambda theta, out: _two_basin(theta, out, theta),
                "constant": _zero}
 
@@ -200,26 +201,17 @@ def demo_curves(alpha: float, sigma_noise: float, kappa: float, grid,
     smoothed = np.empty(grid.size)
     convexified = np.empty(grid.size)
     std_err = np.empty(grid.size)
-    # Pairs of n_samples arrays, each used by one point at a time and kept
-    # for the next: fresh arrays at every point were trimmed from the heap
-    # and faulted in again.  Each thread takes its own pair.
-    spare = []
 
-    def point(i, ready):  # every point reads the one draw above, made before the call
-        try:
-            x, vals = spare.pop()
-        except IndexError:
-            x, vals = np.empty(n_samples), np.empty(n_samples)
+    def point(i):  # every point reads the one draw above, made before the call
         th = grid[i]
         quad = 0.5 * kappa * th**2
-        value_into(np.add(draws, th, out=x), vals)
+        vals = value_into(draws + th, np.empty(n_samples))
         objective[i] += quad
         smoothed[i] = float(np.add.reduce(vals) / vals.size) + quad + 0.5 * kappa * sigma_noise**2
         vals *= alpha
         lme, se = _log_mean_exp(vals, vals)
         convexified[i] = lme / alpha + quad
         std_err[i] = se / alpha
-        spare.append((x, vals))
 
     _map_blocks(point, grid.size, parallel=len(_row_blocks(n_samples, 1)) > 1)
     return DemoCurves(theta=grid, objective=objective, smoothed=smoothed,

@@ -77,9 +77,13 @@ def threads(monkeypatch):
 
 
 def shut_down(pools):
+    """Shut the pools down, waiting at most JOIN_TIMEOUT for each helper:
+    a test that leaves a helper stuck fails instead of hanging here."""
     for executor, _ in pools.values():
         if executor is not None:
-            executor.shutdown()
+            executor.shutdown(wait=False)
+            for helper in executor._threads:
+                helper.join(JOIN_TIMEOUT)
     pools.clear()
 
 
@@ -647,10 +651,12 @@ def helper_is_free(timeout=JOIN_TIMEOUT):
 
 
 class TestBlocksWhileTheBatchIsDrawn:
-    """The calling thread draws a static batch while the helper runs the
-    blocks whose noise has landed.  A one-block rollout batch is drawn
-    whole and then runs on the calling thread, with the bits, the errors
-    and the sampler state of a one-thread run, and starts no pool."""
+    """The calling thread draws a static batch and queues each block once
+    its rows have landed, so the helper runs blocks during the draw and no
+    block waits; a draw that stops part-way leaves the call with its own
+    error.  A one-block rollout batch is drawn whole and then runs on the
+    calling thread, with the bits, the errors and the sampler state of a
+    one-thread run, and starts no pool."""
 
     def test_one_block_rollouts_keep_their_bits(self, threads):
         problem = simulate_problem()
@@ -683,6 +689,40 @@ class TestBlocksWhileTheBatchIsDrawn:
         serial = static_estimates(f, model, theta, n, 7)
         threads(2)
         assert_same(static_estimates(f, model, theta, n, 7), serial)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_static_draw_that_stops_part_way_gives_its_error(self, threads, monkeypatch,
+                                                               error):
+        # Five blocks; the draw of the third raises.  On two threads it
+        # raises once the helper has run both landed blocks and, a moment
+        # later, waits for the next: only the call's end marks free it.
+        _, model, theta = bump_problem()
+        helped = threading.Semaphore(0)
+        calls, helpers = [0], [0]
+        draw = GaussianSampler.draw
+
+        def value(thetas):
+            if threading.current_thread().name.startswith("riskconvex-blocks"):
+                helped.release()
+            return np.zeros(len(thetas))
+
+        def stopping(self, n):
+            calls[0] += 1
+            if calls[0] == 3:
+                for _ in range(2 * helpers[0]):
+                    assert helped.acquire(timeout=JOIN_TIMEOUT), "the helper ran no block"
+                time.sleep(0.05 * helpers[0])
+                raise error("the draw stops")
+            return draw(self, n)
+
+        field = ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+        monkeypatch.setattr(GaussianSampler, "draw", stopping)
+        for k in (1, 2):
+            threads(k)
+            calls[0], helpers[0] = 0, k - 1
+            with pytest.raises(error, match="^the draw stops$"):
+                joined(lambda: smoothed_value(field, model, theta, 5 * ROWS4, model.sampler(1)))
+        assert helper_is_free()
 
     @pytest.mark.parametrize("step", [0, 10], ids=["init_state_batch", "disturbance_batch"])
     def test_a_draw_that_raises_gives_its_error(self, threads, step):

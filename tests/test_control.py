@@ -1269,26 +1269,21 @@ def disturbance_drawn(problem):
             *rest)
 
 
-class TestRunNoiseSlabs:
-    """A training run whose batches are serial and draw nothing but eps
-    takes the run stream's normals in slabs of many iterations, with the
-    bits of one draw per iteration; other runs draw per iteration."""
+class TestRunNoise:
+    """Each batch of a training run draws its own noise from the run
+    stream, with the bits of a reference that draws every batch on its own."""
 
     @pytest.mark.parametrize("batch", [2, 128])
     @pytest.mark.parametrize("iterations", [1, 7, 257, 2001])
-    def test_slabs_keep_the_bits_of_per_iteration_draws(self, iterations, batch,
-                                                        normal_shapes):
+    def test_one_chunk_runs_draw_eps_per_iteration(self, iterations, batch, normal_shapes):
         problem = ScalarBenchmark().problem()
         cfg = SolverConfig(iterations=iterations, batch=batch)
         constraint = FeasibleSet.ball(np.zeros(2), 0.6)
         seen = Iterates()
         _, report = train_policy(*problem, "derivative_free", cfg, constraint,
                                  GaussianSampler(11, dim=1), seen)
-        per_slab = control._SLAB_ENTRIES // (2 * batch)
-        full, rest = divmod(iterations, per_slab)
-        assert normal_shapes == ([(2, cfg.pilot_samples, 1)]
-                                 + [(per_slab, 2, batch, 1)] * full
-                                 + [(rest, 2, batch, 1)] * (rest > 0))
+        assert all(len(shape) == 3 for shape in normal_shapes)
+        assert normal_shapes == [(2, cfg.pilot_samples, 1)] + [(2, batch, 1)] * iterations
         assert_same_run((report, seen), per_iteration_training(problem, cfg, constraint, 11))
 
     @pytest.mark.parametrize("build,batch,iterations,written_out", [
@@ -1301,9 +1296,6 @@ class TestRunNoiseSlabs:
     def test_other_runs_draw_per_iteration(self, build, batch, iterations, written_out,
                                            normal_shapes):
         problem = build()
-        engine = _RolloutEngine(*problem)
-        assert (engine.disturbed or problem[0].init_state_batch is not None
-                or not engine.serial(batch))
         cfg = SolverConfig(iterations=iterations, batch=batch)
         constraint = FeasibleSet.ball(np.zeros(problem[2].gains.size), 0.6)
         seen = Iterates()
