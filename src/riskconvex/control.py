@@ -24,9 +24,11 @@ Both are unbiased for grad_K E[exp(alpha J)].  Every rollout, gradient
 sample and training iteration runs through one batched engine, and a
 single rollout is a batch of one; the callables of a problem object that
 is not ``vectorized`` are evaluated row by row and stacked.  Rows of two
-shapes, and a step, state cost or features result of another shape than
-the batch's, are a :class:`ContractError` naming the callable and t,
-never broadcast over the batch.  Batch estimation draws from derived
+shapes, and a result of any callable (step, Jacobians, state cost and
+its gradient, features and their Jacobian, ``init_state_batch``,
+``disturbance_batch``) of another shape than the batch's, are a
+:class:`ContractError` naming the callable and t, never broadcast over
+the batch.  Batch estimation draws from derived
 sampler streams and reduces in fixed order: the batch mean and second
 moment are reduced per step as small matrix products (g_t' phi_t), so only
 the single-rollout estimators build a per-sample (n, N-1, m, q) tensor;
@@ -62,7 +64,7 @@ from .errors import (
     DivergenceError,
     FieldEvaluationError,
 )
-from .fields import _bound_limit, _first_violation
+from .fields import _bound_limit, _first_violation, _returned
 from .objective import (
     _BLOCK_ENTRIES,
     ConvexityCertificate,
@@ -428,10 +430,7 @@ class _RolloutEngine:
         the bound and naming its rollout, ``start`` being the batch index
         of ``s[0]``; costs of another shape than (b,) are a
         :class:`ContractError`."""
-        vals = np.asarray(self.state_cost(s, t), dtype=float)
-        if vals.shape != (len(s),):
-            raise ContractError(f"state_cost at t={t} must return shape {(len(s),)}, "
-                                f"got {vals.shape}")
+        vals = _returned(self.state_cost(s, t), "state_cost", (len(s),), t)
         i = _first_violation(vals, self.limit)
         if i is not None:
             raise FieldEvaluationError(
@@ -457,7 +456,8 @@ class _RolloutEngine:
         """``out`` with s_1 of a whole batch drawn into it by ``init_state*``."""
         dyn = self.dyn
         if dyn.init_state_batch is not None:
-            out[...] = dyn.init_state_batch(sampler.rng, out.shape[0])
+            out[...] = _returned(dyn.init_state_batch(sampler.rng, out.shape[0]),
+                                 "init_state_batch", out.shape, 1)
         elif dyn.init_state is not None:
             for row in out:
                 row[...] = dyn.init_state(sampler.rng)
@@ -486,7 +486,8 @@ class _RolloutEngine:
             t = steps.stop
             if self.disturbed:
                 if dyn.disturbance_batch is not None:
-                    xi[t - 1] = dyn.disturbance_batch(sampler.rng, t, n)
+                    xi[t - 1] = _returned(dyn.disturbance_batch(sampler.rng, t, n),
+                                          "disturbance_batch", xi.shape[1:], t)
                 else:
                     xi[t - 1] = np.stack([np.asarray(dyn.disturbance(sampler.rng, t), dtype=float)
                                           for _ in range(n)])
@@ -530,19 +531,13 @@ class _RolloutEngine:
                 # Callables see rows of S, so features that return s itself
                 # keep no second copy of the states alive.
                 s, u, y = S[t - 1], U[t - 1], Y[t - 1]
-                phi = np.asarray(features(s, t), dtype=float)
-                if phi.shape != (b, q):
-                    raise ContractError(f"features at t={t} must return shape {(b, q)}, "
-                                        f"got {phi.shape}")
+                phi = _returned(features(s, t), "features", (b, q), t)
                 views = views and phi is s
                 PHI.append(phi)
                 np.matmul(phi, KT[t - 1], out=u)
                 stage[t - 1] = state_cost(s, t, start)
-                nxt = np.asarray(step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t),
-                                 dtype=float)
-                if nxt.shape != (b, nd):
-                    raise ContractError(f"step at t={t} must return shape {(b, nd)}, "
-                                        f"got {nxt.shape}")
+                nxt = _returned(step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t), "step",
+                                (b, nd), t)
                 S[t] = nxt
                 if not np.isfinite(nxt).all():
                     raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
@@ -569,8 +564,9 @@ class _RolloutEngine:
                 yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
                               + self.alpha_op * (U[steps] @ self.R[steps]))
             return
-        N = S.shape[0]
-        lam = np.asarray(self.state_cost_grad(S[N - 1], N), dtype=float)
+        N, b, nd = S.shape
+        m, q = self.shape[1:]
+        lam = _returned(self.state_cost_grad(S[N - 1], N), "state_cost_grad", (b, nd), N)
         for steps in reversed(chunks):
             g = np.empty(U[steps].shape)
             for t in range(steps.stop, steps.start, -1):
@@ -578,14 +574,15 @@ class _RolloutEngine:
                 # (b, n, n), (b, n, m) or (b, q, n) Jacobian is alive at a time.
                 s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
                 g_t = g[t - 1 - steps.start]
-                g_t[...] = u @ self.R[t - 1] + _vjp(
-                    np.asarray(self.jac_control(s, y, xi, t), dtype=float), lam)
+                g_t[...] = u @ self.R[t - 1] + _vjp(_returned(
+                    self.jac_control(s, y, xi, t), "jacobian_control", (b, nd, m), t), lam)
                 if t == 1:  # nothing reads lam_1
                     break
-                lam = (np.asarray(self.state_cost_grad(s, t), dtype=float)
-                       + _vjp(np.asarray(self.jac_state(s, y, xi, t), dtype=float), lam)
-                       + _vjp(np.asarray(self.features_jacobian(s, t), dtype=float),
-                              g_t @ K[t - 1]))
+                lam = (_returned(self.state_cost_grad(s, t), "state_cost_grad", (b, nd), t)
+                       + _vjp(_returned(self.jac_state(s, y, xi, t), "jacobian_state",
+                                        (b, nd, nd), t), lam)
+                       + _vjp(_returned(self.features_jacobian(s, t), "features_jacobian",
+                                        (b, q, nd), t), g_t @ K[t - 1]))
             yield steps, g
 
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:

@@ -34,6 +34,18 @@ def _first_violation(vals, limit: float) -> Optional[int]:
     return int(np.argmin(np.asarray(vals <= limit)))
 
 
+def _returned(value, name: str, shape: tuple, t=None) -> np.ndarray:
+    """``value``, which the callable ``name`` returned (at step ``t`` when
+    given), as a float array, or :class:`ContractError` naming it and both
+    shapes when its shape is not ``shape``: a result is never broadcast
+    over a batch."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        at = "" if t is None else f" at t={t}"
+        raise ContractError(f"{name}{at} must return shape {shape}, got {arr.shape}")
+    return arr
+
+
 @dataclass
 class RawField:
     """An objective with no declared upper bound, prior to clamping.
@@ -53,7 +65,9 @@ class ScalarField:
     """Objective f with a finite declared upper bound.
 
     The field is evaluated on batches of points, (n, dim) -> (n,), by
-    :meth:`evaluate_batch` and :meth:`grad_batch`.  The bound is asserted
+    :meth:`evaluate_batch` and :meth:`grad_batch`, whose results of another
+    shape than (n,) and (n, dim) are a :class:`ContractError`, never
+    broadcast.  The bound is asserted
     on every evaluation: NaN, +inf, or any value above
     ``upper_bound + 1e-9 (1 + |upper_bound|)`` raises
     :class:`FieldEvaluationError` carrying the offending point.  -inf
@@ -91,9 +105,10 @@ class ScalarField:
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         if self.vectorized:
-            vals = np.asarray(self.value(thetas), dtype=float)
+            vals = self.value(thetas)
         else:
-            vals = np.array([float(self.value(row)) for row in thetas])
+            vals = [float(self.value(row)) for row in thetas]
+        vals = _returned(vals, "field value", thetas.shape[:1])
         i = _first_violation(vals, _bound_limit(self.upper_bound))
         if i is not None:
             raise FieldEvaluationError(
@@ -107,8 +122,10 @@ class ScalarField:
             raise ContractError("this operation requires a field with a gradient")
         thetas = np.asarray(thetas, dtype=float)
         if self.vectorized:
-            return np.asarray(self.gradient(thetas), dtype=float)
-        return np.stack([np.asarray(self.gradient(row), dtype=float) for row in thetas])
+            grads = self.gradient(thetas)
+        else:
+            grads = np.stack([np.asarray(self.gradient(row), dtype=float) for row in thetas])
+        return _returned(grads, "field gradient", thetas.shape)
 
 
 def clamp_bounded(raw, mbar: float) -> ScalarField:

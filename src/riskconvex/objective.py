@@ -20,9 +20,10 @@ order, and perturbs and evaluates the field one block at a time, so its
 temporaries are those of a block per thread (``_BLOCK_ENTRIES``); each
 block writes into one per-sample array that is reduced once.  Each block
 of a vectorized field goes on one queue once its rows have landed, and
-the calling thread, after the draw, and a helper, during it, take blocks
-off that queue (:func:`_map_blocks`), so no block waits and the results
-keep their bits at any thread count.  On a batch of several blocks, an
+the calling thread, after the draw, and a helper thread that the call
+starts and waits for, during it, take blocks off that queue
+(:func:`_map_blocks`), so no block waits and the results keep their bits
+at any thread count.  On a batch of several blocks, an
 error is the first one of the first block that fails, raised once the
 whole batch is drawn; an overflowing exponent is named by its batch
 index.
@@ -83,15 +84,6 @@ def _row_blocks(n: int, width: int) -> tuple:
     return tuple(slice(i * rows, (i + 1) * rows if i < count - 1 else n) for i in range(count))
 
 
-# Helper threads a batch may use besides the calling thread.  One helper
-# (two usable CPUs) is the configuration whose wall time and peak memory
-# were measured; each further helper would add its own malloc arena and
-# one more block in flight, so more usable CPUs do not add helpers.
-_MAX_HELPERS = 1
-
-_POOLS: dict = {}
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -99,63 +91,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool() -> tuple:
-    """(executor, helpers) of this process, built on first use: ``helpers``
-    is one less than the usable CPUs, at most :data:`_MAX_HELPERS`, and
-    ``executor`` a thread pool of that many threads (None for none).  It is
-    keyed by process id: a forked child has none of its parent's threads,
-    so it builds its own."""
-    pid = os.getpid()
-    pool = _POOLS.get(pid)
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        helpers = max(0, min(_MAX_HELPERS, _usable_cpus() - 1))
-        executor = ThreadPoolExecutor(helpers, "riskconvex-blocks") if helpers else None
-        pool = _POOLS.setdefault(pid, (executor, helpers))
-    return pool
-
-
 def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     """[work(i) for i in range(count)] over the ``count`` blocks of a batch,
-    run on the calling thread and the pool's helpers while or after
-    ``draw`` draws the batch.
+    run on the calling thread and one helper thread of this call while or
+    after ``draw`` draws the batch.
 
     ``draw``, when given (a static batch of several blocks; the blocks of
     a rollout batch draw their own), is called as ``draw(landed)`` on the
     calling thread: it draws the batch's noise in stream order and calls
     ``landed(i)`` once the rows of block i are drawn.  The plain loop
     (``parallel`` off, as row loops of non-vectorized callables hold the
-    GIL; one block; a pool without helpers) draws the whole batch first
-    and then runs the blocks.  Otherwise a block is handed out only once
-    its rows have landed, so no block waits: ``landed`` puts i on one
+    GIL; one block; one usable CPU, read on every call of several blocks,
+    so a later ``sched_setaffinity`` is honoured) draws the whole batch
+    first and then runs the blocks.  Otherwise the call starts one daemon
+    helper thread, ``riskconvex-blocks``, and a block is handed out only
+    once its rows have landed, so no block waits: ``landed`` puts i on one
     queue, which holds every index from the start when there is no draw.
-    Each helper task takes indices off that queue until it reaches an end
-    mark, while the calling thread draws; then the calling thread does the
-    same.  There is one end mark for each helper and the calling thread,
-    put after the last index, or for each helper when the call raises.
-    Helpers run under the caller's numpy error state.  The draw is whole
+    The helper takes indices off that queue until it reaches an end mark,
+    while the calling thread draws; then the calling thread does the same.
+    There is one end mark for the helper and one for the calling thread,
+    put after the last index, or for the helper when the call raises.  The
+    helper runs under the caller's numpy error state.  The draw is whole
     before the call raises an error of its own blocks, and an error of the
     draw wins, as it would come first in the plain loop.  If blocks fail,
     no block after the lowest failed one starts, and that block's error is
-    raised: the plain loop's error.  The call returns once its started
-    tasks have finished, also when interrupted, and then drops ``work``: a
-    task that starts late (queued by a refused thread start) finds an end
-    mark or a stopped index and keeps no array alive.  An unstarted task
-    is cancelled, so a call never waits for a thread busy elsewhere (a
-    nested call) or gone (a forked child)."""
-    helpers = 0
-    if parallel and count > 1:
-        executor, helpers = _pool()
-        helpers = min(helpers, count if draw is not None else count - 1)
-    if helpers < 1:
+    raised: the plain loop's error.  The call returns or raises only after
+    its helper has ended, also when interrupted.  A thread the system
+    refuses to start leaves every block to the calling thread.  Each call
+    starts its own helper, so a nested call, or one of several concurrent
+    callers, never waits for a thread busy elsewhere."""
+    if not (parallel and count > 1 and _usable_cpus() > 1):
         if draw is not None:
             draw(lambda i: None)
         if count == 1:  # the common small batch: no comprehension frame
             return [work(0)]
         return [work(i) for i in range(count)]
     import queue
-    from concurrent.futures import wait
+    import threading
 
     results, errors = [None] * count, {}
     # count, then each failed block: none from the lowest on starts; -1 once
@@ -167,6 +139,7 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
     # against 96-97 MB in about half the runs with this deque-backed queue:
     # glibc more often kept a freed draw array in the calling thread's arena.
     todo = queue.Queue()
+    ended = threading.Event()  # set by the helper's last act
     errstate = np.geterr()
 
     def run(catch) -> None:
@@ -182,36 +155,41 @@ def _map_blocks(work, count: int, parallel: bool = True, draw=None) -> list:
                     errors[i] = exc
                     stops.append(i)
 
-    tasks = []
+    def helper() -> None:
+        try:
+            run(BaseException)  # a helper's error is re-raised on the calling thread
+        finally:
+            ended.set()
+
+    thread = threading.Thread(target=helper, name="riskconvex-blocks", daemon=True)
     try:
         try:
-            for _ in range(helpers):  # a helper's error is re-raised on the calling thread
-                tasks.append(executor.submit(run, BaseException))
+            thread.start()
         except RuntimeError:  # no thread to be had: the caller runs the blocks
-            pass
+            thread = None
         if draw is None:
             for i in range(count):
                 todo.put(i)
         else:
             draw(todo.put)
-        for _ in range(helpers + 1):
-            todo.put(None)
+        todo.put(None)
+        todo.put(None)
         run(Exception)  # an interrupt is not a block error: it leaves at once
     except BaseException:
-        stops.append(-1)  # the call raises: helpers start no further block
-        for _ in range(helpers):  # and a helper waiting for an index gets an end mark
-            todo.put(None)
+        stops.append(-1)  # the call raises: the helper starts no further block
+        todo.put(None)  # and, waiting for an index, gets an end mark
         raise
     finally:
-        started = [task for task in tasks if not task.cancel()]
+        # The wait is on the helper's end event, then join(): on Python 3.11
+        # a Ctrl-C in join() alone can mark a thread that still runs as stopped.
         interrupt = None
-        while True:
+        while thread is not None:
             try:
-                wait(started)
+                ended.wait()
+                thread.join()
                 break
             except BaseException as exc:  # KeyboardInterrupt: wait on, then raise it
                 interrupt = exc
-        del work  # a task that starts late must not keep the batch's arrays alive
         if interrupt is not None:
             raise interrupt
     if errors:

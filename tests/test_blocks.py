@@ -1,8 +1,10 @@
-"""Batches on the block pool of ``objective``: the bits of the serial loop
-at any thread count, the serial loop's error, no wait on a thread that
-cannot run (a forked child, a nested call), static blocks that run while
-the calling thread draws the batch, one-block rollout batches that run on
-the calling thread alone with the bits of their steps written out, the
+"""Batches of row blocks in ``objective``, each run on the calling thread
+and one helper thread that the call starts and waits for: the bits of the
+serial loop at any thread count, the serial loop's error, no wait on a
+thread that cannot run (a forked child, a nested call), no helper left
+alive by a call or at interpreter exit, static blocks that run while the
+calling thread draws the batch, one-block rollout batches that run on the
+calling thread alone with the bits of their steps written out, the
 per-block streams of rollout batches of several blocks, and rollout
 moments at one and two BLAS threads."""
 
@@ -13,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -57,34 +60,36 @@ from support import _full_batch, bump_field, certified_model, smooth_control_pro
 
 JOIN_TIMEOUT = 120.0
 ROWS4 = _block_rows(4)   # rows of one block of 4-dimensional points
+HELPER = "riskconvex-blocks"
+
+
+def helpers_alive():
+    return [thread for thread in threading.enumerate() if thread.name == HELPER]
 
 
 @pytest.fixture
 def threads(monkeypatch):
-    """threads(k): run the batches of this test on k threads, the calling
-    thread included, whatever the machine's CPU count; the pools it makes
-    are shut down after the test."""
-    pools = {}
-    monkeypatch.setattr(objective, "_POOLS", pools)
+    """threads(k): run the batches of this test as if k CPUs were usable
+    (k = 1: the calling thread alone; k = 2: it and one helper per call),
+    whatever the machine's CPU count.  ``threads.started`` lists the
+    helpers the test's calls started; each call has ended its own, so no
+    helper is alive after the test."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        if thread.name == HELPER:
+            started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
 
     def use(k):
-        shut_down(pools)
         monkeypatch.setattr(objective, "_usable_cpus", lambda: k)
-        monkeypatch.setattr(objective, "_MAX_HELPERS", k - 1)
 
+    use.started = started
     yield use
-    shut_down(pools)
-
-
-def shut_down(pools):
-    """Shut the pools down, waiting at most JOIN_TIMEOUT for each helper:
-    a test that leaves a helper stuck fails instead of hanging here."""
-    for executor, _ in pools.values():
-        if executor is not None:
-            executor.shutdown(wait=False)
-            for helper in executor._threads:
-                helper.join(JOIN_TIMEOUT)
-    pools.clear()
+    assert helpers_alive() == []
 
 
 def rollout_rows(problem):
@@ -159,14 +164,14 @@ class TestSameBits:
         assert len(_row_blocks(n, 4)) == 3
         threads(1)
         serial = static_estimates(f, model, theta, n, 7)
-        threads(3)
+        threads(2)
         assert_same(static_estimates(f, model, theta, n, 7), serial)
 
     def test_demo_curves(self, threads):
         n = 3 * _block_rows(1) + 1
         threads(1)
         serial = demo_table(n)
-        threads(3)
+        threads(2)
         assert_same(demo_table(n), serial)
 
     def test_policy_gradient_batch(self, threads):
@@ -175,11 +180,11 @@ class TestSameBits:
         assert len(_row_blocks(n, _RolloutEngine(*problem).width)) == 3
         threads(1)
         serial = batch_estimates(problem, n, 5)
-        threads(3)
+        threads(2)
         assert_same(batch_estimates(problem, n, 5), serial)
 
     def test_row_callables_stay_on_the_calling_thread(self, threads):
-        threads(3)
+        threads(2)
         seen = set()
 
         def value(theta):
@@ -202,7 +207,7 @@ class TestSameBits:
 
         threads(1)
         serial = [both(1), both(2)]
-        threads(3)
+        threads(2)
         results = [None, None]
         users = [threading.Thread(target=lambda i=i: results.__setitem__(i, both(i + 1)))
                  for i in range(2)]
@@ -216,10 +221,10 @@ class TestSameBits:
 
 
 def test_stress_more_threads_than_cores_with_fast_switching(threads):
-    # Eight threads, three callers at once and a switch of the interpreter
-    # lock every microsecond: a block lost, run twice, stored in the wrong
-    # place or run before its noise landed, or a demo point's
-    # buffers taken by two threads at once, would change some result's bits.
+    # Six threads on two CPUs (three callers at once, each with a helper
+    # per call) and a switch of the interpreter lock every microsecond: a
+    # block lost, run twice, stored in the wrong place or run before its
+    # noise landed would change some result's bits.
     f, model, theta = bump_problem()
     n = 16 * ROWS4 + 3
 
@@ -236,7 +241,7 @@ def test_stress_more_threads_than_cores_with_fast_switching(threads):
 
     threads(1)
     serial = [run(seed) for seed in (1, 2, 3)]
-    threads(8)
+    threads(2)
     results = [None] * 3
     users = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(i + 1)))
              for i in range(3)]
@@ -301,7 +306,7 @@ class TestFirstFailingBlock:
     with its batch index and its point, even when block 4 fails first."""
 
     def test_static_estimators(self, threads):
-        threads(3)
+        threads(2)
         n = 5 * ROWS4 + 1
         rows = [2 * ROWS4 + 5, 4 * ROWS4 + 7]
         model = RiskModel(800.0, np.eye(4), np.eye(4))   # alpha * 1 > LOG_FLOAT_MAX
@@ -317,7 +322,7 @@ class TestFirstFailingBlock:
         assert np.array_equal(err.value.theta, points[rows[0]])
 
     def test_policy_gradient_batch(self, threads):
-        threads(3)
+        threads(2)
         width_rows = rollout_rows(planted_rollouts([0], 1.0, 1.0))
         n = 5 * width_rows + 1
         rows = [2 * width_rows + 5, 4 * width_rows + 7]
@@ -335,9 +340,9 @@ class TestFirstFailingBlock:
 
 def test_no_block_starts_after_a_failure(threads):
     # Block 0 fails at once while the other blocks take 50 ms each: the
-    # serial loop evaluates one block, and the pool only the few it took
+    # serial loop evaluates one block, and the two threads only the few they took
     # before block 0 failed.
-    threads(3)
+    threads(2)
     model = isotropic_model(1.0, 1.0, 1.0, 4)
     n = 20 * ROWS4
     first = model.sampler(3).draw(1) @ model.sigma_root
@@ -411,7 +416,7 @@ def test_helpers_run_under_the_callers_numpy_error_state(threads, method):
     # As in test_control: state costs + 250 overflow the squares of the
     # samples inside the blocks, which policy_gradient_batch runs under
     # np.errstate(over="ignore") and reports as a typed error.
-    threads(3)
+    threads(2)
     dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 2, 1, 4)
     base = cost.state_cost
     cost = dataclasses.replace(cost, state_cost=lambda s, t: base(s, t) + 250.0,
@@ -451,15 +456,12 @@ class TestNoWaitOnAThreadThatCannotRun:
         n = 3 * ROWS4 + 1
         threads(2)
         expected = smoothed_value(f, model, theta, n, model.sampler(4))  # starts a helper
-        parent_pool = objective._POOLS[os.getpid()][0]
         pid = os.fork()
-        if pid == 0:  # the child: its own pool, of two threads
+        if pid == 0:  # the child: its call starts a helper of its own
             code = 2
             try:
                 got = smoothed_value(f, model, theta, n, model.sampler(4))
-                own = objective._POOLS[os.getpid()][0] is not parent_pool
-                code = 0 if own and (got.value, got.std_err) == (expected.value,
-                                                                 expected.std_err) else 1
+                code = 0 if (got.value, got.std_err) == (expected.value, expected.std_err) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + JOIN_TIMEOUT
@@ -484,17 +486,15 @@ def test_a_helper_the_system_refuses_leaves_the_blocks_to_the_caller(threads, mo
     n = 3 * ROWS4 + 1
     threads(1)
     serial = static_estimates(f, model, theta, n, 7)
-    threads(3)
+    threads(2)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert_same(static_estimates(f, model, theta, n, 7), serial)
 
 
-def test_a_task_queued_by_a_refused_thread_start_does_nothing_after_its_call(threads,
-                                                                           monkeypatch):
-    # The refused start leaves the first call's helper task queued in the
-    # pool.  It starts with the thread of the second call, after its own
-    # call returned, and must leave at once: run no block of its call and
-    # not keep the helper waiting on its call's queue.
+def test_a_refused_thread_start_runs_each_block_once(threads, monkeypatch):
+    # The refused start leaves every block of the first call to the calling
+    # thread, which runs each once; nothing is queued for the helper of the
+    # second call, which runs its own blocks alone.
     threads(2)
     model = isotropic_model(1.0, 1.0, 1.0, 4)
     runs = collections.Counter()
@@ -510,21 +510,20 @@ def test_a_task_queued_by_a_refused_thread_start_does_nothing_after_its_call(thr
     first = set(runs)
     monkeypatch.setattr(threading.Thread, "start", start)
     smoothed_value(f, model, np.zeros(4), 3 * ROWS4, model.sampler(2))
-    objective._POOLS[os.getpid()][0].submit(int).result(JOIN_TIMEOUT)  # the helper is free
+    assert len(threads.started) == 1 and helpers_alive() == []
     assert len(first) == 3
     assert [runs[block] for block in first] == [1, 1, 1]
 
 
-def test_a_task_queued_by_a_refused_thread_start_keeps_no_array_alive(threads, monkeypatch):
-    # The queued task outlives its call; what it still reaches once the
-    # call has returned must not include the batch's draws or values
-    # (32 MB and 8 MB here).
+def test_a_refused_thread_start_keeps_no_array_alive(threads, monkeypatch):
+    # What the refused thread still reaches once its call has returned must
+    # not include the batch's draws or values (32 MB and 8 MB here).
     threads(2)
     model = isotropic_model(1.0, 1.0, 1.0, 4)
     f = ScalarField(value=lambda thetas: np.zeros(len(thetas)), upper_bound=1.0, dim=4,
                     vectorized=True)
-    objective._pool()   # the pool, and what a first call imports, are not traced
-    smoothed_value(f, model, np.zeros(4), 100, model.sampler(1))
+    # what a first pooled call imports is not traced
+    smoothed_value(f, model, np.zeros(4), 2 * ROWS4, model.sampler(1))
     monkeypatch.setattr(threading.Thread, "start", refuse)
     tracemalloc.start()
     try:
@@ -643,20 +642,13 @@ def drawn_problem(draw_hook=None, cost_hook=None):
 DRAWN_N = 4096   # one block of 8 chunks, drawn whole before it runs
 
 
-def helper_is_free(timeout=JOIN_TIMEOUT):
-    """The one helper of the pool takes a new task at once: none of an
-    earlier call is still running or waiting."""
-    executor = objective._POOLS[os.getpid()][0]
-    return executor.submit(int).result(timeout) == 0
-
-
 class TestBlocksWhileTheBatchIsDrawn:
     """The calling thread draws a static batch and queues each block once
     its rows have landed, so the helper runs blocks during the draw and no
     block waits; a draw that stops part-way leaves the call with its own
     error.  A one-block rollout batch is drawn whole and then runs on the
     calling thread, with the bits, the errors and the sampler state of a
-    one-thread run, and starts no pool."""
+    one-thread run, and starts no thread."""
 
     def test_one_block_rollouts_keep_their_bits(self, threads):
         problem = simulate_problem()
@@ -722,7 +714,7 @@ class TestBlocksWhileTheBatchIsDrawn:
             calls[0], helpers[0] = 0, k - 1
             with pytest.raises(error, match="^the draw stops$"):
                 joined(lambda: smoothed_value(field, model, theta, 5 * ROWS4, model.sampler(1)))
-        assert helper_is_free()
+        assert helpers_alive() == []
 
     @pytest.mark.parametrize("step", [0, 10], ids=["init_state_batch", "disturbance_batch"])
     def test_a_draw_that_raises_gives_its_error(self, threads, step):
@@ -740,7 +732,7 @@ class TestBlocksWhileTheBatchIsDrawn:
         serial = run()
         threads(2)
         assert joined(run) == serial
-        assert objective._POOLS == {}
+        assert threads.started == []
 
     def test_a_block_that_fails_after_the_draw_leaves_the_sampler_at_the_end(self, threads):
         # The block fails at its first state cost, which it reaches once
@@ -757,11 +749,11 @@ class TestBlocksWhileTheBatchIsDrawn:
             with pytest.raises(ValueError, match="no state cost"):
                 joined(lambda: policy_gradient_batch(*problem, sampler, DRAWN_N))
             assert sampler.rng.bit_generator.state == after.rng.bit_generator.state, k
-            assert objective._POOLS == {}
+            assert threads.started == []
 
     def test_a_nested_call_during_the_draw_finishes(self, threads):
         # The calling thread, in the outer batch's draw, runs a batch of
-        # three blocks on the pool.
+        # three blocks with a helper of its own.
         f, model, theta = bump_problem()
         inner = []
 
@@ -780,7 +772,7 @@ class TestBlocksWhileTheBatchIsDrawn:
         threads(2)
         pooled = joined(run)
         assert np.array_equal(pooled[0], serial[0]) and pooled[1] == serial[1]
-        assert helper_is_free()
+        assert helpers_alive() == []
 
     def test_a_refused_thread_start_leaves_the_draw_and_blocks_to_the_caller(self, threads,
                                                                               monkeypatch):
@@ -816,7 +808,7 @@ class TestBlocksWhileTheBatchIsDrawn:
                 joined(lambda: policy_gradient_batch(*drawn_problem(draw_hook, cost_hook),
                                                      GaussianSampler(3, dim=1), DRAWN_N))
             assert running[0] == 0
-            assert objective._POOLS == {}
+            assert threads.started == []
 
 
 def stepwise_estimate(problem, n, seed, method):
@@ -914,7 +906,7 @@ class TestOneBlockSteps:
         assert chunk_steps(problem, 1100) == [1, 1, 1]
         threads(2)
         got = estimate_of(problem, 1100, 5, "derivative_free")
-        assert objective._POOLS == {}
+        assert threads.started == []
         assert_same(got, stepwise_estimate(problem, 1100, 5, "derivative_free"))
 
     @pytest.mark.parametrize("kind,error,match", [
@@ -1017,13 +1009,20 @@ class TestBlockStreams:
                     batch_estimates(streams_problem(), STREAMS_N, 5))
 
 
+def python(code, *args, **env):
+    """The stdout of ``code`` run by a new interpreter that imports this
+    riskconvex, with ``env`` added to its environment."""
+    src = str(Path(riskconvex.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 def blas_moments(threads_env, sizes):
     """policy_gradient_batch on the scalar benchmark (gains -0.3, seed 5)
     in a new process with OPENBLAS_NUM_THREADS=threads_env: the bytes of
     mean and std_err at each n of ``sizes``, hex-encoded."""
-    src = str(Path(riskconvex.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads_env), PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, numpy as np, riskconvex as rc; "
             "from riskconvex.benchmarks import ScalarBenchmark; "
             "dyn, cost, pol, model = ScalarBenchmark().problem(); "
@@ -1031,9 +1030,7 @@ def blas_moments(threads_env, sizes):
             "[print((e.mean.tobytes() + e.std_err.tobytes()).hex()) for e in "
             "(rc.policy_gradient_batch(dyn, cost, pol, model, rc.GaussianSampler(5, dim=1), "
             "int(n)) for n in sys.argv[1:])]")
-    out = subprocess.run([sys.executable, "-c", code, *map(str, sizes)], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    return out.stdout.split()
+    return python(code, *map(str, sizes), OPENBLAS_NUM_THREADS=str(threads_env)).split()
 
 
 def test_moments_keep_their_bits_at_one_and_two_blas_threads():
@@ -1051,9 +1048,6 @@ def test_import_and_single_block_calls_start_no_thread():
     engine = _RolloutEngine(*simulate_problem())
     assert engine.parallel and len(_row_blocks(4096, engine.width)) == 1
     assert len(_step_chunks(29, 4096, engine.width)) == 29
-    src = str(Path(riskconvex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, threading, numpy as np, riskconvex.cli as cli, riskconvex as rc; "
             "imported = threading.active_count(); "
             # the calls below run as if on two CPUs, whatever the machine's count
@@ -1073,7 +1067,61 @@ def test_import_and_single_block_calls_start_no_thread():
             "gains=[0.2 * g.standard_normal((2, 4)) for _ in range(29)]); "
             "[rc.policy_gradient_batch(*problem, rc.GaussianSampler(1, dim=1), 4096, method) "
             "for method in ('model_based', 'derivative_free')]; "
-            "print(imported, threading.active_count(), 'concurrent.futures' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["1", "1", "False"]
+            "single = threading.active_count(); "
+            # a pooled call: three blocks and one row, on a helper that ends with the call
+            "rc.smoothed_value(rc.linear_field(np.ones(4)), m, np.zeros(4), 3 * 4096 + 1, "
+            "m.sampler(1)); "
+            "print(imported, single, threading.active_count(), "
+            "'concurrent.futures' in sys.modules)")
+    assert python(code).split() == ["1", "1", "1", "False"]
+
+
+def test_a_helper_stuck_in_a_block_lets_the_interpreter_exit():
+    # A daemon thread's batch leaves its helper stuck in a block, and the
+    # main thread returns once the helper is in it: the helper is a daemon
+    # thread too, so nothing joins it at exit.
+    code = textwrap.dedent("""
+        import threading, numpy as np, riskconvex as rc
+        from riskconvex import objective
+        objective._usable_cpus = lambda: 2
+        entered = threading.Event()
+
+        def value(thetas):  # the calling thread leaves a block to the helper
+            if threading.current_thread().name.startswith("riskconvex-blocks"):
+                entered.set()
+                threading.Event().wait()
+            entered.wait()
+            return np.zeros(len(thetas))
+
+        f = rc.ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+        m = rc.isotropic_model(1.0, 1.0, 1.0, 4)
+        threading.Thread(target=rc.smoothed_value, daemon=True,
+                         args=(f, m, np.zeros(4), 3 * 4096, m.sampler(1))).start()
+        print(entered.wait(60))
+    """)
+    assert python(code).split() == ["True"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs affinity masks and two usable CPUs")
+def test_a_later_one_cpu_affinity_runs_every_block_on_the_calling_thread():
+    # Slow blocks, so the helper of the first call surely takes one; the
+    # second call runs under a one-CPU mask set after the first.
+    code = textwrap.dedent("""
+        import os, threading, time, numpy as np, riskconvex as rc
+        names = []
+
+        def value(thetas):
+            names.append(threading.current_thread().name)
+            time.sleep(0.02)
+            return np.zeros(len(thetas))
+
+        f = rc.ScalarField(value=value, upper_bound=1.0, dim=4, vectorized=True)
+        m = rc.isotropic_model(1.0, 1.0, 1.0, 4)
+        for cpus in (os.sched_getaffinity(0), {min(os.sched_getaffinity(0))}):
+            os.sched_setaffinity(0, cpus)
+            names.clear()
+            rc.smoothed_value(f, m, np.zeros(4), 4 * 4096, m.sampler(1))
+            print(",".join(sorted(set(names))))
+    """)
+    assert python(code).split() == ["MainThread,riskconvex-blocks", "MainThread"]

@@ -1423,6 +1423,22 @@ def shape_problem(part, vectorized):
     return dyn, cost, pol, ControlRiskModel(1.0, [np.eye(1)] * 2)
 
 
+# A result of the wrong shape for each of the other callables, and the
+# message's tail after "<name> at t=".
+WRONG_RESULTS = {
+    "init_state_batch": (lambda g, b: np.zeros(1), r"1 must return shape \(64, 2\), got \(1,\)"),
+    "disturbance_batch": (lambda g, t, b: np.zeros(1),
+                          r"1 must return shape \(64, 1\), got \(1,\)"),
+    "state_cost_grad": (lambda s, t: np.zeros(1), r"3 must return shape \(64, 2\), got \(1,\)"),
+    "jacobian_state": (lambda s, y, xi, t: np.eye(2),
+                       r"2 must return shape \(64, 2, 2\), got \(2, 2\)"),
+    "jacobian_control": (lambda s, y, xi, t: np.ones((2, 1)),
+                         r"2 must return shape \(64, 2, 1\), got \(2, 1\)"),
+    "features_jacobian": (lambda s, t: np.eye(2),
+                          r"2 must return shape \(64, 2, 2\), got \(2, 2\)"),
+}
+
+
 class TestResultShapes:
     """step, state_cost and features must return the batch's shape, on the
     vectorized and the per-row path; anything else is a ContractError
@@ -1460,3 +1476,24 @@ class TestResultShapes:
     def test_a_single_rollout_refuses_it_too(self, part):
         with pytest.raises(ContractError, match=f"^{part} at t=1 must return shape"):
             rollout(*shape_problem(part, True), GaussianSampler(0, dim=1))
+
+    @pytest.mark.parametrize("part", list(WRONG_RESULTS))
+    def test_every_other_callable_is_refused_too(self, part):
+        # Two states, one control, two features and a one-entry disturbance
+        # that the dynamics ignore; an unbatched result is never broadcast.
+        wrong, shapes = WRONG_RESULTS[part]
+        dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(3), 2, 1, 3)
+        dyn = dataclasses.replace(dyn, disturbance_dim=1,
+                                  disturbance_batch=lambda g, t, b: g.standard_normal((b, 1)))
+        for part_of in (dyn, cost, pol):
+            if hasattr(part_of, part):
+                setattr(part_of, part, wrong)
+        with pytest.raises(ContractError, match=f"^{part} at t={shapes}$"):
+            policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(0, dim=1), 64,
+                                  "model_based")
+
+    def test_a_broadcast_jacobian_reaches_its_product_as_a_view(self, monkeypatch):
+        strides, vjp = [], control._vjp
+        monkeypatch.setattr(control, "_vjp", lambda J, v: strides.append(J.strides[0]) or vjp(J, v))
+        policy_gradient_batch(*linear_problem(), GaussianSampler(8, dim=1), 64, "model_based")
+        assert len(strides) == 3 * 3 - 2 and set(strides) == {0}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from riskconvex.errors import ContractError, FieldEvaluationError
 from riskconvex.fields import RawField, ScalarField, clamp_bounded, constant_field, linear_field
+from riskconvex.objective import isotropic_model, smoothed_value, unbiased_grad_mean
+from riskconvex.solver import FeasibleSet, SolverConfig, solve
 
 # Oracle: 2 * tanh(0.5) evaluated independently of the clamp implementation.
 TWO_TANH_HALF = 0.9242343145200195  # float(2 * math.tanh(0.5))
@@ -115,3 +118,52 @@ def test_vectorized_and_scalar_paths_agree():
     slow = ScalarField(value=lambda th: float(th @ np.array([1.0, -2.0])),
                        upper_bound=1e9, dim=2)
     assert slow.evaluate_batch(pts) == pytest.approx(batch)
+
+
+def test_a_vectorized_clamp_scales_each_row_and_names_a_non_finite_row():
+    raw = RawField(value=lambda th: np.sum(th * th, axis=-1), gradient=lambda th: 2.0 * th,
+                   dim=2, vectorized=True)
+    per_row = clamp_bounded(dataclasses.replace(raw, vectorized=False), 3.0)
+    f = clamp_bounded(raw, 3.0)
+    pts = np.array([[0.2, 1.0], [1.7, -1.0], [0.5, 0.0]])
+    np.testing.assert_allclose(f.grad_batch(pts), per_row.grad_batch(pts), rtol=1e-14)
+    pts[1, 0] = np.inf
+    with pytest.raises(FieldEvaluationError) as err:
+        f.evaluate_batch(pts)
+    assert np.array_equal(err.value.theta, pts[1])
+
+
+class TestResultShapes:
+    """evaluate_batch must return (n,) and grad_batch (n, dim), on the
+    vectorized and the per-row path; anything else is a ContractError
+    naming the callable and both shapes, never broadcast over the batch."""
+
+    model = isotropic_model(1.0, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("value,got", [
+        (lambda th: 0.5, r"\(\)"),
+        (lambda th: np.zeros((len(th), 1)), r"\(64, 1\)"),
+    ], ids=["scalar", "column"])
+    def test_a_value_of_another_shape(self, value, got):
+        f = ScalarField(value=value, upper_bound=1.0, dim=2, gradient=np.zeros_like,
+                        vectorized=True)
+        for estimator in (smoothed_value, unbiased_grad_mean):
+            with pytest.raises(ContractError,
+                               match=rf"^field value must return shape \(64,\), got {got}$"):
+                estimator(f, self.model, np.zeros(2), 64, self.model.sampler(1))
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
+    def test_a_gradient_of_another_shape(self, vectorized):
+        # One (2,) gradient for the whole batch, or a float for each row.
+        if vectorized:
+            value, gradient, got = lambda th: np.zeros(len(th)), lambda th: np.ones(2), "2,"
+        else:
+            value, gradient, got = lambda th: 0.0, lambda th: 1.0, "64,"
+        f = ScalarField(value=value, upper_bound=1.0, dim=2, gradient=gradient,
+                        vectorized=vectorized)
+        with pytest.raises(ContractError,
+                           match=rf"^field gradient must return shape \(64, 2\), got \({got}\)$"):
+            unbiased_grad_mean(f, self.model, np.zeros(2), 64, self.model.sampler(1))
+        with pytest.raises(ContractError, match=r"^field gradient must return shape \(1, 2\)"):
+            solve(f, self.model, FeasibleSet.ball([0.0, 0.0], 1.0),
+                  SolverConfig(iterations=2, zeta=1.0), self.model.sampler(1))
