@@ -1,9 +1,14 @@
 """Command-line harness.
 
 Subcommands: demo-1d, classify train|eval|corrupt, nnet train|eval,
-control train|rollout, synth solve|eval.  Global flags --seed, --samples,
---out, --config apply to every subcommand; per-subcommand knobs live in
-the key = value config file and unknown keys are errors.
+control train|rollout, synth solve|eval.  Global flags --seed, --out and
+--config apply to every subcommand, and --samples to demo-1d only (any
+other subcommand refuses it); per-subcommand knobs live in the
+key = value config file and unknown keys are errors.
+
+Importing this module loads only click, numpy, ``configfile`` and
+``errors``.  Each subcommand imports the modules it runs when it runs, so
+a fresh process compiles no module that its subcommand does not use.
 
 Exit codes: 0 success, 2 certificate refusal, 3 input or parse error,
 4 numerical failure.  All numeric CSV output is written with full
@@ -20,30 +25,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .benchmarks import ScalarBenchmark
-from .classify import (
-    ClassifierConfig,
-    accuracy,
-    read_model_csv,
-    train_classifier,
-    write_model_csv,
-)
 from .configfile import load_config
-from .control import rollout, train_policy, write_rollout_csv
-from .csvio import write_csv
-from .datasets import corrupt_labels, load_dataset, save_dataset
-from .demo1d import demo_curves, uniform_grid
 from .errors import EXIT_INPUT, ConfigError, DivergenceError, RiskConvexError
-from .noisynet import NoisyNetConfig, mse, train_noisy_net
-from .sampling import GaussianSampler
-from .solver import FeasibleSet, SolverConfig, write_trace_csv
-from .synthesis import (
-    SynthesisConfig,
-    detmax_objective,
-    read_gains_csv,
-    synthesize,
-    write_gains_csv,
-)
 
 
 @click.group()
@@ -51,7 +34,7 @@ from .synthesis import (
 @click.option("--seed", type=int, default=0, show_default=True,
               help="64-bit seed for every random draw.")
 @click.option("--samples", type=int, default=None,
-              help="Override the sample count of sampling subcommands.")
+              help="Override the config's sample count (demo-1d only).")
 @click.option("--out", type=click.Path(), default=None,
               help="Output file (single-CSV commands) or directory.")
 @click.option("--config", "config_path", type=click.Path(), default=None,
@@ -68,6 +51,13 @@ def _require_out(ctx) -> Path:
     if out is None:
         raise ConfigError("this subcommand writes files; pass --out")
     return Path(out)
+
+
+def _settings(ctx, command: str) -> dict:
+    """The settings of ``command`` from --config; only demo-1d takes --samples."""
+    if ctx.obj["samples"] is not None and command != "demo-1d":
+        raise ConfigError(f"--samples applies to demo-1d only, not to {command}")
+    return load_config(ctx.obj["config"], SETTINGS[command])
 
 
 def _echo_kv(**kwargs) -> None:
@@ -119,8 +109,11 @@ SETTINGS = {
 @click.pass_context
 def demo_1d(ctx):
     """Tabulate original, smoothed, and convexified 1-D curves as CSV."""
+    from .demo1d import demo_curves, uniform_grid
+    from .sampling import GaussianSampler
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["demo-1d"])
+    cfg = _settings(ctx, "demo-1d")
     n = cfg["samples"] if ctx.obj["samples"] is None else ctx.obj["samples"]
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     grid = uniform_grid(cfg["grid_min"], cfg["grid_max"], cfg["grid_points"])
@@ -144,8 +137,12 @@ def classify():
 @click.pass_context
 def classify_train(ctx, dataset):
     """Train weights on DATASET and write them as CSV."""
+    from .classify import ClassifierConfig, train_classifier, write_model_csv
+    from .datasets import load_dataset
+    from .sampling import GaussianSampler
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["classify train"])
+    cfg = _settings(ctx, "classify train")
     ds = load_dataset(dataset, task="classification")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     test = None
@@ -169,7 +166,11 @@ def classify_train(ctx, dataset):
 @click.pass_context
 def classify_eval(ctx, dataset, model):
     """Report accuracy of MODEL on DATASET."""
-    load_config(ctx.obj["config"], SETTINGS["classify eval"])
+    from .classify import accuracy, read_model_csv
+    from .csvio import write_csv
+    from .datasets import load_dataset
+
+    _settings(ctx, "classify eval")
     ds = load_dataset(dataset, task="classification")
     theta = read_model_csv(model)
     if theta.size != ds.n_features:
@@ -185,8 +186,11 @@ def classify_eval(ctx, dataset, model):
 @click.pass_context
 def classify_corrupt(ctx, dataset):
     """Write a label-corrupted copy of DATASET: y -> sign(y + noise)."""
+    from .datasets import corrupt_labels, load_dataset, save_dataset
+    from .sampling import GaussianSampler
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["classify corrupt"])
+    cfg = _settings(ctx, "classify corrupt")
     ds = load_dataset(dataset, task="classification")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
     corrupted = corrupt_labels(ds, cfg["sigma_noise"], sampler)
@@ -198,7 +202,9 @@ def classify_corrupt(ctx, dataset):
 # ---------------------------------------------------------------- nnet
 
 
-def _nnet_config(cfg) -> NoisyNetConfig:
+def _nnet_config(cfg):
+    from .noisynet import NoisyNetConfig
+
     widths = cfg["widths"]
     n_layers = len(widths) - 1
     sigma = cfg["sigma"]
@@ -221,8 +227,13 @@ def nnet():
 @click.pass_context
 def nnet_train(ctx, dataset):
     """Train on DATASET; write weight CSVs and curve.csv into --out."""
+    from .datasets import load_dataset
+    from .noisynet import train_noisy_net
+    from .sampling import GaussianSampler
+    from .synthesis import write_gains_csv
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["nnet train"])
+    cfg = _settings(ctx, "nnet train")
     net = _nnet_config(cfg)
     ds = load_dataset(dataset, task="regression")
     sampler = GaussianSampler(ctx.obj["seed"], dim=1)
@@ -246,7 +257,12 @@ def nnet_train(ctx, dataset):
 @click.pass_context
 def nnet_eval(ctx, dataset, weights):
     """Mean-network MSE of WEIGHTS on DATASET."""
-    cfg = load_config(ctx.obj["config"], SETTINGS["nnet eval"])
+    from .csvio import write_csv
+    from .datasets import load_dataset
+    from .noisynet import NoisyNetConfig, mse
+    from .synthesis import read_gains_csv
+
+    cfg = _settings(ctx, "nnet eval")
     widths = cfg["widths"]
     net = NoisyNetConfig(widths=widths, alpha=1.0,
                          noise_scales=[1.0] * (len(widths) - 1))
@@ -261,7 +277,9 @@ def nnet_eval(ctx, dataset, weights):
 # ---------------------------------------------------------------- control
 
 
-def _benchmark(cfg) -> ScalarBenchmark:
+def _benchmark(cfg):
+    from .benchmarks import ScalarBenchmark
+
     return ScalarBenchmark(**{key: cfg[key] for key in SYSTEM})
 
 
@@ -274,8 +292,13 @@ def control():
 @click.pass_context
 def control_train(ctx):
     """Train gains; write K_*.csv and trace.csv into --out."""
+    from .control import train_policy
+    from .sampling import GaussianSampler
+    from .solver import FeasibleSet, SolverConfig, write_trace_csv
+    from .synthesis import write_gains_csv
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["control train"])
+    cfg = _settings(ctx, "control train")
     bench = _benchmark(cfg)
     dyn, cost, policy0, model = bench.problem()
     constraint = FeasibleSet.ball(np.zeros(bench.horizon - 1), cfg["radius"])
@@ -297,8 +320,12 @@ def control_train(ctx):
 @click.pass_context
 def control_rollout(ctx):
     """Simulate one trajectory and write it as CSV to --out."""
+    from .control import rollout, write_rollout_csv
+    from .sampling import GaussianSampler
+    from .synthesis import read_gains_csv
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["control rollout"])
+    cfg = _settings(ctx, "control rollout")
     bench = _benchmark(cfg)
     gains = read_gains_csv(cfg["gains"], (bench.horizon - 1, 1, 1)) if cfg["gains"] else None
     dyn, cost, policy, model = bench.problem(gains=gains)
@@ -320,8 +347,10 @@ def synth():
 @click.pass_context
 def synth_solve(ctx):
     """Optimize gains for the configured linear system; write K_*.csv."""
+    from .synthesis import SynthesisConfig, synthesize, write_gains_csv
+
     out = _require_out(ctx)
-    cfg = load_config(ctx.obj["config"], SETTINGS["synth solve"])
+    cfg = _settings(ctx, "synth solve")
     bench = _benchmark(cfg)
     report = synthesize(bench.system(), bench.alpha,
                         config=SynthesisConfig(max_iters=cfg["max_iters"]))
@@ -338,7 +367,10 @@ def synth_solve(ctx):
 @click.pass_context
 def synth_eval(ctx, gains):
     """Objective and feasibility of GAINS (a K_*.csv directory)."""
-    cfg = load_config(ctx.obj["config"], SETTINGS["synth eval"])
+    from .csvio import write_csv
+    from .synthesis import detmax_objective, read_gains_csv
+
+    cfg = _settings(ctx, "synth eval")
     bench = _benchmark(cfg)
     ks = read_gains_csv(gains, (bench.horizon - 1, 1, 1))
     res = detmax_objective(bench.system(), bench.alpha, ks)

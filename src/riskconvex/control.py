@@ -25,10 +25,10 @@ sample and training iteration runs through one batched engine, and a
 single rollout is a batch of one; the callables of a problem object that
 is not ``vectorized`` are evaluated row by row and stacked.  Rows of two
 shapes, and a result of any callable (step, Jacobians, state cost and
-its gradient, features and their Jacobian, ``init_state_batch``,
-``disturbance_batch``) of another shape than the batch's, are a
-:class:`ContractError` naming the callable and t, never broadcast over
-the batch.  Batch estimation draws from derived
+its gradient, features and their Jacobian, ``init_state*``,
+``disturbance*``) of another shape than the batch's or its row's, are a
+:class:`ContractError` naming the callable, t and a per-row call's row,
+never broadcast over the batch.  Batch estimation draws from derived
 sampler streams and reduces in fixed order: the batch mean and second
 moment are reduced per step as small matrix products (g_t' phi_t), so only
 the single-rollout estimators build a per-sample (n, N-1, m, q) tensor;
@@ -459,8 +459,8 @@ class _RolloutEngine:
             out[...] = _returned(dyn.init_state_batch(sampler.rng, out.shape[0]),
                                  "init_state_batch", out.shape, 1)
         elif dyn.init_state is not None:
-            for row in out:
-                row[...] = dyn.init_state(sampler.rng)
+            for i, row in enumerate(out):
+                row[...] = _returned(dyn.init_state(sampler.rng), "init_state", row.shape, 1, i)
         return out
 
     def _fill(self, sampler: GaussianSampler, noise: tuple, initial=True) -> None:
@@ -489,8 +489,8 @@ class _RolloutEngine:
                     xi[t - 1] = _returned(dyn.disturbance_batch(sampler.rng, t, n),
                                           "disturbance_batch", xi.shape[1:], t)
                 else:
-                    xi[t - 1] = np.stack([np.asarray(dyn.disturbance(sampler.rng, t), dtype=float)
-                                          for _ in range(n)])
+                    xi[t - 1] = np.stack([_returned(dyn.disturbance(sampler.rng, t), "disturbance",
+                                                    xi.shape[2:], t, i) for i in range(n)])
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
                 start: int = 0):

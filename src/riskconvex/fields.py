@@ -34,15 +34,16 @@ def _first_violation(vals, limit: float) -> Optional[int]:
     return int(np.argmin(np.asarray(vals <= limit)))
 
 
-def _returned(value, name: str, shape: tuple, t=None) -> np.ndarray:
-    """``value``, which the callable ``name`` returned (at step ``t`` when
-    given), as a float array, or :class:`ContractError` naming it and both
-    shapes when its shape is not ``shape``: a result is never broadcast
-    over a batch."""
+def _returned(value, name: str, shape: tuple, t=None, row=None) -> np.ndarray:
+    """``value``, which the callable ``name`` returned (at step ``t`` and
+    for the batch's row ``row`` when given), as a float array, or
+    :class:`ContractError` naming it and both shapes when its shape is not
+    ``shape``: a result is never broadcast over a batch."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         at = "" if t is None else f" at t={t}"
-        raise ContractError(f"{name}{at} must return shape {shape}, got {arr.shape}")
+        every, this = ("", "") if row is None else (" for every row", f" for row {row}")
+        raise ContractError(f"{name}{at} must return shape {shape}{every}, got {arr.shape}{this}")
     return arr
 
 

@@ -55,6 +55,20 @@ class TestExitCodes:
         code = run_cli(["--samples", "0", "--out", str(out), "demo-1d"])
         assert code == 3 and not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["classify", "train", "data.csv"], ["classify", "eval", "data.csv", "model.csv"],
+        ["classify", "corrupt", "data.csv"], ["nnet", "train", "sine.csv"],
+        ["nnet", "eval", "sine.csv", "run"], ["control", "train"], ["control", "rollout"],
+        ["synth", "solve"], ["synth", "eval", "gains"]], ids=" ".join)
+    def test_samples_outside_demo_is_three(self, tmp_path, capsys, command):
+        # Only demo-1d samples a count the flag could set; the others refuse
+        # it before they read a file or write one.
+        out = tmp_path / "out"
+        assert run_cli(["--samples", "7", "--out", str(out), *command]) == 3
+        assert capsys.readouterr().err == (f"error: --samples applies to demo-1d only, "
+                                           f"not to {' '.join(command[:2])}\n")
+        assert not out.exists()
+
     def test_certificate_refusal_is_two(self, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text("alpha = 1.0\nsigma = 0.5\nkappa = 1.0\ngrid_points = 9\nsamples = 100\n")
@@ -150,6 +164,12 @@ class TestExitCodes:
 
     def test_help_is_zero(self):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["demo-1d", "classify", "nnet", "control", "synth"])
+    def test_each_commands_help_is_zero(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Usage: ") and f" {command} [OPTIONS]" in out.splitlines()[0]
 
 
 # Each case: files written under the working directory, the argv, and the

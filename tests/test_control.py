@@ -1497,3 +1497,29 @@ class TestResultShapes:
         monkeypatch.setattr(control, "_vjp", lambda J, v: strides.append(J.strides[0]) or vjp(J, v))
         policy_gradient_batch(*linear_problem(), GaussianSampler(8, dim=1), 64, "model_based")
         assert len(strides) == 3 * 3 - 2 and set(strides) == {0}
+
+    @pytest.mark.parametrize("part,t,row", [("init_state", 1, 0), ("init_state", 1, 5),
+                                            ("disturbance", 1, 0), ("disturbance", 2, 7)])
+    def test_a_per_row_draw_of_another_shape_is_refused(self, part, t, row):
+        # Rows before `row` (and steps before t) get the right shape; the
+        # per-row forms are checked row by row, like their *_batch forms.
+        dyn, cost, pol, model = smooth_control_problem(np.random.default_rng(0), 2, 1, 3)
+        calls = itertools.count()
+
+        def draw(g, step=1):
+            n = next(calls) if step == t else -1
+            return g.standard_normal(1 if n == row else 2)
+
+        dyn = dataclasses.replace(dyn, init_state_batch=None, disturbance_dim=2,
+                                  **{part: (lambda g: draw(g)) if part == "init_state" else draw})
+        match = (f"^{part} at t={t} must return shape \\(2,\\) for every row, "
+                 f"got \\(1,\\) for row {row}$")
+        for method in ("derivative_free", "model_based"):
+            calls = itertools.count()
+            with pytest.raises(ContractError, match=match):
+                policy_gradient_batch(dyn, cost, pol, model, GaussianSampler(0, dim=1), 64,
+                                      method)
+        if row == 0:
+            calls = itertools.count()
+            with pytest.raises(ContractError, match=match):
+                rollout(dyn, cost, pol, model, GaussianSampler(0, dim=1))
