@@ -129,8 +129,11 @@ def train_classifier(ds: Dataset, config: ClassifierConfig,
     falls below 1e-12 (a stalled line search), or after max_iters.  A
     stalled line search reports ``converged`` only when the gradient
     norm is at most sqrt(grad_tol) (1 + |objective|).  A non-finite objective or gradient
-    is a divergence error.
+    is a divergence error; a training set with no rows is a
+    :class:`ContractError`.
     """
+    if ds.size == 0:
+        raise ContractError("the training set has no rows")
     if not ds.is_binary():
         raise ContractError("training requires labels in {-1, +1}")
     theta = np.zeros(ds.n_features)

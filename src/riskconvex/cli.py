@@ -227,10 +227,10 @@ def nnet():
 @click.pass_context
 def nnet_train(ctx, dataset):
     """Train on DATASET; write weight CSVs and curve.csv into --out."""
+    from .csvio import write_gains_csv
     from .datasets import load_dataset
     from .noisynet import train_noisy_net
     from .sampling import GaussianSampler
-    from .synthesis import write_gains_csv
 
     out = _require_out(ctx)
     cfg = _settings(ctx, "nnet train")
@@ -257,10 +257,9 @@ def nnet_train(ctx, dataset):
 @click.pass_context
 def nnet_eval(ctx, dataset, weights):
     """Mean-network MSE of WEIGHTS on DATASET."""
-    from .csvio import write_csv
+    from .csvio import read_gains_csv, write_csv
     from .datasets import load_dataset
     from .noisynet import NoisyNetConfig, mse
-    from .synthesis import read_gains_csv
 
     cfg = _settings(ctx, "nnet eval")
     widths = cfg["widths"]
@@ -293,9 +292,9 @@ def control():
 def control_train(ctx):
     """Train gains; write K_*.csv and trace.csv into --out."""
     from .control import train_policy
+    from .csvio import write_gains_csv
     from .sampling import GaussianSampler
     from .solver import FeasibleSet, SolverConfig, write_trace_csv
-    from .synthesis import write_gains_csv
 
     out = _require_out(ctx)
     cfg = _settings(ctx, "control train")
@@ -321,8 +320,8 @@ def control_train(ctx):
 def control_rollout(ctx):
     """Simulate one trajectory and write it as CSV to --out."""
     from .control import rollout, write_rollout_csv
+    from .csvio import read_gains_csv
     from .sampling import GaussianSampler
-    from .synthesis import read_gains_csv
 
     out = _require_out(ctx)
     cfg = _settings(ctx, "control rollout")
@@ -347,7 +346,8 @@ def synth():
 @click.pass_context
 def synth_solve(ctx):
     """Optimize gains for the configured linear system; write K_*.csv."""
-    from .synthesis import SynthesisConfig, synthesize, write_gains_csv
+    from .csvio import write_gains_csv
+    from .synthesis import SynthesisConfig, synthesize
 
     out = _require_out(ctx)
     cfg = _settings(ctx, "synth solve")
@@ -367,8 +367,8 @@ def synth_solve(ctx):
 @click.pass_context
 def synth_eval(ctx, gains):
     """Objective and feasibility of GAINS (a K_*.csv directory)."""
-    from .csvio import write_csv
-    from .synthesis import detmax_objective, read_gains_csv
+    from .csvio import read_gains_csv, write_csv
+    from .synthesis import detmax_objective
 
     cfg = _settings(ctx, "synth eval")
     bench = _benchmark(cfg)

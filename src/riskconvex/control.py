@@ -22,13 +22,16 @@ provided:
 
 Both are unbiased for grad_K E[exp(alpha J)].  Every rollout, gradient
 sample and training iteration runs through one batched engine, and a
-single rollout is a batch of one; the callables of a problem object that
-is not ``vectorized`` are evaluated row by row and stacked.  Rows of two
-shapes, and a result of any callable (step, Jacobians, state cost and
-its gradient, features and their Jacobian, ``init_state*``,
-``disturbance*``) of another shape than the batch's or its row's, are a
+single rollout is a batch of one.  The engine meets every problem
+callable as one checked batch callable (:func:`~riskconvex.fields._lifted`),
+by one row rule: a vectorized result must have the batch's shape, the
+results of a callable that is not ``vectorized`` are checked row by row
+against the row's shape and stacked, and a ``*_batch`` draw is preferred
+to its per-row form when given.  Anything else is a
 :class:`ContractError` naming the callable, t and a per-row call's row,
-never broadcast over the batch.  Batch estimation draws from derived
+never broadcast over the batch.  Vectorized callables must be functions
+of their arguments alone: a large batch calls them concurrently, from
+several threads, on disjoint row blocks.  Batch estimation draws from derived
 sampler streams and reduces in fixed order: the batch mean and second
 moment are reduced per step as small matrix products (g_t' phi_t), so only
 the single-rollout estimators build a per-sample (n, N-1, m, q) tensor;
@@ -64,7 +67,7 @@ from .errors import (
     DivergenceError,
     FieldEvaluationError,
 )
-from .fields import _bound_limit, _first_violation, _returned
+from .fields import _bound_limit, _first_violation, _lifted
 from .objective import (
     _BLOCK_ENTRIES,
     ConvexityCertificate,
@@ -89,13 +92,13 @@ class Dynamics:
     ``np.broadcast_to`` of one matrix (stride 0 on the batch axis) is
     applied to every row as one product.  ``disturbance(rng, t)`` samples
     xi_t (None means xi = 0, p may be 0); ``init_state(rng)`` samples
-    s_1 (None means s_1 = 0); their ``*_batch`` forms, preferred when
-    given, draw b rows at once.  ``vectorized`` promises that step and
-    the Jacobians accept a leading batch axis; otherwise they run per row.
-    Vectorized callables must be functions of their arguments alone: a
-    large batch calls them concurrently, from several threads, on
-    disjoint row blocks; so is ``disturbance*``, with each block's own
-    generator.  ``init_state*`` runs on the calling thread.
+    s_1 (None means s_1 = 0); their ``*_batch`` forms draw b rows at once
+    and are preferred when given.  ``vectorized`` promises that step and
+    the Jacobians accept a leading batch axis; otherwise they run per row,
+    each row's result checked against its row's shape (the module's row
+    rule).  ``disturbance*`` runs on any thread with its block's own
+    generator, so it too must be a function of its arguments alone;
+    ``init_state*`` runs on the calling thread.
     """
 
     step: Callable
@@ -130,9 +133,8 @@ class ControlCost:
     at every evaluation.  ``control_weights[t-1]`` is the PSD quadratic weight
     R_t for t = 1..N-1, kept as one (N-1, m, m) array.  ``vectorized``
     promises that both callables accept a leading batch axis; otherwise
-    they run per row.  Vectorized callables must be functions of their
-    arguments alone: a large batch calls them concurrently, from several
-    threads, on disjoint row blocks.
+    they run per row, each row's result checked against its row's shape
+    (the module's row rule).
     """
 
     state_cost: Callable
@@ -159,9 +161,8 @@ class Policy:
     features Jacobian d phi / d s (q x n) enables the model-based gradient;
     like the dynamics Jacobians, a broadcast one is applied as one product.
     ``vectorized`` promises that both callables accept a leading batch
-    axis; otherwise they run per row.  Vectorized callables must be
-    functions of their arguments alone: a large batch calls them
-    concurrently, from several threads, on disjoint row blocks.
+    axis; otherwise they run per row, each row's result checked against
+    its row's shape (the module's row rule).
     """
 
     gains: np.ndarray
@@ -252,35 +253,6 @@ class Rollout:
         return FrozenNoise(s1=self.states[0].copy(),
                            eps=self.realized - self.controls,
                            xi=self.disturbances.copy())
-
-
-def _batched(fn, vectorized: bool, name: str, scalar: bool = False):
-    """``fn`` lifted to a leading batch axis on every argument but the
-    last (t): itself when ``vectorized``, else a loop over the rows whose
-    results become one (b, ...) float array.  Every row must have the
-    shape of row 0, or () when ``scalar`` (state costs); a row of another
-    shape is a :class:`ContractError` naming ``name``, t and the row, never
-    broadcast."""
-    if vectorized or fn is None:
-        return fn
-
-    def lifted(*args):
-        *batch, t = args
-        rows = [fn(*row, t) for row in zip(*batch)]
-        try:  # one conversion of the list, which never broadcasts a row
-            out = np.array(rows, dtype=float)
-        except ValueError:
-            out = None
-        if out is None or (scalar and out.ndim != 1):
-            shape = () if scalar else np.shape(rows[0])
-            for i, row in enumerate(rows):
-                if np.shape(row) != shape:
-                    raise ContractError(f"{name} at t={t} must return shape {shape} for "
-                                        f"every row, got {np.shape(row)} for row {i}")
-            np.array(rows, dtype=float)  # fails for another reason: raise its error
-        return out
-
-    return lifted
 
 
 @functools.lru_cache(maxsize=256)
@@ -399,27 +371,30 @@ class _RolloutEngine:
         self.width = max(dyn.state_dim, dyn.control_dim, policy.feature_dim)
         # Row loops of per-row callables hold the GIL: their blocks run serially.
         self.parallel = dyn.vectorized and cost.vectorized and policy.vectorized
-        # A disturbance draw follows each step's eps in the stream.
-        self.disturbed = dyn.disturbance_dim > 0 and (dyn.disturbance_batch is not None
-                                                      or dyn.disturbance is not None)
         self.alpha = model.alpha
         self.alpha_op = np.full((), model.alpha)  # a 0-d operand, as _HALF
         self.bound, self.limit = cost.bound, _bound_limit(cost.bound)
         self.R, self.noise_inv, self.noise_root = (cost.control_weights, model.noise_inv,
                                                    model.noise_root)
-        self.step = _batched(dyn.step, dyn.vectorized, "step")
-        self.jac_state = _batched(dyn.jacobian_state, dyn.vectorized, "jacobian_state")
-        self.jac_control = _batched(dyn.jacobian_control, dyn.vectorized, "jacobian_control")
-        self.state_cost = _batched(cost.state_cost, cost.vectorized, "state_cost", scalar=True)
-        self.state_cost_grad = _batched(cost.state_cost_grad, cost.vectorized, "state_cost_grad")
-        self.features = _batched(policy.features, policy.vectorized, "features")
-        self.features_jacobian = _batched(policy.features_jacobian, policy.vectorized,
-                                          "features_jacobian")
+        # Each problem callable, under its own name, as one checked batch callable
+        # of its row shape (fields._lifted); a *_batch draw when given.
+        nd, m, q = dyn.state_dim, dyn.control_dim, policy.feature_dim
+        for part, name, row in ((dyn, "step", (nd,)), (dyn, "jacobian_state", (nd, nd)),
+                                (dyn, "jacobian_control", (nd, m)), (cost, "state_cost", ()),
+                                (cost, "state_cost_grad", (nd,)), (policy, "features", (q,)),
+                                (policy, "features_jacobian", (q, nd))):
+            setattr(self, name, _lifted(getattr(part, name), name, row, part.vectorized))
+        for name, row in (("init_state", (nd,)), ("disturbance", (dyn.disturbance_dim,))):
+            batch = getattr(dyn, name + "_batch")
+            setattr(self, name, _lifted(getattr(dyn, name), name, row, False, draw=True)
+                    if batch is None else _lifted(batch, name + "_batch", row, True, draw=True))
+        # A disturbance draw follows each step's eps in the stream.
+        self.disturbed = dyn.disturbance_dim > 0 and self.disturbance is not None
 
     def check_method(self, method: str) -> None:
         if method not in ("model_based", "derivative_free"):
             raise ContractError(f"unknown gradient method {method!r}")
-        if method == "model_based" and None in (self.jac_state, self.jac_control,
+        if method == "model_based" and None in (self.jacobian_state, self.jacobian_control,
                                                 self.features_jacobian, self.state_cost_grad):
             raise ContractError("model-based gradient requires dynamics and features "
                                 "Jacobians and state cost gradients")
@@ -428,9 +403,8 @@ class _RolloutEngine:
         """The state costs l(s, t) of the batch ``s``, or
         :class:`FieldEvaluationError` carrying the first state that breaks
         the bound and naming its rollout, ``start`` being the batch index
-        of ``s[0]``; costs of another shape than (b,) are a
-        :class:`ContractError`."""
-        vals = _returned(self.state_cost(s, t), "state_cost", (len(s),), t)
+        of ``s[0]``."""
+        vals = self.state_cost(s, t)
         i = _first_violation(vals, self.limit)
         if i is not None:
             raise FieldEvaluationError(
@@ -439,64 +413,36 @@ class _RolloutEngine:
             )
         return vals
 
-    def draw(self, sampler: GaussianSampler, n: int, s1=None):
-        """The noise (s1, eps, xi) of n rollouts drawn whole, ``s1`` (n, nd) if given."""
-        noise = self._noise(n, s1)
-        self._fill(sampler, noise, initial=s1 is None)
-        return noise
-
-    def _noise(self, n: int, s1=None) -> tuple:
-        """Arrays for the noise of n rollouts: s_1 (n, nd) or ``s1``, eps
-        (N-1, n, m) and xi (N-1, n, p); s_1 and xi stay 0 unless drawn."""
+    def draw(self, sampler: GaussianSampler, n: int, s1=None) -> tuple:
+        """The noise (s1, eps, xi) of n rollouts, drawn whole in stream
+        order, the one order of every stream, on this thread: s_1 (n, nd) by
+        ``init_state*`` unless ``s1`` is given (0 with neither), then eps_t
+        and xi_t for t = 1..N-1, eps (N-1, n, m) and xi (N-1, n, p), which
+        stays 0 unless drawn.  No draw depends on a state, so drawing them
+        whole before the rollouts leaves the stream unchanged.  numpy fills
+        a draw in stream order, so eps is drawn and scaled into its array
+        one chunk of steps (:func:`_step_chunks`) at a time: a batch whose
+        eps_t no disturbance draw interleaves takes a chunk's eps in one
+        call.  Only s_1 and the disturbances read ``sampler.rng``."""
         dyn, T = self.dyn, self.shape[0]  # T = N - 1 steps
-        return (np.zeros((n, dyn.state_dim)) if s1 is None else s1,
-                np.empty((T, n, dyn.control_dim)), np.zeros((T, n, dyn.disturbance_dim)))
-
-    def _initial(self, sampler: GaussianSampler, out: np.ndarray) -> np.ndarray:
-        """``out`` with s_1 of a whole batch drawn into it by ``init_state*``."""
-        dyn = self.dyn
-        if dyn.init_state_batch is not None:
-            out[...] = _returned(dyn.init_state_batch(sampler.rng, out.shape[0]),
-                                 "init_state_batch", out.shape, 1)
-        elif dyn.init_state is not None:
-            for i, row in enumerate(out):
-                row[...] = _returned(dyn.init_state(sampler.rng), "init_state", row.shape, 1, i)
-        return out
-
-    def _fill(self, sampler: GaussianSampler, noise: tuple, initial=True) -> None:
-        """Draw the noise of :meth:`_noise` into it in stream order, the one
-        order of every stream: s_1 when ``initial`` (:meth:`_initial`), then
-        eps_t and xi_t for t = 1..N-1, on this thread.  No draw depends on
-        a state, so drawing them whole before the rollouts leaves the
-        stream unchanged.  numpy fills a draw in stream order, so eps is
-        drawn and scaled into its array one chunk of steps
-        (:func:`_step_chunks`) at a time: a batch whose eps_t no
-        disturbance draw interleaves takes a chunk's eps in one call.  Only s_1 and the disturbances
-        read ``sampler.rng``."""
-        dyn = self.dyn
-        _, eps, xi = noise
-        N, n, m = dyn.horizon, eps.shape[1], dyn.control_dim
-        if initial:
-            self._initial(sampler, noise[0])
-        chunks = ([slice(t, t + 1) for t in range(N - 1)] if self.disturbed
-                  else _step_chunks(N - 1, n, self.width))
+        if s1 is None:
+            s1 = (np.zeros((n, dyn.state_dim)) if self.init_state is None
+                  else self.init_state(sampler.rng, n))
+        eps, xi = np.empty((T, n, dyn.control_dim)), np.zeros((T, n, dyn.disturbance_dim))
+        chunks = ([slice(t, t + 1) for t in range(T)] if self.disturbed
+                  else _step_chunks(T, n, self.width))
         for steps in chunks:
-            np.matmul(sampler.normal((steps.stop - steps.start, n, m)), self.noise_root[steps],
-                      out=eps[steps])
-            t = steps.stop
-            if self.disturbed:
-                if dyn.disturbance_batch is not None:
-                    xi[t - 1] = _returned(dyn.disturbance_batch(sampler.rng, t, n),
-                                          "disturbance_batch", xi.shape[1:], t)
-                else:
-                    xi[t - 1] = np.stack([_returned(dyn.disturbance(sampler.rng, t), "disturbance",
-                                                    xi.shape[2:], t, i) for i in range(n)])
+            np.matmul(sampler.normal((steps.stop - steps.start, n, dyn.control_dim)),
+                      self.noise_root[steps], out=eps[steps])
+            if self.disturbed:  # a chunk of one step, t = steps.stop
+                xi[steps.start] = self.disturbance(sampler.rng, steps.stop, n)
+        return s1, eps, xi
 
     def forward(self, K: np.ndarray, s1: np.ndarray, eps: np.ndarray, xi: np.ndarray,
                 start: int = 0):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
-        (N-1, b, p): a row block's noise (:meth:`_fill`) or one frozen
+        (N-1, b, p): a row block's noise (:meth:`draw`) or one frozen
         realization (b = 1).  The steps run in order, each checking its
         state costs against the bound and its next states for finiteness;
         the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
@@ -516,7 +462,6 @@ class _RolloutEngine:
         stage = buf[y_end:].reshape(N, b)
         PHI = []
         views = True  # every phi_t is S[t - 1] itself
-        q = self.shape[2]
         features, step, state_cost = self.features, self.step, self._checked_state_cost
         # The transposed gains, contiguous for a batch's products; a single
         # row keeps the transposed views, with which its product rounds
@@ -531,13 +476,12 @@ class _RolloutEngine:
                 # Callables see rows of S, so features that return s itself
                 # keep no second copy of the states alive.
                 s, u, y = S[t - 1], U[t - 1], Y[t - 1]
-                phi = _returned(features(s, t), "features", (b, q), t)
+                phi = features(s, t)
                 views = views and phi is s
                 PHI.append(phi)
                 np.matmul(phi, KT[t - 1], out=u)
                 stage[t - 1] = state_cost(s, t, start)
-                nxt = _returned(step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t), "step",
-                                (b, nd), t)
+                nxt = step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t)
                 S[t] = nxt
                 if not np.isfinite(nxt).all():
                     raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
@@ -564,9 +508,8 @@ class _RolloutEngine:
                 yield steps, ((Y[steps] - U[steps]) @ self.noise_inv[steps]
                               + self.alpha_op * (U[steps] @ self.R[steps]))
             return
-        N, b, nd = S.shape
-        m, q = self.shape[1:]
-        lam = _returned(self.state_cost_grad(S[N - 1], N), "state_cost_grad", (b, nd), N)
+        N = S.shape[0]
+        lam = self.state_cost_grad(S[N - 1], N)
         for steps in reversed(chunks):
             g = np.empty(U[steps].shape)
             for t in range(steps.stop, steps.start, -1):
@@ -574,15 +517,11 @@ class _RolloutEngine:
                 # (b, n, n), (b, n, m) or (b, q, n) Jacobian is alive at a time.
                 s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
                 g_t = g[t - 1 - steps.start]
-                g_t[...] = u @ self.R[t - 1] + _vjp(_returned(
-                    self.jac_control(s, y, xi, t), "jacobian_control", (b, nd, m), t), lam)
+                g_t[...] = u @ self.R[t - 1] + _vjp(self.jacobian_control(s, y, xi, t), lam)
                 if t == 1:  # nothing reads lam_1
                     break
-                lam = (_returned(self.state_cost_grad(s, t), "state_cost_grad", (b, nd), t)
-                       + _vjp(_returned(self.jac_state(s, y, xi, t), "jacobian_state",
-                                        (b, nd, nd), t), lam)
-                       + _vjp(_returned(self.features_jacobian(s, t), "features_jacobian",
-                                        (b, q, nd), t), g_t @ K[t - 1]))
+                lam = (self.state_cost_grad(s, t) + _vjp(self.jacobian_state(s, y, xi, t), lam)
+                       + _vjp(self.features_jacobian(s, t), g_t @ K[t - 1]))
             yield steps, g
 
     def raw_gradients(self, method: str, K: np.ndarray, traj) -> np.ndarray:
@@ -630,7 +569,7 @@ class _RolloutEngine:
         the gradient samples of n rollouts, with no per-sample tensor.
 
         A batch of one row block is drawn whole from ``sampler``
-        (:meth:`_fill`) and runs (:meth:`_block_moments`) on the calling
+        (:meth:`draw`) and runs (:meth:`_block_moments`) on the calling
         thread, which starts no thread.  A batch of several draws s_1 of
         all its rollouts on the calling thread, then splits ``sampler``
         into one stream per block; each block, on any thread of
@@ -645,18 +584,15 @@ class _RolloutEngine:
         w = np.empty(n)
         blocks = _row_blocks(n, self.width)
         if len(blocks) == 1:
-            noise = self._noise(n)
-            self._fill(sampler, noise)
+            noise = self.draw(sampler, n)
             return (*self._block_moments(K, noise, w, 0, n, method, second), w)
-        dyn = self.dyn  # s_1 = 0 unless drawn: then each block makes its own rows
-        s1 = (self._initial(sampler, np.zeros((n, dyn.state_dim)))
-              if dyn.init_state_batch is not None or dyn.init_state is not None else None)
+        # s_1 = 0 unless drawn: then each block makes its own rows
+        s1 = None if self.init_state is None else self.init_state(sampler.rng, n)
         streams = sampler.split(len(blocks))
 
         def block(i):
             rows = blocks[i]
-            noise = self._noise(rows.stop - rows.start, None if s1 is None else s1[rows])
-            self._fill(streams[i], noise, initial=False)
+            noise = self.draw(streams[i], rows.stop - rows.start, None if s1 is None else s1[rows])
             return self._block_moments(K, noise, w[rows], rows.start, n, method, second)
 
         (mean, sq), *rest = _map_blocks(block, len(blocks), self.parallel)

@@ -46,11 +46,15 @@ class Dataset:
         return bool(np.all(np.isin(self.y, (-1.0, 1.0))))
 
     def split(self, test_fraction: float, sampler: GaussianSampler):
-        """Deterministic shuffle split into (train, test)."""
+        """Deterministic shuffle split into (train, test); a fraction that
+        leaves no training row is a :class:`ContractError`."""
         if not 0.0 <= test_fraction < 1.0:
             raise ContractError("test_fraction must be in [0, 1)")
-        order = sampler.rng.permutation(self.size)
         n_test = int(round(test_fraction * self.size))
+        if n_test == self.size:
+            raise ContractError(f"test_fraction {test_fraction} leaves no training row "
+                                f"of {self.size}")
+        order = sampler.rng.permutation(self.size)
         test_idx, train_idx = order[:n_test], order[n_test:]
         return (
             Dataset(self.X[train_idx], self.y[train_idx], self.provenance + "#train"),

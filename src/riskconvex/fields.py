@@ -34,17 +34,67 @@ def _first_violation(vals, limit: float) -> Optional[int]:
     return int(np.argmin(np.asarray(vals <= limit)))
 
 
-def _returned(value, name: str, shape: tuple, t=None, row=None) -> np.ndarray:
-    """``value``, which the callable ``name`` returned (at step ``t`` and
-    for the batch's row ``row`` when given), as a float array, or
-    :class:`ContractError` naming it and both shapes when its shape is not
-    ``shape``: a result is never broadcast over a batch."""
+def _returned(value, name: str, shape: tuple, t=None) -> np.ndarray:
+    """``value``, which the callable ``name`` returned (at step ``t`` when
+    given), as a float array, or :class:`ContractError` naming it and both
+    shapes when its shape is not ``shape``: a result is never broadcast
+    over a batch."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         at = "" if t is None else f" at t={t}"
-        every, this = ("", "") if row is None else (" for every row", f" for row {row}")
-        raise ContractError(f"{name}{at} must return shape {shape}{every}, got {arr.shape}{this}")
+        raise ContractError(f"{name}{at} must return shape {shape}, got {arr.shape}")
     return arr
+
+
+def _stacked_rows(rows: list, name: str, row_shape: tuple, t=None) -> np.ndarray:
+    """The one row rule: the results ``rows`` of a per-row callable
+    ``name`` as one (b, *row_shape) float array with the bits of stacking
+    them, or :class:`ContractError` naming it, t when given and the first
+    row of another shape than ``row_shape``."""
+    try:  # one conversion of the list, which never broadcasts a row
+        out = np.array(rows, dtype=float)
+    except ValueError:
+        out = None
+    if out is None or out.shape[1:] != row_shape:
+        for i, row in enumerate(rows):
+            if np.shape(row) != row_shape:
+                at = "" if t is None else f" at t={t}"
+                raise ContractError(f"{name}{at} must return shape {row_shape} for every row, "
+                                    f"got {np.shape(row)} for row {i}")
+        out = np.array(rows, dtype=float).reshape(0, *row_shape)  # no rows, or its own error
+    return out
+
+
+def _lifted(fn, name: str, row_shape: tuple, vectorized: bool, draw: bool = False):
+    """The problem callable ``fn``, named ``name``, as one batch callable
+    that returns the checked (b, *row_shape) float array (None stays None).
+    It takes a batch axis on every argument but the last, t, or, for a
+    ``draw``, a ``*_batch`` draw's (rng, b) of s_1 (t = 1) or (rng, t, b).
+    A ``vectorized`` fn is called once, any other once per row (for a draw,
+    b times without b) and stacked by :func:`_stacked_rows`."""
+    if fn is None:
+        return None
+    if draw:
+        def lifted(*args):
+            *head, b = args
+            t = head[1] if len(head) == 2 else 1
+            if vectorized:
+                return _returned(fn(*args), name, (b,) + row_shape, t)
+            return _stacked_rows([fn(*head) for _ in range(b)], name, row_shape, t)
+    elif not vectorized:
+        def lifted(*args):
+            *batch, t = args
+            return _stacked_rows([fn(*row, t) for row in zip(*batch)], name, row_shape, t)
+    else:
+        asarray = np.asarray  # fixed arguments: *args and dtype= took about 0.1 us more a call
+
+        def lifted(s, a, xi=None, t=None):  # (s, t), or (s, y, xi, t) of the dynamics
+            out = asarray(fn(s, a) if t is None else fn(s, a, xi, t), float)
+            shape = (len(s),) + row_shape
+            if out.shape != shape:
+                _returned(out, name, shape, a if t is None else t)  # raises
+            return out
+    return lifted
 
 
 @dataclass
@@ -66,9 +116,11 @@ class ScalarField:
     """Objective f with a finite declared upper bound.
 
     The field is evaluated on batches of points, (n, dim) -> (n,), by
-    :meth:`evaluate_batch` and :meth:`grad_batch`, whose results of another
-    shape than (n,) and (n, dim) are a :class:`ContractError`, never
-    broadcast.  The bound is asserted
+    :meth:`evaluate_batch` and :meth:`grad_batch`.  A vectorized value and
+    gradient must return (n,) and (n, dim); a per-row one's results are
+    checked row by row against () and (dim,) and stacked, by the rollout
+    engine's row rule (:func:`_stacked_rows`).  Anything else is a
+    :class:`ContractError`, never broadcast.  The bound is asserted
     on every evaluation: NaN, +inf, or any value above
     ``upper_bound + 1e-9 (1 + |upper_bound|)`` raises
     :class:`FieldEvaluationError` carrying the offending point.  -inf
@@ -106,10 +158,9 @@ class ScalarField:
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         if self.vectorized:
-            vals = self.value(thetas)
+            vals = _returned(self.value(thetas), "field value", thetas.shape[:1])
         else:
-            vals = [float(self.value(row)) for row in thetas]
-        vals = _returned(vals, "field value", thetas.shape[:1])
+            vals = _stacked_rows([self.value(row) for row in thetas], "field value", ())
         i = _first_violation(vals, _bound_limit(self.upper_bound))
         if i is not None:
             raise FieldEvaluationError(
@@ -123,10 +174,9 @@ class ScalarField:
             raise ContractError("this operation requires a field with a gradient")
         thetas = np.asarray(thetas, dtype=float)
         if self.vectorized:
-            grads = self.gradient(thetas)
-        else:
-            grads = np.stack([np.asarray(self.gradient(row), dtype=float) for row in thetas])
-        return _returned(grads, "field gradient", thetas.shape)
+            return _returned(self.gradient(thetas), "field gradient", thetas.shape)
+        return _stacked_rows([self.gradient(row) for row in thetas], "field gradient",
+                             thetas.shape[1:])
 
 
 def clamp_bounded(raw, mbar: float) -> ScalarField:

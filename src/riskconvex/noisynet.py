@@ -266,7 +266,10 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
     transfer makes every gradient component vanish there), so training
     starts from a small random init of scale 0.05 drawn from a
     derived stream, and reports the final, not the averaged, weights.
+    A training set with no rows is a :class:`ContractError`.
     """
+    if train.size == 0:
+        raise ContractError("the training set has no rows")
     if eval_every < 1:
         raise ContractError(f"eval_every must be >= 1, got {eval_every}")
     _check_features(cfg, train)

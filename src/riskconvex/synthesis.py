@@ -42,13 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .csvio import read_matrix, write_csv
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .objective import ConvexityCertificate, _checked_alpha, convexity_certificate, psd_tolerance
 from .sampling import _factored_noise, as_psd_weight, as_steps
 from .solver import FeasibleSet
@@ -549,40 +547,3 @@ def synthesize(sys: LinearSystem, alpha: float, structure: Optional[list] = None
     return SynthesisReport(gains=gains, objective=value, success=True,
                            converged=converged, iterations=it, grad_norm=grad_norm,
                            convexity=terms.convexity)
-
-
-def write_gains_csv(directory, gains) -> None:
-    """One file per step, K_01.csv, K_02.csv, ...; rows are matrix rows.
-
-    ``gains`` is one gain set (:func:`~riskconvex.sampling.as_steps`).
-    The header row names the columns col_0..col_{q-1}; the step index
-    lives in the filename.
-    """
-    gains = as_steps(gains)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    header = [f"col_{j}" for j in range(gains.shape[2])]
-    for t, k in enumerate(gains, start=1):
-        write_csv(directory / f"K_{t:02d}.csv", k, header=header)
-
-
-def read_gains_csv(directory, shape) -> np.ndarray:
-    """Read gains written by :func:`write_gains_csv`, ordered by step.
-
-    ``shape`` is the (steps, rows, cols) the caller needs, and the gains
-    come back as one array of it; another file count or matrix shape is
-    a ``ConfigError`` naming the directory or the file.
-    """
-    directory = Path(directory)
-    steps, rows, cols = shape
-    # K_100.csv follows K_99.csv: shorter names first, then by name.
-    paths = sorted(directory.glob("K_*.csv"), key=lambda p: (len(p.name), p.name))
-    if len(paths) != steps:
-        raise ConfigError(f"{directory}: expected {steps} gain files K_*.csv, "
-                          f"found {len(paths)}")
-    gains = [read_matrix(path, header=True)[1] for path in paths]
-    for path, k in zip(paths, gains):
-        if k.shape != (rows, cols):
-            raise ConfigError(f"{path}: expected a {rows}x{cols} gain, "
-                              f"found {k.shape[0]}x{k.shape[1]}")
-    return np.array(gains)

@@ -244,11 +244,11 @@ def _reference_scores(engine, model, cost, method, K, S, U, Y, XI):
     lam = np.asarray(engine.state_cost_grad(S[N - 1], N), dtype=float)
     for t in range(N - 1, 0, -1):
         s, u, y, xi = S[t - 1], U[t - 1], Y[t - 1], XI[t - 1]
-        g[t - 1] = u @ R[t - 1] + _vjp(np.asarray(engine.jac_control(s, y, xi, t), dtype=float),
-                                       lam)
+        g[t - 1] = u @ R[t - 1] + _vjp(
+            np.asarray(engine.jacobian_control(s, y, xi, t), dtype=float), lam)
         if t > 1:
             lam = (np.asarray(engine.state_cost_grad(s, t), dtype=float)
-                   + _vjp(np.asarray(engine.jac_state(s, y, xi, t), dtype=float), lam)
+                   + _vjp(np.asarray(engine.jacobian_state(s, y, xi, t), dtype=float), lam)
                    + _vjp(np.asarray(engine.features_jacobian(s, t), dtype=float),
                           g[t - 1] @ K[t - 1]))
     return g

@@ -205,3 +205,9 @@ def test_model_csv_round_trip(tmp_path):
     path = tmp_path / "model.csv"
     write_model_csv(path, theta)
     assert np.array_equal(read_model_csv(path), theta)
+
+
+def test_an_empty_training_set_is_refused():
+    empty = Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+    with pytest.raises(ContractError, match="^the training set has no rows$"):
+        train_classifier(empty, ClassifierConfig())

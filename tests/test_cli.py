@@ -12,11 +12,13 @@ import riskconvex
 from riskconvex.benchmarks import ScalarBenchmark
 from riskconvex.cli import main
 from riskconvex.control import train_policy
-from riskconvex.datasets import Dataset, load_dataset, make_sine, save_dataset, sign_plus
+from riskconvex.csvio import read_gains_csv, write_gains_csv
+from riskconvex.datasets import (Dataset, load_dataset, make_blobs, make_sine, save_dataset,
+                                 sign_plus)
 from riskconvex.noisynet import NoisyNetConfig, train_noisy_net
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig
-from riskconvex.synthesis import detmax_objective, read_gains_csv, synthesize, write_gains_csv
+from riskconvex.synthesis import detmax_objective, synthesize
 
 
 def run_cli(argv):
@@ -82,6 +84,17 @@ class TestExitCodes:
         code = run_cli(["--out", str(tmp_path / "w"), "--config", str(cfg),
                         "nnet", "train", str(sine_csv)])
         assert code == 2
+
+    @pytest.mark.parametrize("command,make", [("classify", make_blobs), ("nnet", make_sine)])
+    def test_a_split_that_leaves_no_training_row_is_three(self, tmp_path, capsys, command,
+                                                          make):
+        # 0.99 of 40 rows rounds to 40 test rows and none to train on.
+        data, cfg, out = tmp_path / "data.csv", tmp_path / "split.cfg", tmp_path / "out"
+        save_dataset(data, make(40, GaussianSampler(2, dim=1)))
+        cfg.write_text("test_split = 0.99\n")
+        code = run_cli(["--config", str(cfg), "--out", str(out), command, "train", str(data)])
+        assert code == 3 and not out.exists()
+        assert "test_fraction 0.99 leaves no training row of 40" in capsys.readouterr().err
 
     def test_unknown_config_key_is_three(self, tmp_path):
         cfg = tmp_path / "demo.cfg"

@@ -21,7 +21,6 @@ from riskconvex.control import (
     train_policy,
     write_rollout_csv,
     _RolloutEngine,
-    _batched,
     _reduced,
     _row_quads,
     _step_chunks,
@@ -37,6 +36,7 @@ from riskconvex.errors import (
     FieldEvaluationError,
     IllConditionedError,
 )
+from riskconvex.fields import _lifted
 from riskconvex.noisynet import NoisyNetConfig, build_control_problem
 from riskconvex.objective import LOG_FLOAT_MAX, _block_rows, _row_blocks
 from riskconvex.sampling import GaussianSampler, as_steps
@@ -1370,8 +1370,9 @@ class TestCostFold:
 
 
 class TestRowLift:
-    """The per-row lift makes one (b, ...) array of the rows' results with
-    the bits of stacking them, and refuses a row of another shape."""
+    """fields._lifted makes one (b, ...) array of a per-row callable's
+    results with the bits of stacking them, and hands a vectorized
+    callable's result on as it is."""
 
     def test_rows_keep_the_bits_of_a_stack(self):
         dyn, cost, pol, _ = row_lifted_smooth_problem(np.random.default_rng(3))
@@ -1380,16 +1381,24 @@ class TestRowLift:
         for fn, args in ((dyn.step, (s, y, xi)), (dyn.jacobian_state, (s, y, xi)),
                          (pol.features, (s,)), (cost.state_cost_grad, (s,))):
             want = np.stack([np.asarray(fn(*row, 2), dtype=float) for row in zip(*args)])
-            got = _batched(fn, False, "fn")(*args, 2)
+            got = _lifted(fn, "fn", want.shape[1:], False)(*args, 2)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         want = np.array([float(cost.state_cost(row, 2)) for row in s])
-        got = _batched(cost.state_cost, False, "state_cost", scalar=True)(s, 2)
+        got = _lifted(cost.state_cost, "state_cost", (), False)(s, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # A per-row draw takes its b rows from the one stream in order.
+        draw = lambda g, t: g.standard_normal(3)  # noqa: E731
+        g = np.random.default_rng(5)
+        want = np.stack([draw(g, 2) for _ in range(7)])
+        got = _lifted(draw, "disturbance", (3,), False, draw=True)(np.random.default_rng(5), 2, 7)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_a_vectorized_callable_keeps_its_own_result(self):
         fn = lambda s, t: s  # noqa: E731
-        assert _batched(fn, True, "features") is fn
+        s = np.zeros((7, 3))
+        assert _lifted(fn, "features", (3,), True)(s, 2) is s
+        assert _lifted(None, "features", (3,), True) is None
 
 
 def first_row_only(step):
@@ -1451,6 +1460,9 @@ class TestResultShapes:
         ("features", r"^features at t=1 must return shape \(64, 1\), got \(64, 2\)$"),
     ])
     def test_batch_refuses_a_result_of_another_shape(self, part, match, vectorized):
+        if part == "features" and not vectorized:  # each row is checked against (q,)
+            match = (r"^features at t=1 must return shape \(1,\) for every row, got \(2,\) "
+                     r"for row 0$")
         for method in ("derivative_free", "model_based"):
             with pytest.raises(ContractError, match=match):
                 policy_gradient_batch(*shape_problem(part, vectorized),

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskconvex.csvio import format_value, read_matrix, write_csv
-from riskconvex.errors import ConfigError
+from riskconvex.csvio import format_value, read_gains_csv, read_matrix, write_csv, write_gains_csv
+from riskconvex.errors import ConfigError, ContractError
 from riskconvex.solver import write_trace_csv
 
 
@@ -136,3 +136,50 @@ def test_trace_csv_keeps_the_bytes_of_numpy_scalar_rows(tmp_path):
               header=["iter", "theta_0", "theta_1", "grad_norm", "eta"])
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "trace.csv").read_text().splitlines()[1] == "1,-0.0,5e-324,0.0,0.5"
+
+
+class TestGainsCsv:
+    def test_round_trip(self, tmp_path):
+        gains = [np.array([[1.5, -2.25], [0.125, 3.0]]),
+                 np.array([[0.1, 0.2], [0.3, 0.4]])]
+        write_gains_csv(tmp_path, gains)
+        files = sorted(p.name for p in tmp_path.glob("K_*.csv"))
+        assert files == ["K_01.csv", "K_02.csv"]
+        back = read_gains_csv(tmp_path, (2, 2, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(gains, back))
+
+    def test_read_returns_one_stacked_array(self, tmp_path):
+        write_gains_csv(tmp_path, [np.eye(2), np.ones((2, 2))])
+        back = read_gains_csv(tmp_path, (2, 2, 2))
+        assert type(back) is np.ndarray and back.dtype == np.float64
+        assert np.array_equal(back, np.stack([np.eye(2), np.ones((2, 2))]))
+
+    def test_write_takes_one_gain_set(self, tmp_path):
+        # A 2-D array is not N-1 gains: its rows are not written as 1 x q gains.
+        with pytest.raises(ContractError, match=r"gains must stack to .*, got \(2, 3\)"):
+            write_gains_csv(tmp_path, np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ContractError, match=r"gain at t=2 must be 2x2, got shape \(1, 2\)"):
+            write_gains_csv(tmp_path, [np.eye(2), np.ones((1, 2))])
+        assert not list(tmp_path.glob("K_*.csv"))
+
+    def test_missing_directory_is_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="nope: expected 2 gain files K_\\*.csv, found 0"):
+            read_gains_csv(tmp_path / "nope", (2, 1, 1))
+
+    def test_steps_past_99_keep_their_order(self, tmp_path):
+        gains = [np.full((1, 1), float(t)) for t in range(1, 102)]
+        write_gains_csv(tmp_path, gains)
+        assert [k[0, 0] for k in read_gains_csv(tmp_path, (101, 1, 1))] == list(range(1, 102))
+
+    def test_shapes_fix_the_file_count_and_each_matrix(self, tmp_path):
+        write_gains_csv(tmp_path, [np.eye(2), np.ones((2, 2))])
+        back = read_gains_csv(tmp_path, (2, 2, 2))
+        assert np.array_equal(back[1], np.ones((2, 2)))
+        with pytest.raises(ConfigError, match="expected 3 gain files K_\\*.csv, found 2"):
+            read_gains_csv(tmp_path, (3, 2, 2))
+        with pytest.raises(ConfigError, match=r"K_01.csv: expected a 1x2 gain, found 2x2"):
+            read_gains_csv(tmp_path, (2, 1, 2))
+        write_gains_csv(tmp_path / "mixed", [np.eye(2), np.eye(2)])
+        (tmp_path / "mixed" / "K_02.csv").write_text("col_0,col_1\n1,1\n")
+        with pytest.raises(ConfigError, match=r"K_02.csv: expected a 2x2 gain, found 1x2"):
+            read_gains_csv(tmp_path / "mixed", (2, 2, 2))

@@ -119,3 +119,11 @@ def test_dataset_validation():
         Dataset(X=np.zeros((3, 1)), y=np.zeros(2))
     with pytest.raises(ContractError):
         Dataset(X=np.array([[np.nan]]), y=np.array([1.0]))
+
+
+def test_a_split_that_leaves_no_training_row_is_refused():
+    ds = Dataset(X=np.zeros((40, 1)), y=np.ones(40))
+    with pytest.raises(ContractError, match=r"^test_fraction 0.99 leaves no training row of 40$"):
+        ds.split(0.99, GaussianSampler(0, dim=1))
+    train, test = ds.split(0.98, GaussianSampler(0, dim=1))
+    assert (train.size, test.size) == (1, 39)

@@ -155,15 +155,53 @@ class TestResultShapes:
     @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per_row"])
     def test_a_gradient_of_another_shape(self, vectorized):
         # One (2,) gradient for the whole batch, or a float for each row.
+        # A per-row gradient is checked row by row against (dim,).
         if vectorized:
-            value, gradient, got = lambda th: np.zeros(len(th)), lambda th: np.ones(2), "2,"
+            value, gradient = lambda th: np.zeros(len(th)), lambda th: np.ones(2)
+            want = r"^field gradient must return shape \({}, 2\), got \(2,\)$"
         else:
-            value, gradient, got = lambda th: 0.0, lambda th: 1.0, "64,"
+            value, gradient = lambda th: 0.0, lambda th: 1.0
+            want = r"^field gradient must return shape \(2,\) for every row, got \(\) for row 0$"
         f = ScalarField(value=value, upper_bound=1.0, dim=2, gradient=gradient,
                         vectorized=vectorized)
-        with pytest.raises(ContractError,
-                           match=rf"^field gradient must return shape \(64, 2\), got \({got}\)$"):
+        with pytest.raises(ContractError, match=want.format(64)):
             unbiased_grad_mean(f, self.model, np.zeros(2), 64, self.model.sampler(1))
-        with pytest.raises(ContractError, match=r"^field gradient must return shape \(1, 2\)"):
+        with pytest.raises(ContractError, match=want.format(1)):
             solve(f, self.model, FeasibleSet.ball([0.0, 0.0], 1.0),
                   SolverConfig(iterations=2, zeta=1.0), self.model.sampler(1))
+
+
+class TestRowRule:
+    """A per-row field is stacked by the rollout engine's row rule
+    (fields._stacked_rows): every row must have the row's shape, () for a
+    value and (dim,) for a gradient, and the first row of another shape is
+    a ContractError naming it."""
+
+    model = isotropic_model(1.0, 1.0, 1.0, 2)
+
+    def test_a_value_row_of_one_entry_is_refused(self):
+        f = ScalarField(value=lambda th: np.array([0.5 * th[0]]), upper_bound=1.0, dim=2)
+        with pytest.raises(ContractError, match=r"^field value must return shape \(\) for "
+                                                r"every row, got \(1,\) for row 0$"):
+            smoothed_value(f, self.model, np.zeros(2), 64, self.model.sampler(1))
+
+    def test_gradient_rows_of_two_shapes_are_refused(self):
+        # Rows 0-4 return (2,), row 5 and later (3,).
+        calls = iter(range(10**6))
+        f = ScalarField(value=lambda th: 0.0, upper_bound=1.0, dim=2,
+                        gradient=lambda th: np.ones(2 if next(calls) < 5 else 3))
+        with pytest.raises(ContractError, match=r"^field gradient must return shape \(2,\) for "
+                                                r"every row, got \(3,\) for row 5$"):
+            unbiased_grad_mean(f, self.model, np.zeros(2), 64, self.model.sampler(1))
+
+    def test_rows_keep_the_bits_of_their_floats(self):
+        # float() of each row, as an explicit loop would take it, and
+        # np.stack of the gradient rows.
+        value = lambda th: np.float32(th[0]) * 3 + th[1]  # noqa: E731
+        gradient = lambda th: [np.float32(th[1]), th[0] / 3]  # noqa: E731
+        f = ScalarField(value=value, upper_bound=1e9, dim=2, gradient=gradient)
+        thetas = np.random.default_rng(0).standard_normal((9, 2))
+        want = np.array([float(value(th)) for th in thetas])
+        assert np.array_equal(f.evaluate_batch(thetas).view(np.int64), want.view(np.int64))
+        want = np.stack([np.asarray(gradient(th), dtype=float) for th in thetas])
+        assert np.array_equal(f.grad_batch(thetas).view(np.int64), want.view(np.int64))

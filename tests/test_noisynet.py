@@ -6,7 +6,7 @@ import pytest
 from riskconvex.control import check_control_certificate, train_policy
 from riskconvex.datasets import Dataset, make_sine
 from riskconvex.errors import CertificateError, ContractError
-from riskconvex.csvio import read_matrix
+from riskconvex.csvio import read_gains_csv, read_matrix, write_gains_csv
 from riskconvex.objective import convexity_certificate
 from riskconvex.noisynet import (
     NoisyNetConfig,
@@ -17,7 +17,6 @@ from riskconvex.noisynet import (
 )
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import FeasibleSet, SolverConfig, SolverReport
-from riskconvex.synthesis import read_gains_csv, write_gains_csv
 from support import Iterates
 
 
@@ -311,3 +310,9 @@ def test_model_based_gradient_matches_finite_differences_on_net():
                 fd[t, i, j] = (hi.exp_cost - lo.exp_cost) / (2.0 * h)
     rel = np.linalg.norm(g.exp_gradient - fd) / np.linalg.norm(fd)
     assert rel <= 1e-5
+
+
+def test_an_empty_training_set_is_refused():
+    empty = Dataset(X=np.zeros((0, 1)), y=np.zeros(0))
+    with pytest.raises(ContractError, match="^the training set has no rows$"):
+        train_noisy_net(empty, small_config(), GaussianSampler(0, dim=1))
