@@ -44,11 +44,12 @@ size, see :data:`~riskconvex.objective._BLOCK_ENTRIES`).
 its blocks: one block on the calling thread alone, several on it and a
 helper, with bits that depend on the layout (n, width) and the sampler,
 never on the thread count.  Each batch of a training run draws its own
-noise from the run stream when it runs.  A block holds its whole
-trajectory, S (N, b, n), U and Y (N-1, b, m) and the stage costs (N, b),
-as views of one allocation, whose pages glibc's malloc keeps from batch
-to batch: four arrays freed together crossed its heap-trim threshold and
-were faulted in again every batch.
+noise from the run stream when it runs.  A block holds its trajectory,
+S (N, b, n), U (N-1, b, m) and the stage costs of one chunk of steps
+(all N of them for a batch of one), as views of one allocation, whose
+pages glibc's malloc keeps from batch to batch: arrays freed together
+crossed its heap-trim threshold and were faulted in again every batch.
+Its realized controls Y (N-1, b, m) are written over its noise eps.
 """
 
 from __future__ import annotations
@@ -340,11 +341,11 @@ class _Trajectory(NamedTuple):
 
     S: np.ndarray       # (N, b, nd) states
     U: np.ndarray       # (N-1, b, m) mean controls
-    Y: np.ndarray       # (N-1, b, m) realized controls
+    Y: np.ndarray       # (N-1, b, m) realized controls, written over the noise eps
     XI: np.ndarray      # (N-1, b, p) disturbances
     PHI: object         # S[:-1] when the features return their states, else a list of (b, q)
     J: np.ndarray       # (b,) costs, the left fold of the stage costs
-    stage: np.ndarray   # (N, b) stage costs
+    stage: np.ndarray   # the (N, 1) stage costs of a batch of one, else one chunk's rows
     chunks: tuple       # the chunks of steps (_step_chunks)
 
 
@@ -442,24 +443,28 @@ class _RolloutEngine:
                 start: int = 0):
         """The :class:`_Trajectory` of the rollouts of the b rows of ``s1``
         under the stacked gains K with the noise eps (N-1, b, m) and xi
-        (N-1, b, p): a row block's noise (:meth:`draw`) or one frozen
-        realization (b = 1).  The steps run in order, each checking its
-        state costs against the bound and its next states for finiteness;
-        the control costs 0.5 u_t' R_t u_t of a chunk are one stacked
-        product.  ``start`` is the batch index of row 0, which errors name."""
+        (N-1, b, p): a row block's fresh noise (:meth:`draw`) or a copy of
+        one frozen realization (b = 1), since the realized controls
+        y_t = u_t + eps_t are written over eps_t.  The steps run in order,
+        each checking its state costs against the bound and its next states
+        for finiteness; the control costs 0.5 u_t' R_t u_t of a chunk are
+        one stacked product, and J folds a chunk's stage costs in step order
+        before the next chunk reuses their rows.  ``start`` is the batch
+        index of row 0, which errors name."""
         dyn = self.dyn
         N, nd, m = dyn.horizon, dyn.state_dim, dyn.control_dim
         b = s1.shape[0]
         chunks = _step_chunks(N - 1, b, self.width)
-        # One allocation holds the whole trajectory (module docstring).
+        # One allocation holds S, U and the stage costs (module docstring):
+        # all N rows of them for a batch of one, else the first chunk's, the
+        # longest, reused chunk by chunk.
         s_end = N * b * nd
         u_end = s_end + (N - 1) * b * m
-        y_end = u_end + (N - 1) * b * m
-        buf = np.empty(y_end + N * b)
+        buf = np.empty(u_end + (N if b == 1 else chunks[0].stop) * b)
         S = buf[:s_end].reshape(N, b, nd)
         U = buf[s_end:u_end].reshape(N - 1, b, m)
-        Y = buf[u_end:y_end].reshape(N - 1, b, m)
-        stage = buf[y_end:].reshape(N, b)
+        stage = buf[u_end:].reshape(-1, b)
+        J = np.zeros(b)  # the left fold of the stage costs from 0.0
         PHI = []
         views = True  # every phi_t is S[t - 1] itself
         features, step, state_cost = self.features, self.step, self._checked_state_cost
@@ -472,28 +477,26 @@ class _RolloutEngine:
         for steps in chunks:
             if steps.start == 0:
                 S[0] = s1  # drawn before eps_1
+            costs = stage[steps] if b == 1 else stage[:steps.stop - steps.start]
             for t in range(steps.start + 1, steps.stop + 1):
                 # Callables see rows of S, so features that return s itself
                 # keep no second copy of the states alive.
-                s, u, y = S[t - 1], U[t - 1], Y[t - 1]
+                s, u, y = S[t - 1], U[t - 1], eps[t - 1]
                 phi = features(s, t)
                 views = views and phi is s
                 PHI.append(phi)
                 np.matmul(phi, KT[t - 1], out=u)
-                stage[t - 1] = state_cost(s, t, start)
-                nxt = step(s, np.add(u, eps[t - 1], out=y), xi[t - 1], t)
+                costs[t - 1 - steps.start] = state_cost(s, t, start)
+                nxt = step(s, np.add(u, y, out=y), xi[t - 1], t)  # y_t over eps_t
                 S[t] = nxt
                 if not np.isfinite(nxt).all():
                     raise DivergenceError(f"non-finite state at t={t + 1}", step=t + 1)
-            stage[steps] += _HALF * _row_quads(U[steps], self.R[steps])
-        stage[N - 1] = state_cost(S[N - 1], N, start)
-        # J, the left fold of the stage costs from 0.0: one reduce along
-        # the steps adds them row by row, but numpy sums a single column
-        # pairwise, so one rollout takes the last of its running sums, plus
-        # 0.0 (the fold's 0.0 + l_1 turns an all -0.0 sum into 0.0).
-        J = (np.add.reduce(stage, axis=0, initial=0.0) if b > 1
-             else np.add.accumulate(stage[:, 0])[-1:] + _ZERO)
-        return _Trajectory(S, U, Y, xi, S[:-1] if views else PHI, J, stage, chunks)
+            costs += _HALF * _row_quads(U[steps], self.R[steps])
+            for row in costs:
+                J += row
+        stage[-1] = state_cost(S[N - 1], N, start)
+        J += stage[-1]
+        return _Trajectory(S, U, eps, xi, S[:-1] if views else PHI, J, stage, chunks)
 
     def _scores(self, method: str, K: np.ndarray, traj):
         """Yield (steps, g) for each of the chunks of steps of ``traj``, g
@@ -626,9 +629,9 @@ def _single(dyn, cost, policy, model, sampler, mode="noisy", s1=None, frozen=Non
                              eps=np.zeros((N - 1, m)), xi=np.zeros((N - 1, p)))
     if frozen is None:
         noise = engine.draw(sampler, 1, None if s1 is None else s1[None])
-    else:  # the frozen realization as a batch of one; the Rollout keeps a copy of xi
+    else:  # the frozen realization as a batch of one; the Rollout keeps copies of eps and xi
         noise = (_shaped(frozen.s1, "frozen noise s1", (nd,))[None],
-                 _shaped(frozen.eps, "frozen noise eps", (N - 1, m))[:, None],
+                 _shaped(frozen.eps, "frozen noise eps", (N - 1, m))[:, None].copy(),
                  _shaped(frozen.xi, "frozen noise xi", (N - 1, p))[:, None].copy())
     traj = engine.forward(policy.gains, *noise)
     expo = check_exponents(model.alpha * traj.J)
@@ -763,7 +766,11 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
         var = np.maximum(sq - mean * mean, 0.0) * (n / (n - 1))
         std_err = np.sqrt(var / n)
         exp_cost_mean = float(costs.mean())
-        exp_cost_std_err = float(costs.std(ddof=1) / np.sqrt(n))
+        # np.std(ddof=1)'s own arithmetic, in place on the batch's own w:
+        # same bits, and no (n,) temporary.
+        costs -= exp_cost_mean
+        costs *= costs
+        exp_cost_std_err = float(np.sqrt(costs.sum() / (n - 1)) / np.sqrt(n))
     return BatchGradientEstimate(
         mean=mean,
         std_err=check_std_err(std_err),

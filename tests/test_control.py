@@ -149,6 +149,25 @@ class TestRollout:
         assert np.array_equal(r1.states, r2.states)
         assert r1.cost == r2.cost
 
+    def test_frozen_noise_stays_frozen(self):
+        # The engine writes the realized controls over the noise it is
+        # given, so a replay must run on a copy of frozen.eps.
+        rng = np.random.default_rng(4)
+        dyn, cost, pol, model = smooth_control_problem(rng, 3, 2, 5)
+        frozen = rollout(dyn, cost, pol, model, GaussianSampler(6, dim=1)).frozen()
+        eps = frozen.eps.tobytes()
+        for replay in (rollout, policy_gradient_model_based, policy_gradient_derivative_free):
+            first, second = (replay(dyn, cost, pol, model, GaussianSampler(0, dim=1),
+                                    frozen=frozen) for _ in range(2))
+            if replay is not rollout:
+                assert np.array_equal(first.per_step, second.per_step)
+                assert np.array_equal(first.exp_gradient, second.exp_gradient)
+                first, second = first.rollout, second.rollout
+            for name in ("states", "controls", "realized", "stage_costs"):
+                assert np.array_equal(getattr(first, name), getattr(second, name))
+            assert first.cost == second.cost
+            assert frozen.eps.tobytes() == eps
+
     def test_frozen_replay_rejects_misshapen_noise(self):
         # Two states, two controls and N - 1 = 3 steps: a transposed eps
         # (2, 3) and a flat one (6,) hold the 6 entries of (3, 2), so a
@@ -639,8 +658,9 @@ class TestStepChunks:
     def test_one_block_peak_memory(self):
         # The simulate shape of det-max synthesis: N = 30, 4 states, 2
         # controls, 4096 rollouts in one block of one-step chunks.  It
-        # peaks at 10.7 MiB under tracemalloc; stacking all 29 steps at
-        # once peaked at 15.8 MiB.
+        # peaks at 8.1 MiB under tracemalloc, and at 10.7 MiB when the
+        # block held its realized controls and all 30 rows of stage costs;
+        # stacking all 29 steps at once peaked at 15.8 MiB.
         rng = np.random.default_rng(47)
         system = LinearSystem(A=[0.3 * rng.standard_normal((4, 4)) for _ in range(29)],
                               B=[0.3 * rng.standard_normal((4, 2)) for _ in range(29)],
@@ -734,29 +754,38 @@ class TestRowBlocks:
             assert np.array_equal(eps[t], stream.normal((n, dyn.control_dim))
                                   @ model.noise_root[t])
 
-    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
-    def test_a_long_one_block_batch_is_one_allocation_with_the_reference_bits(self, method):
+    @staticmethod
+    def simulate_shape_problem():
         # The simulate shape of det-max synthesis: 4 states, 2 controls,
-        # N = 30 and 4096 rollouts, one block of one-step chunks.  S, U, Y
-        # and the stage costs are views of one buffer, so freeing it frees
-        # one chunk, and the pass keeps the bits of the steps written out.
+        # N = 30 and 4096 rollouts, one block of one-step chunks.
         rng = np.random.default_rng(53)
         system = LinearSystem(A=[0.3 * rng.standard_normal((4, 4)) for _ in range(29)],
                               B=[0.3 * rng.standard_normal((4, 2)) for _ in range(29)],
                               Q=[np.eye(4)] * 30, R=[np.eye(2)] * 29, sigma=[np.eye(2)] * 29,
                               horizon=30)
         gains = [0.1 * rng.standard_normal((2, 4)) for _ in range(29)]
-        problem = linear_control_problem(system, 0.05, gains=gains)
+        return linear_control_problem(system, 0.05, gains=gains)
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_a_long_one_block_batch_is_one_allocation_with_the_reference_bits(self, method):
+        # S, U and one chunk's stage costs are views of one buffer, so
+        # freeing it frees one chunk; the realized controls are written
+        # over the noise, and the pass keeps the bits of the steps written
+        # out.
+        problem = self.simulate_shape_problem()
         engine = _RolloutEngine(*problem)
         n = 4096
         assert len(_row_blocks(n, engine.width)) == 1
         assert len(_step_chunks(29, n, engine.width)) == 29
         K = np.stack(problem[2].gains)
-        traj = engine.forward(K, *engine.draw(GaussianSampler(9, dim=1), n))
-        parts = (traj.S, traj.U, traj.Y, traj.stage)
+        noise = engine.draw(GaussianSampler(9, dim=1), n)
+        traj = engine.forward(K, *noise)
+        parts = (traj.S, traj.U, traj.stage)
         buf = traj.S.base
         assert buf is not None and all(a.base is buf for a in parts)
         assert sum(a.nbytes for a in parts) == buf.nbytes
+        assert traj.Y is noise[1]
+        assert traj.stage.shape == (1, n)  # one one-step chunk's rows, not all 30
         S, U, Y, _, _, total = _forward_batch(*problem, GaussianSampler(9, dim=1), n)
         for got, ref in ((traj.S, S), (traj.U, U), (traj.Y, Y), (traj.J, total)):
             assert np.array_equal(got, ref)
@@ -766,6 +795,21 @@ class TestRowBlocks:
         assert np.any(mean != 0.0)
         for got, ref in ((mean, ref_mean), (sq, ref_sq), (w, ref_w)):
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
+    def test_a_long_one_block_batch_peaks_below_its_whole_trajectory(self, method):
+        # With S, U, Y and all 30 rows of stage costs in one buffer, these
+        # moments peaked at 10.8-11.0 MiB under tracemalloc; now 8.1-8.3.
+        problem = self.simulate_shape_problem()
+        engine = _RolloutEngine(*problem)
+        tracemalloc.start()
+        try:
+            engine.moments(problem[2].gains, GaussianSampler(9, dim=1), 4096, method,
+                           second=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2**20
 
     @pytest.mark.parametrize("method", ["model_based", "derivative_free"])
     def test_large_batch_peak_memory_is_below_half_the_unblocked_peak(self, method):
@@ -1331,8 +1375,8 @@ class TestRunNoise:
 
 
 class TestCostFold:
-    """J is the left fold of the stage costs from 0.0: one reduce along the
-    steps for a batch, the last running sum for a single rollout."""
+    """J is the left fold of the stage costs from 0.0, chunk by chunk in
+    step order, at every batch size."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 400])
     def test_one_block_matches_the_steps_written_out(self, n):
