@@ -55,8 +55,6 @@ Its realized controls Y (N-1, b, m) are written over its noise eps.
 from __future__ import annotations
 
 import functools
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -780,67 +778,30 @@ def policy_gradient_batch(dyn: Dynamics, cost: ControlCost, policy: Policy,
     )
 
 
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` with which the function calling this names, in its
-    warnings, the line that called into the library: the first frame whose
-    module is not a library module of the package, the CLI counting as a
-    caller (``skip_file_prefixes`` of Python 3.12, which 3.10 lacks).  So a
-    warning of :func:`train_policy` names the caller of
-    :func:`~riskconvex.noisynet.train_noisy_net` as well."""
-    level, frame = 2, sys._getframe(2)
-    while frame is not None:
-        module = frame.f_globals.get("__name__", "")
-        if not module.startswith(__package__ + ".") or module == __package__ + ".cli":
-            break
-        level += 1
-        frame = frame.f_back
-    return level
-
-
 def train_policy(dyn: Dynamics, cost: ControlCost, policy0: Policy,
                  model: ControlRiskModel, method: str, config: SolverConfig,
                  constraint: FeasibleSet, sampler: GaussianSampler,
                  sink: Optional[Callable] = None):
-    """Projected SGD over the stacked gains, run by :func:`~riskconvex.solver.projected_sgd`.
+    """Projected SGD over the stacked gains, run by :func:`~riskconvex.solver.projected_sgd`
+    from the gains of ``policy0`` (or ``config.theta0``, step-major like
+    ``policy0.gains.ravel()``) under :func:`check_control_certificate`.
 
-    Starts from the projected ``config.theta0`` when set, else from the
-    projected gains of ``policy0``.  Returns (trained Policy with the
-    averaged gains when config.averaging is set, else the final gains,
-    and a SolverReport).  A failed per-step certificate is a warning;
-    the report flags the void optimality certificate.  The objective
+    Returns (trained Policy with the averaged gains when config.averaging
+    is set, else the final gains, and a SolverReport).  The objective
     trace records the batch mean of exp(alpha J) at each iterate.
     ``sink`` is the driver's per-iteration sink; its theta is the
     step-major ``ravel`` of the stacked gains.
     """
-    return _train_policy(dyn, cost, policy0, model, method, config, constraint, sampler, sink)
-
-
-def _train_policy(dyn, cost, policy0, model, method, config, constraint, sampler, sink,
-                  cert: Optional[ConvexityCertificate] = None):
-    """:func:`train_policy`, under the caller's ``cert`` of (cost, model) if given."""
     engine = _RolloutEngine(dyn, cost, policy0, model)
     engine.check_method(method)
     shape = engine.shape
-    dim = int(np.prod(shape))
-    if constraint.dim != dim:
-        raise ContractError(f"constraint dimension {constraint.dim} != stacked gain size {dim}")
-    start = np.ravel(policy0.gains if config.theta0 is None else config.theta0)
-    if start.size != dim:
-        raise ContractError(f"theta0 has size {start.size} != stacked gain size {dim}")
-    if cert is None:
-        cert = check_control_certificate(cost, model)
-    if not cert.holds:
-        warnings.warn(
-            f"per-step certificate fails (worst margin {cert.margin:.3e}); "
-            "the optimality certificate in the report is void",
-            stacklevel=_caller_stacklevel(),
-        )
 
     def oracle(theta, n, stream, second):
         mean, sq, w = engine.moments(theta.reshape(shape), stream, n, method, second)
         return mean.ravel(), sq, w.sum() / n
 
-    report = projected_sgd(oracle, start, constraint, config, sampler, cert, sink)
+    report = projected_sgd(oracle, policy0.gains.ravel(), constraint, config, sampler,
+                           check_control_certificate(cost, model), sink)
     trained = policy0.with_gains(report.theta_hat.reshape(shape))
     return trained, report
 

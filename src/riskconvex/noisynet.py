@@ -32,8 +32,8 @@ from .control import (
     ControlRiskModel,
     Dynamics,
     Policy,
-    _train_policy,
     check_control_certificate,
+    train_policy,
 )
 from .csvio import write_csv
 from .datasets import Dataset
@@ -296,8 +296,8 @@ def train_noisy_net(train: Dataset, cfg: NoisyNetConfig, sampler: GaussianSample
             curve.append(((i - 1) * batch, mse(cfg, ws, train), mse(cfg, ws, test_ds)))
 
     config = SolverConfig(iterations=iterations, batch=batch, averaging=False)
-    trained, report = _train_policy(dyn, cost, policy0, model, method, config,
-                                    constraint, train_stream, record, cert)
+    trained, report = train_policy(dyn, cost, policy0, model, method, config,
+                                   constraint, train_stream, record)
     final_train, final_test = (mse(cfg, trained.gains, ds) for ds in (train, test_ds))
     curve.append((iterations * batch, final_train, final_test))
     return NoisyNetReport(weights=trained.gains, curve=curve, convexity=report.convexity,

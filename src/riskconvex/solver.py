@@ -8,14 +8,16 @@ from theta = 0 (projected into C when infeasible), where ghat is the
 single-draw unbiased gradient of G and zeta bounds sqrt(E ||ghat||^2).
 With uniform iterate averaging the expected objective gap after T
 iterations is at most R(C) * zeta * sqrt(1/(2T)); that certificate is
-returned with every report.  The iteration loop, :func:`projected_sgd`
-(shared with ``control.train_policy``), is sequential; per-iteration
+returned with every report.  :func:`projected_sgd` drives every run (:func:`solve`,
+``control.train_policy``, the noisy net): it alone sets and checks the start
+and warns on a failed certificate.  Its loop is sequential; per-iteration
 mini-batches average independent draws from the run stream in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -144,7 +146,7 @@ class SolverConfig:
     None to estimate it from a pilot of ``pilot_samples`` draws at the
     start point.  ``batch`` > 1 averages that many draws per iteration
     (the pilot then calibrates to the batch mean).  ``theta0`` overrides
-    the default start of 0 (still projected).
+    the run's default start (:func:`projected_sgd` states its rule).
     """
 
     iterations: int
@@ -242,10 +244,33 @@ def pilot_zeta(mean, second, n: int, batch: int) -> float:
     return zeta if zeta > 0.0 else 1.0
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` with which the function calling this names, in its
+    warnings, the line that called into the library: the first frame whose
+    module is not a library module of the package, the CLI counting as a
+    caller (``skip_file_prefixes`` of Python 3.12, which 3.10 lacks).  So the
+    warning of :func:`projected_sgd` names the caller of :func:`solve`,
+    ``control.train_policy`` or ``noisynet.train_noisy_net``."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if not module.startswith(__package__ + ".") or module == __package__ + ".cli":
+            break
+        level += 1
+        frame = frame.f_back
+    return level
+
+
 def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: SolverConfig,
                   sampler: GaussianSampler, convexity: ConvexityCertificate,
                   sink: Optional[Callable] = None) -> SolverReport:
-    """Projected stochastic gradient iterations from the projected ``start``.
+    """Projected stochastic gradient iterations from the projected ``start``,
+    or ``config.theta0`` when set, a float vector of shape ``(feasible.dim,)``;
+    a feasible set whose dimension is not ``start``'s size is a
+    :class:`ContractError`.  A failed ``convexity`` (the caller's check of
+    alpha R_t >= inv(Sigma_t), one step for a static model, kept in the
+    report) is one warning, before the pilot, at the caller's line: the
+    descent goes on, but its optimality certificate is void.
 
     ``oracle(theta, n, stream, second)`` draws n gradient samples and
     returns their flat mean, their per-coordinate mean square when
@@ -256,12 +281,22 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
     ``sink(i, theta_i, grad_norm_i, eta_i, objective_i)`` is called after each
     gradient check with the iterate the gradient was drawn at.  No iterate is
     changed in place, so a sink may keep them; the loop keeps only their sum.
-    ``convexity``, the caller's check of convexity, goes into the report.
     Raises :class:`EstimateOverflowError` when the pilot zeta is not
     finite, and :class:`DivergenceError` carrying the iteration index on a
     non-finite gradient estimate, or when a finite step overflows to an
     iterate the feasible set cannot project.
     """
+    if feasible.dim != np.size(start):
+        raise ContractError(f"feasible set dimension {feasible.dim} != {np.size(start)} parameters")
+    if config.theta0 is not None:
+        start = np.asarray(config.theta0, dtype=float)
+        if start.shape != (feasible.dim,):
+            raise ContractError(f"theta must have shape ({feasible.dim},), "
+                                f"got {start.shape} (config.theta0)")
+    if not convexity.holds:
+        warnings.warn(f"per-step certificate fails (worst margin {convexity.margin:.3e}); "
+                      "the optimality certificate in the report is void",
+                      stacklevel=_caller_stacklevel())
     pilot_stream, run_stream = sampler.split(2)
     theta = feasible.project(start)
     radius = feasible.radius_bound
@@ -307,12 +342,9 @@ def projected_sgd(oracle: Callable, start, feasible: FeasibleSet, config: Solver
 
 def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
           config: SolverConfig, sampler: GaussianSampler) -> SolverReport:
-    """Run the projected stochastic gradient method on G.
-
-    The run starts at theta = 0 projected into C (or config.theta0).  A
-    failed convexity certificate is a warning, not an error: the descent
-    is still valid on a possibly nonconvex G, but the optimality
-    certificate in the report is void and flagged.
+    """Run the projected stochastic gradient method on G from theta = 0
+    (or ``config.theta0``), checked and started by :func:`projected_sgd`
+    under :func:`check_convexity_certificate` of the model.
 
     Raises:
         ContractError: if f has no gradient, or dimensions disagree.
@@ -323,24 +355,15 @@ def solve(f: ScalarField, model: RiskModel, feasible: FeasibleSet,
     """
     if f.gradient is None:
         raise ContractError("solve requires a field with a gradient")
-    if feasible.dim != model.dim:
-        raise ContractError("feasible set dimension does not match the model")
-    start = np.zeros(model.dim) if config.theta0 is None else config.theta0
-    start = _check_args(f, model, sampler, config.batch, start, min_n=1)
-    cert = check_convexity_certificate(model)
-    if not cert.holds:
-        warnings.warn(
-            f"convexity certificate fails (margin {cert.margin:.3e}); "
-            "the optimality certificate in the report is void",
-            stacklevel=2,
-        )
+    start = _check_args(f, model, sampler, config.batch, np.zeros(model.dim), min_n=1)
 
     def oracle(theta, n, stream, second):
         g = _grad_samples(f, model, theta, n, stream)
         mean = g[0] if n == 1 else g.mean(axis=0)  # one row is its own mean, bit for bit
         return mean, (g * g).mean(axis=0) if second else None, None
 
-    return projected_sgd(oracle, start, feasible, config, sampler, cert)
+    return projected_sgd(oracle, start, feasible, config, sampler,
+                         check_convexity_certificate(model))
 
 
 @dataclass

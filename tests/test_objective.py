@@ -175,7 +175,7 @@ class TestOneCertificateRule:
         assert bench.certified() == ref.holds
         assert ref.holds == (r > 1.0 - 1e-9)
         config = SolverConfig(iterations=2, zeta=1.0)
-        with warns_unless(ref.holds, "convexity certificate fails"):
+        with warns_unless(ref.holds, "per-step certificate fails"):
             rep = solve(linear_field([0.5]), model, FeasibleSet.ball(np.zeros(1), 1.0), config,
                         model.sampler(0))
         assert_same_check(rep.convexity, ref)

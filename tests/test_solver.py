@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskconvex.benchmarks import ScalarBenchmark
+from riskconvex.control import train_policy
 from riskconvex.csvio import read_matrix
+from riskconvex.datasets import make_sine
 from riskconvex.errors import ContractError, DivergenceError, EstimateOverflowError
 from riskconvex.fields import constant_field, linear_field
-from riskconvex.objective import ConvexityCertificate, isotropic_model
+from riskconvex.noisynet import NoisyNetConfig, train_noisy_net
+from riskconvex.objective import ConvexityCertificate, RiskModel, isotropic_model
 from riskconvex.sampling import GaussianSampler
 from riskconvex.solver import (
     FeasibleSet,
@@ -444,6 +448,60 @@ class TestSolve:
         assert np.array_equal(got[:, 1:3], [theta for _, theta, *_ in steps])
         assert np.array_equal(got[:, 3], rep.grad_norms)
         assert np.array_equal(got[:, 4], rep.etas)
+
+
+class TestOneRunGate:
+    """projected_sgd is the one place that starts a run, checks its start
+    against the feasible set and warns on a failed certificate, for solve,
+    train_policy and the noisy net alike."""
+
+    UNCERTIFIED = ScalarBenchmark(r=0.5)  # alpha r = 0.5 < 1 / sigma_u^2 = 1
+    CONFIG = SolverConfig(iterations=2, zeta=1.0)
+
+    def runs(self):
+        model = RiskModel(1.0, np.eye(1), 0.5 * np.eye(1))
+        dyn, cost, policy0, control_model = self.UNCERTIFIED.problem()  # two (1, 1) steps
+        net = NoisyNetConfig(widths=[1, 4, 1], alpha=3.0, noise_scales=[0.15, 0.15],
+                             penalty_weights=[0.05, 0.05], loss_bound=0.5)
+        ds = make_sine(30, GaussianSampler(0, dim=1))
+        return {
+            "solve": lambda: solve(linear_field([0.5]), model, FeasibleSet.ball(np.zeros(1), 1.0),
+                                   self.CONFIG, model.sampler(0)),
+            "train_policy": lambda: train_policy(dyn, cost, policy0, control_model,
+                                                 "derivative_free", self.CONFIG,
+                                                 FeasibleSet.ball(np.zeros(2), 1.0),
+                                                 GaussianSampler(0, dim=1)),
+            "train_noisy_net": lambda: train_noisy_net(ds, net, GaussianSampler(1, dim=1),
+                                                       iterations=2, batch=8, force=True),
+        }
+
+    @pytest.mark.parametrize("name", ["solve", "train_policy", "train_noisy_net"])
+    def test_a_failed_certificate_warns_once_at_the_callers_line(self, name):
+        run = self.runs()[name]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run()
+        assert [(w.category, w.filename) for w in record] == [(UserWarning, __file__)]
+        assert str(record[0].message).startswith("per-step certificate fails (worst margin ")
+
+    def test_train_policy_takes_theta0_flat_only(self):
+        dyn, cost, policy0, model = ScalarBenchmark().problem()
+        assert policy0.gains.shape == (2, 1, 1)
+        with pytest.raises(ContractError, match=r"theta must have shape \(2,\), "
+                                                r"got \(2, 1, 1\) \(config.theta0\)"):
+            train_policy(dyn, cost, policy0, model, "derivative_free",
+                         SolverConfig(iterations=2, zeta=1.0, theta0=np.zeros((2, 1, 1))),
+                         FeasibleSet.ball(np.zeros(2), 1.0), GaussianSampler(0, dim=1))
+
+    def test_a_feasible_set_of_another_dimension_names_both_sizes(self):
+        model = isotropic_model(1.0, 1.0, 1.0, 2)
+        with pytest.raises(ContractError, match=r"^feasible set dimension 3 != 2 parameters$"):
+            solve(linear_field([0.5, 0.5]), model, FeasibleSet.ball(np.zeros(3), 1.0),
+                  self.CONFIG, model.sampler(0))
+        dyn, cost, policy0, control_model = ScalarBenchmark().problem()
+        with pytest.raises(ContractError, match=r"^feasible set dimension 3 != 2 parameters$"):
+            train_policy(dyn, cost, policy0, control_model, "derivative_free", self.CONFIG,
+                         FeasibleSet.ball(np.zeros(3), 1.0), GaussianSampler(0, dim=1))
 
 
 class TestVarianceBound:
